@@ -8,11 +8,11 @@ vector, with
     f_g = 2 gamma M R f_tilde,
 
 where M is the diagonal interface mass, T the side exchange, and R the
-constrained Robin resolvent.  G is applied matrix-free (one constrained
-solve per application) and the system is solved by a Lanczos/Givens
-minimum-residual recurrence implemented here; G is symmetric but carries
-a known nullspace (the per-interface constant jump directions), against
-which f_g is automatically consistent.
+constrained Robin resolvent.  G is applied matrix-free, through the
+solver's precomputed Robin-to-trace maps, and the system is solved by a
+Lanczos/Givens minimum-residual recurrence implemented here; G is
+symmetric but carries a known nullspace (the per-interface constant jump
+directions), against which f_g is automatically consistent.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .iteration import RobinProblem, assemble_solution
 __all__ = [
     "InterfaceOperator",
     "KrylovReport",
-    "apply_G",
     "solve_minres",
     "recover_solution",
 ]
@@ -39,7 +38,7 @@ class InterfaceOperator:
     """Matrix-free G bound to one assembled Robin problem."""
 
     def __init__(self, problem: RobinProblem):
-        if problem.solver is None and problem.partition.trace.n_slots:
+        if not problem.config.constrained and problem.partition.trace.n_slots:
             raise ValueError("interface operator needs the constrained solver")
         self.problem = problem
         self.trace = problem.partition.trace
@@ -66,10 +65,6 @@ class InterfaceOperator:
             self.problem.local_loads, np.zeros(self.n)
         )
         return 2.0 * self.gamma * self.trace.m_diag * u_trace
-
-
-def apply_G(operator: InterfaceOperator, g: np.ndarray) -> np.ndarray:
-    return operator.apply(g)
 
 
 @dataclass(eq=False)

@@ -18,6 +18,9 @@ import scipy.sparse.linalg as spla
 from . import _kernels as K
 from .mesh import Mesh
 
+# Triangles per block in error_norms.
+ERROR_BLOCK = 16384
+
 
 @dataclass(eq=False)
 class GlobalSystem:
@@ -134,26 +137,32 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
     """L2 and H(div) errors against an exact field and its divergence.
 
     The H(div) norm is sqrt(l2^2 + ||div u_h - div u||^2). Quadrature is
-    the degree-4 rule, exact when the exact field is quadratic.
+    the degree-4 rule, exact when the exact field is quadratic.  Triangles
+    are taken ERROR_BLOCK at a time, which bounds the quadrature
+    temporaries on fine meshes.
     """
-    coords = mesh.tri_coords()
-    pts = np.einsum("qj,tjd->tqd", K.QUAD4_BARY, coords)
-    uh = K.rt0_values(
-        coords,
-        mesh.edge_len[mesh.tri_edges],
-        mesh.tri_signs,
-        mesh.tri_area,
-        np.ascontiguousarray(u[mesh.tri_edges]),
-        K.QUAD4_BARY,
-    )
-    ex, ey = exact_u(pts[:, :, 0], pts[:, :, 1])
-    dx = uh[:, :, 0] - ex
-    dy = uh[:, :, 1] - ey
-    l2_sq = np.einsum("q,tq,t->", K.QUAD4_W, dx * dx + dy * dy, mesh.tri_area)
-
     div_h = divergence(mesh, u)
-    dd = div_h[:, None] - exact_div(pts[:, :, 0], pts[:, :, 1])
-    div_sq = np.einsum("q,tq,t->", K.QUAD4_W, dd * dd, mesh.tri_area)
+    l2_sq = div_sq = 0.0
+    for start in range(0, mesh.n_triangles, ERROR_BLOCK):
+        tris = slice(start, start + ERROR_BLOCK)
+        coords = mesh.verts[mesh.tris[tris]]
+        edges = mesh.tri_edges[tris]
+        area = mesh.tri_area[tris]
+        pts = np.einsum("qj,tjd->tqd", K.QUAD4_BARY, coords)
+        uh = K.rt0_values(
+            coords,
+            mesh.edge_len[edges],
+            mesh.tri_signs[tris],
+            area,
+            np.ascontiguousarray(u[edges]),
+            K.QUAD4_BARY,
+        )
+        ex, ey = exact_u(pts[:, :, 0], pts[:, :, 1])
+        dx = uh[:, :, 0] - ex
+        dy = uh[:, :, 1] - ey
+        l2_sq += np.einsum("q,tq,t->", K.QUAD4_W, dx * dx + dy * dy, area)
+        dd = div_h[tris, None] - exact_div(pts[:, :, 0], pts[:, :, 1])
+        div_sq += np.einsum("q,tq,t->", K.QUAD4_W, dd * dd, area)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + div_sq))
 
 

@@ -1,11 +1,16 @@
-"""Per-subdomain Robin problems and the constrained interface solve.
+"""Per-subdomain Robin problems and the constrained Robin-to-trace map.
 
 Each subdomain carries the bilinear form restricted to its own triangles
 plus a Robin term gamma*M on its interface rows, factorized once.  The
 edge-average continuity constraint B u = 0 is enforced with a Lagrange
 multiplier; eliminating the (block-diagonal) Robin matrix leaves a small
-dense Schur complement S = B H^-1 B^T, one row per coarse interface,
-factorized once and reused for every subsequent solve.
+dense Schur complement S = B H^-1 B^T, one row per coarse interface.
+
+Setup also solves each subdomain's Robin problem once against the
+identity on its interface rows.  The interface block of that solve is the
+subdomain's dense Robin-to-trace map, so applying the constrained
+resolvent to trace data afterwards takes batched products of those maps
+and one small dense solve, with no back-substitution.
 """
 
 from __future__ import annotations
@@ -27,13 +32,18 @@ __all__ = [
     "ConstrainedRobinSolver",
     "build_local_systems",
     "solve_local",
-    "solve_constrained",
-    "apply_resolvent",
 ]
 
 # Blocks at or under this many dofs use a dense Cholesky factorization
 # (which also certifies positive definiteness); larger ones use sparse LU.
 DENSE_LIMIT = 2000
+
+# Largest relative backward error accepted for a Robin-to-trace map.
+TRACE_MAP_TOL = 1e-12
+
+# Columns of a many-column resolvent application handled at a time, which
+# keeps its temporaries to a few n_slots x COLUMN_BLOCK arrays.
+COLUMN_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -68,8 +78,11 @@ class LocalRobinSystem:
         return (self.A + sp.diags(diag)).tocsr()
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"subdomain {self.sid}: non-finite right-hand side")
         if self._chol is not None:
-            return sla.cho_solve(self._chol, rhs)
+            # As in CoarseSchur.solve, the factor was checked when made.
+            return sla.cho_solve(self._chol, rhs, check_finite=False)
         return self._lu.solve(rhs)
 
 
@@ -81,13 +94,53 @@ class CoarseSchur:
     _chol: tuple
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._chol, rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("non-finite right-hand side for the coarse solve")
+        # The factor was checked when it was made; scanning it again on
+        # every call would double the cost of the solve.
+        return sla.cho_solve(self._chol, rhs, check_finite=False)
 
 
-def _local_matrix(mesh: Mesh, beta: float, tri_ids, loc_of_edge, n_local):
-    divdiv, mass = fem.element_matrices(mesh, tri_ids)
-    elem = divdiv + beta * mass
-    dofs = loc_of_edge[mesh.tri_edges[tri_ids]]
+def _rank_in_group(groups: list, size: int) -> np.ndarray:
+    """Position of each index in 0..size-1 within its group, -1 if none."""
+    counts = np.array([g.size for g in groups], dtype=np.int64)
+    rank = np.full(size, -1, dtype=np.int64)
+    rank[np.concatenate(groups)] = np.arange(counts.sum()) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return rank
+
+
+def _subdomain_dofs(part: SubdomainPartition, mesh: Mesh):
+    """Triangles grouped by subdomain, with the local dofs of their edges.
+
+    Returns (tri_ids, starts, loc): triangles tri_ids[starts[s]:starts[s+1]]
+    are subdomain s's, in increasing order, and loc[k] holds the local dof
+    of each edge of triangle tri_ids[k] in its subdomain (-1 on the
+    boundary).
+    """
+    trace = part.trace
+    tri_ids = np.argsort(part.tri_sub, kind="stable")
+    starts = np.concatenate(
+        [[0], np.cumsum(np.bincount(part.tri_sub, minlength=part.n_subdomains))]
+    )
+    edges = mesh.tri_edges[tri_ids]
+    loc = _rank_in_group(part.interior_edges, mesh.n_edges)[edges]
+    if trace.n_slots:
+        n_interior = np.array([e.size for e in part.interior_edges])
+        slot_rank = _rank_in_group(part.sub_slots, trace.n_slots)
+        first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
+        first_slot[trace.slot_edge[::2]] = np.arange(0, trace.n_slots, 2)
+        slot = first_slot[edges]
+        on_gamma = slot >= 0
+        # Each interface edge has its i-side slot first, then its j-side.
+        sub = part.tri_sub[tri_ids][:, None]
+        slot = np.where(on_gamma, slot + (trace.slot_sub[slot] != sub), 0)
+        loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
+    return tri_ids, starts, loc
+
+
+def _local_matrix(elem: np.ndarray, dofs: np.ndarray, n_local: int):
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
@@ -95,6 +148,40 @@ def _local_matrix(mesh: Mesh, beta: float, tri_ids, loc_of_edge, n_local):
         (elem.ravel()[keep], (rows[keep], cols[keep])),
         shape=(n_local, n_local),
     ).tocsr()
+
+
+def _factor(A: sp.csr_matrix, robin_diag: np.ndarray, sid: int):
+    """(cholesky, lu) of H = A + diag(robin_diag), which must be SPD.
+
+    Exactly one of the two is set.  Small blocks get a dense Cholesky
+    factorization.  Larger ones get a SuperLU factorization in symmetric
+    mode (diagonal pivots, minimum degree on A + A^T), whose U diagonal
+    holds the pivots of the LDL^T factorization: all of them are positive
+    exactly when H is positive definite.
+    """
+    not_spd = ValueError(
+        f"subdomain {sid}: Robin matrix not positive definite "
+        "(assembly bug or invalid parameters)"
+    )
+    if A.shape[0] <= DENSE_LIMIT:
+        H = A.toarray()
+        H[np.diag_indices_from(H)] += robin_diag
+        try:
+            return sla.cho_factor(H, lower=True, overwrite_a=True), None
+        except sla.LinAlgError as err:
+            raise not_spd from err
+    try:
+        lu = spla.splu(
+            (A + sp.diags(robin_diag)).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:  # an exactly zero pivot
+        raise not_spd from err
+    if np.any(lu.U.diagonal() <= 0.0):
+        raise not_spd
+    return None, lu
 
 
 def build_local_systems(
@@ -106,6 +193,9 @@ def build_local_systems(
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     trace = part.trace
+    tri_ids, starts, loc = _subdomain_dofs(part, mesh)
+    divdiv, mass = fem.element_matrices(mesh, tri_ids)
+    elem = divdiv + beta * mass
     systems = []
     for s in range(part.n_subdomains):
         slots = part.slots_of(s)
@@ -113,28 +203,13 @@ def build_local_systems(
         local_edges = np.concatenate([interior, trace.slot_edge[slots]])
         n_interior = interior.size
         n_local = local_edges.size
-
-        loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
-        loc_of_edge[local_edges] = np.arange(n_local)
-        tri_ids = np.flatnonzero(part.tri_sub == s)
-        A = _local_matrix(mesh, beta, tri_ids, loc_of_edge, n_local)
+        block = slice(starts[s], starts[s + 1])
+        A = _local_matrix(elem[block], loc[block], n_local)
 
         m_diag = trace.m_diag[slots]
         diag = np.zeros(n_local)
         diag[n_interior:] = gamma * m_diag
-        H = (A + sp.diags(diag)).tocsr()
-        chol = None
-        lu = None
-        if n_local <= DENSE_LIMIT:
-            try:
-                chol = sla.cho_factor(H.toarray(), lower=True)
-            except sla.LinAlgError as err:
-                raise ValueError(
-                    f"subdomain {s}: Robin matrix not positive definite "
-                    "(assembly bug or invalid parameters)"
-                ) from err
-        else:
-            lu = spla.splu(H.tocsc())
+        chol, lu = _factor(A, diag, s)
         systems.append(
             LocalRobinSystem(
                 sid=s,
@@ -154,21 +229,15 @@ def build_local_systems(
 
 def local_loads(part: SubdomainPartition, mesh: Mesh, field) -> list:
     """Per-subdomain load vectors in local dof order."""
-    contrib = fem.element_loads(mesh, field)
+    tri_ids, starts, loc = _subdomain_dofs(part, mesh)
+    contrib = fem.element_loads(mesh, field)[tri_ids]
     loads = []
     for s in range(part.n_subdomains):
-        slots = part.slots_of(s)
-        local_edges = np.concatenate(
-            [part.interior_edges[s], part.trace.slot_edge[slots]]
-        )
-        loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
-        loc_of_edge[local_edges] = np.arange(local_edges.size)
-        tri_ids = np.flatnonzero(part.tri_sub == s)
-        dofs = loc_of_edge[mesh.tri_edges[tri_ids]].ravel()
-        vals = contrib[tri_ids].ravel()
-        f = np.zeros(local_edges.size)
-        np.add.at(f, dofs[dofs >= 0], vals[dofs >= 0])
-        loads.append(f)
+        n_local = part.interior_edges[s].size + part.slots_of(s).size
+        dofs = loc[starts[s]:starts[s + 1]].ravel()
+        vals = contrib[starts[s]:starts[s + 1]].ravel()
+        keep = dofs >= 0
+        loads.append(np.bincount(dofs[keep], vals[keep], minlength=n_local))
     return loads
 
 
@@ -201,13 +270,42 @@ def solve_local(system: LocalRobinSystem, f_i, g_i):
     return x[:nI], x[nI:]
 
 
-class ConstrainedRobinSolver:
-    """Robin solves with the edge-average constraint eliminated.
+def _trace_map_error(system: LocalRobinSystem, X: np.ndarray) -> float:
+    """Backward error of X = H^-1 E, E the identity on the interface rows.
 
-    Precomputes, per subdomain, the solved constraint columns
-    Y = H^-1 B^T (at most four nonzero columns each) and the dense coarse
-    Schur complement S = B H^-1 B^T, then answers every constrained solve
-    with one factorized solve per subdomain plus a small dense solve.
+    |H X - E| / (|H|_1 |X| + |E|), with Frobenius norms for the blocks.
+    """
+    A = system.A
+    nI = system.n_interior
+    robin = system.gamma * system.m_diag
+    R = A @ X
+    R[nI:] += robin[:, None] * X[nI:]
+    R[nI:] -= np.eye(X.shape[1])
+    # Column sums of |H| from those of |A| and its diagonal.
+    col_abs = np.bincount(A.indices, np.abs(A.data), minlength=system.n_local)
+    a_diag = A.diagonal()[nI:]
+    col_abs[nI:] += np.abs(a_diag + robin) - np.abs(a_diag)
+    scale = col_abs.max() * np.linalg.norm(X) + np.sqrt(X.shape[1])
+    return float(np.linalg.norm(R) / scale)
+
+
+class ConstrainedRobinSolver:
+    """The Robin solves with the edge-average constraint eliminated.
+
+    Setup does one back-substitution per subdomain, X_s = H_s^-1 E_s with
+    E_s the identity on the subdomain's interface rows, and keeps:
+
+    - the Robin-to-trace block Z_s = X_s[interface] (at most 4r x 4r),
+      stacked with the other blocks of the same size;
+    - the solved constraint columns Y_s = X_s B_s^T;
+    - the dense coarse Schur complement S = sum_s B_s Y_s[interface],
+      factorized.
+
+    `apply_resolvent` is then one batched product per block size plus the
+    coarse correction.  `solve` takes loads and returns interiors, so it
+    still does one back-substitution per subdomain; it is the reference
+    the resolvent is checked against.  An empty (0 x n_slots) constraint
+    gives the unconstrained solves.
     """
 
     def __init__(self, systems: list, B: sp.spmatrix):
@@ -217,17 +315,47 @@ class ConstrainedRobinSolver:
         self._adj = []
         self._Y = []
         S = np.zeros((self.n_ifaces, self.n_ifaces))
-        Bcsc = B.tocsc()
+        Bcsc = B.tocsc(copy=True)
+        Bcsc.sum_duplicates()
+        Bcsc.eliminate_zeros()
+        by_size = {}
+        y_rows, y_cols, y_vals = [], [], []
         for system in systems:
-            cols = Bcsc[:, system.slots].toarray()  # (n_ifaces, n_slots_s)
-            adj = np.flatnonzero(np.any(cols != 0.0, axis=1))
-            rhs = np.zeros((system.n_local, adj.size))
-            rhs[system.n_interior:, :] = cols[adj].T
-            Y = system.backsolve(rhs) if adj.size else rhs
+            nI = system.n_interior
+            n_own = system.slots.size
+            E = np.zeros((system.n_local, n_own))
+            E[nI:] = np.eye(n_own)
+            X = np.ascontiguousarray(system.backsolve(E)) if n_own else E
+            err = _trace_map_error(system, X) if n_own else 0.0
+            if err > TRACE_MAP_TOL:
+                raise RuntimeError(
+                    f"subdomain {system.sid}: Robin-to-trace map backward "
+                    f"error {err:.3e}"
+                )
+            # B_s: the constraint rows that touch the subdomain's slots,
+            # gathered from the CSC entries of its slot columns.
+            start = Bcsc.indptr[system.slots]
+            count = Bcsc.indptr[system.slots + 1] - start
+            gathered = np.cumsum(count) - count
+            entry = np.arange(count.sum()) + np.repeat(start - gathered, count)
+            adj, row = np.unique(Bcsc.indices[entry], return_inverse=True)
+            B_s = np.zeros((adj.size, n_own))
+            B_s[row, np.repeat(np.arange(n_own), count)] = Bcsc.data[entry]
+            Y = X @ B_s.T
             self._adj.append(adj)
             self._Y.append(Y)
             if adj.size:
-                S[np.ix_(adj, adj)] += cols[adj] @ Y[system.n_interior:, :]
+                S[np.ix_(adj, adj)] += B_s @ Y[nI:]
+                y_rows.append(np.repeat(system.slots, adj.size))
+                y_cols.append(np.tile(adj, n_own))
+                y_vals.append(Y[nI:].ravel())
+            if n_own:
+                slots, blocks = by_size.setdefault(n_own, ([], []))
+                slots.append(system.slots)
+                blocks.append(X[nI:].copy())  # a view would keep all of X
+        self._blocks = [
+            (np.array(slots), np.array(blocks)) for slots, blocks in by_size.values()
+        ]
         if self.n_ifaces:
             try:
                 chol = sla.cho_factor(S, lower=True)
@@ -237,8 +365,20 @@ class ConstrainedRobinSolver:
                     "definite (constraint rows dependent or assembly bug)"
                 ) from err
             self.schur = CoarseSchur(S=S, _chol=chol)
+            self._Y_trace = sp.csr_matrix(
+                (np.concatenate(y_vals),
+                 (np.concatenate(y_rows), np.concatenate(y_cols))),
+                shape=(self.n_slots, self.n_ifaces),
+            )
         else:
             self.schur = None
+
+    def _check_constraint(self, w: np.ndarray) -> None:
+        jump = np.abs(self.B @ w).max()
+        if jump > 1e-10 * max(np.abs(w).max(), 1.0):
+            raise RuntimeError(
+                f"edge-average constraint violated after solve: {jump:.3e}"
+            )
 
     def solve(self, loads, g):
         """Constrained solve; returns (u_interior list, u_trace, mu).
@@ -275,11 +415,7 @@ class ConstrainedRobinSolver:
                     corr = self._Y[k] @ mu[adj]
                     v_int[k] -= corr[: system.n_interior]
                     w[system.slots] -= corr[system.n_interior:]
-            jump = np.abs(self.B @ w).max()
-            if jump > 1e-10 * max(np.abs(w).max(), 1.0):
-                raise RuntimeError(
-                    f"edge-average constraint violated after solve: {jump:.3e}"
-                )
+            self._check_constraint(w)
         else:
             mu = np.zeros((0, width))
         if not many:
@@ -299,27 +435,17 @@ class ConstrainedRobinSolver:
             raise ValueError(
                 f"trace vector has {cols.shape[0]} rows, expected {self.n_slots}"
             )
-        w = np.zeros_like(cols)
-        for k, system in enumerate(self.systems):
-            nI = system.n_interior
-            local = np.zeros((system.n_local, cols.shape[1]))
-            local[nI:] = cols[system.slots]
-            x = system.backsolve(local)
-            w[system.slots] = x[nI:]
-        if self.schur is not None:
-            mu = self.schur.solve(self.B @ w)
-            for k, system in enumerate(self.systems):
-                adj = self._adj[k]
-                if adj.size:
-                    w[system.slots] -= (self._Y[k] @ mu[adj])[system.n_interior:]
+        w = np.empty_like(cols)
+        for j in range(0, cols.shape[1], COLUMN_BLOCK):
+            block = slice(j, j + COLUMN_BLOCK)
+            w[:, block] = self._resolve(cols[:, block])
         return w if many else w[:, 0]
 
-
-def solve_constrained(systems: list, B: sp.spmatrix, f, g):
-    """One-off constrained solve (see ConstrainedRobinSolver.solve)."""
-    return ConstrainedRobinSolver(systems, B).solve(f, g)
-
-
-def apply_resolvent(systems: list, B: sp.spmatrix, rhs):
-    """One-off resolvent application on trace data."""
-    return ConstrainedRobinSolver(systems, B).apply_resolvent(rhs)
+    def _resolve(self, cols: np.ndarray) -> np.ndarray:
+        w = np.empty_like(cols)
+        for slots, Z in self._blocks:
+            w[slots] = np.matmul(Z, cols[slots])
+        if self.schur is not None:
+            w -= self._Y_trace @ self.schur.solve(self.B @ w)
+            self._check_constraint(w)
+        return w

@@ -75,6 +75,7 @@ class SubdomainPartition:
     interfaces: list
     neighbors: list
     trace: TraceIndex
+    sub_slots: list
 
     @property
     def n_subdomains(self) -> int:
@@ -85,7 +86,14 @@ class SubdomainPartition:
         return len(self.interfaces)
 
     def slots_of(self, sub: int) -> np.ndarray:
-        return np.flatnonzero(self.trace.slot_sub == sub)
+        """Trace slots of one subdomain, in increasing order."""
+        return self.sub_slots[sub]
+
+
+def _split_by(owner: np.ndarray, values: np.ndarray, n: int) -> list:
+    """values grouped by owner in 0..n-1, in their order within a group."""
+    order = np.argsort(owner, kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
 
 
 def partition(mesh: Mesh, N: int) -> SubdomainPartition:
@@ -112,51 +120,56 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     cell_y = vy.sum(axis=1) // 3
     tri_sub = (cell_y // r) * N + (cell_x // r)
 
-    edge_lookup = {
-        (int(x), int(y)): e for e, (x, y) in enumerate(mesh.edge_mid2)
-    }
+    # Edge ids by doubled midpoint, on the (2m+1) x (2m+1) half-cell grid.
+    side = 2 * m + 1
+    edge_at = np.full(side * side, -1, dtype=np.int64)
+    edge_at[mesh.edge_mid2[:, 1] * side + mesh.edge_mid2[:, 0]] = np.arange(
+        mesh.n_edges
+    )
 
-    # Enumerate interfaces bottom-to-top, left-to-right by midpoint.
+    # Enumerate interfaces bottom-to-top, left-to-right by midpoint.  Fine
+    # edge t of an interface has its midpoint at offset 2t + 1 half-cells
+    # along the interface from the subdomain corner.
     raw = []
     for J in range(N):
         for I in range(N - 1):
             mid2 = (2 * r * (I + 1), 2 * r * J + r)
-            raw.append((mid2, J * N + I, J * N + I + 1, (1.0, 0.0), "v", I, J))
+            raw.append((mid2, J * N + I, J * N + I + 1, (1.0, 0.0), VERTICAL))
     for J in range(N - 1):
         for I in range(N):
             mid2 = (2 * r * I + r, 2 * r * (J + 1))
-            raw.append((mid2, J * N + I, (J + 1) * N + I, (0.0, 1.0), "h", I, J))
+            raw.append((mid2, J * N + I, (J + 1) * N + I, (0.0, 1.0), HORIZONTAL))
     raw.sort(key=lambda item: (item[0][1], item[0][0]))
 
-    interfaces = []
-    for index, (mid2, i, j, normal, kind, I, J) in enumerate(raw):
-        if kind == "v":
-            mids = [(2 * r * (I + 1), 2 * (r * J + t) + 1) for t in range(r)]
-            want_kind = VERTICAL
-        else:
-            mids = [(2 * (r * I + t) + 1, 2 * r * (J + 1)) for t in range(r)]
-            want_kind = HORIZONTAL
-        fine = np.array([edge_lookup[mid] for mid in mids], dtype=np.int64)
-        if np.any(mesh.edge_kind[fine] != want_kind) or np.any(
-            mesh.edge_boundary[fine]
-        ):
-            raise AssertionError("interface edge classification mismatch")
-        if np.any(np.diff(fine) <= 0):
-            raise AssertionError("interface fine edges out of order")
-        interfaces.append(
-            CoarseInterface(
-                index=index,
-                i=i,
-                j=j,
-                normal=np.array(normal),
-                fine_edges=fine,
-                length=r * mesh.h,
-            )
+    n_if = len(raw)
+    mid = np.array([item[0] for item in raw], dtype=np.int64).reshape(n_if, 2)
+    iface_i = np.array([item[1] for item in raw], dtype=np.int64)
+    iface_j = np.array([item[2] for item in raw], dtype=np.int64)
+    iface_kind = np.array([item[4] for item in raw], dtype=np.int64)
+    step = 2 * np.arange(r, dtype=np.int64) - (r - 1)
+    vertical = (iface_kind == VERTICAL)[:, None]
+    fx = mid[:, :1] + np.where(vertical, 0, step)
+    fy = mid[:, 1:] + np.where(vertical, step, 0)
+    fine = edge_at[fy * side + fx]  # (n_if, r)
+    if np.any(fine < 0) or np.any(mesh.edge_kind[fine] != iface_kind[:, None]) or (
+        np.any(mesh.edge_boundary[fine])
+    ):
+        raise AssertionError("interface edge classification mismatch")
+    if np.any(np.diff(fine, axis=1) <= 0):
+        raise AssertionError("interface fine edges out of order")
+    interfaces = [
+        CoarseInterface(
+            index=index,
+            i=int(iface_i[index]),
+            j=int(iface_j[index]),
+            normal=np.array(item[3]),
+            fine_edges=fine[index],
+            length=r * mesh.h,
         )
+        for index, item in enumerate(raw)
+    ]
 
-    gamma_edges = np.concatenate(
-        [iface.fine_edges for iface in interfaces]
-    ) if interfaces else np.empty(0, dtype=np.int64)
+    gamma_edges = fine.ravel()
     if np.unique(gamma_edges).size != gamma_edges.size:
         raise AssertionError("a fine edge appears on two coarse interfaces")
     on_gamma = np.zeros(mesh.n_edges, dtype=bool)
@@ -176,46 +189,35 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     if np.any(on_gamma & (mesh.edge_kind == DIAGONAL)):
         raise AssertionError("diagonal edge on a subdomain interface")
 
-    # Per-subdomain edge sets.
+    # Per-subdomain edge sets from the distinct (edge, subdomain) incidences,
+    # sorted by edge; a stable sort by subdomain keeps each set sorted.
     n_subs = N * N
-    sub_has_edge = np.zeros((n_subs, mesh.n_edges), dtype=bool)
-    for t in range(mesh.n_triangles):
-        sub_has_edge[tri_sub[t], mesh.tri_edges[t]] = True
-    interior_edges = []
-    interface_edges = []
-    for s in range(n_subs):
-        mine = sub_has_edge[s]
-        interior_edges.append(
-            np.flatnonzero(mine & ~mesh.edge_boundary & ~on_gamma)
-        )
-        interface_edges.append(np.flatnonzero(mine & on_gamma))
-
-    counts = sub_has_edge[:, ~mesh.edge_boundary & ~on_gamma].sum(axis=0)
-    if interior_edges and not np.all(counts == 1):
+    pairs = np.unique(
+        mesh.tri_edges.ravel() * n_subs + np.repeat(tri_sub, 3)
+    )
+    pair_edge, pair_sub = np.divmod(pairs, n_subs)
+    claims = np.bincount(pair_edge, minlength=mesh.n_edges)
+    free_interior = ~mesh.edge_boundary & ~on_gamma
+    if not np.all(claims[free_interior] == 1):
         raise AssertionError("an interior dof is claimed by != 1 subdomain")
-    if np.any(sub_has_edge[:, on_gamma].sum(axis=0) != 2):
+    if not np.all(claims[on_gamma] == 2):
         raise AssertionError("an interface dof is not shared by exactly 2")
 
+    keep = free_interior[pair_edge]
+    interior_edges = _split_by(pair_sub[keep], pair_edge[keep], n_subs)
+    keep = on_gamma[pair_edge]
+    interface_edges = _split_by(pair_sub[keep], pair_edge[keep], n_subs)
+
     neighbors = [set() for _ in range(n_subs)]
-    for iface in interfaces:
-        neighbors[iface.i].add(iface.j)
-        neighbors[iface.j].add(iface.i)
+    for i, j in zip(iface_i.tolist(), iface_j.tolist()):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
 
     # Trace slots: i-side then j-side per fine edge.
-    slot_iface = []
-    slot_edge = []
-    slot_sub = []
-    slot_side = []
-    for iface in interfaces:
-        for e in iface.fine_edges:
-            slot_iface.extend((iface.index, iface.index))
-            slot_edge.extend((e, e))
-            slot_sub.extend((iface.i, iface.j))
-            slot_side.extend((0, 1))
-    slot_iface = np.array(slot_iface, dtype=np.int64)
-    slot_edge = np.array(slot_edge, dtype=np.int64)
-    slot_sub = np.array(slot_sub, dtype=np.int64)
-    slot_side = np.array(slot_side, dtype=np.int64)
+    slot_edge = np.repeat(gamma_edges, 2)
+    slot_iface = np.repeat(np.arange(n_if, dtype=np.int64), 2 * r)
+    slot_side = np.tile(np.array([0, 1], dtype=np.int64), n_if * r)
+    slot_sub = np.where(slot_side == 0, iface_i[slot_iface], iface_j[slot_iface])
     pair_perm = np.arange(slot_edge.size, dtype=np.int64) ^ 1
     trace = TraceIndex(
         slot_iface=slot_iface,
@@ -225,8 +227,16 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         pair_perm=pair_perm,
         m_diag=mesh.edge_len[slot_edge] if slot_edge.size else np.empty(0),
     )
+    sub_slots = _split_by(slot_sub, np.arange(slot_sub.size), n_subs)
 
-    part = SubdomainPartition(
+    # Each subdomain's slots name exactly its interface edges.
+    if not np.array_equal(
+        np.unique(slot_sub * mesh.n_edges + slot_edge),
+        np.sort(pair_sub[keep] * mesh.n_edges + pair_edge[keep]),
+    ):
+        raise AssertionError("subdomain interface set inconsistent")
+
+    return SubdomainPartition(
         N=N,
         mesh=mesh,
         tri_sub=tri_sub,
@@ -235,12 +245,8 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         interfaces=interfaces,
         neighbors=neighbors,
         trace=trace,
+        sub_slots=sub_slots,
     )
-    for s in range(n_subs):
-        from_ifaces = np.unique(trace.slot_edge[part.slots_of(s)])
-        if not np.array_equal(from_ifaces, interface_edges[s]):
-            raise AssertionError("subdomain interface set inconsistent")
-    return part
 
 
 def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:

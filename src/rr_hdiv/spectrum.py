@@ -2,11 +2,12 @@
 
 The homogeneous (zero-load) iteration step is linear in the Robin datum:
 g -> Q_theta g with Q_theta = (1 - theta) I + theta T (2 gamma R M - I).
-Columns of Q are obtained by pushing scaled unit vectors through the
-constrained solver in one batch, so the matrix shares every code path
-with the actual iteration.  The exchange symmetry gives Q a known exact
-unit eigenvalue (the per-interface constant-jump directions), harmless to
-the iteration; the contraction quality lives in the rest of the spectrum.
+Columns of Q are obtained by applying the constrained solver's
+Robin-to-trace map to the scaled unit vectors in one batch, so the matrix
+shares every code path with the actual iteration.  The exchange symmetry
+gives Q a known exact unit eigenvalue (the per-interface constant-jump
+directions), harmless to the iteration; the contraction quality lives in
+the rest of the spectrum.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
     """Build the dense iteration matrix for one configuration.
 
     Refuses dimensions beyond SIZE_CAP; the assembly cost is one
-    constrained multi-column solve, the memory cost one dense square.
+    multi-column resolvent application, the memory cost a few dense
+    squares.
     """
     n = 4 * config.N * (config.N - 1) * config.ratio
     if n > SIZE_CAP:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import relaxed_step
-from rr_hdiv import fem, iteration, spectrum, verify
+from rr_hdiv import fem, iteration, local_solver, spectrum, verify
 
 # Measured once on this discretization and frozen; the runs are fully
 # deterministic so the counts must reproduce exactly.
@@ -157,3 +157,46 @@ def test_report_solution_assembly(case, problem_n4):
     assert rep.u_h.shape == (problem_n4.mesh.n_edges,)
     np.testing.assert_allclose(rep.u_h[problem_n4.mesh.edge_boundary], 0.0,
                                atol=1e-16)
+
+
+def _per_step_richardson(problem):
+    """Reference iteration: one constrained solve per step, then the
+    exchange and the relaxation.  Returns (steps, g, u_h)."""
+    cfg = problem.config
+    trace = problem.partition.trace
+    g = np.zeros(trace.n_slots)
+    for step in range(1, cfg.max_iter + 1):
+        u_int, u_trace, _ = problem.solver.solve(problem.local_loads, g)
+        g_tilde = (2.0 * problem.gamma * u_trace - g)[trace.pair_perm]
+        inc = np.abs(g_tilde - g).max()
+        g = cfg.theta * g_tilde + (1.0 - cfg.theta) * g
+        if inc < cfg.tol:
+            return step, g, iteration.assemble_solution(problem, u_int, u_trace)
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("N,ratio,factor", [(4, 8, "_chol"), (2, 32, "_lu")])
+def test_trace_maps_match_per_step_solves(case, N, ratio, factor):
+    """The precomputed Robin-to-trace maps reproduce the per-step solves."""
+    cfg = iteration.IterationConfig(N=N, ratio=ratio)
+    problem = iteration.build_problem(cfg, case.load)
+    assert all(getattr(s, factor) is not None for s in problem.systems)
+    steps, g_ref, u_ref = _per_step_richardson(problem)
+    rep = iteration.run_richardson(cfg, case)
+    assert rep.converged
+    assert rep.iterations == steps
+    assert np.abs(rep.g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    np.testing.assert_allclose(rep.u_h, u_ref, rtol=0.0, atol=1e-9)
+
+
+def test_nonfinite_increment_stops_run(case, monkeypatch):
+    def poisoned(self, rhs):
+        return np.full(np.shape(rhs), np.nan)
+
+    monkeypatch.setattr(
+        local_solver.ConstrainedRobinSolver, "apply_resolvent", poisoned
+    )
+    rep = iteration.run_richardson(iteration.IterationConfig(N=2, ratio=4), case)
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert np.isnan(rep.increment_history[-1])

@@ -1,10 +1,13 @@
 """Subdomain Robin systems and the constrained (multiplier) solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import apply_to_identity, dense_resolvent
-from rr_hdiv import fem, local_solver, verify
+from rr_hdiv import fem, iteration, local_solver, verify
 from rr_hdiv.mesh import build_unit_square_mesh
 from rr_hdiv.partition import build_constraint, partition
 
@@ -193,3 +196,60 @@ def test_local_loads_match_global(problem_n4, case):
             gathered, trace.slot_edge[system.slots], loc[system.n_interior:]
         )
     np.testing.assert_allclose(gathered, full, atol=1e-14)
+
+
+def test_inaccurate_trace_map_rejected(small_problem):
+    """A factorization that does not solve the subdomain's matrix is caught
+    when the Robin-to-trace maps are built."""
+    systems = list(small_problem.systems)
+    systems[2] = dataclasses.replace(systems[2], A=systems[2].A * 1.001)
+    with pytest.raises(RuntimeError, match="subdomain 2"):
+        local_solver.ConstrainedRobinSolver(systems, small_problem.B)
+
+
+def test_sparse_factor_certifies_definiteness(monkeypatch):
+    monkeypatch.setattr(local_solver, "DENSE_LIMIT", 0)
+    indefinite = sp.csr_matrix(np.array([[2.0, 3.0], [3.0, 2.0]]))
+    with pytest.raises(ValueError, match="subdomain 7: .*not positive definite"):
+        local_solver._factor(indefinite, np.zeros(2), 7)
+    chol, lu = local_solver._factor(indefinite, np.array([0.0, 3.0]), 7)
+    assert chol is None
+    np.testing.assert_allclose(lu.solve(np.array([2.0, 3.0])), [1.0, 0.0])
+
+
+def test_unconstrained_solver_matches_local_solves(case):
+    """An empty constraint gives the independent subdomain solves."""
+    cfg = iteration.IterationConfig(N=2, ratio=4, constrained=False)
+    problem = iteration.build_problem(cfg, case.load)
+    g = np.linspace(-1.0, 1.0, problem.partition.trace.n_slots)
+    u_int, u_trace = problem.solve_once(g)
+    for system in problem.systems:
+        u_i, u_d = local_solver.solve_local(
+            system, problem.local_loads[system.sid], g[system.slots]
+        )
+        np.testing.assert_allclose(u_int[system.sid], u_i, atol=1e-14)
+        np.testing.assert_allclose(u_trace[system.slots], u_d, atol=1e-14)
+
+
+def test_local_dofs_match_edge_lookup(problem_n4):
+    """Reference: a full-mesh edge -> local dof table per subdomain."""
+    part, mesh = problem_n4.partition, problem_n4.mesh
+    tri_ids, starts, loc = local_solver._subdomain_dofs(part, mesh)
+    for system in problem_n4.systems:
+        s = system.sid
+        loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
+        loc_of_edge[system.local_edges] = np.arange(system.n_local)
+        tris = np.flatnonzero(part.tri_sub == s)
+        np.testing.assert_array_equal(tri_ids[starts[s]:starts[s + 1]], tris)
+        np.testing.assert_array_equal(
+            loc[starts[s]:starts[s + 1]], loc_of_edge[mesh.tri_edges[tris]]
+        )
+
+
+def test_nonfinite_data_rejected(small_problem):
+    solver = small_problem.solver
+    g = np.full(solver.n_slots, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.solve(small_problem.local_loads, g)
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.apply_resolvent(g)

@@ -192,3 +192,23 @@ def test_subdomain_triangle_map(part4, mesh32):
     np.testing.assert_array_equal(
         part4.tri_sub, cell[:, 1] * N + cell[:, 0]
     )
+
+
+def test_edge_sets_match_triangle_scan(part4, mesh32):
+    """Reference: scan every triangle for the subdomain edge sets."""
+    on_gamma = np.zeros(mesh32.n_edges, dtype=bool)
+    on_gamma[part4.trace.slot_edge] = True
+    free_interior = ~mesh32.edge_boundary & ~on_gamma
+    for s in range(part4.n_subdomains):
+        mine = np.zeros(mesh32.n_edges, dtype=bool)
+        for t in np.flatnonzero(part4.tri_sub == s):
+            mine[mesh32.tri_edges[t]] = True
+        np.testing.assert_array_equal(
+            part4.interior_edges[s], np.flatnonzero(mine & free_interior)
+        )
+        np.testing.assert_array_equal(
+            part4.interface_edges[s], np.flatnonzero(mine & on_gamma)
+        )
+        np.testing.assert_array_equal(
+            part4.slots_of(s), np.flatnonzero(part4.trace.slot_sub == s)
+        )
