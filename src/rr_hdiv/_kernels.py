@@ -1,19 +1,17 @@
-"""Element-level numeric kernels with a numba fast path.
+"""Element-level numeric kernels.
 
 The kernels below are the only dense inner loops that do not already live
 inside LAPACK or SuperLU: per-triangle element matrices, quadrature of load
 vectors, and pointwise evaluation of lowest-order Raviart-Thomas fields.
-Each kernel has a vectorized numpy implementation and a loop implementation
-that numba compiles. The active backend is chosen once at import time from
-the RRHDIV_NUMBA environment variable ("0"/"false"/"off" selects numpy; any
-other value, or an absent variable, selects numba when it is importable).
+Each is vectorized over a batch of triangles with numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+# The only backend; solvebench/run.py still reports it on its machine line.
+BACKEND = "numpy"
 
 # Midpoint rule on a triangle, exact for quadratics. Point k is the midpoint
 # of the edge opposite vertex k.
@@ -41,7 +39,7 @@ QUAD4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
 
 
-def _element_matrices_numpy(coords, lengths, signs, areas):
+def element_matrices(coords, lengths, signs, areas):
     """Grad-div and mass element matrices for a batch of triangles.
 
     coords: (nt, 3, 2) vertex coordinates, lengths/signs: (nt, 3) for the
@@ -61,35 +59,7 @@ def _element_matrices_numpy(coords, lengths, signs, areas):
     return divdiv, mass
 
 
-def _element_matrices_loops(coords, lengths, signs, areas):
-    nt = coords.shape[0]
-    divdiv = np.empty((nt, 3, 3))
-    mass = np.zeros((nt, 3, 3))
-    for t in range(nt):
-        area = areas[t]
-        for i in range(3):
-            di = signs[t, i] * lengths[t, i]
-            for j in range(3):
-                divdiv[t, i, j] = di * signs[t, j] * lengths[t, j] / area
-        for q in range(3):
-            xq = 0.0
-            yq = 0.0
-            for j in range(3):
-                xq += MIDPOINT_BARY[q, j] * coords[t, j, 0]
-                yq += MIDPOINT_BARY[q, j] * coords[t, j, 1]
-            for i in range(3):
-                ci = signs[t, i] * lengths[t, i] / (2.0 * area)
-                pix = ci * (xq - coords[t, i, 0])
-                piy = ci * (yq - coords[t, i, 1])
-                for j in range(3):
-                    cj = signs[t, j] * lengths[t, j] / (2.0 * area)
-                    pjx = cj * (xq - coords[t, j, 0])
-                    pjy = cj * (yq - coords[t, j, 1])
-                    mass[t, i, j] += MIDPOINT_W[q] * area * (pix * pjx + piy * pjy)
-    return divdiv, mass
-
-
-def _load_vectors_numpy(coords, lengths, signs, areas, fvals, bary, weights):
+def load_vectors(coords, lengths, signs, areas, fvals, bary, weights):
     """Element load vectors int_K f . phi_i for a batch of triangles.
 
     fvals: (nt, nq, 2) values of the load at the quadrature points given by
@@ -103,27 +73,7 @@ def _load_vectors_numpy(coords, lengths, signs, areas, fvals, bary, weights):
     return out * areas[:, None]
 
 
-def _load_vectors_loops(coords, lengths, signs, areas, fvals, bary, weights):
-    nt = coords.shape[0]
-    nq = bary.shape[0]
-    out = np.zeros((nt, 3))
-    for t in range(nt):
-        area = areas[t]
-        for q in range(nq):
-            xq = 0.0
-            yq = 0.0
-            for j in range(3):
-                xq += bary[q, j] * coords[t, j, 0]
-                yq += bary[q, j] * coords[t, j, 1]
-            for i in range(3):
-                ci = signs[t, i] * lengths[t, i] / (2.0 * area)
-                dot = fvals[t, q, 0] * ci * (xq - coords[t, i, 0])
-                dot += fvals[t, q, 1] * ci * (yq - coords[t, i, 1])
-                out[t, i] += weights[q] * area * dot
-    return out
-
-
-def _rt0_values_numpy(coords, lengths, signs, areas, dofs, bary):
+def rt0_values(coords, lengths, signs, areas, dofs, bary):
     """Evaluate a Raviart-Thomas field at barycentric points.
 
     dofs: (nt, 3) coefficients for the edge opposite each vertex. Returns
@@ -133,62 +83,3 @@ def _rt0_values_numpy(coords, lengths, signs, areas, dofs, bary):
     pts = np.einsum("qj,tjd->tqd", bary, coords)
     vec = pts[:, :, None, :] - coords[:, None, :, :]
     return np.einsum("ti,tqid->tqd", coef, vec)
-
-
-def _rt0_values_loops(coords, lengths, signs, areas, dofs, bary):
-    nt = coords.shape[0]
-    nq = bary.shape[0]
-    out = np.zeros((nt, nq, 2))
-    for t in range(nt):
-        area = areas[t]
-        for q in range(nq):
-            xq = 0.0
-            yq = 0.0
-            for j in range(3):
-                xq += bary[q, j] * coords[t, j, 0]
-                yq += bary[q, j] * coords[t, j, 1]
-            ux = 0.0
-            uy = 0.0
-            for i in range(3):
-                ci = dofs[t, i] * signs[t, i] * lengths[t, i] / (2.0 * area)
-                ux += ci * (xq - coords[t, i, 0])
-                uy += ci * (yq - coords[t, i, 1])
-            out[t, q, 0] = ux
-            out[t, q, 1] = uy
-    return out
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("RRHDIV_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMPY_IMPLS = {
-    "element_matrices": _element_matrices_numpy,
-    "load_vectors": _load_vectors_numpy,
-    "rt0_values": _rt0_values_numpy,
-}
-
-NUMBA_IMPLS = None
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        NUMBA_IMPLS = None
-    else:
-        NUMBA_IMPLS = {
-            "element_matrices": njit(cache=True)(_element_matrices_loops),
-            "load_vectors": njit(cache=True)(_load_vectors_loops),
-            "rt0_values": njit(cache=True)(_rt0_values_loops),
-        }
-
-if NUMBA_IMPLS is not None:
-    BACKEND = "numba"
-    _ACTIVE = NUMBA_IMPLS
-else:
-    BACKEND = "numpy"
-    _ACTIVE = NUMPY_IMPLS
-
-element_matrices = _ACTIVE["element_matrices"]
-load_vectors = _ACTIVE["load_vectors"]
-rt0_values = _ACTIVE["rt0_values"]

@@ -1,11 +1,13 @@
 """Experiment driver: iteration-count tables, spectrum exports, one-off solves.
 
 Four canned experiments cover the study grids (two Richardson tables, the
-MINRES table, the spectrum sweep); `solve` runs a single configuration and
-can emit its per-iteration history.  Tables are written as CSV with the
-configuration embedded in a leading comment line, plus a JSON mirror that
-round-trips through `read_records`.  Exit status is 0 only if every run
-in the invocation converged.
+MINRES table, the spectrum sweep). Each is one `TableSpec` in `EXPERIMENTS`:
+the row axis with its desk and full grids, the columns and the method that
+solves a cell, and the CSV header; `run_table` runs any of them. `solve`
+runs a single configuration and can emit its per-iteration history.
+Tables are written as CSV with the configuration embedded in a leading
+comment line, plus a JSON mirror that round-trips through `read_records`.
+Exit status is 0 only if every run in the invocation converged.
 """
 
 from __future__ import annotations
@@ -19,20 +21,15 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from . import __version__, _kernels, boundary_system, iteration, spectrum, verify
+from . import __version__, boundary_system, iteration, spectrum, verify
 from .mesh import build_unit_square_mesh, dump_mesh_csv
 
 __all__ = [
     "ExperimentConfig",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
+    "TableSpec",
+    "EXPERIMENTS",
     "spectrum_runs",
-    "run_table1",
-    "run_table2",
-    "run_table3",
+    "run_table",
     "run_spectrum",
     "write_table",
     "read_table",
@@ -64,13 +61,17 @@ TABLE3_HEADER = (
     "gamma=H,H/h=8",
     "gamma=H,H/h=16",
 )
+SPECTRUM_HEADER = (
+    "N", "r", "gamma", "theta", "dim",
+    "max_real_below_unit", "unit_count", "max_nonreal_modulus", "file",
+)
 
 TABLE1_N_DESK = (4, 8, 16)
 TABLE1_N_FULL = (4, 8, 16, 24, 32, 40, 48, 64)
 TABLE2_RATIOS = (4, 8, 16, 32)
 TABLE3_N_DESK = (4, 8, 16)
 TABLE3_N_FULL = (4, 8, 16, 24, 32, 40, 48)
-SPECTRUM_GRID = tuple((N, r) for N in (4, 8, 12) for r in (4, 8))
+SPECTRUM_N = (4, 8, 12)
 
 RICHARDSON_COLUMNS = (("h", 0.5), ("h", 2.0 / 3.0), ("H", 0.5), ("H", 2.0 / 3.0))
 MINRES_COLUMNS = (("h", 8), ("h", 16), ("H", 8), ("H", 16))
@@ -116,60 +117,7 @@ def parse_count(cell: str):
     return int(cell), True
 
 
-def table1_rows(n_list=TABLE1_N_DESK, tol=1e-6, max_iter=10000):
-    """Fixed ratio 8: four Richardson counts plus errors per N."""
-    case = verify.manufactured_case()
-    rows = []
-    for N in n_list:
-        cells = {}
-        errs = (float("nan"), float("nan"))
-        for rule, theta in RICHARDSON_COLUMNS:
-            cfg = iteration.IterationConfig(
-                N=N, ratio=8, gamma_rule=rule, theta=theta,
-                tol=tol, max_iter=max_iter,
-            )
-            rep = iteration.run_richardson(cfg, case)
-            cells[(rule, theta)] = rep
-            if rule == "h" and theta == 0.5:
-                errs = (rep.l2_error, rep.hdiv_error)
-        rows.append({"N": N, "cells": cells, "errors": errs})
-    return rows
-
-
-def table2_rows(ratio_list=TABLE2_RATIOS, tol=1e-6, max_iter=10000):
-    """Fixed 4x4 subdomains: four Richardson counts per ratio."""
-    case = verify.manufactured_case()
-    rows = []
-    for ratio in ratio_list:
-        cells = {}
-        for rule, theta in RICHARDSON_COLUMNS:
-            cfg = iteration.IterationConfig(
-                N=4, ratio=ratio, gamma_rule=rule, theta=theta,
-                tol=tol, max_iter=max_iter,
-            )
-            cells[(rule, theta)] = iteration.run_richardson(cfg, case)
-        rows.append({"ratio": ratio, "cells": cells})
-    return rows
-
-
-def table3_rows(n_list=TABLE3_N_DESK, tol=1e-6, max_iter=10000):
-    """MINRES counts per N over (gamma rule, ratio) columns."""
-    case = verify.manufactured_case()
-    rows = []
-    for N in n_list:
-        cells = {}
-        for rule, ratio in MINRES_COLUMNS:
-            cfg = iteration.IterationConfig(N=N, ratio=ratio, gamma_rule=rule)
-            problem = iteration.build_problem(cfg, case.load)
-            op = boundary_system.InterfaceOperator(problem)
-            cells[(rule, ratio)] = boundary_system.solve_minres(
-                op, op.load(), tol=tol, max_iter=max_iter, case=case
-            )
-        rows.append({"N": N, "cells": cells})
-    return rows
-
-
-def spectrum_runs(grid=SPECTRUM_GRID, gamma_rule="h", theta=1.0):
+def spectrum_runs(grid, gamma_rule="h", theta=1.0):
     """Spectrum reports over the (N, ratio) grid; oversize entries skipped."""
     reports = []
     skipped = []
@@ -253,79 +201,130 @@ def _report_json(rep: iteration.SolveReport) -> dict:
     }
 
 
-def run_table1(config: ExperimentConfig):
-    rows = table1_rows(config.n_list, config.tol, config.max_iter)
-    csv_rows, json_rows, ok = [], [], True
-    for row in rows:
-        cells = [row["cells"][key] for key in RICHARDSON_COLUMNS]
-        ok &= all(c.converged for c in cells)
-        csv_rows.append(
-            [row["N"]] + [_count_cell(c) for c in cells]
-            + [f"{row['errors'][0]:.3e}", f"{row['errors'][1]:.3e}"]
-        )
-        json_rows.append({
-            "N": row["N"],
-            "counts": {f"{r},{t:g}": _report_json(c)
-                       for (r, t), c in row["cells"].items()},
-            "l2_error": row["errors"][0],
-            "hdiv_error": row["errors"][1],
-        })
-    paths = _emit(config, "table1", TABLE1_HEADER, csv_rows, json_rows)
+def _krylov_json(rep: boundary_system.KrylovReport) -> dict:
+    return {
+        "iterations": rep.iterations,
+        "converged": bool(rep.converged),
+        "breakdown": bool(rep.breakdown),
+        "final_residual": rep.final_residual,
+        "l2_error": rep.l2_error,
+        "hdiv_error": rep.hdiv_error,
+    }
+
+
+def _solve_minres(cfg: iteration.IterationConfig, case):
+    problem = iteration.build_problem(cfg, case.load)
+    op = boundary_system.InterfaceOperator(problem)
+    return boundary_system.solve_minres(
+        op, op.load(), tol=cfg.tol, max_iter=cfg.max_iter, case=case
+    )
+
+
+@dataclass(frozen=True)
+class Method:
+    """How the cells of a table are solved and recorded."""
+
+    solve: object        # (IterationConfig, case) -> report
+    columns: tuple       # one pair per table column
+    fields: tuple        # the IterationConfig fields a column pair sets
+    key: str             # JSON key of a column, formatted from its pair
+    record: object       # report -> JSON cell
+
+
+RICHARDSON = Method(iteration.run_richardson, RICHARDSON_COLUMNS,
+                    ("gamma_rule", "theta"), "{},{:g}", _report_json)
+MINRES = Method(_solve_minres, MINRES_COLUMNS,
+                ("gamma_rule", "ratio"), "{},r={}", _krylov_json)
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One canned experiment: its row grid, columns and output header.
+
+    Rows vary the IterationConfig field `axis` ("N" or "ratio"); each
+    cell also takes the `fixed` fields and the fields its column sets.
+    `config` holds the ExperimentConfig fields the experiment records
+    besides its row grid; they override the command-line values.
+    """
+
+    header: tuple
+    axis: str
+    desk: tuple
+    full: tuple
+    method: Method = None
+    fixed: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
+    errors: bool = False  # rows carry the (h, 1/2) cell's error norms
+
+    @property
+    def grid_field(self) -> str:
+        return {"N": "n_list", "ratio": "ratio_list"}[self.axis]
+
+    def grid(self, full=False, max_n=None) -> tuple:
+        """Row values of the desk or full grid; max_n caps an N axis."""
+        rows = self.full if full else self.desk
+        if max_n is not None and self.axis == "N":
+            rows = tuple(v for v in rows if v <= max_n)
+        return rows
+
+
+# The tables' columns fix their Robin rules; only the spectrum takes --gamma.
+_TABLE_RULES = {"gamma_rules": ("h", "H")}
+EXPERIMENTS = {
+    "table1": TableSpec(TABLE1_HEADER, "N", TABLE1_N_DESK, TABLE1_N_FULL,
+                        RICHARDSON, fixed={"ratio": 8}, errors=True,
+                        config={"ratio_list": (8,), **_TABLE_RULES}),
+    "table2": TableSpec(TABLE2_HEADER, "ratio", TABLE2_RATIOS, TABLE2_RATIOS,
+                        RICHARDSON, fixed={"N": 4},
+                        config={"n_list": (4,), **_TABLE_RULES}),
+    "table3": TableSpec(TABLE3_HEADER, "N", TABLE3_N_DESK, TABLE3_N_FULL,
+                        MINRES, config={"ratio_list": (8, 16), **_TABLE_RULES}),
+    "spectrum": TableSpec(SPECTRUM_HEADER, "N", SPECTRUM_N, SPECTRUM_N,
+                          config={"ratio_list": (4, 8), "theta_list": (1.0,)}),
+}
+
+
+def run_table(config: ExperimentConfig):
+    """Run the experiment `config` names; -> (rows, paths, all converged)."""
+    spec = EXPERIMENTS[config.experiment]
+    if spec.method is None:
+        return run_spectrum(config)
+    method = spec.method
+    case = verify.manufactured_case()
+    rows, csv_rows, json_rows, ok = [], [], [], True
+    for value in getattr(config, spec.grid_field):
+        cells = {}
+        for col in method.columns:
+            cfg = iteration.IterationConfig(
+                **{spec.axis: value}, **spec.fixed,
+                **dict(zip(method.fields, col)),
+                tol=config.tol, max_iter=config.max_iter,
+            )
+            cells[col] = method.solve(cfg, case)
+        ok &= all(c.converged for c in cells.values())
+        csv_row = [value] + [_count_cell(c) for c in cells.values()]
+        json_row = {
+            spec.axis: value,
+            "counts": {method.key.format(*col): method.record(c)
+                       for col, c in cells.items()},
+        }
+        if spec.errors:
+            errs = cells[("h", 0.5)]
+            csv_row += [f"{errs.l2_error:.3e}", f"{errs.hdiv_error:.3e}"]
+            json_row.update(l2_error=errs.l2_error, hdiv_error=errs.hdiv_error)
+        rows.append({spec.axis: value, "cells": cells})
+        csv_rows.append(csv_row)
+        json_rows.append(json_row)
+    paths = _emit(config, config.experiment, spec.header, csv_rows, json_rows)
     return rows, paths, ok
-
-
-def run_table2(config: ExperimentConfig):
-    rows = table2_rows(config.ratio_list, config.tol, config.max_iter)
-    csv_rows, json_rows, ok = [], [], True
-    for row in rows:
-        cells = [row["cells"][key] for key in RICHARDSON_COLUMNS]
-        ok &= all(c.converged for c in cells)
-        csv_rows.append([row["ratio"]] + [_count_cell(c) for c in cells])
-        json_rows.append({
-            "ratio": row["ratio"],
-            "counts": {f"{r},{t:g}": _report_json(c)
-                       for (r, t), c in row["cells"].items()},
-        })
-    paths = _emit(config, "table2", TABLE2_HEADER, csv_rows, json_rows)
-    return rows, paths, ok
-
-
-def run_table3(config: ExperimentConfig):
-    rows = table3_rows(config.n_list, config.tol, config.max_iter)
-    csv_rows, json_rows, ok = [], [], True
-    for row in rows:
-        cells = [row["cells"][key] for key in MINRES_COLUMNS]
-        ok &= all(c.converged for c in cells)
-        csv_rows.append([row["N"]] + [_count_cell(c) for c in cells])
-        json_rows.append({
-            "N": row["N"],
-            "counts": {
-                f"{rule},r={ratio}": {
-                    "iterations": c.iterations,
-                    "converged": bool(c.converged),
-                    "breakdown": bool(c.breakdown),
-                    "final_residual": c.final_residual,
-                    "l2_error": c.l2_error,
-                    "hdiv_error": c.hdiv_error,
-                }
-                for (rule, ratio), c in row["cells"].items()
-            },
-        })
-    paths = _emit(config, "table3", TABLE3_HEADER, csv_rows, json_rows)
-    return rows, paths, ok
-
-
-SPECTRUM_HEADER = (
-    "N", "r", "gamma", "theta", "dim",
-    "max_real_below_unit", "unit_count", "max_nonreal_modulus", "file",
-)
 
 
 def run_spectrum(config: ExperimentConfig):
+    spec = EXPERIMENTS["spectrum"]
     grid = tuple(
         (N, r)
-        for N in (config.n_list or (4, 8, 12))
-        for r in (config.ratio_list or (4, 8))
+        for N in (config.n_list or spec.desk)
+        for r in (config.ratio_list or spec.config["ratio_list"])
     )
     reports, skipped = spectrum_runs(grid, gamma_rule=config.gamma_rules[0],
                                      theta=config.theta_list[0])
@@ -367,45 +366,20 @@ def _write_history(path, name, values, config_echo) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.experiment == "table1":
-        n_full = [n for n in TABLE1_N_FULL if n <= args.max_n]
-        n_desk = [n for n in TABLE1_N_DESK if n <= args.max_n]
-        config = ExperimentConfig(
-            experiment="table1",
-            n_list=tuple(n_full if args.full else n_desk),
-            ratio_list=(8,), tol=args.tol, max_iter=args.max_iter,
-            out_dir=args.out, fmt=args.format,
-        )
-        if args.full:
-            print("full grid requested: the largest rows factorize "
-                  "thousands of subdomain blocks and can take many minutes",
-                  file=sys.stderr)
-        _, paths, ok = run_table1(config)
-    elif args.experiment == "table2":
-        config = ExperimentConfig(
-            experiment="table2", n_list=(4,), ratio_list=TABLE2_RATIOS,
-            tol=args.tol, max_iter=args.max_iter,
-            out_dir=args.out, fmt=args.format,
-        )
-        _, paths, ok = run_table2(config)
-    elif args.experiment == "table3":
-        base = TABLE3_N_FULL if args.full else TABLE3_N_DESK
-        config = ExperimentConfig(
-            experiment="table3", n_list=tuple(n for n in base if n <= args.max_n),
-            ratio_list=(8, 16), tol=args.tol, max_iter=args.max_iter,
-            out_dir=args.out, fmt=args.format,
-        )
-        if args.full:
-            print("full grid requested: expect minutes per large row",
-                  file=sys.stderr)
-        _, paths, ok = run_table3(config)
-    else:
-        config = ExperimentConfig(
-            experiment="spectrum", n_list=(4, 8, 12), ratio_list=(4, 8),
-            gamma_rules=(args.gamma,), theta_list=(1.0,),
-            out_dir=args.out, fmt=args.format,
-        )
-        _, paths, ok = run_spectrum(config)
+    spec = EXPERIMENTS[args.experiment]
+    config = ExperimentConfig(**{
+        "experiment": args.experiment,
+        spec.grid_field: spec.grid(args.full, args.max_n),
+        "gamma_rules": (args.gamma,),
+        "tol": args.tol, "max_iter": args.max_iter,
+        "out_dir": args.out, "fmt": args.format,
+        **spec.config,
+    })
+    if args.full and spec.full != spec.desk:
+        print("full grid requested: the largest rows factorize "
+              "thousands of subdomain blocks and can take many minutes",
+              file=sys.stderr)
+    _, paths, ok = run_table(config)
     for p in paths:
         print(p)
     if not ok:
@@ -434,17 +408,12 @@ def _cmd_solve(args) -> int:
     elif args.method == "baseline":
         rep = iteration.run_baseline(cfg, case)
     else:
-        problem = iteration.build_problem(cfg, case.load)
-        op = boundary_system.InterfaceOperator(problem)
-        krep = boundary_system.solve_minres(
-            op, op.load(), tol=args.tol, max_iter=args.max_iter, case=case
-        )
+        krep = _solve_minres(cfg, case)
         print(
             f"minres N={args.n} r={args.ratio} gamma={args.gamma}: "
             f"{krep.iterations} iterations, converged={krep.converged}, "
             f"final residual {krep.final_residual:.3e}, "
-            f"L2 {krep.l2_error:.3e}, Hdiv {krep.hdiv_error:.3e} "
-            f"[kernels: {_kernels.BACKEND}]"
+            f"L2 {krep.l2_error:.3e}, Hdiv {krep.hdiv_error:.3e}"
         )
         if args.out:
             os.makedirs(args.out, exist_ok=True)
@@ -454,22 +423,14 @@ def _cmd_solve(args) -> int:
             )
             _write_record(os.path.join(args.out, "solve.json"), _record(
                 ExperimentConfig(experiment="single", out_dir=args.out),
-                [{
-                    "method": "minres", **echo,
-                    "iterations": krep.iterations,
-                    "converged": bool(krep.converged),
-                    "breakdown": bool(krep.breakdown),
-                    "final_residual": krep.final_residual,
-                    "l2_error": krep.l2_error, "hdiv_error": krep.hdiv_error,
-                }],
+                [{"method": "minres", **echo, **_krylov_json(krep)}],
             ))
         return 0 if krep.converged else 1
     print(
         f"{args.method} N={args.n} r={args.ratio} gamma={args.gamma} "
         f"theta={args.theta:g}: {rep.iterations} iterations, "
         f"converged={rep.converged}, L2 {rep.l2_error:.3e}, "
-        f"Hdiv {rep.hdiv_error:.3e}, {rep.wall_time:.2f}s "
-        f"[kernels: {_kernels.BACKEND}]"
+        f"Hdiv {rep.hdiv_error:.3e}, {rep.wall_time:.2f}s"
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -518,9 +479,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a canned experiment grid")
     p_run.add_argument("--experiment", required=True,
                        choices=["table1", "table2", "table3", "spectrum"])
-    p_run.add_argument("--max-n", type=int, default=16)
+    p_run.add_argument("--max-n", type=int, default=None,
+                       help="largest N of the table1, table3 and spectrum "
+                            "grids (default: no cap)")
     p_run.add_argument("--full", action="store_true",
-                       help="full study grid instead of the desk-scale default")
+                       help="full study grid of table1 and table3 instead of "
+                            "the desk-scale default")
     p_run.add_argument("--out", default="results")
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
     p_run.add_argument("--gamma", default="h", help="spectrum grid Robin rule")

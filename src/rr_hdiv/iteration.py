@@ -14,7 +14,7 @@ datum increment.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,17 +214,7 @@ def run_richardson(config: IterationConfig, f) -> SolveReport:
 
 def run_baseline(config: IterationConfig, f) -> SolveReport:
     """Unconstrained variant: independent subdomain solves, same update."""
-    if config.constrained:
-        config = IterationConfig(
-            N=config.N,
-            ratio=config.ratio,
-            beta=config.beta,
-            gamma_rule=config.gamma_rule,
-            theta=config.theta,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            constrained=False,
-        )
+    config = replace(config, constrained=False)
     case, load = _as_case(f)
     return _run(build_problem(config, load), case)
 

@@ -63,7 +63,7 @@ def table1_n2(tmp_path_factory):
     cfg = cli.ExperimentConfig(
         experiment="table1", n_list=(2,), ratio_list=(8,), out_dir=str(out)
     )
-    rows, paths, ok = cli.run_table1(cfg)
+    rows, paths, ok = cli.run_table(cfg)
     return cfg, rows, paths, ok, out
 
 
@@ -98,7 +98,7 @@ def test_run_table1_csv_deterministic(table1_n2, tmp_path):
     cfg2 = cli.ExperimentConfig(
         experiment="table1", n_list=(2,), ratio_list=(8,), out_dir=str(out)
     )
-    cli.run_table1(cfg2)
+    cli.run_table(cfg2)
     assert open(paths[0], "rb").read() == first
 
 
@@ -106,7 +106,7 @@ def test_run_table2_small(tmp_path):
     cfg = cli.ExperimentConfig(
         experiment="table2", ratio_list=(2, 4), out_dir=str(tmp_path)
     )
-    rows, paths, ok = cli.run_table2(cfg)
+    rows, paths, ok = cli.run_table(cfg)
     assert ok
     _, header, data = cli.read_table(paths[0])
     assert tuple(header) == cli.TABLE2_HEADER
@@ -119,7 +119,7 @@ def test_run_table3_small(tmp_path):
     cfg = cli.ExperimentConfig(
         experiment="table3", n_list=(2,), out_dir=str(tmp_path)
     )
-    rows, paths, ok = cli.run_table3(cfg)
+    rows, paths, ok = cli.run_table(cfg)
     assert ok
     _, header, data = cli.read_table(paths[0])
     assert tuple(header) == cli.TABLE3_HEADER
@@ -166,6 +166,29 @@ def test_run_spectrum_skips_capped(tmp_path, capsys):
     assert data == []
 
 
+def test_table_grid_honours_full_and_max_n():
+    spec = cli.EXPERIMENTS["table1"]
+    assert spec.grid(full=True) == cli.TABLE1_N_FULL
+    assert spec.grid() == cli.TABLE1_N_DESK
+    assert spec.grid(full=True, max_n=8) == (4, 8)
+
+
+def test_main_run_spectrum_max_n(tmp_path, capsys):
+    rc = cli.main([
+        "run", "--experiment", "spectrum", "--max-n", "4",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    names = [os.path.basename(p) for p in capsys.readouterr().out.split()]
+    assert names == [
+        "spectrum_N4_r4_gammah_theta1.csv", "spectrum_N4_r8_gammah_theta1.csv",
+        "spectrum_summary.csv", "spectrum_summary.json",
+    ]
+    config, _, data = cli.read_table(tmp_path / "spectrum_summary.csv")
+    assert config["n_list"] == [4]
+    assert [int(r["dim"]) for r in data] == [192, 384]
+
+
 def test_main_run_table1_exit_codes(tmp_path, capsys):
     rc = cli.main([
         "run", "--experiment", "table1", "--max-n", "4",
@@ -205,7 +228,6 @@ def test_main_solve_richardson(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "richardson N=2 r=2" in text
     assert "converged=True" in text
-    assert "[kernels:" in text
     for name in ("vertices.csv", "edges.csv", "triangles.csv"):
         assert os.path.exists(tmp_path / "mesh" / name)
     hist = (out / "increment_history.csv").read_text().splitlines()
