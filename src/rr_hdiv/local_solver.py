@@ -3,14 +3,15 @@
 Each subdomain carries the bilinear form restricted to its own triangles
 plus a Robin term gamma*M on its interface rows, factorized once.  The
 edge-average continuity constraint B u = 0 is enforced with a Lagrange
-multiplier; eliminating the (block-diagonal) Robin matrix leaves a small
-dense Schur complement S = B H^-1 B^T, one row per coarse interface.
+multiplier; eliminating the (block-diagonal) Robin matrix leaves a sparse
+Schur complement S = B H^-1 B^T, one row per coarse interface.  Every one
+of these SPD matrices is factorized the same way, by `_factor`.
 
 Setup also solves each subdomain's Robin problem once against the
 identity on its interface rows.  The interface block of that solve is the
 subdomain's dense Robin-to-trace map, so applying the constrained
 resolvent to trace data afterwards takes batched products of those maps
-and one small dense solve, with no back-substitution.
+and one sparse coarse solve, with no back-substitution.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,10 +33,6 @@ __all__ = [
     "build_local_systems",
     "solve_local",
 ]
-
-# Blocks at or under this many dofs use a dense Cholesky factorization
-# (which also certifies positive definiteness); larger ones use sparse LU.
-DENSE_LIMIT = 2000
 
 # Largest relative backward error accepted for a Robin-to-trace map.
 TRACE_MAP_TOL = 1e-12
@@ -64,41 +60,31 @@ class LocalRobinSystem:
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
-    _chol: tuple | None
-    _lu: object | None
+    _lu: spla.SuperLU
 
     @property
     def n_local(self) -> int:
         return int(self.local_edges.size)
 
-    def robin_matrix(self) -> sp.csr_matrix:
+    def robin_matrix(self) -> sp.csc_matrix:
         """The factorized matrix, reassembled (small instances, tests)."""
         diag = np.zeros(self.n_local)
         diag[self.n_interior:] = self.gamma * self.m_diag
-        return (self.A + sp.diags(diag)).tocsr()
+        return _plus_diagonal(self.A, diag)
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        if not np.isfinite(rhs).all():
-            raise ValueError(f"subdomain {self.sid}: non-finite right-hand side")
-        if self._chol is not None:
-            # As in CoarseSchur.solve, the factor was checked when made.
-            return sla.cho_solve(self._chol, rhs, check_finite=False)
-        return self._lu.solve(rhs)
+        return _solve(self._lu, rhs, f"subdomain {self.sid}")
 
 
 @dataclass(eq=False)
 class CoarseSchur:
-    """Dense SPD interface Schur complement and its factorization."""
+    """Sparse SPD interface Schur complement and its factorization."""
 
-    S: np.ndarray
-    _chol: tuple
+    S: sp.csr_matrix
+    _lu: spla.SuperLU
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if not np.isfinite(rhs).all():
-            raise ValueError("non-finite right-hand side for the coarse solve")
-        # The factor was checked when it was made; scanning it again on
-        # every call would double the cost of the solve.
-        return sla.cho_solve(self._chol, rhs, check_finite=False)
+        return _solve(self._lu, rhs, "the coarse solve")
 
 
 def _rank_in_group(groups: list, size: int) -> np.ndarray:
@@ -150,38 +136,41 @@ def _local_matrix(elem: np.ndarray, dofs: np.ndarray, n_local: int):
     ).tocsr()
 
 
-def _factor(A: sp.csr_matrix, robin_diag: np.ndarray, sid: int):
-    """(cholesky, lu) of H = A + diag(robin_diag), which must be SPD.
+def _plus_diagonal(A: sp.spmatrix, diag) -> sp.csc_matrix:
+    """A + diag(diag) in CSC, for SuperLU.  On a Robin block this costs a
+    quarter of `(A + sp.diags(diag)).tocsc()`."""
+    H = A.tocsc(copy=True)
+    H.setdiag(H.diagonal() + diag)
+    return H
 
-    Exactly one of the two is set.  Small blocks get a dense Cholesky
-    factorization.  Larger ones get a SuperLU factorization in symmetric
-    mode (diagonal pivots, minimum degree on A + A^T), whose U diagonal
-    holds the pivots of the LDL^T factorization: all of them are positive
-    exactly when H is positive definite.
+
+def _factor(A: sp.spmatrix, diag, not_spd: str) -> spla.SuperLU:
+    """Sparse LDL^T factorization of H = A + diag(diag), which must be SPD.
+
+    SuperLU runs in symmetric mode (diagonal pivots, minimum degree on
+    A + A^T), so the U diagonal holds the pivots of the LDL^T
+    factorization: all of them are positive exactly when H is positive
+    definite.  Otherwise raises ValueError(not_spd).
     """
-    not_spd = ValueError(
-        f"subdomain {sid}: Robin matrix not positive definite "
-        "(assembly bug or invalid parameters)"
-    )
-    if A.shape[0] <= DENSE_LIMIT:
-        H = A.toarray()
-        H[np.diag_indices_from(H)] += robin_diag
-        try:
-            return sla.cho_factor(H, lower=True, overwrite_a=True), None
-        except sla.LinAlgError as err:
-            raise not_spd from err
     try:
         lu = spla.splu(
-            (A + sp.diags(robin_diag)).tocsc(),
+            _plus_diagonal(A, diag),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as err:  # an exactly zero pivot
-        raise not_spd from err
+        raise ValueError(not_spd) from err
     if np.any(lu.U.diagonal() <= 0.0):
-        raise not_spd
-    return None, lu
+        raise ValueError(not_spd)
+    return lu
+
+
+def _solve(lu: spla.SuperLU, rhs: np.ndarray, what: str) -> np.ndarray:
+    """lu.solve(rhs) for a finite rhs; the factor was checked when made."""
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"non-finite right-hand side for {what}")
+    return lu.solve(rhs)
 
 
 def build_local_systems(
@@ -209,7 +198,8 @@ def build_local_systems(
         m_diag = trace.m_diag[slots]
         diag = np.zeros(n_local)
         diag[n_interior:] = gamma * m_diag
-        chol, lu = _factor(A, diag, s)
+        lu = _factor(A, diag, f"subdomain {s}: Robin matrix not positive "
+                     "definite (assembly bug or invalid parameters)")
         systems.append(
             LocalRobinSystem(
                 sid=s,
@@ -220,7 +210,6 @@ def build_local_systems(
                 A=A,
                 m_diag=m_diag,
                 gamma=gamma,
-                _chol=chol,
                 _lu=lu,
             )
         )
@@ -298,8 +287,8 @@ class ConstrainedRobinSolver:
     - the Robin-to-trace block Z_s = X_s[interface] (at most 4r x 4r),
       stacked with the other blocks of the same size;
     - the solved constraint columns Y_s = X_s B_s^T;
-    - the dense coarse Schur complement S = sum_s B_s Y_s[interface],
-      factorized.
+    - the sparse coarse Schur complement S = sum_s B_s Y_s[interface],
+      factorized by `_factor` like the subdomain blocks.
 
     `apply_resolvent` is then one batched product per block size plus the
     coarse correction.  `solve` takes loads and returns interiors, so it
@@ -314,7 +303,6 @@ class ConstrainedRobinSolver:
         self.n_ifaces, self.n_slots = B.shape
         self._adj = []
         self._Y = []
-        S = np.zeros((self.n_ifaces, self.n_ifaces))
         Bcsc = B.tocsc(copy=True)
         Bcsc.sum_duplicates()
         Bcsc.eliminate_zeros()
@@ -345,7 +333,6 @@ class ConstrainedRobinSolver:
             self._adj.append(adj)
             self._Y.append(Y)
             if adj.size:
-                S[np.ix_(adj, adj)] += B_s @ Y[nI:]
                 y_rows.append(np.repeat(system.slots, adj.size))
                 y_cols.append(np.tile(adj, n_own))
                 y_vals.append(Y[nI:].ravel())
@@ -357,19 +344,17 @@ class ConstrainedRobinSolver:
             (np.array(slots), np.array(blocks)) for slots, blocks in by_size.values()
         ]
         if self.n_ifaces:
-            try:
-                chol = sla.cho_factor(S, lower=True)
-            except sla.LinAlgError as err:
-                raise ValueError(
-                    "coarse interface Schur complement not positive "
-                    "definite (constraint rows dependent or assembly bug)"
-                ) from err
-            self.schur = CoarseSchur(S=S, _chol=chol)
             self._Y_trace = sp.csr_matrix(
                 (np.concatenate(y_vals),
                  (np.concatenate(y_rows), np.concatenate(y_cols))),
                 shape=(self.n_slots, self.n_ifaces),
             )
+            # B Y_trace = sum_s B_s Y_s[interface], as B_s is B on s's slots.
+            S = self.B @ self._Y_trace
+            lu = _factor(S, 0.0, "coarse interface Schur complement not "
+                         "positive definite (constraint rows dependent or "
+                         "assembly bug)")
+            self.schur = CoarseSchur(S=S, _lu=lu)
         else:
             self.schur = None
 

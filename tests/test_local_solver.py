@@ -151,7 +151,7 @@ def test_resolvent_matches_dense_formula(small_problem):
 
 
 def test_coarse_schur_matches_dense(small_problem):
-    S = small_problem.solver.schur.S
+    S = small_problem.solver.schur.S.toarray()
     np.testing.assert_allclose(S, S.T, atol=1e-12)
     assert np.linalg.eigvalsh(S).min() > 0
     Bd = small_problem.B.toarray()
@@ -207,14 +207,24 @@ def test_inaccurate_trace_map_rejected(small_problem):
         local_solver.ConstrainedRobinSolver(systems, small_problem.B)
 
 
-def test_sparse_factor_certifies_definiteness(monkeypatch):
-    monkeypatch.setattr(local_solver, "DENSE_LIMIT", 0)
+def test_sparse_factor_certifies_definiteness():
     indefinite = sp.csr_matrix(np.array([[2.0, 3.0], [3.0, 2.0]]))
-    with pytest.raises(ValueError, match="subdomain 7: .*not positive definite"):
-        local_solver._factor(indefinite, np.zeros(2), 7)
-    chol, lu = local_solver._factor(indefinite, np.array([0.0, 3.0]), 7)
-    assert chol is None
+    not_spd = "subdomain 7: Robin matrix not positive definite"
+    with pytest.raises(ValueError, match=not_spd):
+        local_solver._factor(indefinite, np.zeros(2), not_spd)
+    lu = local_solver._factor(indefinite, np.array([0.0, 3.0]), not_spd)
     np.testing.assert_allclose(lu.solve(np.array([2.0, 3.0])), [1.0, 0.0])
+
+
+def test_zero_constraint_row_rejected_by_coarse_factor(small_problem):
+    """A constraint row with no entries leaves S singular; the coarse
+    factorization, not a subdomain's, reports it."""
+    B = small_problem.B.tolil()
+    B[1, :] = 0.0
+    with pytest.raises(
+        ValueError, match="^coarse interface Schur complement not positive"
+    ):
+        local_solver.ConstrainedRobinSolver(small_problem.systems, B.tocsr())
 
 
 def test_unconstrained_solver_matches_local_solves(case):
