@@ -376,9 +376,8 @@ def _cmd_run(args) -> int:
         **spec.config,
     })
     if args.full and spec.full != spec.desk:
-        print("full grid requested: the largest rows factorize "
-              "thousands of subdomain blocks and can take many minutes",
-              file=sys.stderr)
+        print("full grid requested: the largest rows solve meshes of up "
+              "to 512 x 512 cells and can take minutes", file=sys.stderr)
     _, paths, ok = run_table(config)
     for p in paths:
         print(p)

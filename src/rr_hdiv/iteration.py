@@ -80,12 +80,12 @@ class IterationConfig:
 
 @dataclass(eq=False)
 class RobinProblem:
-    """Mesh, decomposition, factorized local systems, and loads."""
+    """Mesh, decomposition, factorized subdomain classes, and loads."""
 
     config: IterationConfig
     mesh: Mesh
     partition: SubdomainPartition
-    systems: list
+    classes: list
     local_loads: list
     gamma: float
     B: sp.csr_matrix
@@ -114,11 +114,11 @@ class SolveReport:
 
 
 def build_problem(config: IterationConfig, load) -> RobinProblem:
-    """Assemble mesh, partition, and factorized subdomain systems."""
+    """Assemble mesh, partition, and the factorized subdomain classes."""
     mesh = build_unit_square_mesh(config.m)
     part = partition(mesh, config.N)
     gamma = resolve_gamma(config.gamma_rule, config.m, config.N)
-    systems = local_solver.build_local_systems(part, mesh, config.beta, gamma)
+    classes = local_solver.build_local_systems(part, mesh, config.beta, gamma)
     loads = local_solver.local_loads(part, mesh, load)
     if config.constrained:
         B = build_constraint(part, mesh)
@@ -128,19 +128,19 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
         config=config,
         mesh=mesh,
         partition=part,
-        systems=systems,
+        classes=classes,
         local_loads=loads,
         gamma=gamma,
         B=B,
-        solver=local_solver.ConstrainedRobinSolver(systems, B),
+        solver=local_solver.ConstrainedRobinSolver(classes, B),
     )
 
 
 def assemble_solution(problem: RobinProblem, u_int, u_trace) -> np.ndarray:
     """Global dof vector; interface edges take the mean of both sides."""
     u = np.zeros(problem.mesh.n_edges)
-    for k, system in enumerate(problem.systems):
-        u[system.interior_edges] = u_int[k]
+    for cls, v in zip(problem.classes, u_int):
+        u[cls.interior] = v.T
     trace = problem.partition.trace
     np.add.at(u, trace.slot_edge, 0.5 * u_trace)
     return u

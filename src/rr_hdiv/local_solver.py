@@ -1,17 +1,18 @@
-"""Per-subdomain Robin problems and the constrained Robin-to-trace map.
+"""Robin problems per subdomain shape and the constrained Robin-to-trace map.
 
 Each subdomain carries the bilinear form restricted to its own triangles
-plus a Robin term gamma*M on its interface rows, factorized once.  The
-edge-average continuity constraint B u = 0 is enforced with a Lagrange
-multiplier; eliminating the (block-diagonal) Robin matrix leaves a sparse
-Schur complement S = B H^-1 B^T, one row per coarse interface.  Every one
-of these SPD matrices is factorized the same way, by `_factor`.
+plus a Robin term gamma*M on its interface rows.  The N x N subdomains are
+translates of at most nine shapes, so the matrix is assembled and
+factorized once per congruence class.  The edge-average continuity
+constraint B u = 0 is enforced with a Lagrange multiplier; eliminating the
+(block-diagonal) Robin matrix leaves a sparse Schur complement
+S = B H^-1 B^T, one row per coarse interface.  Every one of these SPD
+matrices is factorized the same way, by `_factor`.
 
-Setup also solves each subdomain's Robin problem once against the
-identity on its interface rows.  The interface block of that solve is the
-subdomain's dense Robin-to-trace map, so applying the constrained
-resolvent to trace data afterwards takes batched products of those maps
-and one sparse coarse solve, with no back-substitution.
+Setup also solves each class's Robin problem once against the identity on
+its interface rows: the interface block of that solve is the Robin-to-trace
+map of every member, so the constrained resolvent takes one product per
+class and one sparse coarse solve, with no back-substitution.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .mesh import Mesh
 from .partition import SubdomainPartition
 
 __all__ = [
-    "LocalRobinSystem",
+    "RobinClass",
     "CoarseSchur",
     "ConstrainedRobinSolver",
     "build_local_systems",
-    "solve_local",
+    "local_loads",
 ]
 
 # Largest relative backward error accepted for a Robin-to-trace map.
@@ -43,28 +44,31 @@ COLUMN_BLOCK = 256
 
 
 @dataclass(eq=False)
-class LocalRobinSystem:
-    """One subdomain's Robin problem, factorized.
+class RobinClass:
+    """The Robin problem of congruent subdomains, factorized once.
 
     Local dof order is [interior edges (sorted), interface slots (trace
-    order)].  `A` holds the plain bilinear blocks without the Robin term;
-    the factorization is of A plus gamma * diag(m_diag) on the interface
-    rows.
+    order)]; member i = members[i] has the global edges interior[i] and
+    the trace slots slots[i] in that order.  `A` holds the plain bilinear
+    blocks without the Robin term; the factorization is of A plus
+    gamma * diag(m_diag) on the interface rows.
     """
 
-    sid: int
-    interior_edges: np.ndarray
+    members: np.ndarray
+    interior: np.ndarray
     slots: np.ndarray
-    local_edges: np.ndarray
-    n_interior: int
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
     _lu: spla.SuperLU
 
     @property
+    def n_interior(self) -> int:
+        return self.interior.shape[1]
+
+    @property
     def n_local(self) -> int:
-        return int(self.local_edges.size)
+        return self.interior.shape[1] + self.slots.shape[1]
 
     def robin_matrix(self) -> sp.csc_matrix:
         """The factorized matrix, reassembled (small instances, tests)."""
@@ -73,7 +77,7 @@ class LocalRobinSystem:
         return _plus_diagonal(self.A, diag)
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        return _solve(self._lu, rhs, f"subdomain {self.sid}")
+        return _solve(self._lu, rhs, f"the class of subdomain {self.members[0]}")
 
 
 @dataclass(eq=False)
@@ -87,43 +91,74 @@ class CoarseSchur:
         return _solve(self._lu, rhs, "the coarse solve")
 
 
-def _rank_in_group(groups: list, size: int) -> np.ndarray:
-    """Position of each index in 0..size-1 within its group, -1 if none."""
-    counts = np.array([g.size for g in groups], dtype=np.int64)
-    rank = np.full(size, -1, dtype=np.int64)
-    rank[np.concatenate(groups)] = np.arange(counts.sum()) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return rank
+def _rank_in_runs(owner: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal, sorted owner ids."""
+    return np.arange(owner.size) - np.searchsorted(owner, owner)
 
 
 def _subdomain_dofs(part: SubdomainPartition, mesh: Mesh):
     """Triangles grouped by subdomain, with the local dofs of their edges.
 
-    Returns (tri_ids, starts, loc): triangles tri_ids[starts[s]:starts[s+1]]
-    are subdomain s's, in increasing order, and loc[k] holds the local dof
-    of each edge of triangle tri_ids[k] in its subdomain (-1 on the
-    boundary).
+    Returns (tri_ids, starts, loc, dof): triangles
+    tri_ids[starts[s]:starts[s+1]] are subdomain s's, in increasing
+    order; loc[k] holds the local dof of each edge of triangle tri_ids[k]
+    in its subdomain (-1 on the boundary), and dof[k] the global edge
+    (interior dofs) or trace slot (interface dofs) behind it.
     """
     trace = part.trace
+    n_subs = part.n_subdomains
     tri_ids = np.argsort(part.tri_sub, kind="stable")
-    starts = np.concatenate(
-        [[0], np.cumsum(np.bincount(part.tri_sub, minlength=part.n_subdomains))]
-    )
+    starts = np.searchsorted(part.tri_sub[tri_ids], np.arange(n_subs + 1))
+    sub = part.tri_sub[tri_ids][:, None]
     edges = mesh.tri_edges[tri_ids]
-    loc = _rank_in_group(part.interior_edges, mesh.n_edges)[edges]
+    owner = np.zeros(mesh.n_edges, dtype=np.int64)
+    owner[edges] = sub  # exact on interior edges, the only ones read
+    interior = np.concatenate(part.interior_edges)
+    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
+    rank[interior] = _rank_in_runs(owner[interior])
+    loc = rank[edges]
+    dof = edges
     if trace.n_slots:
-        n_interior = np.array([e.size for e in part.interior_edges])
-        slot_rank = _rank_in_group(part.sub_slots, trace.n_slots)
+        n_interior = np.bincount(owner[interior], minlength=n_subs)
+        owned = np.concatenate(part.sub_slots)
+        slot_rank = np.empty(trace.n_slots, dtype=np.int64)
+        slot_rank[owned] = _rank_in_runs(trace.slot_sub[owned])
         first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
         first_slot[trace.slot_edge[::2]] = np.arange(0, trace.n_slots, 2)
         slot = first_slot[edges]
         on_gamma = slot >= 0
         # Each interface edge has its i-side slot first, then its j-side.
-        sub = part.tri_sub[tri_ids][:, None]
         slot = np.where(on_gamma, slot + (trace.slot_sub[slot] != sub), 0)
         loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
-    return tri_ids, starts, loc
+        dof = np.where(on_gamma, slot, edges)
+    return tri_ids, starts, loc, dof
+
+
+def _congruence_classes(N: int, starts: np.ndarray):
+    """(members, rows) per subdomain shape, members in increasing order.
+
+    Subdomain s = J*N + I is a translate of every subdomain with the same
+    key (I == 0, I == N-1, J == 0, J == N-1).  rows[i] holds the
+    positions of member i's triangles in the order of `_subdomain_dofs`,
+    as many as the first member has.
+    """
+    J, I = np.divmod(np.arange(N * N), N)
+    key = 8 * (I == 0) + 4 * (I == N - 1) + 2 * (J == 0) + (J == N - 1)
+    order = np.argsort(key, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        size = starts[members[0] + 1] - starts[members[0]]
+        yield members, starts[members][:, None] + np.arange(size)
+
+
+def _check_congruent(members: np.ndarray, what: str, table) -> None:
+    """Raise unless every member's row of `table` equals the first one's."""
+    table = np.asarray(table).reshape(members.size, -1)
+    same = (table == table[:1]).all(axis=1)
+    if not same.all():
+        raise ValueError(
+            f"subdomain {members[np.argmin(same)]} is not a translate of "
+            f"subdomain {members[0]}: its {what} differs"
+        )
 
 
 def _local_matrix(elem: np.ndarray, dofs: np.ndarray, n_local: int):
@@ -176,102 +211,79 @@ def _solve(lu: spla.SuperLU, rhs: np.ndarray, what: str) -> np.ndarray:
 def build_local_systems(
     part: SubdomainPartition, mesh: Mesh, beta: float, gamma: float
 ) -> list:
-    """Assemble and factorize every subdomain's Robin matrix."""
+    """Assemble and factorize one Robin matrix per congruence class, from
+    its first member's triangles.  Every other member must match those
+    exactly in local dofs, vertices (shifted) and edge orientations."""
     if gamma <= 0.0:
         raise ValueError(f"Robin parameter must be positive, got {gamma}")
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    trace = part.trace
-    tri_ids, starts, loc = _subdomain_dofs(part, mesh)
-    divdiv, mass = fem.element_matrices(mesh, tri_ids)
-    elem = divdiv + beta * mass
-    systems = []
-    for s in range(part.n_subdomains):
-        slots = part.slots_of(s)
-        interior = part.interior_edges[s]
-        local_edges = np.concatenate([interior, trace.slot_edge[slots]])
-        n_interior = interior.size
-        n_local = local_edges.size
-        block = slice(starts[s], starts[s + 1])
-        A = _local_matrix(elem[block], loc[block], n_local)
+    N = part.N
+    r = mesh.m // N
+    tri_ids, starts, loc, dof = _subdomain_dofs(part, mesh)
+    classes = []
+    for members, rows in _congruence_classes(N, starts):
+        rep = members[0]
+        tris = tri_ids[rows]
+        J, I = np.divmod(members, N)
+        shift = r * ((J - J[0]) * (mesh.m + 1) + I - I[0])
+        _check_congruent(members, "local dof table", loc[rows])
+        _check_congruent(members, "triangle vertex table",
+                         mesh.tris[tris] - shift[:, None, None])
+        _check_congruent(members, "edge orientation table", mesh.tri_signs[tris])
 
-        m_diag = trace.m_diag[slots]
+        dofs = loc[rows[0]]
+        n_interior = part.interior_edges[rep].size
+        n_local = n_interior + part.slots_of(rep).size
+        valid = dofs >= 0
+        local_to_global = np.empty((members.size, n_local), dtype=np.int64)
+        local_to_global[:, dofs[valid]] = dof[rows][:, valid]
+        slots = local_to_global[:, n_interior:]
+
+        divdiv, mass = fem.element_matrices(mesh, tris[0])
+        A = _local_matrix(divdiv + beta * mass, dofs, n_local)
+        m_diag = part.trace.m_diag[slots[0]]
         diag = np.zeros(n_local)
         diag[n_interior:] = gamma * m_diag
-        lu = _factor(A, diag, f"subdomain {s}: Robin matrix not positive "
+        lu = _factor(A, diag, f"subdomain {rep}: Robin matrix not positive "
                      "definite (assembly bug or invalid parameters)")
-        systems.append(
-            LocalRobinSystem(
-                sid=s,
-                interior_edges=interior,
-                slots=slots,
-                local_edges=local_edges,
-                n_interior=n_interior,
-                A=A,
-                m_diag=m_diag,
-                gamma=gamma,
-                _lu=lu,
-            )
-        )
-    return systems
+        classes.append(RobinClass(
+            members=members, interior=local_to_global[:, :n_interior],
+            slots=slots, A=A, m_diag=m_diag, gamma=gamma, _lu=lu,
+        ))
+    return classes
 
 
 def local_loads(part: SubdomainPartition, mesh: Mesh, field) -> list:
-    """Per-subdomain load vectors in local dof order."""
-    tri_ids, starts, loc = _subdomain_dofs(part, mesh)
+    """Load vectors per congruence class, as (n_local, k) matrices whose
+    columns are the members' loads in local dof order."""
+    tri_ids, starts, loc, _ = _subdomain_dofs(part, mesh)
     contrib = fem.element_loads(mesh, field)[tri_ids]
     loads = []
-    for s in range(part.n_subdomains):
-        n_local = part.interior_edges[s].size + part.slots_of(s).size
-        dofs = loc[starts[s]:starts[s + 1]].ravel()
-        vals = contrib[starts[s]:starts[s + 1]].ravel()
-        keep = dofs >= 0
-        loads.append(np.bincount(dofs[keep], vals[keep], minlength=n_local))
+    for members, rows in _congruence_classes(part.N, starts):
+        n = int(loc[rows].max()) + 1
+        dofs = loc[rows] + n * np.arange(members.size)[:, None, None]
+        keep = loc[rows] >= 0
+        loads.append(
+            np.bincount(dofs[keep], contrib[rows][keep],
+                        minlength=n * members.size).reshape(-1, n).T
+        )
     return loads
 
 
-def solve_local(system: LocalRobinSystem, f_i, g_i):
-    """One unconstrained Robin solve; returns (u_interior, u_interface).
-
-    The interface datum enters the right-hand side as m_diag * g_i, the
-    edge-length weighting of the Robin boundary term.
-    """
-    n = system.n_local
-    nI = system.n_interior
-    f_i = np.zeros(n) if f_i is None else np.asarray(f_i, dtype=float)
-    g_i = np.asarray(g_i, dtype=float)
-    if f_i.shape[0] != n or g_i.shape[0] != n - nI:
-        raise ValueError(
-            f"subdomain {system.sid}: rhs sizes {f_i.shape[0]}/{g_i.shape[0]} "
-            f"do not match {n} local dofs with {n - nI} on the interface"
-        )
-    rhs = f_i.copy()
-    rhs[nI:] += system.m_diag * g_i
-    x = system.backsolve(rhs)
-    r = system.A @ x - rhs
-    r[nI:] += system.gamma * system.m_diag * x[nI:]
-    scale = spla.norm(system.A, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
-    if scale > 0 and np.linalg.norm(r) / scale > 1e-12:
-        raise RuntimeError(
-            f"subdomain {system.sid}: backward error "
-            f"{np.linalg.norm(r) / scale:.3e} after back-substitution"
-        )
-    return x[:nI], x[nI:]
-
-
-def _trace_map_error(system: LocalRobinSystem, X: np.ndarray) -> float:
+def _trace_map_error(cls: RobinClass, X: np.ndarray) -> float:
     """Backward error of X = H^-1 E, E the identity on the interface rows.
 
     |H X - E| / (|H|_1 |X| + |E|), with Frobenius norms for the blocks.
     """
-    A = system.A
-    nI = system.n_interior
-    robin = system.gamma * system.m_diag
+    A = cls.A
+    nI = cls.n_interior
+    robin = cls.gamma * cls.m_diag
     R = A @ X
     R[nI:] += robin[:, None] * X[nI:]
     R[nI:] -= np.eye(X.shape[1])
     # Column sums of |H| from those of |A| and its diagonal.
-    col_abs = np.bincount(A.indices, np.abs(A.data), minlength=system.n_local)
+    col_abs = np.bincount(A.indices, np.abs(A.data), minlength=cls.n_local)
     a_diag = A.diagonal()[nI:]
     col_abs[nI:] += np.abs(a_diag + robin) - np.abs(a_diag)
     scale = col_abs.max() * np.linalg.norm(X) + np.sqrt(X.shape[1])
@@ -281,68 +293,77 @@ def _trace_map_error(system: LocalRobinSystem, X: np.ndarray) -> float:
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
-    Setup does one back-substitution per subdomain, X_s = H_s^-1 E_s with
-    E_s the identity on the subdomain's interface rows, and keeps:
+    Setup does one back-substitution per congruence class, X = H^-1 E
+    with E the identity on the class's interface rows, and keeps:
 
-    - the Robin-to-trace block Z_s = X_s[interface] (at most 4r x 4r),
-      stacked with the other blocks of the same size;
-    - the solved constraint columns Y_s = X_s B_s^T;
-    - the sparse coarse Schur complement S = sum_s B_s Y_s[interface],
-      factorized by `_factor` like the subdomain blocks.
+    - X, whose interface block Z (at most 4r x 4r) is the Robin-to-trace
+      map of every member;
+    - the sparse solved constraint columns Y_trace, Z B_s^T on the slots
+      of each member s, where B_s (B on s's slots, at most one entry per
+      slot) must be the same for all members;
+    - the sparse coarse Schur complement S = B Y_trace, factorized by
+      `_factor` like the class blocks.
 
-    `apply_resolvent` is then one batched product per block size plus the
-    coarse correction.  `solve` takes loads and returns interiors, so it
-    still does one back-substitution per subdomain; it is the reference
-    the resolvent is checked against.  An empty (0 x n_slots) constraint
+    `apply_resolvent` is one product per class plus the coarse
+    correction.  `solve` takes loads and returns interiors with one
+    multi-column back-substitution per class; it is the reference the
+    resolvent is checked against.  An empty (0 x n_slots) constraint
     gives the unconstrained solves.
     """
 
-    def __init__(self, systems: list, B: sp.spmatrix):
-        self.systems = systems
+    def __init__(self, classes: list, B: sp.spmatrix):
+        self.classes = classes
         self.B = B.tocsr()
         self.n_ifaces, self.n_slots = B.shape
-        self._adj = []
-        self._Y = []
-        Bcsc = B.tocsc(copy=True)
-        Bcsc.sum_duplicates()
-        Bcsc.eliminate_zeros()
-        by_size = {}
+        entry = B.tocoo(copy=True)
+        entry.sum_duplicates()
+        entry.eliminate_zeros()
+        per_slot = np.bincount(entry.col, minlength=self.n_slots)
+        if np.any(per_slot > 1):
+            slot = int(np.argmax(per_slot > 1))
+            raise ValueError(
+                f"trace slot {slot} carries {per_slot[slot]} constraint "
+                "entries; each slot belongs to at most one coarse interface"
+            )
+        # The interface and value of each slot's entry (-1 and 0 if none).
+        slot_iface = np.full(self.n_slots, -1, dtype=np.int64)
+        slot_iface[entry.col] = entry.row
+        slot_value = np.zeros(self.n_slots)
+        slot_value[entry.col] = entry.data
+
+        self._X = []
         y_rows, y_cols, y_vals = [], [], []
-        for system in systems:
-            nI = system.n_interior
-            n_own = system.slots.size
-            E = np.zeros((system.n_local, n_own))
+        for cls in classes:
+            k, n_own = cls.slots.shape
+            nI = cls.n_interior
+            E = np.zeros((cls.n_local, n_own))
             E[nI:] = np.eye(n_own)
-            X = np.ascontiguousarray(system.backsolve(E)) if n_own else E
-            err = _trace_map_error(system, X) if n_own else 0.0
+            X = np.ascontiguousarray(cls.backsolve(E)) if n_own else E
+            err = _trace_map_error(cls, X) if n_own else 0.0
             if err > TRACE_MAP_TOL:
                 raise RuntimeError(
-                    f"subdomain {system.sid}: Robin-to-trace map backward "
+                    f"subdomain {cls.members[0]}: Robin-to-trace map backward "
                     f"error {err:.3e}"
                 )
-            # B_s: the constraint rows that touch the subdomain's slots,
-            # gathered from the CSC entries of its slot columns.
-            start = Bcsc.indptr[system.slots]
-            count = Bcsc.indptr[system.slots + 1] - start
-            gathered = np.cumsum(count) - count
-            entry = np.arange(count.sum()) + np.repeat(start - gathered, count)
-            adj, row = np.unique(Bcsc.indices[entry], return_inverse=True)
-            B_s = np.zeros((adj.size, n_own))
-            B_s[row, np.repeat(np.arange(n_own), count)] = Bcsc.data[entry]
-            Y = X @ B_s.T
-            self._adj.append(adj)
-            self._Y.append(Y)
-            if adj.size:
-                y_rows.append(np.repeat(system.slots, adj.size))
-                y_cols.append(np.tile(adj, n_own))
-                y_vals.append(Y[nI:].ravel())
-            if n_own:
-                slots, blocks = by_size.setdefault(n_own, ([], []))
-                slots.append(system.slots)
-                blocks.append(X[nI:].copy())  # a view would keep all of X
-        self._blocks = [
-            (np.array(slots), np.array(blocks)) for slots, blocks in by_size.values()
-        ]
+            self._X.append(X)
+            # Local constraint block: row q covers the slot positions with
+            # label q; adj[i, q] is that row's interface for member i.
+            iface = slot_iface[cls.slots]
+            _, first, label = np.unique(iface[0], return_index=True,
+                                        return_inverse=True)
+            adj = iface[:, first]
+            _check_congruent(cls.members, "constraint row pattern",
+                             iface == adj[:, label])
+            value = slot_value[cls.slots]
+            _check_congruent(cls.members, "constraint values", value)
+            # Z B_s^T, with B_s[q, p] = value[p] where label[p] == q.
+            Y = (X[nI:] * value[0]) @ (label[:, None] == np.arange(first.size))
+            shape = (k, n_own, first.size)
+            cols = np.broadcast_to(adj[:, None, :], shape)
+            keep = cols >= 0  # a label of slots without a constraint entry
+            y_rows.append(np.broadcast_to(cls.slots[:, :, None], shape)[keep])
+            y_cols.append(cols[keep])
+            y_vals.append(np.broadcast_to(Y, shape)[keep])
         if self.n_ifaces:
             self._Y_trace = sp.csr_matrix(
                 (np.concatenate(y_vals),
@@ -368,44 +389,37 @@ class ConstrainedRobinSolver:
     def solve(self, loads, g):
         """Constrained solve; returns (u_interior list, u_trace, mu).
 
-        `loads` is a per-subdomain list of local load vectors (None for
-        zero), `g` the two-sided Robin datum on trace slots.  `g` may be a
-        matrix whose columns are independent data; results then carry a
-        matching trailing axis.
+        `loads` is the per-class list of `local_loads` (None for zero),
+        `g` the two-sided Robin datum on trace slots.  Entry c of the
+        returned list holds the interiors of class c's members as an
+        (n_interior, k) matrix.
         """
         g = np.asarray(g, dtype=float)
-        many = g.ndim == 2
-        if g.shape[0] != self.n_slots:
+        if g.shape != (self.n_slots,):
             raise ValueError(
-                f"trace datum has {g.shape[0]} rows, expected {self.n_slots}"
+                f"trace datum has shape {g.shape}, expected ({self.n_slots},)"
             )
-        width = g.shape[1] if many else 1
-        v_int = []
-        w = np.zeros((self.n_slots, width))
-        for k, system in enumerate(self.systems):
-            nI = system.n_interior
-            rhs = np.zeros((system.n_local, width))
-            gs = g[system.slots]
-            rhs[nI:] = system.m_diag[:, None] * (gs[:, None] if not many else gs)
-            if loads is not None and loads[system.sid] is not None:
-                rhs += np.asarray(loads[system.sid], dtype=float)[:, None]
-            x = system.backsolve(rhs)
-            v_int.append(x[:nI])
-            w[system.slots] = x[nI:]
+        u_int = []
+        w = np.zeros(self.n_slots)
+        for c, cls in enumerate(self.classes):
+            nI = cls.n_interior
+            rhs = np.zeros((cls.n_local, cls.members.size))
+            rhs[nI:] = cls.m_diag[:, None] * g[cls.slots.T]
+            if loads is not None:
+                rhs += loads[c]
+            x = cls.backsolve(rhs)
+            u_int.append(x[:nI])
+            w[cls.slots.T] = x[nI:]
+        mu = np.zeros(0)
         if self.schur is not None:
             mu = self.schur.solve(self.B @ w)
-            for k, system in enumerate(self.systems):
-                adj = self._adj[k]
-                if adj.size:
-                    corr = self._Y[k] @ mu[adj]
-                    v_int[k] -= corr[: system.n_interior]
-                    w[system.slots] -= corr[system.n_interior:]
+            bt_mu = self.B.T @ mu
+            for cls, X, u_i in zip(self.classes, self._X, u_int):
+                corr = X @ bt_mu[cls.slots.T]
+                u_i -= corr[:cls.n_interior]
+                w[cls.slots.T] -= corr[cls.n_interior:]
             self._check_constraint(w)
-        else:
-            mu = np.zeros((0, width))
-        if not many:
-            return [v[:, 0] for v in v_int], w[:, 0], mu[:, 0]
-        return v_int, w, mu
+        return u_int, w, mu
 
     def apply_resolvent(self, rhs):
         """Interface trace of the constrained solve with interior load
@@ -428,8 +442,9 @@ class ConstrainedRobinSolver:
 
     def _resolve(self, cols: np.ndarray) -> np.ndarray:
         w = np.empty_like(cols)
-        for slots, Z in self._blocks:
-            w[slots] = np.matmul(Z, cols[slots])
+        for cls, X in zip(self.classes, self._X):
+            # One GEMM: (n_own, n_own) by (n_own, members x columns).
+            w[cls.slots.T] = np.tensordot(X[cls.n_interior:], cols[cls.slots.T], 1)
         if self.schur is not None:
             w -= self._Y_trace @ self.schur.solve(self.B @ w)
             self._check_constraint(w)

@@ -1,8 +1,8 @@
 """Square N x N decomposition of the structured mesh.
 
 Builds the triangle-to-subdomain map, the coarse interfaces between
-neighboring subdomains, per-subdomain index sets (interior dofs and
-interface dofs), the two-sided trace slot layout with its pairing
+neighboring subdomains, per-subdomain index sets (interior edges and
+trace slots), the two-sided trace slot layout with its pairing
 permutation, and the edge-average constraint matrix.
 
 Trace layout: one slot per (interface fine edge, side) pair.  Interfaces
@@ -71,9 +71,7 @@ class SubdomainPartition:
     mesh: Mesh
     tri_sub: np.ndarray
     interior_edges: list
-    interface_edges: list
     interfaces: list
-    neighbors: list
     trace: TraceIndex
     sub_slots: list
 
@@ -206,12 +204,6 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     keep = free_interior[pair_edge]
     interior_edges = _split_by(pair_sub[keep], pair_edge[keep], n_subs)
     keep = on_gamma[pair_edge]
-    interface_edges = _split_by(pair_sub[keep], pair_edge[keep], n_subs)
-
-    neighbors = [set() for _ in range(n_subs)]
-    for i, j in zip(iface_i.tolist(), iface_j.tolist()):
-        neighbors[i].add(j)
-        neighbors[j].add(i)
 
     # Trace slots: i-side then j-side per fine edge.
     slot_edge = np.repeat(gamma_edges, 2)
@@ -241,9 +233,7 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         mesh=mesh,
         tri_sub=tri_sub,
         interior_edges=interior_edges,
-        interface_edges=interface_edges,
         interfaces=interfaces,
-        neighbors=neighbors,
         trace=trace,
         sub_slots=sub_slots,
     )

@@ -82,16 +82,11 @@ def fixed_point_g(problem, u: np.ndarray) -> np.ndarray:
     """
     trace = problem.partition.trace
     g = np.zeros(trace.n_slots)
-    for system in problem.systems:
-        u_loc = np.concatenate(
-            [u[system.interior_edges], u[trace.slot_edge[system.slots]]]
-        )
-        r = system.A @ u_loc - problem.local_loads[system.sid]
-        r_delta = r[system.n_interior:]
-        g[system.slots] = (
-            problem.gamma * u[trace.slot_edge[system.slots]]
-            + r_delta / system.m_diag
-        )
+    for cls, f in zip(problem.classes, problem.local_loads):
+        u_delta = u[trace.slot_edge[cls.slots]]
+        u_loc = np.concatenate([u[cls.interior], u_delta], axis=1)
+        r_delta = (cls.A @ u_loc.T - f)[cls.n_interior:]
+        g[cls.slots] = problem.gamma * u_delta + (r_delta / cls.m_diag[:, None]).T
     return g
 
 

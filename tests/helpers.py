@@ -1,11 +1,61 @@
 """Dense reference constructions shared by the test modules.
 
-Everything here rebuilds operators from first principles (dense block
-algebra on the factorized systems) so the matrix-free production paths
-have an independent cross-check on small instances.
+Everything here rebuilds operators from first principles (each
+subdomain's Robin matrix assembled from its own triangles, then dense
+block algebra) so the class-shared, matrix-free production paths have an
+independent cross-check on small instances.
 """
 
 import numpy as np
+
+from rr_hdiv import fem
+
+
+def subdomain_robin_matrix(problem, s):
+    """Subdomain s's Robin matrix, assembled densely from its own triangles.
+
+    Local dof order is [part.interior_edges[s], then the edges of the
+    trace slots part.slots_of(s)].  Returns (H, n_interior, slots).
+    """
+    part, mesh = problem.partition, problem.mesh
+    interior = part.interior_edges[s]
+    slots = part.slots_of(s)
+    local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
+    loc_of_edge = np.full(mesh.n_edges, -1)
+    loc_of_edge[local_edges] = np.arange(local_edges.size)
+    tris = np.flatnonzero(part.tri_sub == s)
+    divdiv, mass = fem.element_matrices(mesh, tris)
+    elem = divdiv + problem.config.beta * mass
+    dofs = loc_of_edge[mesh.tri_edges[tris]]
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    H = np.zeros((local_edges.size, local_edges.size))
+    np.add.at(H, (rows[keep], cols[keep]), elem.ravel()[keep])
+    nI = interior.size
+    H[np.arange(nI, H.shape[0]), np.arange(nI, H.shape[0])] += (
+        problem.gamma * part.trace.m_diag[slots]
+    )
+    return H, nI, slots
+
+
+def subdomain_load(problem, s):
+    """Subdomain s's column of the per-class `problem.local_loads`."""
+    for cls, loads in zip(problem.classes, problem.local_loads):
+        hit = np.flatnonzero(cls.members == s)
+        if hit.size:
+            return loads[:, hit[0]]
+    raise KeyError(s)
+
+
+def dense_local_solve(problem, s, f, g):
+    """Unconstrained Robin solve of subdomain s with load f (local dof
+    order) and datum g on its slots; returns (u_interior, u_interface)."""
+    H, nI, _ = subdomain_robin_matrix(problem, s)
+    rhs = np.array(f, dtype=float)
+    rhs[nI:] += problem.partition.trace.m_diag[problem.partition.slots_of(s)] * g
+    x = np.linalg.solve(H, rhs)
+    return x[:nI], x[nI:]
 
 
 def dense_resolvent(problem):
@@ -18,15 +68,14 @@ def dense_resolvent(problem):
     trace = problem.partition.trace
     n = trace.n_slots
     S = np.zeros((n, n))
-    for system in problem.systems:
-        nI = system.n_interior
-        H = system.robin_matrix().toarray()
+    for sub in range(problem.partition.n_subdomains):
+        H, nI, slots = subdomain_robin_matrix(problem, sub)
         A_II = H[:nI, :nI]
         A_ID = H[:nI, nI:]
         A_DI = H[nI:, :nI]
         A_DD = H[nI:, nI:]
         S_loc = A_DD - A_DI @ np.linalg.solve(A_II, A_ID) if nI else A_DD
-        S[np.ix_(system.slots, system.slots)] = S_loc
+        S[np.ix_(slots, slots)] = S_loc
     S_inv = np.linalg.inv(S)
     Bd = problem.B.toarray()
     middle = np.linalg.inv(Bd @ S_inv @ Bd.T)

@@ -1,4 +1,4 @@
-"""Subdomain Robin systems and the constrained (multiplier) solver."""
+"""Per-class Robin systems and the constrained (multiplier) solver."""
 
 import dataclasses
 
@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import apply_to_identity, dense_resolvent
+from helpers import (
+    apply_to_identity,
+    dense_local_solve,
+    dense_resolvent,
+    subdomain_load,
+    subdomain_robin_matrix,
+)
 from rr_hdiv import fem, iteration, local_solver, verify
 from rr_hdiv.mesh import build_unit_square_mesh
 from rr_hdiv.partition import build_constraint, partition
@@ -20,83 +26,85 @@ def test_parameter_validation(mesh8):
         local_solver.build_local_systems(part, mesh8, -1.0, 0.5)
 
 
+def _unconstrained(problem, classes=None):
+    """The problem's classes behind an empty constraint: independent
+    Robin solves per subdomain."""
+    return local_solver.ConstrainedRobinSolver(
+        problem.classes if classes is None else classes,
+        sp.csr_matrix((0, problem.partition.trace.n_slots)),
+    )
+
+
 def test_interface_mass_and_block_sizes(problem_n4):
-    sizes = sorted({len(s.slots) for s in problem_n4.systems})
-    assert sizes == [16, 24, 32]  # corner, edge, interior subdomains
-    for system in problem_n4.systems:
-        np.testing.assert_allclose(system.m_diag, problem_n4.mesh.h, atol=1e-16)
-        assert system.n_local == system.n_interior + len(system.slots)
+    sizes = sorted(cls.slots.shape[1] for cls in problem_n4.classes)
+    # four corner classes, four edge classes and the interior class
+    assert sizes == [16, 16, 16, 16, 24, 24, 24, 24, 32]
+    trace = problem_n4.partition.trace
+    for cls in problem_n4.classes:
+        np.testing.assert_allclose(cls.m_diag, problem_n4.mesh.h, atol=1e-16)
+        np.testing.assert_allclose(
+            trace.m_diag[cls.slots], problem_n4.mesh.h, atol=1e-16
+        )
+        assert cls.n_local == cls.n_interior + cls.slots.shape[1]
 
 
 def test_robin_matrix_spd(small_problem):
-    for system in small_problem.systems:
-        H = system.robin_matrix().toarray()
+    for cls in small_problem.classes:
+        H = cls.robin_matrix().toarray()
         np.testing.assert_allclose(H, H.T, atol=1e-14)
         assert np.linalg.eigvalsh(H).min() > 0
 
 
 def test_solve_local_zero(small_problem):
-    system = small_problem.systems[0]
-    u_i, u_d = local_solver.solve_local(
-        system, np.zeros(system.n_local), np.zeros(len(system.slots))
-    )
-    np.testing.assert_allclose(u_i, 0.0, atol=1e-16)
+    """Zero loads and a zero datum give zero local solutions."""
+    solver = _unconstrained(small_problem)
+    u_int, u_d, _ = solver.solve(None, np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
+    for u_i in u_int:
+        np.testing.assert_allclose(u_i, 0.0, atol=1e-16)
 
 
 def test_solve_local_linearity(small_problem, rng):
-    system = small_problem.systems[1]
-    g = rng.standard_normal(len(system.slots))
-    f = np.zeros(system.n_local)
-    u1_i, u1_d = local_solver.solve_local(system, f, g)
-    u2_i, u2_d = local_solver.solve_local(system, f, 2.0 * g)
-    np.testing.assert_allclose(u2_i, 2.0 * u1_i, atol=1e-12)
+    solver = _unconstrained(small_problem)
+    g = rng.standard_normal(solver.n_slots)
+    u1_int, u1_d, _ = solver.solve(None, g)
+    u2_int, u2_d, _ = solver.solve(None, 2.0 * g)
+    for u1_i, u2_i in zip(u1_int, u2_int):
+        np.testing.assert_allclose(u2_i, 2.0 * u1_i, atol=1e-12)
     np.testing.assert_allclose(u2_d, 2.0 * u1_d, atol=1e-12)
 
 
 def test_solve_local_dimension_mismatch(small_problem):
-    system = small_problem.systems[0]
-    with pytest.raises(ValueError):
-        local_solver.solve_local(
-            system, np.zeros(system.n_local + 1), np.zeros(len(system.slots))
-        )
+    solver = _unconstrained(small_problem)
+    with pytest.raises(ValueError, match="trace datum has"):
+        solver.solve(small_problem.local_loads, np.zeros(solver.n_slots + 1))
 
 
 def test_local_solve_reproduces_oracle(problem_n4, oracle32, case):
     """Feeding each subdomain its exact Robin datum returns the oracle."""
     g = verify.fixed_point_g(problem_n4, oracle32)
-    for system in problem_n4.systems:
-        f_i = problem_n4.local_loads[system.sid]
-        u_i, u_d = local_solver.solve_local(system, f_i, g[system.slots])
-        np.testing.assert_allclose(
-            u_i, oracle32[system.interior_edges], atol=1e-10
-        )
-        np.testing.assert_allclose(
-            u_d,
-            oracle32[problem_n4.partition.trace.slot_edge[system.slots]],
-            atol=1e-10,
-        )
+    u_int, u_d, _ = _unconstrained(problem_n4).solve(problem_n4.local_loads, g)
+    u = iteration.assemble_solution(problem_n4, u_int, u_d)
+    np.testing.assert_allclose(u, oracle32, atol=1e-10)
+    np.testing.assert_allclose(
+        u_d, oracle32[problem_n4.partition.trace.slot_edge], atol=1e-10
+    )
 
 
 def test_subdomain_solves_order_independent(small_problem, rng):
     datum = rng.standard_normal(small_problem.partition.trace.n_slots)
-    results = {}
-    for order in (range(4), reversed(range(4))):
-        for k in order:
-            system = small_problem.systems[k]
-            out = local_solver.solve_local(
-                system,
-                small_problem.local_loads[k],
-                datum[system.slots],
-            )
-            prev = results.setdefault(k, out)
-            np.testing.assert_array_equal(prev[0], out[0])
-            np.testing.assert_array_equal(prev[1], out[1])
+    forward = _unconstrained(small_problem).solve(small_problem.local_loads, datum)
+    backward = _unconstrained(small_problem, small_problem.classes[::-1]).solve(
+        small_problem.local_loads[::-1], datum
+    )
+    for prev, out in zip(forward[0], backward[0][::-1]):
+        np.testing.assert_array_equal(prev, out)
+    np.testing.assert_array_equal(forward[1], backward[1])
 
 
 def test_constrained_zero(small_problem):
     solver = small_problem.solver
-    loads = [np.zeros(s.n_local) for s in small_problem.systems]
+    loads = [np.zeros((c.n_local, c.members.size)) for c in small_problem.classes]
     u_int, u_d, mu = solver.solve(loads, np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
     np.testing.assert_allclose(mu, 0.0, atol=1e-16)
@@ -156,30 +164,35 @@ def test_coarse_schur_matches_dense(small_problem):
     assert np.linalg.eigvalsh(S).min() > 0
     Bd = small_problem.B.toarray()
     n = small_problem.partition.trace.n_slots
-    # S = B H^-1 B^T, with H^-1 on the trace realized by unconstrained solves
+    # S = B H^-1 B^T, with H^-1 on the trace realized by dense solves of
+    # each subdomain's own Robin matrix
     HinvBT = np.zeros((n, Bd.shape[0]))
-    for k, system in enumerate(small_problem.systems):
-        rhs = np.zeros((system.n_local, Bd.shape[0]))
-        rhs[system.n_interior:, :] = Bd[:, system.slots].T
-        HinvBT[system.slots, :] = system.backsolve(rhs)[system.n_interior:, :]
+    for s in range(small_problem.partition.n_subdomains):
+        H, nI, slots = subdomain_robin_matrix(small_problem, s)
+        rhs = np.zeros((H.shape[0], Bd.shape[0]))
+        rhs[nI:, :] = Bd[:, slots].T
+        HinvBT[slots, :] = np.linalg.solve(H, rhs)[nI:, :]
     np.testing.assert_allclose(Bd @ HinvBT, S, atol=1e-12)
 
 
 def test_single_subdomain_equals_global(case, mesh8, oracle8):
     part = partition(mesh8, 1)
-    systems = local_solver.build_local_systems(part, mesh8, 1.0, 0.125)
+    classes = local_solver.build_local_systems(part, mesh8, 1.0, 0.125)
     loads = local_solver.local_loads(part, mesh8, case.load)
-    assert len(systems) == 1
-    system = systems[0]
-    assert len(system.slots) == 0
-    H = system.robin_matrix().toarray()
+    assert len(classes) == 1
+    cls = classes[0]
+    np.testing.assert_array_equal(cls.members, [0])
+    assert cls.slots.shape == (1, 0)
+    H = cls.robin_matrix().toarray()
     A = fem.assemble_global(mesh8, 1.0, case.load).A.toarray()
     free = np.flatnonzero(~mesh8.edge_boundary)
-    order = np.argsort(system.interior_edges)
-    assert np.array_equal(np.sort(system.interior_edges), free)
+    interior = cls.interior[0]
+    order = np.argsort(interior)
+    assert np.array_equal(np.sort(interior), free)
     np.testing.assert_allclose(H[np.ix_(order, order)], A, atol=1e-14)
-    u_i, _ = local_solver.solve_local(system, loads[0], np.zeros(0))
-    np.testing.assert_allclose(u_i, oracle8[system.interior_edges], atol=1e-12)
+    solver = local_solver.ConstrainedRobinSolver(classes, sp.csr_matrix((0, 0)))
+    u_int, _, _ = solver.solve(loads, np.zeros(0))
+    np.testing.assert_allclose(u_int[0][:, 0], oracle8[interior], atol=1e-12)
 
 
 def test_local_loads_match_global(problem_n4, case):
@@ -189,22 +202,21 @@ def test_local_loads_match_global(problem_n4, case):
     full[system_global.free_edges] = system_global.load
     gathered = np.zeros(mesh.n_edges)
     trace = problem_n4.partition.trace
-    for system in problem_n4.systems:
-        loc = problem_n4.local_loads[system.sid]
-        gathered[system.interior_edges] += loc[: system.n_interior]
-        np.add.at(
-            gathered, trace.slot_edge[system.slots], loc[system.n_interior:]
-        )
+    for cls, loc in zip(problem_n4.classes, problem_n4.local_loads):
+        assert loc.shape == (cls.n_local, cls.members.size)
+        np.add.at(gathered, cls.interior, loc[: cls.n_interior].T)
+        np.add.at(gathered, trace.slot_edge[cls.slots], loc[cls.n_interior:].T)
     np.testing.assert_allclose(gathered, full, atol=1e-14)
 
 
 def test_inaccurate_trace_map_rejected(small_problem):
     """A factorization that does not solve the subdomain's matrix is caught
     when the Robin-to-trace maps are built."""
-    systems = list(small_problem.systems)
-    systems[2] = dataclasses.replace(systems[2], A=systems[2].A * 1.001)
+    classes = list(small_problem.classes)
+    k = next(k for k, c in enumerate(classes) if c.members[0] == 2)
+    classes[k] = dataclasses.replace(classes[k], A=classes[k].A * 1.001)
     with pytest.raises(RuntimeError, match="subdomain 2"):
-        local_solver.ConstrainedRobinSolver(systems, small_problem.B)
+        local_solver.ConstrainedRobinSolver(classes, small_problem.B)
 
 
 def test_sparse_factor_certifies_definiteness():
@@ -224,7 +236,7 @@ def test_zero_constraint_row_rejected_by_coarse_factor(small_problem):
     with pytest.raises(
         ValueError, match="^coarse interface Schur complement not positive"
     ):
-        local_solver.ConstrainedRobinSolver(small_problem.systems, B.tocsr())
+        local_solver.ConstrainedRobinSolver(small_problem.classes, B.tocsr())
 
 
 def test_unconstrained_solver_matches_local_solves(case):
@@ -233,27 +245,39 @@ def test_unconstrained_solver_matches_local_solves(case):
     problem = iteration.build_problem(cfg, case.load)
     g = np.linspace(-1.0, 1.0, problem.partition.trace.n_slots)
     u_int, u_trace = problem.solve_once(g)
-    for system in problem.systems:
-        u_i, u_d = local_solver.solve_local(
-            system, problem.local_loads[system.sid], g[system.slots]
+    u = iteration.assemble_solution(problem, u_int, u_trace)
+    part = problem.partition
+    for s in range(part.n_subdomains):
+        slots = part.slots_of(s)
+        u_i, u_d = dense_local_solve(
+            problem, s, subdomain_load(problem, s), g[slots]
         )
-        np.testing.assert_allclose(u_int[system.sid], u_i, atol=1e-14)
-        np.testing.assert_allclose(u_trace[system.slots], u_d, atol=1e-14)
+        np.testing.assert_allclose(u[part.interior_edges[s]], u_i, atol=1e-14)
+        np.testing.assert_allclose(u_trace[slots], u_d, atol=1e-14)
 
 
 def test_local_dofs_match_edge_lookup(problem_n4):
     """Reference: a full-mesh edge -> local dof table per subdomain."""
     part, mesh = problem_n4.partition, problem_n4.mesh
-    tri_ids, starts, loc = local_solver._subdomain_dofs(part, mesh)
-    for system in problem_n4.systems:
-        s = system.sid
-        loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
-        loc_of_edge[system.local_edges] = np.arange(system.n_local)
-        tris = np.flatnonzero(part.tri_sub == s)
-        np.testing.assert_array_equal(tri_ids[starts[s]:starts[s + 1]], tris)
-        np.testing.assert_array_equal(
-            loc[starts[s]:starts[s + 1]], loc_of_edge[mesh.tri_edges[tris]]
-        )
+    tri_ids, starts, loc, dof = local_solver._subdomain_dofs(part, mesh)
+    for cls in problem_n4.classes:
+        for s, interior, slots in zip(cls.members, cls.interior, cls.slots):
+            np.testing.assert_array_equal(interior, part.interior_edges[s])
+            np.testing.assert_array_equal(slots, part.slots_of(s))
+            local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
+            loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
+            loc_of_edge[local_edges] = np.arange(cls.n_local)
+            tris = np.flatnonzero(part.tri_sub == s)
+            block = slice(starts[s], starts[s + 1])
+            np.testing.assert_array_equal(tri_ids[block], tris)
+            np.testing.assert_array_equal(
+                loc[block], loc_of_edge[mesh.tri_edges[tris]]
+            )
+            local_dof = np.concatenate([interior, slots])
+            on = loc[block] >= 0
+            np.testing.assert_array_equal(
+                dof[block][on], local_dof[loc[block][on]]
+            )
 
 
 def test_nonfinite_data_rejected(small_problem):
@@ -263,3 +287,72 @@ def test_nonfinite_data_rejected(small_problem):
         solver.solve(small_problem.local_loads, g)
     with pytest.raises(ValueError, match="non-finite"):
         solver.apply_resolvent(g)
+
+
+def test_constraint_slot_with_two_entries_rejected(small_problem):
+    """Row 3 copied over row 0 duplicates a constraint; the pivot signs of
+    S miss this placement, the one-entry-per-slot check does not."""
+    B = small_problem.B.tolil()
+    B[0, :] = B[3, :]
+    with pytest.raises(ValueError, match="carries 2 constraint entries"):
+        local_solver.ConstrainedRobinSolver(small_problem.classes, B.tocsr())
+
+
+@pytest.mark.parametrize("N,subdomain_factors", [(1, 1), (2, 4), (6, 9)])
+def test_one_factor_per_class(case, monkeypatch, N, subdomain_factors):
+    calls = []
+    factor = local_solver._factor
+
+    def counted(A, diag, not_spd):
+        calls.append(not_spd.split()[0])
+        return factor(A, diag, not_spd)
+
+    monkeypatch.setattr(local_solver, "_factor", counted)
+    iteration.build_problem(iteration.IterationConfig(N=N, ratio=4), case.load)
+    assert calls.count("subdomain") == subdomain_factors
+    assert calls.count("coarse") == (N > 1)
+    assert len(calls) == subdomain_factors + (N > 1)
+
+
+@pytest.fixture(scope="module")
+def problem_n6(case):
+    """N=6, r=4: m=24 is not a power of two, so congruent subdomains'
+    element matrices differ in round-off."""
+    return iteration.build_problem(iteration.IterationConfig(N=6, ratio=4), case.load)
+
+
+def test_class_matches_every_member(problem_n6):
+    """Each member's own Robin matrix and Robin-to-trace map, assembled
+    and solved independently, equal its class's."""
+    assert sorted(c.members.size for c in problem_n6.classes) == [
+        1, 1, 1, 1, 4, 4, 4, 4, 16
+    ]
+    for cls, X in zip(problem_n6.classes, problem_n6.solver._X):
+        H_class = cls.robin_matrix().toarray()
+        nI = cls.n_interior
+        Z = X[nI:]
+        for s in cls.members:
+            H, n_interior, _ = subdomain_robin_matrix(problem_n6, s)
+            assert n_interior == nI
+            assert np.abs(H - H_class).max() <= 1e-13 * np.abs(H_class).max()
+            E = np.zeros((H.shape[0], H.shape[0] - nI))
+            E[nI:] = np.eye(H.shape[0] - nI)
+            Z_own = np.linalg.solve(H, E)[nI:]
+            assert np.abs(Z_own - Z).max() <= 1e-12 * np.abs(Z).max()
+
+
+def test_non_congruent_member_rejected(problem_n6):
+    mesh = problem_n6.mesh
+    part = partition(mesh, 6)
+    permuted = part.interior_edges[14].copy()
+    permuted[[0, 1]] = permuted[[1, 0]]
+    part.interior_edges[14] = permuted
+    with pytest.raises(ValueError, match="subdomain 14 is not a translate of "
+                       "subdomain 7: its local dof table differs"):
+        local_solver.build_local_systems(part, mesh, 1.0, problem_n6.gamma)
+    B = problem_n6.B.tocsc(copy=True)
+    slot = problem_n6.partition.slots_of(14)[0]
+    B.data[B.indptr[slot]] *= 2.0
+    with pytest.raises(ValueError, match="subdomain 14 is not a translate of "
+                       "subdomain 7: its constraint values differs"):
+        local_solver.ConstrainedRobinSolver(problem_n6.classes, B)

@@ -177,14 +177,6 @@ def test_interfaces_enumerated_by_position(part4, mesh32):
     assert mids == sorted(mids)
 
 
-def test_neighbor_sets(part4):
-    N = part4.N
-    for s in range(part4.n_subdomains):
-        I, J = s % N, s // N
-        expected = 4 - (I in (0, N - 1)) - (J in (0, N - 1))
-        assert len(part4.neighbors[s]) == expected
-
-
 def test_subdomain_triangle_map(part4, mesh32):
     N = part4.N
     cents = mesh32.tri_coords().mean(axis=1)
@@ -207,7 +199,8 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
             part4.interior_edges[s], np.flatnonzero(mine & free_interior)
         )
         np.testing.assert_array_equal(
-            part4.interface_edges[s], np.flatnonzero(mine & on_gamma)
+            np.sort(part4.trace.slot_edge[part4.slots_of(s)]),
+            np.flatnonzero(mine & on_gamma),
         )
         np.testing.assert_array_equal(
             part4.slots_of(s), np.flatnonzero(part4.trace.slot_sub == s)
