@@ -1,9 +1,8 @@
-"""Element-level numeric kernels.
+"""Element matrices and quadrature rules.
 
-The kernels below are the only dense inner loops that do not already live
-inside LAPACK or SuperLU: per-triangle element matrices, quadrature of load
-vectors, and pointwise evaluation of lowest-order Raviart-Thomas fields.
-Each is vectorized over a batch of triangles with numpy.
+`fem` evaluates the element matrices only on the two reference triangles
+of the mesh, one per triangle shape, and builds its per-shape quadrature
+tables from the rules below.
 """
 
 from __future__ import annotations
@@ -57,29 +56,3 @@ def element_matrices(coords, lengths, signs, areas):
     mass = np.einsum("q,tqid,tqjd->tij", MIDPOINT_W, phi, phi)
     mass *= areas[:, None, None]
     return divdiv, mass
-
-
-def load_vectors(coords, lengths, signs, areas, fvals, bary, weights):
-    """Element load vectors int_K f . phi_i for a batch of triangles.
-
-    fvals: (nt, nq, 2) values of the load at the quadrature points given by
-    bary (nq, 3) with weights (nq,) normalized to sum one. Returns (nt, 3).
-    """
-    coef = signs * lengths / (2.0 * areas[:, None])
-    pts = np.einsum("qj,tjd->tqd", bary, coords)
-    vec = pts[:, :, None, :] - coords[:, None, :, :]
-    phi = coef[:, None, :, None] * vec
-    out = np.einsum("q,tqd,tqid->ti", weights, fvals, phi)
-    return out * areas[:, None]
-
-
-def rt0_values(coords, lengths, signs, areas, dofs, bary):
-    """Evaluate a Raviart-Thomas field at barycentric points.
-
-    dofs: (nt, 3) coefficients for the edge opposite each vertex. Returns
-    (nt, nq, 2) field values at the points bary (nq, 3).
-    """
-    coef = dofs * signs * lengths / (2.0 * areas[:, None])
-    pts = np.einsum("qj,tjd->tqd", bary, coords)
-    vec = pts[:, :, None, :] - coords[:, None, :, :]
-    return np.einsum("ti,tqid->tqd", coef, vec)

@@ -22,6 +22,9 @@ SQRT2 = float(np.sqrt(2.0))
 # edge kinds
 HORIZONTAL, VERTICAL, DIAGONAL = 0, 1, 2
 
+# triangle shapes: lower (bl, br, tr) and upper (bl, tr, tl)
+LOWER, UPPER = 0, 1
+
 
 @dataclass(eq=False)
 class Mesh:
@@ -29,6 +32,8 @@ class Mesh:
 
     tri_edges[t, k] is the edge opposite vertex tris[t, k]; tri_signs[t, k]
     is +1 when that edge's global normal points out of triangle t.
+    tri_shape[t] is LOWER or UPPER: every triangle is a translate of the
+    lower or the upper half of a cell, with its vertices in the same order.
     edge_mid2 holds edge midpoints in half-cell integer steps (coordinates
     times 2m), which keeps boundary and interface classification exact.
     """
@@ -46,6 +51,7 @@ class Mesh:
     tri_edges: np.ndarray
     tri_signs: np.ndarray
     tri_area: np.ndarray
+    tri_shape: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -150,6 +156,7 @@ def build_unit_square_mesh(m: int) -> Mesh:
 
     tris = np.concatenate([low_v, up_v])
     tri_edges = inv[np.concatenate([low_e, up_e])]
+    tri_shape = np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m * m)
 
     # triangle ids lexicographic by centroid (y, x); centroid * 3m is integer
     cent3 = np.concatenate(
@@ -160,6 +167,7 @@ def build_unit_square_mesh(m: int) -> Mesh:
     )
     torder = np.lexsort((cent3[:, 0], cent3[:, 1]))
     tris, tri_edges = tris[torder], tri_edges[torder]
+    tri_shape = tri_shape[torder]
 
     coords = verts[tris]
     d1 = coords[:, 1] - coords[:, 0]
@@ -192,6 +200,7 @@ def build_unit_square_mesh(m: int) -> Mesh:
         tri_edges=tri_edges,
         tri_signs=tri_signs,
         tri_area=area,
+        tri_shape=tri_shape,
     )
 
 

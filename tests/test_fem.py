@@ -69,6 +69,47 @@ def test_degenerate_triangle_rejected(mesh8):
         fem.element_matrices(bad)
 
 
+def _with_triangle_changed(mesh, name, t, change):
+    """Copy of mesh whose array `name` has row t replaced by change(row)."""
+    import copy
+
+    bad = copy.copy(mesh)
+    arr = getattr(mesh, name).copy()
+    arr[t] = change(arr[t])
+    setattr(bad, name, arr)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [("tri_signs", np.negative), ("tris", lambda v: np.roll(v, 1))],
+    ids=["signs-flipped", "vertices-rotated"],
+)
+def test_incongruent_triangle_rejected(mesh8, case, name, change):
+    """A triangle that is no translate of its shape's reference is refused
+    by every per-shape table user, which names it."""
+    bad = _with_triangle_changed(mesh8, name, 37, change)
+    u = np.zeros(bad.n_edges)
+    calls = (
+        lambda: fem.element_loads(bad, case.load),
+        lambda: fem.error_norms(bad, u, case.u, case.div_u),
+        lambda: fem.element_matrices(bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="triangle 37:"):
+            call()
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_element_matrices_one_pair_per_shape(m):
+    """Congruent triangles get bitwise equal element matrices, including
+    on a mesh whose vertex coordinates are not dyadic."""
+    mesh = build_unit_square_mesh(m)
+    divdiv, mass = fem.element_matrices(mesh)
+    pairs = np.concatenate([divdiv, mass], axis=1).reshape(mesh.n_triangles, -1)
+    assert np.unique(pairs.view(np.uint64), axis=0).shape[0] == 2
+
+
 @pytest.mark.parametrize("m", [4, 8, 32])
 def test_free_dof_count(m, case):
     system = fem.assemble_global(build_unit_square_mesh(m), 1.0, case.load)

@@ -1,8 +1,9 @@
-"""The vectorized kernels must match plain per-triangle loop references.
+"""Element integrals must match plain per-triangle loop references.
 
-The loops below spell out each kernel one triangle, quadrature point and
-basis function at a time; they are the independent reference the package
-kernels are checked against.
+The loops below spell out each integral one triangle, quadrature point and
+basis function at a time, from each triangle's own vertices; they are the
+independent reference for the element matrix kernel and for the per-shape
+tables that `fem` builds loads and error norms from.
 """
 
 import numpy as np
@@ -100,25 +101,75 @@ def test_element_matrices_backends_agree():
     np.testing.assert_allclose(m_lp, m_np, rtol=0, atol=1e-16)
 
 
-def test_load_vectors_backends_agree(rng):
-    coords, lengths, signs, areas = _mesh_arrays()
-    nt = coords.shape[0]
-    nq = K.QUAD4_BARY.shape[0]
-    fvals = np.ascontiguousarray(rng.standard_normal((nt, nq, 2)))
-    args = (coords, lengths, signs, areas, fvals, K.QUAD4_BARY, K.QUAD4_W)
-    out_np = K.load_vectors(*args)
-    out_lp = _load_vectors_loops(*args)
-    np.testing.assert_allclose(out_lp, out_np, rtol=0, atol=1e-15)
+def _field(x, y):
+    # not polynomial, so every quadrature point's value matters
+    return np.sin(3.0 * x + y), np.cos(x - 2.0 * y)
 
 
-def test_rt0_values_backends_agree(rng):
-    coords, lengths, signs, areas = _mesh_arrays()
-    nt = coords.shape[0]
-    dofs = np.ascontiguousarray(rng.standard_normal((nt, 3)))
-    args = (coords, lengths, signs, areas, dofs, K.QUAD4_BARY)
-    out_np = K.rt0_values(*args)
-    out_lp = _rt0_values_loops(*args)
-    np.testing.assert_allclose(out_lp, out_np, rtol=0, atol=1e-13)
+def _quad_points(coords):
+    return np.einsum("qj,tjd->tqd", K.QUAD4_BARY, coords)
+
+
+def _error_norms_loops(mesh, u, exact_u, exact_div):
+    coords, lengths, signs, areas = _mesh_arrays(mesh.m)
+    dofs = u[mesh.tri_edges]
+    uh = _rt0_values_loops(coords, lengths, signs, areas, dofs, K.QUAD4_BARY)
+    pts = _quad_points(coords)
+    ex, ey = exact_u(pts[:, :, 0], pts[:, :, 1])
+    div_exact = exact_div(pts[:, :, 0], pts[:, :, 1])
+    l2_sq = div_sq = 0.0
+    for t in range(mesh.n_triangles):
+        div_h = sum(signs[t, i] * lengths[t, i] * dofs[t, i] for i in range(3))
+        div_h /= areas[t]
+        for q in range(K.QUAD4_W.size):
+            w = K.QUAD4_W[q] * areas[t]
+            l2_sq += w * ((uh[t, q, 0] - ex[t, q]) ** 2 + (uh[t, q, 1] - ey[t, q]) ** 2)
+            div_sq += w * (div_h - div_exact[t, q]) ** 2
+    return np.sqrt(l2_sq), np.sqrt(l2_sq + div_sq)
+
+
+def _perturbed_interpolant(mesh, case, rng):
+    return fem.interpolate(mesh, case.u) + 1e-2 * rng.standard_normal(mesh.n_edges)
+
+
+def test_element_loads_match_loops():
+    """End to end: the per-shape load tables give each triangle's own
+    quadrature, the field evaluated at that triangle's points."""
+    for m in (5, 6, 7):
+        coords, lengths, signs, areas = _mesh_arrays(m)
+        pts = _quad_points(coords)
+        fvals = np.stack(_field(pts[:, :, 0], pts[:, :, 1]), axis=-1)
+        expected = _load_vectors_loops(coords, lengths, signs, areas, fvals,
+                                       K.QUAD4_BARY, K.QUAD4_W)
+        loads = fem.element_loads(build_unit_square_mesh(m), _field)
+        np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-15)
+
+
+def test_error_norms_match_loops(case, rng):
+    for m in (5, 6, 7):
+        mesh = build_unit_square_mesh(m)
+        u = _perturbed_interpolant(mesh, case, rng)
+        np.testing.assert_allclose(
+            fem.error_norms(mesh, u, case.u, case.div_u),
+            _error_norms_loops(mesh, u, case.u, case.div_u),
+            rtol=1e-13,
+        )
+
+
+def test_quadrature_blocks_agree(monkeypatch, case, rng):
+    """Blocks of 7 triangles, with a partial last block at m=6, give the
+    loads and norms of the default block."""
+    for m in (6, 7):
+        mesh = build_unit_square_mesh(m)
+        u = _perturbed_interpolant(mesh, case, rng)
+        loads = fem.element_loads(mesh, _field)
+        norms = fem.error_norms(mesh, u, case.u, case.div_u)
+        with monkeypatch.context() as patch:
+            patch.setattr(fem, "QUAD_BLOCK", 7)
+            np.testing.assert_allclose(fem.element_loads(mesh, _field), loads,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(fem.error_norms(mesh, u, case.u, case.div_u),
+                                       norms, rtol=1e-15)
 
 
 def test_backend_name_is_reported():

@@ -103,6 +103,17 @@ def test_tri_edges_opposite_vertices(mesh8):
         assert not np.any(edge_ends[:, 1] == own)
 
 
+def test_triangle_shapes(mesh8):
+    # lower (bl, br, tr) and upper (bl, tr, tl), each m^2 times
+    m = mesh8.m
+    offsets = mesh8.tris - mesh8.tris[:, :1]
+    expected = np.array([[0, 1, m + 2], [0, m + 2, m + 1]])
+    np.testing.assert_array_equal(offsets, expected[mesh8.tri_shape])
+    assert mesh8.tri_shape.dtype == np.int8
+    np.testing.assert_array_equal(np.bincount(mesh8.tri_shape), [m * m, m * m])
+    assert (mesh_mod.LOWER, mesh_mod.UPPER) == (0, 1)
+
+
 @pytest.mark.parametrize("m,nb", [(1, 4), (2, 8), (8, 32)])
 def test_classify_boundary(m, nb):
     mesh = build_unit_square_mesh(m)
