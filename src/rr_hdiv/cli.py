@@ -347,6 +347,7 @@ def run_spectrum(config: ExperimentConfig):
             "max_real_below_unit": rep.max_real_below_unit(),
             "unit_count": rep.unit_count,
             "max_nonreal_modulus": rep.max_nonreal_modulus,
+            "blocks": list(rep.blocks),
             "file": fname,
         })
     for N, r, why in skipped:
@@ -457,8 +458,10 @@ def _cmd_spectrum(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, spectrum.spectrum_filename(rep))
     spectrum.export_spectrum(rep, path)
+    g = len(rep.blocks)
     print(
-        f"dim {rep.dim}: unit eigenvalues {rep.unit_count}, "
+        f"dim {rep.dim} in {g} block{'s' * (g != 1)} of {rep.blocks[0]}: "
+        f"unit eigenvalues {rep.unit_count}, "
         f"max real below unit {rep.max_real_below_unit():.6f}, "
         f"max non-real modulus {rep.max_nonreal_modulus:.6f}"
     )

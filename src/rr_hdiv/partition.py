@@ -28,7 +28,14 @@ __all__ = [
     "SubdomainPartition",
     "partition",
     "build_constraint",
+    "SYMMETRY_NAMES",
+    "symmetry_generators",
+    "orbit_table",
 ]
+
+# The mesh's symmetries on the trace slots, in the order that
+# `symmetry_generators` returns them.
+SYMMETRY_NAMES = ("half-turn", "reflection x <-> y")
 
 
 @dataclass(eq=False)
@@ -254,3 +261,73 @@ def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
         shape=(part.n_interfaces, n),
     )
     return B
+
+
+def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
+    """Slot permutations of the half-turn and the reflection x <-> y.
+
+    Row k maps slot s to the slot of the image of its fine edge on the
+    image of its subdomain, in the order of SYMMETRY_NAMES:
+
+        half-turn:  (x2, y2, I, J) -> (2m - x2, 2m - y2, N-1-I, N-1-J)
+        reflection: (x2, y2, I, J) -> (y2, x2, J, I)
+
+    with (x2, y2) the doubled edge midpoint and (I, J) the subdomain's
+    column and row.  Raises AssertionError unless both are fixed-point-free
+    involutions that commute with each other and with the side swap,
+    preserve the trace mass, and have a fixed-point-free product (so
+    every orbit of the group they generate has exactly 4 slots).
+    """
+    trace = part.trace
+    mesh = part.mesh
+    N, m, n = part.N, mesh.m, trace.n_slots
+    x2, y2 = mesh.edge_mid2[trace.slot_edge].T
+    J, I = np.divmod(trace.slot_sub, N)
+
+    def code(x2, y2, I, J):
+        return ((y2 * (2 * m + 1) + x2) * N + J) * N + I
+
+    key = code(x2, y2, I, J)
+    order = np.argsort(key)
+    sorted_key = key[order]
+    images = np.stack([
+        code(2 * m - x2, 2 * m - y2, N - 1 - I, N - 1 - J),
+        code(y2, x2, J, I),
+    ])
+    pos = np.searchsorted(sorted_key, images)
+    if np.any(np.append(sorted_key, -1)[pos] != images):
+        raise AssertionError("a symmetry image is not a trace slot")
+    gens = order[pos]
+    slots = np.arange(n)
+    half, refl = gens
+    for name, p in zip(SYMMETRY_NAMES, gens):
+        if not np.array_equal(p[p], slots) or np.any(p == slots):
+            raise AssertionError(f"{name} is not a fixed-point-free involution")
+        if not np.array_equal(p[trace.pair_perm], trace.pair_perm[p]):
+            raise AssertionError(f"{name} does not commute with the side swap")
+        if not np.array_equal(trace.m_diag[p], trace.m_diag):
+            raise AssertionError(f"{name} does not preserve the trace mass")
+    if not np.array_equal(half[refl], refl[half]):
+        raise AssertionError("half-turn and reflection do not commute")
+    if np.any(half[refl] == slots):
+        raise AssertionError("a symmetry orbit has fewer than 4 slots")
+    return gens
+
+
+def orbit_table(generators: np.ndarray) -> np.ndarray:
+    """Orbits of the group of d commuting involutions, shape (2^d, n / 2^d).
+
+    Row 0 holds the least slot of each orbit; row k holds its image under
+    the product of the generators whose bits are set in k, so row k ^ l
+    is row k moved by element l.  Raises AssertionError unless the rows
+    cover every slot once, that is unless every orbit has 2^d slots.
+    """
+    gens = np.asarray(generators)
+    n = gens.shape[1]
+    rows = np.arange(n)[None]
+    for p in gens:
+        rows = np.concatenate([rows, p[rows]])
+    table = rows[:, np.all(rows >= rows[0], axis=0)]
+    if not np.array_equal(np.sort(table, axis=None), np.arange(n)):
+        raise AssertionError(f"symmetry orbits are not all of size {len(rows)}")
+    return table

@@ -151,6 +151,9 @@ def test_run_spectrum_small(tmp_path):
     assert tuple(header) == cli.SPECTRUM_HEADER
     assert data[0]["file"] == "spectrum_N2_r4_gammah_theta1.csv"
     assert int(data[0]["dim"]) == 32
+    assert "blocks" not in header
+    record = cli.read_records(paths[-1])
+    assert record["rows"][0]["blocks"] == [8, 8, 8, 8]
 
 
 def test_run_spectrum_skips_capped(tmp_path, capsys):
@@ -279,7 +282,7 @@ def test_main_spectrum(tmp_path, capsys):
     ])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "dim 32" in text
+    assert "dim 32 in 4 blocks of 8:" in text
     assert os.path.exists(tmp_path / "spectrum_N2_r4_gammah_theta1.csv")
 
 

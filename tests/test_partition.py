@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from rr_hdiv.mesh import DIAGONAL, build_unit_square_mesh
-from rr_hdiv.partition import build_constraint, partition
+from rr_hdiv.partition import (
+    build_constraint,
+    orbit_table,
+    partition,
+    symmetry_generators,
+)
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +210,65 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
         np.testing.assert_array_equal(
             part4.slots_of(s), np.flatnonzero(part4.trace.slot_sub == s)
         )
+
+
+@pytest.mark.parametrize("N,r", [(2, 4), (3, 4), (4, 8), (5, 2)])
+def test_symmetry_generators(N, r):
+    """Half-turn and reflection: commuting fixed-point-free involutions
+    that respect the side swap, the trace mass and the coarse interfaces."""
+    part = partition(build_unit_square_mesh(N * r), N)
+    trace = part.trace
+    slots = np.arange(trace.n_slots)
+    gens = symmetry_generators(part)
+    assert gens.shape == (2, trace.n_slots)
+    for p in gens:
+        np.testing.assert_array_equal(np.sort(p), slots)
+        np.testing.assert_array_equal(p[p], slots)
+        assert not np.any(p == slots)
+        np.testing.assert_array_equal(p[trace.pair_perm], trace.pair_perm[p])
+        np.testing.assert_array_equal(trace.m_diag[p], trace.m_diag)
+        # one coarse interface maps onto one coarse interface, whole
+        image = np.zeros((part.n_interfaces, part.n_interfaces), dtype=int)
+        np.add.at(image, (trace.slot_iface, trace.slot_iface[p]), 1)
+        assert np.all(np.count_nonzero(image, axis=1) == 1)
+        assert np.all(image.max(axis=1) == 2 * r)
+    half, refl = gens
+    np.testing.assert_array_equal(half[refl], refl[half])
+    # the geometry of the images
+    mid = part.mesh.edge_mid2[trace.slot_edge]
+    J, I = np.divmod(trace.slot_sub, N)
+    two_m = 2 * part.mesh.m
+    np.testing.assert_array_equal(mid[half], two_m - mid)
+    np.testing.assert_array_equal(trace.slot_sub[half], (N - 1 - J) * N + N - 1 - I)
+    np.testing.assert_array_equal(mid[refl], mid[:, ::-1])
+    np.testing.assert_array_equal(trace.slot_sub[refl], I * N + J)
+
+    orbits = orbit_table(gens)
+    assert orbits.shape == (4, trace.n_slots // 4)
+    np.testing.assert_array_equal(np.sort(orbits, axis=None), slots)
+    np.testing.assert_array_equal(orbits[1], half[orbits[0]])
+    np.testing.assert_array_equal(orbits[2], refl[orbits[0]])
+    np.testing.assert_array_equal(orbits[3], half[refl[orbits[0]]])
+    assert np.all(orbits[0] < orbits[1:])
+
+
+def test_symmetry_generators_empty_trace(mesh8):
+    gens = symmetry_generators(partition(mesh8, 1))
+    assert gens.shape == (2, 0)
+    assert orbit_table(gens).shape == (4, 0)
+
+
+def test_orbit_table_rejects_short_orbits():
+    # (0 1)(2 3) and (0 1)(2 3): the product fixes every point
+    p = np.array([1, 0, 3, 2])
+    with pytest.raises(AssertionError, match="size 4"):
+        orbit_table(np.stack([p, p]))
+    assert orbit_table(np.stack([p])).shape == (2, 2)
+
+
+def test_broken_symmetry_rejected(mesh8):
+    """A trace mass that the reflection does not keep is refused."""
+    part = partition(mesh8, 2)
+    part.trace.m_diag = part.trace.m_diag * (1.0 + part.trace.slot_iface)
+    with pytest.raises(AssertionError, match="mass"):
+        symmetry_generators(part)

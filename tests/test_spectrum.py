@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rr_hdiv import iteration, spectrum
+from rr_hdiv import iteration, partition, spectrum
 
 from helpers import relaxed_step
 
@@ -87,6 +87,85 @@ def test_explicit_problem_matches_internal():
     np.testing.assert_allclose(a.Q, b.Q, atol=1e-14)
 
 
+@pytest.mark.parametrize("theta", [1.0, 2 / 3])
+@pytest.mark.parametrize("N,r", [(2, 4), (3, 4), (4, 8)])
+def test_blocked_spectrum_matches_dense(N, r, theta):
+    """The four symmetry blocks give the eigenvalues of all of Q.
+
+    N=3 has a centre subdomain that both symmetries map to itself.
+    """
+    cfg = iteration.IterationConfig(N=N, ratio=r, theta=theta)
+    op = spectrum.assemble_Q(cfg)
+    rep = spectrum.eigenvalues(op)
+    n = op.dim
+    assert op.orbits.shape == (4, n // 4)
+    assert rep.blocks == (n // 4,) * 4
+    dense = spectrum.eigenvalues(
+        spectrum.IterationOperator(op.Q, N, r, cfg.gamma_rule, op.gamma, theta)
+    )
+    assert dense.blocks == (n,)
+    expect = np.linalg.eigvals(op.Q)
+    expect = expect[np.lexsort((expect.imag, expect.real))]
+    np.testing.assert_allclose(rep.eigenvalues, expect, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dense.eigenvalues, expect, rtol=0, atol=1e-10)
+    assert rep.unit_count == dense.unit_count == 4 * N * (N - 1) // 2
+    assert rep.contraction_modulus() == pytest.approx(
+        dense.contraction_modulus(), rel=1e-12
+    )
+
+
+def test_symmetry_blocks_are_conjugates_of_Q(op_n4r8):
+    """V^T Q V is block diagonal with the blocks, for V orthogonal."""
+    orbits = op_n4r8.orbits
+    g, k = orbits.shape
+    V = np.zeros((op_n4r8.dim, op_n4r8.dim))
+    chars = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    for chi in range(g):
+        for a in range(g):
+            V[orbits[a], chi * k + np.arange(k)] = chars[chi, a] / 2.0
+    np.testing.assert_allclose(V.T @ V, np.eye(op_n4r8.dim), atol=1e-15)
+    expect = np.zeros_like(V)
+    for chi, block in enumerate(spectrum.symmetry_blocks(op_n4r8)):
+        expect[chi * k:(chi + 1) * k, chi * k:(chi + 1) * k] = block
+    np.testing.assert_allclose(V.T @ op_n4r8.Q @ V, expect, atol=1e-12)
+
+
+def test_perturbed_Q_refused(op_n4r8):
+    """A Q that breaks the symmetry is refused, not split into wrong blocks."""
+    Q = op_n4r8.Q.copy()
+    Q[3, 40] += 1e-6
+    bad = spectrum.IterationOperator(
+        Q, 4, 8, "h", op_n4r8.gamma, 1.0, orbits=op_n4r8.orbits
+    )
+    with pytest.raises(RuntimeError, match="half-turn"):
+        spectrum.eigenvalues(bad)
+    Q[3, 40] = np.nan
+    with pytest.raises(RuntimeError, match="not invariant"):
+        spectrum.eigenvalues(bad)
+
+
+def test_invariance_checked_in_row_chunks(op_n4r8, monkeypatch):
+    """The chunked check sees a defect in the last, partial chunk."""
+    monkeypatch.setattr(spectrum, "CHECK_ROWS", 7)
+    spectrum.check_invariance(op_n4r8)
+    Q = op_n4r8.Q.copy()
+    Q[-1, 5] += 1e-6
+    bad = spectrum.IterationOperator(
+        Q, 4, 8, "h", op_n4r8.gamma, 1.0, orbits=op_n4r8.orbits
+    )
+    with pytest.raises(RuntimeError, match="1.000e-06"):
+        spectrum.check_invariance(bad)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4, 1)])
+def test_orbit_table_must_fit(shape):
+    with pytest.raises(ValueError, match="orbit table"):
+        spectrum.IterationOperator(
+            np.eye(6), 2, 1, "h", 0.5, 1.0,
+            orbits=np.arange(np.prod(shape)).reshape(shape),
+        )
+
+
 def test_unit_eigenvalue_multiplicity(report_n4r8):
     """Constant-jump directions give exactly one unit pair per interface."""
     assert report_n4r8.unit_count == 2 * 4 * (4 - 1)
@@ -151,6 +230,7 @@ def test_report_methods_on_known_matrix():
     )
     rep = spectrum.eigenvalues(op)
     np.testing.assert_allclose(np.sort(rep.eigenvalues.real), [0.3, 1.0])
+    assert rep.blocks == (2,)
     assert rep.unit_count == 1
     assert rep.contraction_modulus() == pytest.approx(0.3)
     assert rep.max_real_below_unit() == pytest.approx(0.3)
