@@ -1,18 +1,20 @@
 """Symmetric interface system for the Robin datum and its MINRES solver.
 
-Eliminating the subdomain unknowns from the fixed-point relation of the
-Robin exchange leaves a symmetric system G g = f_g on the two-sided trace
-vector, with
+The Robin exchange is one affine map g -> E g + c on the two-sided trace
+vector, E g = T(2 gamma R M g - g) and c = 2 gamma T u_load (see
+`iteration`; M is the diagonal interface mass, T the side swap, R the
+constrained Robin resolvent).  Multiplying its fixed point by M T gives
+the symmetric system G g = f_g, M commuting with T:
 
-    G   = (T + I) M - 2 gamma M R M,
-    f_g = 2 gamma M R f_tilde,
+    G   = M T (I - E) = (T + I) M - 2 gamma M R M,
+    f_g = M T c       = 2 gamma M u_load.
 
-where M is the diagonal interface mass, T the side exchange, and R the
-constrained Robin resolvent.  G is applied matrix-free, through the
-solver's precomputed Robin-to-trace maps, and the system is solved by a
-Lanczos/Givens minimum-residual recurrence implemented here; G is
-symmetric but carries a known nullspace (the per-interface constant jump
-directions), against which f_g is automatically consistent.
+Richardson relaxes the same map and `spectrum` assembles
+Q = theta E + (1 - theta) I.  G is applied matrix-free through
+`RobinProblem.exchange`, and the system is solved by a Lanczos/Givens
+minimum-residual recurrence implemented here; G carries a known
+nullspace (the per-interface constant jump directions), against which
+f_g is automatically consistent.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem
-from .iteration import RobinProblem, assemble_solution
+from .iteration import RobinProblem
 
 __all__ = [
     "InterfaceOperator",
     "KrylovReport",
     "solve_minres",
-    "recover_solution",
 ]
 
 BREAKDOWN_FLOOR = 1e-14
@@ -42,29 +42,21 @@ class InterfaceOperator:
             raise ValueError("interface operator needs the constrained solver")
         self.problem = problem
         self.trace = problem.partition.trace
-        self.gamma = problem.gamma
         self.n = self.trace.n_slots
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """(T + I) M g - 2 gamma M R(M g); accepts a vector or columns."""
+        """G g = M T (g - E g); accepts a vector or columns."""
         g = np.asarray(g, dtype=float)
         if g.shape[0] != self.n:
             raise ValueError(f"trace vector has {g.shape[0]} rows, expected {self.n}")
-        if self.n == 0:
-            return np.zeros_like(g)
         m = self.trace.m_diag if g.ndim == 1 else self.trace.m_diag[:, None]
-        mg = m * g
-        u = self.problem.solver.apply_resolvent(mg)
-        return mg[self.trace.pair_perm] + mg - 2.0 * self.gamma * m * u
+        u = self.problem.solver.apply_resolvent(m * g)
+        return m * (g - self.problem.exchange(g, u))[self.trace.pair_perm]
 
     def load(self) -> np.ndarray:
-        """f_g = 2 gamma M R f_tilde, via one zero-datum constrained solve."""
-        if self.n == 0:
-            return np.zeros(0)
-        _, u_trace, _ = self.problem.solver.solve(
-            self.problem.local_loads, np.zeros(self.n)
-        )
-        return 2.0 * self.gamma * self.trace.m_diag * u_trace
+        """f_g = M T c, via one loaded zero-datum constrained solve."""
+        c = self.problem.exchange(0.0, self.problem.load_trace())
+        return self.trace.m_diag * c[self.trace.pair_perm]
 
 
 @dataclass(eq=False)
@@ -175,7 +167,7 @@ def solve_minres(
         final = float(np.linalg.norm(operator.apply(g) - f_g)) / scale
     else:
         final = 0.0
-    u_h, l2, hdiv = recover_solution(operator, g, case)
+    u_h, l2, hdiv = operator.problem.recover(g, case)
     return KrylovReport(
         iterations=len(history),
         converged=converged,
@@ -188,14 +180,3 @@ def solve_minres(
         hdiv_error=hdiv,
     )
 
-
-def recover_solution(operator: InterfaceOperator, g: np.ndarray, case=None):
-    """Global dof vector from a converged datum, plus errors if a case
-    with exact fields is given."""
-    problem = operator.problem
-    u_int, u_trace = problem.solve_once(np.asarray(g, dtype=float))
-    u_h = assemble_solution(problem, u_int, u_trace)
-    l2 = hdiv = float("nan")
-    if case is not None:
-        l2, hdiv = fem.error_norms(problem.mesh, u_h, case.u, case.div_u)
-    return u_h, l2, hdiv

@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__, boundary_system, iteration, spectrum, verify
 from .mesh import build_unit_square_mesh, dump_mesh_csv
@@ -222,19 +222,32 @@ def _solve_minres(cfg: iteration.IterationConfig, case):
 
 @dataclass(frozen=True)
 class Method:
-    """How the cells of a table are solved and recorded."""
+    """How the cells of a table, or one `solve`, are solved and recorded."""
 
     solve: object        # (IterationConfig, case) -> report
     columns: tuple       # one pair per table column
     fields: tuple        # the IterationConfig fields a column pair sets
     key: str             # JSON key of a column, formatted from its pair
     record: object       # report -> JSON cell
+    history: str         # report attribute written to `solve --out` as CSV
+    column: str          # value column of that CSV
+    detail: object       # report -> last item of the `solve` summary line
 
 
 RICHARDSON = Method(iteration.run_richardson, RICHARDSON_COLUMNS,
-                    ("gamma_rule", "theta"), "{},{:g}", _report_json)
+                    ("gamma_rule", "theta"), "{},{:g}", _report_json,
+                    "increment_history", "sup_increment",
+                    lambda rep: f"{rep.wall_time:.2f}s")
 MINRES = Method(_solve_minres, MINRES_COLUMNS,
-                ("gamma_rule", "ratio"), "{},r={}", _krylov_json)
+                ("gamma_rule", "ratio"), "{},r={}", _krylov_json,
+                "residual_history", "relative_residual",
+                lambda rep: f"final residual {rep.final_residual:.3e}")
+# `solve --method`; the baseline is Richardson without the constraint.
+SOLVE_METHODS = {
+    "richardson": RICHARDSON,
+    "baseline": replace(RICHARDSON, solve=iteration.run_baseline),
+    "minres": MINRES,
+}
 
 
 @dataclass(frozen=True)
@@ -403,44 +416,24 @@ def _cmd_solve(args) -> int:
         os.makedirs(args.dump_mesh, exist_ok=True)
         dump_mesh_csv(build_unit_square_mesh(cfg.m), args.dump_mesh)
         print(f"mesh tables written to {args.dump_mesh}")
-    if args.method == "richardson":
-        rep = iteration.run_richardson(cfg, case)
-    elif args.method == "baseline":
-        rep = iteration.run_baseline(cfg, case)
-    else:
-        krep = _solve_minres(cfg, case)
-        print(
-            f"minres N={args.n} r={args.ratio} gamma={args.gamma}: "
-            f"{krep.iterations} iterations, converged={krep.converged}, "
-            f"final residual {krep.final_residual:.3e}, "
-            f"L2 {krep.l2_error:.3e}, Hdiv {krep.hdiv_error:.3e}"
-        )
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            _write_history(
-                os.path.join(args.out, "residual_history.csv"),
-                "relative_residual", krep.residual_history, echo,
-            )
-            _write_record(os.path.join(args.out, "solve.json"), _record(
-                ExperimentConfig(experiment="single", out_dir=args.out),
-                [{"method": "minres", **echo, **_krylov_json(krep)}],
-            ))
-        return 0 if krep.converged else 1
+    method = SOLVE_METHODS[args.method]
+    rep = method.solve(cfg, case)
+    # Only Richardson relaxes; its columns are the ones that set theta.
+    theta = f" theta={args.theta:g}" if "theta" in method.fields else ""
     print(
-        f"{args.method} N={args.n} r={args.ratio} gamma={args.gamma} "
-        f"theta={args.theta:g}: {rep.iterations} iterations, "
-        f"converged={rep.converged}, L2 {rep.l2_error:.3e}, "
-        f"Hdiv {rep.hdiv_error:.3e}, {rep.wall_time:.2f}s"
+        f"{args.method} N={args.n} r={args.ratio} gamma={args.gamma}{theta}: "
+        f"{rep.iterations} iterations, converged={rep.converged}, "
+        f"L2 {rep.l2_error:.3e}, Hdiv {rep.hdiv_error:.3e}, {method.detail(rep)}"
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_history(
-            os.path.join(args.out, "increment_history.csv"),
-            "sup_increment", rep.increment_history, echo,
+            os.path.join(args.out, f"{method.history}.csv"),
+            method.column, getattr(rep, method.history), echo,
         )
         _write_record(os.path.join(args.out, "solve.json"), _record(
             ExperimentConfig(experiment="single", out_dir=args.out),
-            [{"method": args.method, **echo, **_report_json(rep)}],
+            [{"method": args.method, **echo, **method.record(rep)}],
         ))
     return 0 if rep.converged else 1
 

@@ -1,14 +1,18 @@
 """Robin-Robin Richardson iteration on the two-sided interface datum.
 
-Each step takes the interface trace of every subdomain's Robin solution
-with the current datum g (with or without the edge-average continuity
-constraint), then exchanges sides: g_tilde = T(2 gamma u_trace - g),
-followed by relaxation g <- theta g_tilde + (1 - theta) g.  The trace is
-affine in g, u_trace = R(M g) + u_load, with R the precomputed
-Robin-to-trace map and u_load the trace of one loaded zero-datum solve, so
-the steps do no subdomain solves; the interiors are recovered once, from
-the datum of the last step.  The stopping criterion is the sup-norm of the
-datum increment.
+The method is one affine map on the two-sided trace vector g.  A round of
+Robin solves with datum g has trace u_trace = R(M g) + u_load (R the
+precomputed Robin-to-trace map, M the diagonal interface mass, u_load the
+trace of one loaded zero-datum solve), and the side swap T gives
+
+    E g + c = T(2 gamma u_trace - g),   E g = T(2 gamma R M g - g),
+
+written once, in `RobinProblem.exchange`.  Richardson (here) steps
+g <- theta (E g + c) + (1 - theta) g until the sup-norm of the datum
+increment is below tol; MINRES (`boundary_system`) solves G g = f_g with
+G = M T (I - E) and f_g = M T c; the spectrum (`spectrum`) assembles
+Q = theta E + (1 - theta) I.  The steps do no subdomain solves; the field
+is recovered once, from the datum of the last step.
 """
 
 from __future__ import annotations
@@ -96,6 +100,28 @@ class RobinProblem:
         u_int, u_trace, _ = self.solver.solve(self.local_loads, g)
         return u_int, u_trace
 
+    def exchange(self, g, u_trace):
+        """T(2 gamma u_trace - g): the datum each side hands the other.
+
+        g and u_trace are trace vectors or (n_slots, k) column blocks; g
+        may be a scalar.
+        """
+        return (2.0 * self.gamma * u_trace - g)[self.partition.trace.pair_perm]
+
+    def load_trace(self) -> np.ndarray:
+        """Trace u_load of the loaded zero-datum solve."""
+        return self.solve_once(np.zeros(self.partition.trace.n_slots))[1]
+
+    def recover(self, g, case=None):
+        """Global field of datum g -> (u_h, l2, hdiv); the errors are NaN
+        unless a manufactured case with exact fields is given."""
+        u_int, u_trace = self.solve_once(np.asarray(g, dtype=float))
+        u_h = assemble_solution(self, u_int, u_trace)
+        l2 = hdiv = float("nan")
+        if case is not None:
+            l2, hdiv = fem.error_norms(self.mesh, u_h, case.u, case.div_u)
+        return u_h, l2, hdiv
+
 
 @dataclass(eq=False)
 class SolveReport:
@@ -109,7 +135,7 @@ class SolveReport:
     u_h: np.ndarray
     l2_error: float
     hdiv_error: float
-    wall_time: float
+    wall_time: float  # the steps and the load solve, without recovery
     g: np.ndarray = field(repr=False, default=None)
 
 
@@ -148,17 +174,17 @@ def assemble_solution(problem: RobinProblem, u_int, u_trace) -> np.ndarray:
 
 def _run(problem: RobinProblem, case) -> SolveReport:
     config = problem.config
-    trace = problem.partition.trace
-    gamma = problem.gamma
+    m_diag = problem.partition.trace.m_diag
     history = []
     converged = False
     iterations = 0
     start = time.perf_counter()
-    _, u_load = problem.solve_once(np.zeros(trace.n_slots))
-    g = np.zeros(trace.n_slots)
+    u_load = problem.load_trace()
+    g = np.zeros(m_diag.size)
     for _ in range(config.max_iter):
-        u_trace = problem.solver.apply_resolvent(trace.m_diag * g) + u_load
-        g_tilde = (2.0 * gamma * u_trace - g)[trace.pair_perm]
+        g_tilde = problem.exchange(
+            g, problem.solver.apply_resolvent(m_diag * g) + u_load
+        )
         # The stopping test reads the raw datum change of the exchange;
         # relaxation only damps the step taken.
         inc = float(np.abs(g_tilde - g).max()) if g.size else 0.0
@@ -171,17 +197,13 @@ def _run(problem: RobinProblem, case) -> SolveReport:
             break
         if not np.isfinite(inc):
             break
+    wall = time.perf_counter() - start
     # Recovering from the relaxed g instead would move the field by the
     # last relaxed step, far above round-off.
-    u_int, u_trace = problem.solve_once(g_step)
-    wall = time.perf_counter() - start
-    u_h = assemble_solution(problem, u_int, u_trace)
-    l2 = hdiv = float("nan")
-    if case is not None:
-        l2, hdiv = fem.error_norms(problem.mesh, u_h, case.u, case.div_u)
+    u_h, l2, hdiv = problem.recover(g_step, case)
     return SolveReport(
         config=config,
-        gamma=gamma,
+        gamma=problem.gamma,
         iterations=iterations,
         converged=converged,
         increment_history=np.array(history),
@@ -229,5 +251,5 @@ def fixed_point_check(problem: RobinProblem, u_global: np.ndarray) -> float:
     """
     g = verify.fixed_point_g(problem, u_global)
     _, u_trace = problem.solve_once(g)
-    g_tilde = (2.0 * problem.gamma * u_trace - g)[problem.partition.trace.pair_perm]
-    return float(np.abs(g_tilde - g).max()) if g.size else 0.0
+    defect = problem.exchange(g, u_trace) - g
+    return float(np.abs(defect).max()) if g.size else 0.0

@@ -25,6 +25,12 @@ HORIZONTAL, VERTICAL, DIAGONAL = 0, 1, 2
 # triangle shapes: lower (bl, br, tr) and upper (bl, tr, tl)
 LOWER, UPPER = 0, 1
 
+# Orientation of the edge opposite each vertex, per shape: +1 where the
+# edge's fixed normal points out of the triangle.  Lower: right (1, 0)
+# out, diagonal (1, -1) in, bottom (0, 1) in; upper: top (0, 1) out,
+# left (1, 0) in, diagonal (1, -1) out.
+SIGNS = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0]])
+
 
 @dataclass(eq=False)
 class Mesh:
@@ -174,18 +180,6 @@ def build_unit_square_mesh(m: int) -> Mesh:
     d2 = coords[:, 2] - coords[:, 0]
     area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    # sign: +1 when the edge's fixed normal points out of the triangle
-    tri_signs = np.empty((len(tris), 3))
-    for k in range(3):
-        a = coords[:, (k + 1) % 3]
-        b = coords[:, (k + 2) % 3]
-        p = coords[:, k]
-        mid = 0.5 * (a + b)
-        n_e = edge_normal[tri_edges[:, k]]
-        tri_signs[:, k] = np.sign(np.einsum("td,td->t", mid - p, n_e))
-    if np.any(tri_signs == 0.0):
-        raise ValueError("degenerate triangle: edge normal tangent to face")
-
     return Mesh(
         m=m,
         h=1.0 / m,
@@ -198,7 +192,7 @@ def build_unit_square_mesh(m: int) -> Mesh:
         edge_mid2=mid2,
         tris=tris,
         tri_edges=tri_edges,
-        tri_signs=tri_signs,
+        tri_signs=SIGNS[tri_shape],
         tri_area=area,
         tri_shape=tri_shape,
     )

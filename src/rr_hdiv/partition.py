@@ -65,10 +65,6 @@ class TraceIndex:
     def n_slots(self) -> int:
         return int(self.slot_edge.size)
 
-    def swap(self, g: np.ndarray) -> np.ndarray:
-        """Exchange the two sides of every fine edge (the involution T)."""
-        return g[..., self.pair_perm]
-
 
 @dataclass(eq=False)
 class SubdomainPartition:

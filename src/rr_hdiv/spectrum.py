@@ -1,13 +1,15 @@
 """Dense assembly and eigenvalue study of the Richardson iteration map.
 
-The homogeneous (zero-load) iteration step is linear in the Robin datum:
-g -> Q_theta g with Q_theta = (1 - theta) I + theta T (2 gamma R M - I).
-Columns of Q are obtained by applying the constrained solver's
-Robin-to-trace map to the scaled unit vectors in one batch, so the matrix
-shares every code path with the actual iteration.  The exchange symmetry
-gives Q a known exact unit eigenvalue (the per-interface constant-jump
-directions), harmless to the iteration; the contraction quality lives in
-the rest of the spectrum.
+The Robin exchange is one affine map g -> E g + c on the two-sided trace
+vector, E g = T(2 gamma R M g - g) (see `iteration`).  Richardson
+relaxes it, MINRES solves G g = f_g with G = M T (I - E) and f_g = M T c,
+and here the homogeneous relaxed step is assembled, Q = theta E +
+(1 - theta) I, COLUMN_BLOCK unit columns at a time through
+`RobinProblem.exchange`.  Q thus shares every code path with the actual
+iteration, and assembly holds no dense square but Q.  The exchange
+symmetry gives Q a known exact unit eigenvalue (the per-interface
+constant-jump directions), harmless to the iteration; the contraction
+quality lives in the rest of the spectrum.
 
 The mesh and the partition keep the half-turn about (1/2, 1/2) and the
 reflection x <-> y, which permute the trace slots (see
@@ -29,6 +31,7 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from . import iteration, partition
+from .local_solver import COLUMN_BLOCK
 
 __all__ = [
     "IterationOperator",
@@ -44,11 +47,11 @@ __all__ = [
 ]
 
 # Largest trace dimension 4 N (N-1) r accepted for dense assembly.  At
-# N=12, r=8 (dim 4224, the largest size under it) assembly takes 1.2 s
+# N=12, r=8 (dim 4224, the largest size under it) assembly takes 1.0 s
 # and the invariance check, blocks and eigensolve 4.0 s (39.8 s as one
-# dense eigensolve), CPU time on one BLAS thread of a 2-core x86_64, at
-# a peak RSS of 493 MB set by the assembly's dense squares, which are
-# now what bounds the size.
+# dense eigensolve), CPU time on one BLAS thread of a 2-core x86_64.
+# Assembly holds Q (136 MB there) and a few n x COLUMN_BLOCK blocks, a
+# traced peak of 199 MB.
 SIZE_CAP = 4500
 
 UNIT_TOL = 1e-6
@@ -127,9 +130,10 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
     """Build the dense iteration matrix for one configuration.
 
     Refuses dimensions beyond SIZE_CAP; the assembly cost is one
-    multi-column resolvent application, the memory cost a few dense
-    squares.  The operator carries the orbits of the partition's
-    symmetry group, which `eigenvalues` splits Q by.
+    resolvent application per block of COLUMN_BLOCK columns, the memory
+    cost Q and a few n x COLUMN_BLOCK blocks.  The operator carries the
+    orbits of the partition's symmetry group, which `eigenvalues` splits
+    Q by.
     """
     n = 4 * config.N * (config.N - 1) * config.ratio
     if n > SIZE_CAP:
@@ -140,31 +144,20 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
         if not config.constrained:
             raise ValueError("the iteration operator is the constrained map")
         problem = iteration.build_problem(config, lambda x, y: (0.0 * x, 0.0 * y))
-    trace = problem.partition.trace
-    gamma = problem.gamma
     theta = config.theta
-    if n == 0:
-        return IterationOperator(
-            Q=np.zeros((0, 0)),
-            N=config.N,
-            ratio=config.ratio,
-            gamma_rule=config.gamma_rule,
-            gamma=gamma,
-            theta=theta,
-        )
-    U = problem.solver.apply_resolvent(np.diag(trace.m_diag))
-    Q1 = 2.0 * gamma * U
-    Q1[np.arange(n), np.arange(n)] -= 1.0
-    Q1 = Q1[trace.pair_perm, :]
-    Q = theta * Q1
-    if theta != 1.0:
-        Q[np.arange(n), np.arange(n)] += 1.0 - theta
+    m = problem.partition.trace.m_diag[:, None]
+    Q = np.empty((n, n))
+    for j in range(0, n, COLUMN_BLOCK):
+        k = min(COLUMN_BLOCK, n - j)
+        E = np.eye(n, k, -j)  # unit vectors j .. j + k - 1
+        EE = problem.exchange(E, problem.solver.apply_resolvent(m * E))
+        Q[:, j:j + k] = theta * EE + (1.0 - theta) * E
     return IterationOperator(
         Q=Q,
         N=config.N,
         ratio=config.ratio,
         gamma_rule=config.gamma_rule,
-        gamma=gamma,
+        gamma=problem.gamma,
         theta=theta,
         orbits=partition.orbit_table(
             partition.symmetry_generators(problem.partition)

@@ -142,9 +142,9 @@ def test_solve_minres_frozen_count(case, problem_n4, op4, oracle32):
     assert rep.l2_error == pytest.approx(7.366415e-3, rel=1e-3)
 
 
-def test_recover_solution_from_exact_datum(case, problem_n4, op4, oracle32):
+def test_recover_solution_from_exact_datum(case, problem_n4, oracle32):
     g = verify.fixed_point_g(problem_n4, oracle32)
-    u_h, l2, hdiv = boundary_system.recover_solution(op4, g, case=case)
+    u_h, l2, hdiv = problem_n4.recover(g, case=case)
     assert fem.l2_distance(problem_n4.mesh, u_h, oracle32) < 1e-8
     l2_direct, hdiv_direct = fem.error_norms(
         problem_n4.mesh, oracle32, case.u, case.div_u

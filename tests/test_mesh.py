@@ -88,6 +88,25 @@ def test_shared_edge_signs_cancel(mesh8):
     assert set(np.unique(mesh8.tri_signs)) == {-1.0, 1.0}
 
 
+def _geometric_signs(mesh):
+    """+1 where the edge's fixed normal points away from the opposite
+    vertex, from the coordinates of every triangle."""
+    coords = mesh.tri_coords()
+    signs = np.empty((mesh.n_triangles, 3))
+    for k in range(3):
+        mid = 0.5 * (coords[:, (k + 1) % 3] + coords[:, (k + 2) % 3])
+        n_e = mesh.edge_normal[mesh.tri_edges[:, k]]
+        signs[:, k] = np.sign(np.einsum("td,td->t", mid - coords[:, k], n_e))
+    return signs
+
+
+def test_signs_per_shape_match_geometry():
+    for m in range(1, 17):
+        mesh = build_unit_square_mesh(m)
+        np.testing.assert_array_equal(mesh.tri_signs, _geometric_signs(mesh))
+    np.testing.assert_array_equal(np.abs(mesh_mod.SIGNS), 1.0)
+
+
 def test_triangle_areas(mesh8):
     m = mesh8.m
     np.testing.assert_allclose(mesh8.tri_area, 1.0 / (2 * m * m), atol=1e-16)

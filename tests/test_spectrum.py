@@ -1,9 +1,12 @@
 """Tests for dense assembly and eigenvalues of the iteration map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rr_hdiv import iteration, partition, spectrum
+from rr_hdiv.local_solver import COLUMN_BLOCK
 
 from helpers import relaxed_step
 
@@ -85,6 +88,21 @@ def test_explicit_problem_matches_internal():
     a = spectrum.assemble_Q(cfg, problem=zero)
     b = spectrum.assemble_Q(cfg)
     np.testing.assert_allclose(a.Q, b.Q, atol=1e-14)
+
+
+def test_assembly_holds_Q_and_a_few_column_blocks():
+    """At N=8, r=8 (dim 1792) assembly peaks below Q plus eight n x
+    COLUMN_BLOCK blocks, 55.1 MB; three dense squares took 77.3 MB."""
+    cfg = iteration.IterationConfig(N=8, ratio=8)
+    zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
+    tracemalloc.start()
+    try:
+        op = spectrum.assemble_Q(cfg, problem=zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.dim == 1792
+    assert peak <= op.Q.nbytes + 8 * op.dim * COLUMN_BLOCK * 8
 
 
 @pytest.mark.parametrize("theta", [1.0, 2 / 3])
