@@ -145,7 +145,7 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
     part = partition(mesh, config.N)
     gamma = resolve_gamma(config.gamma_rule, config.m, config.N)
     classes = local_solver.build_local_systems(part, mesh, config.beta, gamma)
-    loads = local_solver.local_loads(part, mesh, load)
+    loads = local_solver.local_loads(classes, mesh, load)
     if config.constrained:
         B = build_constraint(part, mesh)
     else:

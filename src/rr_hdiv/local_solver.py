@@ -49,14 +49,18 @@ class RobinClass:
 
     Local dof order is [interior edges (sorted), interface slots (trace
     order)]; member i = members[i] has the global edges interior[i] and
-    the trace slots slots[i] in that order.  `A` holds the plain bilinear
-    blocks without the Robin term; the factorization is of A plus
-    gamma * diag(m_diag) on the interface rows.
+    the trace slots slots[i] in that order.  tris[i] holds member i's
+    triangle ids (increasing), and loc, shared by all members, the local
+    dof of each edge of those triangles (-1 on the boundary).  `A` holds
+    the plain bilinear blocks without the Robin term; the factorization
+    is of A plus gamma * diag(m_diag) on the interface rows.
     """
 
     members: np.ndarray
     interior: np.ndarray
     slots: np.ndarray
+    tris: np.ndarray
+    loc: np.ndarray
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
@@ -249,24 +253,24 @@ def build_local_systems(
                      "definite (assembly bug or invalid parameters)")
         classes.append(RobinClass(
             members=members, interior=local_to_global[:, :n_interior],
-            slots=slots, A=A, m_diag=m_diag, gamma=gamma, _lu=lu,
+            slots=slots, tris=tris, loc=dofs, A=A, m_diag=m_diag,
+            gamma=gamma, _lu=lu,
         ))
     return classes
 
 
-def local_loads(part: SubdomainPartition, mesh: Mesh, field) -> list:
+def local_loads(classes: list, mesh: Mesh, field) -> list:
     """Load vectors per congruence class, as (n_local, k) matrices whose
     columns are the members' loads in local dof order."""
-    tri_ids, starts, loc, _ = _subdomain_dofs(part, mesh)
-    contrib = fem.element_loads(mesh, field)[tri_ids]
+    contrib = fem.element_loads(mesh, field)
     loads = []
-    for members, rows in _congruence_classes(part.N, starts):
-        n = int(loc[rows].max()) + 1
-        dofs = loc[rows] + n * np.arange(members.size)[:, None, None]
-        keep = loc[rows] >= 0
+    for cls in classes:
+        k, n = cls.members.size, cls.n_local
+        keep = np.broadcast_to(cls.loc >= 0, cls.tris.shape + (3,))
+        dofs = cls.loc + n * np.arange(k)[:, None, None]
         loads.append(
-            np.bincount(dofs[keep], contrib[rows][keep],
-                        minlength=n * members.size).reshape(-1, n).T
+            np.bincount(dofs[keep], contrib[cls.tris][keep],
+                        minlength=n * k).reshape(k, n).T
         )
     return loads
 

@@ -100,7 +100,18 @@ def build_unit_square_mesh(m: int) -> Mesh:
     def vid(jx, jy):
         return jy * mp1 + jx
 
-    # edge endpoint and midpoint tables in generation order
+    # Edge ids, lexicographic by doubled midpoint (y, x): row pair jy holds
+    # its m horizontals (y2 = 2 jy), then the 2m+1 edges of y2 = 2 jy + 1,
+    # vertical and diagonal alternating.  The top row's m horizontals close.
+    def hid(jx, jy):
+        return jy * (3 * m + 1) + jx
+
+    def vvid(jx, jy):
+        return jy * (3 * m + 1) + m + 2 * jx
+
+    def did(jx, jy):
+        return jy * (3 * m + 1) + m + 2 * jx + 1
+
     hx, hy = np.meshgrid(np.arange(m), np.arange(mp1), indexing="xy")
     hx, hy = hx.ravel(), hy.ravel()
     vx, vy = np.meshgrid(np.arange(mp1), np.arange(m), indexing="xy")
@@ -108,32 +119,19 @@ def build_unit_square_mesh(m: int) -> Mesh:
     cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
     cx, cy = cx.ravel(), cy.ravel()
 
-    ends = np.concatenate(
-        [
-            np.column_stack([vid(hx, hy), vid(hx + 1, hy)]),
-            np.column_stack([vid(vx, vy), vid(vx, vy + 1)]),
-            np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1)]),
-        ]
-    )
-    mid2 = np.concatenate(
-        [
-            np.column_stack([2 * hx + 1, 2 * hy]),
-            np.column_stack([2 * vx, 2 * vy + 1]),
-            np.column_stack([2 * cx + 1, 2 * cy + 1]),
-        ]
-    )
-    kind = np.concatenate(
-        [
-            np.full(len(hx), HORIZONTAL, dtype=np.int8),
-            np.full(len(vx), VERTICAL, dtype=np.int8),
-            np.full(len(cx), DIAGONAL, dtype=np.int8),
-        ]
-    )
-
-    order = np.lexsort((mid2[:, 0], mid2[:, 1]))
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    ends, mid2, kind = ends[order], mid2[order], kind[order]
+    n_edges = 3 * m * m + 2 * m
+    ends = np.empty((n_edges, 2), dtype=np.int64)
+    mid2 = np.empty((n_edges, 2), dtype=np.int64)
+    kind = np.empty(n_edges, dtype=np.int8)
+    for ids, kind_id, ends_k, mid2_k in (
+        (hid(hx, hy), HORIZONTAL, (vid(hx, hy), vid(hx + 1, hy)), (2 * hx + 1, 2 * hy)),
+        (vvid(vx, vy), VERTICAL, (vid(vx, vy), vid(vx, vy + 1)), (2 * vx, 2 * vy + 1)),
+        (did(cx, cy), DIAGONAL, (vid(cx, cy), vid(cx + 1, cy + 1)),
+         (2 * cx + 1, 2 * cy + 1)),
+    ):
+        ends[ids] = np.column_stack(ends_k)
+        mid2[ids] = np.column_stack(mid2_k)
+        kind[ids] = kind_id
 
     normals = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
     lengths = np.array([1.0 / m, 1.0 / m, SQRT2 / m])
@@ -143,16 +141,8 @@ def build_unit_square_mesh(m: int) -> Mesh:
     on_bnd |= (mid2[:, 1] == 0) | (mid2[:, 1] == 2 * m)
     edge_boundary = on_bnd & (kind != DIAGONAL)
 
-    # pre-sort edge index helpers for the triangle tables
-    def hid(jx, jy):
-        return jy * m + jx
-
-    def vvid(jx, jy):
-        return m * mp1 + jy * mp1 + jx
-
-    def did(jx, jy):
-        return m * mp1 + m * mp1 + jy * m + jx
-
+    # Triangle ids, lexicographic by centroid (y, x): cell row cy holds
+    # its m lower triangles, then its m upper ones, t = cy 2m + shape m + cx.
     # lower triangle (bl, br, tr): opposite edges (right, diagonal, bottom)
     # upper triangle (bl, tr, tl): opposite edges (top, left, diagonal)
     low_v = np.column_stack([vid(cx, cy), vid(cx + 1, cy), vid(cx + 1, cy + 1)])
@@ -160,20 +150,12 @@ def build_unit_square_mesh(m: int) -> Mesh:
     up_v = np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1), vid(cx, cy + 1)])
     up_e = np.column_stack([hid(cx, cy + 1), vvid(cx, cy), did(cx, cy)])
 
-    tris = np.concatenate([low_v, up_v])
-    tri_edges = inv[np.concatenate([low_e, up_e])]
-    tri_shape = np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m * m)
+    def by_row(low, up):
+        return np.stack([low.reshape(m, m, -1), up.reshape(m, m, -1)], axis=1)
 
-    # triangle ids lexicographic by centroid (y, x); centroid * 3m is integer
-    cent3 = np.concatenate(
-        [
-            np.column_stack([3 * cx + 2, 3 * cy + 1]),
-            np.column_stack([3 * cx + 1, 3 * cy + 2]),
-        ]
-    )
-    torder = np.lexsort((cent3[:, 0], cent3[:, 1]))
-    tris, tri_edges = tris[torder], tri_edges[torder]
-    tri_shape = tri_shape[torder]
+    tris = by_row(low_v, up_v).reshape(-1, 3)
+    tri_edges = by_row(low_e, up_e).reshape(-1, 3)
+    tri_shape = np.tile(np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m), m)
 
     coords = verts[tris]
     d1 = coords[:, 1] - coords[:, 0]

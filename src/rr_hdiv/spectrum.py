@@ -151,7 +151,9 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
         k = min(COLUMN_BLOCK, n - j)
         E = np.eye(n, k, -j)  # unit vectors j .. j + k - 1
         EE = problem.exchange(E, problem.solver.apply_resolvent(m * E))
-        Q[:, j:j + k] = theta * EE + (1.0 - theta) * E
+        # theta E + (1 - theta) I on these columns, written into Q.
+        np.multiply(EE, theta, out=Q[:, j:j + k])
+        Q[j + np.arange(k), j + np.arange(k)] += 1.0 - theta
     return IterationOperator(
         Q=Q,
         N=config.N,

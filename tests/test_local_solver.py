@@ -178,7 +178,7 @@ def test_coarse_schur_matches_dense(small_problem):
 def test_single_subdomain_equals_global(case, mesh8, oracle8):
     part = partition(mesh8, 1)
     classes = local_solver.build_local_systems(part, mesh8, 1.0, 0.125)
-    loads = local_solver.local_loads(part, mesh8, case.load)
+    loads = local_solver.local_loads(classes, mesh8, case.load)
     assert len(classes) == 1
     cls = classes[0]
     np.testing.assert_array_equal(cls.members, [0])
@@ -207,6 +207,21 @@ def test_local_loads_match_global(problem_n4, case):
         np.add.at(gathered, cls.interior, loc[: cls.n_interior].T)
         np.add.at(gathered, trace.slot_edge[cls.slots], loc[cls.n_interior:].T)
     np.testing.assert_allclose(gathered, full, atol=1e-14)
+
+
+def test_dof_table_built_once(case, monkeypatch):
+    """Setup derives the subdomain dof table once; the loads reuse the
+    classes' copy of it."""
+    calls = []
+    build = local_solver._subdomain_dofs
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(local_solver, "_subdomain_dofs", spy)
+    iteration.build_problem(iteration.IterationConfig(N=3, ratio=4), case.load)
+    assert len(calls) == 1
 
 
 def test_inaccurate_trace_map_rejected(small_problem):
@@ -273,6 +288,8 @@ def test_local_dofs_match_edge_lookup(problem_n4):
             np.testing.assert_array_equal(
                 loc[block], loc_of_edge[mesh.tri_edges[tris]]
             )
+            np.testing.assert_array_equal(cls.tris[cls.members == s][0], tris)
+            np.testing.assert_array_equal(cls.loc, loc[block])
             local_dof = np.concatenate([interior, slots])
             on = loc[block] >= 0
             np.testing.assert_array_equal(

@@ -1,5 +1,7 @@
 """Structured diagonal mesh: counts, orientation, and id conventions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,12 @@ from rr_hdiv import mesh as mesh_mod
 from rr_hdiv.mesh import (
     DIAGONAL,
     HORIZONTAL,
+    LOWER,
+    SIGNS,
+    SQRT2,
+    UPPER,
     VERTICAL,
+    Mesh,
     build_unit_square_mesh,
     classify_boundary,
     dump_mesh_csv,
@@ -170,3 +177,89 @@ def test_mesh_dump(tmp_path, mesh8):
 def test_module_constants_distinct():
     assert len({HORIZONTAL, VERTICAL, DIAGONAL}) == 3
     assert mesh_mod.SQRT2 == pytest.approx(np.sqrt(2.0))
+
+
+def _sorted_mesh(m):
+    """Reference build: entities generated kind by kind, then numbered by
+    sorting edge midpoints and triangle centroids lexicographically (y, x)."""
+    mp1 = m + 1
+    ix, iy = np.meshgrid(np.arange(mp1), np.arange(mp1), indexing="xy")
+    verts = np.column_stack([ix.ravel() / m, iy.ravel() / m]).astype(float)
+
+    def vid(jx, jy):
+        return jy * mp1 + jx
+
+    hx, hy = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(mp1)))
+    vx, vy = (a.ravel() for a in np.meshgrid(np.arange(mp1), np.arange(m)))
+    cx, cy = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(m)))
+    ends = np.concatenate([
+        np.column_stack([vid(hx, hy), vid(hx + 1, hy)]),
+        np.column_stack([vid(vx, vy), vid(vx, vy + 1)]),
+        np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1)]),
+    ])
+    mid2 = np.concatenate([
+        np.column_stack([2 * hx + 1, 2 * hy]),
+        np.column_stack([2 * vx, 2 * vy + 1]),
+        np.column_stack([2 * cx + 1, 2 * cy + 1]),
+    ])
+    kind = np.concatenate([
+        np.full(hx.size, HORIZONTAL, dtype=np.int8),
+        np.full(vx.size, VERTICAL, dtype=np.int8),
+        np.full(cx.size, DIAGONAL, dtype=np.int8),
+    ])
+    order = np.lexsort((mid2[:, 0], mid2[:, 1]))
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    ends, mid2, kind = ends[order], mid2[order], kind[order]
+    normals = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
+    lengths = np.array([1.0 / m, 1.0 / m, SQRT2 / m])
+    on_bnd = (mid2[:, 0] == 0) | (mid2[:, 0] == 2 * m)
+    on_bnd |= (mid2[:, 1] == 0) | (mid2[:, 1] == 2 * m)
+
+    # Edge ids in generation order: horizontals, verticals, diagonals.
+    def hid(jx, jy):
+        return jy * m + jx
+
+    def vvid(jx, jy):
+        return m * mp1 + jy * mp1 + jx
+
+    def did(jx, jy):
+        return 2 * m * mp1 + jy * m + jx
+
+    tris = np.concatenate([
+        np.column_stack([vid(cx, cy), vid(cx + 1, cy), vid(cx + 1, cy + 1)]),
+        np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1), vid(cx, cy + 1)]),
+    ])
+    tri_edges = inv[np.concatenate([
+        np.column_stack([vvid(cx + 1, cy), did(cx, cy), hid(cx, cy)]),
+        np.column_stack([hid(cx, cy + 1), vvid(cx, cy), did(cx, cy)]),
+    ])]
+    tri_shape = np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m * m)
+    cent3 = np.concatenate([
+        np.column_stack([3 * cx + 2, 3 * cy + 1]),
+        np.column_stack([3 * cx + 1, 3 * cy + 2]),
+    ])
+    torder = np.lexsort((cent3[:, 0], cent3[:, 1]))
+    tris, tri_edges, tri_shape = tris[torder], tri_edges[torder], tri_shape[torder]
+    coords = verts[tris]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    return Mesh(
+        m=m, h=1.0 / m, verts=verts, edges=ends, edge_normal=normals[kind],
+        edge_len=lengths[kind], edge_boundary=on_bnd & (kind != DIAGONAL),
+        edge_kind=kind, edge_mid2=mid2, tris=tris, tri_edges=tri_edges,
+        tri_signs=SIGNS[tri_shape],
+        tri_area=0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]),
+        tri_shape=tri_shape,
+    )
+
+
+@pytest.mark.parametrize("m", list(range(1, 17)) + [256])
+def test_numbering_matches_sorted_build(m):
+    """Ids written by formula equal those found by sorting, in every
+    array and its dtype."""
+    mesh, ref = build_unit_square_mesh(m), _sorted_mesh(m)
+    for f in dataclasses.fields(Mesh):
+        got, want = getattr(mesh, f.name), getattr(ref, f.name)
+        assert np.asarray(got).dtype == np.asarray(want).dtype, f.name
+        np.testing.assert_array_equal(got, want, err_msg=f.name)

@@ -1,9 +1,11 @@
 """N x N decomposition: interfaces, trace slots, swap, and constraint rows."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rr_hdiv.mesh import DIAGONAL, build_unit_square_mesh
+from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
     orbit_table,
@@ -270,3 +272,171 @@ def test_broken_symmetry_rejected(mesh8):
     part.trace.m_diag = part.trace.m_diag * (1.0 + part.trace.slot_iface)
     with pytest.raises(AssertionError, match="mass"):
         symmetry_generators(part)
+
+
+def _reference_partition(mesh, N):
+    """The decomposition from the distinct (edge, subdomain) incidences,
+    found by hashing, with sets compared through `np.unique`.
+
+    Returns (tri_sub, interior_edges, sub_slots, trace arrays by name).
+    """
+    m = mesh.m
+    r = m // N
+    n_subs = N * N
+    vx, vy = mesh.tris % (m + 1), mesh.tris // (m + 1)
+    tri_sub = (vy.sum(axis=1) // 3 // r) * N + vx.sum(axis=1) // 3 // r
+
+    # Interfaces bottom-to-top, left-to-right; fine edges by midpoint.
+    raw = []
+    for J in range(N):
+        for I in range(N - 1):
+            raw.append(((2 * r * (I + 1), 2 * r * J + r), J * N + I, J * N + I + 1,
+                        VERTICAL))
+    for J in range(N - 1):
+        for I in range(N):
+            raw.append(((2 * r * I + r, 2 * r * (J + 1)), J * N + I, (J + 1) * N + I,
+                        HORIZONTAL))
+    raw.sort(key=lambda item: (item[0][1], item[0][0]))
+    edge_of = {tuple(p): e for e, p in enumerate(mesh.edge_mid2.tolist())}
+    fine = []
+    for (x2, y2), _, _, kind in raw:
+        for t in range(r):
+            off = 2 * t - (r - 1)
+            fine.append(edge_of[(x2, y2 + off) if kind == VERTICAL else (x2 + off, y2)])
+    gamma_edges = np.array(fine, dtype=np.int64)
+    assert np.unique(gamma_edges).size == gamma_edges.size
+    on_gamma = np.zeros(mesh.n_edges, dtype=bool)
+    on_gamma[gamma_edges] = True
+
+    pairs = np.unique(mesh.tri_edges.ravel() * n_subs + np.repeat(tri_sub, 3))
+    pair_edge, pair_sub = np.divmod(pairs, n_subs)
+    claims = np.bincount(pair_edge, minlength=mesh.n_edges)
+    free_interior = ~mesh.edge_boundary & ~on_gamma
+    assert np.all(claims[free_interior] == 1)
+    assert np.all(claims[on_gamma] == 2)
+    keep = free_interior[pair_edge]
+    interior_edges = [pair_edge[keep][pair_sub[keep] == s] for s in range(n_subs)]
+
+    n_if = len(raw)
+    iface_i = np.array([item[1] for item in raw], dtype=np.int64)
+    iface_j = np.array([item[2] for item in raw], dtype=np.int64)
+    slot_iface = np.repeat(np.arange(n_if, dtype=np.int64), 2 * r)
+    slot_side = np.tile(np.array([0, 1], dtype=np.int64), n_if * r)
+    slot_sub = np.where(slot_side == 0, iface_i[slot_iface], iface_j[slot_iface])
+    slot_edge = np.repeat(gamma_edges, 2)
+    keep = on_gamma[pair_edge]
+    assert np.array_equal(
+        np.unique(slot_sub * mesh.n_edges + slot_edge),
+        np.sort(pair_sub[keep] * mesh.n_edges + pair_edge[keep]),
+    )
+    trace = {
+        "slot_iface": slot_iface,
+        "slot_edge": slot_edge,
+        "slot_sub": slot_sub,
+        "slot_side": slot_side,
+        "pair_perm": np.arange(slot_edge.size) ^ 1,
+        "m_diag": mesh.edge_len[slot_edge],
+    }
+    sub_slots = [np.flatnonzero(slot_sub == s) for s in range(n_subs)]
+    return tri_sub, interior_edges, sub_slots, trace
+
+
+@pytest.mark.parametrize(
+    "m,N", [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [(64, 8)]
+)
+def test_partition_matches_unique_reference(m, N):
+    mesh = build_unit_square_mesh(m)
+    part = partition(mesh, N)
+    tri_sub, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
+    np.testing.assert_array_equal(part.tri_sub, tri_sub)
+    assert len(part.interior_edges) == len(part.sub_slots) == N * N
+    for s in range(N * N):
+        np.testing.assert_array_equal(part.interior_edges[s], interior_edges[s])
+        np.testing.assert_array_equal(part.sub_slots[s], sub_slots[s])
+    for name, expect in trace.items():
+        np.testing.assert_array_equal(getattr(part.trace, name), expect)
+
+
+def _incident(mesh, edge, tri_sub, sub):
+    """(triangle, position) of `edge` in a triangle of subdomain `sub`."""
+    t, k = np.nonzero(mesh.tri_edges == edge)
+    pick = np.flatnonzero(tri_sub[t] == sub)[0]
+    return int(t[pick]), int(k[pick])
+
+
+def _swap_tri_edges(mesh, a, b):
+    """A copy of `mesh` with tri_edges entries a and b, (triangle,
+    position) pairs, exchanged."""
+    tri_edges = mesh.tri_edges.copy()
+    tri_edges[a], tri_edges[b] = mesh.tri_edges[b], mesh.tri_edges[a]
+    return dataclasses.replace(mesh, tri_edges=tri_edges)
+
+
+def _tampered(mesh, part, fault):
+    """A copy of `mesh` (N=2) that makes one check of `partition` fail."""
+    trace, tri_sub = part.trace, part.tri_sub
+    pair = trace.slot_sub[0::2] * 4 + trace.slot_sub[1::2]
+    e01 = trace.slot_edge[0::2][pair == 0 * 4 + 1][0]
+    e23 = trace.slot_edge[0::2][pair == 2 * 4 + 3][0]
+    f0, f1 = part.interior_edges[0][0], part.interior_edges[1][0]
+    if fault == "classification":
+        edge_boundary = mesh.edge_boundary.copy()
+        edge_boundary[e01] = True
+        return dataclasses.replace(mesh, edge_boundary=edge_boundary)
+    if fault == "order":
+        fine = part.interfaces[0].fine_edges
+        mid2 = mesh.edge_mid2.copy()
+        mid2[fine[[0, 1]]] = mesh.edge_mid2[fine[[1, 0]]]
+        return dataclasses.replace(mesh, edge_mid2=mid2)
+    if fault == "set":
+        left = np.flatnonzero(mesh.edge_boundary & (mesh.edge_mid2[:, 0] == 0))
+        edge_boundary = mesh.edge_boundary.copy()
+        edge_boundary[left[0]] = False
+        return dataclasses.replace(mesh, edge_boundary=edge_boundary)
+    if fault == "triangles":
+        # A sub-0 triangle that does not touch f0 takes it as one of its
+        # edges: f0 then lies on three triangles.
+        t = np.flatnonzero((tri_sub == 0) & ~np.any(mesh.tri_edges == f0, axis=1))[0]
+        tri_edges = mesh.tri_edges.copy()
+        tri_edges[t, 0] = f0
+        return dataclasses.replace(mesh, tri_edges=tri_edges)
+    if fault == "interior":
+        return _swap_tri_edges(
+            mesh, _incident(mesh, f0, tri_sub, 0), _incident(mesh, f1, tri_sub, 1)
+        )
+    if fault == "interface":
+        # e01 loses its subdomain-1 triangle to a boundary edge of
+        # subdomain 0, so both its triangles lie in subdomain 0.
+        bnd = np.flatnonzero(mesh.edge_boundary)
+        t0, k0 = np.nonzero(np.isin(mesh.tri_edges, bnd) & (tri_sub == 0)[:, None])
+        return _swap_tri_edges(
+            mesh, _incident(mesh, e01, tri_sub, 1), (int(t0[0]), int(k0[0]))
+        )
+    if fault == "inconsistent":
+        # e01 is claimed by subdomains 2 and 1, e23 by 0 and 3: two owners
+        # each, but not the ones its slots name.
+        return _swap_tri_edges(
+            mesh, _incident(mesh, e01, tri_sub, 0), _incident(mesh, e23, tri_sub, 2)
+        )
+    raise ValueError(fault)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("classification", "interface edge classification mismatch"),
+    ("order", "interface fine edges out of order"),
+    ("set", "interface edge set mismatch"),
+    ("triangles", "an edge lies on more than two triangles"),
+    ("interior", "an interior dof is claimed by != 1 subdomain"),
+    ("interface", "an interface dof is not shared by exactly 2"),
+    ("inconsistent", "subdomain interface set inconsistent"),
+])
+def test_tampered_mesh_rejected(mesh8, fault, message):
+    """Each check of `partition` fires on a mesh broken to reach it.  Two
+    cannot be reached from a Mesh: interface fine edges come from distinct
+    midpoints, so none repeats, and they are checked axis-aligned, so none
+    is diagonal.  The "triangles" mesh passed the hashed claims checks:
+    its extra incidence is in the edge's own subdomain."""
+    part = partition(mesh8, 2)
+    bad = _tampered(mesh8, part, fault)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        partition(bad, 2)

@@ -105,6 +105,27 @@ def test_assembly_holds_Q_and_a_few_column_blocks():
     assert peak <= op.Q.nbytes + 8 * op.dim * COLUMN_BLOCK * 8
 
 
+@pytest.fixture(scope="module")
+def zero_n8r8():
+    cfg = iteration.IterationConfig(N=8, ratio=8)
+    return iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_in_place_combine_matches_formula(zero_n8r8, theta):
+    """Q, written into its column blocks in place, equals theta * E +
+    (1 - theta) * I formed per block with temporaries (N=8, r=8)."""
+    cfg = iteration.IterationConfig(N=8, ratio=8, theta=theta)
+    op = spectrum.assemble_Q(cfg, problem=zero_n8r8)
+    n = op.dim
+    m = zero_n8r8.partition.trace.m_diag[:, None]
+    for j in range(0, n, COLUMN_BLOCK):
+        k = min(COLUMN_BLOCK, n - j)
+        E = np.eye(n, k, -j)
+        EE = zero_n8r8.exchange(E, zero_n8r8.solver.apply_resolvent(m * E))
+        assert np.array_equal(op.Q[:, j:j + k], theta * EE + (1.0 - theta) * E)
+
+
 @pytest.mark.parametrize("theta", [1.0, 2 / 3])
 @pytest.mark.parametrize("N,r", [(2, 4), (3, 4), (4, 8)])
 def test_blocked_spectrum_matches_dense(N, r, theta):
