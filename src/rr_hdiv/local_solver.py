@@ -9,6 +9,9 @@ constraint B u = 0 is enforced with a Lagrange multiplier; eliminating the
 S = B H^-1 B^T, one row per coarse interface.  Every one of these SPD
 matrices is factorized the same way, by `_factor`.
 
+Each subdomain's local dof order comes from `partition.local_dofs`, which
+this module takes as given and checks congruent across each class.
+
 Setup also solves each class's Robin problem once against the identity on
 its interface rows: the interface block of that solve is the Robin-to-trace
 map of every member, so the constrained resolvent takes one product per
@@ -25,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .mesh import Mesh
-from .partition import SubdomainPartition
+from .partition import SubdomainPartition, local_dofs
 
 __all__ = [
     "RobinClass",
@@ -47,13 +50,14 @@ COLUMN_BLOCK = 256
 class RobinClass:
     """The Robin problem of congruent subdomains, factorized once.
 
-    Local dof order is [interior edges (sorted), interface slots (trace
-    order)]; member i = members[i] has the global edges interior[i] and
-    the trace slots slots[i] in that order.  tris[i] holds member i's
-    triangle ids (increasing), and loc, shared by all members, the local
-    dof of each edge of those triangles (-1 on the boundary).  `A` holds
-    the plain bilinear blocks without the Robin term; the factorization
-    is of A plus gamma * diag(m_diag) on the interface rows.
+    Local dof order is that of `partition.local_dofs`: member
+    s = members[i] has the global edges interior[i] = part.interior_of(s),
+    then the trace slots slots[i] = part.slots_of(s), both increasing.
+    tris[i] holds member i's triangle ids (increasing), and loc, shared
+    by all members, the local dof of each edge of those triangles (-1 on
+    the boundary).  `A` holds the plain bilinear blocks without the Robin
+    term; the factorization is of A plus gamma * diag(m_diag) on the
+    interface rows.
     """
 
     members: np.ndarray
@@ -95,55 +99,12 @@ class CoarseSchur:
         return _solve(self._lu, rhs, "the coarse solve")
 
 
-def _rank_in_runs(owner: np.ndarray) -> np.ndarray:
-    """Position of each entry within its run of equal, sorted owner ids."""
-    return np.arange(owner.size) - np.searchsorted(owner, owner)
-
-
-def _subdomain_dofs(part: SubdomainPartition, mesh: Mesh):
-    """Triangles grouped by subdomain, with the local dofs of their edges.
-
-    Returns (tri_ids, starts, loc, dof): triangles
-    tri_ids[starts[s]:starts[s+1]] are subdomain s's, in increasing
-    order; loc[k] holds the local dof of each edge of triangle tri_ids[k]
-    in its subdomain (-1 on the boundary), and dof[k] the global edge
-    (interior dofs) or trace slot (interface dofs) behind it.
-    """
-    trace = part.trace
-    n_subs = part.n_subdomains
-    tri_ids = np.argsort(part.tri_sub, kind="stable")
-    starts = np.searchsorted(part.tri_sub[tri_ids], np.arange(n_subs + 1))
-    sub = part.tri_sub[tri_ids][:, None]
-    edges = mesh.tri_edges[tri_ids]
-    owner = np.zeros(mesh.n_edges, dtype=np.int64)
-    owner[edges] = sub  # exact on interior edges, the only ones read
-    interior = np.concatenate(part.interior_edges)
-    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
-    rank[interior] = _rank_in_runs(owner[interior])
-    loc = rank[edges]
-    dof = edges
-    if trace.n_slots:
-        n_interior = np.bincount(owner[interior], minlength=n_subs)
-        owned = np.concatenate(part.sub_slots)
-        slot_rank = np.empty(trace.n_slots, dtype=np.int64)
-        slot_rank[owned] = _rank_in_runs(trace.slot_sub[owned])
-        first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
-        first_slot[trace.slot_edge[::2]] = np.arange(0, trace.n_slots, 2)
-        slot = first_slot[edges]
-        on_gamma = slot >= 0
-        # Each interface edge has its i-side slot first, then its j-side.
-        slot = np.where(on_gamma, slot + (trace.slot_sub[slot] != sub), 0)
-        loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
-        dof = np.where(on_gamma, slot, edges)
-    return tri_ids, starts, loc, dof
-
-
 def _congruence_classes(N: int, starts: np.ndarray):
     """(members, rows) per subdomain shape, members in increasing order.
 
     Subdomain s = J*N + I is a translate of every subdomain with the same
     key (I == 0, I == N-1, J == 0, J == N-1).  rows[i] holds the
-    positions of member i's triangles in the order of `_subdomain_dofs`,
+    positions of member i's triangles in the order of `local_dofs`,
     as many as the first member has.
     """
     J, I = np.divmod(np.arange(N * N), N)
@@ -224,7 +185,7 @@ def build_local_systems(
         raise ValueError(f"beta must be positive, got {beta}")
     N = part.N
     r = mesh.m // N
-    tri_ids, starts, loc, dof = _subdomain_dofs(part, mesh)
+    tri_ids, starts, loc, dof = local_dofs(part)
     classes = []
     for members, rows in _congruence_classes(N, starts):
         rep = members[0]
@@ -237,7 +198,7 @@ def build_local_systems(
         _check_congruent(members, "edge orientation table", mesh.tri_signs[tris])
 
         dofs = loc[rows[0]]
-        n_interior = part.interior_edges[rep].size
+        n_interior = part.interior_of(rep).size
         n_local = n_interior + part.slots_of(rep).size
         valid = dofs >= 0
         local_to_global = np.empty((members.size, n_local), dtype=np.int64)

@@ -1,16 +1,20 @@
 """Square N x N decomposition of the structured mesh.
 
-Builds the triangle-to-subdomain map, the coarse interfaces between
-neighboring subdomains, per-subdomain index sets (interior edges and
-trace slots), the two-sided trace slot layout with its pairing
-permutation, and the edge-average constraint matrix.
+Builds the triangle-to-subdomain map, the two-sided trace slot layout
+with its pairing permutation, each subdomain's interior edges and trace
+slots, and the edge-average constraint matrix.  It is the one owner of
+the subdomain layout: `local_dofs` derives every subdomain's local dof
+order, [interior_of(s), slots_of(s)], from it, and the local solver
+takes that table as given.
 
-Trace layout: one slot per (interface fine edge, side) pair.  Interfaces
-are enumerated bottom-to-top, left-to-right by midpoint; within an
-interface the fine edges run in geometric order, and each edge's i-side
-slot immediately precedes its j-side slot.  Subdomain pairs are ordered
-i < j with the interface normal pointing from i into j (rightward or
-upward), which matches the global edge normal convention.
+Coarse interfaces are numbered by index arithmetic, bottom-to-top and
+left-to-right by midpoint: row J of subdomains holds its N-1 vertical
+interfaces, then the N horizontal ones above it, each left to right.
+Interface k joins subdomains i < j, with the normal pointing from i
+into j (rightward or upward), which matches the global edge normal
+convention.  Trace layout: one slot per (interface fine edge, side)
+pair, by interface; within an interface the fine edges run in geometric
+order, and each edge's i-side slot immediately precedes its j-side slot.
 
 The layout is index arithmetic on the structured mesh; what it assumes is
 then checked in O(n) passes, without sorting or hashing.  Per edge, over
@@ -33,10 +37,10 @@ import scipy.sparse as sp
 from .mesh import DIAGONAL, HORIZONTAL, VERTICAL, Mesh
 
 __all__ = [
-    "CoarseInterface",
     "TraceIndex",
     "SubdomainPartition",
     "partition",
+    "local_dofs",
     "build_constraint",
     "SYMMETRY_NAMES",
     "symmetry_generators",
@@ -46,18 +50,6 @@ __all__ = [
 # The mesh's symmetries on the trace slots, in the order that
 # `symmetry_generators` returns them.
 SYMMETRY_NAMES = ("half-turn", "reflection x <-> y")
-
-
-@dataclass(eq=False)
-class CoarseInterface:
-    """One straight interface segment shared by two subdomains."""
-
-    index: int
-    i: int
-    j: int
-    normal: np.ndarray
-    fine_edges: np.ndarray
-    length: float
 
 
 @dataclass(eq=False)
@@ -78,33 +70,50 @@ class TraceIndex:
 
 @dataclass(eq=False)
 class SubdomainPartition:
-    """N x N square decomposition with its trace indexing."""
+    """N x N square decomposition with its trace indexing.
+
+    Per-subdomain sets are flat arrays grouped by subdomain, with N^2 + 1
+    offsets: subdomain s's interior edges are
+    interior[interior_start[s]:interior_start[s+1]] and its trace slots
+    slots[slot_start[s]:slot_start[s+1]], both increasing.
+    """
 
     N: int
     mesh: Mesh
     tri_sub: np.ndarray
-    interior_edges: list
-    interfaces: list
+    n_interfaces: int
     trace: TraceIndex
-    sub_slots: list
+    interior: np.ndarray
+    interior_start: np.ndarray
+    slots: np.ndarray
+    slot_start: np.ndarray
 
     @property
     def n_subdomains(self) -> int:
         return self.N * self.N
 
-    @property
-    def n_interfaces(self) -> int:
-        return len(self.interfaces)
+    def interior_of(self, sub: int) -> np.ndarray:
+        """Interior edges of one subdomain, in increasing order."""
+        return self.interior[self.interior_start[sub]:self.interior_start[sub + 1]]
 
     def slots_of(self, sub: int) -> np.ndarray:
         """Trace slots of one subdomain, in increasing order."""
-        return self.sub_slots[sub]
+        return self.slots[self.slot_start[sub]:self.slot_start[sub + 1]]
 
 
-def _split_by(owner: np.ndarray, values: np.ndarray, n: int) -> list:
-    """values grouped by owner in 0..n-1, in their order within a group."""
+def _group_by(owner: np.ndarray, n: int):
+    """(order, start): order lists the positions of `owner` grouped by
+    owner in 0..n-1, in increasing position within a group, and group s
+    is order[start[s]:start[s+1]]."""
     order = np.argsort(owner, kind="stable")
-    return np.split(values[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    return order, start
+
+
+def _position_in_group(start: np.ndarray) -> np.ndarray:
+    """Each grouped entry's position within its group."""
+    return np.arange(start[-1]) - np.repeat(start[:-1], np.diff(start))
 
 
 def partition(mesh: Mesh, N: int) -> SubdomainPartition:
@@ -138,29 +147,22 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         mesh.n_edges
     )
 
-    # Enumerate interfaces bottom-to-top, left-to-right by midpoint.  Fine
-    # edge t of an interface has its midpoint at offset 2t + 1 half-cells
-    # along the interface from the subdomain corner.
-    raw = []
-    for J in range(N):
-        for I in range(N - 1):
-            mid2 = (2 * r * (I + 1), 2 * r * J + r)
-            raw.append((mid2, J * N + I, J * N + I + 1, (1.0, 0.0), VERTICAL))
-    for J in range(N - 1):
-        for I in range(N):
-            mid2 = (2 * r * I + r, 2 * r * (J + 1))
-            raw.append((mid2, J * N + I, (J + 1) * N + I, (0.0, 1.0), HORIZONTAL))
-    raw.sort(key=lambda item: (item[0][1], item[0][0]))
-
-    n_if = len(raw)
-    mid = np.array([item[0] for item in raw], dtype=np.int64).reshape(n_if, 2)
-    iface_i = np.array([item[1] for item in raw], dtype=np.int64)
-    iface_j = np.array([item[2] for item in raw], dtype=np.int64)
-    iface_kind = np.array([item[4] for item in raw], dtype=np.int64)
+    # Interfaces in the order of the module docstring: interface k is
+    # entry q of row J, vertical for q < N-1.  Fine edge t of an interface
+    # has its midpoint at offset 2t + 1 half-cells along the interface
+    # from the subdomain corner.
+    n_if = 2 * N * (N - 1)
+    J, q = np.divmod(np.arange(n_if, dtype=np.int64), 2 * N - 1)
+    vertical = q < N - 1
+    I = np.where(vertical, q, q - (N - 1))
+    iface_i = J * N + I
+    iface_j = np.where(vertical, iface_i + 1, iface_i + N)
+    iface_kind = np.where(vertical, VERTICAL, HORIZONTAL)
+    mid_x = np.where(vertical, 2 * r * (I + 1), 2 * r * I + r)[:, None]
+    mid_y = np.where(vertical, 2 * r * J + r, 2 * r * (J + 1))[:, None]
     step = 2 * np.arange(r, dtype=np.int64) - (r - 1)
-    vertical = (iface_kind == VERTICAL)[:, None]
-    fx = mid[:, :1] + np.where(vertical, 0, step)
-    fy = mid[:, 1:] + np.where(vertical, step, 0)
+    fx = mid_x + np.where(vertical[:, None], 0, step)
+    fy = mid_y + np.where(vertical[:, None], step, 0)
     fine = edge_at[fy * side + fx]  # (n_if, r)
     if np.any(fine < 0) or np.any(mesh.edge_kind[fine] != iface_kind[:, None]) or (
         np.any(mesh.edge_boundary[fine])
@@ -168,17 +170,6 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         raise AssertionError("interface edge classification mismatch")
     if np.any(np.diff(fine, axis=1) <= 0):
         raise AssertionError("interface fine edges out of order")
-    interfaces = [
-        CoarseInterface(
-            index=index,
-            i=int(iface_i[index]),
-            j=int(iface_j[index]),
-            normal=np.array(item[3]),
-            fine_edges=fine[index],
-            length=r * mesh.h,
-        )
-        for index, item in enumerate(raw)
-    ]
 
     gamma_edges = fine.ravel()
     on_gamma = np.zeros(mesh.n_edges, dtype=bool)
@@ -222,7 +213,8 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     owner = np.empty(mesh.n_edges, dtype=np.int64)
     owner[mesh.tri_edges] = tri_sub[:, None]
     free = np.flatnonzero(free_interior)
-    interior_edges = _split_by(owner[free], free, n_subs)
+    order, interior_start = _group_by(owner[free], n_subs)
+    interior = free[order]
 
     # Trace slots: i-side then j-side per fine edge.
     slot_edge = np.repeat(gamma_edges, 2)
@@ -238,7 +230,7 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         pair_perm=pair_perm,
         m_diag=mesh.edge_len[slot_edge] if slot_edge.size else np.empty(0),
     )
-    sub_slots = _split_by(slot_sub, np.arange(slot_sub.size), n_subs)
+    slots, slot_start = _group_by(slot_sub, n_subs)
 
     # Each subdomain's slots name exactly its interface edges: the two
     # sides of an edge are distinct subdomains with the edge's s1 and s2.
@@ -252,11 +244,46 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         N=N,
         mesh=mesh,
         tri_sub=tri_sub,
-        interior_edges=interior_edges,
-        interfaces=interfaces,
+        n_interfaces=n_if,
         trace=trace,
-        sub_slots=sub_slots,
+        interior=interior,
+        interior_start=interior_start,
+        slots=slots,
+        slot_start=slot_start,
     )
+
+
+def local_dofs(part: SubdomainPartition):
+    """Triangles grouped by subdomain, with the local dofs of their edges.
+
+    Subdomain s's local dofs are [interior_of(s), slots_of(s)], ranked
+    from the offsets.  Returns (tri_ids, starts, loc, dof): triangles
+    tri_ids[starts[s]:starts[s+1]] are subdomain s's, in increasing
+    order; loc[k] holds the local dof of each edge of triangle tri_ids[k]
+    in its subdomain (-1 on the boundary), and dof[k] the global edge
+    (interior dofs) or trace slot (interface dofs) behind it.
+    """
+    mesh, trace = part.mesh, part.trace
+    tri_ids, starts = _group_by(part.tri_sub, part.n_subdomains)
+    edges = mesh.tri_edges[tri_ids]
+    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
+    rank[part.interior] = _position_in_group(part.interior_start)
+    loc = rank[edges]
+    dof = edges
+    if trace.n_slots:
+        sub = part.tri_sub[tri_ids][:, None]
+        slot_rank = np.empty(trace.n_slots, dtype=np.int64)
+        slot_rank[part.slots] = _position_in_group(part.slot_start)
+        first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
+        first_slot[trace.slot_edge[::2]] = np.arange(0, trace.n_slots, 2)
+        slot = first_slot[edges]
+        on_gamma = slot >= 0
+        # Each interface edge has its i-side slot first, then its j-side.
+        slot = np.where(on_gamma, slot + (trace.slot_sub[slot] != sub), 0)
+        n_interior = np.diff(part.interior_start)
+        loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
+        dof = np.where(on_gamma, slot, edges)
+    return tri_ids, starts, loc, dof
 
 
 def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:

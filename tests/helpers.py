@@ -14,11 +14,11 @@ from rr_hdiv import fem
 def subdomain_robin_matrix(problem, s):
     """Subdomain s's Robin matrix, assembled densely from its own triangles.
 
-    Local dof order is [part.interior_edges[s], then the edges of the
-    trace slots part.slots_of(s)].  Returns (H, n_interior, slots).
+    Local dof order is [part.interior_of(s), then the edges of the trace
+    slots part.slots_of(s)].  Returns (H, n_interior, slots).
     """
     part, mesh = problem.partition, problem.mesh
-    interior = part.interior_edges[s]
+    interior = part.interior_of(s)
     slots = part.slots_of(s)
     local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
     loc_of_edge = np.full(mesh.n_edges, -1)

@@ -15,7 +15,7 @@ from helpers import (
 )
 from rr_hdiv import fem, iteration, local_solver, verify
 from rr_hdiv.mesh import build_unit_square_mesh
-from rr_hdiv.partition import build_constraint, partition
+from rr_hdiv.partition import build_constraint, local_dofs, partition
 
 
 def test_parameter_validation(mesh8):
@@ -213,13 +213,13 @@ def test_dof_table_built_once(case, monkeypatch):
     """Setup derives the subdomain dof table once; the loads reuse the
     classes' copy of it."""
     calls = []
-    build = local_solver._subdomain_dofs
+    build = local_solver.local_dofs
 
     def spy(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(local_solver, "_subdomain_dofs", spy)
+    monkeypatch.setattr(local_solver, "local_dofs", spy)
     iteration.build_problem(iteration.IterationConfig(N=3, ratio=4), case.load)
     assert len(calls) == 1
 
@@ -267,17 +267,17 @@ def test_unconstrained_solver_matches_local_solves(case):
         u_i, u_d = dense_local_solve(
             problem, s, subdomain_load(problem, s), g[slots]
         )
-        np.testing.assert_allclose(u[part.interior_edges[s]], u_i, atol=1e-14)
+        np.testing.assert_allclose(u[part.interior_of(s)], u_i, atol=1e-14)
         np.testing.assert_allclose(u_trace[slots], u_d, atol=1e-14)
 
 
 def test_local_dofs_match_edge_lookup(problem_n4):
     """Reference: a full-mesh edge -> local dof table per subdomain."""
     part, mesh = problem_n4.partition, problem_n4.mesh
-    tri_ids, starts, loc, dof = local_solver._subdomain_dofs(part, mesh)
+    tri_ids, starts, loc, dof = local_dofs(part)
     for cls in problem_n4.classes:
         for s, interior, slots in zip(cls.members, cls.interior, cls.slots):
-            np.testing.assert_array_equal(interior, part.interior_edges[s])
+            np.testing.assert_array_equal(interior, part.interior_of(s))
             np.testing.assert_array_equal(slots, part.slots_of(s))
             local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
             loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
@@ -361,9 +361,8 @@ def test_class_matches_every_member(problem_n6):
 def test_non_congruent_member_rejected(problem_n6):
     mesh = problem_n6.mesh
     part = partition(mesh, 6)
-    permuted = part.interior_edges[14].copy()
-    permuted[[0, 1]] = permuted[[1, 0]]
-    part.interior_edges[14] = permuted
+    first = part.interior_start[14]
+    part.interior[[first, first + 1]] = part.interior[[first + 1, first]]
     with pytest.raises(ValueError, match="subdomain 14 is not a translate of "
                        "subdomain 7: its local dof table differs"):
         local_solver.build_local_systems(part, mesh, 1.0, problem_n6.gamma)

@@ -8,6 +8,7 @@ import pytest
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
+    local_dofs,
     orbit_table,
     partition,
     symmetry_generators,
@@ -24,6 +25,20 @@ def B4(part4, mesh32):
     return build_constraint(part4, mesh32)
 
 
+def _interfaces(part):
+    """(i, j, fine) per coarse interface, read off the trace layout: the
+    subdomains on its two sides and its fine edges in slot order."""
+    trace = part.trace
+    r = part.mesh.m // part.N
+    shape = (part.n_interfaces, r)
+    iface = trace.slot_iface[0::2].reshape(shape)
+    assert np.all(iface == np.arange(part.n_interfaces)[:, None])
+    i = trace.slot_sub[0::2].reshape(shape)
+    j = trace.slot_sub[1::2].reshape(shape)
+    assert np.all(i == i[:, :1]) and np.all(j == j[:, :1])
+    return i[:, 0], j[:, 0], trace.slot_edge[0::2].reshape(shape)
+
+
 def test_incompatible_resolution_rejected(mesh8):
     with pytest.raises(ValueError):
         partition(mesh8, 3)
@@ -36,7 +51,9 @@ def test_single_subdomain(mesh8):
     assert part.n_interfaces == 0
     assert part.trace.n_slots == 0
     free = np.flatnonzero(~mesh8.edge_boundary)
-    np.testing.assert_array_equal(np.sort(part.interior_edges[0]), free)
+    np.testing.assert_array_equal(part.interior_of(0), free)
+    np.testing.assert_array_equal(part.interior_start, [0, free.size])
+    np.testing.assert_array_equal(part.slot_start, [0, 0])
     B = build_constraint(part, mesh8)
     assert B.shape == (0, 0)
 
@@ -47,34 +64,40 @@ def test_interface_counts(N, m):
     part = partition(mesh, N)
     assert part.n_interfaces == 2 * N * (N - 1)
     assert part.trace.n_slots == 4 * N * (N - 1) * (m // N)
-    for iface in part.interfaces:
-        assert len(iface.fine_edges) == m // N
-        assert iface.length == pytest.approx(1.0 / N)
+    _, _, fine = _interfaces(part)
+    assert fine.shape == (part.n_interfaces, m // N)
+    length = np.bincount(part.trace.slot_iface[0::2], part.trace.m_diag[0::2])
+    np.testing.assert_allclose(length, 1.0 / N, rtol=1e-14)
 
 
 def test_interface_geometry(part4, mesh32):
-    for iface in part4.interfaces:
-        edges = iface.fine_edges
+    N = part4.N
+    i, j, fine = _interfaces(part4)
+    assert np.all(i < j)
+    for a, b, edges in zip(i, j, fine):
         kinds = mesh32.edge_kind[edges]
         assert len(set(kinds)) == 1
-        np.testing.assert_allclose(
-            mesh32.edge_normal[edges],
-            np.tile(iface.normal, (len(edges), 1)),
-            atol=1e-15,
-        )
-        # collinear: the coordinate along the normal direction is constant
-        mids = mesh32.edge_mid2[edges]
-        axis = 0 if abs(iface.normal[0]) > 0.5 else 1
-        assert len(set(mids[:, axis])) == 1
         assert not np.any(kinds == DIAGONAL)
-        assert iface.i < iface.j
+        # the normal points from subdomain i into its neighbor j
+        (Ja, Ia), (Jb, Ib) = divmod(a, N), divmod(b, N)
+        normal = np.array([Ib - Ia, Jb - Ja], dtype=float)
+        assert np.abs(normal).sum() == 1.0
+        np.testing.assert_allclose(
+            mesh32.edge_normal[edges], np.tile(normal, (len(edges), 1)), atol=1e-15
+        )
+        # collinear: the coordinate along the normal direction is constant;
+        # along the interface the fine edges run in geometric order
+        mids = mesh32.edge_mid2[edges]
+        axis = 0 if normal[0] else 1
+        assert len(set(mids[:, axis])) == 1
+        assert np.all(np.diff(mids[:, 1 - axis]) == 2)
 
 
 def test_every_free_dof_claimed_once(part4, mesh32):
     free = np.flatnonzero(~mesh32.edge_boundary)
     interior_count = np.zeros(mesh32.n_edges, dtype=int)
-    for ids in part4.interior_edges:
-        interior_count[ids] += 1
+    for s in range(part4.n_subdomains):
+        interior_count[part4.interior_of(s)] += 1
     trace_count = np.zeros(mesh32.n_edges, dtype=int)
     np.add.at(trace_count, part4.trace.slot_edge, 1)
     assert np.all(interior_count[free] + trace_count[free] // 2 == 1)
@@ -168,18 +191,19 @@ def test_no_diagonal_edges_on_interfaces(part4, mesh32):
 
 def test_fine_edges_belong_to_one_interface(part4):
     seen = {}
-    for iface in part4.interfaces:
-        for e in iface.fine_edges:
+    _, _, fine = _interfaces(part4)
+    for index, edges in enumerate(fine):
+        for e in edges:
             assert e not in seen
-            seen[e] = iface.index
+            seen[e] = index
+    assert len(seen) == part4.trace.n_slots // 2
 
 
 def test_interfaces_enumerated_by_position(part4, mesh32):
-    mids = []
-    for iface in part4.interfaces:
-        mid = mesh32.edge_mid2[iface.fine_edges].mean(axis=0)
-        mids.append((mid[1], mid[0]))
+    _, _, fine = _interfaces(part4)
+    mids = [tuple(mesh32.edge_mid2[edges].mean(axis=0)[::-1]) for edges in fine]
     assert mids == sorted(mids)
+    assert len(set(mids)) == len(mids)
 
 
 def test_subdomain_triangle_map(part4, mesh32):
@@ -201,7 +225,7 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
         for t in np.flatnonzero(part4.tri_sub == s):
             mine[mesh32.tri_edges[t]] = True
         np.testing.assert_array_equal(
-            part4.interior_edges[s], np.flatnonzero(mine & free_interior)
+            part4.interior_of(s), np.flatnonzero(mine & free_interior)
         )
         np.testing.assert_array_equal(
             np.sort(part4.trace.slot_edge[part4.slots_of(s)]),
@@ -315,7 +339,8 @@ def _reference_partition(mesh, N):
     assert np.all(claims[free_interior] == 1)
     assert np.all(claims[on_gamma] == 2)
     keep = free_interior[pair_edge]
-    interior_edges = [pair_edge[keep][pair_sub[keep] == s] for s in range(n_subs)]
+    edge, sub = pair_edge[keep], pair_sub[keep]
+    interior_edges = [edge[sub == s] for s in range(n_subs)]
 
     n_if = len(raw)
     iface_i = np.array([item[1] for item in raw], dtype=np.int64)
@@ -341,20 +366,78 @@ def _reference_partition(mesh, N):
     return tri_sub, interior_edges, sub_slots, trace
 
 
-@pytest.mark.parametrize(
-    "m,N", [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [(64, 8)]
-)
+def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
+    """The local dof table by sorting and ranking: each edge's owner is
+    scattered from its triangles, then interior edges and trace slots are
+    ranked within their runs of equal owner.  Returns (tri_ids, starts,
+    loc, dof) as `local_dofs` does."""
+
+    def rank_in_runs(owner):
+        return np.arange(owner.size) - np.searchsorted(owner, owner)
+
+    n_subs = len(interior_edges)
+    n_slots = trace["slot_edge"].size
+    tri_ids = np.argsort(tri_sub, kind="stable")
+    starts = np.searchsorted(tri_sub[tri_ids], np.arange(n_subs + 1))
+    sub = tri_sub[tri_ids][:, None]
+    edges = mesh.tri_edges[tri_ids]
+    owner = np.zeros(mesh.n_edges, dtype=np.int64)
+    owner[edges] = sub  # exact on interior edges, the only ones read
+    interior = np.concatenate(interior_edges)
+    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
+    rank[interior] = rank_in_runs(owner[interior])
+    loc = rank[edges]
+    dof = edges
+    if n_slots:
+        slot_sub = trace["slot_sub"]
+        n_interior = np.bincount(owner[interior], minlength=n_subs)
+        owned = np.concatenate(sub_slots)
+        slot_rank = np.empty(n_slots, dtype=np.int64)
+        slot_rank[owned] = rank_in_runs(slot_sub[owned])
+        first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
+        first_slot[trace["slot_edge"][::2]] = np.arange(0, n_slots, 2)
+        slot = first_slot[edges]
+        on_gamma = slot >= 0
+        slot = np.where(on_gamma, slot + (slot_sub[slot] != sub), 0)
+        loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
+        dof = np.where(on_gamma, slot, edges)
+    return tri_ids, starts, loc, dof
+
+
+REFERENCE_GRID = [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [
+    (64, 8), (256, 32)
+]
+
+
+def _offsets(groups):
+    return np.cumsum([0] + [g.size for g in groups])
+
+
+@pytest.mark.parametrize("m,N", REFERENCE_GRID)
 def test_partition_matches_unique_reference(m, N):
     mesh = build_unit_square_mesh(m)
     part = partition(mesh, N)
     tri_sub, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
     np.testing.assert_array_equal(part.tri_sub, tri_sub)
-    assert len(part.interior_edges) == len(part.sub_slots) == N * N
+    assert part.n_interfaces == 2 * N * (N - 1)
+    np.testing.assert_array_equal(part.interior_start, _offsets(interior_edges))
+    np.testing.assert_array_equal(part.slot_start, _offsets(sub_slots))
+    assert part.interior.size == part.interior_start[-1]
+    assert part.slots.size == part.slot_start[-1]
     for s in range(N * N):
-        np.testing.assert_array_equal(part.interior_edges[s], interior_edges[s])
-        np.testing.assert_array_equal(part.sub_slots[s], sub_slots[s])
+        np.testing.assert_array_equal(part.interior_of(s), interior_edges[s])
+        np.testing.assert_array_equal(part.slots_of(s), sub_slots[s])
     for name, expect in trace.items():
         np.testing.assert_array_equal(getattr(part.trace, name), expect)
+
+
+@pytest.mark.parametrize("m,N", REFERENCE_GRID)
+def test_local_dofs_match_sort_reference(m, N):
+    mesh = build_unit_square_mesh(m)
+    expect = _reference_local_dofs(mesh, *_reference_partition(mesh, N))
+    for got, ref in zip(local_dofs(partition(mesh, N)), expect, strict=True):
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype
 
 
 def _incident(mesh, edge, tri_sub, sub):
@@ -378,13 +461,13 @@ def _tampered(mesh, part, fault):
     pair = trace.slot_sub[0::2] * 4 + trace.slot_sub[1::2]
     e01 = trace.slot_edge[0::2][pair == 0 * 4 + 1][0]
     e23 = trace.slot_edge[0::2][pair == 2 * 4 + 3][0]
-    f0, f1 = part.interior_edges[0][0], part.interior_edges[1][0]
+    f0, f1 = part.interior_of(0)[0], part.interior_of(1)[0]
     if fault == "classification":
         edge_boundary = mesh.edge_boundary.copy()
         edge_boundary[e01] = True
         return dataclasses.replace(mesh, edge_boundary=edge_boundary)
     if fault == "order":
-        fine = part.interfaces[0].fine_edges
+        fine = trace.slot_edge[0::2][trace.slot_iface[0::2] == 0]
         mid2 = mesh.edge_mid2.copy()
         mid2[fine[[0, 1]]] = mesh.edge_mid2[fine[[1, 0]]]
         return dataclasses.replace(mesh, edge_mid2=mid2)
