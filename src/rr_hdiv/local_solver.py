@@ -2,20 +2,30 @@
 
 Each subdomain carries the bilinear form restricted to its own triangles
 plus a Robin term gamma*M on its interface rows.  The N x N subdomains are
-translates of at most nine shapes, so the matrix is assembled and
-factorized once per congruence class.  The edge-average continuity
-constraint B u = 0 is enforced with a Lagrange multiplier; eliminating the
-(block-diagonal) Robin matrix leaves a sparse Schur complement
-S = B H^-1 B^T, one row per coarse interface.  Every one of these SPD
-matrices is factorized the same way, by `_factor`.
+translates of at most nine shapes, so the matrix is assembled once per
+congruence class.  The half-turn and the reflection x <-> y of the mesh
+carry the nine classes onto four orbits, {interior}, {T, B, L, R},
+{TR, BL} and {BR, TL} (two at N=2, one at N=1), and each class's matrix
+is exactly a signed permutation of its orbit representative's
+(`partition.symmetry_maps`).  So only the representatives are
+factorized; every other class is checked exactly against its
+representative and back-substitutes through that factor.  The
+edge-average continuity constraint B u = 0 is enforced with a Lagrange
+multiplier; eliminating the (block-diagonal) Robin matrix leaves a sparse
+Schur complement S = B H^-1 B^T, one row per coarse interface.  Every one
+of these SPD matrices is factorized the same way, by `_factor`.
 
 Each subdomain's local dof order comes from `partition.local_dofs`, which
 this module takes as given and checks congruent across each class.
 
-Setup also solves each class's Robin problem once against the identity on
-its interface rows: the interface block of that solve is the Robin-to-trace
+Setup also solves each class's Robin problem against the identity on its
+interface rows: the interface block of that solve is the Robin-to-trace
 map of every member, so the constrained resolvent takes one product per
-class and one sparse coarse solve, with no back-substitution.
+class and one sparse coarse solve, with no back-substitution.  The group
+acts on the (class, slot position) pairs with orbits of four, so one
+column per orbit is back-substituted (192 of 768 at N=4, r=32) and the
+signed maps fill in the rest.  Each class's full map is then held to a
+backward error against its own matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .mesh import Mesh
-from .partition import SubdomainPartition, local_dofs
+from .partition import SubdomainPartition, local_dofs, symmetry_maps
 
 __all__ = [
     "RobinClass",
@@ -48,16 +58,28 @@ COLUMN_BLOCK = 256
 
 @dataclass(eq=False)
 class RobinClass:
-    """The Robin problem of congruent subdomains, factorized once.
+    """The Robin problem of congruent subdomains, sharing one factor per
+    symmetry orbit of classes.
 
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges interior[i] = part.interior_of(s),
     then the trace slots slots[i] = part.slots_of(s), both increasing.
     tris[i] holds member i's triangle ids (increasing), and loc, shared
     by all members, the local dof of each edge of those triangles (-1 on
-    the boundary).  `A` holds the plain bilinear blocks without the Robin
-    term; the factorization is of A plus gamma * diag(m_diag) on the
-    interface rows.
+    the boundary).  `A` holds the class's own plain bilinear blocks
+    without the Robin term, H = A + gamma * diag(m_diag) on the interface
+    rows.
+
+    `rep` is the first member of the class's representative: the first
+    class of its orbit under the half-turn and the reflection, the only
+    one factorized.  Row j of (perm, sign) is the map of one group element
+    carrying the representative onto this class, local dof i to local dof
+    perm[j, i] with sign sign[j, i] (`partition.symmetry_maps`); A and
+    m_diag were checked to be exactly their images under every row.  A
+    representative's row 0 is the identity, and its further rows, if any,
+    are the elements that fix its class.  `_lu` is the representative's
+    factor, and `backsolve` solves H = P S H_rep S P^T through it, with P
+    and S the permutation and signs of row 0.
     """
 
     members: np.ndarray
@@ -68,6 +90,9 @@ class RobinClass:
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
+    rep: int
+    perm: np.ndarray
+    sign: np.ndarray
     _lu: spla.SuperLU
 
     @property
@@ -79,13 +104,22 @@ class RobinClass:
         return self.interior.shape[1] + self.slots.shape[1]
 
     def robin_matrix(self) -> sp.csc_matrix:
-        """The factorized matrix, reassembled (small instances, tests)."""
+        """The class's own Robin matrix, reassembled (small instances, tests)."""
         diag = np.zeros(self.n_local)
         diag[self.n_interior:] = self.gamma * self.m_diag
         return _plus_diagonal(self.A, diag)
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        return _solve(self._lu, rhs, f"the class of subdomain {self.members[0]}")
+        what = f"the class of subdomain {self.members[0]}"
+        if self.rep == self.members[0]:  # row 0 is the identity
+            return _solve(self._lu, rhs, what)
+        perm, sign = self.perm[0], self.sign[0]
+        if rhs.ndim == 2:
+            sign = sign[:, None]
+        x = _solve(self._lu, sign * rhs[perm], what)
+        out = np.empty_like(x)
+        out[perm] = sign * x
+        return out
 
 
 @dataclass(eq=False)
@@ -173,22 +207,48 @@ def _solve(lu: spla.SuperLU, rhs: np.ndarray, what: str) -> np.ndarray:
     return lu.solve(rhs)
 
 
+def _is_signed_image(B: sp.csr_matrix, A: sp.csr_matrix, perm: np.ndarray,
+                     sign: np.ndarray) -> bool:
+    """Whether B = P S A S P^T exactly: entry (i, j) of A, times
+    sign[i] sign[j], sits at (perm[i], perm[j]) of B, and B has no other
+    entries.  Both must be in canonical CSR (sorted indices, no
+    duplicates), as `_local_matrix` builds them, so that B's entries are
+    sorted by row * n + column."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    key = perm[rows] * n + perm[A.indices]
+    key_B = np.repeat(np.arange(n) * n, np.diff(B.indptr)) + B.indices
+    pos = np.searchsorted(key_B, key)
+    return (A.nnz == B.nnz
+            and np.array_equal(key_B.take(pos, mode="clip"), key)
+            and np.array_equal(B.data[pos], sign[rows] * sign[A.indices] * A.data))
+
+
 def build_local_systems(
     part: SubdomainPartition, mesh: Mesh, beta: float, gamma: float
 ) -> list:
-    """Assemble and factorize one Robin matrix per congruence class, from
-    its first member's triangles.  Every other member must match those
-    exactly in local dofs, vertices (shifted) and edge orientations."""
-    if gamma <= 0.0:
+    """Assemble one Robin matrix per congruence class, from its first
+    member's triangles, and factorize one per symmetry orbit of classes.
+
+    Every other member must match its class's first member exactly in
+    local dofs, vertices (shifted) and edge orientations.  The half-turn
+    and the reflection x <-> y carry classes onto classes; the first class
+    of each orbit is its representative.  A class shares the
+    representative's factor only once its own A and m_diag are exactly
+    the signed images of the representative's under every group element
+    that carries one onto the other; otherwise ValueError names both.
+    """
+    if not gamma > 0.0:  # NaN too
         raise ValueError(f"Robin parameter must be positive, got {gamma}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     N = part.N
     r = mesh.m // N
     tri_ids, starts, loc, dof = local_dofs(part)
-    classes = []
+    class_of = np.empty(N * N, dtype=np.int64)
+    own = []
     for members, rows in _congruence_classes(N, starts):
-        rep = members[0]
+        first = members[0]
         tris = tri_ids[rows]
         J, I = np.divmod(members, N)
         shift = r * ((J - J[0]) * (mesh.m + 1) + I - I[0])
@@ -198,25 +258,59 @@ def build_local_systems(
         _check_congruent(members, "edge orientation table", mesh.tri_signs[tris])
 
         dofs = loc[rows[0]]
-        n_interior = part.interior_of(rep).size
-        n_local = n_interior + part.slots_of(rep).size
+        n_interior = part.interior_of(first).size
+        n_local = n_interior + part.slots_of(first).size
         valid = dofs >= 0
         local_to_global = np.empty((members.size, n_local), dtype=np.int64)
         local_to_global[:, dofs[valid]] = dof[rows][:, valid]
         slots = local_to_global[:, n_interior:]
 
         divdiv, mass = fem.element_matrices(mesh, tris[0])
-        A = _local_matrix(divdiv + beta * mass, dofs, n_local)
-        m_diag = part.trace.m_diag[slots[0]]
-        diag = np.zeros(n_local)
-        diag[n_interior:] = gamma * m_diag
-        lu = _factor(A, diag, f"subdomain {rep}: Robin matrix not positive "
-                     "definite (assembly bug or invalid parameters)")
-        classes.append(RobinClass(
+        class_of[members] = len(own)
+        own.append(dict(
             members=members, interior=local_to_global[:, :n_interior],
-            slots=slots, tris=tris, loc=dofs, A=A, m_diag=m_diag,
-            gamma=gamma, _lu=lu,
+            slots=slots, tris=tris, loc=dofs,
+            A=_local_matrix(divdiv + beta * mass, dofs, n_local),
+            m_diag=part.trace.m_diag[slots[0]], gamma=gamma,
         ))
+
+    # Group element k carries the representative onto class class_of[images[k]].
+    maps = [[] for _ in own]
+    rep_of = np.full(len(own), -1)
+    for c in range(len(own)):
+        if rep_of[c] < 0:
+            images, perm, sign = symmetry_maps(part, own[c]["members"][0])
+            for k, image in enumerate(class_of[images]):
+                rep_of[image] = c
+                maps[image].append((perm[k], sign[k]))
+
+    classes = []
+    for c, fields in enumerate(own):
+        perm, sign = (np.array(rows) for rows in zip(*maps[c]))
+        source = own[rep_of[c]]
+        sub, rep = fields["members"][0], source["members"][0]
+        nI = fields["interior"].shape[1]
+        # A representative's row 0, the identity, needs no check.
+        first_map = int(rep_of[c] == c)
+        for p, s in zip(perm[first_map:], sign[first_map:]):
+            if not _is_signed_image(fields["A"], source["A"], p, s):
+                what = "Robin matrix"
+            elif not np.array_equal(fields["m_diag"][p[nI:] - nI], source["m_diag"]):
+                what = "interface mass"
+            else:
+                continue
+            raise ValueError(
+                f"subdomain {sub}: its {what} is not the signed symmetry "
+                f"image of that of subdomain {rep}, its representative"
+            )
+        if rep_of[c] == c:
+            diag = np.zeros(perm.shape[1])
+            diag[nI:] = gamma * fields["m_diag"]
+            lu = _factor(fields["A"], diag, f"subdomain {sub}: Robin matrix not "
+                         "positive definite (assembly bug or invalid parameters)")
+        else:
+            lu = classes[rep_of[c]]._lu
+        classes.append(RobinClass(**fields, rep=rep, perm=perm, sign=sign, _lu=lu))
     return classes
 
 
@@ -255,11 +349,33 @@ def _trace_map_error(cls: RobinClass, X: np.ndarray) -> float:
     return float(np.linalg.norm(R) / scale)
 
 
+def _place_columns(X: np.ndarray, cols: np.ndarray, W: np.ndarray) -> None:
+    """X[:, cols] = W for distinct cols, one block copy per run of cols
+    with step +1 or -1 (a signed map keeps the fine edges of an interface
+    in order or reverses them, so the runs are few and long)."""
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.abs(np.diff(cols)) != 1) + 1, [cols.size])
+    )
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = cols[a], cols[b - 1]
+        if lo <= hi:
+            X[:, lo:hi + 1] = W[:, a:b]
+        else:
+            X[:, hi:lo + 1] = W[:, a:b][:, ::-1]
+
+
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
-    Setup does one back-substitution per congruence class, X = H^-1 E
-    with E the identity on the class's interface rows, and keeps:
+    Setup builds X = H^-1 E per congruence class, E the identity on the
+    class's interface rows.  The symmetry group acts on the pairs (class,
+    slot position) with orbits of four: no group element fixes a side of
+    a subdomain, so none fixes a slot position.  Each representative
+    back-substitutes one column per orbit, the least position of each
+    orbit of its stabilizer, in one multi-column solve, and the signed
+    maps of `RobinClass` carry those columns onto every class of its
+    orbit.  Each class's full X is then checked by `_trace_map_error`
+    against its own A.  The solver keeps:
 
     - X, whose interface block Z (at most 4r x 4r) is the Robin-to-trace
       map of every member;
@@ -296,21 +412,49 @@ class ConstrainedRobinSolver:
         slot_value = np.zeros(self.n_slots)
         slot_value[entry.col] = entry.data
 
-        self._X = []
+        # hits counts how often each column of each X is written.
+        self._X = [np.empty((cls.n_local, cls.slots.shape[1])) for cls in classes]
+        hits = [np.zeros(cls.slots.shape[1], dtype=np.int64) for cls in classes]
+        for rep in classes:
+            nI, n_own = rep.n_interior, rep.slots.shape[1]
+            if rep.rep != rep.members[0] or not n_own:
+                continue
+            # The least slot position of each orbit of the representative's
+            # stabilizer, whose maps are its own rows of perm.
+            chosen = np.flatnonzero(
+                (rep.perm[:, nI:] - nI >= np.arange(n_own)).all(axis=0)
+            )
+            E = np.zeros((rep.n_local, chosen.size))
+            E[nI + chosen, np.arange(chosen.size)] = 1.0
+            X_rep = rep.backsolve(E)
+            for cls, X, hit in zip(classes, self._X, hits):
+                if cls.rep != rep.members[0]:
+                    continue
+                # X[perm[i], perm[nI + a] - nI] = sign[i] sign[nI + a] X_rep[i, a]
+                for perm, sign in zip(cls.perm, cls.sign):
+                    inv = np.empty_like(perm)
+                    inv[perm] = np.arange(perm.size)
+                    image = np.take(X_rep, inv, axis=0)
+                    image *= sign[inv][:, None]
+                    image *= sign[nI + chosen]
+                    cols = perm[nI + chosen] - nI
+                    _place_columns(X, cols, image)
+                    hit[cols] += 1
         y_rows, y_cols, y_vals = [], [], []
-        for cls in classes:
+        for cls, X, hit in zip(classes, self._X, hits):
             k, n_own = cls.slots.shape
             nI = cls.n_interior
-            E = np.zeros((cls.n_local, n_own))
-            E[nI:] = np.eye(n_own)
-            X = np.ascontiguousarray(cls.backsolve(E)) if n_own else E
+            if np.any(hit != 1):
+                raise AssertionError(
+                    f"subdomain {cls.members[0]}: the symmetry orbits do not "
+                    "cover its trace-map columns once each"
+                )
             err = _trace_map_error(cls, X) if n_own else 0.0
             if err > TRACE_MAP_TOL:
                 raise RuntimeError(
                     f"subdomain {cls.members[0]}: Robin-to-trace map backward "
                     f"error {err:.3e}"
                 )
-            self._X.append(X)
             # Local constraint block: row q covers the slot positions with
             # label q; adj[i, q] is that row's interface for member i.
             iface = slot_iface[cls.slots]

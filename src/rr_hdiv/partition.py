@@ -25,6 +25,14 @@ for c == 2 the pair (s1, s2) fixes its unordered pair of subdomains,
 which the two slots of an interface edge must name.  The sums are
 integers of at most 4 (N^2)^2, exact in float64 while that is below 2^53
 (N < 6800).
+
+The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
+`symmetry_generators` gives their permutations of the trace slots, and
+`symmetry_maps` the signed map of one subdomain's local dofs onto those of
+its image under each group element.  Both locate an image edge by its
+doubled midpoint, (x2, y2) -> (2m - x2, 2m - y2) or (y2, x2).
+`symmetry_maps` reads only the two subdomains' own dofs, at
+O(n_local log n_local) cost.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ __all__ = [
     "build_constraint",
     "SYMMETRY_NAMES",
     "symmetry_generators",
+    "symmetry_maps",
     "orbit_table",
 ]
 
@@ -352,6 +361,72 @@ def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
     if np.any(half[refl] == slots):
         raise AssertionError("a symmetry orbit has fewer than 4 slots")
     return gens
+
+
+def symmetry_maps(part: SubdomainPartition, sub: int):
+    """Signed local-dof maps of subdomain `sub` onto its symmetry images.
+
+    Returns (images, perm, sign), one row per element k of the group of
+    `symmetry_generators`: k = 0 is the identity, bit 0 the half-turn and
+    bit 1 the reflection, as in the rows of `orbit_table`.  images[k] is
+    the image subdomain.  Local dof i of `sub` ([interior_of, slots_of]
+    order) maps to local dof perm[k, i] of images[k], the dof whose edge
+    sits at the image of i's doubled midpoint under the arithmetic of
+    `symmetry_generators`.  sign[k, i] is +1 where the image of i's edge
+    normal is that edge's normal and -1 where it is its negative: the
+    half-turn negates every normal, the reflection those of the diagonals.
+    Only the two subdomains' own dofs are read, so the cost is
+    O(n_local log n_local) per element.  Raises AssertionError unless each
+    map is a bijection that keeps interior dofs interior and normals on
+    normals.
+    """
+    mesh, trace = part.mesh, part.trace
+    N, m = part.N, mesh.m
+
+    def dofs(s):
+        interior = part.interior_of(s)
+        edges = np.concatenate([interior, trace.slot_edge[part.slots_of(s)]])
+        return edges, interior.size
+
+    edges, n_interior = dofs(sub)
+    J, I = divmod(int(sub), N)
+    x2, y2 = mesh.edge_mid2[edges].T
+    normal = mesh.edge_normal[edges]
+    images = np.full(4, sub, dtype=np.int64)
+    perm = np.tile(np.arange(edges.size), (4, 1))
+    sign = np.ones((4, edges.size))
+    for k in range(1, 4):
+        ix2, iy2, iI, iJ, n_img = x2, y2, I, J, normal
+        if k & 1:
+            ix2, iy2, iI, iJ = 2 * m - ix2, 2 * m - iy2, N - 1 - iI, N - 1 - iJ
+            n_img = -n_img
+        if k & 2:
+            ix2, iy2, iI, iJ = iy2, ix2, iJ, iI
+            n_img = n_img[:, ::-1]
+        images[k] = iJ * N + iI
+        img_edges, img_interior = dofs(images[k])
+        key = iy2 * (2 * m + 1) + ix2
+        img_x2, img_y2 = mesh.edge_mid2[img_edges].T
+        img_key = img_y2 * (2 * m + 1) + img_x2
+        order = np.argsort(img_key)
+        pos = np.searchsorted(img_key[order], key)
+        p = order[np.minimum(pos, order.size - 1)]
+        if (img_interior != n_interior or img_edges.size != edges.size
+                or not np.array_equal(img_key[p], key)
+                or np.any(p[:n_interior] >= n_interior)):
+            raise AssertionError(
+                f"symmetry element {k} does not map the local dofs of "
+                f"subdomain {sub} onto those of subdomain {images[k]}"
+            )
+        perm[k] = p
+        target = mesh.edge_normal[img_edges[p]]
+        sign[k] = np.where((n_img == target).all(axis=1), 1.0, -1.0)
+        if not np.array_equal(n_img, sign[k][:, None] * target):
+            raise AssertionError(
+                f"symmetry element {k} does not map the edge normals of "
+                f"subdomain {sub} onto those of subdomain {images[k]}"
+            )
+    return images, perm, sign
 
 
 def orbit_table(generators: np.ndarray) -> np.ndarray:

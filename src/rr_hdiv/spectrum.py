@@ -145,15 +145,23 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
             raise ValueError("the iteration operator is the constrained map")
         problem = iteration.build_problem(config, lambda x, y: (0.0 * x, 0.0 * y))
     theta = config.theta
-    m = problem.partition.trace.m_diag[:, None]
+    m = problem.partition.trace.m_diag
     Q = np.empty((n, n))
+    # Unit columns j .. j + k - 1 are written into the first k columns of
+    # one zero buffer, mass-weighted for the resolvent, then cleared.
+    unit = np.zeros((n, min(COLUMN_BLOCK, n)))
     for j in range(0, n, COLUMN_BLOCK):
         k = min(COLUMN_BLOCK, n - j)
-        E = np.eye(n, k, -j)  # unit vectors j .. j + k - 1
-        EE = problem.exchange(E, problem.solver.apply_resolvent(m * E))
+        rows, cols = j + np.arange(k), np.arange(k)
+        E = unit[:, :k]
+        E[rows, cols] = m[rows]
+        u = problem.solver.apply_resolvent(E)
+        E[rows, cols] = 1.0
+        EE = problem.exchange(E, u)
+        E[rows, cols] = 0.0
         # theta E + (1 - theta) I on these columns, written into Q.
         np.multiply(EE, theta, out=Q[:, j:j + k])
-        Q[j + np.arange(k), j + np.arange(k)] += 1.0 - theta
+        Q[rows, rows] += 1.0 - theta
     return IterationOperator(
         Q=Q,
         N=config.N,

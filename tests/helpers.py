@@ -6,9 +6,11 @@ block algebra) so the class-shared, matrix-free production paths have an
 independent cross-check on small instances.
 """
 
+import dataclasses
+
 import numpy as np
 
-from rr_hdiv import fem
+from rr_hdiv import fem, local_solver
 
 
 def subdomain_robin_matrix(problem, s):
@@ -109,3 +111,33 @@ def relaxed_step(problem, g, theta):
     _, u_trace = problem.solve_once(g)
     g_tilde = (2.0 * problem.gamma * u_trace - g)[trace.pair_perm]
     return theta * g_tilde + (1.0 - theta) * g
+
+
+def direct_classes(classes):
+    """The classes with their own factors and no symmetry maps.
+
+    Each class becomes its own representative with only the identity map,
+    so a `ConstrainedRobinSolver` on them back-substitutes every trace-map
+    column of every class through that class's own factor: the direct
+    per-class path that the orbit-shared factors are checked against.
+    """
+    direct = []
+    for cls in classes:
+        n = cls.n_local
+        diag = np.zeros(n)
+        diag[cls.n_interior:] = cls.gamma * cls.m_diag
+        direct.append(dataclasses.replace(
+            cls, rep=cls.members[0], perm=np.arange(n)[None],
+            sign=np.ones((1, n)),
+            _lu=local_solver._factor(cls.A, diag, "reference factor"),
+        ))
+    return direct
+
+
+def direct_problem(problem):
+    """The problem with `direct_classes` and a solver built on them."""
+    classes = direct_classes(problem.classes)
+    return dataclasses.replace(
+        problem, classes=classes,
+        solver=local_solver.ConstrainedRobinSolver(classes, problem.B),
+    )

@@ -10,11 +10,12 @@ from helpers import (
     apply_to_identity,
     dense_local_solve,
     dense_resolvent,
+    direct_problem,
     subdomain_load,
     subdomain_robin_matrix,
 )
-from rr_hdiv import fem, iteration, local_solver, verify
-from rr_hdiv.mesh import build_unit_square_mesh
+from rr_hdiv import boundary_system, fem, iteration, local_solver, spectrum, verify
+from rr_hdiv.mesh import DIAGONAL, build_unit_square_mesh
 from rr_hdiv.partition import build_constraint, local_dofs, partition
 
 
@@ -24,6 +25,10 @@ def test_parameter_validation(mesh8):
         local_solver.build_local_systems(part, mesh8, 1.0, 0.0)
     with pytest.raises(ValueError):
         local_solver.build_local_systems(part, mesh8, -1.0, 0.5)
+    with pytest.raises(ValueError, match="beta must be positive, got nan"):
+        local_solver.build_local_systems(part, mesh8, float("nan"), 0.5)
+    with pytest.raises(ValueError, match="Robin parameter must be positive"):
+        local_solver.build_local_systems(part, mesh8, 1.0, float("nan"))
 
 
 def _unconstrained(problem, classes=None):
@@ -226,7 +231,9 @@ def test_dof_table_built_once(case, monkeypatch):
 
 def test_inaccurate_trace_map_rejected(small_problem):
     """A factorization that does not solve the subdomain's matrix is caught
-    when the Robin-to-trace maps are built."""
+    when the Robin-to-trace maps are built: subdomain 2's class (TL) maps
+    its X from its representative's (BR) factor, and the backward error
+    is taken against its own A."""
     classes = list(small_problem.classes)
     k = next(k for k, c in enumerate(classes) if c.members[0] == 2)
     classes[k] = dataclasses.replace(classes[k], A=classes[k].A * 1.001)
@@ -315,7 +322,7 @@ def test_constraint_slot_with_two_entries_rejected(small_problem):
         local_solver.ConstrainedRobinSolver(small_problem.classes, B.tocsr())
 
 
-@pytest.mark.parametrize("N,subdomain_factors", [(1, 1), (2, 4), (6, 9)])
+@pytest.mark.parametrize("N,subdomain_factors", [(1, 1), (2, 2), (6, 4)])
 def test_one_factor_per_class(case, monkeypatch, N, subdomain_factors):
     calls = []
     factor = local_solver._factor
@@ -329,6 +336,159 @@ def test_one_factor_per_class(case, monkeypatch, N, subdomain_factors):
     assert calls.count("subdomain") == subdomain_factors
     assert calls.count("coarse") == (N > 1)
     assert len(calls) == subdomain_factors + (N > 1)
+
+
+def test_one_back_substitution_column_per_orbit(case, monkeypatch):
+    """At N=4, r=32 setup back-substitutes 192 of the 768 trace-map
+    columns, in one multi-column solve per representative class."""
+    columns = []
+    solve = local_solver._solve
+
+    def counted(lu, rhs, what):
+        columns.append(rhs.shape[1])
+        return solve(lu, rhs, what)
+
+    monkeypatch.setattr(local_solver, "_solve", counted)
+    problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
+    assert sum(cls.slots.shape[1] for cls in problem.classes) == 768
+    assert sorted(columns) == [32, 32, 32, 96]
+    assert sum(columns) == 192
+
+
+def test_orbit_representatives(problem_n4):
+    """The nine classes fall into the orbits {interior}, {T, B, L, R},
+    {TR, BL} and {BR, TL}; the first class of each is its representative,
+    whose row 0 is the identity map."""
+    reps = {c.members[0]: c.rep for c in problem_n4.classes}
+    assert reps == {5: 5, 13: 13, 1: 13, 7: 13, 4: 13, 15: 15, 0: 15, 3: 3, 12: 3}
+    for cls in problem_n4.classes:
+        assert cls.perm.shape == cls.sign.shape == (4 // sum(
+            c.rep == cls.rep for c in problem_n4.classes), cls.n_local)
+        if cls.rep == cls.members[0]:
+            np.testing.assert_array_equal(cls.perm[0], np.arange(cls.n_local))
+            np.testing.assert_array_equal(cls.sign[0], 1.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_mapped_trace_maps_match_direct(case, N, r):
+    """Every class's X = H^-1 E, mapped from its representative's solved
+    columns, equals the one solved through its own factor to 1e-12."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
+    for X, X_ref in zip(problem.solver._X, direct_problem(problem).solver._X):
+        assert np.abs(X - X_ref).max() <= 1e-12 * np.abs(X_ref).max()
+
+
+def test_mapped_trace_maps_match_direct_r32(case):
+    """At N=4, r=32 the measured gap to the directly solved maps, relative
+    to their largest entry, is 4.3e-12 on X and 3.0e-12 on its trace
+    block Z (each class's factor orders its own matrix, the shared one
+    the representative's); bounded here by 1e-11."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
+    for cls, X, X_ref in zip(problem.classes, problem.solver._X,
+                             direct_problem(problem).solver._X):
+        nI = cls.n_interior
+        assert np.abs(X - X_ref).max() <= 1e-11 * np.abs(X_ref).max()
+        assert np.abs(X[nI:] - X_ref[nI:]).max() <= 1e-11 * np.abs(X_ref[nI:]).max()
+
+
+# Largest relative gap per step between a history through the shared
+# factors and the one through each class's own.  Measured: Richardson
+# 1.1e-10 at (N, r) = (4, 8), 2.6e-10 at (32, 8) and 1.2e-10 at (4, 32),
+# MINRES 2.3e-11 at (16, 8).  The gap is the loaded solve's round-off:
+# at (32, 8) its trace moves by 2.1e-10 relative, and by 1.1e-9 when each
+# class keeps its own factor but is ordered by COLAMD instead.
+HISTORY_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("N,r", [(4, 8), (32, 8), (4, 32)])
+def test_richardson_history_matches_direct(case, N, r):
+    problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
+    ours = iteration._run(problem, case)
+    ref = iteration._run(direct_problem(problem), case)
+    assert ours.iterations == ref.iterations
+    gap = np.abs(ours.increment_history - ref.increment_history)
+    assert np.all(gap <= HISTORY_RTOL * ref.increment_history)
+
+
+def test_minres_history_matches_direct(case):
+    problem = iteration.build_problem(iteration.IterationConfig(N=16, ratio=8), case.load)
+    ours, ref = (
+        boundary_system.solve_minres(op, op.load()).residual_history
+        for op in map(boundary_system.InterfaceOperator,
+                      (problem, direct_problem(problem)))
+    )
+    assert ours.size == ref.size == 29
+    assert np.all(np.abs(ours - ref) <= HISTORY_RTOL * ref)
+
+
+def test_Q_matches_direct():
+    """Measured gap at N=8, r=8: 1.7e-12 of max |Q|."""
+    cfg = iteration.IterationConfig(N=8, ratio=8, theta=1.0)
+    zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
+    Q = spectrum.assemble_Q(cfg, problem=zero).Q
+    Q_ref = spectrum.assemble_Q(cfg, problem=direct_problem(zero)).Q
+    assert np.abs(Q - Q_ref).max() <= 1e-10 * np.abs(Q_ref).max()
+
+
+def test_signed_image_check(rng):
+    """`_is_signed_image` against a dense P S A S P^T: equal, then one
+    entry moved, one entry extra and one sign wrong."""
+    n = 12
+    dense = np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0)
+    dense += dense.T + np.eye(n)
+    perm, sign = rng.permutation(n), rng.choice([-1.0, 1.0], n)
+    image = np.zeros((n, n))
+    image[np.ix_(perm, perm)] = np.outer(sign, sign) * dense
+    A = sp.csr_matrix(dense)
+    assert local_solver._is_signed_image(sp.csr_matrix(image), A, perm, sign)
+    i, j = np.argwhere(image != 0.0)[0]
+    k = np.flatnonzero(image[i] == 0.0)[0]
+    moved, extra, flipped = image.copy(), image.copy(), image.copy()
+    moved[i, k], moved[i, j] = moved[i, j], 0.0
+    extra[i, k] = 1.0
+    flipped[i, j] *= -1.0
+    for B in (moved, extra, flipped):
+        assert not local_solver._is_signed_image(sp.csr_matrix(B), A, perm, sign)
+
+
+def test_perturbed_mapped_matrix_rejected(case, monkeypatch):
+    """One entry of a mapped class's own A, one ulp off, stops it from
+    sharing its representative's factor."""
+    assemble = local_solver._local_matrix
+    calls = []
+
+    def perturbed(*args):
+        A = assemble(*args)
+        calls.append(A)
+        if len(calls) == 3:  # class B, first member 1, of the orbit of T
+            A.data[7] = np.nextafter(A.data[7], np.inf)
+        return A
+
+    monkeypatch.setattr(local_solver, "_local_matrix", perturbed)
+    with pytest.raises(ValueError, match="^subdomain 1: its Robin matrix is not "
+                       "the signed symmetry image of that of subdomain 13, its "
+                       "representative$"):
+        iteration.build_problem(iteration.IterationConfig(N=4, ratio=4), case.load)
+
+
+def test_flipped_map_sign_rejected(case, monkeypatch):
+    """The reflection's map from T onto R with the signs of its diagonal
+    dofs flipped (+1 as for the edges) is refused."""
+    maps = local_solver.symmetry_maps
+
+    def flipped(part, sub):
+        images, perm, sign = maps(part, sub)
+        if sub == 13:
+            edges = np.concatenate([part.interior_of(sub),
+                                    part.trace.slot_edge[part.slots_of(sub)]])
+            sign[2, part.mesh.edge_kind[edges] == DIAGONAL] *= -1.0
+        return images, perm, sign
+
+    monkeypatch.setattr(local_solver, "symmetry_maps", flipped)
+    with pytest.raises(ValueError, match="^subdomain 7: its Robin matrix is not "
+                       "the signed symmetry image of that of subdomain 13"):
+        iteration.build_problem(iteration.IterationConfig(N=4, ratio=4), case.load)
 
 
 @pytest.fixture(scope="module")

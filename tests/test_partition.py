@@ -12,6 +12,7 @@ from rr_hdiv.partition import (
     orbit_table,
     partition,
     symmetry_generators,
+    symmetry_maps,
 )
 
 
@@ -274,6 +275,60 @@ def test_symmetry_generators(N, r):
     np.testing.assert_array_equal(orbits[2], refl[orbits[0]])
     np.testing.assert_array_equal(orbits[3], half[refl[orbits[0]]])
     assert np.all(orbits[0] < orbits[1:])
+
+
+def _local_edges(part, s):
+    return np.concatenate([part.interior_of(s), part.trace.slot_edge[part.slots_of(s)]])
+
+
+@pytest.mark.parametrize("N,r", [(1, 4), (2, 4), (3, 4), (4, 8), (5, 2)])
+def test_symmetry_maps_match_generators(N, r):
+    """Every subdomain's signed local-dof maps agree with a full-mesh
+    midpoint lookup on its edges, with the slot permutations of
+    `symmetry_generators` on its slots and with the images of its edge
+    normals (-1 everywhere for the half-turn, on the diagonals for the
+    reflection)."""
+    part = partition(build_unit_square_mesh(N * r), N)
+    mesh = part.mesh
+    side = 2 * mesh.m + 1
+    edge_at = np.full(side * side, -1)
+    edge_at[mesh.edge_mid2[:, 1] * side + mesh.edge_mid2[:, 0]] = np.arange(mesh.n_edges)
+    half, refl = symmetry_generators(part)
+    elements = [np.arange(part.trace.n_slots), half, refl, half[refl]]
+    for s in range(N * N):
+        images, perm, sign = symmetry_maps(part, s)
+        edges = _local_edges(part, s)
+        n_interior = part.interior_of(s).size
+        diagonal = mesh.edge_kind[edges] == DIAGONAL
+        J, I = divmod(s, N)
+        for k in range(4):
+            x2, y2 = mesh.edge_mid2[edges].T
+            iI, iJ = I, J
+            if k & 1:
+                x2, y2, iI, iJ = side - 1 - x2, side - 1 - y2, N - 1 - iI, N - 1 - iJ
+            if k & 2:
+                x2, y2, iI, iJ = y2, x2, iJ, iI
+            assert images[k] == iJ * N + iI
+            img = images[k]
+            np.testing.assert_array_equal(np.sort(perm[k]), np.arange(edges.size))
+            np.testing.assert_array_equal(
+                _local_edges(part, img)[perm[k]], edge_at[y2 * side + x2]
+            )
+            np.testing.assert_array_equal(
+                part.slots_of(img)[perm[k][n_interior:] - n_interior],
+                elements[k][part.slots_of(s)],
+            )
+            expected = np.where((k & 2) > 0, np.where(diagonal, -1.0, 1.0), 1.0)
+            np.testing.assert_array_equal(sign[k], -expected if k & 1 else expected)
+
+
+def test_symmetry_maps_reject_broken_normal(mesh8):
+    """An edge normal that the symmetry does not carry onto a normal."""
+    mesh = dataclasses.replace(mesh8, edge_normal=mesh8.edge_normal.copy())
+    part = partition(mesh, 2)
+    mesh.edge_normal[part.interior_of(0)[0]] *= 2.0
+    with pytest.raises(AssertionError, match="edge normals of subdomain 0"):
+        symmetry_maps(part, 0)
 
 
 def test_symmetry_generators_empty_trace(mesh8):
