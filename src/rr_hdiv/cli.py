@@ -463,6 +463,20 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """argparse type of --tol and --beta: a positive finite number."""
+    try:
+        return iteration.check_positive("value", float(text))
+    except ValueError:
+        msg = f"expected a positive finite number, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
+def _gamma_rule(text: str):
+    """argparse type of --gamma: "h", "H", or a positive finite number."""
+    return text if text in ("h", "H") else _positive(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rr-hdiv",
@@ -483,19 +497,20 @@ def main(argv=None) -> int:
                             "the desk-scale default")
     p_run.add_argument("--out", default="results")
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_run.add_argument("--gamma", default="h", help="spectrum grid Robin rule")
-    p_run.add_argument("--tol", type=float, default=1e-6)
+    p_run.add_argument("--gamma", type=_gamma_rule, default="h",
+                       help="spectrum grid Robin rule")
+    p_run.add_argument("--tol", type=_positive, default=1e-6)
     p_run.add_argument("--max-iter", type=int, default=10000)
     p_run.set_defaults(func=_cmd_run)
 
     p_solve = sub.add_parser("solve", help="run one configuration")
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.add_argument("--ratio", type=int, required=True)
-    p_solve.add_argument("--gamma", default="h",
+    p_solve.add_argument("--gamma", type=_gamma_rule, default="h",
                          help='"h", "H", or a positive number')
     p_solve.add_argument("--theta", type=float, default=0.5)
-    p_solve.add_argument("--beta", type=float, default=1.0)
-    p_solve.add_argument("--tol", type=float, default=1e-6)
+    p_solve.add_argument("--beta", type=_positive, default=1.0)
+    p_solve.add_argument("--tol", type=_positive, default=1e-6)
     p_solve.add_argument("--max-iter", type=int, default=10000)
     p_solve.add_argument("--method", default="richardson",
                          choices=["richardson", "minres", "baseline"])
@@ -508,21 +523,12 @@ def main(argv=None) -> int:
     p_spec = sub.add_parser("spectrum", help="export one spectrum")
     p_spec.add_argument("--n", type=int, required=True)
     p_spec.add_argument("--ratio", type=int, required=True)
-    p_spec.add_argument("--gamma", default="h")
+    p_spec.add_argument("--gamma", type=_gamma_rule, default="h")
     p_spec.add_argument("--theta", type=float, default=1.0)
     p_spec.add_argument("--out", default="results")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     args = parser.parse_args(argv)
-    gamma = getattr(args, "gamma", None)
-    if gamma is not None and gamma not in ("h", "H"):
-        try:
-            val = float(gamma)
-        except ValueError:
-            parser.error(f'--gamma must be "h", "H", or a number, got {gamma!r}')
-        if val <= 0:
-            parser.error("--gamma must be positive")
-        args.gamma = val
     return args.func(args)
 
 

@@ -17,6 +17,7 @@ is recovered once, from the datum of the last step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +32,7 @@ __all__ = [
     "IterationConfig",
     "SolveReport",
     "RobinProblem",
+    "check_positive",
     "resolve_gamma",
     "build_problem",
     "run_richardson",
@@ -40,16 +42,20 @@ __all__ = [
 ]
 
 
+def check_positive(what: str, value: float) -> float:
+    """value, if a positive finite number; ValueError otherwise."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 def resolve_gamma(rule, m: int, N: int) -> float:
     """Robin parameter from a rule: "h" -> 1/m, "H" -> 1/N, or a value."""
     if rule == "h":
         return 1.0 / m
     if rule == "H":
         return 1.0 / N
-    gamma = float(rule)
-    if gamma <= 0.0:
-        raise ValueError(f"Robin parameter must be positive, got {gamma}")
-    return gamma
+    return check_positive("Robin parameter", float(rule))
 
 
 @dataclass(frozen=True)
@@ -68,12 +74,11 @@ class IterationConfig:
     def __post_init__(self):
         if self.N < 1 or self.ratio < 1:
             raise ValueError("N and ratio must be positive integers")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        check_positive("beta", self.beta)
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        check_positive("tolerance", self.tol)
+        resolve_gamma(self.gamma_rule, self.m, self.N)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 

@@ -15,8 +15,9 @@ multiplier; eliminating the (block-diagonal) Robin matrix leaves a sparse
 Schur complement S = B H^-1 B^T, one row per coarse interface.  Every one
 of these SPD matrices is factorized the same way, by `_factor`.
 
-Each subdomain's local dof order comes from `partition.local_dofs`, which
-this module takes as given and checks congruent across each class.
+Each subdomain's local dof order, and its dof tables, are the partition's
+(`partition.local_dofs`, `interior`, `slots`); this module takes them as
+given and checks them congruent across each class.
 
 Setup also solves each class's Robin problem against the identity on its
 interface rows: the interface block of that solve is the Robin-to-trace
@@ -133,6 +134,13 @@ class CoarseSchur:
         return _solve(self._lu, rhs, "the coarse solve")
 
 
+def _rows(start: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Positions start[s] .. of each member s's group, as many per member
+    as the first member's group holds."""
+    size = start[members[0] + 1] - start[members[0]]
+    return start[members][:, None] + np.arange(size)
+
+
 def _congruence_classes(N: int, starts: np.ndarray):
     """(members, rows) per subdomain shape, members in increasing order.
 
@@ -145,8 +153,7 @@ def _congruence_classes(N: int, starts: np.ndarray):
     key = 8 * (I == 0) + 4 * (I == N - 1) + 2 * (J == 0) + (J == N - 1)
     order = np.argsort(key, kind="stable")
     for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        size = starts[members[0] + 1] - starts[members[0]]
-        yield members, starts[members][:, None] + np.arange(size)
+        yield members, _rows(starts, members)
 
 
 def _check_congruent(members: np.ndarray, what: str, table) -> None:
@@ -231,10 +238,11 @@ def build_local_systems(
     member's triangles, and factorize one per symmetry orbit of classes.
 
     Every other member must match its class's first member exactly in
-    local dofs, vertices (shifted) and edge orientations.  The half-turn
-    and the reflection x <-> y carry classes onto classes; the first class
-    of each orbit is its representative.  A class shares the
-    representative's factor only once its own A and m_diag are exactly
+    local dofs, vertices (shifted) and edge orientations; its interior and
+    slots are read from `part.interior` and `part.slots` by their offsets.
+    The half-turn and the reflection x <-> y carry classes onto classes;
+    the first class of each orbit is its representative.  A class shares
+    the representative's factor only once its own A and m_diag are exactly
     the signed images of the representative's under every group element
     that carries one onto the other; otherwise ValueError names both.
     """
@@ -244,11 +252,10 @@ def build_local_systems(
         raise ValueError(f"beta must be positive, got {beta}")
     N = part.N
     r = mesh.m // N
-    tri_ids, starts, loc, dof = local_dofs(part)
+    tri_ids, starts, loc = local_dofs(part)
     class_of = np.empty(N * N, dtype=np.int64)
     own = []
     for members, rows in _congruence_classes(N, starts):
-        first = members[0]
         tris = tri_ids[rows]
         J, I = np.divmod(members, N)
         shift = r * ((J - J[0]) * (mesh.m + 1) + I - I[0])
@@ -258,18 +265,14 @@ def build_local_systems(
         _check_congruent(members, "edge orientation table", mesh.tri_signs[tris])
 
         dofs = loc[rows[0]]
-        n_interior = part.interior_of(first).size
-        n_local = n_interior + part.slots_of(first).size
-        valid = dofs >= 0
-        local_to_global = np.empty((members.size, n_local), dtype=np.int64)
-        local_to_global[:, dofs[valid]] = dof[rows][:, valid]
-        slots = local_to_global[:, n_interior:]
+        interior = part.interior[_rows(part.interior_start, members)]
+        slots = part.slots[_rows(part.slot_start, members)]
+        n_local = interior.shape[1] + slots.shape[1]
 
         divdiv, mass = fem.element_matrices(mesh, tris[0])
         class_of[members] = len(own)
         own.append(dict(
-            members=members, interior=local_to_global[:, :n_interior],
-            slots=slots, tris=tris, loc=dofs,
+            members=members, interior=interior, slots=slots, tris=tris, loc=dofs,
             A=_local_matrix(divdiv + beta * mass, dofs, n_local),
             m_diag=part.trace.m_diag[slots[0]], gamma=gamma,
         ))

@@ -29,9 +29,10 @@ integers of at most 4 (N^2)^2, exact in float64 while that is below 2^53
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
 `symmetry_generators` gives their permutations of the trace slots, and
 `symmetry_maps` the signed map of one subdomain's local dofs onto those of
-its image under each group element.  Both locate an image edge by its
-doubled midpoint, (x2, y2) -> (2m - x2, 2m - y2) or (y2, x2).
-`symmetry_maps` reads only the two subdomains' own dofs, at
+its image under each group element.  Both move (doubled midpoint,
+subdomain, normal) by the one rule `_image`, (x2, y2) -> (2m - x2, 2m - y2)
+or (y2, x2), and locate the image edges by the one sorted-key lookup
+`_find`.  `symmetry_maps` reads only the two subdomains' own dofs, at
 O(n_local log n_local) cost.
 """
 
@@ -266,11 +267,12 @@ def local_dofs(part: SubdomainPartition):
     """Triangles grouped by subdomain, with the local dofs of their edges.
 
     Subdomain s's local dofs are [interior_of(s), slots_of(s)], ranked
-    from the offsets.  Returns (tri_ids, starts, loc, dof): triangles
+    from the offsets.  Returns (tri_ids, starts, loc): triangles
     tri_ids[starts[s]:starts[s+1]] are subdomain s's, in increasing
-    order; loc[k] holds the local dof of each edge of triangle tri_ids[k]
-    in its subdomain (-1 on the boundary), and dof[k] the global edge
-    (interior dofs) or trace slot (interface dofs) behind it.
+    order, and loc[k] holds the local dof of each edge of triangle
+    tri_ids[k] in its subdomain (-1 on the boundary).  The global edge or
+    trace slot behind local dof i of s is entry i of [interior_of(s),
+    slots_of(s)], which the partition already stores.
     """
     mesh, trace = part.mesh, part.trace
     tri_ids, starts = _group_by(part.tri_sub, part.n_subdomains)
@@ -278,7 +280,6 @@ def local_dofs(part: SubdomainPartition):
     rank = np.full(mesh.n_edges, -1, dtype=np.int64)
     rank[part.interior] = _position_in_group(part.interior_start)
     loc = rank[edges]
-    dof = edges
     if trace.n_slots:
         sub = part.tri_sub[tri_ids][:, None]
         slot_rank = np.empty(trace.n_slots, dtype=np.int64)
@@ -291,8 +292,7 @@ def local_dofs(part: SubdomainPartition):
         slot = np.where(on_gamma, slot + (trace.slot_sub[slot] != sub), 0)
         n_interior = np.diff(part.interior_start)
         loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
-        dof = np.where(on_gamma, slot, edges)
-    return tri_ids, starts, loc, dof
+    return tri_ids, starts, loc
 
 
 def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
@@ -312,41 +312,49 @@ def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
     return B
 
 
+def _image(k: int, m: int, N: int, x2, y2, I, J, normal):
+    """(key, subdomain, normal) of edges at doubled midpoints (x2, y2) with
+    normals `normal`, on the subdomain in column I and row J, moved by
+    group element k: bit 0 is the half-turn, (x2, y2, I, J) -> (2m - x2,
+    2m - y2, N-1-I, N-1-J) and normal -> -normal; bit 1 the reflection,
+    (x2, y2, I, J) -> (y2, x2, J, I) and (nx, ny) -> (ny, nx).  The key is
+    one integer per (midpoint, subdomain) pair."""
+    if k & 1:
+        x2, y2, I, J, normal = 2 * m - x2, 2 * m - y2, N - 1 - I, N - 1 - J, -normal
+    if k & 2:
+        x2, y2, I, J, normal = y2, x2, J, I, normal[:, ::-1]
+    return ((y2 * (2 * m + 1) + x2) * N + J) * N + I, J * N + I, normal
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray):
+    """Positions p of distinct `keys` with keys[p] == wanted, by one sort;
+    None unless every wanted key is among them."""
+    order = np.argsort(keys)
+    pos = np.searchsorted(keys[order], wanted)
+    p = order[np.minimum(pos, keys.size - 1)]
+    return p if np.array_equal(keys[p], wanted) else None
+
+
 def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
     """Slot permutations of the half-turn and the reflection x <-> y.
 
-    Row k maps slot s to the slot of the image of its fine edge on the
-    image of its subdomain, in the order of SYMMETRY_NAMES:
-
-        half-turn:  (x2, y2, I, J) -> (2m - x2, 2m - y2, N-1-I, N-1-J)
-        reflection: (x2, y2, I, J) -> (y2, x2, J, I)
-
-    with (x2, y2) the doubled edge midpoint and (I, J) the subdomain's
-    column and row.  Raises AssertionError unless both are fixed-point-free
-    involutions that commute with each other and with the side swap,
-    preserve the trace mass, and have a fixed-point-free product (so
-    every orbit of the group they generate has exactly 4 slots).
+    Row k maps slot s to the slot of the image (`_image`) of its fine edge
+    on the image of its subdomain, in the order of SYMMETRY_NAMES.  Raises
+    AssertionError unless both are fixed-point-free involutions that
+    commute with each other and with the side swap, preserve the trace
+    mass, and have a fixed-point-free product (so every orbit of the group
+    they generate has exactly 4 slots).
     """
     trace = part.trace
     mesh = part.mesh
     N, m, n = part.N, mesh.m, trace.n_slots
     x2, y2 = mesh.edge_mid2[trace.slot_edge].T
     J, I = np.divmod(trace.slot_sub, N)
-
-    def code(x2, y2, I, J):
-        return ((y2 * (2 * m + 1) + x2) * N + J) * N + I
-
-    key = code(x2, y2, I, J)
-    order = np.argsort(key)
-    sorted_key = key[order]
-    images = np.stack([
-        code(2 * m - x2, 2 * m - y2, N - 1 - I, N - 1 - J),
-        code(y2, x2, J, I),
-    ])
-    pos = np.searchsorted(sorted_key, images)
-    if np.any(np.append(sorted_key, -1)[pos] != images):
+    normal = mesh.edge_normal[trace.slot_edge]
+    keys = [_image(k, m, N, x2, y2, I, J, normal)[0] for k in range(3)]
+    gens = _find(keys[0], np.stack(keys[1:]))
+    if gens is None:
         raise AssertionError("a symmetry image is not a trace slot")
-    gens = order[pos]
     slots = np.arange(n)
     half, refl = gens
     for name, p in zip(SYMMETRY_NAMES, gens):
@@ -371,14 +379,13 @@ def symmetry_maps(part: SubdomainPartition, sub: int):
     bit 1 the reflection, as in the rows of `orbit_table`.  images[k] is
     the image subdomain.  Local dof i of `sub` ([interior_of, slots_of]
     order) maps to local dof perm[k, i] of images[k], the dof whose edge
-    sits at the image of i's doubled midpoint under the arithmetic of
-    `symmetry_generators`.  sign[k, i] is +1 where the image of i's edge
-    normal is that edge's normal and -1 where it is its negative: the
-    half-turn negates every normal, the reflection those of the diagonals.
-    Only the two subdomains' own dofs are read, so the cost is
-    O(n_local log n_local) per element.  Raises AssertionError unless each
-    map is a bijection that keeps interior dofs interior and normals on
-    normals.
+    sits at the image (`_image`) of i's doubled midpoint.  sign[k, i] is
+    +1 where the image of i's edge normal is that edge's normal and -1
+    where it is its negative: the half-turn negates every normal, the
+    reflection those of the diagonals.  Only the two subdomains' own dofs
+    are read, so the cost is O(n_local log n_local) per element.  Raises
+    AssertionError unless each map is a bijection that keeps interior dofs
+    interior and normals on normals.
     """
     mesh, trace = part.mesh, part.trace
     N, m = part.N, mesh.m
@@ -386,40 +393,27 @@ def symmetry_maps(part: SubdomainPartition, sub: int):
     def dofs(s):
         interior = part.interior_of(s)
         edges = np.concatenate([interior, trace.slot_edge[part.slots_of(s)]])
-        return edges, interior.size
+        J, I = divmod(int(s), N)
+        return interior.size, (*mesh.edge_mid2[edges].T, I, J, mesh.edge_normal[edges])
 
-    edges, n_interior = dofs(sub)
-    J, I = divmod(int(sub), N)
-    x2, y2 = mesh.edge_mid2[edges].T
-    normal = mesh.edge_normal[edges]
+    n_interior, place = dofs(sub)
+    n = place[0].size
     images = np.full(4, sub, dtype=np.int64)
-    perm = np.tile(np.arange(edges.size), (4, 1))
-    sign = np.ones((4, edges.size))
+    perm = np.tile(np.arange(n), (4, 1))
+    sign = np.ones((4, n))
     for k in range(1, 4):
-        ix2, iy2, iI, iJ, n_img = x2, y2, I, J, normal
-        if k & 1:
-            ix2, iy2, iI, iJ = 2 * m - ix2, 2 * m - iy2, N - 1 - iI, N - 1 - iJ
-            n_img = -n_img
-        if k & 2:
-            ix2, iy2, iI, iJ = iy2, ix2, iJ, iI
-            n_img = n_img[:, ::-1]
-        images[k] = iJ * N + iI
-        img_edges, img_interior = dofs(images[k])
-        key = iy2 * (2 * m + 1) + ix2
-        img_x2, img_y2 = mesh.edge_mid2[img_edges].T
-        img_key = img_y2 * (2 * m + 1) + img_x2
-        order = np.argsort(img_key)
-        pos = np.searchsorted(img_key[order], key)
-        p = order[np.minimum(pos, order.size - 1)]
-        if (img_interior != n_interior or img_edges.size != edges.size
-                or not np.array_equal(img_key[p], key)
+        key, images[k], n_img = _image(k, m, N, *place)
+        img_interior, img_place = dofs(images[k])
+        img_key, _, target = _image(0, m, N, *img_place)
+        p = _find(img_key, key)
+        if (p is None or img_interior != n_interior or img_key.size != n
                 or np.any(p[:n_interior] >= n_interior)):
             raise AssertionError(
                 f"symmetry element {k} does not map the local dofs of "
                 f"subdomain {sub} onto those of subdomain {images[k]}"
             )
         perm[k] = p
-        target = mesh.edge_normal[img_edges[p]]
+        target = target[p]
         sign[k] = np.where((n_img == target).all(axis=1), 1.0, -1.0)
         if not np.array_equal(n_img, sign[k][:, None] * target):
             raise AssertionError(

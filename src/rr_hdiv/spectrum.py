@@ -18,9 +18,10 @@ four-group they generate splits it into four blocks of a quarter of its
 dimension, one per character chi of the group: B_chi = V_chi^T Q V_chi
 with V_chi the orthonormal chi-symmetric combinations of the slots of
 each orbit.  The eigenvalues of Q are those of the four blocks.  The
-split is taken only after Q is checked to be invariant under both
-generators to SYMMETRY_TOL; the dense eigensolve, cubic in the
-dimension, then costs about a sixteenth of the one on Q.
+pass that gathers the blocks also checks, block by block, that Q is
+invariant under every group element to SYMMETRY_TOL, and refuses it
+otherwise; the dense eigensolve, cubic in the dimension, then costs
+about a sixteenth of the one on Q.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "eigenvalues",
     "export_spectrum",
     "spectrum_filename",
-    "check_invariance",
     "symmetry_blocks",
     "SIZE_CAP",
     "SYMMETRY_TOL",
@@ -56,12 +56,9 @@ SIZE_CAP = 4500
 
 UNIT_TOL = 1e-6
 
-# Largest max|Q[p][:, p] - Q| accepted for a symmetry generator p,
-# relative to max|Q|; round-off gives 4.3e-13 at N=8, r=8 and 9.8e-13 at
-# N=12, r=8.
+# Largest invariance defect accepted in `symmetry_blocks`, relative to
+# max|Q|; round-off gives 4.3e-13 at N=8, r=8 and 9.8e-13 at N=12, r=8.
 SYMMETRY_TOL = 1e-10
-# Rows of Q per chunk of that check, so it never holds a dense square.
-CHECK_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -175,37 +172,6 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
     )
 
 
-def _element(orbits: np.ndarray, k: int) -> np.ndarray:
-    """Slot permutation of group element k of an orbit table."""
-    p = np.empty(orbits.size, dtype=np.int64)
-    p[orbits] = orbits[np.arange(len(orbits)) ^ k]
-    return p
-
-
-def check_invariance(op: IterationOperator) -> None:
-    """Raise RuntimeError unless Q commutes with every symmetry generator.
-
-    Compares Q[p][:, p] with Q in chunks of CHECK_ROWS rows; a NaN in Q
-    fails the check.
-    """
-    names = partition.SYMMETRY_NAMES if len(op.orbits) > 1 else ()
-    Q = op.Q
-    bound = SYMMETRY_TOL * (np.abs(Q).max() if op.dim else 0.0)
-    for i, name in enumerate(names):
-        p = _element(op.orbits, 1 << i)
-        defect = np.max([0.0] + [
-            np.abs(np.take(Q[p[a:a + CHECK_ROWS]], p, axis=1)
-                   - Q[a:a + CHECK_ROWS]).max()
-            for a in range(0, op.dim, CHECK_ROWS)
-        ])
-        if not defect <= bound:  # NaN fails too
-            raise RuntimeError(
-                f"iteration map for N={op.N} r={op.ratio} is not invariant "
-                f"under the {name}: max|Q[p][:, p] - Q| = {defect:.3e} "
-                f"> {bound:.3e}"
-            )
-
-
 def symmetry_blocks(op: IterationOperator) -> np.ndarray:
     """The blocks V_chi^T Q V_chi, one per character chi, shape (g, k, k).
 
@@ -213,14 +179,35 @@ def symmetry_blocks(op: IterationOperator) -> np.ndarray:
     block chi is sum_c chi(c) S_c with S_c = mean_a Q[orbits[a], orbits[a ^ c]]
     (element a moves row c of the table to row a ^ c); the characters of
     the group are the rows of the Sylvester-Hadamard matrix.
+
+    The gather is also the invariance check: Q commutes with element a
+    exactly when its blocks Q[orbits[a], orbits[a ^ c]] equal those of
+    row 0, so for a >= 1 each is compared with S_c / a, the mean of the
+    earlier rows' blocks, before it is added.  A defect above
+    SYMMETRY_TOL * max|Q|, or a NaN, raises RuntimeError naming element a.
     """
     orbits = op.orbits
     g, k = orbits.shape
+    Q = op.Q
+    bound = SYMMETRY_TOL * max(Q.max(), -Q.min()) if op.dim else 0.0
     S = np.zeros((g, k, k))
     for a in range(g):
-        rows = op.Q[orbits[a]]
+        rows = Q[orbits[a]]
+        defect = 0.0
         for c in range(g):
-            S[c] += np.take(rows, orbits[a ^ c], axis=1)
+            block = np.take(rows, orbits[a ^ c], axis=1)
+            if a:
+                defect = np.max(np.abs(block - S[c] / a), initial=defect)
+            S[c] += block
+        if a and not defect <= bound:  # NaN fails too
+            name = " times the ".join(
+                n for i, n in enumerate(partition.SYMMETRY_NAMES) if a >> i & 1
+            )
+            raise RuntimeError(
+                f"iteration map for N={op.N} r={op.ratio} is not invariant "
+                f"under group element {a}, the {name}: max|block - mean of "
+                f"earlier rows' blocks| = {defect:.3e} > {bound:.3e}"
+            )
     S /= g
     return np.tensordot(hadamard(g), S, axes=1)
 
@@ -228,9 +215,9 @@ def symmetry_blocks(op: IterationOperator) -> np.ndarray:
 def eigenvalues(op: IterationOperator) -> SpectrumReport:
     """Full nonsymmetric eigenvalue set, sorted by (re, im).
 
-    Solved one symmetry block at a time after `check_invariance`.
+    Solved one symmetry block at a time; `symmetry_blocks` refuses a Q
+    that is not invariant under the group.
     """
-    check_invariance(op)
     B = symmetry_blocks(op)
     try:
         eigs = np.linalg.eigvals(B).ravel()

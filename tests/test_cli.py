@@ -294,11 +294,22 @@ def test_main_spectrum_cap_exit(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gamma", ["nope", "-1", "0"])
+@pytest.mark.parametrize("gamma", ["nope", "-1", "0", "nan", "inf"])
 def test_main_rejects_bad_gamma(gamma):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--n", "2", "--ratio", "2", "--gamma", gamma])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nope", "0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("option", ["--tol", "--beta"])
+def test_main_rejects_bad_tol_and_beta(option, value, capsys):
+    """Refused by the argument parser, before any solve: `--tol nan` would
+    otherwise run all max_iter steps."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--n", "2", "--ratio", "2", option, value])
+    assert exc.value.code == 2
+    assert "positive finite number" in capsys.readouterr().err
 
 
 def test_main_version(capsys):

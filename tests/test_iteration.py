@@ -25,6 +25,9 @@ def test_resolve_gamma():
         iteration.resolve_gamma(-1.0, 32, 4)
     with pytest.raises(ValueError):
         iteration.resolve_gamma("x", 32, 4)
+    for bad in (float("nan"), float("inf"), "nan", "inf"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            iteration.resolve_gamma(bad, 32, 4)
 
 
 @pytest.mark.parametrize(
@@ -37,6 +40,12 @@ def test_resolve_gamma():
         dict(N=4, ratio=8, tol=0.0),
         dict(N=4, ratio=8, beta=0.0),
         dict(N=4, ratio=8, max_iter=0),
+        dict(N=4, ratio=8, tol=float("nan")),
+        dict(N=4, ratio=8, tol=float("inf")),
+        dict(N=4, ratio=8, beta=float("nan")),
+        dict(N=4, ratio=8, beta=float("inf")),
+        dict(N=4, ratio=8, gamma_rule=float("nan")),
+        dict(N=4, ratio=8, gamma_rule=float("inf")),
     ],
 )
 def test_config_validation(kwargs):

@@ -281,7 +281,7 @@ def test_unconstrained_solver_matches_local_solves(case):
 def test_local_dofs_match_edge_lookup(problem_n4):
     """Reference: a full-mesh edge -> local dof table per subdomain."""
     part, mesh = problem_n4.partition, problem_n4.mesh
-    tri_ids, starts, loc, dof = local_dofs(part)
+    tri_ids, starts, loc = local_dofs(part)
     for cls in problem_n4.classes:
         for s, interior, slots in zip(cls.members, cls.interior, cls.slots):
             np.testing.assert_array_equal(interior, part.interior_of(s))
@@ -297,11 +297,6 @@ def test_local_dofs_match_edge_lookup(problem_n4):
             )
             np.testing.assert_array_equal(cls.tris[cls.members == s][0], tris)
             np.testing.assert_array_equal(cls.loc, loc[block])
-            local_dof = np.concatenate([interior, slots])
-            on = loc[block] >= 0
-            np.testing.assert_array_equal(
-                dof[block][on], local_dof[loc[block][on]]
-            )
 
 
 def test_nonfinite_data_rejected(small_problem):

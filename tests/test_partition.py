@@ -425,7 +425,7 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
     """The local dof table by sorting and ranking: each edge's owner is
     scattered from its triangles, then interior edges and trace slots are
     ranked within their runs of equal owner.  Returns (tri_ids, starts,
-    loc, dof) as `local_dofs` does."""
+    loc) as `local_dofs` does."""
 
     def rank_in_runs(owner):
         return np.arange(owner.size) - np.searchsorted(owner, owner)
@@ -442,7 +442,6 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
     rank = np.full(mesh.n_edges, -1, dtype=np.int64)
     rank[interior] = rank_in_runs(owner[interior])
     loc = rank[edges]
-    dof = edges
     if n_slots:
         slot_sub = trace["slot_sub"]
         n_interior = np.bincount(owner[interior], minlength=n_subs)
@@ -455,8 +454,7 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
         on_gamma = slot >= 0
         slot = np.where(on_gamma, slot + (slot_sub[slot] != sub), 0)
         loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
-        dof = np.where(on_gamma, slot, edges)
-    return tri_ids, starts, loc, dof
+    return tri_ids, starts, loc
 
 
 REFERENCE_GRID = [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [

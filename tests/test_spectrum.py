@@ -170,30 +170,36 @@ def test_symmetry_blocks_are_conjugates_of_Q(op_n4r8):
 
 
 def test_perturbed_Q_refused(op_n4r8):
-    """A Q that breaks the symmetry is refused, not split into wrong blocks."""
-    Q = op_n4r8.Q.copy()
-    Q[3, 40] += 1e-6
-    bad = spectrum.IterationOperator(
-        Q, 4, 8, "h", op_n4r8.gamma, 1.0, orbits=op_n4r8.orbits
-    )
-    with pytest.raises(RuntimeError, match="half-turn"):
-        spectrum.eigenvalues(bad)
+    """A Q that breaks the symmetry is refused, not split into wrong blocks;
+    the error names the first group element that finds it and the defect.
+
+    Entries (3, 40) lie in orbit row 0 of the table and the last row of Q
+    in orbit row 1, so element 1 finds both.  The third perturbation is
+    kept by the half-turn, so element 2, the reflection, finds it; the
+    fourth touches only orbit row 3, which element 3 checks.
+    """
+    orbits = op_n4r8.orbits
+    half = np.empty(op_n4r8.dim, dtype=np.int64)
+    half[orbits] = orbits[[1, 0, 3, 2]]
+    cases = [
+        ([(3, 40)], "element 1, the half-turn:"),
+        ([(-1, 5)], "= 1.000e-06 >"),
+        ([(3, 40), (half[3], half[40])], "element 2, the reflection x <-> y:"),
+        ([(orbits[3, 0], orbits[3, 1])],
+         "element 3, the half-turn times the reflection x <-> y:"),
+    ]
+    for entries, match in cases:
+        Q = op_n4r8.Q.copy()
+        for i, j in entries:
+            Q[i, j] += 1e-6
+        bad = spectrum.IterationOperator(
+            Q, 4, 8, "h", op_n4r8.gamma, 1.0, orbits=orbits
+        )
+        with pytest.raises(RuntimeError, match=match):
+            spectrum.eigenvalues(bad)
     Q[3, 40] = np.nan
     with pytest.raises(RuntimeError, match="not invariant"):
         spectrum.eigenvalues(bad)
-
-
-def test_invariance_checked_in_row_chunks(op_n4r8, monkeypatch):
-    """The chunked check sees a defect in the last, partial chunk."""
-    monkeypatch.setattr(spectrum, "CHECK_ROWS", 7)
-    spectrum.check_invariance(op_n4r8)
-    Q = op_n4r8.Q.copy()
-    Q[-1, 5] += 1e-6
-    bad = spectrum.IterationOperator(
-        Q, 4, 8, "h", op_n4r8.gamma, 1.0, orbits=op_n4r8.orbits
-    )
-    with pytest.raises(RuntimeError, match="1.000e-06"):
-        spectrum.check_invariance(bad)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4, 1)])
