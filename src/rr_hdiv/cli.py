@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
-from . import __version__, boundary_system, iteration, spectrum, verify
+from . import __version__, boundary_system, fem, iteration, spectrum, verify
 from .mesh import build_unit_square_mesh, dump_mesh_csv
 
 __all__ = [
@@ -466,10 +466,32 @@ def _cmd_spectrum(args) -> int:
 def _positive(text: str) -> float:
     """argparse type of --tol and --beta: a positive finite number."""
     try:
-        return iteration.check_positive("value", float(text))
+        return fem.check_positive("value", float(text))
     except ValueError:
         msg = f"expected a positive finite number, got {text!r}"
         raise argparse.ArgumentTypeError(msg) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --n, --ratio and --max-iter: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _theta(text: str) -> float:
+    """argparse type of --theta: a relaxation weight in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value <= 1.0:  # NaN too
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
+    return value
 
 
 def _gamma_rule(text: str):
@@ -500,18 +522,18 @@ def main(argv=None) -> int:
     p_run.add_argument("--gamma", type=_gamma_rule, default="h",
                        help="spectrum grid Robin rule")
     p_run.add_argument("--tol", type=_positive, default=1e-6)
-    p_run.add_argument("--max-iter", type=int, default=10000)
+    p_run.add_argument("--max-iter", type=_positive_int, default=10000)
     p_run.set_defaults(func=_cmd_run)
 
     p_solve = sub.add_parser("solve", help="run one configuration")
-    p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--ratio", type=int, required=True)
+    p_solve.add_argument("--n", type=_positive_int, required=True)
+    p_solve.add_argument("--ratio", type=_positive_int, required=True)
     p_solve.add_argument("--gamma", type=_gamma_rule, default="h",
                          help='"h", "H", or a positive number')
-    p_solve.add_argument("--theta", type=float, default=0.5)
+    p_solve.add_argument("--theta", type=_theta, default=0.5)
     p_solve.add_argument("--beta", type=_positive, default=1.0)
     p_solve.add_argument("--tol", type=_positive, default=1e-6)
-    p_solve.add_argument("--max-iter", type=int, default=10000)
+    p_solve.add_argument("--max-iter", type=_positive_int, default=10000)
     p_solve.add_argument("--method", default="richardson",
                          choices=["richardson", "minres", "baseline"])
     p_solve.add_argument("--out", default=None,
@@ -521,10 +543,10 @@ def main(argv=None) -> int:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_spec = sub.add_parser("spectrum", help="export one spectrum")
-    p_spec.add_argument("--n", type=int, required=True)
-    p_spec.add_argument("--ratio", type=int, required=True)
+    p_spec.add_argument("--n", type=_positive_int, required=True)
+    p_spec.add_argument("--ratio", type=_positive_int, required=True)
     p_spec.add_argument("--gamma", type=_gamma_rule, default="h")
-    p_spec.add_argument("--theta", type=float, default=1.0)
+    p_spec.add_argument("--theta", type=_theta, default=1.0)
     p_spec.add_argument("--out", default="results")
     p_spec.set_defaults(func=_cmd_spectrum)
 

@@ -10,16 +10,22 @@ Every triangle of the mesh is a translate of one of two shapes
 (`Mesh.tri_shape`), so each per-triangle integral is a lookup into one
 table per shape, built on the first triangle of that shape: its element
 matrices, its basis values at the degree-4 quadrature points and its
-basis divergences.  A triangle is checked congruent to its shape's
-reference before a table is used for it: equal vertex-id offsets, edge
-orientations and edge kinds, and area and edge lengths equal to
-round-off; a mismatch raises ValueError naming the triangle.  Loads and
-error norms take QUAD_BLOCK triangles of one shape at a time, one matrix
-product per block.
+basis divergences.  Before any table is used for a mesh, every triangle
+of it is checked congruent to its shape's reference, once per mesh
+object (`_check_congruent`, run by the first of element_matrices,
+element_loads, error_norms or divergence to see the mesh): the shape and
+vertex ids its place in the mesh numbering gives, equal edge orientations
+and edge kinds, and area and edge lengths equal to round-off, with the
+vertices at the grid coordinates; a mismatch raises ValueError naming the
+triangle.  Loads and error norms take QUAD_BLOCK triangles of one shape
+at a time, one matrix product per block, with the quadrature points
+written from the cell coordinates of each triangle.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels as K
-from .mesh import LOWER, UPPER, Mesh
+from .mesh import LOWER, UPPER, Mesh, grid_coordinates
 
 # Triangles per block in element_loads, error_norms and divergence; bounds
 # the quadrature temporaries on fine meshes.
@@ -37,6 +43,13 @@ QUAD_BLOCK = 16384
 # Both are computed from vertex coordinates of size one, so on an m x m
 # mesh their round-off is about m times machine epsilon, relative.
 ROUNDOFF = 1e-9
+
+
+def check_positive(what: str, value: float) -> float:
+    """value, if a positive finite number; ValueError otherwise."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
 
 
 @dataclass(eq=False)
@@ -50,67 +63,118 @@ class _Shape:
     area: float
 
 
+# The shape tables of every mesh checked so far, by mesh object: the
+# congruence pass runs once per mesh, on its first use here.  A Mesh is
+# not changed once built; a modified copy is a new object and is checked
+# afresh.
+_CHECKED = weakref.WeakKeyDictionary()
+
+
 def _shapes(mesh: Mesh) -> list:
-    """One `_Shape` per triangle shape, indexed by `Mesh.tri_shape`."""
-    shapes = []
-    for kind in (LOWER, UPPER):
-        ref = int(np.argmax(mesh.tri_shape == kind))
-        area = float(mesh.tri_area[ref])
-        if area <= 0.0:
-            raise ValueError(f"triangle {ref}: non-positive triangle area")
-        coords = mesh.verts[mesh.tris[ref]]
-        div = mesh.tri_signs[ref] * mesh.edge_len[mesh.tri_edges[ref]] / area
-        pts = K.QUAD4_BARY @ coords
-        # phi_i(x) = s_i |e_i| / (2 |K|) (x - p_i), as [i, d, q]
-        phi = 0.5 * div[:, None, None] * (pts.T[None] - coords[:, :, None])
-        shapes.append(_Shape(ref=ref, offsets=pts - coords[0],
-                             values=phi.reshape(3, -1), div=div, area=area))
+    """One `_Shape` per triangle shape, indexed by `Mesh.tri_shape`, after
+    the mesh has passed `_check_congruent` (once per mesh)."""
+    shapes = _CHECKED.get(mesh)
+    if shapes is None:
+        shapes = _CHECKED[mesh] = _check_congruent(mesh)
     return shapes
 
 
-def _check_congruent(mesh: Mesh, shape: _Shape, ids: np.ndarray) -> None:
-    """Raise ValueError naming the first of `ids` that is not a translate
-    of the shape's reference triangle."""
-    ref = shape.ref
-    tris = np.take(mesh.tris, ids, axis=0)
-    edges = np.take(mesh.tri_edges, ids, axis=0)
-    ref_len = mesh.edge_len[mesh.tri_edges[ref]]
-    mismatch = (
-        ("vertex offsets",
-         tris - tris[:, :1] != mesh.tris[ref] - mesh.tris[ref, 0]),
-        ("edge orientations",
-         np.take(mesh.tri_signs, ids, axis=0) != mesh.tri_signs[ref]),
-        ("edge kinds",
-         mesh.edge_kind[edges] != mesh.edge_kind[mesh.tri_edges[ref]]),
-        ("area", np.abs(mesh.tri_area[ids] - shape.area) > ROUNDOFF * shape.area),
-        ("edge lengths",
-         np.abs(mesh.edge_len[edges] - ref_len) > ROUNDOFF * ref_len),
-    )
-    for what, bad in mismatch:
+def _shape(mesh: Mesh, ref: int) -> _Shape:
+    """The quadrature tables of reference triangle `ref`."""
+    area = float(mesh.tri_area[ref])
+    if area <= 0.0:
+        raise ValueError(f"triangle {ref}: non-positive triangle area")
+    coords = mesh.verts[mesh.tris[ref]]
+    div = mesh.tri_signs[ref] * mesh.edge_len[mesh.tri_edges[ref]] / area
+    pts = K.QUAD4_BARY @ coords
+    # phi_i(x) = s_i |e_i| / (2 |K|) (x - p_i), as [i, d, q]
+    phi = 0.5 * div[:, None, None] * (pts.T[None] - coords[:, :, None])
+    return _Shape(ref=ref, offsets=pts - coords[0], values=phi.reshape(3, -1),
+                  div=div, area=area)
+
+
+def _check_congruent(mesh: Mesh) -> list:
+    """Check every triangle against the reference of its shape; return
+    the shape tables.
+
+    Triangle t = cy 2m + shape m + cx (`mesh` docstring) must have the
+    shape of its place in that row pattern and the vertex ids of its
+    shape's reference moved to its cell (so the reference's vertex
+    offsets, and its first vertex at the cell's bottom-left corner), the
+    reference's edge orientations and edge kinds, and its area and edge
+    lengths to ROUNDOFF.  The vertices must sit at `grid_coordinates`.
+    Together these make every quadrature point the reference's moved by
+    the cell corner.  Each table is compared one cell row at a time with
+    the row its references give, with no gather beyond the edge kinds
+    and lengths; raises ValueError naming the first triangle that fails,
+    or the first misplaced vertex.
+    """
+    m = mesh.m
+    grid = grid_coordinates(m)
+    verts = mesh.verts.reshape(m + 1, m + 1, 2)
+    misplaced = (verts[..., 0] != grid) | (verts[..., 1] != grid[:, None])
+    if misplaced.any():
+        raise ValueError(
+            f"vertex {np.argmax(misplaced)}: coordinates differ from "
+            f"(ix/m, iy/m) of its id"
+        )
+
+    def in_rows(table):
+        """One cell row per row: (m, 2m) or (m, 2m k)."""
+        return table.reshape(m, -1)
+
+    def row_of(per_shape):
+        """The values of one cell row from those of the two shapes."""
+        return np.repeat(per_shape, m, axis=0).ravel()
+
+    def check(bad, what):
         if bad.any():
-            t = ids[np.argmax(bad.reshape(ids.size, -1).any(axis=1))]
-            raise ValueError(
-                f"triangle {t}: {what} differ from those of reference "
-                f"triangle {ref} of its shape"
-            )
+            t = int(np.argmax(bad.reshape(2 * m * m, -1).any(axis=1)))
+            ref = t // m % 2 * m
+            raise ValueError(f"triangle {t}: " + what.format(ref=ref))
+
+    differ = "{} differ from those of reference triangle {{ref}} of its shape"
+    check(in_rows(mesh.tri_shape) != row_of(np.array([LOWER, UPPER])),
+          "shape is not that of its place in the row pattern")
+    shapes = [_shape(mesh, kind * m) for kind in (LOWER, UPPER)]
+    refs = [shape.ref for shape in shapes]
+    ref_edges = mesh.tri_edges[refs]
+    offsets = mesh.tris[refs] - mesh.tris[refs, :1]
+    first_row = (np.arange(m)[:, None] + offsets[:, None]).ravel()
+    check(in_rows(mesh.tris) - (m + 1) * np.arange(m)[:, None] != first_row,
+          "vertex ids are not those of reference triangle {ref} moved to its cell")
+    check(in_rows(mesh.tri_signs) != row_of(mesh.tri_signs[refs]),
+          differ.format("edge orientations"))
+    check(in_rows(np.take(mesh.edge_kind, mesh.tri_edges))
+          != row_of(mesh.edge_kind[ref_edges]), differ.format("edge kinds"))
+    area = row_of(np.array([shape.area for shape in shapes]))
+    check(np.abs(in_rows(mesh.tri_area) - area) > ROUNDOFF * area,
+          differ.format("area"))
+    length = row_of(mesh.edge_len[ref_edges])
+    check(np.abs(in_rows(np.take(mesh.edge_len, mesh.tri_edges)) - length)
+          > ROUNDOFF * length, differ.format("edge lengths"))
+    return shapes
 
 
 def _blocks(mesh: Mesh):
-    """Yield (shape, ids) for blocks of at most QUAD_BLOCK triangles of one
-    shape, each checked congruent to the shape's reference."""
+    """Yield (shape, ids, cx, cy) for blocks of at most QUAD_BLOCK
+    triangles of one shape, in row-pattern order, with the cell column
+    and row of each; the mesh passed `_check_congruent`."""
+    m = mesh.m
     for kind, shape in enumerate(_shapes(mesh)):
-        of_shape = np.flatnonzero(mesh.tri_shape == kind)
-        for start in range(0, of_shape.size, QUAD_BLOCK):
-            ids = of_shape[start:start + QUAD_BLOCK]
-            _check_congruent(mesh, shape, ids)
-            yield shape, ids
+        for start in range(0, m * m, QUAD_BLOCK):
+            cy, cx = np.divmod(np.arange(start, min(start + QUAD_BLOCK, m * m)), m)
+            yield shape, cy * (2 * m) + kind * m + cx, cx, cy
 
 
-def _points(mesh: Mesh, shape: _Shape, ids: np.ndarray):
-    """x and y of the quadrature points of triangles ids, each (nb, nq)."""
-    origin = np.take(mesh.verts, mesh.tris[ids, 0], axis=0)
-    return (origin[:, :1] + shape.offsets[:, 0],
-            origin[:, 1:] + shape.offsets[:, 1])
+def _points(mesh: Mesh, shape: _Shape, cx: np.ndarray, cy: np.ndarray):
+    """x and y of the quadrature points of the triangles of `shape` in
+    cells (cx, cy), each (nb, nq): the reference's offsets moved by the
+    cell corner, which sits at grid coordinates (cx, cy).  Rows are taken
+    from the m x nq tables of one cell row and one cell column."""
+    grid = grid_coordinates(mesh.m)[:-1, None]
+    return (np.take(grid + shape.offsets[:, 0], cx, axis=0),
+            np.take(grid + shape.offsets[:, 1], cy, axis=0))
 
 
 @dataclass(eq=False)
@@ -139,11 +203,8 @@ def element_matrices(mesh: Mesh, tri_ids=None):
     ids = np.arange(mesh.n_triangles) if tri_ids is None else np.asarray(tri_ids)
     if np.any(mesh.tri_area[ids] <= 0.0):
         raise ValueError("non-positive triangle area")
-    shapes = _shapes(mesh)
+    refs = [shape.ref for shape in _shapes(mesh)]
     kind = mesh.tri_shape[ids]
-    for k, shape in enumerate(shapes):
-        _check_congruent(mesh, shape, ids[kind == k])
-    refs = [shape.ref for shape in shapes]
     divdiv, mass = K.element_matrices(
         mesh.verts[mesh.tris[refs]],
         mesh.edge_len[mesh.tri_edges[refs]],
@@ -160,8 +221,8 @@ def element_loads(mesh: Mesh, field) -> np.ndarray:
     """
     nq = K.QUAD4_W.size
     out = np.empty((mesh.n_triangles, 3))
-    for shape, ids in _blocks(mesh):
-        x, y = _points(mesh, shape, ids)
+    for shape, ids, cx, cy in _blocks(mesh):
+        x, y = _points(mesh, shape, cx, cy)
         fx, fy = field(x, y)
         f = np.empty((ids.size, 2, nq))
         f[:, 0] = fx
@@ -173,8 +234,7 @@ def element_loads(mesh: Mesh, field) -> np.ndarray:
 
 def assemble_global(mesh: Mesh, beta: float, field) -> GlobalSystem:
     """Assemble the SPD stiffness matrix and load on free edges."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_positive("beta", beta)
     divdiv, mass = element_matrices(mesh)
     elem = divdiv + beta * mass
 
@@ -224,9 +284,23 @@ def interpolate(mesh: Mesh, field) -> np.ndarray:
 def divergence(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Elementwise (constant) divergence of the field with edge dofs u."""
     out = np.empty(mesh.n_triangles)
-    for shape, ids in _blocks(mesh):
+    for shape, ids, _, _ in _blocks(mesh):
         out[ids] = u[np.take(mesh.tri_edges, ids, axis=0)] @ shape.div
     return out
+
+
+def _block_error_squares(mesh, shape, ids, cx, cy, u, exact_u, exact_div):
+    """Squared L2 and divergence errors over one block of `_blocks`.  Its
+    temporaries are freed on return, before the next block makes its own."""
+    nq = K.QUAD4_W.size
+    x, y = _points(mesh, shape, cx, cy)
+    lam = u[np.take(mesh.tri_edges, ids, axis=0)]
+    uh = (lam @ shape.values).reshape(ids.size, 2, nq)
+    ex, ey = exact_u(x, y)
+    dd = (lam @ shape.div)[:, None] - exact_div(x, y)
+    l2_sq = shape.area * np.sum(
+        ((uh[:, 0] - ex) ** 2 + (uh[:, 1] - ey) ** 2) @ K.QUAD4_W)
+    return l2_sq, shape.area * np.sum((dd * dd) @ K.QUAD4_W)
 
 
 def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
@@ -235,17 +309,11 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
     The H(div) norm is sqrt(l2^2 + ||div u_h - div u||^2). Quadrature is
     the degree-4 rule, exact when the exact field is quadratic.
     """
-    nq = K.QUAD4_W.size
     l2_sq = div_sq = 0.0
-    for shape, ids in _blocks(mesh):
-        x, y = _points(mesh, shape, ids)
-        lam = u[np.take(mesh.tri_edges, ids, axis=0)]
-        uh = (lam @ shape.values).reshape(ids.size, 2, nq)
-        ex, ey = exact_u(x, y)
-        dd = (lam @ shape.div)[:, None] - exact_div(x, y)
-        l2_sq += shape.area * np.sum(
-            ((uh[:, 0] - ex) ** 2 + (uh[:, 1] - ey) ** 2) @ K.QUAD4_W)
-        div_sq += shape.area * np.sum((dd * dd) @ K.QUAD4_W)
+    for block in _blocks(mesh):
+        l2, div = _block_error_squares(mesh, *block, u, exact_u, exact_div)
+        l2_sq += l2
+        div_sq += div
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + div_sq))
 
 

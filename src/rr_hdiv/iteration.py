@@ -17,7 +17,6 @@ is recovered once, from the datum of the last step.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,6 @@ __all__ = [
     "IterationConfig",
     "SolveReport",
     "RobinProblem",
-    "check_positive",
     "resolve_gamma",
     "build_problem",
     "run_richardson",
@@ -42,20 +40,13 @@ __all__ = [
 ]
 
 
-def check_positive(what: str, value: float) -> float:
-    """value, if a positive finite number; ValueError otherwise."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return value
-
-
 def resolve_gamma(rule, m: int, N: int) -> float:
     """Robin parameter from a rule: "h" -> 1/m, "H" -> 1/N, or a value."""
     if rule == "h":
         return 1.0 / m
     if rule == "H":
         return 1.0 / N
-    return check_positive("Robin parameter", float(rule))
+    return fem.check_positive("Robin parameter", float(rule))
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,10 @@ class IterationConfig:
     def __post_init__(self):
         if self.N < 1 or self.ratio < 1:
             raise ValueError("N and ratio must be positive integers")
-        check_positive("beta", self.beta)
+        fem.check_positive("beta", self.beta)
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        check_positive("tolerance", self.tol)
+        fem.check_positive("tolerance", self.tol)
         resolve_gamma(self.gamma_rule, self.m, self.N)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")

@@ -238,35 +238,30 @@ def build_local_systems(
     member's triangles, and factorize one per symmetry orbit of classes.
 
     Every other member must match its class's first member exactly in
-    local dofs, vertices (shifted) and edge orientations; its interior and
-    slots are read from `part.interior` and `part.slots` by their offsets.
+    local dofs; its interior and slots are read from `part.interior` and
+    `part.slots` by their offsets.  That the members' triangles are
+    translates, vertices and edge orientations, is part of the check of
+    every triangle against its shape that `fem` runs once per mesh, on
+    the first class's `element_matrices`.
     The half-turn and the reflection x <-> y carry classes onto classes;
     the first class of each orbit is its representative.  A class shares
     the representative's factor only once its own A and m_diag are exactly
     the signed images of the representative's under every group element
     that carries one onto the other; otherwise ValueError names both.
     """
-    if not gamma > 0.0:  # NaN too
-        raise ValueError(f"Robin parameter must be positive, got {gamma}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    fem.check_positive("Robin parameter", gamma)
+    fem.check_positive("beta", beta)
     N = part.N
-    r = mesh.m // N
     tri_ids, starts, loc = local_dofs(part)
     class_of = np.empty(N * N, dtype=np.int64)
     own = []
     for members, rows in _congruence_classes(N, starts):
-        tris = tri_ids[rows]
-        J, I = np.divmod(members, N)
-        shift = r * ((J - J[0]) * (mesh.m + 1) + I - I[0])
-        _check_congruent(members, "local dof table", loc[rows])
-        _check_congruent(members, "triangle vertex table",
-                         mesh.tris[tris] - shift[:, None, None])
-        _check_congruent(members, "edge orientation table", mesh.tri_signs[tris])
+        tris = np.take(tri_ids, rows)
+        _check_congruent(members, "local dof table", np.take(loc, rows, axis=0))
 
         dofs = loc[rows[0]]
-        interior = part.interior[_rows(part.interior_start, members)]
-        slots = part.slots[_rows(part.slot_start, members)]
+        interior = np.take(part.interior, _rows(part.interior_start, members))
+        slots = np.take(part.slots, _rows(part.slot_start, members))
         n_local = interior.shape[1] + slots.shape[1]
 
         divdiv, mass = fem.element_matrices(mesh, tris[0])
@@ -324,11 +319,11 @@ def local_loads(classes: list, mesh: Mesh, field) -> list:
     loads = []
     for cls in classes:
         k, n = cls.members.size, cls.n_local
-        keep = np.broadcast_to(cls.loc >= 0, cls.tris.shape + (3,))
-        dofs = cls.loc + n * np.arange(k)[:, None, None]
+        keep = cls.loc >= 0
+        dofs = cls.loc[keep] + n * np.arange(k)[:, None]
+        values = np.take(contrib, cls.tris, axis=0)[:, keep]
         loads.append(
-            np.bincount(dofs[keep], contrib[cls.tris][keep],
-                        minlength=n * k).reshape(k, n).T
+            np.bincount(dofs.ravel(), values.ravel(), minlength=n * k).reshape(k, n).T
         )
     return loads
 

@@ -6,7 +6,17 @@ of the lowest-order Raviart-Thomas space (the average normal component
 across the edge) and a globally fixed unit normal: (0, 1) for horizontal
 edges, (1, 0) for vertical edges, (1, -1)/sqrt(2) for diagonals. Vertex,
 edge and triangle ids are lexicographic by geometric position (y first,
-then x), so the numbering is reproducible across runs.
+then x), so the numbering is reproducible across runs, and each id is a
+formula in the grid position: vertex iy (m+1) + ix sits at
+(grid_coordinates(m)[ix], grid_coordinates(m)[iy]), `edge_id` gives an
+edge's id from its doubled midpoint, and triangle t = cy 2m + shape m + cx
+is the lower (shape 0) or upper (shape 1) half of cell (cx, cy).
+
+The build writes every table from that structure: one row pattern plus a
+per-row offset, with no scatter or gather over the whole mesh.  Triangle
+areas are still computed from the vertex coordinates, as differences of
+grid coordinates, so they are the same doubles as a per-triangle cross
+product (not the closed form 1/(2m^2), which differs at non-dyadic m).
 """
 
 from __future__ import annotations
@@ -79,6 +89,20 @@ class Mesh:
         return np.flatnonzero(~self.edge_boundary)
 
 
+def grid_coordinates(m: int) -> np.ndarray:
+    """The coordinates i/m, i = 0..m, of the mesh lines: vertex
+    iy (m+1) + ix sits at (grid[ix], grid[iy])."""
+    return np.arange(m + 1) / m
+
+
+def edge_id(m: int, x2, y2):
+    """Id of the edge at doubled midpoint (x2, y2) in the numbering of
+    `build_unit_square_mesh`: row pair y2 // 2 starts at (3m+1)(y2 // 2)
+    with its horizontals (x2 = 2 jx + 1, even y2), then its verticals and
+    diagonals (x2 = 0 .. 2m, odd y2)."""
+    return (y2 // 2) * (3 * m + 1) + np.where(y2 % 2, m + x2, (x2 - 1) // 2)
+
+
 def build_unit_square_mesh(m: int) -> Mesh:
     """Build the m x m mesh of [0, 1]^2, one diagonal per cell.
 
@@ -92,80 +116,76 @@ def build_unit_square_mesh(m: int) -> Mesh:
     if m < 1:
         raise ValueError(f"mesh resolution must be at least 1, got {m}")
 
-    mp1 = m + 1
-    # vertex id = iy * (m+1) + ix is already lexicographic by (y, x)
-    ix, iy = np.meshgrid(np.arange(mp1), np.arange(mp1), indexing="xy")
-    verts = np.column_stack([ix.ravel() / m, iy.ravel() / m]).astype(float)
-
-    def vid(jx, jy):
-        return jy * mp1 + jx
+    # Every table is one row pattern plus a per-row offset: cell row cy
+    # (vertex row iy, edge row pair jy) is row 0 moved up by cy rows.
+    mp1, row = m + 1, 3 * m + 1
+    x = np.arange(mp1)
+    grid = grid_coordinates(m)
+    verts = np.empty((mp1, mp1, 2))
+    verts[..., 0] = grid
+    verts[..., 1] = grid[:, None]
 
     # Edge ids, lexicographic by doubled midpoint (y, x): row pair jy holds
     # its m horizontals (y2 = 2 jy), then the 2m+1 edges of y2 = 2 jy + 1,
-    # vertical and diagonal alternating.  The top row's m horizontals close.
-    def hid(jx, jy):
-        return jy * (3 * m + 1) + jx
-
-    def vvid(jx, jy):
-        return jy * (3 * m + 1) + m + 2 * jx
-
-    def did(jx, jy):
-        return jy * (3 * m + 1) + m + 2 * jx + 1
-
-    hx, hy = np.meshgrid(np.arange(m), np.arange(mp1), indexing="xy")
-    hx, hy = hx.ravel(), hy.ravel()
-    vx, vy = np.meshgrid(np.arange(mp1), np.arange(m), indexing="xy")
-    vx, vy = vx.ravel(), vy.ravel()
-    cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
-    cx, cy = cx.ravel(), cy.ravel()
-
+    # vertical and diagonal alternating (x2 = 0 .. 2m).  The top row's m
+    # horizontals close, so the last 2m+1 entries of row pair m are cut.
     n_edges = 3 * m * m + 2 * m
-    ends = np.empty((n_edges, 2), dtype=np.int64)
-    mid2 = np.empty((n_edges, 2), dtype=np.int64)
-    kind = np.empty(n_edges, dtype=np.int8)
-    for ids, kind_id, ends_k, mid2_k in (
-        (hid(hx, hy), HORIZONTAL, (vid(hx, hy), vid(hx + 1, hy)), (2 * hx + 1, 2 * hy)),
-        (vvid(vx, vy), VERTICAL, (vid(vx, vy), vid(vx, vy + 1)), (2 * vx, 2 * vy + 1)),
-        (did(cx, cy), DIAGONAL, (vid(cx, cy), vid(cx + 1, cy + 1)),
-         (2 * cx + 1, 2 * cy + 1)),
-    ):
-        ends[ids] = np.column_stack(ends_k)
-        mid2[ids] = np.column_stack(mid2_k)
-        kind[ids] = kind_id
+    x2 = np.arange(2 * m + 1)
+    kind0 = np.full(row, HORIZONTAL, dtype=np.int8)
+    kind0[m:] = np.where(x2 % 2, DIAGONAL, VERTICAL)
+    ends0 = np.empty((row, 2), dtype=np.int64)
+    ends0[:m, 0] = x[:m]
+    ends0[:m, 1] = x[1:]
+    ends0[m:, 0] = x2 // 2
+    ends0[m:, 1] = x2 // 2 + mp1 + x2 % 2
+    mid0 = np.empty((row, 2), dtype=np.int64)
+    mid0[:m, 0] = 2 * x[:m] + 1
+    mid0[:m, 1] = 0
+    mid0[m:, 0] = x2
+    mid0[m:, 1] = 1
+    rows = x[:, None, None]
+    ends = (ends0 + mp1 * rows).reshape(-1, 2)[:n_edges]
+    mid2 = (mid0 + np.array([0, 2]) * rows).reshape(-1, 2)[:n_edges]
+    kind = np.tile(kind0, mp1)[:n_edges]
 
     normals = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
     lengths = np.array([1.0 / m, 1.0 / m, SQRT2 / m])
-    edge_normal = normals[kind]
-    edge_len = lengths[kind]
-    on_bnd = (mid2[:, 0] == 0) | (mid2[:, 0] == 2 * m)
-    on_bnd |= (mid2[:, 1] == 0) | (mid2[:, 1] == 2 * m)
-    edge_boundary = on_bnd & (kind != DIAGONAL)
+    edge_normal = np.tile(normals[kind0], (mp1, 1))[:n_edges]
+    edge_len = np.tile(lengths[kind0], mp1)[:n_edges]
+    # On the boundary: the verticals at x2 = 0 and 2m of every row pair and
+    # the horizontals of the bottom and top rows.
+    bnd0 = np.zeros(row, dtype=bool)
+    bnd0[[m, row - 1]] = True
+    edge_boundary = np.tile(bnd0, mp1)[:n_edges]
+    edge_boundary[:m] = True
+    edge_boundary[-m:] = True
 
     # Triangle ids, lexicographic by centroid (y, x): cell row cy holds
     # its m lower triangles, then its m upper ones, t = cy 2m + shape m + cx.
     # lower triangle (bl, br, tr): opposite edges (right, diagonal, bottom)
     # upper triangle (bl, tr, tl): opposite edges (top, left, diagonal)
-    low_v = np.column_stack([vid(cx, cy), vid(cx + 1, cy), vid(cx + 1, cy + 1)])
-    low_e = np.column_stack([vvid(cx + 1, cy), did(cx, cy), hid(cx, cy)])
-    up_v = np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1), vid(cx, cy + 1)])
-    up_e = np.column_stack([hid(cx, cy + 1), vvid(cx, cy), did(cx, cy)])
-
-    def by_row(low, up):
-        return np.stack([low.reshape(m, m, -1), up.reshape(m, m, -1)], axis=1)
-
-    tris = by_row(low_v, up_v).reshape(-1, 3)
-    tri_edges = by_row(low_e, up_e).reshape(-1, 3)
+    # Row 0 as (shape, cx, k); the opposite edges by their doubled
+    # midpoints relative to (2 cx, 0).
+    cx = x[:m, None]
+    tris0 = np.stack([cx + [0, 1, mp1 + 1], cx + [0, mp1 + 1, mp1]])
+    edges0 = edge_id(m, 2 * cx + np.array([[[2, 1, 1]], [[1, 0, 1]]]),
+                     np.array([[[1, 1, 0]], [[2, 1, 1]]]))
+    rows = x[:m, None, None, None]
+    tris = (tris0 + mp1 * rows).reshape(-1, 3)
+    tri_edges = (edges0 + row * rows).reshape(-1, 3)
     tri_shape = np.tile(np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m), m)
 
-    coords = verts[tris]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    # Area from the vertex coordinates, without gathering them: in both
+    # shapes one term of the cross product d1 x d2 of the edges from vertex
+    # 0 is an exact zero, and the other is (x[cx+1] - x[cx]) (y[cy+1] - y[cy]).
+    step = np.diff(grid)
+    area = np.broadcast_to((0.5 * np.multiply.outer(step, step))[:, None],
+                           (m, 2, m)).reshape(-1)
 
     return Mesh(
         m=m,
         h=1.0 / m,
-        verts=verts,
+        verts=verts.reshape(-1, 2),
         edges=ends,
         edge_normal=edge_normal,
         edge_len=edge_len,
@@ -174,7 +194,7 @@ def build_unit_square_mesh(m: int) -> Mesh:
         edge_mid2=mid2,
         tris=tris,
         tri_edges=tri_edges,
-        tri_signs=SIGNS[tri_shape],
+        tri_signs=np.tile(np.repeat(SIGNS, m, axis=0), (m, 1)),
         tri_area=area,
         tri_shape=tri_shape,
     )

@@ -16,15 +16,21 @@ convention.  Trace layout: one slot per (interface fine edge, side)
 pair, by interface; within an interface the fine edges run in geometric
 order, and each edge's i-side slot immediately precedes its j-side slot.
 
-The layout is index arithmetic on the structured mesh; what it assumes is
-then checked in O(n) passes, without sorting or hashing.  Per edge, over
-the triangle incidences, bincounts give the count c, the sum s1 and the
-square sum s2 of the incident subdomain ids.  Every edge must have
-c <= 2; it then has one owning subdomain iff c == 1 or 2 s2 == s1^2, and
-for c == 2 the pair (s1, s2) fixes its unordered pair of subdomains,
-which the two slots of an interface edge must name.  The sums are
-integers of at most 4 (N^2)^2, exact in float64 while that is below 2^53
-(N < 6800).
+The layout is index arithmetic on the structured mesh: the subdomain of
+each triangle, the fine edges of each interface (`mesh.edge_id`), each
+subdomain's interior edges and slots, and `local_dofs`' grouping of the
+triangles are written from the grid position, with no gather by
+subdomain and no sort.  What that assumes of the mesh is then checked in
+O(n) passes, without sorting or hashing: the stored midpoints, kinds and
+boundary flags of the interface edges, and that the interior edge sets
+are exactly the free interior edges, each owned by its subdomain.  Per
+edge, over the triangle incidences, bincounts give the count c, the sum
+s1 and the square sum s2 of the incident subdomain ids.  Every edge must
+have c <= 2; it then has one owning subdomain iff c == 1 or
+2 s2 == s1^2, and for c == 2 the pair (s1, s2) fixes its unordered pair
+of subdomains, which the two slots of an interface edge must name.  The
+sums are integers of at most 4 (N^2)^2, exact in float64 while that is
+below 2^53 (N < 6800).
 
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
 `symmetry_generators` gives their permutations of the trace slots, and
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIAGONAL, HORIZONTAL, VERTICAL, Mesh
+from .mesh import DIAGONAL, HORIZONTAL, VERTICAL, Mesh, edge_id
 
 __all__ = [
     "TraceIndex",
@@ -111,16 +117,6 @@ class SubdomainPartition:
         return self.slots[self.slot_start[sub]:self.slot_start[sub + 1]]
 
 
-def _group_by(owner: np.ndarray, n: int):
-    """(order, start): order lists the positions of `owner` grouped by
-    owner in 0..n-1, in increasing position within a group, and group s
-    is order[start[s]:start[s+1]]."""
-    order = np.argsort(owner, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
-    return order, start
-
-
 def _position_in_group(start: np.ndarray) -> np.ndarray:
     """Each grouped entry's position within its group."""
     return np.arange(start[-1]) - np.repeat(start[:-1], np.diff(start))
@@ -141,44 +137,40 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
             "the decomposition must align with the mesh"
         )
     r = m // N
+    n_subs = N * N
+    J, I = np.divmod(np.arange(n_subs, dtype=np.int64), N)
 
-    # Triangle -> subdomain through the integer cell coordinates of the
-    # centroid (vertex ids encode the grid position exactly).
-    vx = mesh.tris % (m + 1)
-    vy = mesh.tris // (m + 1)
-    cell_x = vx.sum(axis=1) // 3
-    cell_y = vy.sum(axis=1) // 3
-    tri_sub = (cell_y // r) * N + (cell_x // r)
-
-    # Edge ids by doubled midpoint, on the (2m+1) x (2m+1) half-cell grid.
-    side = 2 * m + 1
-    edge_at = np.full(side * side, -1, dtype=np.int64)
-    edge_at[mesh.edge_mid2[:, 1] * side + mesh.edge_mid2[:, 0]] = np.arange(
-        mesh.n_edges
-    )
+    # Triangle t = cy 2m + shape m + cx lies in subdomain
+    # (cy // r) N + cx // r.
+    block = np.repeat(np.arange(N, dtype=np.int64), r)
+    tri_sub = np.broadcast_to((N * block[:, None] + block)[:, None],
+                              (m, 2, m)).reshape(-1)
 
     # Interfaces in the order of the module docstring: interface k is
     # entry q of row J, vertical for q < N-1.  Fine edge t of an interface
     # has its midpoint at offset 2t + 1 half-cells along the interface
-    # from the subdomain corner.
+    # from the subdomain corner; its id is the mesh's for that midpoint,
+    # and the midpoint the mesh stores for it must be that one.
     n_if = 2 * N * (N - 1)
-    J, q = np.divmod(np.arange(n_if, dtype=np.int64), 2 * N - 1)
+    iJ, q = np.divmod(np.arange(n_if, dtype=np.int64), 2 * N - 1)
     vertical = q < N - 1
-    I = np.where(vertical, q, q - (N - 1))
-    iface_i = J * N + I
+    iI = np.where(vertical, q, q - (N - 1))
+    iface_i = iJ * N + iI
     iface_j = np.where(vertical, iface_i + 1, iface_i + N)
     iface_kind = np.where(vertical, VERTICAL, HORIZONTAL)
-    mid_x = np.where(vertical, 2 * r * (I + 1), 2 * r * I + r)[:, None]
-    mid_y = np.where(vertical, 2 * r * J + r, 2 * r * (J + 1))[:, None]
+    mid_x = np.where(vertical, 2 * r * (iI + 1), 2 * r * iI + r)[:, None]
+    mid_y = np.where(vertical, 2 * r * iJ + r, 2 * r * (iJ + 1))[:, None]
     step = 2 * np.arange(r, dtype=np.int64) - (r - 1)
     fx = mid_x + np.where(vertical[:, None], 0, step)
     fy = mid_y + np.where(vertical[:, None], step, 0)
-    fine = edge_at[fy * side + fx]  # (n_if, r)
-    if np.any(fine < 0) or np.any(mesh.edge_kind[fine] != iface_kind[:, None]) or (
+    fine = edge_id(m, fx, fy)  # (n_if, r)
+    mid = mesh.edge_mid2[fine]
+    across = np.where(vertical[:, None], mid[..., 0] != fx, mid[..., 1] != fy)
+    if np.any(across) or np.any(mesh.edge_kind[fine] != iface_kind[:, None]) or (
         np.any(mesh.edge_boundary[fine])
     ):
         raise AssertionError("interface edge classification mismatch")
-    if np.any(np.diff(fine, axis=1) <= 0):
+    if np.any(mid != np.stack([fx, fy], axis=-1)):
         raise AssertionError("interface fine edges out of order")
 
     gamma_edges = fine.ravel()
@@ -190,11 +182,11 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     # Independent geometric check: the interface set is exactly the
     # non-boundary axis-aligned edges sitting on internal subdomain lines,
     # and no diagonal edge lies on one.
-    ex2 = mesh.edge_mid2[:, 0]
-    ey2 = mesh.edge_mid2[:, 1]
+    on_line = np.zeros(2 * m + 1, dtype=bool)  # subdomain lines x2, y2 = 2rk
+    on_line[::2 * r] = True
+    on_x, on_y = np.take(on_line, mesh.edge_mid2).T
     expect = ~mesh.edge_boundary & (
-        ((mesh.edge_kind == VERTICAL) & (ex2 % (2 * r) == 0))
-        | ((mesh.edge_kind == HORIZONTAL) & (ey2 % (2 * r) == 0))
+        ((mesh.edge_kind == VERTICAL) & on_x) | ((mesh.edge_kind == HORIZONTAL) & on_y)
     )
     if not np.array_equal(expect, on_gamma):
         raise AssertionError("interface edge set mismatch")
@@ -203,9 +195,10 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
 
     # Per-edge incidence count c, subdomain sum s1 and square sum s2; the
     # module docstring says why they decide ownership, and exactly.
-    n_subs = N * N
     edges = mesh.tri_edges.ravel()
-    sub = np.repeat(tri_sub, 3).astype(float)
+    # The subdomain of each tri_edges entry, one cell row at a time.
+    column = block.astype(float)
+    sub = (N * column[:, None] + np.tile(np.repeat(column, 3), 2)).ravel()
     c = np.bincount(edges, minlength=mesh.n_edges)
     if np.any(c > 2):
         raise AssertionError("an edge lies on more than two triangles")
@@ -218,13 +211,24 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     if not np.all((c[on_gamma] == 2) & ~one_owner[on_gamma]):
         raise AssertionError("an interface dof is not shared by exactly 2")
 
-    # The owner of an interior edge is the subdomain of any triangle on it;
-    # interior edge sets come out sorted, as `free` is.
-    owner = np.empty(mesh.n_edges, dtype=np.int64)
-    owner[mesh.tri_edges] = tri_sub[:, None]
-    free = np.flatnonzero(free_interior)
-    order, interior_start = _group_by(owner[free], n_subs)
-    interior = free[order]
+    # Interior edges of subdomain (J, I): those with midpoints strictly
+    # inside it, by increasing id.  Local cell row a contributes its r
+    # horizontals (y2 = 2a, for a >= 1), then its 2r-1 verticals and
+    # diagonals (y2 = 2a + 1, 1 <= x2 <= 2r-1).  From subdomain 0 to
+    # (J, I) the ids of the first move by rJ (3m+1) + rI, the others by
+    # rJ (3m+1) + 2rI.
+    row = 3 * m + 1
+    in_row = np.concatenate([np.arange(r), m + 1 + np.arange(2 * r - 1)])
+    pattern = (row * np.arange(r)[:, None] + in_row).ravel()[r:]
+    step = np.tile(np.repeat([1, 2], [r, 2 * r - 1]), r)[r:]
+    interior = (pattern + (r * row * J)[:, None] + (r * I)[:, None] * step).ravel()
+    interior_start = pattern.size * np.arange(n_subs + 1, dtype=np.int64)
+    # They are exactly the free interior edges, each owned by its subdomain.
+    owned = np.take(c, interior).reshape(n_subs, -1) * np.arange(n_subs)[:, None]
+    if (interior.size != np.count_nonzero(free_interior)
+            or not np.all(np.take(free_interior, interior))
+            or np.any(np.take(s1, interior).reshape(n_subs, -1) != owned)):
+        raise AssertionError("subdomain interior edge sets inconsistent")
 
     # Trace slots: i-side then j-side per fine edge.
     slot_edge = np.repeat(gamma_edges, 2)
@@ -240,7 +244,16 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         pair_perm=pair_perm,
         m_diag=mesh.edge_len[slot_edge] if slot_edge.size else np.empty(0),
     )
-    slots, slot_start = _group_by(slot_sub, n_subs)
+    # Subdomain (J, I) is the j-side of the interfaces below and left of
+    # it and the i-side of those right of and above it, in that order of
+    # interface number; side d of interface k holds slots 2rk + d + 2t.
+    first = J * (2 * N - 1)
+    iface = np.stack([first - N + I, first + I - 1, first + I, first + N - 1 + I],
+                     axis=1)
+    present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
+    first_slot = (2 * r * iface + [1, 1, 0, 0])[present]
+    slots = (first_slot[:, None] + 2 * np.arange(r)).ravel()
+    slot_start = np.concatenate([[0], np.cumsum(r * present.sum(axis=1))])
 
     # Each subdomain's slots name exactly its interface edges: the two
     # sides of an edge are distinct subdomains with the edge's s1 and s2.
@@ -273,25 +286,34 @@ def local_dofs(part: SubdomainPartition):
     tri_ids[k] in its subdomain (-1 on the boundary).  The global edge or
     trace slot behind local dof i of s is entry i of [interior_of(s),
     slots_of(s)], which the partition already stores.
+
+    Subdomain (J, I) holds the triangles of cell rows rJ .. rJ+r-1 and
+    cell columns rI .. rI+r-1, so grouping is a transpose of the mesh's
+    (cell row, shape, cell column) order.  An interface edge's slot is
+    its i-side one in the triangle its normal points out of and its
+    j-side one in the triangle its normal points into (`tri_signs`).
     """
-    mesh, trace = part.mesh, part.trace
-    tri_ids, starts = _group_by(part.tri_sub, part.n_subdomains)
-    edges = mesh.tri_edges[tri_ids]
-    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
-    rank[part.interior] = _position_in_group(part.interior_start)
-    loc = rank[edges]
-    if trace.n_slots:
-        sub = part.tri_sub[tri_ids][:, None]
-        slot_rank = np.empty(trace.n_slots, dtype=np.int64)
-        slot_rank[part.slots] = _position_in_group(part.slot_start)
-        first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
-        first_slot[trace.slot_edge[::2]] = np.arange(0, trace.n_slots, 2)
-        slot = first_slot[edges]
-        on_gamma = slot >= 0
-        # Each interface edge has its i-side slot first, then its j-side.
-        slot = np.where(on_gamma, slot + (trace.slot_sub[slot] != sub), 0)
-        n_interior = np.diff(part.interior_start)
-        loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
+    mesh, trace, N = part.mesh, part.trace, part.N
+    r = mesh.m // N
+
+    def by_subdomain(table):
+        tail = table.shape[1:]
+        grid = table.reshape(N, r, 2, N, r, *tail)
+        return grid.transpose(0, 3, 1, 2, 4, *range(5, grid.ndim)).reshape(-1, *tail)
+
+    tri_ids = by_subdomain(np.arange(mesh.n_triangles))
+    starts = 2 * r * r * np.arange(part.n_subdomains + 1)
+    # rank[d, e]: local dof of edge e in the subdomain on side d of it.
+    rank = np.full((2, mesh.n_edges), -1, dtype=np.int64)
+    rank[0, part.interior] = _position_in_group(part.interior_start)
+    rank[1] = rank[0]
+    n_interior = np.diff(part.interior_start)
+    local = np.empty(trace.n_slots, dtype=np.int64)
+    local[part.slots] = (np.repeat(n_interior, np.diff(part.slot_start))
+                         + _position_in_group(part.slot_start))
+    rank[trace.slot_side, trace.slot_edge] = local
+    side = by_subdomain(mesh.tri_signs) < 0.0
+    loc = rank.ravel()[by_subdomain(mesh.tri_edges) + mesh.n_edges * side]
     return tri_ids, starts, loc
 
 

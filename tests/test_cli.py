@@ -312,6 +312,30 @@ def test_main_rejects_bad_tol_and_beta(option, value, capsys):
     assert "positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["solve", "--n", "2", "--ratio", "2", "--theta", "2"], "(0, 1]"),
+    (["solve", "--n", "2", "--ratio", "2", "--theta", "0"], "(0, 1]"),
+    (["solve", "--n", "2", "--ratio", "2", "--theta", "nan"], "(0, 1]"),
+    (["solve", "--n", "2", "--ratio", "2", "--theta", "half"], "(0, 1]"),
+    (["spectrum", "--n", "2", "--ratio", "2", "--theta", "nan"], "(0, 1]"),
+    (["spectrum", "--n", "2", "--ratio", "2", "--theta", "-1"], "(0, 1]"),
+    (["solve", "--n", "0", "--ratio", "2"], "positive integer"),
+    (["solve", "--n", "2", "--ratio", "-2"], "positive integer"),
+    (["solve", "--n", "2.5", "--ratio", "2"], "positive integer"),
+    (["spectrum", "--n", "2", "--ratio", "0"], "positive integer"),
+    (["solve", "--n", "2", "--ratio", "2", "--max-iter", "0"], "positive integer"),
+    (["run", "--experiment", "table1", "--max-iter", "0"], "positive integer"),
+])
+def test_main_rejects_bad_theta_sizes_and_max_iter(argv, expected, capsys):
+    """Refused by the argument parser with a usage error, not a
+    ValueError traceback from IterationConfig."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and expected in err
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

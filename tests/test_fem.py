@@ -1,5 +1,7 @@
 """Raviart-Thomas element: exact element integrals, assembly, norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -98,6 +100,94 @@ def test_incongruent_triangle_rejected(mesh8, case, name, change):
     for call in calls:
         with pytest.raises(ValueError, match="triangle 37:"):
             call()
+
+
+def test_congruence_checked_once_per_mesh(case, monkeypatch):
+    """Matrices, loads, norms and divergence share one congruence pass per
+    mesh object; a modified copy is a new object and is checked again."""
+    calls = []
+    check = fem._check_congruent
+
+    def counted(mesh):
+        calls.append(mesh)
+        return check(mesh)
+
+    monkeypatch.setattr(fem, "_check_congruent", counted)
+    mesh = build_unit_square_mesh(6)
+    u = fem.interpolate(mesh, case.u)
+    fem.element_matrices(mesh, np.arange(5))
+    fem.element_matrices(mesh)
+    fem.element_loads(mesh, case.load)
+    fem.error_norms(mesh, u, case.u, case.div_u)
+    fem.divergence(mesh, u)
+    assert calls == [mesh]
+    copy = dataclasses.replace(mesh)
+    fem.error_norms(copy, u, case.u, case.div_u)
+    fem.element_loads(copy, case.load)
+    assert calls == [mesh, copy]
+
+
+def _first_triangle_on(mesh, edge):
+    return int(np.flatnonzero((mesh.tri_edges == edge).any(axis=1))[0])
+
+
+@pytest.mark.parametrize("fault", [
+    "shape", "shifted", "area", "edge kind", "edge length", "vertex"])
+def test_every_congruence_check_fires(mesh8, case, fault):
+    """Each clause of the once-per-mesh check rejects a mesh broken to
+    reach it, naming the triangle (or vertex) at fault."""
+    m = mesh8.m
+    if fault == "shape":
+        bad = _with_triangle_changed(mesh8, "tri_shape", 21, lambda s: 1 - s)
+        expect = "triangle 21: shape is not that of its place"
+    elif fault == "shifted":
+        # every vertex moved one cell to the right: the offsets still agree
+        bad = _with_triangle_changed(mesh8, "tris", 21, lambda v: v + 1)
+        expect = "triangle 21: vertex ids are not those of reference triangle 0"
+    elif fault == "area":
+        bad = _with_triangle_changed(mesh8, "tri_area", 2 * m + 3, lambda a: 2 * a)
+        expect = f"triangle {2 * m + 3}: area differ"
+    elif fault == "edge kind":
+        edge = mesh8.tri_edges[37, 1]
+        bad = _with_triangle_changed(mesh8, "edge_kind", edge, lambda k: (k + 1) % 3)
+        expect = f"triangle {_first_triangle_on(mesh8, edge)}: edge kinds differ"
+    elif fault == "edge length":
+        edge = mesh8.tri_edges[37, 2]
+        bad = _with_triangle_changed(mesh8, "edge_len", edge, lambda h: 1.5 * h)
+        expect = f"triangle {_first_triangle_on(mesh8, edge)}: edge lengths differ"
+    else:
+        bad = _with_triangle_changed(mesh8, "verts", 11, lambda p: p + 1e-3)
+        expect = "vertex 11: coordinates differ"
+    with pytest.raises(ValueError, match=expect):
+        fem.element_loads(bad, case.load)
+
+
+@pytest.mark.parametrize("m", [1, 5, 6, 24])
+def test_quadrature_points_match_vertex_gather(monkeypatch, m):
+    """Reference: blocks are the triangles of each shape in id order, and
+    the quadrature points are gathered from the vertex coordinates of each
+    triangle's first vertex, as before the points were written by formula."""
+    monkeypatch.setattr(fem, "QUAD_BLOCK", 7)
+    mesh = build_unit_square_mesh(m)
+    expected = []
+    for kind, shape in enumerate(fem._shapes(mesh)):
+        of_shape = np.flatnonzero(mesh.tri_shape == kind)
+        expected += [(shape, of_shape[s:s + 7]) for s in range(0, of_shape.size, 7)]
+    blocks = list(fem._blocks(mesh))
+    assert len(blocks) == len(expected)
+    for (shape, ids, cx, cy), (ref_shape, ref_ids) in zip(blocks, expected):
+        assert shape is ref_shape
+        np.testing.assert_array_equal(ids, ref_ids)
+        origin = mesh.verts[mesh.tris[ids, 0]]
+        x, y = fem._points(mesh, shape, cx, cy)
+        np.testing.assert_array_equal(x, origin[:, :1] + shape.offsets[:, 0])
+        np.testing.assert_array_equal(y, origin[:, 1:] + shape.offsets[:, 1])
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+def test_assemble_global_rejects_bad_beta(case, beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        fem.assemble_global(build_unit_square_mesh(2), beta, case.load)
 
 
 @pytest.mark.parametrize("m", [6, 8])

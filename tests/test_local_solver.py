@@ -25,10 +25,20 @@ def test_parameter_validation(mesh8):
         local_solver.build_local_systems(part, mesh8, 1.0, 0.0)
     with pytest.raises(ValueError):
         local_solver.build_local_systems(part, mesh8, -1.0, 0.5)
-    with pytest.raises(ValueError, match="beta must be positive, got nan"):
+    with pytest.raises(ValueError, match="beta must be positive and finite, got nan"):
         local_solver.build_local_systems(part, mesh8, float("nan"), 0.5)
     with pytest.raises(ValueError, match="Robin parameter must be positive"):
         local_solver.build_local_systems(part, mesh8, 1.0, float("nan"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_parameters_rejected(mesh8, bad):
+    """Refused before any class is built, as IterationConfig refuses them."""
+    part = partition(mesh8, 2)
+    with pytest.raises(ValueError, match="^beta must be positive and finite"):
+        local_solver.build_local_systems(part, mesh8, bad, 0.5)
+    with pytest.raises(ValueError, match="^Robin parameter must be positive and finite"):
+        local_solver.build_local_systems(part, mesh8, 1.0, bad)
 
 
 def _unconstrained(problem, classes=None):

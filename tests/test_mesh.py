@@ -18,6 +18,8 @@ from rr_hdiv.mesh import (
     build_unit_square_mesh,
     classify_boundary,
     dump_mesh_csv,
+    edge_id,
+    grid_coordinates,
 )
 
 
@@ -254,7 +256,7 @@ def _sorted_mesh(m):
     )
 
 
-@pytest.mark.parametrize("m", list(range(1, 17)) + [256])
+@pytest.mark.parametrize("m", list(range(1, 17)) + [24, 48, 96, 256])
 def test_numbering_matches_sorted_build(m):
     """Ids written by formula equal those found by sorting, in every
     array and its dtype."""
@@ -263,3 +265,15 @@ def test_numbering_matches_sorted_build(m):
         got, want = getattr(mesh, f.name), getattr(ref, f.name)
         assert np.asarray(got).dtype == np.asarray(want).dtype, f.name
         np.testing.assert_array_equal(got, want, err_msg=f.name)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 24])
+def test_edge_id_and_grid_match_build(m):
+    """The formulas that partition and fem use name the built mesh's own
+    edges and vertex coordinates."""
+    mesh = build_unit_square_mesh(m)
+    x2, y2 = mesh.edge_mid2.T
+    np.testing.assert_array_equal(edge_id(m, x2, y2), np.arange(mesh.n_edges))
+    grid = grid_coordinates(m)
+    iy, ix = np.divmod(np.arange(mesh.n_vertices), m + 1)
+    np.testing.assert_array_equal(mesh.verts, np.column_stack([grid[ix], grid[iy]]))

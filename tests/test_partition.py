@@ -471,17 +471,25 @@ def test_partition_matches_unique_reference(m, N):
     mesh = build_unit_square_mesh(m)
     part = partition(mesh, N)
     tri_sub, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
-    np.testing.assert_array_equal(part.tri_sub, tri_sub)
+    expected = {
+        "tri_sub": tri_sub,
+        "interior": np.concatenate(interior_edges),
+        "interior_start": _offsets(interior_edges),
+        "slots": np.concatenate(sub_slots),
+        "slot_start": _offsets(sub_slots),
+    }
+    for name, expect in expected.items():
+        got = getattr(part, name)
+        np.testing.assert_array_equal(got, expect, err_msg=name)
+        assert got.dtype == expect.dtype == np.int64, name
     assert part.n_interfaces == 2 * N * (N - 1)
-    np.testing.assert_array_equal(part.interior_start, _offsets(interior_edges))
-    np.testing.assert_array_equal(part.slot_start, _offsets(sub_slots))
-    assert part.interior.size == part.interior_start[-1]
-    assert part.slots.size == part.slot_start[-1]
     for s in range(N * N):
         np.testing.assert_array_equal(part.interior_of(s), interior_edges[s])
         np.testing.assert_array_equal(part.slots_of(s), sub_slots[s])
     for name, expect in trace.items():
-        np.testing.assert_array_equal(getattr(part.trace, name), expect)
+        got = getattr(part.trace, name)
+        np.testing.assert_array_equal(got, expect, err_msg=name)
+        assert got.dtype == expect.dtype, name
 
 
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
@@ -576,3 +584,31 @@ def test_tampered_mesh_rejected(mesh8, fault, message):
     bad = _tampered(mesh8, part, fault)
     with pytest.raises(AssertionError, match=f"^{message}$"):
         partition(bad, 2)
+
+
+def _swap_edges(mesh, a, b):
+    """A copy of `mesh` whose triangles name edge b wherever they named
+    edge a, and the other way round."""
+    tri_edges = mesh.tri_edges.copy()
+    tri_edges[mesh.tri_edges == a] = b
+    tri_edges[mesh.tri_edges == b] = a
+    return dataclasses.replace(mesh, tri_edges=tri_edges)
+
+
+def test_interior_sets_checked_against_the_mesh(mesh8):
+    """The interior edge sets are written by formula and then checked to
+    be exactly the free interior edges, each owned by its subdomain.  A
+    non-interface edge marked boundary, or two interior edges of different
+    subdomains traded between their triangles, passes every other check:
+    grouping the edges by their triangles' subdomains, as
+    `_reference_partition` does, drops the first from its set and trades
+    the second pair between sets."""
+    part = partition(mesh8, 2)
+    f0, f1 = part.interior_of(0)[0], part.interior_of(3)[-1]
+    edge_boundary = mesh8.edge_boundary.copy()
+    edge_boundary[f0] = True
+    for bad in (dataclasses.replace(mesh8, edge_boundary=edge_boundary),
+                _swap_edges(mesh8, f0, f1)):
+        with pytest.raises(AssertionError,
+                           match="^subdomain interior edge sets inconsistent$"):
+            partition(bad, 2)
