@@ -11,7 +11,7 @@ the symmetric system G g = f_g, M commuting with T:
 
 Richardson relaxes the same map and `spectrum` assembles
 Q = theta E + (1 - theta) I.  G is applied matrix-free through
-`RobinProblem.exchange`, and the system is solved by a Lanczos/Givens
+`RobinProblem.step`, and the system is solved by a Lanczos/Givens
 minimum-residual recurrence implemented here; G carries a known
 nullspace (the per-interface constant jump directions), against which
 f_g is automatically consistent.
@@ -50,8 +50,7 @@ class InterfaceOperator:
         if g.shape[0] != self.n:
             raise ValueError(f"trace vector has {g.shape[0]} rows, expected {self.n}")
         m = self.trace.m_diag if g.ndim == 1 else self.trace.m_diag[:, None]
-        u = self.problem.solver.apply_resolvent(m * g)
-        return m * (g - self.problem.exchange(g, u))[self.trace.pair_perm]
+        return m * (g - self.problem.step(g))[self.trace.pair_perm]
 
     def load(self) -> np.ndarray:
         """f_g = M T c, via one loaded zero-datum constrained solve."""

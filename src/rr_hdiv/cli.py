@@ -336,8 +336,8 @@ def run_spectrum(config: ExperimentConfig):
     spec = EXPERIMENTS["spectrum"]
     grid = tuple(
         (N, r)
-        for N in (config.n_list or spec.desk)
-        for r in (config.ratio_list or spec.config["ratio_list"])
+        for N in config.n_list
+        for r in config.ratio_list
     )
     reports, skipped = spectrum_runs(grid, gamma_rule=config.gamma_rules[0],
                                      theta=config.theta_list[0])
@@ -389,6 +389,10 @@ def _cmd_run(args) -> int:
         "out_dir": args.out, "fmt": args.format,
         **spec.config,
     })
+    if not getattr(config, spec.grid_field):
+        print(f"error: --max-n {args.max_n} leaves no row of the "
+              f"{args.experiment} grid {spec.grid(args.full)}", file=sys.stderr)
+        return 2
     if args.full and spec.full != spec.desk:
         print("full grid requested: the largest rows solve meshes of up "
               "to 512 x 512 (table1) or 768 x 768 (table3) cells; each "
@@ -473,7 +477,7 @@ def _positive(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --n, --ratio and --max-iter: an integer >= 1."""
+    """argparse type of --n, --ratio, --max-iter and --max-n: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -511,7 +515,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a canned experiment grid")
     p_run.add_argument("--experiment", required=True,
                        choices=["table1", "table2", "table3", "spectrum"])
-    p_run.add_argument("--max-n", type=int, default=None,
+    p_run.add_argument("--max-n", type=_positive_int, default=None,
                        help="largest N of the table1, table3 and spectrum "
                             "grids (default: no cap)")
     p_run.add_argument("--full", action="store_true",

@@ -214,21 +214,27 @@ def element_matrices(mesh: Mesh, tri_ids=None):
     return divdiv[kind], mass[kind]
 
 
+def _block_loads(mesh, shape, ids, cx, cy, field) -> np.ndarray:
+    """Load contributions of one block of `_blocks`, shape (ids.size, 3);
+    its temporaries are freed before the next block makes its own."""
+    nq = K.QUAD4_W.size
+    x, y = _points(mesh, shape, cx, cy)
+    fx, fy = field(x, y)
+    f = np.empty((ids.size, 2, nq))
+    f[:, 0] = fx
+    f[:, 1] = fy
+    table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
+    return f.reshape(ids.size, 2 * nq) @ table
+
+
 def element_loads(mesh: Mesh, field) -> np.ndarray:
     """Per-triangle load contributions int_K field . phi, shape (nt, 3).
 
     Uses the degree-4 rule, exact for the quadratic manufactured load.
     """
-    nq = K.QUAD4_W.size
     out = np.empty((mesh.n_triangles, 3))
     for shape, ids, cx, cy in _blocks(mesh):
-        x, y = _points(mesh, shape, cx, cy)
-        fx, fy = field(x, y)
-        f = np.empty((ids.size, 2, nq))
-        f[:, 0] = fx
-        f[:, 1] = fy
-        table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
-        out[ids] = f.reshape(ids.size, 2 * nq) @ table
+        out[ids] = _block_loads(mesh, shape, ids, cx, cy, field)
     return out
 
 

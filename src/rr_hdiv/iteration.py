@@ -7,7 +7,9 @@ trace of one loaded zero-datum solve), and the side swap T gives
 
     E g + c = T(2 gamma u_trace - g),   E g = T(2 gamma R M g - g),
 
-written once, in `RobinProblem.exchange`.  Richardson (here) steps
+written once: `RobinProblem.step` is the one place that puts the mass,
+the resolvent and the exchange T(2 gamma u - g) together, E g + c given
+u_load and E g without.  Richardson (here) steps
 g <- theta (E g + c) + (1 - theta) g until the sup-norm of the datum
 increment is below tol; MINRES (`boundary_system`) solves G g = f_g with
 G = M T (I - E) and f_g = M T c; the spectrum (`spectrum`) assembles
@@ -104,6 +106,16 @@ class RobinProblem:
         """
         return (2.0 * self.gamma * u_trace - g)[self.partition.trace.pair_perm]
 
+    def step(self, g: np.ndarray, u_load=None) -> np.ndarray:
+        """T(2 gamma (R M g + u_load) - g), u_load zero if None: E g, or
+        E g + c given the load trace.  g is a trace vector or an
+        (n_slots, k) column block."""
+        m = self.partition.trace.m_diag
+        u = self.solver.apply_resolvent((m if g.ndim == 1 else m[:, None]) * g)
+        if u_load is not None:
+            u += u_load
+        return self.exchange(g, u)
+
     def load_trace(self) -> np.ndarray:
         """Trace u_load of the loaded zero-datum solve."""
         return self.solve_once(np.zeros(self.partition.trace.n_slots))[1]
@@ -141,7 +153,7 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
     part = partition(mesh, config.N)
     gamma = resolve_gamma(config.gamma_rule, config.m, config.N)
     classes = local_solver.build_local_systems(part, mesh, config.beta, gamma)
-    loads = local_solver.local_loads(classes, mesh, load)
+    loads = local_solver.local_loads(classes, part, load)
     if config.constrained:
         B = build_constraint(part, mesh)
     else:
@@ -170,17 +182,14 @@ def assemble_solution(problem: RobinProblem, u_int, u_trace) -> np.ndarray:
 
 def _run(problem: RobinProblem, case) -> SolveReport:
     config = problem.config
-    m_diag = problem.partition.trace.m_diag
     history = []
     converged = False
     iterations = 0
     start = time.perf_counter()
     u_load = problem.load_trace()
-    g = np.zeros(m_diag.size)
+    g = np.zeros(u_load.size)
     for _ in range(config.max_iter):
-        g_tilde = problem.exchange(
-            g, problem.solver.apply_resolvent(m_diag * g) + u_load
-        )
+        g_tilde = problem.step(g, u_load)
         # The stopping test reads the raw datum change of the exchange;
         # relaxation only damps the step taken.
         inc = float(np.abs(g_tilde - g).max()) if g.size else 0.0

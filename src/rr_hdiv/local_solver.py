@@ -17,7 +17,8 @@ of these SPD matrices is factorized the same way, by `_factor`.
 
 Each subdomain's local dof order, and its dof tables, are the partition's
 (`partition.local_dofs`, `interior`, `slots`); this module takes them as
-given and checks them congruent across each class.
+given and checks them congruent across each class.  The loads need no
+per-member triangle table: `local_loads` scatters all triangles once.
 
 Setup also solves each class's Robin problem against the identity on its
 interface rows: the interface block of that solve is the Robin-to-trace
@@ -43,7 +44,6 @@ from .partition import SubdomainPartition, local_dofs, symmetry_maps
 
 __all__ = [
     "RobinClass",
-    "CoarseSchur",
     "ConstrainedRobinSolver",
     "build_local_systems",
     "local_loads",
@@ -52,7 +52,7 @@ __all__ = [
 # Largest relative backward error accepted for a Robin-to-trace map.
 TRACE_MAP_TOL = 1e-12
 
-# Columns of a many-column resolvent application handled at a time, which
+# Columns of one block of unit columns in `spectrum.assemble_Q`, which
 # keeps its temporaries to a few n_slots x COLUMN_BLOCK arrays.
 COLUMN_BLOCK = 256
 
@@ -65,9 +65,7 @@ class RobinClass:
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges interior[i] = part.interior_of(s),
     then the trace slots slots[i] = part.slots_of(s), both increasing.
-    tris[i] holds member i's triangle ids (increasing), and loc, shared
-    by all members, the local dof of each edge of those triangles (-1 on
-    the boundary).  `A` holds the class's own plain bilinear blocks
+    `A` holds the class's own plain bilinear blocks
     without the Robin term, H = A + gamma * diag(m_diag) on the interface
     rows.
 
@@ -80,14 +78,13 @@ class RobinClass:
     representative's row 0 is the identity, and its further rows, if any,
     are the elements that fix its class.  `_lu` is the representative's
     factor, and `backsolve` solves H = P S H_rep S P^T through it, with P
-    and S the permutation and signs of row 0.
+    and S the permutation and signs of row 0 (on a representative, the
+    identity).
     """
 
     members: np.ndarray
     interior: np.ndarray
     slots: np.ndarray
-    tris: np.ndarray
-    loc: np.ndarray
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
@@ -111,27 +108,13 @@ class RobinClass:
         return _plus_diagonal(self.A, diag)
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        what = f"the class of subdomain {self.members[0]}"
-        if self.rep == self.members[0]:  # row 0 is the identity
-            return _solve(self._lu, rhs, what)
-        perm, sign = self.perm[0], self.sign[0]
-        if rhs.ndim == 2:
-            sign = sign[:, None]
-        x = _solve(self._lu, sign * rhs[perm], what)
+        """H^-1 rhs for a block of columns, rhs of shape (n_local, k)."""
+        perm, sign = self.perm[0], self.sign[0][:, None]
+        x = _solve(self._lu, sign * rhs[perm],
+                   f"the class of subdomain {self.members[0]}")
         out = np.empty_like(x)
         out[perm] = sign * x
         return out
-
-
-@dataclass(eq=False)
-class CoarseSchur:
-    """Sparse SPD interface Schur complement and its factorization."""
-
-    S: sp.csr_matrix
-    _lu: spla.SuperLU
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _solve(self._lu, rhs, "the coarse solve")
 
 
 def _rows(start: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -256,7 +239,6 @@ def build_local_systems(
     class_of = np.empty(N * N, dtype=np.int64)
     own = []
     for members, rows in _congruence_classes(N, starts):
-        tris = np.take(tri_ids, rows)
         _check_congruent(members, "local dof table", np.take(loc, rows, axis=0))
 
         dofs = loc[rows[0]]
@@ -264,10 +246,10 @@ def build_local_systems(
         slots = np.take(part.slots, _rows(part.slot_start, members))
         n_local = interior.shape[1] + slots.shape[1]
 
-        divdiv, mass = fem.element_matrices(mesh, tris[0])
+        divdiv, mass = fem.element_matrices(mesh, tri_ids[rows[0]])
         class_of[members] = len(own)
         own.append(dict(
-            members=members, interior=interior, slots=slots, tris=tris, loc=dofs,
+            members=members, interior=interior, slots=slots,
             A=_local_matrix(divdiv + beta * mass, dofs, n_local),
             m_diag=part.trace.m_diag[slots[0]], gamma=gamma,
         ))
@@ -312,20 +294,27 @@ def build_local_systems(
     return classes
 
 
-def local_loads(classes: list, mesh: Mesh, field) -> list:
+def local_loads(classes: list, part: SubdomainPartition, field) -> list:
     """Load vectors per congruence class, as (n_local, k) matrices whose
-    columns are the members' loads in local dof order."""
-    contrib = fem.element_loads(mesh, field)
-    loads = []
-    for cls in classes:
-        k, n = cls.members.size, cls.n_local
-        keep = cls.loc >= 0
-        dofs = cls.loc[keep] + n * np.arange(k)[:, None]
-        values = np.take(contrib, cls.tris, axis=0)[:, keep]
-        loads.append(
-            np.bincount(dofs.ravel(), values.ravel(), minlength=n * k).reshape(k, n).T
-        )
-    return loads
+    columns are the members' loads in local dof order.
+
+    One bincount sums the contributions into two rows per edge, row 0
+    from the triangle where `tri_signs` is +1, row 1 where it is -1.  An
+    interior edge's load is row 0 + row 1, a slot's is row slot_side (the
+    side rule of `partition.local_dofs`): at most two terms each.
+    """
+    mesh, trace = part.mesh, part.trace
+    side = mesh.tri_signs < 0.0
+    rows = np.bincount(
+        (mesh.tri_edges + mesh.n_edges * side).ravel(),
+        fem.element_loads(mesh, field).ravel(), minlength=2 * mesh.n_edges,
+    ).reshape(2, mesh.n_edges)
+    interior = rows[0] + rows[1]
+    slot_load = rows[trace.slot_side, trace.slot_edge]
+    return [
+        np.concatenate((interior[cls.interior], slot_load[cls.slots]), axis=1).T
+        for cls in classes
+    ]
 
 
 def _trace_map_error(cls: RobinClass, X: np.ndarray) -> float:
@@ -380,11 +369,11 @@ class ConstrainedRobinSolver:
     - the sparse solved constraint columns Y_trace, Z B_s^T on the slots
       of each member s, where B_s (B on s's slots, at most one entry per
       slot) must be the same for all members;
-    - the sparse coarse Schur complement S = B Y_trace, factorized by
-      `_factor` like the class blocks.
+    - the sparse coarse Schur complement `S` = B Y_trace (None without
+      constraint rows), factorized by `_factor` like the class blocks.
 
     `apply_resolvent` is one product per class plus the coarse
-    correction.  `solve` takes loads and returns interiors with one
+    correction, in one body for a vector or a block of columns.  `solve` takes loads and returns interiors with one
     multi-column back-substitution per class; it is the reference the
     resolvent is checked against.  An empty (0 x n_slots) constraint
     gives the unconstrained solves.
@@ -478,13 +467,12 @@ class ConstrainedRobinSolver:
                 shape=(self.n_slots, self.n_ifaces),
             )
             # B Y_trace = sum_s B_s Y_s[interface], as B_s is B on s's slots.
-            S = self.B @ self._Y_trace
-            lu = _factor(S, 0.0, "coarse interface Schur complement not "
-                         "positive definite (constraint rows dependent or "
-                         "assembly bug)")
-            self.schur = CoarseSchur(S=S, _lu=lu)
+            self.S = self.B @ self._Y_trace
+            self._S_lu = _factor(self.S, 0.0, "coarse interface Schur "
+                                 "complement not positive definite "
+                                 "(constraint rows dependent or assembly bug)")
         else:
-            self.schur = None
+            self.S = None
 
     def _check_constraint(self, w: np.ndarray) -> None:
         jump = np.abs(self.B @ w).max()
@@ -518,8 +506,8 @@ class ConstrainedRobinSolver:
             u_int.append(x[:nI])
             w[cls.slots.T] = x[nI:]
         mu = np.zeros(0)
-        if self.schur is not None:
-            mu = self.schur.solve(self.B @ w)
+        if self.S is not None:
+            mu = _solve(self._S_lu, self.B @ w, "the coarse solve")
             bt_mu = self.B.T @ mu
             for cls, X, u_i in zip(self.classes, self._X, u_int):
                 corr = X @ bt_mu[cls.slots.T]
@@ -535,24 +523,15 @@ class ConstrainedRobinSolver:
         Accepts a vector or a matrix of columns.
         """
         rhs = np.asarray(rhs, dtype=float)
-        many = rhs.ndim == 2
-        cols = rhs if many else rhs[:, None]
-        if cols.shape[0] != self.n_slots:
+        if rhs.shape[0] != self.n_slots:
             raise ValueError(
-                f"trace vector has {cols.shape[0]} rows, expected {self.n_slots}"
+                f"trace vector has {rhs.shape[0]} rows, expected {self.n_slots}"
             )
-        w = np.empty_like(cols)
-        for j in range(0, cols.shape[1], COLUMN_BLOCK):
-            block = slice(j, j + COLUMN_BLOCK)
-            w[:, block] = self._resolve(cols[:, block])
-        return w if many else w[:, 0]
-
-    def _resolve(self, cols: np.ndarray) -> np.ndarray:
-        w = np.empty_like(cols)
+        w = np.empty_like(rhs)
         for cls, X in zip(self.classes, self._X):
-            # One GEMM: (n_own, n_own) by (n_own, members x columns).
-            w[cls.slots.T] = np.tensordot(X[cls.n_interior:], cols[cls.slots.T], 1)
-        if self.schur is not None:
-            w -= self._Y_trace @ self.schur.solve(self.B @ w)
+            # One GEMM: (n_own, n_own) by (n_own, members [x columns]).
+            w[cls.slots.T] = np.tensordot(X[cls.n_interior:], rhs[cls.slots.T], 1)
+        if self.S is not None:
+            w -= self._Y_trace @ _solve(self._S_lu, self.B @ w, "the coarse solve")
             self._check_constraint(w)
         return w

@@ -5,7 +5,7 @@ vector, E g = T(2 gamma R M g - g) (see `iteration`).  Richardson
 relaxes it, MINRES solves G g = f_g with G = M T (I - E) and f_g = M T c,
 and here the homogeneous relaxed step is assembled, Q = theta E +
 (1 - theta) I, COLUMN_BLOCK unit columns at a time through
-`RobinProblem.exchange`.  Q thus shares every code path with the actual
+`RobinProblem.step`.  Q thus shares every code path with the actual
 iteration, and assembly holds no dense square but Q.  The exchange
 symmetry gives Q a known exact unit eigenvalue (the per-interface
 constant-jump directions), harmless to the iteration; the contraction
@@ -51,7 +51,7 @@ __all__ = [
 # and the invariance check, blocks and eigensolve 4.0 s (39.8 s as one
 # dense eigensolve), CPU time on one BLAS thread of a 2-core x86_64.
 # Assembly holds Q (136 MB there) and a few n x COLUMN_BLOCK blocks, a
-# traced peak of 199 MB.
+# traced peak of 182 MB.
 SIZE_CAP = 4500
 
 UNIT_TOL = 1e-6
@@ -142,22 +142,18 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
             raise ValueError("the iteration operator is the constrained map")
         problem = iteration.build_problem(config, lambda x, y: (0.0 * x, 0.0 * y))
     theta = config.theta
-    m = problem.partition.trace.m_diag
     Q = np.empty((n, n))
     # Unit columns j .. j + k - 1 are written into the first k columns of
-    # one zero buffer, mass-weighted for the resolvent, then cleared.
+    # one zero buffer, then cleared.
     unit = np.zeros((n, min(COLUMN_BLOCK, n)))
     for j in range(0, n, COLUMN_BLOCK):
         k = min(COLUMN_BLOCK, n - j)
         rows, cols = j + np.arange(k), np.arange(k)
         E = unit[:, :k]
-        E[rows, cols] = m[rows]
-        u = problem.solver.apply_resolvent(E)
         E[rows, cols] = 1.0
-        EE = problem.exchange(E, u)
-        E[rows, cols] = 0.0
         # theta E + (1 - theta) I on these columns, written into Q.
-        np.multiply(EE, theta, out=Q[:, j:j + k])
+        np.multiply(problem.step(E), theta, out=Q[:, j:j + k])
+        E[rows, cols] = 0.0
         Q[rows, rows] += 1.0 - theta
     return IterationOperator(
         Q=Q,

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 
 from rr_hdiv import fem, local_solver
+from rr_hdiv.partition import local_dofs
 
 
 def subdomain_robin_matrix(problem, s):
@@ -111,6 +112,27 @@ def relaxed_step(problem, g, theta):
     _, u_trace = problem.solve_once(g)
     g_tilde = (2.0 * problem.gamma * u_trace - g)[trace.pair_perm]
     return theta * g_tilde + (1.0 - theta) * g
+
+
+def per_member_local_loads(classes, part, field):
+    """Reference loads: each class's members' triangle ids and its shared
+    local dof table taken from `partition.local_dofs`, then one bincount
+    per class of those triangles' contributions into its local dofs."""
+    tri_ids, starts, loc = local_dofs(part)
+    contrib = fem.element_loads(part.mesh, field)
+    loads = []
+    for cls in classes:
+        k, n = cls.members.size, cls.n_local
+        size = starts[cls.members[0] + 1] - starts[cls.members[0]]
+        rows = starts[cls.members][:, None] + np.arange(size)
+        cls_loc = loc[rows[0]]
+        keep = cls_loc >= 0
+        dofs = cls_loc[keep] + n * np.arange(k)[:, None]
+        values = np.take(contrib, tri_ids[rows], axis=0)[:, keep]
+        loads.append(
+            np.bincount(dofs.ravel(), values.ravel(), minlength=n * k).reshape(k, n).T
+        )
+    return loads
 
 
 def direct_classes(classes):

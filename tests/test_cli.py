@@ -192,6 +192,22 @@ def test_main_run_spectrum_max_n(tmp_path, capsys):
     assert [int(r["dim"]) for r in data] == [192, 384]
 
 
+@pytest.mark.parametrize("experiment,max_n", [("spectrum", "2"), ("table1", "3")])
+def test_main_run_refuses_an_emptied_grid(tmp_path, capsys, experiment, max_n):
+    """A --max-n below every row of the grid is refused with exit 2 and
+    writes nothing, instead of running the default grid (spectrum) or
+    writing an empty table (table1)."""
+    out = tmp_path / "out"
+    rc = cli.main([
+        "run", "--experiment", experiment, "--max-n", max_n, "--out", str(out),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-n {max_n} leaves no row of the {experiment} grid" in captured.err
+    assert not out.exists()
+
+
 def test_main_run_table1_exit_codes(tmp_path, capsys):
     rc = cli.main([
         "run", "--experiment", "table1", "--max-n", "4",
@@ -325,6 +341,9 @@ def test_main_rejects_bad_tol_and_beta(option, value, capsys):
     (["spectrum", "--n", "2", "--ratio", "0"], "positive integer"),
     (["solve", "--n", "2", "--ratio", "2", "--max-iter", "0"], "positive integer"),
     (["run", "--experiment", "table1", "--max-iter", "0"], "positive integer"),
+    (["run", "--experiment", "table1", "--max-n", "0"], "positive integer"),
+    (["run", "--experiment", "table1", "--max-n", "-5"], "positive integer"),
+    (["run", "--experiment", "spectrum", "--max-n", "two"], "positive integer"),
 ])
 def test_main_rejects_bad_theta_sizes_and_max_iter(argv, expected, capsys):
     """Refused by the argument parser with a usage error, not a
