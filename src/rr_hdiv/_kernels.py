@@ -34,9 +34,6 @@ QUAD4_BARY = np.array(
 )
 QUAD4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
-# Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
-GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
-
 
 def element_matrices(coords, lengths, signs, areas):
     """Grad-div and mass element matrices for a batch of triangles.

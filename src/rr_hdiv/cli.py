@@ -26,6 +26,7 @@ from .mesh import build_unit_square_mesh, dump_mesh_csv
 
 __all__ = [
     "ExperimentConfig",
+    "EmptyGridError",
     "TableSpec",
     "EXPERIMENTS",
     "spectrum_runs",
@@ -102,6 +103,10 @@ class ExperimentConfig:
         for key in ("n_list", "ratio_list", "gamma_rules", "theta_list"):
             d[key] = list(d[key])
         return d
+
+
+class EmptyGridError(ValueError):
+    """An experiment's row grid holds no row; nothing is run or written."""
 
 
 def _count_cell(report) -> str:
@@ -302,10 +307,14 @@ def run_table(config: ExperimentConfig):
     spec = EXPERIMENTS[config.experiment]
     if spec.method is None:
         return run_spectrum(config)
+    grid = getattr(config, spec.grid_field)
+    if not grid:
+        raise EmptyGridError(
+            f"{config.experiment}: its grid {spec.grid_field}={grid} is empty")
     method = spec.method
     case = verify.manufactured_case()
     rows, csv_rows, json_rows, ok = [], [], [], True
-    for value in getattr(config, spec.grid_field):
+    for value in grid:
         cells = {}
         for col in method.columns:
             cfg = iteration.IterationConfig(
@@ -333,12 +342,12 @@ def run_table(config: ExperimentConfig):
 
 
 def run_spectrum(config: ExperimentConfig):
-    spec = EXPERIMENTS["spectrum"]
-    grid = tuple(
-        (N, r)
-        for N in config.n_list
-        for r in config.ratio_list
-    )
+    """Spectra over n_list x ratio_list; -> (reports, paths, True)."""
+    grid = tuple((N, r) for N in config.n_list for r in config.ratio_list)
+    if not grid:
+        raise EmptyGridError(
+            f"{config.experiment}: its grid n_list={config.n_list} x "
+            f"ratio_list={config.ratio_list} is empty")
     reports, skipped = spectrum_runs(grid, gamma_rule=config.gamma_rules[0],
                                      theta=config.theta_list[0])
     os.makedirs(config.out_dir, exist_ok=True)
@@ -389,15 +398,17 @@ def _cmd_run(args) -> int:
         "out_dir": args.out, "fmt": args.format,
         **spec.config,
     })
-    if not getattr(config, spec.grid_field):
-        print(f"error: --max-n {args.max_n} leaves no row of the "
-              f"{args.experiment} grid {spec.grid(args.full)}", file=sys.stderr)
-        return 2
-    if args.full and spec.full != spec.desk:
+    if not set(getattr(config, spec.grid_field)) <= set(spec.desk):
         print("full grid requested: the largest rows solve meshes of up "
               "to 512 x 512 (table1) or 768 x 768 (table3) cells; each "
               "table takes about 15 s and under 1 GB", file=sys.stderr)
-    _, paths, ok = run_table(config)
+    try:
+        _, paths, ok = run_table(config)
+    except EmptyGridError as err:
+        print(f"error: --max-n {args.max_n} leaves no row of the "
+              f"{args.experiment} grid {spec.grid(args.full)} ({err})",
+              file=sys.stderr)
+        return 2
     for p in paths:
         print(p)
     if not ok:

@@ -13,13 +13,16 @@ matrices, its basis values at the degree-4 quadrature points and its
 basis divergences.  Before any table is used for a mesh, every triangle
 of it is checked congruent to its shape's reference, once per mesh
 object (`_check_congruent`, run by the first of element_matrices,
-element_loads, error_norms or divergence to see the mesh): the shape and
+element_loads or error_norms to see the mesh): the shape and
 vertex ids its place in the mesh numbering gives, equal edge orientations
 and edge kinds, and area and edge lengths equal to round-off, with the
 vertices at the grid coordinates; a mismatch raises ValueError naming the
-triangle.  Loads and error norms take QUAD_BLOCK triangles of one shape
-at a time, one matrix product per block, with the quadrature points
-written from the cell coordinates of each triangle.
+triangle.  Loads and error norms take whole cell rows of one shape at
+a time (`_row_blocks`), one matrix product per block.  The quadrature
+points of a block are one row of x values and one column of y values
+that broadcast against each other, and each block reads and writes the
+(cell row, shape, cell column) view of the per-triangle tables, so no
+triangle ids are formed.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels as K
 from .mesh import LOWER, UPPER, Mesh, grid_coordinates
 
-# Triangles per block in element_loads, error_norms and divergence; bounds
-# the quadrature temporaries on fine meshes.
+# Triangles per block in element_loads and error_norms, rounded down to
+# whole cell rows (at least one); bounds the quadrature temporaries on
+# fine meshes.
 QUAD_BLOCK = 16384
 
 # Relative tolerance for areas and edge lengths of congruent triangles.
@@ -156,25 +159,23 @@ def _check_congruent(mesh: Mesh) -> list:
     return shapes
 
 
-def _blocks(mesh: Mesh):
-    """Yield (shape, ids, cx, cy) for blocks of at most QUAD_BLOCK
-    triangles of one shape, in row-pattern order, with the cell column
-    and row of each; the mesh passed `_check_congruent`."""
+def _row_blocks(mesh: Mesh):
+    """Yield (shape, kind, rows, x, y) for blocks of whole cell rows of
+    one shape, max(1, QUAD_BLOCK // m) rows at a time, after the mesh has
+    passed `_check_congruent`.  `rows` is a slice of cell rows; x is
+    (1, m, nq) and y is (rows, 1, nq), so the two broadcast to the
+    block's (rows, m, nq).  The points of the triangle of shape `kind` in
+    cell (cx, cy) are x[0, cx] and y[cy - rows.start, 0]: the reference's
+    offsets moved by the cell corner, which sits at grid coordinates
+    (cx, cy)."""
     m = mesh.m
+    grid = grid_coordinates(m)[:-1, None]
+    step = max(1, QUAD_BLOCK // m)
     for kind, shape in enumerate(_shapes(mesh)):
-        for start in range(0, m * m, QUAD_BLOCK):
-            cy, cx = np.divmod(np.arange(start, min(start + QUAD_BLOCK, m * m)), m)
-            yield shape, cy * (2 * m) + kind * m + cx, cx, cy
-
-
-def _points(mesh: Mesh, shape: _Shape, cx: np.ndarray, cy: np.ndarray):
-    """x and y of the quadrature points of the triangles of `shape` in
-    cells (cx, cy), each (nb, nq): the reference's offsets moved by the
-    cell corner, which sits at grid coordinates (cx, cy).  Rows are taken
-    from the m x nq tables of one cell row and one cell column."""
-    grid = grid_coordinates(mesh.m)[:-1, None]
-    return (np.take(grid + shape.offsets[:, 0], cx, axis=0),
-            np.take(grid + shape.offsets[:, 1], cy, axis=0))
+        x = (grid + shape.offsets[:, 0])[None]
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            yield shape, kind, rows, x, (grid[rows] + shape.offsets[:, 1])[:, None]
 
 
 @dataclass(eq=False)
@@ -214,28 +215,37 @@ def element_matrices(mesh: Mesh, tri_ids=None):
     return divdiv[kind], mass[kind]
 
 
-def _block_loads(mesh, shape, ids, cx, cy, field) -> np.ndarray:
-    """Load contributions of one block of `_blocks`, shape (ids.size, 3);
-    its temporaries are freed before the next block makes its own."""
-    nq = K.QUAD4_W.size
-    x, y = _points(mesh, shape, cx, cy)
-    fx, fy = field(x, y)
-    f = np.empty((ids.size, 2, nq))
-    f[:, 0] = fx
-    f[:, 1] = fy
-    table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
-    return f.reshape(ids.size, 2 * nq) @ table
-
-
 def element_loads(mesh: Mesh, field) -> np.ndarray:
     """Per-triangle load contributions int_K field . phi, shape (nt, 3).
 
     Uses the degree-4 rule, exact for the quadratic manufactured load.
+    Each block is written into its (cell row, shape, cell column) view of
+    the result; field components that depend on x or y alone, or neither,
+    are broadcast to the block.
     """
+    m, nq = mesh.m, K.QUAD4_W.size
     out = np.empty((mesh.n_triangles, 3))
-    for shape, ids, cx, cy in _blocks(mesh):
-        out[ids] = _block_loads(mesh, shape, ids, cx, cy, field)
+    cells = out.reshape(m, 2, m, 3)
+    for shape, kind, rows, x, y in _row_blocks(mesh):
+        block = (y.shape[0], m, nq)
+        table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
+        # One statement, so the block's field values are freed before the
+        # next block evaluates its own.
+        cells[rows, kind] = np.concatenate(
+            [np.broadcast_to(c, block) for c in field(x, y)], axis=2) @ table
     return out
+
+
+def assemble_matrix(elem: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n x n sum of the element matrices elem (nt, 3, 3), entry (i, j)
+    of triangle t at (dofs[t, i], dofs[t, j]); entries on a dof < 0 are
+    dropped.  The result is canonical CSR: sorted indices, no duplicates."""
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (elem.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)
+    ).tocsr()
 
 
 def assemble_global(mesh: Mesh, beta: float, field) -> GlobalSystem:
@@ -249,64 +259,17 @@ def assemble_global(mesh: Mesh, beta: float, field) -> GlobalSystem:
     edge_to_free[free_edges] = np.arange(len(free_edges))
 
     dofs = edge_to_free[mesh.tri_edges]  # (nt, 3), -1 on boundary edges
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    vals = elem.ravel()
-    keep = (rows >= 0) & (cols >= 0)
     n = len(free_edges)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-
-    contrib = element_loads(mesh, field)
-    load = np.zeros(n)
-    np.add.at(load, dofs.ravel()[dofs.ravel() >= 0], contrib.ravel()[dofs.ravel() >= 0])
+    free = dofs >= 0
+    load = np.bincount(dofs[free], element_loads(mesh, field)[free], minlength=n)
     return GlobalSystem(
         mesh=mesh,
         beta=beta,
-        A=A,
+        A=assemble_matrix(elem, dofs, n),
         load=load,
         free_edges=free_edges,
         edge_to_free=edge_to_free,
     )
-
-
-def interpolate(mesh: Mesh, field) -> np.ndarray:
-    """Edgewise interpolation: average normal component across each edge.
-
-    Two-point Gauss quadrature along the edge, exact for the quadratic
-    manufactured solution. Returns values for every edge, boundary included.
-    """
-    p = mesh.verts[mesh.edges[:, 0]]
-    q = mesh.verts[mesh.edges[:, 1]]
-    mid = 0.5 * (p + q)
-    tang = q - p
-    vals = np.zeros(mesh.n_edges)
-    for t in K.GAUSS2_T:
-        pts = mid + t * tang
-        fx, fy = field(pts[:, 0], pts[:, 1])
-        vals += 0.5 * (fx * mesh.edge_normal[:, 0] + fy * mesh.edge_normal[:, 1])
-    return vals
-
-
-def divergence(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Elementwise (constant) divergence of the field with edge dofs u."""
-    out = np.empty(mesh.n_triangles)
-    for shape, ids, _, _ in _blocks(mesh):
-        out[ids] = u[np.take(mesh.tri_edges, ids, axis=0)] @ shape.div
-    return out
-
-
-def _block_error_squares(mesh, shape, ids, cx, cy, u, exact_u, exact_div):
-    """Squared L2 and divergence errors over one block of `_blocks`.  Its
-    temporaries are freed on return, before the next block makes its own."""
-    nq = K.QUAD4_W.size
-    x, y = _points(mesh, shape, cx, cy)
-    lam = u[np.take(mesh.tri_edges, ids, axis=0)]
-    uh = (lam @ shape.values).reshape(ids.size, 2, nq)
-    ex, ey = exact_u(x, y)
-    dd = (lam @ shape.div)[:, None] - exact_div(x, y)
-    l2_sq = shape.area * np.sum(
-        ((uh[:, 0] - ex) ** 2 + (uh[:, 1] - ey) ** 2) @ K.QUAD4_W)
-    return l2_sq, shape.area * np.sum((dd * dd) @ K.QUAD4_W)
 
 
 def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
@@ -315,16 +278,16 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
     The H(div) norm is sqrt(l2^2 + ||div u_h - div u||^2). Quadrature is
     the degree-4 rule, exact when the exact field is quadratic.
     """
+    m, nq = mesh.m, K.QUAD4_W.size
+    tri_edges = mesh.tri_edges.reshape(m, 2, m, 3)
     l2_sq = div_sq = 0.0
-    for block in _blocks(mesh):
-        l2, div = _block_error_squares(mesh, *block, u, exact_u, exact_div)
-        l2_sq += l2
-        div_sq += div
+    for shape, kind, rows, x, y in _row_blocks(mesh):
+        lam = u[tri_edges[rows, kind]]
+        uh = lam @ shape.values
+        ex, ey = exact_u(x, y)
+        dd = (lam @ shape.div)[..., None] - exact_div(x, y)
+        l2_sq += shape.area * np.sum(
+            ((uh[..., :nq] - ex) ** 2 + (uh[..., nq:] - ey) ** 2) @ K.QUAD4_W)
+        div_sq += shape.area * np.sum((dd * dd) @ K.QUAD4_W)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + div_sq))
 
-
-def l2_distance(mesh: Mesh, u: np.ndarray, v: np.ndarray) -> float:
-    """L2 norm of the difference of two discrete fields."""
-    _, mass = element_matrices(mesh)
-    d = (u - v)[mesh.tri_edges]
-    return float(np.sqrt(np.einsum("tij,ti,tj->", mass, d, d)))

@@ -101,12 +101,6 @@ class RobinClass:
     def n_local(self) -> int:
         return self.interior.shape[1] + self.slots.shape[1]
 
-    def robin_matrix(self) -> sp.csc_matrix:
-        """The class's own Robin matrix, reassembled (small instances, tests)."""
-        diag = np.zeros(self.n_local)
-        diag[self.n_interior:] = self.gamma * self.m_diag
-        return _plus_diagonal(self.A, diag)
-
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
         """H^-1 rhs for a block of columns, rhs of shape (n_local, k)."""
         perm, sign = self.perm[0], self.sign[0][:, None]
@@ -148,16 +142,6 @@ def _check_congruent(members: np.ndarray, what: str, table) -> None:
             f"subdomain {members[np.argmin(same)]} is not a translate of "
             f"subdomain {members[0]}: its {what} differs"
         )
-
-
-def _local_matrix(elem: np.ndarray, dofs: np.ndarray, n_local: int):
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (elem.ravel()[keep], (rows[keep], cols[keep])),
-        shape=(n_local, n_local),
-    ).tocsr()
 
 
 def _plus_diagonal(A: sp.spmatrix, diag) -> sp.csc_matrix:
@@ -202,7 +186,7 @@ def _is_signed_image(B: sp.csr_matrix, A: sp.csr_matrix, perm: np.ndarray,
     """Whether B = P S A S P^T exactly: entry (i, j) of A, times
     sign[i] sign[j], sits at (perm[i], perm[j]) of B, and B has no other
     entries.  Both must be in canonical CSR (sorted indices, no
-    duplicates), as `_local_matrix` builds them, so that B's entries are
+    duplicates), as `fem.assemble_matrix` builds them, so that B's entries are
     sorted by row * n + column."""
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -250,7 +234,7 @@ def build_local_systems(
         class_of[members] = len(own)
         own.append(dict(
             members=members, interior=interior, slots=slots,
-            A=_local_matrix(divdiv + beta * mass, dofs, n_local),
+            A=fem.assemble_matrix(divdiv + beta * mass, dofs, n_local),
             m_diag=part.trace.m_diag[slots[0]], gamma=gamma,
         ))
 

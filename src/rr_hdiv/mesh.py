@@ -70,23 +70,12 @@ class Mesh:
     tri_shape: np.ndarray
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.verts)
-
-    @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     @property
     def n_triangles(self) -> int:
         return len(self.tris)
-
-    def tri_coords(self) -> np.ndarray:
-        """Vertex coordinates per triangle, shape (nt, 3, 2)."""
-        return self.verts[self.tris]
-
-    def interior_edges(self) -> np.ndarray:
-        return np.flatnonzero(~self.edge_boundary)
 
 
 def grid_coordinates(m: int) -> np.ndarray:
@@ -198,23 +187,6 @@ def build_unit_square_mesh(m: int) -> Mesh:
         tri_area=area,
         tri_shape=tri_shape,
     )
-
-
-def classify_boundary(mesh: Mesh) -> np.ndarray:
-    """Edge ids lying on the boundary of the unit square.
-
-    Recomputed from vertex coordinates (both endpoints on one boundary
-    line), independently of the flags stored at build time.
-    """
-    p = mesh.verts[mesh.edges[:, 0]]
-    q = mesh.verts[mesh.edges[:, 1]]
-    on_line = np.zeros(mesh.n_edges, dtype=bool)
-    for axis in (0, 1):
-        for value in (0.0, 1.0):
-            on_line |= (np.abs(p[:, axis] - value) < 1e-12) & (
-                np.abs(q[:, axis] - value) < 1e-12
-            )
-    return np.flatnonzero(on_line)
 
 
 def dump_mesh_csv(mesh: Mesh, directory: str) -> None:

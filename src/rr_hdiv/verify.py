@@ -89,12 +89,3 @@ def fixed_point_g(problem, u: np.ndarray) -> np.ndarray:
         g[cls.slots] = problem.gamma * u_delta + (r_delta / cls.m_diag[:, None]).T
     return g
 
-
-def direct_errors(m: int, case: ManufacturedCase | None = None):
-    """L2 and H(div) errors of the direct solve at resolution m."""
-    from .mesh import build_unit_square_mesh
-
-    case = case or manufactured_case()
-    mesh = build_unit_square_mesh(m)
-    u = solve_global(mesh, case.beta, case.load)
-    return fem.error_norms(mesh, u, case.u, case.div_u)

@@ -3,15 +3,99 @@
 Everything here rebuilds operators from first principles (each
 subdomain's Robin matrix assembled from its own triangles, then dense
 block algebra) so the class-shared, matrix-free production paths have an
-independent cross-check on small instances.
+independent cross-check on small instances.  The first section holds
+reference code that only the tests use: mesh queries, the edge
+interpolant, the elementwise divergence, the L2 distance of two discrete
+fields, the errors of the direct solve and a class's Robin matrix.
 """
 
 import dataclasses
 
 import numpy as np
 
-from rr_hdiv import fem, local_solver
+from rr_hdiv import fem, local_solver, verify
+from rr_hdiv.mesh import build_unit_square_mesh
 from rr_hdiv.partition import local_dofs
+
+# Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
+GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
+
+
+def n_vertices(mesh):
+    return len(mesh.verts)
+
+
+def tri_coords(mesh):
+    """Vertex coordinates per triangle, shape (nt, 3, 2)."""
+    return mesh.verts[mesh.tris]
+
+
+def interior_edges(mesh):
+    return np.flatnonzero(~mesh.edge_boundary)
+
+
+def classify_boundary(mesh):
+    """Edge ids lying on the boundary of the unit square.
+
+    Recomputed from vertex coordinates (both endpoints on one boundary
+    line), independently of the flags stored at build time.
+    """
+    p = mesh.verts[mesh.edges[:, 0]]
+    q = mesh.verts[mesh.edges[:, 1]]
+    on_line = np.zeros(mesh.n_edges, dtype=bool)
+    for axis in (0, 1):
+        for value in (0.0, 1.0):
+            on_line |= (np.abs(p[:, axis] - value) < 1e-12) & (
+                np.abs(q[:, axis] - value) < 1e-12
+            )
+    return np.flatnonzero(on_line)
+
+
+def interpolate(mesh, field):
+    """Edgewise interpolation: average normal component across each edge.
+
+    Two-point Gauss quadrature along the edge, exact for the quadratic
+    manufactured solution. Returns values for every edge, boundary included.
+    """
+    p = mesh.verts[mesh.edges[:, 0]]
+    q = mesh.verts[mesh.edges[:, 1]]
+    mid = 0.5 * (p + q)
+    tang = q - p
+    vals = np.zeros(mesh.n_edges)
+    for t in GAUSS2_T:
+        pts = mid + t * tang
+        fx, fy = field(pts[:, 0], pts[:, 1])
+        vals += 0.5 * (fx * mesh.edge_normal[:, 0] + fy * mesh.edge_normal[:, 1])
+    return vals
+
+
+def divergence(mesh, u):
+    """Elementwise (constant) divergence of the field with edge dofs u,
+    from the basis divergences of `fem`'s per-shape tables."""
+    div = np.array([shape.div for shape in fem._shapes(mesh)])
+    return np.einsum("tk,tk->t", u[mesh.tri_edges], div[mesh.tri_shape])
+
+
+def l2_distance(mesh, u, v):
+    """L2 norm of the difference of two discrete fields."""
+    _, mass = fem.element_matrices(mesh)
+    d = (u - v)[mesh.tri_edges]
+    return float(np.sqrt(np.einsum("tij,ti,tj->", mass, d, d)))
+
+
+def direct_errors(m, case=None):
+    """L2 and H(div) errors of the direct solve at resolution m."""
+    case = case or verify.manufactured_case()
+    mesh = build_unit_square_mesh(m)
+    u = verify.solve_global(mesh, case.beta, case.load)
+    return fem.error_norms(mesh, u, case.u, case.div_u)
+
+
+def robin_matrix(cls):
+    """Class `cls`'s own Robin matrix, A plus the Robin term."""
+    diag = np.zeros(cls.n_local)
+    diag[cls.n_interior:] = cls.gamma * cls.m_diag
+    return local_solver._plus_diagonal(cls.A, diag)
 
 
 def subdomain_robin_matrix(problem, s):

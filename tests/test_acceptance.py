@@ -34,10 +34,16 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from rr_hdiv import boundary_system, fem, iteration, local_solver, spectrum, verify
+from rr_hdiv import boundary_system, iteration, local_solver, spectrum, verify
 from rr_hdiv.mesh import build_unit_square_mesh
 
-from helpers import apply_to_identity, dense_interface_operator, dense_resolvent
+from helpers import (
+    apply_to_identity,
+    dense_interface_operator,
+    dense_resolvent,
+    direct_errors,
+    l2_distance,
+)
 
 TABLE1_REFERENCE = {
     4: (41, 30, 73, 54),
@@ -157,7 +163,7 @@ def minres_counts(case):
 
 
 def test_criterion_1_discretization_errors():
-    errs = {m: verify.direct_errors(m) for m in (32, 64, 128)}
+    errs = {m: direct_errors(m) for m in (32, 64, 128)}
     for col in (0, 1):
         for fine, coarse in ((64, 32), (128, 64)):
             ratio = errs[coarse][col] / errs[fine][col]
@@ -408,9 +414,9 @@ def test_criterion_9_cross_method_consistency(case):
     assert krep.converged
     mesh = build_unit_square_mesh(cfg.m)
     direct = verify.solve_global(mesh, case.beta, case.load)
-    d1 = fem.l2_distance(mesh, rich.u_h, direct)
-    d2 = fem.l2_distance(mesh, krep.u_h, direct)
-    d3 = fem.l2_distance(mesh, rich.u_h, krep.u_h)
+    d1 = l2_distance(mesh, rich.u_h, direct)
+    d2 = l2_distance(mesh, krep.u_h, direct)
+    d3 = l2_distance(mesh, rich.u_h, krep.u_h)
     print(f"criterion 9 distances richardson/minres/direct: "
           f"{d1:.3e} {d2:.3e} {d3:.3e}")
     assert max(d1, d2, d3) < 1e-4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from helpers import apply_to_identity, dense_interface_operator
+from helpers import apply_to_identity, dense_interface_operator, l2_distance
 from rr_hdiv import boundary_system, fem, iteration, verify
 
 MINRES_N4_R8_H = 27  # measured on this discretization, deterministic
@@ -137,7 +137,7 @@ def test_solve_minres_frozen_count(case, problem_n4, op4, oracle32):
     assert rep.iterations == MINRES_N4_R8_H
     assert rep.final_residual < 1e-6
     assert len(rep.residual_history) == rep.iterations
-    dist = fem.l2_distance(problem_n4.mesh, rep.u_h, oracle32)
+    dist = l2_distance(problem_n4.mesh, rep.u_h, oracle32)
     assert dist < 1e-4
     assert rep.l2_error == pytest.approx(7.366415e-3, rel=1e-3)
 
@@ -145,7 +145,7 @@ def test_solve_minres_frozen_count(case, problem_n4, op4, oracle32):
 def test_recover_solution_from_exact_datum(case, problem_n4, oracle32):
     g = verify.fixed_point_g(problem_n4, oracle32)
     u_h, l2, hdiv = problem_n4.recover(g, case=case)
-    assert fem.l2_distance(problem_n4.mesh, u_h, oracle32) < 1e-8
+    assert l2_distance(problem_n4.mesh, u_h, oracle32) < 1e-8
     l2_direct, hdiv_direct = fem.error_norms(
         problem_n4.mesh, oracle32, case.u, case.div_u
     )

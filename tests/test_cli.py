@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,30 @@ def test_main_run_refuses_an_emptied_grid(tmp_path, capsys, experiment, max_n):
     assert captured.out == ""
     assert f"--max-n {max_n} leaves no row of the {experiment} grid" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["table1", "spectrum"])
+def test_empty_grid_raises_and_writes_nothing(tmp_path, experiment):
+    """run_table and run_spectrum refuse a config whose grid fields are
+    left at their default, naming the experiment and its grid, and write
+    no file."""
+    out = tmp_path / "out"
+    config = cli.ExperimentConfig(experiment=experiment, out_dir=str(out))
+    for run in (cli.run_table, cli.run_spectrum):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{experiment}: its grid n_list=() ") + ".*is empty$"):
+            run(config)
+    assert not out.exists()
+
+
+def test_main_run_warns_only_beyond_the_desk_grid(tmp_path, capsys):
+    """--full warns of the large meshes only when the capped grid keeps a
+    row beyond the desk grid: not when --max-n empties it, nor when it
+    leaves desk rows alone."""
+    for max_n, rc in (("3", 2), ("4", 0)):
+        assert cli.main(["run", "--experiment", "table1", "--full",
+                         "--max-n", max_n, "--out", str(tmp_path)]) == rc
+        assert "full grid requested" not in capsys.readouterr().err
 
 
 def test_main_run_table1_exit_codes(tmp_path, capsys):

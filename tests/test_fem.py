@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from helpers import direct_errors, divergence, interpolate, l2_distance
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -114,12 +115,12 @@ def test_congruence_checked_once_per_mesh(case, monkeypatch):
 
     monkeypatch.setattr(fem, "_check_congruent", counted)
     mesh = build_unit_square_mesh(6)
-    u = fem.interpolate(mesh, case.u)
+    u = interpolate(mesh, case.u)
     fem.element_matrices(mesh, np.arange(5))
     fem.element_matrices(mesh)
     fem.element_loads(mesh, case.load)
     fem.error_norms(mesh, u, case.u, case.div_u)
-    fem.divergence(mesh, u)
+    divergence(mesh, u)
     assert calls == [mesh]
     copy = dataclasses.replace(mesh)
     fem.error_norms(copy, u, case.u, case.div_u)
@@ -164,24 +165,79 @@ def test_every_congruence_check_fires(mesh8, case, fault):
 
 @pytest.mark.parametrize("m", [1, 5, 6, 24])
 def test_quadrature_points_match_vertex_gather(monkeypatch, m):
-    """Reference: blocks are the triangles of each shape in id order, and
-    the quadrature points are gathered from the vertex coordinates of each
-    triangle's first vertex, as before the points were written by formula."""
-    monkeypatch.setattr(fem, "QUAD_BLOCK", 7)
+    """Reference: at blocks of 7 triangles and at the default, the blocks
+    hold whole cell rows of one shape, every triangle of each shape once,
+    and the quadrature points are gathered from the vertex coordinates of
+    each triangle's first vertex, as before the points were written by
+    formula."""
     mesh = build_unit_square_mesh(m)
-    expected = []
+    nq = K.QUAD4_W.size
+    ids = np.arange(mesh.n_triangles).reshape(m, 2, m)
+    shapes = fem._shapes(mesh)
+    for block in (7, fem.QUAD_BLOCK):
+        monkeypatch.setattr(fem, "QUAD_BLOCK", block)
+        seen = np.zeros(mesh.n_triangles, dtype=int)
+        for shape, kind, rows, x, y in fem._row_blocks(mesh):
+            assert shape is shapes[kind]
+            tri = ids[rows, kind]
+            assert tri.shape[0] == min(max(1, block // m), m - rows.start)
+            assert x.shape == (1, m, nq) and y.shape == (tri.shape[0], 1, nq)
+            np.testing.assert_array_equal(mesh.tri_shape[tri], kind)
+            seen[tri] += 1
+            origin = mesh.verts[mesh.tris[tri, 0]]
+            x, y = np.broadcast_arrays(x, y)
+            np.testing.assert_array_equal(x, origin[..., :1] + shape.offsets[:, 0])
+            np.testing.assert_array_equal(y, origin[..., 1:] + shape.offsets[:, 1])
+        np.testing.assert_array_equal(seen, 1)
+
+
+def _loads_by_vertex_gather(mesh, field):
+    """Reference loads: the quadrature points of every triangle gathered
+    from its first vertex, the field evaluated there, and one product per
+    shape of those triangles' values with the shape's weighted basis
+    table, scattered back by triangle id."""
+    out = np.empty((mesh.n_triangles, 3))
+    weights = np.tile(K.QUAD4_W, 2)
     for kind, shape in enumerate(fem._shapes(mesh)):
-        of_shape = np.flatnonzero(mesh.tri_shape == kind)
-        expected += [(shape, of_shape[s:s + 7]) for s in range(0, of_shape.size, 7)]
-    blocks = list(fem._blocks(mesh))
-    assert len(blocks) == len(expected)
-    for (shape, ids, cx, cy), (ref_shape, ref_ids) in zip(blocks, expected):
-        assert shape is ref_shape
-        np.testing.assert_array_equal(ids, ref_ids)
-        origin = mesh.verts[mesh.tris[ids, 0]]
-        x, y = fem._points(mesh, shape, cx, cy)
-        np.testing.assert_array_equal(x, origin[:, :1] + shape.offsets[:, 0])
-        np.testing.assert_array_equal(y, origin[:, 1:] + shape.offsets[:, 1])
+        ids = np.flatnonzero(mesh.tri_shape == kind)
+        pts = mesh.verts[mesh.tris[ids, 0]][:, None] + shape.offsets
+        f = np.concatenate(field(pts[..., 0], pts[..., 1]), axis=1)
+        out[ids] = f @ (shape.values.T * (shape.area * weights)[:, None])
+    return out
+
+
+def test_element_loads_match_per_triangle_reference(monkeypatch):
+    """At m=24, which is not dyadic, each triangle's loads equal those
+    from its own gathered points bitwise, in one block and in blocks of
+    one cell row."""
+    mesh = build_unit_square_mesh(24)
+    field = lambda x, y: (np.sin(3.0 * x + y), np.cos(x - 2.0 * y))
+    expected = _loads_by_vertex_gather(mesh, field)
+    np.testing.assert_array_equal(fem.element_loads(mesh, field), expected)
+    monkeypatch.setattr(fem, "QUAD_BLOCK", 7)
+    np.testing.assert_array_equal(fem.element_loads(mesh, field), expected)
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_loads_of_partial_fields_are_broadcast(monkeypatch, block):
+    """Fields whose components are Python scalars, or arrays of x alone or
+    of y alone, give the loads of their full-array forms bitwise."""
+    if block is not None:
+        monkeypatch.setattr(fem, "QUAD_BLOCK", block)
+    mesh = build_unit_square_mesh(6)
+    partial = {
+        "scalars": lambda x, y: (0.7, -1.3),
+        "x alone": lambda x, y: (np.sin(3.0 * x), 2.0 + x - x * x),
+        "y alone": lambda x, y: (np.cos(y), 2.0 + y - y * y),
+        "mixed": lambda x, y: (-1.3, np.cos(y)),
+    }
+    for name, field in partial.items():
+        def full(x, y, field=field):
+            x, y = np.broadcast_arrays(x, y)
+            return tuple(np.full(x.shape, c) if np.isscalar(c) else c
+                         for c in field(x, y))
+        np.testing.assert_array_equal(fem.element_loads(mesh, field),
+                                      fem.element_loads(mesh, full), err_msg=name)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
@@ -236,6 +292,28 @@ def test_coercivity_dominates_mass(case, rng):
         assert energy > 0
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_assemble_global_matches_scatter_reference(case, m):
+    """The oracle's matrix and load, bitwise, against a COO sum of every
+    triangle's element matrix and an np.add.at scatter of its loads."""
+    mesh = build_unit_square_mesh(m)
+    system = fem.assemble_global(mesh, 2.0, case.load)
+    divdiv, mass = fem.element_matrices(mesh)
+    dofs = system.edge_to_free[mesh.tri_edges]
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = system.n_free
+    A = sp.coo_matrix(((divdiv + 2.0 * mass).ravel()[keep],
+                       (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    load = np.zeros(n)
+    free = dofs >= 0
+    np.add.at(load, dofs[free], fem.element_loads(mesh, case.load)[free])
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(system.A, name), getattr(A, name))
+    np.testing.assert_array_equal(system.load, load)
+
+
 def test_zero_load(mesh8):
     system = fem.assemble_global(mesh8, 1.0, lambda x, y: (0.0 * x, 0.0 * y))
     np.testing.assert_allclose(system.load, 0.0, atol=1e-16)
@@ -251,16 +329,16 @@ def test_direct_solution_residual(case):
 
 def test_interpolate_constant_field(mesh8):
     a, b = 0.7, -1.3
-    u = fem.interpolate(mesh8, lambda x, y: (a + 0.0 * x, b + 0.0 * y))
+    u = interpolate(mesh8, lambda x, y: (a + 0.0 * x, b + 0.0 * y))
     np.testing.assert_allclose(
         u, mesh8.edge_normal @ np.array([a, b]), atol=1e-14
     )
 
 
 def test_interpolate_boundary_and_tangential(mesh8, case):
-    u = fem.interpolate(mesh8, case.u)
+    u = interpolate(mesh8, case.u)
     np.testing.assert_allclose(u[mesh8.edge_boundary], 0.0, atol=1e-15)
-    shear = fem.interpolate(mesh8, lambda x, y: (y, 0.0 * y))
+    shear = interpolate(mesh8, lambda x, y: (y, 0.0 * y))
     from rr_hdiv.mesh import HORIZONTAL
 
     np.testing.assert_allclose(shear[mesh8.edge_kind == HORIZONTAL], 0.0,
@@ -271,17 +349,17 @@ def test_representable_field_reproduced_exactly(mesh8):
     # a + b x with scalar b lies in the discrete space on every triangle
     u_exact = lambda x, y: (1.0 + 2.0 * x, 3.0 + 2.0 * y)
     div_exact = lambda x, y: 4.0 + 0.0 * x
-    u = fem.interpolate(mesh8, u_exact)
+    u = interpolate(mesh8, u_exact)
     l2, hdiv = fem.error_norms(mesh8, u, u_exact, div_exact)
     assert l2 < 1e-13
     assert hdiv < 1e-13
-    np.testing.assert_allclose(fem.divergence(mesh8, u), 4.0, atol=1e-12)
+    np.testing.assert_allclose(divergence(mesh8, u), 4.0, atol=1e-12)
 
 
 def test_divergence_is_net_flux(mesh8, rng):
     """div u_h |K| must equal the signed flux sum around each triangle."""
     u = rng.standard_normal(mesh8.n_edges)
-    div = fem.divergence(mesh8, u)
+    div = divergence(mesh8, u)
     flux = np.einsum(
         "tk,tk->t", mesh8.tri_signs * mesh8.edge_len[mesh8.tri_edges],
         u[mesh8.tri_edges],
@@ -293,28 +371,26 @@ def test_interpolant_error_scales_linearly(case):
     errs = {}
     for m in (8, 16):
         mesh = build_unit_square_mesh(m)
-        u = fem.interpolate(mesh, case.u)
+        u = interpolate(mesh, case.u)
         errs[m] = fem.error_norms(mesh, u, case.u, case.div_u)
     for k in range(2):
         assert 1.90 < errs[8][k] / errs[16][k] < 2.10
 
 
 def test_galerkin_error_constants(case):
-    from rr_hdiv import verify
-
-    l2, hdiv = verify.direct_errors(32, case)
+    l2, hdiv = direct_errors(32, case)
     assert l2 == pytest.approx(L2_CONST / 32, rel=1e-5)
     assert hdiv == pytest.approx(HDIV_CONST / 32, rel=1e-5)
 
 
 def test_l2_distance(mesh8, rng):
     u = rng.standard_normal(mesh8.n_edges)
-    assert fem.l2_distance(mesh8, u, u) == 0.0
+    assert l2_distance(mesh8, u, u) == 0.0
     v = u.copy()
     v[10] += 1.0
-    assert fem.l2_distance(mesh8, u, v) > 0.0
+    assert l2_distance(mesh8, u, v) > 0.0
     np.testing.assert_allclose(
-        fem.l2_distance(mesh8, u, np.zeros_like(u)),
+        l2_distance(mesh8, u, np.zeros_like(u)),
         fem.error_norms(mesh8, u,
                         lambda x, y: (0.0 * x, 0.0 * y),
                         lambda x, y: 0.0 * x)[0],

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import relaxed_step
-from rr_hdiv import fem, iteration, local_solver, spectrum, verify
+from helpers import direct_errors, l2_distance, relaxed_step
+from rr_hdiv import iteration, local_solver, spectrum, verify
 
 # Measured once on this discretization and frozen; the runs are fully
 # deterministic so the counts must reproduce exactly.
@@ -82,7 +82,7 @@ def test_single_subdomain_converges_immediately(case):
     cfg = iteration.IterationConfig(N=1, ratio=8)
     rep = iteration.run_richardson(cfg, case)
     assert rep.converged and rep.iterations == 1
-    l2_direct, hdiv_direct = verify.direct_errors(8, case)
+    l2_direct, hdiv_direct = direct_errors(8, case)
     assert rep.l2_error == pytest.approx(l2_direct, rel=1e-10)
     assert rep.hdiv_error == pytest.approx(hdiv_direct, rel=1e-10)
 
@@ -90,7 +90,7 @@ def test_single_subdomain_converges_immediately(case):
 def test_converged_solution_matches_oracle(case, problem_n4, oracle32):
     cfg = problem_n4.config
     rep = iteration.run_richardson(cfg, case)
-    dist = fem.l2_distance(problem_n4.mesh, rep.u_h, oracle32)
+    dist = l2_distance(problem_n4.mesh, rep.u_h, oracle32)
     assert dist < 10.0 * cfg.tol
 
 

@@ -8,6 +8,7 @@ tables that `fem` builds loads and error norms from.
 
 import numpy as np
 
+from helpers import interpolate, tri_coords
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -86,7 +87,7 @@ def _rt0_values_loops(coords, lengths, signs, areas, dofs, bary):
 
 def _mesh_arrays(m=5):
     mesh = build_unit_square_mesh(m)
-    coords = np.ascontiguousarray(mesh.tri_coords())
+    coords = np.ascontiguousarray(tri_coords(mesh))
     lengths = np.ascontiguousarray(mesh.edge_len[mesh.tri_edges])
     signs = np.ascontiguousarray(mesh.tri_signs.astype(float))
     areas = np.ascontiguousarray(mesh.tri_area)
@@ -129,7 +130,7 @@ def _error_norms_loops(mesh, u, exact_u, exact_div):
 
 
 def _perturbed_interpolant(mesh, case, rng):
-    return fem.interpolate(mesh, case.u) + 1e-2 * rng.standard_normal(mesh.n_edges)
+    return interpolate(mesh, case.u) + 1e-2 * rng.standard_normal(mesh.n_edges)
 
 
 def test_element_loads_match_loops():

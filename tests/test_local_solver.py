@@ -12,6 +12,7 @@ from helpers import (
     dense_resolvent,
     direct_problem,
     per_member_local_loads,
+    robin_matrix,
     subdomain_load,
     subdomain_robin_matrix,
 )
@@ -66,7 +67,7 @@ def test_interface_mass_and_block_sizes(problem_n4):
 
 def test_robin_matrix_spd(small_problem):
     for cls in small_problem.classes:
-        H = cls.robin_matrix().toarray()
+        H = robin_matrix(cls).toarray()
         np.testing.assert_allclose(H, H.T, atol=1e-14)
         assert np.linalg.eigvalsh(H).min() > 0
 
@@ -199,7 +200,7 @@ def test_single_subdomain_equals_global(case, mesh8, oracle8):
     cls = classes[0]
     np.testing.assert_array_equal(cls.members, [0])
     assert cls.slots.shape == (1, 0)
-    H = cls.robin_matrix().toarray()
+    H = robin_matrix(cls).toarray()
     A = fem.assemble_global(mesh8, 1.0, case.load).A.toarray()
     free = np.flatnonzero(~mesh8.edge_boundary)
     interior = cls.interior[0]
@@ -495,7 +496,7 @@ def test_signed_image_check(rng):
 def test_perturbed_mapped_matrix_rejected(case, monkeypatch):
     """One entry of a mapped class's own A, one ulp off, stops it from
     sharing its representative's factor."""
-    assemble = local_solver._local_matrix
+    assemble = fem.assemble_matrix
     calls = []
 
     def perturbed(*args):
@@ -505,7 +506,7 @@ def test_perturbed_mapped_matrix_rejected(case, monkeypatch):
             A.data[7] = np.nextafter(A.data[7], np.inf)
         return A
 
-    monkeypatch.setattr(local_solver, "_local_matrix", perturbed)
+    monkeypatch.setattr(fem, "assemble_matrix", perturbed)
     with pytest.raises(ValueError, match="^subdomain 1: its Robin matrix is not "
                        "the signed symmetry image of that of subdomain 13, its "
                        "representative$"):
@@ -545,7 +546,7 @@ def test_class_matches_every_member(problem_n6):
         1, 1, 1, 1, 4, 4, 4, 4, 16
     ]
     for cls, X in zip(problem_n6.classes, problem_n6.solver._X):
-        H_class = cls.robin_matrix().toarray()
+        H_class = robin_matrix(cls).toarray()
         nI = cls.n_interior
         Z = X[nI:]
         for s in cls.members:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import classify_boundary, interior_edges, n_vertices, tri_coords
 from rr_hdiv import mesh as mesh_mod
 from rr_hdiv.mesh import (
     DIAGONAL,
@@ -16,7 +17,6 @@ from rr_hdiv.mesh import (
     VERTICAL,
     Mesh,
     build_unit_square_mesh,
-    classify_boundary,
     dump_mesh_csv,
     edge_id,
     grid_coordinates,
@@ -29,7 +29,7 @@ from rr_hdiv.mesh import (
 )
 def test_entity_counts(m, nv, ne, nt):
     mesh = build_unit_square_mesh(m)
-    assert mesh.n_vertices == nv
+    assert n_vertices(mesh) == nv
     assert mesh.n_edges == ne == 3 * m * m + 2 * m
     assert mesh.n_triangles == nt == 2 * m * m
     # Euler's formula with the interior faces only
@@ -47,7 +47,7 @@ def test_vertex_grid_and_ids(mesh8):
     iy = np.rint(mesh8.verts[:, 1] * m).astype(int)
     np.testing.assert_allclose(mesh8.verts[:, 0], ix / m, atol=1e-15)
     np.testing.assert_allclose(mesh8.verts[:, 1], iy / m, atol=1e-15)
-    np.testing.assert_array_equal(iy * (m + 1) + ix, np.arange(mesh8.n_vertices))
+    np.testing.assert_array_equal(iy * (m + 1) + ix, np.arange(n_vertices(mesh8)))
 
 
 def test_edge_normals_fixed_by_kind(mesh8):
@@ -100,7 +100,7 @@ def test_shared_edge_signs_cancel(mesh8):
 def _geometric_signs(mesh):
     """+1 where the edge's fixed normal points away from the opposite
     vertex, from the coordinates of every triangle."""
-    coords = mesh.tri_coords()
+    coords = tri_coords(mesh)
     signs = np.empty((mesh.n_triangles, 3))
     for k in range(3):
         mid = 0.5 * (coords[:, (k + 1) % 3] + coords[:, (k + 2) % 3])
@@ -161,14 +161,14 @@ def test_build_is_deterministic():
 
 
 def test_interior_edges_helper(mesh8):
-    ids = mesh8.interior_edges()
+    ids = interior_edges(mesh8)
     assert len(ids) == mesh8.n_edges - 4 * mesh8.m
     assert not np.any(mesh8.edge_boundary[ids])
 
 
 def test_mesh_dump(tmp_path, mesh8):
     dump_mesh_csv(mesh8, str(tmp_path))
-    for name, rows in (("vertices.csv", mesh8.n_vertices),
+    for name, rows in (("vertices.csv", n_vertices(mesh8)),
                        ("edges.csv", mesh8.n_edges),
                        ("triangles.csv", mesh8.n_triangles)):
         lines = (tmp_path / name).read_text().splitlines()
@@ -275,5 +275,5 @@ def test_edge_id_and_grid_match_build(m):
     x2, y2 = mesh.edge_mid2.T
     np.testing.assert_array_equal(edge_id(m, x2, y2), np.arange(mesh.n_edges))
     grid = grid_coordinates(m)
-    iy, ix = np.divmod(np.arange(mesh.n_vertices), m + 1)
+    iy, ix = np.divmod(np.arange(n_vertices(mesh)), m + 1)
     np.testing.assert_array_equal(mesh.verts, np.column_stack([grid[ix], grid[iy]]))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import tri_coords
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
@@ -209,7 +210,7 @@ def test_interfaces_enumerated_by_position(part4, mesh32):
 
 def test_subdomain_triangle_map(part4, mesh32):
     N = part4.N
-    cents = mesh32.tri_coords().mean(axis=1)
+    cents = tri_coords(mesh32).mean(axis=1)
     cell = np.floor(cents * N).astype(int)
     np.testing.assert_array_equal(
         part4.tri_sub, cell[:, 1] * N + cell[:, 0]

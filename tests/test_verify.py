@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import direct_errors, interpolate
 from rr_hdiv import fem, iteration, verify
 from rr_hdiv.mesh import build_unit_square_mesh
 
@@ -62,7 +63,7 @@ def test_solve_global_refuses_large_mesh(case):
 
 @pytest.mark.parametrize("m", [32, 64])
 def test_direct_errors_frozen(m):
-    l2, hdiv = verify.direct_errors(m)
+    l2, hdiv = direct_errors(m)
     assert l2 == pytest.approx(DIRECT_ERRORS[m][0], rel=1e-6)
     assert hdiv == pytest.approx(DIRECT_ERRORS[m][1], rel=1e-6)
 
@@ -71,15 +72,15 @@ def test_direct_errors_halve_with_resolution():
     for col in (0, 1):
         ratio = DIRECT_ERRORS[32][col] / DIRECT_ERRORS[64][col]
         assert 1.90 <= ratio <= 2.10
-    l2_16, hdiv_16 = verify.direct_errors(16)
-    l2_32, hdiv_32 = verify.direct_errors(32)
+    l2_16, hdiv_16 = direct_errors(16)
+    l2_32, hdiv_32 = direct_errors(32)
     assert 1.90 <= l2_16 / l2_32 <= 2.10
     assert 1.90 <= hdiv_16 / hdiv_32 <= 2.10
 
 
 def test_direct_solve_is_energy_optimal(case, mesh32, oracle32):
     """The solve cannot lose to interpolation in the graph norm."""
-    u_i = fem.interpolate(mesh32, case.u)
+    u_i = interpolate(mesh32, case.u)
     _, hdiv_h = fem.error_norms(mesh32, oracle32, case.u, case.div_u)
     _, hdiv_i = fem.error_norms(mesh32, u_i, case.u, case.div_u)
     assert hdiv_h <= hdiv_i * (1.0 + 1e-12)
