@@ -3,31 +3,35 @@
 Each subdomain carries the bilinear form restricted to its own triangles
 plus a Robin term gamma*M on its interface rows.  The N x N subdomains are
 translates of at most nine shapes, so the matrix is assembled once per
-congruence class.  The half-turn and the reflection x <-> y of the mesh
-carry the nine classes onto four orbits, {interior}, {T, B, L, R},
-{TR, BL} and {BR, TL} (two at N=2, one at N=1), and each class's matrix
-is exactly a signed permutation of its orbit representative's
-(`partition.symmetry_maps`).  So only the representatives are
-factorized; every other class is checked exactly against its
-representative and back-substitutes through that factor.  The
-edge-average continuity constraint B u = 0 is enforced with a Lagrange
-multiplier; eliminating the (block-diagonal) Robin matrix leaves a sparse
-Schur complement S = B H^-1 B^T, one row per coarse interface.  Every one
-of these SPD matrices is factorized the same way, by `_factor`.
+congruence class.  Every subdomain has the same interior edges, in the
+same order, and each of its sides (bottom, left, right, top, where it
+has one) couples to them through the same columns.  So every class's
+Robin matrix is
+
+    H_c = [[A_II, A_IG[:, cols_c]], [A_GI_c, A_GG_c + gamma M_c]],
+
+with one interior block A_II and one side block A_IG (r columns per
+side) shared by all classes, each class keeping the columns cols_c of
+its own sides.  A_II is factorized once, and every class's matrix is
+checked against both shared blocks exactly.  The edge-average continuity
+constraint B u = 0 is enforced with a Lagrange multiplier; eliminating
+the (block-diagonal) Robin matrix leaves a sparse Schur complement
+S = B H^-1 B^T, one row per coarse interface.  A_II and S are factorized
+the same way, by `_factor`.
 
 Each subdomain's local dof order, and its dof tables, are the partition's
 (`partition.local_dofs`, `interior`, `slots`); this module takes them as
 given and checks them congruent across each class.  The loads need no
 per-member triangle table: `local_loads` scatters all triangles once.
 
-Setup also solves each class's Robin problem against the identity on its
-interface rows: the interface block of that solve is the Robin-to-trace
-map of every member, so the constrained resolvent takes one product per
-class and one sparse coarse solve, with no back-substitution.  The group
-acts on the (class, slot position) pairs with orbits of four, so one
-column per orbit is back-substituted (192 of 768 at N=4, r=32) and the
-signed maps fill in the rest.  Each class's full map is then held to a
-backward error against its own matrix.
+Setup condenses each class onto its interface (static condensation).
+W = A_II^-1 A_IG is solved once, for every side column at once, and
+class c's Robin-to-trace map is the inverse of its Schur block,
+Z_c = (A_GG_c - A_GI_c W_c + gamma M_c)^-1, W_c = W[:, cols_c], at most
+4r x 4r and taken through its Cholesky factor.  The constrained resolvent
+is one product with Z_c per class and one sparse coarse solve; `solve`
+adds one interior solve for all members' loads.  Each Z_c is held to a
+bound on its backward error against the class's own matrix.
 """
 
 from __future__ import annotations
@@ -35,14 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
 from .mesh import Mesh
-from .partition import SubdomainPartition, local_dofs, symmetry_maps
+from .partition import SubdomainPartition, local_dofs
 
 __all__ = [
+    "InteriorBlock",
     "RobinClass",
     "ConstrainedRobinSolver",
     "build_local_systems",
@@ -52,34 +58,53 @@ __all__ = [
 # Largest relative backward error accepted for a Robin-to-trace map.
 TRACE_MAP_TOL = 1e-12
 
+# Refusal of a class whose Robin matrix, or its interior block, has no
+# positive definite factorization.
+NOT_SPD = ("subdomain {}: Robin matrix not positive definite (assembly bug or "
+           "invalid parameters)")
+
 # Columns of one block of unit columns in `spectrum.assemble_Q`, which
 # keeps its temporaries to a few n_slots x COLUMN_BLOCK arrays.
 COLUMN_BLOCK = 256
 
 
 @dataclass(eq=False)
+class InteriorBlock:
+    """The interior rows that every class's Robin matrix shares, and one
+    factor.
+
+    `rows` = [A_II, A_IG].  A_II couples the interior dofs, local dofs
+    0 .. nI-1 of every subdomain.  A_IG couples them to the slots of every
+    side that some class has, r columns per side, in the order bottom,
+    left, right, top, and along each side in the order of
+    `partition.slots`.  `_lu` is A_II's factor.
+    """
+
+    rows: sp.csr_matrix
+    _lu: spla.SuperLU
+
+    @property
+    def A_II(self) -> sp.csr_matrix:
+        return self.rows[:, :self.rows.shape[0]]
+
+    @property
+    def A_IG(self) -> sp.csr_matrix:
+        return self.rows[:, self.rows.shape[0]:]
+
+
+@dataclass(eq=False)
 class RobinClass:
-    """The Robin problem of congruent subdomains, sharing one factor per
-    symmetry orbit of classes.
+    """The Robin problem of congruent subdomains.
 
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges interior[i] = part.interior_of(s),
     then the trace slots slots[i] = part.slots_of(s), both increasing.
     `A` holds the class's own plain bilinear blocks
     without the Robin term, H = A + gamma * diag(m_diag) on the interface
-    rows.
-
-    `rep` is the first member of the class's representative: the first
-    class of its orbit under the half-turn and the reflection, the only
-    one factorized.  Row j of (perm, sign) is the map of one group element
-    carrying the representative onto this class, local dof i to local dof
-    perm[j, i] with sign sign[j, i] (`partition.symmetry_maps`); A and
-    m_diag were checked to be exactly their images under every row.  A
-    representative's row 0 is the identity, and its further rows, if any,
-    are the elements that fix its class.  `_lu` is the representative's
-    factor, and `backsolve` solves H = P S H_rep S P^T through it, with P
-    and S the permutation and signs of row 0 (on a representative, the
-    identity).
+    rows.  Its interior rows are meant to be those of `shared`,
+    A[:nI] = [A_II, A_IG[:, cols]], with cols the columns of the class's
+    own sides in the shared side block; `ConstrainedRobinSolver` refuses
+    the class unless they are, exactly.
     """
 
     members: np.ndarray
@@ -88,10 +113,8 @@ class RobinClass:
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
-    rep: int
-    perm: np.ndarray
-    sign: np.ndarray
-    _lu: spla.SuperLU
+    cols: np.ndarray
+    shared: InteriorBlock
 
     @property
     def n_interior(self) -> int:
@@ -100,15 +123,6 @@ class RobinClass:
     @property
     def n_local(self) -> int:
         return self.interior.shape[1] + self.slots.shape[1]
-
-    def backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        """H^-1 rhs for a block of columns, rhs of shape (n_local, k)."""
-        perm, sign = self.perm[0], self.sign[0][:, None]
-        x = _solve(self._lu, sign * rhs[perm],
-                   f"the class of subdomain {self.members[0]}")
-        out = np.empty_like(x)
-        out[perm] = sign * x
-        return out
 
 
 def _rows(start: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -181,28 +195,65 @@ def _solve(lu: spla.SuperLU, rhs: np.ndarray, what: str) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def _is_signed_image(B: sp.csr_matrix, A: sp.csr_matrix, perm: np.ndarray,
-                     sign: np.ndarray) -> bool:
-    """Whether B = P S A S P^T exactly: entry (i, j) of A, times
-    sign[i] sign[j], sits at (perm[i], perm[j]) of B, and B has no other
-    entries.  Both must be in canonical CSR (sorted indices, no
-    duplicates), as `fem.assemble_matrix` builds them, so that B's entries are
-    sorted by row * n + column."""
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    key = perm[rows] * n + perm[A.indices]
-    key_B = np.repeat(np.arange(n) * n, np.diff(B.indptr)) + B.indices
-    pos = np.searchsorted(key_B, key)
-    return (A.nnz == B.nnz
-            and np.array_equal(key_B.take(pos, mode="clip"), key)
-            and np.array_equal(B.data[pos], sign[rows] * sign[A.indices] * A.data))
+def _spd_inverse(S: np.ndarray, not_spd: str) -> np.ndarray:
+    """S^-1 for a dense symmetric S, from its Cholesky factor (LAPACK
+    potrf, then potri).  Raises ValueError(not_spd) unless S is finite and
+    positive definite."""
+    if not np.isfinite(S).all():
+        raise ValueError(not_spd)
+    if not S.size:  # a class without slots
+        return np.zeros_like(S)
+    factor, info = la.lapack.dpotrf(S)
+    if info:
+        raise ValueError(not_spd)
+    upper, _ = la.lapack.dpotri(factor)
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def _entries(A: sp.csr_matrix, lo: int, hi: int):
+    """(row, col, data) of rows lo .. hi-1 of a CSR matrix, rows counted
+    from lo, as views of its arrays where they can be."""
+    a, b = A.indptr[lo], A.indptr[hi]
+    row = np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))
+    return row, A.indices[a:b], A.data[a:b]
+
+
+def _to_shared(n_interior: int, cols: np.ndarray) -> np.ndarray:
+    """The column in `InteriorBlock.rows` of each local dof of a class
+    with n_interior interior dofs and side columns cols."""
+    return np.concatenate([np.arange(n_interior), n_interior + cols])
+
+
+def _check_shared(cls: RobinClass, shared: InteriorBlock) -> None:
+    """Raise ValueError unless the class's interior rows are exactly the
+    shared rows on its own columns, [A_II, A_IG[:, cols]], entry for entry.
+
+    Both are canonical CSR and the map of columns is increasing, so the
+    class's entries must be those of the shared rows on its columns, in
+    the same order."""
+    nI = cls.n_interior
+    if nI == shared.rows.shape[0]:
+        row, col, data = _entries(cls.A, 0, nI)
+        to_shared = _to_shared(nI, cls.cols)
+        own = np.zeros(shared.rows.shape[1], dtype=bool)
+        own[to_shared] = True
+        s_row, s_col, s_data = _entries(shared.rows, 0, nI)
+        keep = own[s_col]
+        if (np.array_equal(row, s_row[keep])
+                and np.array_equal(to_shared[col], s_col[keep])
+                and np.array_equal(data, s_data[keep])):
+            return
+    raise ValueError(
+        f"subdomain {cls.members[0]}: its interior rows are not exactly "
+        "the shared interior block and its sides' columns"
+    )
 
 
 def build_local_systems(
     part: SubdomainPartition, mesh: Mesh, beta: float, gamma: float
 ) -> list:
     """Assemble one Robin matrix per congruence class, from its first
-    member's triangles, and factorize one per symmetry orbit of classes.
+    member's triangles, and factorize the interior block they share once.
 
     Every other member must match its class's first member exactly in
     local dofs; its interior and slots are read from `part.interior` and
@@ -210,18 +261,17 @@ def build_local_systems(
     translates, vertices and edge orientations, is part of the check of
     every triangle against its shape that `fem` runs once per mesh, on
     the first class's `element_matrices`.
-    The half-turn and the reflection x <-> y carry classes onto classes;
-    the first class of each orbit is its representative.  A class shares
-    the representative's factor only once its own A and m_diag are exactly
-    the signed images of the representative's under every group element
-    that carries one onto the other; otherwise ValueError names both.
+    The shared blocks are read off the classes' own matrices: A_II from
+    the first class's, and each side's columns of A_IG from the first
+    class that has that side (at N=2 no class has all four, at N=1 none
+    has any).  `ConstrainedRobinSolver` checks every class against them.
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
     N = part.N
+    r = mesh.m // N
     tri_ids, starts, loc = local_dofs(part)
-    class_of = np.empty(N * N, dtype=np.int64)
-    own = []
+    own, sides = [], []
     for members, rows in _congruence_classes(N, starts):
         _check_congruent(members, "local dof table", np.take(loc, rows, axis=0))
 
@@ -231,51 +281,36 @@ def build_local_systems(
         n_local = interior.shape[1] + slots.shape[1]
 
         divdiv, mass = fem.element_matrices(mesh, tri_ids[rows[0]])
-        class_of[members] = len(own)
         own.append(dict(
             members=members, interior=interior, slots=slots,
             A=fem.assemble_matrix(divdiv + beta * mass, dofs, n_local),
             m_diag=part.trace.m_diag[slots[0]], gamma=gamma,
         ))
+        # Its sides, bottom, left, right and top, in slot order.
+        J, I = divmod(int(members[0]), N)
+        sides.append([J > 0, I > 0, I < N - 1, J < N - 1])
 
-    # Group element k carries the representative onto class class_of[images[k]].
-    maps = [[] for _ in own]
-    rep_of = np.full(len(own), -1)
-    for c in range(len(own)):
-        if rep_of[c] < 0:
-            images, perm, sign = symmetry_maps(part, own[c]["members"][0])
-            for k, image in enumerate(class_of[images]):
-                rep_of[image] = c
-                maps[image].append((perm[k], sign[k]))
-
-    classes = []
-    for c, fields in enumerate(own):
-        perm, sign = (np.array(rows) for rows in zip(*maps[c]))
-        source = own[rep_of[c]]
-        sub, rep = fields["members"][0], source["members"][0]
-        nI = fields["interior"].shape[1]
-        # A representative's row 0, the identity, needs no check.
-        first_map = int(rep_of[c] == c)
-        for p, s in zip(perm[first_map:], sign[first_map:]):
-            if not _is_signed_image(fields["A"], source["A"], p, s):
-                what = "Robin matrix"
-            elif not np.array_equal(fields["m_diag"][p[nI:] - nI], source["m_diag"]):
-                what = "interface mass"
-            else:
-                continue
-            raise ValueError(
-                f"subdomain {sub}: its {what} is not the signed symmetry "
-                f"image of that of subdomain {rep}, its representative"
-            )
-        if rep_of[c] == c:
-            diag = np.zeros(perm.shape[1])
-            diag[nI:] = gamma * fields["m_diag"]
-            lu = _factor(fields["A"], diag, f"subdomain {sub}: Robin matrix not "
-                         "positive definite (assembly bug or invalid parameters)")
-        else:
-            lu = classes[rep_of[c]]._lu
-        classes.append(RobinClass(**fields, rep=rep, perm=perm, sign=sign, _lu=lu))
-    return classes
+    # Side d takes columns start[d] .. start[d] + r - 1 of A_IG, if some
+    # class has it.  Each column is taken from the first class with it.
+    has = np.any(sides, axis=0)
+    start = r * (np.cumsum(has) - has)
+    nI = own[0]["interior"].shape[1]
+    taken = np.zeros(nI + r * np.count_nonzero(has), dtype=bool)
+    entries = []
+    for fields, present in zip(own, sides):
+        fields["cols"] = (start[present][:, None] + np.arange(r)).ravel()
+        to_shared = _to_shared(nI, fields["cols"])
+        row, col, data = _entries(fields["A"], 0, nI)
+        col = to_shared[col]
+        keep = ~taken[col]
+        taken[to_shared] = True
+        entries.append((data[keep], row[keep], col[keep]))
+    data, row, col = (np.concatenate(e) for e in zip(*entries))
+    interior_rows = sp.csr_matrix((data, (row, col)), shape=(nI, taken.size))
+    interior_rows.sum_duplicates()  # canonical, as `_check_shared` reads it
+    shared = InteriorBlock(rows=interior_rows, _lu=_factor(
+        interior_rows[:, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
+    return [RobinClass(**fields, shared=shared) for fields in own]
 
 
 def local_loads(classes: list, part: SubdomainPartition, field) -> list:
@@ -301,66 +336,58 @@ def local_loads(classes: list, part: SubdomainPartition, field) -> list:
     ]
 
 
-def _trace_map_error(cls: RobinClass, X: np.ndarray) -> float:
-    """Backward error of X = H^-1 E, E the identity on the interface rows.
+def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
+                     side_residual: float) -> float:
+    """Upper bound of the backward error of X = H^-1 E, E the identity on
+    the interface rows, from its blocks X[nI:] = Z and X[:nI] = -W_c Z.
 
-    |H X - E| / (|H|_1 |X| + |E|), with Frobenius norms for the blocks.
+    The backward error is |H X - E| / (|H|_1 |X| + |E|), with Frobenius
+    norms for the blocks.  H X - E has the interior rows R_W Z, where
+    R_W = A_IG[:, cols] - A_II W_c is the residual of the side solve, of
+    norm `side_residual`, and the interface rows schur Z - I, schur the
+    Robin Schur block.  As |R_W Z| <= |R_W| |Z|_2, with
+    |Z|_2 <= sqrt(|Z|_1 |Z|_inf), and |X| >= |Z|, the value is at least
+    the backward error.
     """
     A = cls.A
     nI = cls.n_interior
     robin = cls.gamma * cls.m_diag
-    R = A @ X
-    R[nI:] += robin[:, None] * X[nI:]
-    R[nI:] -= np.eye(X.shape[1])
+    R = schur @ Z
+    R[np.diag_indices_from(R)] -= 1.0
+    z_2 = np.sqrt(np.linalg.norm(Z, 1) * np.linalg.norm(Z, np.inf))
     # Column sums of |H| from those of |A| and its diagonal.
     col_abs = np.bincount(A.indices, np.abs(A.data), minlength=cls.n_local)
     a_diag = A.diagonal()[nI:]
     col_abs[nI:] += np.abs(a_diag + robin) - np.abs(a_diag)
-    scale = col_abs.max() * np.linalg.norm(X) + np.sqrt(X.shape[1])
-    return float(np.linalg.norm(R) / scale)
-
-
-def _place_columns(X: np.ndarray, cols: np.ndarray, W: np.ndarray) -> None:
-    """X[:, cols] = W for distinct cols, one block copy per run of cols
-    with step +1 or -1 (a signed map keeps the fine edges of an interface
-    in order or reverses them, so the runs are few and long)."""
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(np.abs(np.diff(cols)) != 1) + 1, [cols.size])
-    )
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = cols[a], cols[b - 1]
-        if lo <= hi:
-            X[:, lo:hi + 1] = W[:, a:b]
-        else:
-            X[:, hi:lo + 1] = W[:, a:b][:, ::-1]
+    scale = col_abs.max() * np.linalg.norm(Z) + np.sqrt(Z.shape[1])
+    return float((side_residual * z_2 + np.linalg.norm(R)) / scale)
 
 
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
-    Setup builds X = H^-1 E per congruence class, E the identity on the
-    class's interface rows.  The symmetry group acts on the pairs (class,
-    slot position) with orbits of four: no group element fixes a side of
-    a subdomain, so none fixes a slot position.  Each representative
-    back-substitutes one column per orbit, the least position of each
-    orbit of its stabilizer, in one multi-column solve, and the signed
-    maps of `RobinClass` carry those columns onto every class of its
-    orbit.  Each class's full X is then checked by `_trace_map_error`
-    against its own A.  The solver keeps:
+    Setup checks every class against the shared blocks of the first
+    class's `shared` (`_check_shared`), solves W = A_II^-1 A_IG once for
+    every side column, and inverts each class's Schur block
+    A_GG - A_GI W_c + gamma M through its Cholesky factor,
+    W_c = W[:, cols].  Each inverse is held to `_trace_map_error`.  The
+    solver keeps:
 
-    - X, whose interface block Z (at most 4r x 4r) is the Robin-to-trace
-      map of every member;
+    - W, shared by every class: its rows -W_c Z are the interior rows of
+      the class's solves against the identity on its interface;
+    - per class Z, at most 4r x 4r, the Robin-to-trace map of every
+      member;
     - the sparse solved constraint columns Y_trace, Z B_s^T on the slots
       of each member s, where B_s (B on s's slots, at most one entry per
       slot) must be the same for all members;
     - the sparse coarse Schur complement `S` = B Y_trace (None without
-      constraint rows), factorized by `_factor` like the class blocks.
+      constraint rows), factorized by `_factor` like A_II.
 
     `apply_resolvent` is one product per class plus the coarse
-    correction, in one body for a vector or a block of columns.  `solve` takes loads and returns interiors with one
-    multi-column back-substitution per class; it is the reference the
-    resolvent is checked against.  An empty (0 x n_slots) constraint
-    gives the unconstrained solves.
+    correction, in one body for a vector or a block of columns.  `solve`
+    puts one A_II solve of every member's interior load before that body
+    and the interiors after it.  An empty (0 x n_slots) constraint gives
+    the unconstrained solves.
     """
 
     def __init__(self, classes: list, B: sp.spmatrix):
@@ -383,49 +410,40 @@ class ConstrainedRobinSolver:
         slot_value = np.zeros(self.n_slots)
         slot_value[entry.col] = entry.data
 
-        # hits counts how often each column of each X is written.
-        self._X = [np.empty((cls.n_local, cls.slots.shape[1])) for cls in classes]
-        hits = [np.zeros(cls.slots.shape[1], dtype=np.int64) for cls in classes]
-        for rep in classes:
-            nI, n_own = rep.n_interior, rep.slots.shape[1]
-            if rep.rep != rep.members[0] or not n_own:
-                continue
-            # The least slot position of each orbit of the representative's
-            # stabilizer, whose maps are its own rows of perm.
-            chosen = np.flatnonzero(
-                (rep.perm[:, nI:] - nI >= np.arange(n_own)).all(axis=0)
-            )
-            E = np.zeros((rep.n_local, chosen.size))
-            E[nI + chosen, np.arange(chosen.size)] = 1.0
-            X_rep = rep.backsolve(E)
-            for cls, X, hit in zip(classes, self._X, hits):
-                if cls.rep != rep.members[0]:
-                    continue
-                # X[perm[i], perm[nI + a] - nI] = sign[i] sign[nI + a] X_rep[i, a]
-                for perm, sign in zip(cls.perm, cls.sign):
-                    inv = np.empty_like(perm)
-                    inv[perm] = np.arange(perm.size)
-                    image = np.take(X_rep, inv, axis=0)
-                    image *= sign[inv][:, None]
-                    image *= sign[nI + chosen]
-                    cols = perm[nI + chosen] - nI
-                    _place_columns(X, cols, image)
-                    hit[cols] += 1
+        shared = classes[0].shared
+        for cls in classes:
+            _check_shared(cls, shared)
+        self._lu = shared._lu
+        A_IG = shared.A_IG.toarray()
+        self._W = _solve(self._lu, A_IG, "the side columns")
+        # Squared norm of each column of the side solve's residual.
+        R_W = shared.A_II @ self._W
+        R_W -= A_IG
+        side_sq = np.einsum("ij,ij->j", R_W, R_W)
+        del A_IG, R_W
+
+        self._Z, self._A_GI = [], []
         y_rows, y_cols, y_vals = [], [], []
-        for cls, X, hit in zip(classes, self._X, hits):
+        for cls in classes:
             k, n_own = cls.slots.shape
             nI = cls.n_interior
-            if np.any(hit != 1):
-                raise AssertionError(
-                    f"subdomain {cls.members[0]}: the symmetry orbits do not "
-                    "cover its trace-map columns once each"
-                )
-            err = _trace_map_error(cls, X) if n_own else 0.0
+            row, col, data = _entries(cls.A, nI, cls.n_local)
+            side = col >= nI
+            A_GI = sp.csr_matrix((data[~side], (row[~side], col[~side])),
+                                 shape=(n_own, nI))
+            schur = -(A_GI @ self._W)[:, cls.cols]
+            schur[row[side], col[side] - nI] += data[side]
+            schur[np.diag_indices(n_own)] += cls.gamma * cls.m_diag
+            Z = _spd_inverse(schur, NOT_SPD.format(cls.members[0]))
+            err = (_trace_map_error(cls, schur, Z, np.sqrt(side_sq[cls.cols].sum()))
+                   if n_own else 0.0)
             if err > TRACE_MAP_TOL:
                 raise RuntimeError(
                     f"subdomain {cls.members[0]}: Robin-to-trace map backward "
                     f"error {err:.3e}"
                 )
+            self._Z.append(Z)
+            self._A_GI.append(A_GI)
             # Local constraint block: row q covers the slot positions with
             # label q; adj[i, q] is that row's interface for member i.
             iface = slot_iface[cls.slots]
@@ -437,7 +455,7 @@ class ConstrainedRobinSolver:
             value = slot_value[cls.slots]
             _check_congruent(cls.members, "constraint values", value)
             # Z B_s^T, with B_s[q, p] = value[p] where label[p] == q.
-            Y = (X[nI:] * value[0]) @ (label[:, None] == np.arange(first.size))
+            Y = (Z * value[0]) @ (label[:, None] == np.arange(first.size))
             shape = (k, n_own, first.size)
             cols = np.broadcast_to(adj[:, None, :], shape)
             keep = cols >= 0  # a label of slots without a constraint entry
@@ -471,34 +489,49 @@ class ConstrainedRobinSolver:
         `loads` is the per-class list of `local_loads` (None for zero),
         `g` the two-sided Robin datum on trace slots.  Entry c of the
         returned list holds the interiors of class c's members as an
-        (n_interior, k) matrix.
+        (n_interior, k) matrix.  With v = A_II^-1 f_I, one solve for all
+        members, the interface takes f_G + M g - A_GI v through the
+        constrained interface solve, and x_I = v - W_c x_G.
         """
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n_slots,):
             raise ValueError(
                 f"trace datum has shape {g.shape}, expected ({self.n_slots},)"
             )
-        u_int = []
-        w = np.zeros(self.n_slots)
-        for c, cls in enumerate(self.classes):
-            nI = cls.n_interior
-            rhs = np.zeros((cls.n_local, cls.members.size))
-            rhs[nI:] = cls.m_diag[:, None] * g[cls.slots.T]
+        if not np.isfinite(g).all():
+            raise ValueError("non-finite right-hand side for the trace datum")
+        nI = self._W.shape[0]
+        sizes = [cls.members.size for cls in self.classes]
+        if loads is None:
+            v = [np.zeros((nI, k)) for k in sizes]
+        else:
+            f_I = np.concatenate([f[:nI] for f in loads], axis=1)
+            v = np.split(_solve(self._lu, f_I, "the interior loads"),
+                         np.cumsum(sizes)[:-1], axis=1)
+        rhs = np.empty(self.n_slots)
+        for c, (cls, A_GI, v_c) in enumerate(zip(self.classes, self._A_GI, v)):
+            rhs_c = cls.m_diag[:, None] * g[cls.slots.T]
             if loads is not None:
-                rhs += loads[c]
-            x = cls.backsolve(rhs)
-            u_int.append(x[:nI])
-            w[cls.slots.T] = x[nI:]
+                rhs_c += loads[c][nI:] - A_GI @ v_c
+            rhs[cls.slots.T] = rhs_c
+        w, mu = self._condensed(rhs)
+        u_int = [v_c - self._W[:, cls.cols] @ w[cls.slots.T]
+                 for cls, v_c in zip(self.classes, v)]
+        return u_int, w, mu
+
+    def _condensed(self, rhs):
+        """(w, mu) of the constrained interface solve of `rhs`: one product
+        per class, then the coarse correction."""
+        w = np.empty_like(rhs)
+        for cls, Z in zip(self.classes, self._Z):
+            # One GEMM: (n_own, n_own) by (n_own, members [x columns]).
+            w[cls.slots.T] = np.tensordot(Z, rhs[cls.slots.T], 1)
         mu = np.zeros(0)
         if self.S is not None:
             mu = _solve(self._S_lu, self.B @ w, "the coarse solve")
-            bt_mu = self.B.T @ mu
-            for cls, X, u_i in zip(self.classes, self._X, u_int):
-                corr = X @ bt_mu[cls.slots.T]
-                u_i -= corr[:cls.n_interior]
-                w[cls.slots.T] -= corr[cls.n_interior:]
+            w -= self._Y_trace @ mu
             self._check_constraint(w)
-        return u_int, w, mu
+        return w, mu
 
     def apply_resolvent(self, rhs):
         """Interface trace of the constrained solve with interior load
@@ -511,11 +544,4 @@ class ConstrainedRobinSolver:
             raise ValueError(
                 f"trace vector has {rhs.shape[0]} rows, expected {self.n_slots}"
             )
-        w = np.empty_like(rhs)
-        for cls, X in zip(self.classes, self._X):
-            # One GEMM: (n_own, n_own) by (n_own, members [x columns]).
-            w[cls.slots.T] = np.tensordot(X[cls.n_interior:], rhs[cls.slots.T], 1)
-        if self.S is not None:
-            w -= self._Y_trace @ _solve(self._S_lu, self.B @ w, "the coarse solve")
-            self._check_constraint(w)
-        return w
+        return self._condensed(rhs)[0]

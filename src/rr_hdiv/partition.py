@@ -33,13 +33,10 @@ sums are integers of at most 4 (N^2)^2, exact in float64 while that is
 below 2^53 (N < 6800).
 
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
-`symmetry_generators` gives their permutations of the trace slots, and
-`symmetry_maps` the signed map of one subdomain's local dofs onto those of
-its image under each group element.  Both move (doubled midpoint,
-subdomain, normal) by the one rule `_image`, (x2, y2) -> (2m - x2, 2m - y2)
-or (y2, x2), and locate the image edges by the one sorted-key lookup
-`_find`.  `symmetry_maps` reads only the two subdomains' own dofs, at
-O(n_local log n_local) cost.
+`symmetry_generators` gives their permutations of the trace slots.  It
+moves (doubled midpoint, subdomain, normal) by the rule `_image`,
+(x2, y2) -> (2m - x2, 2m - y2) or (y2, x2), and locates the image slots
+by the sorted-key lookup `_find`.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ __all__ = [
     "build_constraint",
     "SYMMETRY_NAMES",
     "symmetry_generators",
-    "symmetry_maps",
     "orbit_table",
 ]
 
@@ -391,58 +387,6 @@ def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
     if np.any(half[refl] == slots):
         raise AssertionError("a symmetry orbit has fewer than 4 slots")
     return gens
-
-
-def symmetry_maps(part: SubdomainPartition, sub: int):
-    """Signed local-dof maps of subdomain `sub` onto its symmetry images.
-
-    Returns (images, perm, sign), one row per element k of the group of
-    `symmetry_generators`: k = 0 is the identity, bit 0 the half-turn and
-    bit 1 the reflection, as in the rows of `orbit_table`.  images[k] is
-    the image subdomain.  Local dof i of `sub` ([interior_of, slots_of]
-    order) maps to local dof perm[k, i] of images[k], the dof whose edge
-    sits at the image (`_image`) of i's doubled midpoint.  sign[k, i] is
-    +1 where the image of i's edge normal is that edge's normal and -1
-    where it is its negative: the half-turn negates every normal, the
-    reflection those of the diagonals.  Only the two subdomains' own dofs
-    are read, so the cost is O(n_local log n_local) per element.  Raises
-    AssertionError unless each map is a bijection that keeps interior dofs
-    interior and normals on normals.
-    """
-    mesh, trace = part.mesh, part.trace
-    N, m = part.N, mesh.m
-
-    def dofs(s):
-        interior = part.interior_of(s)
-        edges = np.concatenate([interior, trace.slot_edge[part.slots_of(s)]])
-        J, I = divmod(int(s), N)
-        return interior.size, (*mesh.edge_mid2[edges].T, I, J, mesh.edge_normal[edges])
-
-    n_interior, place = dofs(sub)
-    n = place[0].size
-    images = np.full(4, sub, dtype=np.int64)
-    perm = np.tile(np.arange(n), (4, 1))
-    sign = np.ones((4, n))
-    for k in range(1, 4):
-        key, images[k], n_img = _image(k, m, N, *place)
-        img_interior, img_place = dofs(images[k])
-        img_key, _, target = _image(0, m, N, *img_place)
-        p = _find(img_key, key)
-        if (p is None or img_interior != n_interior or img_key.size != n
-                or np.any(p[:n_interior] >= n_interior)):
-            raise AssertionError(
-                f"symmetry element {k} does not map the local dofs of "
-                f"subdomain {sub} onto those of subdomain {images[k]}"
-            )
-        perm[k] = p
-        target = target[p]
-        sign[k] = np.where((n_img == target).all(axis=1), 1.0, -1.0)
-        if not np.array_equal(n_img, sign[k][:, None] * target):
-            raise AssertionError(
-                f"symmetry element {k} does not map the edge normals of "
-                f"subdomain {sub} onto those of subdomain {images[k]}"
-            )
-    return images, perm, sign
 
 
 def orbit_table(generators: np.ndarray) -> np.ndarray:

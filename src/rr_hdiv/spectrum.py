@@ -26,7 +26,7 @@ about a sixteenth of the one on Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import hadamard

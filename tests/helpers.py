@@ -6,16 +6,20 @@ block algebra) so the class-shared, matrix-free production paths have an
 independent cross-check on small instances.  The first section holds
 reference code that only the tests use: mesh queries, the edge
 interpolant, the elementwise divergence, the L2 distance of two discrete
-fields, the errors of the direct solve and a class's Robin matrix.
+fields, the errors of the direct solve and a class's Robin matrix.  The
+last holds `DirectSolver`, the constrained solves through each class's
+own factor, and `symmetry_maps`, the signed maps of one subdomain's local
+dofs onto its symmetry images.
 """
 
 import dataclasses
 
 import numpy as np
+import scipy.sparse as sp
 
 from rr_hdiv import fem, local_solver, verify
 from rr_hdiv.mesh import build_unit_square_mesh
-from rr_hdiv.partition import local_dofs
+from rr_hdiv.partition import _find, _image, local_dofs
 
 # Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
 GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
@@ -219,31 +223,129 @@ def per_member_local_loads(classes, part, field):
     return loads
 
 
-def direct_classes(classes):
-    """The classes with their own factors and no symmetry maps.
+class DirectSolver:
+    """Reference for `ConstrainedRobinSolver`, with no shared block and no
+    Schur complement per class.
 
-    Each class becomes its own representative with only the identity map,
-    so a `ConstrainedRobinSolver` on them back-substitutes every trace-map
-    column of every class through that class's own factor: the direct
-    per-class path that the orbit-shared factors are checked against.
+    Each class's own Robin matrix H_c is factorized by
+    `local_solver._factor`, and every Robin solve back-substitutes through
+    that factor.  X[c] = H_c^-1 E, E the identity on the interface rows,
+    gives the block-diagonal trace map `Z_blk` of all members, and the
+    coarse matrix is S = B Z_blk B^T.  `solve` corrects its loaded solve
+    with a second back-substitution of -B^T mu, mu = S^-1 B w.
     """
-    direct = []
-    for cls in classes:
-        n = cls.n_local
-        diag = np.zeros(n)
-        diag[cls.n_interior:] = cls.gamma * cls.m_diag
-        direct.append(dataclasses.replace(
-            cls, rep=cls.members[0], perm=np.arange(n)[None],
-            sign=np.ones((1, n)),
-            _lu=local_solver._factor(cls.A, diag, "reference factor"),
-        ))
-    return direct
+
+    def __init__(self, classes, B):
+        self.classes = classes
+        self.B = B.tocsr()
+        self.n_ifaces, self.n_slots = B.shape
+        self._lu, self.X = [], []
+        rows, cols, vals = [], [], []
+        for cls in classes:
+            k, n_own = cls.slots.shape
+            lu = local_solver._factor(robin_matrix(cls), 0.0, "reference factor")
+            E = np.zeros((cls.n_local, n_own))
+            E[cls.n_interior:] = np.eye(n_own)
+            X = lu.solve(E) if n_own else E
+            self._lu.append(lu)
+            self.X.append(X)
+            shape = (k, n_own, n_own)
+            rows.append(np.broadcast_to(cls.slots[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(cls.slots[:, None, :], shape).ravel())
+            vals.append(np.broadcast_to(X[cls.n_interior:], shape).ravel())
+        self.Z_blk = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_slots, self.n_slots),
+        )
+        if self.n_ifaces:
+            self._S_lu = local_solver._factor(
+                self.B @ self.Z_blk @ self.B.T, 0.0, "reference coarse factor")
+
+    def _backsolve(self, trace_rhs, loads=None):
+        """Per class, H_c^-1 of its loads plus `trace_rhs` on its slots,
+        and the trace vector of those solves."""
+        x, w = [], np.zeros(self.n_slots)
+        for c, (cls, lu) in enumerate(zip(self.classes, self._lu)):
+            rhs = np.zeros((cls.n_local, cls.members.size))
+            rhs[cls.n_interior:] = trace_rhs[cls.slots.T]
+            if loads is not None:
+                rhs += loads[c]
+            x.append(lu.solve(rhs))
+            w[cls.slots.T] = x[-1][cls.n_interior:]
+        return x, w
+
+    def solve(self, loads, g):
+        m = np.zeros(self.n_slots)
+        for cls in self.classes:
+            m[cls.slots] = cls.m_diag
+        x, w = self._backsolve(m * g, loads)
+        mu = np.zeros(0)
+        if self.n_ifaces:
+            mu = self._S_lu.solve(self.B @ w)
+            corr, w_corr = self._backsolve(self.B.T @ mu)
+            x = [x_c - c_c for x_c, c_c in zip(x, corr)]
+            w = w - w_corr
+        return [x_c[:cls.n_interior] for cls, x_c in zip(self.classes, x)], w, mu
+
+    def apply_resolvent(self, rhs):
+        w = self.Z_blk @ rhs
+        if self.n_ifaces:
+            w -= self.Z_blk @ (self.B.T @ self._S_lu.solve(self.B @ w))
+        return w
 
 
 def direct_problem(problem):
-    """The problem with `direct_classes` and a solver built on them."""
-    classes = direct_classes(problem.classes)
-    return dataclasses.replace(
-        problem, classes=classes,
-        solver=local_solver.ConstrainedRobinSolver(classes, problem.B),
-    )
+    """The problem with a `DirectSolver` in place of its solver."""
+    return dataclasses.replace(problem, solver=DirectSolver(problem.classes, problem.B))
+
+
+def symmetry_maps(part, sub):
+    """Signed local-dof maps of subdomain `sub` onto its symmetry images.
+
+    Returns (images, perm, sign), one row per element k of the group of
+    `symmetry_generators`: k = 0 is the identity, bit 0 the half-turn and
+    bit 1 the reflection, as in the rows of `orbit_table`.  images[k] is
+    the image subdomain.  Local dof i of `sub` ([interior_of, slots_of]
+    order) maps to local dof perm[k, i] of images[k], the dof whose edge
+    sits at the image (`_image`) of i's doubled midpoint.  sign[k, i] is
+    +1 where the image of i's edge normal is that edge's normal and -1
+    where it is its negative: the half-turn negates every normal, the
+    reflection those of the diagonals.  Only the two subdomains' own dofs
+    are read, so the cost is O(n_local log n_local) per element.  Raises
+    AssertionError unless each map is a bijection that keeps interior dofs
+    interior and normals on normals.
+    """
+    mesh, trace = part.mesh, part.trace
+    N, m = part.N, mesh.m
+
+    def dofs(s):
+        interior = part.interior_of(s)
+        edges = np.concatenate([interior, trace.slot_edge[part.slots_of(s)]])
+        J, I = divmod(int(s), N)
+        return interior.size, (*mesh.edge_mid2[edges].T, I, J, mesh.edge_normal[edges])
+
+    n_interior, place = dofs(sub)
+    n = place[0].size
+    images = np.full(4, sub, dtype=np.int64)
+    perm = np.tile(np.arange(n), (4, 1))
+    sign = np.ones((4, n))
+    for k in range(1, 4):
+        key, images[k], n_img = _image(k, m, N, *place)
+        img_interior, img_place = dofs(images[k])
+        img_key, _, target = _image(0, m, N, *img_place)
+        p = _find(img_key, key)
+        if (p is None or img_interior != n_interior or img_key.size != n
+                or np.any(p[:n_interior] >= n_interior)):
+            raise AssertionError(
+                f"symmetry element {k} does not map the local dofs of "
+                f"subdomain {sub} onto those of subdomain {images[k]}"
+            )
+        perm[k] = p
+        target = target[p]
+        sign[k] = np.where((n_img == target).all(axis=1), 1.0, -1.0)
+        if not np.array_equal(n_img, sign[k][:, None] * target):
+            raise AssertionError(
+                f"symmetry element {k} does not map the edge normals of "
+                f"subdomain {sub} onto those of subdomain {images[k]}"
+            )
+    return images, perm, sign

@@ -4,7 +4,6 @@ import json
 import os
 import re
 
-import numpy as np
 import pytest
 
 from rr_hdiv import cli

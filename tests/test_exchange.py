@@ -6,7 +6,7 @@ G = M T (I - E) with load f_g = M T c.  Each production path is held to
 the dense references in `helpers`.  The same random problems also hold
 the local solver to its own invariants: the resolvent is the constrained
 solve on zero loads, every constrained solve satisfies B w = 0, every
-class is exactly the signed symmetry image of its representative, G is
+class is exactly the shared interior block plus its own sides, G is
 symmetric, and the mesh's symmetries commute with the resolvent and the
 exchange.
 """
@@ -84,22 +84,29 @@ def test_resolvent_is_the_zero_load_solve(cfg, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(cfg=configs)
-def test_classes_are_signed_images_of_their_representative(cfg):
+def test_classes_are_the_shared_interior_block_plus_own_sides(cfg):
     """Each class's first member's own Robin matrix, assembled densely from
-    its triangles, equals its representative's under every signed map of
-    the class, exactly; so do the class's stored A and m_diag."""
+    its triangles, has as interior rows exactly the first class's interior
+    block and, on each of its sides, exactly the columns of the first class
+    that has that side.  The class's stored A has exactly the shared rows
+    on its own columns, and every member's interface mass is its m_diag."""
     problem = iteration.build_problem(cfg, verify.manufactured_case().load)
-    first = {cls.members[0]: cls for cls in problem.classes}
-    for cls in problem.classes:
-        rep = first[cls.rep]
-        H, nI, _ = subdomain_robin_matrix(problem, cls.members[0])
-        H_rep, _, _ = subdomain_robin_matrix(problem, cls.rep)
-        A, A_rep = cls.A.toarray(), rep.A.toarray()
-        for perm, sign in zip(cls.perm, cls.sign):
-            signs = np.outer(sign, sign)
-            assert np.array_equal(H[np.ix_(perm, perm)], signs * H_rep)
-            assert np.array_equal(A[np.ix_(perm, perm)], signs * A_rep)
-            assert np.array_equal(cls.m_diag[perm[nI:] - nI], rep.m_diag)
+    classes = problem.classes
+    shared = classes[0].shared
+    nI = classes[0].n_interior
+    columns = [np.concatenate([np.arange(nI), nI + cls.cols]) for cls in classes]
+    dense = [subdomain_robin_matrix(problem, cls.members[0])[0][:nI]
+             for cls in classes]
+    ref = np.full(shared.rows.shape, np.nan)
+    for cols, H in zip(columns, dense):
+        new = np.isnan(ref[0, cols])
+        ref[:, cols[new]] = H[:, new]
+    rows = shared.rows.toarray()
+    for cls, cols, H in zip(classes, columns, dense):
+        assert np.array_equal(H, ref[:, cols])
+        assert np.array_equal(cls.A[:nI].toarray(), rows[:, cols])
+        assert np.array_equal(problem.partition.trace.m_diag[cls.slots],
+                              np.broadcast_to(cls.m_diag, cls.slots.shape))
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import tri_coords
+from helpers import symmetry_maps, tri_coords
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
@@ -13,7 +13,6 @@ from rr_hdiv.partition import (
     orbit_table,
     partition,
     symmetry_generators,
-    symmetry_maps,
 )
 
 

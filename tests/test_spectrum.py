@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rr_hdiv import iteration, partition, spectrum
+from rr_hdiv import iteration, spectrum
 from rr_hdiv.local_solver import COLUMN_BLOCK
 
 from helpers import relaxed_step
