@@ -25,13 +25,15 @@ given and checks them congruent across each class.  The loads need no
 per-member triangle table: `local_loads` scatters all triangles once.
 
 Setup condenses each class onto its interface (static condensation).
-W = A_II^-1 A_IG is solved once, for every side column at once, and
-class c's Robin-to-trace map is the inverse of its Schur block,
-Z_c = (A_GG_c - A_GI_c W_c + gamma M_c)^-1, W_c = W[:, cols_c], at most
-4r x 4r and taken through its Cholesky factor.  The constrained resolvent
-is one product with Z_c per class and one sparse coarse solve; `solve`
-adds one interior solve for all members' loads.  Each Z_c is held to a
-bound on its backward error against the class's own matrix.
+W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
+row-major array, and class c's Robin-to-trace map is the inverse of its
+Schur block, Z_c = (A_GG_c - A_GI_c W_c + gamma M_c)^-1, W_c = W[:, cols_c],
+at most 4r x 4r and taken through its Cholesky factor.  The constrained
+resolvent is one `matmul` per class, Z_c on the (n_own, members x
+columns) block of its members' right-hand sides, and one sparse coarse
+solve; `solve` adds one interior solve for all members' loads and
+recovers all members' interiors in one product with W.  Each Z_c is held
+to a bound on its backward error against the class's own matrix.
 """
 
 from __future__ import annotations
@@ -77,10 +79,12 @@ class InteriorBlock:
     0 .. nI-1 of every subdomain.  A_IG couples them to the slots of every
     side that some class has, r columns per side, in the order bottom,
     left, right, top, and along each side in the order of
-    `partition.slots`.  `_lu` is A_II's factor.
+    `partition.slots`.  `r` is that side width, and `_lu` is A_II's
+    factor.
     """
 
     rows: sp.csr_matrix
+    r: int
     _lu: spla.SuperLU
 
     @property
@@ -308,7 +312,7 @@ def build_local_systems(
     data, row, col = (np.concatenate(e) for e in zip(*entries))
     interior_rows = sp.csr_matrix((data, (row, col)), shape=(nI, taken.size))
     interior_rows.sum_duplicates()  # canonical, as `_check_shared` reads it
-    shared = InteriorBlock(rows=interior_rows, _lu=_factor(
+    shared = InteriorBlock(rows=interior_rows, r=r, _lu=_factor(
         interior_rows[:, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
     return [RobinClass(**fields, shared=shared) for fields in own]
 
@@ -363,18 +367,39 @@ def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
     return float((side_residual * z_2 + np.linalg.norm(R)) / scale)
 
 
+def _side_solves(shared: InteriorBlock):
+    """(W, side_sq): W = A_II^-1 A_IG, row-major, solved one side (r
+    columns) at a time, and the squared norm of each column of the side
+    solves' residual A_II W - A_IG.  Only one side's dense columns and
+    residual are alive beside W."""
+    A_II, A_IG = shared.A_II, shared.A_IG.tocsc()
+    W = np.empty(A_IG.shape)
+    side_sq = np.empty(A_IG.shape[1])
+    for lo in range(0, A_IG.shape[1], shared.r):
+        side = slice(lo, lo + shared.r)
+        rhs = A_IG[:, side].toarray()
+        W_side = _solve(shared._lu, rhs, "the side columns")
+        W[:, side] = W_side
+        R = A_II @ W_side
+        R -= rhs
+        side_sq[side] = np.einsum("ij,ij->j", R, R)
+        del rhs, W_side, R  # before the next side's are made
+    return W, side_sq
+
+
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
     Setup checks every class against the shared blocks of the first
-    class's `shared` (`_check_shared`), solves W = A_II^-1 A_IG once for
-    every side column, and inverts each class's Schur block
-    A_GG - A_GI W_c + gamma M through its Cholesky factor,
+    class's `shared` (`_check_shared`), solves W = A_II^-1 A_IG once, one
+    side (r columns) at a time (`_side_solves`), and inverts each class's
+    Schur block A_GG - A_GI W_c + gamma M through its Cholesky factor,
     W_c = W[:, cols].  Each inverse is held to `_trace_map_error`.  The
     solver keeps:
 
-    - W, shared by every class: its rows -W_c Z are the interior rows of
-      the class's solves against the identity on its interface;
+    - W, row-major and shared by every class: its rows -W_c Z are the
+      interior rows of the class's solves against the identity on its
+      interface;
     - per class Z, at most 4r x 4r, the Robin-to-trace map of every
       member;
     - the sparse solved constraint columns Y_trace, Z B_s^T on the slots
@@ -383,11 +408,13 @@ class ConstrainedRobinSolver:
     - the sparse coarse Schur complement `S` = B Y_trace (None without
       constraint rows), factorized by `_factor` like A_II.
 
-    `apply_resolvent` is one product per class plus the coarse
-    correction, in one body for a vector or a block of columns.  `solve`
-    puts one A_II solve of every member's interior load before that body
-    and the interiors after it.  An empty (0 x n_slots) constraint gives
-    the unconstrained solves.
+    `apply_resolvent` is one `matmul` per class, on a contiguous
+    (n_own, members x columns) block gathered through one flat slot index
+    per class, plus the coarse correction, in one body for a vector or a
+    block of columns.  `solve` puts one A_II solve of every member's
+    interior load before that body and one product of W with the
+    members' interface solutions after it.  An empty (0 x n_slots)
+    constraint gives the unconstrained solves.
     """
 
     def __init__(self, classes: list, B: sp.spmatrix):
@@ -414,13 +441,10 @@ class ConstrainedRobinSolver:
         for cls in classes:
             _check_shared(cls, shared)
         self._lu = shared._lu
-        A_IG = shared.A_IG.toarray()
-        self._W = _solve(self._lu, A_IG, "the side columns")
-        # Squared norm of each column of the side solve's residual.
-        R_W = shared.A_II @ self._W
-        R_W -= A_IG
-        side_sq = np.einsum("ij,ij->j", R_W, R_W)
-        del A_IG, R_W
+        self._W, side_sq = _side_solves(shared)
+        # Per class, its members' slots flat and own-slot-major: slot p of
+        # member i at p * k + i, so that a gather reshapes to (n_own, k).
+        self._flat = [cls.slots.T.ravel() for cls in classes]
 
         self._Z, self._A_GI = [], []
         y_rows, y_cols, y_vals = [], [], []
@@ -489,9 +513,10 @@ class ConstrainedRobinSolver:
         `loads` is the per-class list of `local_loads` (None for zero),
         `g` the two-sided Robin datum on trace slots.  Entry c of the
         returned list holds the interiors of class c's members as an
-        (n_interior, k) matrix.  With v = A_II^-1 f_I, one solve for all
-        members, the interface takes f_G + M g - A_GI v through the
-        constrained interface solve, and x_I = v - W_c x_G.
+        (n_interior, k) matrix, a view of one array of all members.  With
+        v = A_II^-1 f_I, one solve for all members, the interface takes
+        f_G + M g - A_GI v through the constrained interface solve, and
+        x_I = v - W_c x_G, one product with W for all members.
         """
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n_slots,):
@@ -503,29 +528,37 @@ class ConstrainedRobinSolver:
         nI = self._W.shape[0]
         sizes = [cls.members.size for cls in self.classes]
         if loads is None:
-            v = [np.zeros((nI, k)) for k in sizes]
+            v = np.zeros((nI, sum(sizes)))
         else:
             f_I = np.concatenate([f[:nI] for f in loads], axis=1)
-            v = np.split(_solve(self._lu, f_I, "the interior loads"),
-                         np.cumsum(sizes)[:-1], axis=1)
+            v = _solve(self._lu, f_I, "the interior loads")
+        split = np.cumsum(sizes)[:-1]
+        v_c = np.split(v, split, axis=1)
         rhs = np.empty(self.n_slots)
-        for c, (cls, A_GI, v_c) in enumerate(zip(self.classes, self._A_GI, v)):
-            rhs_c = cls.m_diag[:, None] * g[cls.slots.T]
+        for c, (cls, A_GI, flat) in enumerate(zip(self.classes, self._A_GI, self._flat)):
+            rhs_c = cls.m_diag[:, None] * g[flat].reshape(-1, sizes[c])
             if loads is not None:
-                rhs_c += loads[c][nI:] - A_GI @ v_c
-            rhs[cls.slots.T] = rhs_c
+                rhs_c += loads[c][nI:] - A_GI @ v_c[c]
+            rhs[flat] = rhs_c.ravel()
         w, mu = self._condensed(rhs)
-        u_int = [v_c - self._W[:, cls.cols] @ w[cls.slots.T]
-                 for cls, v_c in zip(self.classes, v)]
-        return u_int, w, mu
+        # x_I = v - W x_G for every member in one GEMM: X's column j holds
+        # member j's interface solution in the rows of its class's sides.
+        X = np.zeros((self._W.shape[1], v.shape[1]))
+        for cls, flat, x in zip(self.classes, self._flat, np.split(X, split, axis=1)):
+            x[cls.cols] = w[flat].reshape(-1, x.shape[1])
+        v -= self._W @ X
+        return v_c, w, mu
 
     def _condensed(self, rhs):
         """(w, mu) of the constrained interface solve of `rhs`: one product
         per class, then the coarse correction."""
         w = np.empty_like(rhs)
-        for cls, Z in zip(self.classes, self._Z):
-            # One GEMM: (n_own, n_own) by (n_own, members [x columns]).
-            w[cls.slots.T] = np.tensordot(Z, rhs[cls.slots.T], 1)
+        columns = rhs.shape[1] if rhs.ndim == 2 else 1
+        for cls, Z, flat in zip(self.classes, self._Z, self._flat):
+            # One GEMM: (n_own, n_own) by (n_own, members x columns).  The
+            # width is explicit: a class without slots (N=1) has n_own = 0.
+            x = rhs[flat].reshape(Z.shape[0], cls.members.size * columns)
+            w[flat] = (Z @ x).reshape(flat.size, *rhs.shape[1:])
         mu = np.zeros(0)
         if self.S is not None:
             mu = _solve(self._S_lu, self.B @ w, "the coarse solve")

@@ -433,8 +433,8 @@ def test_one_interior_factor_per_build(case, monkeypatch, N):
 
 def test_one_back_substitution_of_the_side_columns(case, monkeypatch):
     """At N=4, r=32 setup back-substitutes the 4r = 128 side columns once,
-    in one multi-column solve, for the 768 trace-map columns of the nine
-    classes."""
+    in one multi-column solve of r = 32 columns per side, for the 768
+    trace-map columns of the nine classes."""
     columns = []
     solve = local_solver._solve
 
@@ -445,12 +445,12 @@ def test_one_back_substitution_of_the_side_columns(case, monkeypatch):
     monkeypatch.setattr(local_solver, "_solve", counted)
     problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
     assert sum(cls.slots.shape[1] for cls in problem.classes) == 768
-    assert columns == [128]
+    assert columns == [32] * 4
 
 
 def test_solver_keeps_no_local_map(case):
     """After setup at N=4, r=32 the solver holds W (3008 x 128, shared by
-    the classes), one Z per class, Y_trace and S: 3.75 MB by tracemalloc,
+    the classes), one Z per class, Y_trace and S: 3.76 MB by tracemalloc,
     where a full n_local x n_own map per class held 19.1 MB.  Bound: 5 MB.
     No array that the solver or a class holds has a class's n_local x
     n_own shape."""
@@ -469,6 +469,41 @@ def test_solver_keeps_no_local_map(case):
     arrays = [a for v in fields for a in (v if isinstance(v, list) else [v])
               if isinstance(a, np.ndarray)]
     assert arrays and not any(a.shape in maps for a in arrays)
+
+
+def _traced_peak(call):
+    """Peak bytes that call() allocates beyond what was held before it,
+    by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_setup_peak_memory(case):
+    """At N=4, r=32 setup solves W one side (r columns) at a time, so only
+    one side's dense columns and residual live beside W (3.1 MB): the
+    constructor peaks at 6.4 MB by tracemalloc, where the dense A_IG, W
+    and the residual of all 4r columns at once peaked at 12.6 MB.
+    Bound: 8 MB."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
+    peak = _traced_peak(
+        lambda: local_solver.ConstrainedRobinSolver(problem.classes, problem.B))
+    assert peak <= 8e6
+
+
+def test_solve_peak_memory(case):
+    """One loaded solve at N=4, r=32 recovers every member's interior in
+    one product with W, without copying W's columns per class: it peaks
+    at 1.3 MB by tracemalloc, where the per-class copies of W[:, cols]
+    (up to 3.1 MB each) peaked at 4.0 MB.  Bound: 2 MB."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
+    g = np.random.default_rng(0).standard_normal(problem.solver.n_slots)
+    peak = _traced_peak(lambda: problem.solver.solve(problem.local_loads, g))
+    assert peak <= 2e6
 
 
 def test_side_columns_of_each_class(problem_n4):
