@@ -123,7 +123,8 @@ def parse_count(cell: str):
 
 
 def spectrum_runs(grid, gamma_rule="h", theta=1.0):
-    """Spectrum reports over the (N, ratio) grid; oversize entries skipped."""
+    """Spectrum reports over the (N, ratio) grid; entries over the size
+    cap are skipped, and any other error propagates."""
     reports = []
     skipped = []
     for N, r in grid:
@@ -132,7 +133,7 @@ def spectrum_runs(grid, gamma_rule="h", theta=1.0):
         )
         try:
             op = spectrum.assemble_Q(cfg)
-        except ValueError as err:
+        except spectrum.SizeCapError as err:
             skipped.append((N, r, str(err)))
             continue
         reports.append(spectrum.eigenvalues(op))
@@ -460,7 +461,7 @@ def _cmd_spectrum(args) -> int:
     )
     try:
         op = spectrum.assemble_Q(cfg)
-    except ValueError as err:
+    except spectrum.SizeCapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     rep = spectrum.eigenvalues(op)

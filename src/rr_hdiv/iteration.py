@@ -176,7 +176,7 @@ def assemble_solution(problem: RobinProblem, u_int, u_trace) -> np.ndarray:
     for cls, v in zip(problem.classes, u_int):
         u[cls.interior] = v.T
     trace = problem.partition.trace
-    np.add.at(u, trace.slot_edge, 0.5 * u_trace)
+    u[trace.slot_edge] = 0.5 * (u_trace + u_trace[trace.pair_perm])
     return u
 
 

@@ -2,38 +2,39 @@
 
 Each subdomain carries the bilinear form restricted to its own triangles
 plus a Robin term gamma*M on its interface rows.  The N x N subdomains are
-translates of at most nine shapes, so the matrix is assembled once per
-congruence class.  Every subdomain has the same interior edges, in the
-same order, and each of its sides (bottom, left, right, top, where it
-has one) couples to them through the same columns.  So every class's
-Robin matrix is
+translates of one square, and their Robin problems differ only in which
+sides are interfaces: on the domain boundary the normal trace is
+eliminated.  So one template matrix T is assembled, from subdomain 0's
+triangles, on the local dofs [interior, bottom, left, right, top] of
+`partition.local_dofs`, with every side kept.  Class c keeps the
+interior and its own sides, and its Robin matrix is a principal
+submatrix of T plus the Robin term:
 
-    H_c = [[A_II, A_IG[:, cols_c]], [A_GI_c, A_GG_c + gamma M_c]],
+    H_c = T[keep_c, keep_c] + gamma M_c on its interface rows.
 
-with one interior block A_II and one side block A_IG (r columns per
-side) shared by all classes, each class keeping the columns cols_c of
-its own sides.  A_II is factorized once, and every class's matrix is
-checked against both shared blocks exactly.  The edge-average continuity
+A_II = T[:nI, :nI] is factorized once.  The edge-average continuity
 constraint B u = 0 is enforced with a Lagrange multiplier; eliminating
 the (block-diagonal) Robin matrix leaves a sparse Schur complement
 S = B H^-1 B^T, one row per coarse interface.  A_II and S are factorized
 the same way, by `_factor`.
 
-Each subdomain's local dof order, and its dof tables, are the partition's
-(`partition.local_dofs`, `interior`, `slots`); this module takes them as
-given and checks them congruent across each class.  The loads need no
+Each subdomain's local dof order, and its dof tables, are the
+partition's (`partition.local_dofs`, `interior`, `slots`); `local_dofs`
+checks every subdomain against the template.  The loads need no
 per-member triangle table: `local_loads` scatters all triangles once.
 
 Setup condenses each class onto its interface (static condensation).
 W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
-row-major array, and class c's Robin-to-trace map is the inverse of its
-Schur block, Z_c = (A_GG_c - A_GI_c W_c + gamma M_c)^-1, W_c = W[:, cols_c],
-at most 4r x 4r and taken through its Cholesky factor.  The constrained
-resolvent is one `matmul` per class, Z_c on the (n_own, members x
-columns) block of its members' right-hand sides, and one sparse coarse
-solve; `solve` adds one interior solve for all members' loads and
-recovers all members' interiors in one product with W.  Each Z_c is held
-to a bound on its backward error against the class's own matrix.
+row-major array, and the template's Schur complement S_t = A_GG - A_GI W,
+at most 4r x 4r, is formed once.  Class c's Robin-to-trace map is
+the inverse of a principal submatrix of it plus the Robin term,
+Z_c = (S_t[cols_c, cols_c] + gamma M_c)^-1, taken through its Cholesky
+factor.  The constrained resolvent is one `matmul` per class, Z_c on the
+(n_own, members x columns) block of its members' right-hand sides, and
+one sparse coarse solve; `solve` adds one interior solve and one product
+with A_GI for all members' loads, and recovers all members' interiors in
+one product with W.  Each Z_c is held to a bound on its backward error
+against the class's own matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .mesh import Mesh
 from .partition import SubdomainPartition, local_dofs
 
 __all__ = [
-    "InteriorBlock",
+    "RobinTemplate",
     "RobinClass",
     "ConstrainedRobinSolver",
     "build_local_systems",
@@ -71,29 +72,29 @@ COLUMN_BLOCK = 256
 
 
 @dataclass(eq=False)
-class InteriorBlock:
-    """The interior rows that every class's Robin matrix shares, and one
-    factor.
+class RobinTemplate:
+    """The one template Robin matrix that every class's is cut from, and
+    one factor.
 
-    `rows` = [A_II, A_IG].  A_II couples the interior dofs, local dofs
-    0 .. nI-1 of every subdomain.  A_IG couples them to the slots of every
-    side that some class has, r columns per side, in the order bottom,
-    left, right, top, and along each side in the order of
-    `partition.slots`.  `r` is that side width, and `_lu` is A_II's
-    factor.
+    `A` is the plain bilinear form (no Robin term) of subdomain 0's
+    triangles on the local dofs of `partition.local_dofs`: the nI interior
+    dofs, then r dofs on each side, in the order bottom, left, right, top,
+    whether or not the side lies on the domain boundary.  `r` is that side
+    width, and `_lu` is A_II's factor.
     """
 
-    rows: sp.csr_matrix
+    A: sp.csr_matrix
     r: int
     _lu: spla.SuperLU
 
     @property
-    def A_II(self) -> sp.csr_matrix:
-        return self.rows[:, :self.rows.shape[0]]
+    def n_interior(self) -> int:
+        return self.A.shape[0] - 4 * self.r
 
     @property
-    def A_IG(self) -> sp.csr_matrix:
-        return self.rows[:, self.rows.shape[0]:]
+    def A_II(self) -> sp.csr_matrix:
+        nI = self.n_interior
+        return self.A[:nI, :nI]
 
 
 @dataclass(eq=False)
@@ -103,12 +104,10 @@ class RobinClass:
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges interior[i] = part.interior_of(s),
     then the trace slots slots[i] = part.slots_of(s), both increasing.
-    `A` holds the class's own plain bilinear blocks
-    without the Robin term, H = A + gamma * diag(m_diag) on the interface
-    rows.  Its interior rows are meant to be those of `shared`,
-    A[:nI] = [A_II, A_IG[:, cols]], with cols the columns of the class's
-    own sides in the shared side block; `ConstrainedRobinSolver` refuses
-    the class unless they are, exactly.
+    `cols` are the template's side dofs, counted from nI, of the class's
+    own sides, and `A` is the template's principal submatrix on
+    [interior, nI + cols]: the class's plain bilinear blocks without the
+    Robin term, H = A + gamma * diag(m_diag) on the interface rows.
     """
 
     members: np.ndarray
@@ -118,7 +117,7 @@ class RobinClass:
     m_diag: np.ndarray
     gamma: float
     cols: np.ndarray
-    shared: InteriorBlock
+    template: RobinTemplate
 
     @property
     def n_interior(self) -> int:
@@ -136,19 +135,16 @@ def _rows(start: np.ndarray, members: np.ndarray) -> np.ndarray:
     return start[members][:, None] + np.arange(size)
 
 
-def _congruence_classes(N: int, starts: np.ndarray):
-    """(members, rows) per subdomain shape, members in increasing order.
+def _congruence_classes(N: int):
+    """Members of each subdomain shape, in increasing order.
 
     Subdomain s = J*N + I is a translate of every subdomain with the same
-    key (I == 0, I == N-1, J == 0, J == N-1).  rows[i] holds the
-    positions of member i's triangles in the order of `local_dofs`,
-    as many as the first member has.
+    key (I == 0, I == N-1, J == 0, J == N-1).
     """
     J, I = np.divmod(np.arange(N * N), N)
     key = 8 * (I == 0) + 4 * (I == N - 1) + 2 * (J == 0) + (J == N - 1)
     order = np.argsort(key, kind="stable")
-    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        yield members, _rows(starts, members)
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 def _check_congruent(members: np.ndarray, what: str, table) -> None:
@@ -214,107 +210,46 @@ def _spd_inverse(S: np.ndarray, not_spd: str) -> np.ndarray:
     return np.triu(upper) + np.triu(upper, 1).T
 
 
-def _entries(A: sp.csr_matrix, lo: int, hi: int):
-    """(row, col, data) of rows lo .. hi-1 of a CSR matrix, rows counted
-    from lo, as views of its arrays where they can be."""
-    a, b = A.indptr[lo], A.indptr[hi]
-    row = np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))
-    return row, A.indices[a:b], A.data[a:b]
-
-
-def _to_shared(n_interior: int, cols: np.ndarray) -> np.ndarray:
-    """The column in `InteriorBlock.rows` of each local dof of a class
-    with n_interior interior dofs and side columns cols."""
-    return np.concatenate([np.arange(n_interior), n_interior + cols])
-
-
-def _check_shared(cls: RobinClass, shared: InteriorBlock) -> None:
-    """Raise ValueError unless the class's interior rows are exactly the
-    shared rows on its own columns, [A_II, A_IG[:, cols]], entry for entry.
-
-    Both are canonical CSR and the map of columns is increasing, so the
-    class's entries must be those of the shared rows on its columns, in
-    the same order."""
-    nI = cls.n_interior
-    if nI == shared.rows.shape[0]:
-        row, col, data = _entries(cls.A, 0, nI)
-        to_shared = _to_shared(nI, cls.cols)
-        own = np.zeros(shared.rows.shape[1], dtype=bool)
-        own[to_shared] = True
-        s_row, s_col, s_data = _entries(shared.rows, 0, nI)
-        keep = own[s_col]
-        if (np.array_equal(row, s_row[keep])
-                and np.array_equal(to_shared[col], s_col[keep])
-                and np.array_equal(data, s_data[keep])):
-            return
-    raise ValueError(
-        f"subdomain {cls.members[0]}: its interior rows are not exactly "
-        "the shared interior block and its sides' columns"
-    )
-
-
 def build_local_systems(
     part: SubdomainPartition, mesh: Mesh, beta: float, gamma: float
 ) -> list:
-    """Assemble one Robin matrix per congruence class, from its first
-    member's triangles, and factorize the interior block they share once.
+    """Assemble the one template matrix, from subdomain 0's triangles, cut
+    each congruence class's matrix from it, and factorize A_II once.
 
-    Every other member must match its class's first member exactly in
-    local dofs; its interior and slots are read from `part.interior` and
-    `part.slots` by their offsets.  That the members' triangles are
-    translates, vertices and edge orientations, is part of the check of
-    every triangle against its shape that `fem` runs once per mesh, on
-    the first class's `element_matrices`.
-    The shared blocks are read off the classes' own matrices: A_II from
-    the first class's, and each side's columns of A_IG from the first
-    class that has that side (at N=2 no class has all four, at N=1 none
-    has any).  `ConstrainedRobinSolver` checks every class against them.
+    Class c keeps the interior dofs and the r side dofs of each of its
+    own sides (bottom if J > 0, left if I > 0, right if I < N-1, top if
+    J < N-1, for its members (J, I)); its members' interiors and slots
+    are read from `part.interior` and `part.slots` by their offsets.
+    `partition.local_dofs` checks every subdomain's triangles and slots
+    against the template's dofs.  That the triangles are translates,
+    vertices and edge orientations, is part of the check of every
+    triangle against its shape that `fem` runs once per mesh, on the
+    template's `element_matrices`.
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
     N = part.N
     r = mesh.m // N
-    tri_ids, starts, loc = local_dofs(part)
-    own, sides = [], []
-    for members, rows in _congruence_classes(N, starts):
-        _check_congruent(members, "local dof table", np.take(loc, rows, axis=0))
-
-        dofs = loc[rows[0]]
-        interior = np.take(part.interior, _rows(part.interior_start, members))
-        slots = np.take(part.slots, _rows(part.slot_start, members))
-        n_local = interior.shape[1] + slots.shape[1]
-
-        divdiv, mass = fem.element_matrices(mesh, tri_ids[rows[0]])
-        own.append(dict(
-            members=members, interior=interior, slots=slots,
-            A=fem.assemble_matrix(divdiv + beta * mass, dofs, n_local),
-            m_diag=part.trace.m_diag[slots[0]], gamma=gamma,
-        ))
-        # Its sides, bottom, left, right and top, in slot order.
+    tri_ids, loc = local_dofs(part)
+    divdiv, mass = fem.element_matrices(mesh, tri_ids)
+    nI = int(part.interior_start[1])
+    A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
+    own = []
+    for members in _congruence_classes(N):
         J, I = divmod(int(members[0]), N)
-        sides.append([J > 0, I > 0, I < N - 1, J < N - 1])
-
-    # Side d takes columns start[d] .. start[d] + r - 1 of A_IG, if some
-    # class has it.  Each column is taken from the first class with it.
-    has = np.any(sides, axis=0)
-    start = r * (np.cumsum(has) - has)
-    nI = own[0]["interior"].shape[1]
-    taken = np.zeros(nI + r * np.count_nonzero(has), dtype=bool)
-    entries = []
-    for fields, present in zip(own, sides):
-        fields["cols"] = (start[present][:, None] + np.arange(r)).ravel()
-        to_shared = _to_shared(nI, fields["cols"])
-        row, col, data = _entries(fields["A"], 0, nI)
-        col = to_shared[col]
-        keep = ~taken[col]
-        taken[to_shared] = True
-        entries.append((data[keep], row[keep], col[keep]))
-    data, row, col = (np.concatenate(e) for e in zip(*entries))
-    interior_rows = sp.csr_matrix((data, (row, col)), shape=(nI, taken.size))
-    interior_rows.sum_duplicates()  # canonical, as `_check_shared` reads it
-    shared = InteriorBlock(rows=interior_rows, r=r, _lu=_factor(
-        interior_rows[:, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
-    return [RobinClass(**fields, shared=shared) for fields in own]
+        sides = np.flatnonzero([J > 0, I > 0, I < N - 1, J < N - 1])
+        cols = (r * sides[:, None] + np.arange(r)).ravel()
+        keep = np.concatenate([np.arange(nI), nI + cols])
+        slots = np.take(part.slots, _rows(part.slot_start, members))
+        own.append(dict(
+            members=members,
+            interior=np.take(part.interior, _rows(part.interior_start, members)),
+            slots=slots, A=A[keep][:, keep], m_diag=part.trace.m_diag[slots[0]],
+            gamma=gamma, cols=cols,
+        ))
+    template = RobinTemplate(A=A, r=r, _lu=_factor(
+        A[:nI, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
+    return [RobinClass(**fields, template=template) for fields in own]
 
 
 def local_loads(classes: list, part: SubdomainPartition, field) -> list:
@@ -367,18 +302,21 @@ def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
     return float((side_residual * z_2 + np.linalg.norm(R)) / scale)
 
 
-def _side_solves(shared: InteriorBlock):
-    """(W, side_sq): W = A_II^-1 A_IG, row-major, solved one side (r
-    columns) at a time, and the squared norm of each column of the side
-    solves' residual A_II W - A_IG.  Only one side's dense columns and
-    residual are alive beside W."""
-    A_II, A_IG = shared.A_II, shared.A_IG.tocsc()
-    W = np.empty(A_IG.shape)
-    side_sq = np.empty(A_IG.shape[1])
-    for lo in range(0, A_IG.shape[1], shared.r):
-        side = slice(lo, lo + shared.r)
+def _side_solves(template: RobinTemplate, width: int):
+    """(W, side_sq): W = A_II^-1 A_IG on the template's first `width` side
+    columns, row-major, solved one side (r columns) at a time, and the
+    squared norm of each column of the side solves' residual
+    A_II W - A_IG.  Only one side's dense columns and residual are alive
+    beside W."""
+    nI, r = template.n_interior, template.r
+    A_II = template.A_II
+    A_IG = template.A[:nI, nI:nI + width].tocsc()
+    W = np.empty((nI, width))
+    side_sq = np.empty(width)
+    for lo in range(0, width, r):
+        side = slice(lo, lo + r)
         rhs = A_IG[:, side].toarray()
-        W_side = _solve(shared._lu, rhs, "the side columns")
+        W_side = _solve(template._lu, rhs, "the side columns")
         W[:, side] = W_side
         R = A_II @ W_side
         R -= rhs
@@ -390,16 +328,18 @@ def _side_solves(shared: InteriorBlock):
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
-    Setup checks every class against the shared blocks of the first
-    class's `shared` (`_check_shared`), solves W = A_II^-1 A_IG once, one
-    side (r columns) at a time (`_side_solves`), and inverts each class's
-    Schur block A_GG - A_GI W_c + gamma M through its Cholesky factor,
-    W_c = W[:, cols].  Each inverse is held to `_trace_map_error`.  The
-    solver keeps:
+    Setup solves W = A_II^-1 A_IG once on the template's sides, one side
+    (r columns) at a time (`_side_solves`), forms the template's Schur
+    complement S_t = A_GG - A_GI W once, and inverts each class's Schur
+    block S_t[cols, cols] + gamma M through its Cholesky factor.  Each
+    inverse is held to `_trace_map_error`.  W and S_t cover all four
+    sides when some class has a side, as every side is some class's for
+    N > 1, and none for N = 1.  The solver keeps:
 
-    - W, row-major and shared by every class: its rows -W_c Z are the
-      interior rows of the class's solves against the identity on its
+    - W, row-major and shared by every class: its rows -W[:, cols] Z are
+      the interior rows of the class's solves against the identity on its
       interface;
+    - A_GI, the template's interface-to-interior block, for the loads;
     - per class Z, at most 4r x 4r, the Robin-to-trace map of every
       member;
     - the sparse solved constraint columns Y_trace, Z B_s^T on the slots
@@ -412,9 +352,10 @@ class ConstrainedRobinSolver:
     (n_own, members x columns) block gathered through one flat slot index
     per class, plus the coarse correction, in one body for a vector or a
     block of columns.  `solve` puts one A_II solve of every member's
-    interior load before that body and one product of W with the
-    members' interface solutions after it.  An empty (0 x n_slots)
-    constraint gives the unconstrained solves.
+    interior load, and one product of A_GI with those solutions, before
+    that body and one product of W with the members' interface solutions
+    after it.  An empty (0 x n_slots) constraint gives the unconstrained
+    solves.
     """
 
     def __init__(self, classes: list, B: sp.spmatrix):
@@ -437,26 +378,26 @@ class ConstrainedRobinSolver:
         slot_value = np.zeros(self.n_slots)
         slot_value[entry.col] = entry.data
 
-        shared = classes[0].shared
-        for cls in classes:
-            _check_shared(cls, shared)
-        self._lu = shared._lu
-        self._W, side_sq = _side_solves(shared)
+        template = classes[0].template
+        self._lu = template._lu
+        width = 4 * template.r if any(cls.cols.size for cls in classes) else 0
+        self._W, side_sq = _side_solves(template, width)
         # Per class, its members' slots flat and own-slot-major: slot p of
         # member i at p * k + i, so that a gather reshapes to (n_own, k).
         self._flat = [cls.slots.T.ravel() for cls in classes]
 
-        self._Z, self._A_GI = [], []
+        nI = template.n_interior
+        sides = slice(nI, nI + width)
+        self._A_GI = template.A[sides, :nI]
+        schur_t = -(self._A_GI @ self._W)
+        A_GG = template.A[sides, sides].tocoo()
+        schur_t[A_GG.row, A_GG.col] += A_GG.data
+
+        self._Z = []
         y_rows, y_cols, y_vals = [], [], []
         for cls in classes:
             k, n_own = cls.slots.shape
-            nI = cls.n_interior
-            row, col, data = _entries(cls.A, nI, cls.n_local)
-            side = col >= nI
-            A_GI = sp.csr_matrix((data[~side], (row[~side], col[~side])),
-                                 shape=(n_own, nI))
-            schur = -(A_GI @ self._W)[:, cls.cols]
-            schur[row[side], col[side] - nI] += data[side]
+            schur = schur_t[np.ix_(cls.cols, cls.cols)]
             schur[np.diag_indices(n_own)] += cls.gamma * cls.m_diag
             Z = _spd_inverse(schur, NOT_SPD.format(cls.members[0]))
             err = (_trace_map_error(cls, schur, Z, np.sqrt(side_sq[cls.cols].sum()))
@@ -467,7 +408,6 @@ class ConstrainedRobinSolver:
                     f"error {err:.3e}"
                 )
             self._Z.append(Z)
-            self._A_GI.append(A_GI)
             # Local constraint block: row q covers the slot positions with
             # label q; adj[i, q] is that row's interface for member i.
             iface = slot_iface[cls.slots]
@@ -534,11 +474,13 @@ class ConstrainedRobinSolver:
             v = _solve(self._lu, f_I, "the interior loads")
         split = np.cumsum(sizes)[:-1]
         v_c = np.split(v, split, axis=1)
+        if loads is not None:
+            A_GI_v = np.split(self._A_GI @ v, split, axis=1)
         rhs = np.empty(self.n_slots)
-        for c, (cls, A_GI, flat) in enumerate(zip(self.classes, self._A_GI, self._flat)):
+        for c, (cls, flat) in enumerate(zip(self.classes, self._flat)):
             rhs_c = cls.m_diag[:, None] * g[flat].reshape(-1, sizes[c])
             if loads is not None:
-                rhs_c += loads[c][nI:] - A_GI @ v_c[c]
+                rhs_c += loads[c][nI:] - A_GI_v[c][cls.cols]
             rhs[flat] = rhs_c.ravel()
         w, mu = self._condensed(rhs)
         # x_I = v - W x_G for every member in one GEMM: X's column j holds

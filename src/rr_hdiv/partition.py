@@ -3,9 +3,11 @@
 Builds the triangle-to-subdomain map, the two-sided trace slot layout
 with its pairing permutation, each subdomain's interior edges and trace
 slots, and the edge-average constraint matrix.  It is the one owner of
-the subdomain layout: `local_dofs` derives every subdomain's local dof
-order, [interior_of(s), slots_of(s)], from it, and the local solver
-takes that table as given.
+the subdomain layout.  Subdomain s's local dof order is
+[interior_of(s), slots_of(s)]; `local_dofs` writes it once, as one
+template on subdomain 0's triangles with all four sides kept, and checks
+every subdomain against it in one pass.  The local solver takes that
+template as given.
 
 Coarse interfaces are numbered by index arithmetic, bottom-to-top and
 left-to-right by midpoint: row J of subdomains holds its N-1 vertical
@@ -18,8 +20,8 @@ order, and each edge's i-side slot immediately precedes its j-side slot.
 
 The layout is index arithmetic on the structured mesh: the subdomain of
 each triangle, the fine edges of each interface (`mesh.edge_id`), each
-subdomain's interior edges and slots, and `local_dofs`' grouping of the
-triangles are written from the grid position, with no gather by
+subdomain's interior edges and slots, and `local_dofs`' side edges and
+template triangles are written from the grid position, with no gather by
 subdomain and no sort.  What that assumes of the mesh is then checked in
 O(n) passes, without sorting or hashing: the stored midpoints, kinds and
 boundary flags of the interface edges, and that the interior edge sets
@@ -62,6 +64,13 @@ __all__ = [
 # The mesh's symmetries on the trace slots, in the order that
 # `symmetry_generators` returns them.
 SYMMETRY_NAMES = ("half-turn", "reflection x <-> y")
+
+# Refusals of `local_dofs`, naming the first subdomain that fails.
+NOT_A_TRANSLATE = ("subdomain {} is not a translate of subdomain 0: its "
+                   "triangles do not carry the template's local dofs on its "
+                   "interior and side edges")
+BAD_SLOTS = ("subdomain {}: its trace slots do not name its interface sides' "
+             "edges, in order, on its side")
 
 
 @dataclass(eq=False)
@@ -111,11 +120,6 @@ class SubdomainPartition:
     def slots_of(self, sub: int) -> np.ndarray:
         """Trace slots of one subdomain, in increasing order."""
         return self.slots[self.slot_start[sub]:self.slot_start[sub + 1]]
-
-
-def _position_in_group(start: np.ndarray) -> np.ndarray:
-    """Each grouped entry's position within its group."""
-    return np.arange(start[-1]) - np.repeat(start[:-1], np.diff(start))
 
 
 def partition(mesh: Mesh, N: int) -> SubdomainPartition:
@@ -273,44 +277,73 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
 
 
 def local_dofs(part: SubdomainPartition):
-    """Triangles grouped by subdomain, with the local dofs of their edges.
+    """The one template of every subdomain's local dofs, checked against
+    all of them.
 
-    Subdomain s's local dofs are [interior_of(s), slots_of(s)], ranked
-    from the offsets.  Returns (tri_ids, starts, loc): triangles
-    tri_ids[starts[s]:starts[s+1]] are subdomain s's, in increasing
-    order, and loc[k] holds the local dof of each edge of triangle
-    tri_ids[k] in its subdomain (-1 on the boundary).  The global edge or
-    trace slot behind local dof i of s is entry i of [interior_of(s),
-    slots_of(s)], which the partition already stores.
+    Returns (tri_ids, loc): subdomain 0's 2r^2 triangles tri_ids, in the
+    mesh's (cell row, shape, cell column) order, and loc[k] the local dof
+    of each edge of triangle tri_ids[k] in the template order [interior
+    (nI), bottom, left, right, top (r each, in geometric order)], whether
+    or not a side lies on the domain boundary.  Every edge of a triangle
+    has a dof: the template matrix is that of one square with no side
+    eliminated.
 
-    Subdomain (J, I) holds the triangles of cell rows rJ .. rJ+r-1 and
-    cell columns rI .. rI+r-1, so grouping is a transpose of the mesh's
-    (cell row, shape, cell column) order.  An interface edge's slot is
-    its i-side one in the triangle its normal points out of and its
-    j-side one in the triangle its normal points into (`tri_signs`).
+    Subdomain s = J N + I is subdomain 0 moved by (rI, rJ) cells; behind
+    its template dofs lie edges[s] = [interior_of(s), its four sides'
+    edges].  Its Robin problem keeps the interior and the sides that are
+    interfaces (bottom if J > 0, left if I > 0, right if I < N-1, top if
+    J < N-1), whose slots are slots_of(s) in that order.  One pass over
+    all N^2 subdomains raises ValueError unless every subdomain's
+    triangles carry exactly edges[s][loc] and slots_of(s) names its
+    interface sides' edges, in order, each slot on s's side of its edge.
     """
     mesh, trace, N = part.mesh, part.trace, part.N
-    r = mesh.m // N
+    m = mesh.m
+    r = m // N
+    n_subs = part.n_subdomains
+    J, I = np.divmod(np.arange(n_subs, dtype=np.int64), N)
 
-    def by_subdomain(table):
-        tail = table.shape[1:]
-        grid = table.reshape(N, r, 2, N, r, *tail)
-        return grid.transpose(0, 3, 1, 2, 4, *range(5, grid.ndim)).reshape(-1, *tail)
+    # Doubled midpoints (x2, y2) of the sides' edges, (N^2, 4, r).
+    along_x = (2 * r * I)[:, None] + 2 * np.arange(r) + 1
+    along_y = (2 * r * J)[:, None] + 2 * np.arange(r) + 1
+    x2 = np.stack(np.broadcast_arrays(
+        along_x, 2 * r * I[:, None], 2 * r * (I + 1)[:, None], along_x), axis=1)
+    y2 = np.stack(np.broadcast_arrays(
+        2 * r * J[:, None], along_y, along_y, 2 * r * (J + 1)[:, None]), axis=1)
+    sides = edge_id(m, x2, y2)
 
-    tri_ids = by_subdomain(np.arange(mesh.n_triangles))
-    starts = 2 * r * r * np.arange(part.n_subdomains + 1)
-    # rank[d, e]: local dof of edge e in the subdomain on side d of it.
-    rank = np.full((2, mesh.n_edges), -1, dtype=np.int64)
-    rank[0, part.interior] = _position_in_group(part.interior_start)
-    rank[1] = rank[0]
-    n_interior = np.diff(part.interior_start)
-    local = np.empty(trace.n_slots, dtype=np.int64)
-    local[part.slots] = (np.repeat(n_interior, np.diff(part.slot_start))
-                         + _position_in_group(part.slot_start))
-    rank[trace.slot_side, trace.slot_edge] = local
-    side = by_subdomain(mesh.tri_signs) < 0.0
-    loc = rank.ravel()[by_subdomain(mesh.tri_edges) + mesh.n_edges * side]
-    return tri_ids, starts, loc
+    # Subdomain s's interior edges, rows of one (N^2, nI) table.
+    n_interior = part.interior_start[1]
+    _refuse(part.interior_start[1:] != n_interior * np.arange(1, n_subs + 1),
+            NOT_A_TRANSLATE)
+    edges = np.concatenate(
+        [part.interior.reshape(n_subs, -1), sides.reshape(n_subs, -1)], axis=1)
+    # Subdomain 0 holds cell rows 0 .. r-1 and cell columns 0 .. r-1; each
+    # subdomain's triangles are grouped by a transpose of the mesh's
+    # (cell row, shape, cell column) order.
+    tri_ids = (2 * m * np.arange(r)[:, None, None] + m * np.arange(2)[:, None]
+               + np.arange(r)).ravel()
+    tri_edges = mesh.tri_edges.reshape(N, r, 2, N, r, 3).transpose(
+        0, 3, 1, 2, 4, 5).reshape(n_subs, -1)
+    rank = np.full(mesh.n_edges, -1, dtype=np.int64)
+    rank[edges[0]] = np.arange(edges.shape[1])
+    loc = rank[tri_edges[0]]
+    _refuse(np.any(tri_edges != edges[:, loc], axis=1), NOT_A_TRANSLATE)
+
+    present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
+    counts = r * present.sum(axis=1)
+    _refuse(part.slot_start[1:] != np.cumsum(counts), BAD_SLOTS)
+    owner = np.repeat(np.arange(n_subs), counts)
+    wrong = ((trace.slot_edge[part.slots] != sides[present].ravel())
+             | (trace.slot_sub[part.slots] != owner))
+    _refuse(np.bincount(owner[wrong], minlength=n_subs) > 0, BAD_SLOTS)
+    return tri_ids, loc.reshape(-1, 3)
+
+
+def _refuse(bad: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) naming the first subdomain flagged bad."""
+    if bad.any():
+        raise ValueError(message.format(np.argmax(bad)))
 
 
 def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:

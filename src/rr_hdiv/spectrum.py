@@ -43,6 +43,7 @@ __all__ = [
     "spectrum_filename",
     "symmetry_blocks",
     "SIZE_CAP",
+    "SizeCapError",
     "SYMMETRY_TOL",
 ]
 
@@ -53,6 +54,11 @@ __all__ = [
 # Assembly holds Q (136 MB there) and a few n x COLUMN_BLOCK blocks, a
 # traced peak of 182 MB.
 SIZE_CAP = 4500
+
+
+class SizeCapError(ValueError):
+    """A trace dimension beyond SIZE_CAP, refused before any assembly."""
+
 
 UNIT_TOL = 1e-6
 
@@ -126,7 +132,7 @@ class SpectrumReport:
 def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOperator:
     """Build the dense iteration matrix for one configuration.
 
-    Refuses dimensions beyond SIZE_CAP; the assembly cost is one
+    Refuses dimensions beyond SIZE_CAP with SizeCapError; the assembly cost is one
     resolvent application per block of COLUMN_BLOCK columns, the memory
     cost Q and a few n x COLUMN_BLOCK blocks.  The operator carries the
     orbits of the partition's symmetry group, which `eigenvalues` splits
@@ -134,7 +140,7 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
     """
     n = 4 * config.N * (config.N - 1) * config.ratio
     if n > SIZE_CAP:
-        raise ValueError(
+        raise SizeCapError(
             f"trace dimension {n} exceeds the dense-assembly cap {SIZE_CAP}"
         )
     if problem is None:

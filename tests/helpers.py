@@ -7,9 +7,11 @@ independent cross-check on small instances.  The first section holds
 reference code that only the tests use: mesh queries, the edge
 interpolant, the elementwise divergence, the L2 distance of two discrete
 fields, the errors of the direct solve and a class's Robin matrix.  The
-last holds `DirectSolver`, the constrained solves through each class's
-own factor, and `symmetry_maps`, the signed maps of one subdomain's local
-dofs onto its symmetry images.
+middle holds the per-subdomain dof tables, loads and per-class assembly
+that the one template replaced.  The last holds `DirectSolver`, the
+constrained solves through each class's own factor, and
+`symmetry_maps`, the signed maps of one subdomain's local dofs onto its
+symmetry images.
 """
 
 import dataclasses
@@ -202,11 +204,40 @@ def relaxed_step(problem, g, theta):
     return theta * g_tilde + (1.0 - theta) * g
 
 
+def per_subdomain_local_dofs(part):
+    """Every subdomain's local dof table, from the template of
+    `partition.local_dofs` mapped through each subdomain's kept dofs.
+
+    Returns (tri_ids, starts, loc): subdomain s = J*N + I's triangles
+    tri_ids[starts[s]:starts[s+1]] are the template's moved by (rI, rJ)
+    cells, and loc holds the local dof of each of their edges in s's own
+    order [interior_of(s), slots_of(s)], -1 on the domain boundary.
+    """
+    tri_ids, loc = local_dofs(part)
+    N, m = part.N, part.mesh.m
+    r = m // N
+    n_interior = loc.max() + 1 - 4 * r
+    J, I = np.divmod(np.arange(N * N), N)
+    present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
+    # Side d of s, if s keeps it, is its own side number rank[s, d].
+    rank = np.cumsum(present, axis=1) - 1
+    side_dof = n_interior + r * rank[:, :, None] + np.arange(r)
+    to_own = np.concatenate([
+        np.broadcast_to(np.arange(n_interior), (N * N, n_interior)),
+        np.where(present[:, :, None], side_dof, -1).reshape(N * N, -1),
+    ], axis=1)
+    shift = 2 * m * r * J + r * I
+    return ((shift[:, None] + tri_ids).ravel(),
+            tri_ids.size * np.arange(N * N + 1),
+            to_own[:, loc].reshape(-1, 3))
+
+
 def per_member_local_loads(classes, part, field):
     """Reference loads: each class's members' triangle ids and its shared
-    local dof table taken from `partition.local_dofs`, then one bincount
-    per class of those triangles' contributions into its local dofs."""
-    tri_ids, starts, loc = local_dofs(part)
+    local dof table taken from `per_subdomain_local_dofs`, then one
+    bincount per class of those triangles' contributions into its local
+    dofs."""
+    tri_ids, starts, loc = per_subdomain_local_dofs(part)
     contrib = fem.element_loads(part.mesh, field)
     loads = []
     for cls in classes:
@@ -221,6 +252,45 @@ def per_member_local_loads(classes, part, field):
             np.bincount(dofs.ravel(), values.ravel(), minlength=n * k).reshape(k, n).T
         )
     return loads
+
+
+def per_class_assembly(problem):
+    """Reference for the template: each class's A and Z as assembled one
+    class at a time.
+
+    A is assembled from the class's first member's triangles in its own
+    local dofs (`per_subdomain_local_dofs`).  A_II is the first class's,
+    side d's columns of A_IG are the first class's that has side d, and
+    W = A_II^-1 A_IG is solved one side at a time.  Class c's Schur block
+    is A_GG_c - A_GI_c W[:, cols_c] + gamma M_c, from its own A, and Z is
+    its inverse.  Returns the list of (A, Z).
+    """
+    part, mesh = problem.partition, problem.mesh
+    tri_ids, starts, loc = per_subdomain_local_dofs(part)
+    classes = problem.classes
+    own = []
+    for cls in classes:
+        block = slice(starts[cls.members[0]], starts[cls.members[0] + 1])
+        divdiv, mass = fem.element_matrices(mesh, tri_ids[block])
+        own.append(fem.assemble_matrix(divdiv + problem.config.beta * mass,
+                                       loc[block], cls.n_local))
+    nI, r = classes[0].n_interior, mesh.m // part.N
+    lu = local_solver._factor(own[0][:nI, :nI], 0.0, "reference A_II")
+    W = np.zeros((nI, 4 * r))
+    for d in range(4):
+        for cls, A in zip(classes, own):
+            hit = np.flatnonzero(cls.cols == d * r)
+            if hit.size:
+                at = nI + hit[0]
+                W[:, d * r:(d + 1) * r] = lu.solve(A[:nI, at:at + r].toarray())
+                break
+    out = []
+    for cls, A in zip(classes, own):
+        schur = -(A[nI:, :nI] @ W)[:, cls.cols]
+        schur += A[nI:, nI:].toarray()
+        schur[np.diag_indices_from(schur)] += cls.gamma * cls.m_diag
+        out.append((A, local_solver._spd_inverse(schur, "reference Schur block")))
+    return out
 
 
 class DirectSolver:

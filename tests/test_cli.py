@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from rr_hdiv import cli
+from rr_hdiv import cli, fem
 
 
 @pytest.mark.parametrize(
@@ -167,6 +167,27 @@ def test_run_spectrum_skips_capped(tmp_path, capsys):
     _, _, data = cli.read_table(os.path.join(str(tmp_path),
                                              "spectrum_summary.csv"))
     assert data == []
+
+
+def test_spectrum_grid_propagates_other_errors(tmp_path, monkeypatch):
+    """Only the size cap skips a spectrum: with every assembled matrix
+    negated, the Robin matrices' refusal propagates out of run_spectrum,
+    which writes no summary, and out of main, which returns no status."""
+    assemble = fem.assemble_matrix
+    monkeypatch.setattr(fem, "assemble_matrix", lambda *args: -assemble(*args))
+    cfg = cli.ExperimentConfig(
+        experiment="spectrum", n_list=(4,), ratio_list=(4, 8),
+        gamma_rules=("h",), theta_list=(1.0,), out_dir=str(tmp_path / "grid"),
+    )
+    not_spd = "^subdomain 5: Robin matrix not positive definite"
+    with pytest.raises(ValueError, match=not_spd):
+        cli.run_spectrum(cfg)
+    assert not (tmp_path / "grid" / "spectrum_summary.csv").exists()
+    for argv in (["run", "--experiment", "spectrum", "--max-n", "4"],
+                 ["spectrum", "--n", "4", "--ratio", "4"]):
+        with pytest.raises(ValueError, match=not_spd):
+            cli.main([*argv, "--out", str(tmp_path / "main")])
+    assert not (tmp_path / "main").exists()
 
 
 def test_table_grid_honours_full_and_max_n():

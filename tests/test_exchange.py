@@ -86,25 +86,22 @@ def test_resolvent_is_the_zero_load_solve(cfg, seed):
 @given(cfg=configs)
 def test_classes_are_the_shared_interior_block_plus_own_sides(cfg):
     """Each class's first member's own Robin matrix, assembled densely from
-    its triangles, has as interior rows exactly the first class's interior
-    block and, on each of its sides, exactly the columns of the first class
-    that has that side.  The class's stored A has exactly the shared rows
-    on its own columns, and every member's interface mass is its m_diag."""
+    its triangles, is exactly the template's principal submatrix on the
+    interior and the class's own sides, plus the Robin term on its
+    interface rows.  The class's stored A is exactly that submatrix, and
+    every member's interface mass is its m_diag."""
     problem = iteration.build_problem(cfg, verify.manufactured_case().load)
-    classes = problem.classes
-    shared = classes[0].shared
-    nI = classes[0].n_interior
-    columns = [np.concatenate([np.arange(nI), nI + cls.cols]) for cls in classes]
-    dense = [subdomain_robin_matrix(problem, cls.members[0])[0][:nI]
-             for cls in classes]
-    ref = np.full(shared.rows.shape, np.nan)
-    for cols, H in zip(columns, dense):
-        new = np.isnan(ref[0, cols])
-        ref[:, cols[new]] = H[:, new]
-    rows = shared.rows.toarray()
-    for cls, cols, H in zip(classes, columns, dense):
-        assert np.array_equal(H, ref[:, cols])
-        assert np.array_equal(cls.A[:nI].toarray(), rows[:, cols])
+    template = problem.classes[0].template
+    nI = template.n_interior
+    T = template.A.toarray()
+    for cls in problem.classes:
+        keep = np.concatenate([np.arange(nI), nI + cls.cols])
+        own = T[np.ix_(keep, keep)]
+        assert np.array_equal(cls.A.toarray(), own)
+        own[np.arange(nI, keep.size), np.arange(nI, keep.size)] += (
+            problem.gamma * cls.m_diag)
+        H = subdomain_robin_matrix(problem, cls.members[0])[0]
+        assert np.array_equal(H, own)
         assert np.array_equal(problem.partition.trace.m_diag[cls.slots],
                               np.broadcast_to(cls.m_diag, cls.slots.shape))
 

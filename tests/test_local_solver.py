@@ -13,7 +13,9 @@ from helpers import (
     dense_resolvent,
     DirectSolver,
     direct_problem,
+    per_class_assembly,
     per_member_local_loads,
+    per_subdomain_local_dofs,
     robin_matrix,
     subdomain_load,
     subdomain_robin_matrix,
@@ -255,23 +257,23 @@ def test_resolvent_on_a_block_wider_than_column_block(case, rng):
 
 
 def test_shared_interior_factor_solves_every_class(problem_n4, rng):
-    """Every class's interior block is the shared A_II, entry for entry,
-    and the one shared factor solves it with a backward error below
+    """Every class's interior block is the template's A_II, entry for
+    entry, and the one factor solves it with a backward error below
     1e-15."""
-    shared = problem_n4.classes[0].shared
-    rhs = rng.standard_normal((shared.A_II.shape[0], 3))
-    x = shared._lu.solve(rhs)
+    template = problem_n4.classes[0].template
+    rhs = rng.standard_normal((template.n_interior, 3))
+    x = template._lu.solve(rhs)
     for cls in problem_n4.classes:
-        assert cls.shared is shared
+        assert cls.template is template
         A_II = cls.A[:cls.n_interior, :cls.n_interior]
-        assert (A_II != shared.A_II).nnz == 0
+        assert (A_II != template.A_II).nnz == 0
         scale = abs(A_II).sum(axis=1).max() * np.abs(x).max()
         assert np.abs(A_II @ x - rhs).max() <= 1e-15 * scale
 
 
 def test_dof_table_built_once(case, monkeypatch):
-    """Setup derives the subdomain dof table once, for the class
-    matrices; the loads scatter without it."""
+    """Setup derives the template dof table once, for the one template
+    matrix; the loads scatter without it."""
     calls = []
     build = local_solver.local_dofs
 
@@ -284,24 +286,24 @@ def test_dof_table_built_once(case, monkeypatch):
     assert len(calls) == 1
 
 
-def _with_shared(classes, **fields):
-    """The classes, all sharing one copy of their InteriorBlock with
+def _with_template(classes, **fields):
+    """The classes, all sharing one copy of their RobinTemplate with
     `fields` replaced."""
-    shared = dataclasses.replace(classes[0].shared, **fields)
-    return [dataclasses.replace(cls, shared=shared) for cls in classes]
+    template = dataclasses.replace(classes[0].template, **fields)
+    return [dataclasses.replace(cls, template=template) for cls in classes]
 
 
 def test_inaccurate_trace_map_rejected(small_problem):
-    """A factor that does not solve the shared interior block is caught
-    by the bound on the Robin-to-trace maps' backward error, through its
-    side-solve residual term; the first class, that of subdomain 3, is
-    the first refused."""
-    A_II = small_problem.classes[0].shared.A_II
+    """A factor that does not solve the template's interior block is
+    caught by the bound on the Robin-to-trace maps' backward error,
+    through its side-solve residual term; the first class, that of
+    subdomain 3, is the first refused."""
+    A_II = small_problem.classes[0].template.A_II
     off = local_solver._factor(1.001 * A_II, 0.0, "perturbed factor")
     with pytest.raises(RuntimeError, match="^subdomain 3: Robin-to-trace map "
                        "backward error"):
         local_solver.ConstrainedRobinSolver(
-            _with_shared(small_problem.classes, _lu=off), small_problem.B)
+            _with_template(small_problem.classes, _lu=off), small_problem.B)
 
 
 def test_inaccurate_schur_inverse_rejected(small_problem, monkeypatch):
@@ -326,19 +328,19 @@ def test_indefinite_interior_block_refused(case, monkeypatch):
 
 
 def test_indefinite_schur_block_refused(small_problem):
-    """A class whose interface diagonal is lowered by 100 keeps the
-    shared interior rows, so it passes their check, but its Schur block
-    has no Cholesky factor."""
-    classes = list(small_problem.classes)
-    cls = classes[1]
-    A = cls.A.copy()
+    """The template with its interface diagonal lowered by 100 keeps A_II,
+    so its factor and W stand, but the first class's Schur block, cut
+    from the template's Schur complement, has no Cholesky factor."""
+    template = small_problem.classes[0].template
+    A = template.A.copy()
     diag = A.diagonal()
-    diag[cls.n_interior:] -= 100.0
+    diag[template.n_interior:] -= 100.0
     A.setdiag(diag)
-    classes[1] = dataclasses.replace(cls, A=A)
-    with pytest.raises(ValueError, match=f"^subdomain {cls.members[0]}: Robin "
+    first = small_problem.classes[0].members[0]
+    with pytest.raises(ValueError, match=f"^subdomain {first}: Robin "
                        "matrix not positive definite"):
-        local_solver.ConstrainedRobinSolver(classes, small_problem.B)
+        local_solver.ConstrainedRobinSolver(
+            _with_template(small_problem.classes, A=A), small_problem.B)
 
 
 def test_sparse_factor_certifies_definiteness():
@@ -379,9 +381,10 @@ def test_unconstrained_solver_matches_local_solves(case):
 
 
 def test_local_dofs_match_edge_lookup(problem_n4):
-    """Reference: a full-mesh edge -> local dof table per subdomain."""
+    """Reference: a full-mesh edge -> local dof table per subdomain,
+    against the template mapped through each member's kept dofs."""
     part, mesh = problem_n4.partition, problem_n4.mesh
-    tri_ids, starts, loc = local_dofs(part)
+    tri_ids, starts, loc = per_subdomain_local_dofs(part)
     for cls in problem_n4.classes:
         for s, interior, slots in zip(cls.members, cls.interior, cls.slots):
             np.testing.assert_array_equal(interior, part.interior_of(s))
@@ -507,20 +510,27 @@ def test_solve_peak_memory(case):
 
 
 def test_side_columns_of_each_class(problem_n4):
-    """Each class's cols are the shared columns of its own sides, r = 8
-    per side in the order bottom, left, right, top; every side is in the
-    shared block at N=4 and N=2, none at N=1."""
+    """Each class's cols are the template's side dofs of its own sides,
+    r = 8 per side in the order bottom, left, right, top.  The template
+    has all four sides at every N; W covers every side at N=4 and N=2,
+    none at N=1."""
     sides = {5: "BLRT", 13: "BLR", 1: "LRT", 7: "BLT", 4: "BRT",
              15: "BL", 3: "LT", 12: "BR", 0: "RT"}
     for cls in problem_n4.classes:
         expect = [8 * "BLRT".index(d) + np.arange(8) for d in sides[cls.members[0]]]
         np.testing.assert_array_equal(cls.cols, np.concatenate(expect))
     nI = problem_n4.classes[0].n_interior
-    assert problem_n4.classes[0].shared.rows.shape == (nI, nI + 32)
+    assert problem_n4.classes[0].template.A.shape == (nI + 32, nI + 32)
+    assert problem_n4.solver._W.shape == (nI, 32)
     for N, width in ((2, 16), (1, 0)):
         mesh = build_unit_square_mesh(4 * N)
-        classes = local_solver.build_local_systems(partition(mesh, N), mesh, 1.0, 0.25)
-        assert classes[0].shared.A_IG.shape[1] == width
+        part = partition(mesh, N)
+        classes = local_solver.build_local_systems(part, mesh, 1.0, 0.25)
+        template = classes[0].template
+        assert template.A.shape[0] == template.n_interior + 16
+        solver = local_solver.ConstrainedRobinSolver(
+            classes, sp.csr_matrix((0, part.trace.n_slots)))
+        assert solver._W.shape == (template.n_interior, width)
 
 
 def _local_maps(problem):
@@ -633,72 +643,109 @@ def test_Q_matches_direct():
     assert np.abs(Q - Q_ref).max() <= 1e-10 * np.abs(Q_ref).max()
 
 
+NOT_A_TRANSLATE = ("^subdomain 7 is not a translate of subdomain 0: its "
+                   "triangles do not carry the template's local dofs")
+BAD_SLOTS = ("^subdomain 7: its trace slots do not name its interface "
+             "sides' edges, in order, on its side$")
+
+
+def _moved_interior_entry(part, how):
+    """A copy of the partition with one interior entry of subdomain 7
+    moved: swapped with its neighbour, or handed to subdomain 8 by the
+    offsets."""
+    lo = part.interior_start[7]
+    if how == "swapped":
+        interior = part.interior.copy()
+        interior[[lo, lo + 1]] = interior[[lo + 1, lo]]
+        return dataclasses.replace(part, interior=interior)
+    start = part.interior_start.copy()
+    start[8] -= 1
+    return dataclasses.replace(part, interior_start=start)
+
+
+def _tampered_slots(part, how):
+    """A copy of the partition with subdomain 7's slots of its left side
+    (second of B, L, T at N=4) reversed, or its first slot replaced by the
+    neighbour's slot of the same edge."""
+    slots = part.slots.copy()
+    lo = part.slot_start[7]
+    r = part.mesh.m // part.N
+    if how == "reversed":
+        slots[lo + r:lo + 2 * r] = slots[lo + r:lo + 2 * r][::-1]
+    else:
+        slots[lo] ^= 1  # `pair_perm`: the other side's slot
+    return dataclasses.replace(part, slots=slots)
+
+
 def test_shared_rows_check(problem_n4):
-    """`_check_shared` accepts every class as built, and refuses a copy of
-    subdomain 7's A with one interior-row entry moved, one extra, or one
-    sign wrong, in the interior block and in the side columns."""
-    for cls in problem_n4.classes:
-        local_solver._check_shared(cls, cls.shared)
-    cls = next(c for c in problem_n4.classes if c.members[0] == 7)
-    nI = cls.n_interior
-    dense = cls.A.toarray()
-    local_solver._check_shared(dataclasses.replace(cls, A=sp.csr_matrix(dense)),
-                               cls.shared)
-    for lo, hi in ((0, nI), (nI, cls.n_local)):
-        i, j = np.argwhere(dense[:nI, lo:hi] != 0.0)[0] + (0, lo)
-        k = lo + np.flatnonzero(dense[i, lo:hi] == 0.0)[0]
-        moved, extra, flipped = dense.copy(), dense.copy(), dense.copy()
-        moved[i, k], moved[i, j] = moved[i, j], 0.0
-        extra[i, k] = 1.0
-        flipped[i, j] *= -1.0
-        for bad in (moved, extra, flipped):
-            with pytest.raises(ValueError, match="^subdomain 7: its interior "
-                               "rows are not exactly the shared"):
-                local_solver._check_shared(
-                    dataclasses.replace(cls, A=sp.csr_matrix(bad)), cls.shared)
+    """`partition.local_dofs` accepts the partition as built at every
+    N = 1 .. 6, and refuses one with an interior entry of subdomain 7
+    moved, within it or to subdomain 8: the template's dofs must name
+    exactly each subdomain's triangles' edges."""
+    for N in range(1, 7):
+        local_dofs(partition(build_unit_square_mesh(2 * N), N))
+    part = problem_n4.partition
+    for how in ("swapped", "handed on"):
+        with pytest.raises(ValueError, match=NOT_A_TRANSLATE):
+            local_dofs(_moved_interior_entry(part, how))
 
 
-def test_perturbed_class_matrix_rejected(case, monkeypatch):
-    """One entry of a class's interior rows, one ulp off, stops it from
-    sharing the interior factor."""
-    assemble = fem.assemble_matrix
+def test_perturbed_class_matrix_rejected(problem_n4, monkeypatch):
+    """A subdomain whose interior differs from the template's stops the
+    build before any matrix is assembled, as no class matrix is cut from
+    a template that one member does not fit."""
     calls = []
-
-    def perturbed(*args):
-        A = assemble(*args)
-        calls.append(A)
-        if len(calls) == 3:  # class B, first member 1
-            A.data[7] = np.nextafter(A.data[7], np.inf)
-        return A
-
-    monkeypatch.setattr(fem, "assemble_matrix", perturbed)
-    with pytest.raises(ValueError, match="^subdomain 1: its interior rows are "
-                       "not exactly the shared interior block and its sides' "
-                       "columns$"):
-        iteration.build_problem(iteration.IterationConfig(N=4, ratio=4), case.load)
+    monkeypatch.setattr(fem, "assemble_matrix", lambda *args: calls.append(args))
+    for how in ("swapped", "handed on"):
+        with pytest.raises(ValueError, match=NOT_A_TRANSLATE):
+            local_solver.build_local_systems(
+                _moved_interior_entry(problem_n4.partition, how),
+                problem_n4.mesh, 1.0, problem_n4.gamma)
+    assert calls == []
 
 
-def test_flipped_side_sign_rejected(case, monkeypatch):
-    """Subdomain 7's matrix with the signs of its left side's dofs flipped,
-    S A S with S = -1 there, is still SPD but is refused: its left side's
-    columns are the negatives of the shared ones."""
-    assemble = fem.assemble_matrix
+def test_flipped_side_sign_rejected(problem_n4):
+    """Subdomain 7's slots with its left side's order reversed, or with
+    one slot on the neighbour's side of its edge, are refused by
+    `local_dofs` and so by the build: each slot must be the template's
+    side dof at its place, on the subdomain's own side."""
+    for how in ("reversed", "other side"):
+        bad = _tampered_slots(problem_n4.partition, how)
+        with pytest.raises(ValueError, match=BAD_SLOTS):
+            local_dofs(bad)
+        with pytest.raises(ValueError, match=BAD_SLOTS):
+            local_solver.build_local_systems(bad, problem_n4.mesh, 1.0,
+                                             problem_n4.gamma)
+
+
+@pytest.mark.parametrize("N,r", [(1, 4), (2, 2), (2, 16), (3, 5), (6, 4), (4, 32)])
+def test_classes_match_per_class_assembly(case, N, r):
+    """Every class's A and Z, cut from the one template, are bitwise those
+    of the per-class assembly (`helpers.per_class_assembly`): A in its
+    CSR arrays, Z entry for entry."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
+    ref = per_class_assembly(problem)
+    for cls, Z, (A_ref, Z_ref) in zip(problem.classes, problem.solver._Z, ref,
+                                      strict=True):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(cls.A, name), getattr(A_ref, name)), name
+        assert np.array_equal(Z, Z_ref)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_one_assembly_per_build(monkeypatch, N):
+    """`build_local_systems` computes element matrices once and assembles
+    one matrix, the template, whatever N."""
     calls = []
-
-    def flipped(*args):
-        A = assemble(*args)
-        calls.append(A)
-        if len(calls) == 4:  # class R, first member 7: sides B, L, T
-            sign = np.ones(A.shape[0])
-            sign[-12:-8] = -1.0  # r = 4 slots per side, L second of three
-            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-            A.data *= sign[rows] * sign[A.indices]
-        return A
-
-    monkeypatch.setattr(fem, "assemble_matrix", flipped)
-    with pytest.raises(ValueError, match="^subdomain 7: its interior rows are "
-                       "not exactly the shared"):
-        iteration.build_problem(iteration.IterationConfig(N=4, ratio=4), case.load)
+    for name in ("element_matrices", "assemble_matrix"):
+        def counted(*args, _name=name, _call=getattr(fem, name)):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(fem, name, counted)
+    mesh = build_unit_square_mesh(4 * N)
+    classes = local_solver.build_local_systems(partition(mesh, N), mesh, 1.0, 0.25)
+    assert len(classes) == min(N, 3) ** 2
+    assert sorted(calls) == ["assemble_matrix", "element_matrices"]
 
 
 @pytest.fixture(scope="module")
@@ -733,7 +780,8 @@ def test_non_congruent_member_rejected(problem_n6):
     first = part.interior_start[14]
     part.interior[[first, first + 1]] = part.interior[[first + 1, first]]
     with pytest.raises(ValueError, match="subdomain 14 is not a translate of "
-                       "subdomain 7: its local dof table differs"):
+                       "subdomain 0: its triangles do not carry the template's "
+                       "local dofs"):
         local_solver.build_local_systems(part, mesh, 1.0, problem_n6.gamma)
     B = problem_n6.B.tocsc(copy=True)
     slot = problem_n6.partition.slots_of(14)[0]

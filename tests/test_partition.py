@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import symmetry_maps, tri_coords
+from helpers import per_subdomain_local_dofs, symmetry_maps, tri_coords
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
-    local_dofs,
     orbit_table,
     partition,
     symmetry_generators,
@@ -425,7 +424,7 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
     """The local dof table by sorting and ranking: each edge's owner is
     scattered from its triangles, then interior edges and trace slots are
     ranked within their runs of equal owner.  Returns (tri_ids, starts,
-    loc) as `local_dofs` does."""
+    loc) as `per_subdomain_local_dofs` does."""
 
     def rank_in_runs(owner):
         return np.arange(owner.size) - np.searchsorted(owner, owner)
@@ -494,9 +493,12 @@ def test_partition_matches_unique_reference(m, N):
 
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
 def test_local_dofs_match_sort_reference(m, N):
+    """The template of `local_dofs`, mapped through each subdomain's kept
+    dofs, is every subdomain's table by sorting and ranking."""
     mesh = build_unit_square_mesh(m)
     expect = _reference_local_dofs(mesh, *_reference_partition(mesh, N))
-    for got, ref in zip(local_dofs(partition(mesh, N)), expect, strict=True):
+    got_tables = per_subdomain_local_dofs(partition(mesh, N))
+    for got, ref in zip(got_tables, expect, strict=True):
         np.testing.assert_array_equal(got, ref)
         assert got.dtype == ref.dtype
 
