@@ -280,14 +280,25 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
     """
     m, nq = mesh.m, K.QUAD4_W.size
     tri_edges = mesh.tri_edges.reshape(m, 2, m, 3)
+    # One set of block buffers per call, cut to each block's rows.
+    most = min(m, max(1, QUAD_BLOCK // m))
+    lam_buf = np.empty((most, m, 3))
+    uh_buf = np.empty((most, m, 2 * nq))
+    sq_buf = np.empty((2, most, m, nq))
+    div_buf = np.empty((most, m))
     l2_sq = div_sq = 0.0
     for shape, kind, rows, x, y in _row_blocks(mesh):
-        lam = u[tri_edges[rows, kind]]
-        uh = lam @ shape.values
+        edges = tri_edges[rows, kind]
+        lam = np.take(u, edges, out=lam_buf[:len(edges)])
+        uh = np.matmul(lam, shape.values, out=uh_buf[:len(edges)])
         ex, ey = exact_u(x, y)
-        dd = (lam @ shape.div)[..., None] - exact_div(x, y)
-        l2_sq += shape.area * np.sum(
-            ((uh[..., :nq] - ex) ** 2 + (uh[..., nq:] - ey) ** 2) @ K.QUAD4_W)
-        div_sq += shape.area * np.sum((dd * dd) @ K.QUAD4_W)
+        sq = sq_buf[:, :len(edges)]
+        np.subtract(uh[..., :nq], ex, out=sq[0])
+        np.subtract(uh[..., nq:], ey, out=sq[1])
+        np.square(sq, out=sq)
+        l2_sq += shape.area * np.sum(np.add(sq[0], sq[1], out=sq[0]) @ K.QUAD4_W)
+        dd = np.subtract(np.matmul(lam, shape.div, out=div_buf[:len(edges)])[..., None],
+                         exact_div(x, y), out=sq[1])
+        div_sq += shape.area * np.sum(np.square(dd, out=dd) @ K.QUAD4_W)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + div_sq))
 

@@ -19,6 +19,7 @@ is recovered once, from the datum of the last step.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -93,9 +94,15 @@ class RobinProblem:
     B: sp.csr_matrix
     solver: local_solver.ConstrainedRobinSolver
 
+    @functools.cached_property
+    def condensed_loads(self):
+        """The loads condensed onto the trace (`solver.condense`), once
+        per problem, on first use: setup does not pay for them."""
+        return self.solver.condense(self.local_loads)
+
     def solve_once(self, g: np.ndarray):
         """One round of Robin solves with datum g; returns (u_int, u_trace)."""
-        u_int, u_trace, _ = self.solver.solve(self.local_loads, g)
+        u_int, u_trace, _ = self.solver.solve(self.condensed_loads, g)
         return u_int, u_trace
 
     def exchange(self, g, u_trace):
@@ -117,8 +124,9 @@ class RobinProblem:
         return self.exchange(g, u)
 
     def load_trace(self) -> np.ndarray:
-        """Trace u_load of the loaded zero-datum solve."""
-        return self.solve_once(np.zeros(self.partition.trace.n_slots))[1]
+        """Trace u_load of the loaded zero-datum solve: the resolvent of
+        the condensed trace load, with no interior formed."""
+        return self.solver.apply_resolvent(self.condensed_loads.f)
 
     def recover(self, g, case=None):
         """Global field of datum g -> (u_h, l2, hdiv); the errors are NaN

@@ -29,12 +29,20 @@ row-major array, and the template's Schur complement S_t = A_GG - A_GI W,
 at most 4r x 4r, is formed once.  Class c's Robin-to-trace map is
 the inverse of a principal submatrix of it plus the Robin term,
 Z_c = (S_t[cols_c, cols_c] + gamma M_c)^-1, taken through its Cholesky
-factor.  The constrained resolvent is one `matmul` per class, Z_c on the
-(n_own, members x columns) block of its members' right-hand sides, and
-one sparse coarse solve; `solve` adds one interior solve and one product
-with A_GI for all members' loads, and recovers all members' interiors in
-one product with W.  Each Z_c is held to a bound on its backward error
-against the class's own matrix.
+factor.  Each Z_c is held to a bound on its backward error against the
+class's own matrix.
+
+The trace slots are class-major (`partition`), so class c's part of a
+trace vector is one contiguous (members, own slots) block, and of a
+column block one (members, own slots, columns) block.  The constrained
+resolvent is one in-place `matmul` with the symmetric Z_c on that block,
+one sparse coarse solve, and the correction by the class's dense solved
+constraint columns Y_c = Z_c B_s^T (at most 4).  Neighbouring classes of
+one shape (the four edge classes, the four corners) are stacked, so one
+`matmul` serves each group of them.  The loads
+are condensed once (`condense`): one interior solve for all members
+gives v = A_II^-1 f_I and the trace load f_G - A_GI v; `solve` recovers
+all members' interiors from it as v - W x_G, in one product with W.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .partition import SubdomainPartition, local_dofs
 __all__ = [
     "RobinTemplate",
     "RobinClass",
+    "CondensedLoads",
     "ConstrainedRobinSolver",
     "build_local_systems",
     "local_loads",
@@ -65,10 +74,6 @@ TRACE_MAP_TOL = 1e-12
 # positive definite factorization.
 NOT_SPD = ("subdomain {}: Robin matrix not positive definite (assembly bug or "
            "invalid parameters)")
-
-# Columns of one block of unit columns in `spectrum.assemble_Q`, which
-# keeps its temporaries to a few n_slots x COLUMN_BLOCK arrays.
-COLUMN_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -103,16 +108,17 @@ class RobinClass:
 
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges interior[i] = part.interior_of(s),
-    then the trace slots slots[i] = part.slots_of(s), both increasing.
-    `cols` are the template's side dofs, counted from nI, of the class's
-    own sides, and `A` is the template's principal submatrix on
-    [interior, nI + cols]: the class's plain bilinear blocks without the
-    Robin term, H = A + gamma * diag(m_diag) on the interface rows.
+    then the trace slots slots[i] = part.slots_of(s), the i-th n_own of
+    the class's range of slots from `slot_start` on.  `cols` are the
+    template's side dofs, counted from nI, of the class's own sides, and
+    `A` is the template's principal submatrix on [interior, nI + cols]:
+    the class's plain bilinear blocks without the Robin term,
+    H = A + gamma * diag(m_diag) on the interface rows.
     """
 
     members: np.ndarray
     interior: np.ndarray
-    slots: np.ndarray
+    slot_start: int
     A: sp.csr_matrix
     m_diag: np.ndarray
     gamma: float
@@ -125,26 +131,20 @@ class RobinClass:
 
     @property
     def n_local(self) -> int:
-        return self.interior.shape[1] + self.slots.shape[1]
+        return self.interior.shape[1] + self.cols.size
 
+    @property
+    def slots(self) -> np.ndarray:
+        """The members' trace slots, one row per member."""
+        k = self.members.size
+        return self.slot_start + np.arange(k * self.cols.size).reshape(k, -1)
 
-def _rows(start: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Positions start[s] .. of each member s's group, as many per member
-    as the first member's group holds."""
-    size = start[members[0] + 1] - start[members[0]]
-    return start[members][:, None] + np.arange(size)
-
-
-def _congruence_classes(N: int):
-    """Members of each subdomain shape, in increasing order.
-
-    Subdomain s = J*N + I is a translate of every subdomain with the same
-    key (I == 0, I == N-1, J == 0, J == N-1).
-    """
-    J, I = np.divmod(np.arange(N * N), N)
-    key = 8 * (I == 0) + 4 * (I == N - 1) + 2 * (J == 0) + (J == N - 1)
-    order = np.argsort(key, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    def trace_block(self, x: np.ndarray) -> np.ndarray:
+        """The class's rows of a trace vector or (n_slots, columns) block x,
+        shaped (members, own slots[, columns]): a view of contiguous x."""
+        k = self.members.size
+        lo = self.slot_start
+        return x[lo:lo + k * self.cols.size].reshape(k, self.cols.size, *x.shape[1:])
 
 
 def _check_congruent(members: np.ndarray, what: str, table) -> None:
@@ -218,8 +218,9 @@ def build_local_systems(
 
     Class c keeps the interior dofs and the r side dofs of each of its
     own sides (bottom if J > 0, left if I > 0, right if I < N-1, top if
-    J < N-1, for its members (J, I)); its members' interiors and slots
-    are read from `part.interior` and `part.slots` by their offsets.
+    J < N-1, for its members (J, I)); its members' interiors are rows of
+    `part.interior`, and its slots the class's range of the partition's
+    class-major layout.
     `partition.local_dofs` checks every subdomain's triangles and slots
     against the template's dofs.  That the triangles are translates,
     vertices and edge orientations, is part of the check of every
@@ -234,17 +235,18 @@ def build_local_systems(
     divdiv, mass = fem.element_matrices(mesh, tri_ids)
     nI = int(part.interior_start[1])
     A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
+    # Every subdomain holds nI interior edges, as `local_dofs` checked.
+    interior = part.interior.reshape(part.n_subdomains, nI)
     own = []
-    for members in _congruence_classes(N):
+    for members, start in zip(part.classes, part.class_start):
         J, I = divmod(int(members[0]), N)
         sides = np.flatnonzero([J > 0, I > 0, I < N - 1, J < N - 1])
         cols = (r * sides[:, None] + np.arange(r)).ravel()
         keep = np.concatenate([np.arange(nI), nI + cols])
-        slots = np.take(part.slots, _rows(part.slot_start, members))
         own.append(dict(
-            members=members,
-            interior=np.take(part.interior, _rows(part.interior_start, members)),
-            slots=slots, A=A[keep][:, keep], m_diag=part.trace.m_diag[slots[0]],
+            members=members, interior=interior[members], slot_start=int(start),
+            A=A[keep][:, keep],
+            m_diag=part.trace.m_diag[start:start + cols.size].copy(),
             gamma=gamma, cols=cols,
         ))
     template = RobinTemplate(A=A, r=r, _lu=_factor(
@@ -270,7 +272,7 @@ def local_loads(classes: list, part: SubdomainPartition, field) -> list:
     interior = rows[0] + rows[1]
     slot_load = rows[trace.slot_side, trace.slot_edge]
     return [
-        np.concatenate((interior[cls.interior], slot_load[cls.slots]), axis=1).T
+        np.concatenate((interior[cls.interior], cls.trace_block(slot_load)), axis=1).T
         for cls in classes
     ]
 
@@ -325,6 +327,60 @@ def _side_solves(template: RobinTemplate, width: int):
     return W, side_sq
 
 
+@dataclass(eq=False)
+class _Group:
+    """Classes next to each other in the trace slots with one member count
+    k, one own slot count n_own and one label count, g of them: their
+    slots are the rows `rows`, shaped (g, k, n_own), their Z and Y^T are
+    stacked as (g, n_own, n_own) and (g, labels, n_own), and `adj`
+    (g, k, labels) holds each member's interface of each label.  One
+    matmul serves them all."""
+
+    rows: slice
+    shape: tuple
+    Z: np.ndarray
+    Yt: np.ndarray
+    adj: np.ndarray
+
+
+def _stack_groups(classes: list, Zs: list, Yts: list, adjs: list) -> list:
+    """The classes, in order, cut into `_Group`s: a class joins the group
+    of the class before it if its slots follow that one's and its member
+    count and Y^T are the same shape.  With `partition`'s class order the
+    groups are the interior class, the four edge classes and the four
+    corners."""
+    runs = []
+    for c, cls in enumerate(classes):
+        last = runs[-1][-1] if runs else None
+        if last is not None and (
+                cls.slot_start == classes[last].slot_start + classes[last].slots.size
+                and adjs[c].shape == adjs[last].shape
+                and Yts[c].shape == Yts[last].shape):
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    groups = []
+    for run in runs:
+        first = classes[run[0]]
+        k, n_own = first.members.size, first.cols.size
+        groups.append(_Group(
+            rows=slice(first.slot_start, first.slot_start + len(run) * k * n_own),
+            shape=(len(run), k, n_own), Z=np.stack([Zs[c] for c in run]),
+            Yt=np.stack([Yts[c] for c in run]), adj=np.stack([adjs[c] for c in run]),
+        ))
+    return groups
+
+
+@dataclass(eq=False)
+class CondensedLoads:
+    """Loads condensed onto the trace: v = A_II^-1 f_I, the interior
+    solves of all members as (nI, members) columns, class after class in
+    the solver's order, and f = f_G - A_GI v, the trace load."""
+
+    v: np.ndarray
+    f: np.ndarray
+
+
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
@@ -342,20 +398,21 @@ class ConstrainedRobinSolver:
     - A_GI, the template's interface-to-interior block, for the loads;
     - per class Z, at most 4r x 4r, the Robin-to-trace map of every
       member;
-    - the sparse solved constraint columns Y_trace, Z B_s^T on the slots
-      of each member s, where B_s (B on s's slots, at most one entry per
-      slot) must be the same for all members;
-    - the sparse coarse Schur complement `S` = B Y_trace (None without
-      constraint rows), factorized by `_factor` like A_II.
+    - per class the dense solved constraint columns Y = Z B_s^T, one per
+      coarse interface of a member (at most 4), where B_s (B on member
+      s's slots, at most one entry per slot) must be the same for all
+      members, and `adj`, the interface of each column for each member;
+    - the sparse coarse Schur complement `S` = B Z B^T (None without
+      constraint rows), summed from the blocks B_s Y of all members and
+      factorized by `_factor` like A_II.
 
-    `apply_resolvent` is one `matmul` per class, on a contiguous
-    (n_own, members x columns) block gathered through one flat slot index
-    per class, plus the coarse correction, in one body for a vector or a
-    block of columns.  `solve` puts one A_II solve of every member's
-    interior load, and one product of A_GI with those solutions, before
-    that body and one product of W with the members' interface solutions
-    after it.  An empty (0 x n_slots) constraint gives the unconstrained
-    solves.
+    `apply_resolvent` is, per group of classes (`_Group`), one in-place
+    `matmul` with the stacked Z on the group's contiguous block of the
+    trace slots, then the coarse solve and per group the correction by
+    the stacked Y, in one body for a vector or a block of columns.  `condense` solves A_II once for every member's
+    interior load; `solve` puts the condensed loads through the same body
+    and recovers every member's interior in one product with W after it.
+    An empty (0 x n_slots) constraint gives the unconstrained solves.
     """
 
     def __init__(self, classes: list, B: sp.spmatrix):
@@ -382,9 +439,6 @@ class ConstrainedRobinSolver:
         self._lu = template._lu
         width = 4 * template.r if any(cls.cols.size for cls in classes) else 0
         self._W, side_sq = _side_solves(template, width)
-        # Per class, its members' slots flat and own-slot-major: slot p of
-        # member i at p * k + i, so that a gather reshapes to (n_own, k).
-        self._flat = [cls.slots.T.ravel() for cls in classes]
 
         nI = template.n_interior
         sides = slice(nI, nI + width)
@@ -393,10 +447,10 @@ class ConstrainedRobinSolver:
         A_GG = template.A[sides, sides].tocoo()
         schur_t[A_GG.row, A_GG.col] += A_GG.data
 
-        self._Z = []
-        y_rows, y_cols, y_vals = [], [], []
+        Zs, Yts, adjs = [], [], []
+        s_rows, s_cols, s_vals = [], [], []
         for cls in classes:
-            k, n_own = cls.slots.shape
+            k, n_own = cls.members.size, cls.cols.size
             schur = schur_t[np.ix_(cls.cols, cls.cols)]
             schur[np.diag_indices(n_own)] += cls.gamma * cls.m_diag
             Z = _spd_inverse(schur, NOT_SPD.format(cls.members[0]))
@@ -407,33 +461,39 @@ class ConstrainedRobinSolver:
                     f"subdomain {cls.members[0]}: Robin-to-trace map backward "
                     f"error {err:.3e}"
                 )
-            self._Z.append(Z)
+            Zs.append(Z)
             # Local constraint block: row q covers the slot positions with
             # label q; adj[i, q] is that row's interface for member i.
-            iface = slot_iface[cls.slots]
+            iface = cls.trace_block(slot_iface)
             _, first, label = np.unique(iface[0], return_index=True,
                                         return_inverse=True)
             adj = iface[:, first]
             _check_congruent(cls.members, "constraint row pattern",
                              iface == adj[:, label])
-            value = slot_value[cls.slots]
+            value = cls.trace_block(slot_value)
             _check_congruent(cls.members, "constraint values", value)
-            # Z B_s^T, with B_s[q, p] = value[p] where label[p] == q.
-            Y = (Z * value[0]) @ (label[:, None] == np.arange(first.size))
-            shape = (k, n_own, first.size)
-            cols = np.broadcast_to(adj[:, None, :], shape)
-            keep = cols >= 0  # a label of slots without a constraint entry
-            y_rows.append(np.broadcast_to(cls.slots[:, :, None], shape)[keep])
-            y_cols.append(cols[keep])
-            y_vals.append(np.broadcast_to(Y, shape)[keep])
+            # B_s^T, with B_s[q, p] = value[p] where label[p] == q; a label
+            # of slots without a constraint entry has no row.
+            has_row = adj[0] >= 0
+            B_sT = value[0][:, None] * (label[:, None] == np.arange(first.size))
+            B_sT, adj = B_sT[:, has_row], adj[:, has_row]
+            Y = Z @ B_sT
+            Yts.append(Y.T)
+            adjs.append(adj)
+            # Member i adds B_s Y at (adj[i], adj[i]) of S.
+            shape = (k, Y.shape[1], Y.shape[1])
+            s_rows.append(np.broadcast_to(adj[:, :, None], shape).ravel())
+            s_cols.append(np.broadcast_to(adj[:, None, :], shape).ravel())
+            s_vals.append(np.broadcast_to(B_sT.T @ Y, shape).ravel())
+        self._groups = _stack_groups(classes, Zs, Yts, adjs)
+        # Each class's Z, a view of its group's stack.
+        self._Z = [Z for group in self._groups for Z in group.Z]
         if self.n_ifaces:
-            self._Y_trace = sp.csr_matrix(
-                (np.concatenate(y_vals),
-                 (np.concatenate(y_rows), np.concatenate(y_cols))),
-                shape=(self.n_slots, self.n_ifaces),
+            self.S = sp.csr_matrix(
+                (np.concatenate(s_vals),
+                 (np.concatenate(s_rows), np.concatenate(s_cols))),
+                shape=(self.n_ifaces, self.n_ifaces),
             )
-            # B Y_trace = sum_s B_s Y_s[interface], as B_s is B on s's slots.
-            self.S = self.B @ self._Y_trace
             self._S_lu = _factor(self.S, 0.0, "coarse interface Schur "
                                  "complement not positive definite "
                                  "(constraint rows dependent or assembly bug)")
@@ -442,21 +502,39 @@ class ConstrainedRobinSolver:
 
     def _check_constraint(self, w: np.ndarray) -> None:
         jump = np.abs(self.B @ w).max()
-        if jump > 1e-10 * max(np.abs(w).max(), 1.0):
+        if jump > 1e-10 * max(w.max(), -w.min(), 1.0):
             raise RuntimeError(
                 f"edge-average constraint violated after solve: {jump:.3e}"
             )
 
+    def condense(self, loads) -> CondensedLoads:
+        """The per-class loads of `local_loads` (None for zero) condensed
+        onto the trace, with one A_II solve for every member's interior."""
+        nI = self._W.shape[0]
+        f = np.zeros(self.n_slots)
+        if loads is None:
+            total = sum(cls.members.size for cls in self.classes)
+            return CondensedLoads(np.zeros((nI, total)), f)
+        v = _solve(self._lu, np.concatenate([f_c[:nI] for f_c in loads], axis=1),
+                   "the interior loads")
+        A_GI_v = self._A_GI @ v
+        j = 0
+        for cls, f_c in zip(self.classes, loads):
+            k = cls.members.size
+            cls.trace_block(f)[...] = (f_c[nI:] - A_GI_v[cls.cols, j:j + k]).T
+            j += k
+        return CondensedLoads(v, f)
+
     def solve(self, loads, g):
         """Constrained solve; returns (u_interior list, u_trace, mu).
 
-        `loads` is the per-class list of `local_loads` (None for zero),
-        `g` the two-sided Robin datum on trace slots.  Entry c of the
-        returned list holds the interiors of class c's members as an
-        (n_interior, k) matrix, a view of one array of all members.  With
-        v = A_II^-1 f_I, one solve for all members, the interface takes
-        f_G + M g - A_GI v through the constrained interface solve, and
-        x_I = v - W_c x_G, one product with W for all members.
+        `loads` is a `CondensedLoads` of `condense`, or the per-class list
+        of `local_loads` (None for zero), which is condensed here.  `g` is
+        the two-sided Robin datum on trace slots.  Entry c of the returned
+        list holds the interiors of class c's members as an
+        (n_interior, k) matrix, a view of one array of all members.  The
+        interface takes M g + f through the constrained interface solve,
+        and x_I = v - W_c x_G, one product with W for all members.
         """
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n_slots,):
@@ -465,46 +543,49 @@ class ConstrainedRobinSolver:
             )
         if not np.isfinite(g).all():
             raise ValueError("non-finite right-hand side for the trace datum")
-        nI = self._W.shape[0]
-        sizes = [cls.members.size for cls in self.classes]
-        if loads is None:
-            v = np.zeros((nI, sum(sizes)))
-        else:
-            f_I = np.concatenate([f[:nI] for f in loads], axis=1)
-            v = _solve(self._lu, f_I, "the interior loads")
-        split = np.cumsum(sizes)[:-1]
-        v_c = np.split(v, split, axis=1)
-        if loads is not None:
-            A_GI_v = np.split(self._A_GI @ v, split, axis=1)
-        rhs = np.empty(self.n_slots)
-        for c, (cls, flat) in enumerate(zip(self.classes, self._flat)):
-            rhs_c = cls.m_diag[:, None] * g[flat].reshape(-1, sizes[c])
-            if loads is not None:
-                rhs_c += loads[c][nI:] - A_GI_v[c][cls.cols]
-            rhs[flat] = rhs_c.ravel()
+        if not isinstance(loads, CondensedLoads):
+            loads = self.condense(loads)
+        rhs = loads.f.copy()
+        for cls in self.classes:
+            cls.trace_block(rhs)[...] += cls.m_diag * cls.trace_block(g)
         w, mu = self._condensed(rhs)
         # x_I = v - W x_G for every member in one GEMM: X's column j holds
         # member j's interface solution in the rows of its class's sides.
-        X = np.zeros((self._W.shape[1], v.shape[1]))
-        for cls, flat, x in zip(self.classes, self._flat, np.split(X, split, axis=1)):
-            x[cls.cols] = w[flat].reshape(-1, x.shape[1])
-        v -= self._W @ X
-        return v_c, w, mu
+        X = np.zeros((self._W.shape[1], loads.v.shape[1]))
+        j = 0
+        for cls in self.classes:
+            k = cls.members.size
+            X[cls.cols, j:j + k] = cls.trace_block(w).T
+            j += k
+        u = loads.v - self._W @ X
+        split = np.cumsum([cls.members.size for cls in self.classes])[:-1]
+        return np.split(u, split, axis=1), w, mu
 
     def _condensed(self, rhs):
         """(w, mu) of the constrained interface solve of `rhs`: one product
-        per class, then the coarse correction."""
-        w = np.empty_like(rhs)
-        columns = rhs.shape[1] if rhs.ndim == 2 else 1
-        for cls, Z, flat in zip(self.classes, self._Z, self._flat):
-            # One GEMM: (n_own, n_own) by (n_own, members x columns).  The
-            # width is explicit: a class without slots (N=1) has n_own = 0.
-            x = rhs[flat].reshape(Z.shape[0], cls.members.size * columns)
-            w[flat] = (Z @ x).reshape(flat.size, *rhs.shape[1:])
+        per group of classes on its block, written in place into w, then
+        the coarse correction w_c -= Y_c mu[adj_c], again per group."""
+        w = np.empty(rhs.shape)
+        cols = rhs.shape[1:]
+        for group in self._groups:
+            shape = (*group.shape, *cols)
+            x, out = rhs[group.rows].reshape(shape), w[group.rows].reshape(shape)
+            # Z is symmetric: a member's row of a vector's block times Z is
+            # Z times its column.
+            if cols:
+                np.matmul(group.Z[:, None], x, out=out)
+            else:
+                np.matmul(x, group.Z, out=out)
         mu = np.zeros(0)
         if self.S is not None:
             mu = _solve(self._S_lu, self.B @ w, "the coarse solve")
-            w -= self._Y_trace @ mu
+            for group in self._groups:
+                out = w[group.rows].reshape(*group.shape, *cols)
+                m = mu[group.adj]
+                if cols:
+                    out -= np.swapaxes(group.Yt, 1, 2)[:, None] @ m
+                else:
+                    out -= m @ group.Yt
             self._check_constraint(w)
         return w, mu
 

@@ -14,9 +14,17 @@ left-to-right by midpoint: row J of subdomains holds its N-1 vertical
 interfaces, then the N horizontal ones above it, each left to right.
 Interface k joins subdomains i < j, with the normal pointing from i
 into j (rightward or upward), which matches the global edge normal
-convention.  Trace layout: one slot per (interface fine edge, side)
-pair, by interface; within an interface the fine edges run in geometric
-order, and each edge's i-side slot immediately precedes its j-side slot.
+convention.
+
+Trace layout: one slot per (interface fine edge, side) pair, numbered
+class-major.  The congruence classes of `_congruence_classes` come in
+turn, class c's slots are the one range class_start[c] + arange(k_c
+n_own_c), and that range is its k_c members' in increasing order, n_own_c
+each, so it reshapes to (members, own slots).  A member's own slots are
+its interface sides in the order bottom, left, right, top, r each in
+geometric order: its local trace order.  The two slots of one fine edge
+lie on neighbouring subdomains, so the side swap `pair_perm` is a general
+fixed-point-free involution, written by the same index arithmetic.
 
 The layout is index arithmetic on the structured mesh: the subdomain of
 each triangle, the fine edges of each interface (`mesh.edge_id`), each
@@ -96,7 +104,10 @@ class SubdomainPartition:
     Per-subdomain sets are flat arrays grouped by subdomain, with N^2 + 1
     offsets: subdomain s's interior edges are
     interior[interior_start[s]:interior_start[s+1]] and its trace slots
-    slots[slot_start[s]:slot_start[s+1]], both increasing.
+    slots[slot_start[s]:slot_start[s+1]], both increasing.  `classes`
+    holds the members of each congruence class, and class c's slots are
+    the one range class_start[c] .. class_start[c+1], its members' in
+    turn.
     """
 
     N: int
@@ -108,6 +119,8 @@ class SubdomainPartition:
     interior_start: np.ndarray
     slots: np.ndarray
     slot_start: np.ndarray
+    classes: list
+    class_start: np.ndarray
 
     @property
     def n_subdomains(self) -> int:
@@ -120,6 +133,22 @@ class SubdomainPartition:
     def slots_of(self, sub: int) -> np.ndarray:
         """Trace slots of one subdomain, in increasing order."""
         return self.slots[self.slot_start[sub]:self.slot_start[sub + 1]]
+
+
+def _congruence_classes(N: int):
+    """Members of each subdomain shape, in increasing order.
+
+    Subdomain s = J*N + I is a translate of every subdomain with the same
+    key (I == 0, I == N-1, J == 0, J == N-1).  The classes come by their
+    number of sides on the domain boundary, then by key: the interior
+    class, the four edge classes, the four corners, so that classes of
+    one member count and one own slot count are neighbours.
+    """
+    J, I = np.divmod(np.arange(N * N), N)
+    edge = np.stack([I == 0, I == N - 1, J == 0, J == N - 1])
+    key = 16 * edge.sum(axis=0) + [8, 4, 2, 1] @ edge
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 def partition(mesh: Mesh, N: int) -> SubdomainPartition:
@@ -155,8 +184,6 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     iJ, q = np.divmod(np.arange(n_if, dtype=np.int64), 2 * N - 1)
     vertical = q < N - 1
     iI = np.where(vertical, q, q - (N - 1))
-    iface_i = iJ * N + iI
-    iface_j = np.where(vertical, iface_i + 1, iface_i + N)
     iface_kind = np.where(vertical, VERTICAL, HORIZONTAL)
     mid_x = np.where(vertical, 2 * r * (iI + 1), 2 * r * iI + r)[:, None]
     mid_y = np.where(vertical, 2 * r * iJ + r, 2 * r * (iJ + 1))[:, None]
@@ -230,37 +257,48 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
             or np.any(np.take(s1, interior).reshape(n_subs, -1) != owned)):
         raise AssertionError("subdomain interior edge sets inconsistent")
 
-    # Trace slots: i-side then j-side per fine edge.
-    slot_edge = np.repeat(gamma_edges, 2)
-    slot_iface = np.repeat(np.arange(n_if, dtype=np.int64), 2 * r)
-    slot_side = np.tile(np.array([0, 1], dtype=np.int64), n_if * r)
-    slot_sub = np.where(slot_side == 0, iface_i[slot_iface], iface_j[slot_iface])
-    pair_perm = np.arange(slot_edge.size, dtype=np.int64) ^ 1
+    # Trace slots, class-major (module docstring), in runs of r: side d
+    # (bottom, left, right, top) of subdomain s, if it is an interface,
+    # holds the slots first[s] + r rank[s, d] + t, t along the side in
+    # geometric order.
+    classes = _congruence_classes(N)
+    order = np.concatenate(classes)
+    present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
+    counts = r * present.sum(axis=1)
+    first = np.empty(n_subs, dtype=np.int64)
+    first[order] = np.cumsum(counts[order]) - counts[order]
+    class_start = np.concatenate(
+        [[0], np.cumsum([counts[members].sum() for members in classes])])
+    run_start = first[:, None] + r * (np.cumsum(present, axis=1) - 1)
+    slots = (run_start[present][:, None] + np.arange(r)).ravel()
+    slot_start = np.concatenate([[0], np.cumsum(counts)])
+    # The runs in slot order.  Side d of subdomain (J, I) is the interface
+    # below, left of, right of or above it, on whose j-side it lies for
+    # d < 2; the run of the same edges on the other side is the
+    # neighbour's side 3 - d.
+    run_sub, run_side = np.nonzero(present[order])
+    run_sub = order[run_sub]
+    base = J * (2 * N - 1)
+    side_iface = np.stack(
+        [base - N + I, base + I - 1, base + I, base + N - 1 + I], axis=1)
+    run_iface = side_iface[run_sub, run_side]
+    other = run_sub + np.array([-N, -1, 1, N])[run_side]
+    slot_edge = fine[run_iface].ravel()
     trace = TraceIndex(
-        slot_iface=slot_iface,
+        slot_iface=np.repeat(run_iface, r),
         slot_edge=slot_edge,
-        slot_sub=slot_sub,
-        slot_side=slot_side,
-        pair_perm=pair_perm,
+        slot_sub=np.repeat(run_sub, r),
+        slot_side=np.repeat((run_side < 2).astype(np.int64), r),
+        pair_perm=(run_start[other, 3 - run_side][:, None] + np.arange(r)).ravel(),
         m_diag=mesh.edge_len[slot_edge] if slot_edge.size else np.empty(0),
     )
-    # Subdomain (J, I) is the j-side of the interfaces below and left of
-    # it and the i-side of those right of and above it, in that order of
-    # interface number; side d of interface k holds slots 2rk + d + 2t.
-    first = J * (2 * N - 1)
-    iface = np.stack([first - N + I, first + I - 1, first + I, first + N - 1 + I],
-                     axis=1)
-    present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
-    first_slot = (2 * r * iface + [1, 1, 0, 0])[present]
-    slots = (first_slot[:, None] + 2 * np.arange(r)).ravel()
-    slot_start = np.concatenate([[0], np.cumsum(r * present.sum(axis=1))])
 
     # Each subdomain's slots name exactly its interface edges: the two
     # sides of an edge are distinct subdomains with the edge's s1 and s2.
-    a, b = slot_sub[0::2], slot_sub[1::2]
-    if np.any(a == b) or np.any(a + b != s1[gamma_edges]) or np.any(
-        a * a + b * b != s2[gamma_edges]
-    ):
+    i_side = trace.slot_side == 0
+    a, b = trace.slot_sub[i_side], trace.slot_sub[trace.pair_perm[i_side]]
+    e = slot_edge[i_side]
+    if np.any(a == b) or np.any(a + b != s1[e]) or np.any(a * a + b * b != s2[e]):
         raise AssertionError("subdomain interface set inconsistent")
 
     return SubdomainPartition(
@@ -273,6 +311,8 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         interior_start=interior_start,
         slots=slots,
         slot_start=slot_start,
+        classes=classes,
+        class_start=class_start,
     )
 
 
@@ -295,7 +335,8 @@ def local_dofs(part: SubdomainPartition):
     J < N-1), whose slots are slots_of(s) in that order.  One pass over
     all N^2 subdomains raises ValueError unless every subdomain's
     triangles carry exactly edges[s][loc] and slots_of(s) names its
-    interface sides' edges, in order, each slot on s's side of its edge.
+    interface sides' edges, in order, each slot on s's side of its edge,
+    and is its place in its class's range of the class-major layout.
     """
     mesh, trace, N = part.mesh, part.trace, part.N
     m = mesh.m
@@ -334,8 +375,14 @@ def local_dofs(part: SubdomainPartition):
     counts = r * present.sum(axis=1)
     _refuse(part.slot_start[1:] != np.cumsum(counts), BAD_SLOTS)
     owner = np.repeat(np.arange(n_subs), counts)
+    # Member i of class c owns class_start[c] + i n_own + arange(n_own).
+    first = np.empty(n_subs, dtype=np.int64)
+    for members, start in zip(part.classes, part.class_start):
+        first[members] = start + counts[members[0]] * np.arange(members.size)
+    along = np.arange(owner.size) - np.repeat(part.slot_start[:-1], counts)
     wrong = ((trace.slot_edge[part.slots] != sides[present].ravel())
-             | (trace.slot_sub[part.slots] != owner))
+             | (trace.slot_sub[part.slots] != owner)
+             | (part.slots != first[owner] + along))
     _refuse(np.bincount(owner[wrong], minlength=n_subs) > 0, BAD_SLOTS)
     return tri_ids, loc.reshape(-1, 3)
 

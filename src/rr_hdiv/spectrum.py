@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from . import iteration, partition
-from .local_solver import COLUMN_BLOCK
 
 __all__ = [
     "IterationOperator",
@@ -46,6 +45,10 @@ __all__ = [
     "SizeCapError",
     "SYMMETRY_TOL",
 ]
+
+# Columns of one block of unit columns in `assemble_Q`, which keeps its
+# temporaries to a few n_slots x COLUMN_BLOCK arrays.
+COLUMN_BLOCK = 256
 
 # Largest trace dimension 4 N (N-1) r accepted for dense assembly.  At
 # N=12, r=8 (dim 4224, the largest size under it) assembly takes 1.0 s

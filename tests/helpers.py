@@ -9,18 +9,21 @@ interpolant, the elementwise divergence, the L2 distance of two discrete
 fields, the errors of the direct solve and a class's Robin matrix.  The
 middle holds the per-subdomain dof tables, loads and per-class assembly
 that the one template replaced.  The last holds `DirectSolver`, the
-constrained solves through each class's own factor, and
-`symmetry_maps`, the signed maps of one subdomain's local dofs onto its
-symmetry images.
+constrained solves through each class's own factor, `FlatResolvent`,
+the resolvent on the interface-major slot numbering through flat
+gathers and the sparse Y_trace that the class-major layout replaced,
+and `symmetry_maps`, the signed maps of one subdomain's local dofs onto
+its symmetry images.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import scipy.sparse as sp
 
 from rr_hdiv import fem, local_solver, verify
-from rr_hdiv.mesh import build_unit_square_mesh
+from rr_hdiv.mesh import VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import _find, _image, local_dofs
 
 # Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
@@ -344,7 +347,21 @@ class DirectSolver:
             w[cls.slots.T] = x[-1][cls.n_interior:]
         return x, w
 
+    def condense(self, loads):
+        """The loads, with their condensed trace load f = f_G - A_GI
+        A_II^-1 f_I through each class's own interior block."""
+        f = np.zeros(self.n_slots)
+        for cls, f_c in zip(self.classes, loads):
+            nI = cls.n_interior
+            H = robin_matrix(cls)
+            lu = local_solver._factor(H[:nI, :nI], 0.0, "reference interior factor")
+            f[cls.slots.T] = f_c[nI:] - H[nI:, :nI] @ lu.solve(f_c[:nI])
+        return types.SimpleNamespace(loads=loads, f=f)
+
     def solve(self, loads, g):
+        """`ConstrainedRobinSolver.solve` through each class's own factor;
+        `loads` may come from `condense`."""
+        loads = getattr(loads, "loads", loads)
         m = np.zeros(self.n_slots)
         for cls in self.classes:
             m[cls.slots] = cls.m_diag
@@ -362,6 +379,108 @@ class DirectSolver:
         if self.n_ifaces:
             w -= self.Z_blk @ (self.B.T @ self._S_lu.solve(self.B @ w))
         return w
+
+
+def interface_major_slots(part):
+    """The slot of each trace slot in the interface-major numbering that
+    the class-major one replaced: fine edge t (in geometric order) of
+    interface k has its i-side slot at 2 r k + 2 t and its j-side slot
+    right after it."""
+    trace, mesh = part.trace, part.mesh
+    r = mesh.m // part.N
+    x2, y2 = mesh.edge_mid2[trace.slot_edge].T
+    along = np.where(mesh.edge_kind[trace.slot_edge] == VERTICAL, y2, x2)
+    return 2 * r * trace.slot_iface + 2 * ((along - 1) // 2 % r) + trace.slot_side
+
+
+class FlatResolvent:
+    """Reference for the class-major resolvent: the constrained Robin
+    solves as they ran on the interface-major slots (`interface_major_slots`).
+
+    Each class's members' slots are one flat index, own-slot-major, that
+    a gather reshapes to (n_own, members x columns) for one GEMM with the
+    class's Z and a scatter writes back.  The coarse correction goes
+    through the sparse Y_trace, whose rows are each member's copy of the
+    class's Y = Z B_s^T, and the coarse matrix is S = B Y_trace.  The
+    solver's own Z, W, A_GI and interior factor are used.  Inputs and
+    outputs are in the class-major numbering, moved through the slot map.
+    """
+
+    def __init__(self, problem):
+        solver = problem.solver
+        self.solver, self.classes = solver, problem.classes
+        self.old = interface_major_slots(problem.partition)
+        n = solver.n_slots
+        back = np.argsort(self.old)
+        self.B = solver.B.tocsc()[:, back].tocsr()
+        self.n_ifaces = self.B.shape[0]
+        entry = self.B.tocoo()
+        slot_iface = np.full(n, -1, dtype=np.int64)
+        slot_iface[entry.col] = entry.row
+        slot_value = np.zeros(n)
+        slot_value[entry.col] = entry.data
+        self.flat = [self.old[cls.slots].T.ravel() for cls in self.classes]
+        y_rows, y_cols, y_vals = [], [], []
+        for cls, Z in zip(self.classes, solver._Z):
+            slots = self.old[cls.slots]
+            k, n_own = slots.shape
+            iface = slot_iface[slots]
+            _, first, label = np.unique(iface[0], return_index=True, return_inverse=True)
+            adj = iface[:, first]
+            Y = (Z * slot_value[slots][0]) @ (label[:, None] == np.arange(first.size))
+            shape = (k, n_own, first.size)
+            cols = np.broadcast_to(adj[:, None, :], shape)
+            keep = cols >= 0
+            y_rows.append(np.broadcast_to(slots[:, :, None], shape)[keep])
+            y_cols.append(cols[keep])
+            y_vals.append(np.broadcast_to(Y, shape)[keep])
+        if self.n_ifaces:
+            self.Y_trace = sp.csr_matrix(
+                (np.concatenate(y_vals), (np.concatenate(y_rows), np.concatenate(y_cols))),
+                shape=(n, self.n_ifaces))
+            self.S = self.B @ self.Y_trace
+            self._S_lu = local_solver._factor(self.S, 0.0, "reference coarse factor")
+
+    def _condensed(self, rhs):
+        w = np.empty_like(rhs)
+        columns = rhs.shape[1] if rhs.ndim == 2 else 1
+        for cls, Z, flat in zip(self.classes, self.solver._Z, self.flat):
+            x = rhs[flat].reshape(Z.shape[0], cls.members.size * columns)
+            w[flat] = (Z @ x).reshape(flat.size, *rhs.shape[1:])
+        mu = np.zeros(0)
+        if self.n_ifaces:
+            mu = self._S_lu.solve(self.B @ w)
+            w -= self.Y_trace @ mu
+        return w, mu
+
+    def apply_resolvent(self, rhs):
+        old_rhs = np.empty_like(rhs)
+        old_rhs[self.old] = rhs
+        return self._condensed(old_rhs)[0][self.old]
+
+    def solve(self, loads, g):
+        """(interiors per class, trace, mu) of the loaded solve with datum
+        g, through one interior solve of all members' loads and one
+        product with W."""
+        solver = self.solver
+        nI = solver._W.shape[0]
+        sizes = [cls.members.size for cls in self.classes]
+        v = solver._lu.solve(np.concatenate([f[:nI] for f in loads], axis=1))
+        split = np.cumsum(sizes)[:-1]
+        A_GI_v = np.split(solver._A_GI @ v, split, axis=1)
+        old_g = np.empty_like(g)
+        old_g[self.old] = g
+        rhs = np.empty(solver.n_slots)
+        for c, (cls, flat) in enumerate(zip(self.classes, self.flat)):
+            rhs_c = cls.m_diag[:, None] * old_g[flat].reshape(-1, sizes[c])
+            rhs_c += loads[c][nI:] - A_GI_v[c][cls.cols]
+            rhs[flat] = rhs_c.ravel()
+        w, mu = self._condensed(rhs)
+        X = np.zeros((solver._W.shape[1], v.shape[1]))
+        for cls, flat, x in zip(self.classes, self.flat, np.split(X, split, axis=1)):
+            x[cls.cols] = w[flat].reshape(-1, x.shape[1])
+        v -= solver._W @ X
+        return np.split(v, split, axis=1), w[self.old], mu
 
 
 def direct_problem(problem):

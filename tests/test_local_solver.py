@@ -13,6 +13,7 @@ from helpers import (
     dense_resolvent,
     DirectSolver,
     direct_problem,
+    FlatResolvent,
     per_class_assembly,
     per_member_local_loads,
     per_subdomain_local_dofs,
@@ -247,7 +248,7 @@ def test_resolvent_on_a_block_wider_than_column_block(case, rng):
     COLUMN_BLOCK columns, matches column-by-column application."""
     problem = iteration.build_problem(iteration.IterationConfig(N=5, ratio=4), case.load)
     n = problem.partition.trace.n_slots
-    assert n == 320 > local_solver.COLUMN_BLOCK
+    assert n == 320 > spectrum.COLUMN_BLOCK
     cols = rng.standard_normal((n, n))
     block = problem.solver.apply_resolvent(cols)
     one_by_one = np.column_stack(
@@ -453,10 +454,13 @@ def test_one_back_substitution_of_the_side_columns(case, monkeypatch):
 
 def test_solver_keeps_no_local_map(case):
     """After setup at N=4, r=32 the solver holds W (3008 x 128, shared by
-    the classes), one Z per class, Y_trace and S: 3.76 MB by tracemalloc,
-    where a full n_local x n_own map per class held 19.1 MB.  Bound: 5 MB.
-    No array that the solver or a class holds has a class's n_local x
-    n_own shape."""
+    the classes), one Z and one dense Y per class and S: 3.68 MB by
+    tracemalloc, where a full n_local x n_own map per class held 19.1 MB
+    (3.76 MB with the sparse Y_trace and a flat slot index per class).
+    Bound: 5 MB.  No array that the solver or a class holds has a class's
+    n_local x n_own shape, and the integer arrays that the solver holds
+    have fewer entries than the trace has slots (48 of 1536; the flat slot
+    indices held all 1536): the class-major slots need no gather index."""
     problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
     tracemalloc.start()
     try:
@@ -468,10 +472,15 @@ def test_solver_keeps_no_local_map(case):
     assert held <= 5e6
     maps = {(cls.n_local, cls.slots.shape[1]) for cls in problem.classes}
     fields = [*vars(solver).values(),
-              *(v for cls in problem.classes for v in vars(cls).values())]
+              *(v for cls in problem.classes for v in vars(cls).values()),
+              *(v for group in solver._groups for v in vars(group).values())]
     arrays = [a for v in fields for a in (v if isinstance(v, list) else [v])
               if isinstance(a, np.ndarray)]
     assert arrays and not any(a.shape in maps for a in arrays)
+    held = [a for v in (*vars(solver).values(),
+                        *(v for group in solver._groups for v in vars(group).values()))
+            for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    assert sum(a.size for a in held if a.dtype.kind in "iu") < solver.n_slots
 
 
 def _traced_peak(call):
@@ -666,14 +675,14 @@ def _moved_interior_entry(part, how):
 def _tampered_slots(part, how):
     """A copy of the partition with subdomain 7's slots of its left side
     (second of B, L, T at N=4) reversed, or its first slot replaced by the
-    neighbour's slot of the same edge."""
+    neighbour's slot of the same edge (its image under `pair_perm`)."""
     slots = part.slots.copy()
     lo = part.slot_start[7]
     r = part.mesh.m // part.N
     if how == "reversed":
         slots[lo + r:lo + 2 * r] = slots[lo + r:lo + 2 * r][::-1]
     else:
-        slots[lo] ^= 1  # `pair_perm`: the other side's slot
+        slots[lo] = part.trace.pair_perm[slots[lo]]  # the other side's slot
     return dataclasses.replace(part, slots=slots)
 
 
@@ -789,3 +798,103 @@ def test_non_congruent_member_rejected(problem_n6):
     with pytest.raises(ValueError, match="subdomain 14 is not a translate of "
                        "subdomain 7: its constraint values differs"):
         local_solver.ConstrainedRobinSolver(problem_n6.classes, B)
+
+
+def test_constraint_row_pattern_differs_rejected(problem_n6):
+    """Subdomain 14's first slot moved, with its value, from its bottom
+    interface's row to its top interface's: every slot keeps one entry and
+    the class's values stay equal, but its slots no longer fall into the
+    class's label pattern."""
+    part = problem_n6.partition
+    B = problem_n6.B.tocoo()
+    slot = part.slots_of(14)[0]
+    top = part.trace.slot_iface[part.slots_of(14)[-1]]
+    row = B.row.copy()
+    row[B.col == slot] = top
+    moved = sp.csr_matrix((B.data, (row, B.col)), shape=B.shape)
+    with pytest.raises(ValueError, match="subdomain 14 is not a translate of "
+                       "subdomain 7: its constraint row pattern differs"):
+        local_solver.ConstrainedRobinSolver(problem_n6.classes, moved)
+
+
+@pytest.mark.parametrize("N,r", [(1, 4), (2, 2), (2, 16), (3, 5), (6, 4), (4, 32), (16, 8)])
+def test_class_major_matches_flat_reference(case, rng, N, r):
+    """The resolvent on a vector and on a block of 320 columns, `solve`
+    and `load_trace` against the same solves on the interface-major slots
+    through flat gathers and the sparse Y_trace (`helpers.FlatResolvent`),
+    compared through the slot map.  The class-major order changes the
+    summation order of B's rows and of S, and Y_c reassociates the
+    coarse correction.  Measured: at most 1.5e-14 of the largest entry
+    (mu and the load trace at N=16, r=8; 6.3e-15 or less elsewhere); bound
+    1e-12."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
+    ref = FlatResolvent(problem)
+    solver = problem.solver
+    n = solver.n_slots
+
+    def close(out, out_ref, bound=1e-12):
+        scale = np.abs(out_ref).max(initial=0.0)
+        assert np.abs(out - out_ref).max(initial=0.0) <= bound * scale
+
+    x = rng.standard_normal(n)
+    close(solver.apply_resolvent(x), ref.apply_resolvent(x))
+    cols = rng.standard_normal((n, 320))
+    close(solver.apply_resolvent(cols), ref.apply_resolvent(cols))
+    g = rng.standard_normal(n)
+    u_int, w, mu = solver.solve(problem.local_loads, g)
+    u_ref, w_ref, mu_ref = ref.solve(problem.local_loads, g)
+    for u_i, u_i_ref in zip(u_int, u_ref, strict=True):
+        close(u_i, u_i_ref)
+    close(w, w_ref)
+    close(mu, mu_ref)
+    close(problem.load_trace(), ref.solve(problem.local_loads, np.zeros(n))[1])
+
+
+@pytest.mark.parametrize("N,r", [(1, 4), (2, 3), (3, 2), (5, 2)])
+def test_class_slots_are_one_range(N, r):
+    """Class c's members own the slots class_start[c] .. class_start[c+1]
+    in turn, n_own each: a class's slots are offset + arange, and the
+    classes cover the trace once."""
+    mesh = build_unit_square_mesh(N * r)
+    part = partition(mesh, N)
+    classes = local_solver.build_local_systems(part, mesh, 1.0, 0.5)
+    assert part.class_start[0] == 0 and part.class_start[-1] == part.trace.n_slots
+    for cls, members, lo, hi in zip(classes, part.classes, part.class_start[:-1],
+                                    part.class_start[1:], strict=True):
+        np.testing.assert_array_equal(cls.members, members)
+        owned = np.concatenate([part.slots_of(s) for s in members])
+        np.testing.assert_array_equal(owned, np.arange(lo, hi))
+        np.testing.assert_array_equal(cls.slots.ravel(), np.arange(lo, hi))
+        assert cls.slots.shape == (members.size, cls.cols.size)
+
+
+def _interior_load_solves(monkeypatch):
+    """The list that records each solve of the interior loads through the
+    template's factor."""
+    calls = []
+    solve = local_solver._solve
+
+    def spy(lu, rhs, what):
+        if what == "the interior loads":
+            calls.append(rhs.shape)
+        return solve(lu, rhs, what)
+
+    monkeypatch.setattr(local_solver, "_solve", spy)
+    return calls
+
+
+def test_one_interior_load_solve_per_run(case, monkeypatch):
+    """Richardson and MINRES each condense the loads once, for all 16
+    members: the load trace and the recovery share that one solve, and
+    setup does none."""
+    calls = _interior_load_solves(monkeypatch)
+    cfg = iteration.IterationConfig(N=4, ratio=4)
+    problem = iteration.build_problem(cfg, case.load)
+    assert calls == []
+    iteration._run(problem, case)
+    assert len(calls) == 1 and calls[0][1] == 16
+    iteration.run_richardson(cfg, case)
+    assert len(calls) == 2
+    op = boundary_system.InterfaceOperator(iteration.build_problem(cfg, case.load))
+    boundary_system.solve_minres(op, op.load(), case=case)
+    assert len(calls) == 3

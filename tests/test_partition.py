@@ -27,16 +27,21 @@ def B4(part4, mesh32):
 
 def _interfaces(part):
     """(i, j, fine) per coarse interface, read off the trace layout: the
-    subdomains on its two sides and its fine edges in slot order."""
+    subdomains on its two sides and its fine edges in slot order.  Each
+    side of an interface is one run of r consecutive slots of one
+    subdomain, and `pair_perm` carries the i-side's run onto the j-side's
+    in order."""
     trace = part.trace
     r = part.mesh.m // part.N
-    shape = (part.n_interfaces, r)
-    iface = trace.slot_iface[0::2].reshape(shape)
-    assert np.all(iface == np.arange(part.n_interfaces)[:, None])
-    i = trace.slot_sub[0::2].reshape(shape)
-    j = trace.slot_sub[1::2].reshape(shape)
+    i_side = np.flatnonzero(trace.slot_side == 0)
+    runs = i_side[np.argsort(trace.slot_iface[i_side], kind="stable")]
+    runs = runs.reshape(part.n_interfaces, r)
+    partner = trace.pair_perm[runs]
+    assert np.all(np.diff(runs, axis=1) == 1) and np.all(np.diff(partner, axis=1) == 1)
+    assert np.all(trace.slot_iface[runs] == np.arange(part.n_interfaces)[:, None])
+    i, j = trace.slot_sub[runs], trace.slot_sub[partner]
     assert np.all(i == i[:, :1]) and np.all(j == j[:, :1])
-    return i[:, 0], j[:, 0], trace.slot_edge[0::2].reshape(shape)
+    return i[:, 0], j[:, 0], trace.slot_edge[runs]
 
 
 def test_incompatible_resolution_rejected(mesh8):
@@ -66,7 +71,8 @@ def test_interface_counts(N, m):
     assert part.trace.n_slots == 4 * N * (N - 1) * (m // N)
     _, _, fine = _interfaces(part)
     assert fine.shape == (part.n_interfaces, m // N)
-    length = np.bincount(part.trace.slot_iface[0::2], part.trace.m_diag[0::2])
+    i_side = part.trace.slot_side == 0
+    length = np.bincount(part.trace.slot_iface[i_side], part.trace.m_diag[i_side])
     np.testing.assert_allclose(length, 1.0 / N, rtol=1e-14)
 
 
@@ -111,6 +117,12 @@ def test_swap_is_fixed_point_free_involution(part4):
     perm = part4.trace.pair_perm
     np.testing.assert_array_equal(perm[perm], np.arange(len(perm)))
     assert not np.any(perm == np.arange(len(perm)))
+    # Each side's run of r slots goes whole, in order, onto the run of the
+    # same edges on the neighbour's side.
+    r = part4.mesh.m // part4.N
+    runs = perm.reshape(-1, r)
+    assert np.all(runs[:, 0] % r == 0)
+    assert np.all(np.diff(runs, axis=1) == 1)
 
 
 def test_paired_slots_agree(part4):
@@ -121,6 +133,11 @@ def test_paired_slots_agree(part4):
     np.testing.assert_array_equal(trace.slot_iface[perm], trace.slot_iface)
     assert np.all(trace.slot_sub[perm] != trace.slot_sub)
     np.testing.assert_array_equal(trace.slot_side[perm], 1 - trace.slot_side)
+    # the j-side is the neighbour right of or above the i-side
+    i_side = trace.slot_side == 0
+    step = trace.slot_sub[perm][i_side] - trace.slot_sub[i_side]
+    vertical = part4.mesh.edge_kind[trace.slot_edge[i_side]] == VERTICAL
+    np.testing.assert_array_equal(step, np.where(vertical, 1, part4.N))
     # swap commutes with the diagonal interface mass matrix
     np.testing.assert_array_equal(trace.m_diag[perm], trace.m_diag)
 
@@ -354,7 +371,13 @@ def test_broken_symmetry_rejected(mesh8):
 
 def _reference_partition(mesh, N):
     """The decomposition from the distinct (edge, subdomain) incidences,
-    found by hashing, with sets compared through `np.unique`.
+    found by hashing, with sets compared through `np.unique`.  The trace
+    slots are first laid out by interface, each fine edge's i-side slot
+    before its j-side slot, then sorted into the class-major order: by
+    the class of the slot's subdomain (its number of sides on the domain
+    boundary, then the key I == 0, I == N-1, J == 0, J == N-1), the
+    subdomain, the side of it (bottom, left, right, top) and the position
+    along that side.
 
     Returns (tri_sub, interior_edges, sub_slots, trace arrays by name).
     """
@@ -408,15 +431,25 @@ def _reference_partition(mesh, N):
         np.unique(slot_sub * mesh.n_edges + slot_edge),
         np.sort(pair_sub[keep] * mesh.n_edges + pair_edge[keep]),
     )
+    J, I = np.divmod(slot_sub, N)
+    edge = [I == 0, I == N - 1, J == 0, J == N - 1]
+    key = 16 * sum(edge) + 8 * edge[0] + 4 * edge[1] + 2 * edge[2] + edge[3]
+    # The slot's side of its subdomain: bottom 0 or left 1 on the j-side
+    # of a horizontal or vertical interface, top 3 or right 2 on its i-side.
+    vertical = np.array([item[3] for item in raw])[slot_iface] == VERTICAL
+    side = np.where(slot_side == 1, np.where(vertical, 1, 0), np.where(vertical, 2, 3))
+    along = np.tile(np.repeat(np.arange(r), 2), n_if)
+    order = np.lexsort((along, side, slot_sub, key))
+    rank = np.argsort(order)
     trace = {
-        "slot_iface": slot_iface,
-        "slot_edge": slot_edge,
-        "slot_sub": slot_sub,
-        "slot_side": slot_side,
-        "pair_perm": np.arange(slot_edge.size) ^ 1,
-        "m_diag": mesh.edge_len[slot_edge],
+        "slot_iface": slot_iface[order],
+        "slot_edge": slot_edge[order],
+        "slot_sub": slot_sub[order],
+        "slot_side": slot_side[order],
+        "pair_perm": rank[(np.arange(slot_edge.size) ^ 1)[order]],
+        "m_diag": mesh.edge_len[slot_edge[order]],
     }
-    sub_slots = [np.flatnonzero(slot_sub == s) for s in range(n_subs)]
+    sub_slots = [np.flatnonzero(trace["slot_sub"] == s) for s in range(n_subs)]
     return tri_sub, interior_edges, sub_slots, trace
 
 
@@ -447,11 +480,13 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
         owned = np.concatenate(sub_slots)
         slot_rank = np.empty(n_slots, dtype=np.int64)
         slot_rank[owned] = rank_in_runs(slot_sub[owned])
+        i_side = np.flatnonzero(trace["slot_side"] == 0)
         first_slot = np.full(mesh.n_edges, -1, dtype=np.int64)
-        first_slot[trace["slot_edge"][::2]] = np.arange(0, n_slots, 2)
+        first_slot[trace["slot_edge"][i_side]] = i_side
         slot = first_slot[edges]
         on_gamma = slot >= 0
-        slot = np.where(on_gamma, slot + (slot_sub[slot] != sub), 0)
+        other = trace["pair_perm"][slot]
+        slot = np.where(on_gamma, np.where(slot_sub[slot] != sub, other, slot), 0)
         loc = np.where(on_gamma, n_interior[sub] + slot_rank[slot], loc)
     return tri_ids, starts, loc
 
@@ -521,16 +556,17 @@ def _swap_tri_edges(mesh, a, b):
 def _tampered(mesh, part, fault):
     """A copy of `mesh` (N=2) that makes one check of `partition` fail."""
     trace, tri_sub = part.trace, part.tri_sub
-    pair = trace.slot_sub[0::2] * 4 + trace.slot_sub[1::2]
-    e01 = trace.slot_edge[0::2][pair == 0 * 4 + 1][0]
-    e23 = trace.slot_edge[0::2][pair == 2 * 4 + 3][0]
+    i_side = np.flatnonzero(trace.slot_side == 0)
+    pair = trace.slot_sub[i_side] * 4 + trace.slot_sub[trace.pair_perm[i_side]]
+    e01 = trace.slot_edge[i_side][pair == 0 * 4 + 1][0]
+    e23 = trace.slot_edge[i_side][pair == 2 * 4 + 3][0]
     f0, f1 = part.interior_of(0)[0], part.interior_of(1)[0]
     if fault == "classification":
         edge_boundary = mesh.edge_boundary.copy()
         edge_boundary[e01] = True
         return dataclasses.replace(mesh, edge_boundary=edge_boundary)
     if fault == "order":
-        fine = trace.slot_edge[0::2][trace.slot_iface[0::2] == 0]
+        fine = trace.slot_edge[i_side][trace.slot_iface[i_side] == 0]
         mid2 = mesh.edge_mid2.copy()
         mid2[fine[[0, 1]]] = mesh.edge_mid2[fine[[1, 0]]]
         return dataclasses.replace(mesh, edge_mid2=mid2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rr_hdiv import iteration, spectrum
-from rr_hdiv.local_solver import COLUMN_BLOCK
+from rr_hdiv.spectrum import COLUMN_BLOCK
 
 from helpers import relaxed_step
 
