@@ -55,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .mesh import Mesh
+from .mesh import SIGNS, Mesh, triangle_edges
 from .partition import SubdomainPartition, local_dofs
 
 __all__ = [
@@ -223,9 +223,7 @@ def build_local_systems(
     class-major layout.
     `partition.local_dofs` checks every subdomain's triangles and slots
     against the template's dofs.  That the triangles are translates,
-    vertices and edge orientations, is part of the check of every
-    triangle against its shape that `fem` runs once per mesh, on the
-    template's `element_matrices`.
+    vertices and edge orientations, is the mesh's numbering (`mesh`).
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
@@ -259,14 +257,16 @@ def local_loads(classes: list, part: SubdomainPartition, field) -> list:
     columns are the members' loads in local dof order.
 
     One bincount sums the contributions into two rows per edge, row 0
-    from the triangle where `tri_signs` is +1, row 1 where it is -1.  An
-    interior edge's load is row 0 + row 1, a slot's is row slot_side (the
-    side rule of `partition.local_dofs`): at most two terms each.
+    from the triangle where the edge's orientation (`mesh.SIGNS`) is +1,
+    row 1 where it is -1.  An interior edge's load is row 0 + row 1, a
+    slot's is row slot_side (the side rule of `partition.local_dofs`): at
+    most two terms each.
     """
     mesh, trace = part.mesh, part.trace
-    side = mesh.tri_signs < 0.0
+    m = mesh.m
+    side = (SIGNS < 0.0)[:, None]  # (shape, 1, k)
     rows = np.bincount(
-        (mesh.tri_edges + mesh.n_edges * side).ravel(),
+        (triangle_edges(m, *np.ogrid[:m, :2, :m]) + mesh.n_edges * side).ravel(),
         fem.element_loads(mesh, field).ravel(), minlength=2 * mesh.n_edges,
     ).reshape(2, mesh.n_edges)
     interior = rows[0] + rows[1]

@@ -1,4 +1,4 @@
-"""Structured triangulation of the unit square with oriented edge normals.
+"""Structured triangulation of the unit square, as id formulas.
 
 The unit square is divided into m x m cells and every cell is split by its
 bottom-left to top-right diagonal. Each edge carries one degree of freedom
@@ -6,17 +6,25 @@ of the lowest-order Raviart-Thomas space (the average normal component
 across the edge) and a globally fixed unit normal: (0, 1) for horizontal
 edges, (1, 0) for vertical edges, (1, -1)/sqrt(2) for diagonals. Vertex,
 edge and triangle ids are lexicographic by geometric position (y first,
-then x), so the numbering is reproducible across runs, and each id is a
-formula in the grid position: vertex iy (m+1) + ix sits at
-(grid_coordinates(m)[ix], grid_coordinates(m)[iy]), `edge_id` gives an
-edge's id from its doubled midpoint, and triangle t = cy 2m + shape m + cx
-is the lower (shape 0) or upper (shape 1) half of cell (cx, cy).
+then x), so the numbering is reproducible across runs.
 
-The build writes every table from that structure: one row pattern plus a
-per-row offset, with no scatter or gather over the whole mesh.  Triangle
-areas are still computed from the vertex coordinates, as differences of
-grid coordinates, so they are the same doubles as a per-triangle cross
-product (not the closed form 1/(2m^2), which differs at non-dyadic m).
+This module is the one owner of that numbering.  A `Mesh` holds only its
+resolution m: every id is a formula in the grid position, and the
+functions below give it, vectorised, for just the ids a caller needs.
+
+- Vertex iy (m+1) + ix sits at (grid[ix], grid[iy]), grid =
+  `grid_coordinates(m)` (`vertex_coordinates`).
+- An edge is named by its doubled midpoint (x2, y2), coordinates times
+  2m (`edge_id` and its inverse `edge_mid2`).  Its kind follows from the
+  parity of that midpoint (`edge_kind`), and its normal and length from
+  its kind (`NORMALS`, `edge_lengths`).  `boundary_edges` lists the 4m
+  edges on the boundary of the square.
+- Triangle t = cy 2m + shape m + cx is the lower (shape 0) or upper
+  (shape 1) half of cell (cx, cy) (`triangle_id`, `triangle_cell`).  Its vertex ids and
+  the ids of the edges opposite them are its shape's row pattern plus
+  the offset of its cell (`triangle_vertices`, `triangle_edges`), so
+  every triangle is a translate of one of two reference triangles, the
+  halves of cell (0, 0), with its vertices and edges in the same order.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ SQRT2 = float(np.sqrt(2.0))
 # edge kinds
 HORIZONTAL, VERTICAL, DIAGONAL = 0, 1, 2
 
+# The fixed unit normal of each edge kind.
+NORMALS = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
+
 # triangle shapes: lower (bl, br, tr) and upper (bl, tr, tl)
 LOWER, UPPER = 0, 1
 
@@ -41,41 +52,33 @@ LOWER, UPPER = 0, 1
 # left (1, 0) in, diagonal (1, -1) out.
 SIGNS = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0]])
 
+# Doubled midpoints of the edges opposite each vertex, relative to the
+# cell's bottom-left corner (2 cx, 2 cy), as [shape, axis, k]: lower
+# (right, diagonal, bottom), upper (top, left, diagonal).
+OPPOSITE_MID2 = np.array([[[2, 1, 1], [1, 1, 0]], [[1, 0, 1], [2, 1, 1]]])
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True)
 class Mesh:
-    """Triangle mesh with edge-based connectivity.
+    """The m x m mesh of the unit square; every table is a formula in m.
 
-    tri_edges[t, k] is the edge opposite vertex tris[t, k]; tri_signs[t, k]
-    is +1 when that edge's global normal points out of triangle t.
-    tri_shape[t] is LOWER or UPPER: every triangle is a translate of the
-    lower or the upper half of a cell, with its vertices in the same order.
-    edge_mid2 holds edge midpoints in half-cell integer steps (coordinates
-    times 2m), which keeps boundary and interface classification exact.
+    Counts satisfy nv = (m+1)^2, nt = 2 m^2, ne = 3 m^2 + 2 m, with 4 m
+    boundary edges.
     """
 
     m: int
-    h: float
-    verts: np.ndarray
-    edges: np.ndarray
-    edge_normal: np.ndarray
-    edge_len: np.ndarray
-    edge_boundary: np.ndarray
-    edge_kind: np.ndarray
-    edge_mid2: np.ndarray
-    tris: np.ndarray
-    tri_edges: np.ndarray
-    tri_signs: np.ndarray
-    tri_area: np.ndarray
-    tri_shape: np.ndarray
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.m
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return 3 * self.m * self.m + 2 * self.m
 
     @property
     def n_triangles(self) -> int:
-        return len(self.tris)
+        return 2 * self.m * self.m
 
 
 def grid_coordinates(m: int) -> np.ndarray:
@@ -84,143 +87,135 @@ def grid_coordinates(m: int) -> np.ndarray:
     return np.arange(m + 1) / m
 
 
+def vertex_coordinates(m: int, v) -> np.ndarray:
+    """Coordinates (..., 2) of vertex ids v."""
+    iy, ix = np.divmod(v, m + 1)
+    grid = grid_coordinates(m)
+    return np.stack([grid[ix], grid[iy]], axis=-1)
+
+
 def edge_id(m: int, x2, y2):
-    """Id of the edge at doubled midpoint (x2, y2) in the numbering of
-    `build_unit_square_mesh`: row pair y2 // 2 starts at (3m+1)(y2 // 2)
-    with its horizontals (x2 = 2 jx + 1, even y2), then its verticals and
-    diagonals (x2 = 0 .. 2m, odd y2)."""
+    """Id of the edge at doubled midpoint (x2, y2): row pair y2 // 2
+    starts at (3m+1)(y2 // 2) with its horizontals (x2 = 2 jx + 1, even
+    y2), then its verticals and diagonals (x2 = 0 .. 2m, odd y2)."""
     return (y2 // 2) * (3 * m + 1) + np.where(y2 % 2, m + x2, (x2 - 1) // 2)
 
 
+def edge_mid2(m: int, e):
+    """Doubled midpoints (x2, y2) of edge ids e; the inverse of `edge_id`."""
+    row, k = np.divmod(e, 3 * m + 1)
+    return np.where(k < m, 2 * k + 1, k - m), 2 * row + (k >= m)
+
+
+def edge_kind(x2, y2):
+    """HORIZONTAL (even y2), VERTICAL (odd y2, even x2) or DIAGONAL (both
+    odd) for the edges at doubled midpoints (x2, y2)."""
+    return y2 % 2 * (1 + x2 % 2)
+
+
+def edge_lengths(m: int) -> np.ndarray:
+    """The length of each edge kind."""
+    return np.array([1.0 / m, 1.0 / m, SQRT2 / m])
+
+
+def boundary_edges(m: int) -> np.ndarray:
+    """The 4m edge ids on the boundary of the square, increasing: the
+    bottom row's horizontals, the verticals at x2 = 0 and 2m of each row
+    pair, and the top row's horizontals."""
+    row = 3 * m + 1
+    sides = row * np.arange(m)[:, None] + [m, 3 * m]
+    return np.concatenate([np.arange(m), sides.ravel(), m * row + np.arange(m)])
+
+
+def triangle_id(m: int, cy, shape, cx):
+    """Id of the triangle of `shape` in cell (cx, cy)."""
+    return 2 * m * cy + m * shape + cx
+
+
+def triangle_cell(m: int, t):
+    """(cell row cy, shape, cell column cx) of triangle ids t; the
+    inverse of `triangle_id`."""
+    cy, rest = np.divmod(t, 2 * m)
+    shape, cx = np.divmod(rest, m)
+    return cy, shape, cx
+
+
+def triangle_vertices(m: int, cy, shape, cx) -> np.ndarray:
+    """Vertex ids (..., 3) of the triangle of `shape` in cell (cx, cy),
+    the arguments broadcast against each other: lower (bl, br, tr), upper
+    (bl, tr, tl)."""
+    mp1 = m + 1
+    offsets = np.array([[0, 1, mp1 + 1], [0, mp1 + 1, mp1]])
+    corner = mp1 * np.asarray(cy) + cx
+    return corner[..., None] + offsets[shape]
+
+
+def triangle_edges(m: int, cy, shape, cx) -> np.ndarray:
+    """Ids (..., 3) of the edges opposite the vertices of the triangle of
+    `shape` in cell (cx, cy), the arguments broadcast against each other.
+
+    The ids of cell row 0 plus (3m+1) cy: the pattern is formed only over
+    the shapes and columns asked for, and the row offset added after.
+    """
+    x2 = 2 * np.asarray(cx)[..., None] + OPPOSITE_MID2[shape, 0]
+    row0 = edge_id(m, x2, OPPOSITE_MID2[shape, 1])
+    return (3 * m + 1) * np.asarray(cy)[..., None] + row0
+
+
 def build_unit_square_mesh(m: int) -> Mesh:
-    """Build the m x m mesh of [0, 1]^2, one diagonal per cell.
+    """The m x m mesh of [0, 1]^2, one diagonal per cell.
 
     Every cell is split by its bottom-left to top-right diagonal, so of
     the square's symmetries the mesh keeps only the reflection x <-> y,
     the half-turn about (1/2, 1/2) and their product.
-
-    Counts satisfy nv = (m+1)^2, nt = 2 m^2, ne = 3 m^2 + 2 m, with 4 m
-    boundary edges.
     """
     if m < 1:
         raise ValueError(f"mesh resolution must be at least 1, got {m}")
-
-    # Every table is one row pattern plus a per-row offset: cell row cy
-    # (vertex row iy, edge row pair jy) is row 0 moved up by cy rows.
-    mp1, row = m + 1, 3 * m + 1
-    x = np.arange(mp1)
-    grid = grid_coordinates(m)
-    verts = np.empty((mp1, mp1, 2))
-    verts[..., 0] = grid
-    verts[..., 1] = grid[:, None]
-
-    # Edge ids, lexicographic by doubled midpoint (y, x): row pair jy holds
-    # its m horizontals (y2 = 2 jy), then the 2m+1 edges of y2 = 2 jy + 1,
-    # vertical and diagonal alternating (x2 = 0 .. 2m).  The top row's m
-    # horizontals close, so the last 2m+1 entries of row pair m are cut.
-    n_edges = 3 * m * m + 2 * m
-    x2 = np.arange(2 * m + 1)
-    kind0 = np.full(row, HORIZONTAL, dtype=np.int8)
-    kind0[m:] = np.where(x2 % 2, DIAGONAL, VERTICAL)
-    ends0 = np.empty((row, 2), dtype=np.int64)
-    ends0[:m, 0] = x[:m]
-    ends0[:m, 1] = x[1:]
-    ends0[m:, 0] = x2 // 2
-    ends0[m:, 1] = x2 // 2 + mp1 + x2 % 2
-    mid0 = np.empty((row, 2), dtype=np.int64)
-    mid0[:m, 0] = 2 * x[:m] + 1
-    mid0[:m, 1] = 0
-    mid0[m:, 0] = x2
-    mid0[m:, 1] = 1
-    rows = x[:, None, None]
-    ends = (ends0 + mp1 * rows).reshape(-1, 2)[:n_edges]
-    mid2 = (mid0 + np.array([0, 2]) * rows).reshape(-1, 2)[:n_edges]
-    kind = np.tile(kind0, mp1)[:n_edges]
-
-    normals = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
-    lengths = np.array([1.0 / m, 1.0 / m, SQRT2 / m])
-    edge_normal = np.tile(normals[kind0], (mp1, 1))[:n_edges]
-    edge_len = np.tile(lengths[kind0], mp1)[:n_edges]
-    # On the boundary: the verticals at x2 = 0 and 2m of every row pair and
-    # the horizontals of the bottom and top rows.
-    bnd0 = np.zeros(row, dtype=bool)
-    bnd0[[m, row - 1]] = True
-    edge_boundary = np.tile(bnd0, mp1)[:n_edges]
-    edge_boundary[:m] = True
-    edge_boundary[-m:] = True
-
-    # Triangle ids, lexicographic by centroid (y, x): cell row cy holds
-    # its m lower triangles, then its m upper ones, t = cy 2m + shape m + cx.
-    # lower triangle (bl, br, tr): opposite edges (right, diagonal, bottom)
-    # upper triangle (bl, tr, tl): opposite edges (top, left, diagonal)
-    # Row 0 as (shape, cx, k); the opposite edges by their doubled
-    # midpoints relative to (2 cx, 0).
-    cx = x[:m, None]
-    tris0 = np.stack([cx + [0, 1, mp1 + 1], cx + [0, mp1 + 1, mp1]])
-    edges0 = edge_id(m, 2 * cx + np.array([[[2, 1, 1]], [[1, 0, 1]]]),
-                     np.array([[[1, 1, 0]], [[2, 1, 1]]]))
-    rows = x[:m, None, None, None]
-    tris = (tris0 + mp1 * rows).reshape(-1, 3)
-    tri_edges = (edges0 + row * rows).reshape(-1, 3)
-    tri_shape = np.tile(np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m), m)
-
-    # Area from the vertex coordinates, without gathering them: in both
-    # shapes one term of the cross product d1 x d2 of the edges from vertex
-    # 0 is an exact zero, and the other is (x[cx+1] - x[cx]) (y[cy+1] - y[cy]).
-    step = np.diff(grid)
-    area = np.broadcast_to((0.5 * np.multiply.outer(step, step))[:, None],
-                           (m, 2, m)).reshape(-1)
-
-    return Mesh(
-        m=m,
-        h=1.0 / m,
-        verts=verts.reshape(-1, 2),
-        edges=ends,
-        edge_normal=edge_normal,
-        edge_len=edge_len,
-        edge_boundary=edge_boundary,
-        edge_kind=kind,
-        edge_mid2=mid2,
-        tris=tris,
-        tri_edges=tri_edges,
-        tri_signs=np.tile(np.repeat(SIGNS, m, axis=0), (m, 1)),
-        tri_area=area,
-        tri_shape=tri_shape,
-    )
+    return Mesh(m)
 
 
 def dump_mesh_csv(mesh: Mesh, directory: str) -> None:
-    """Write vertex, edge and triangle tables as CSV files for debugging."""
+    """Write vertex, edge and triangle tables as CSV files for debugging.
+
+    Triangle areas are computed from the vertex coordinates, as
+    differences of grid coordinates, so they are the same doubles as a
+    per-triangle cross product (not the closed form 1/(2m^2), which
+    differs at non-dyadic m).
+    """
+    m = mesh.m
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "vertices.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "x", "y"])
-        for i, (x, y) in enumerate(mesh.verts):
-            w.writerow([i, f"{x:.17g}", f"{y:.17g}"])
-    with open(os.path.join(directory, "edges.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "v0", "v1", "kind", "nx", "ny", "length", "boundary"])
-        for i in range(mesh.n_edges):
-            w.writerow(
-                [
-                    i,
-                    mesh.edges[i, 0],
-                    mesh.edges[i, 1],
-                    int(mesh.edge_kind[i]),
-                    f"{mesh.edge_normal[i, 0]:.17g}",
-                    f"{mesh.edge_normal[i, 1]:.17g}",
-                    f"{mesh.edge_len[i]:.17g}",
-                    int(mesh.edge_boundary[i]),
-                ]
-            )
-    with open(os.path.join(directory, "triangles.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "v0", "v1", "v2", "e0", "e1", "e2", "s0", "s1", "s2", "area"])
-        for t in range(mesh.n_triangles):
-            w.writerow(
-                [t]
-                + [int(v) for v in mesh.tris[t]]
-                + [int(e) for e in mesh.tri_edges[t]]
-                + [int(s) for s in mesh.tri_signs[t]]
-                + [f"{mesh.tri_area[t]:.17g}"]
-            )
+
+    def write(name, header, rows):
+        with open(os.path.join(directory, name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+
+    xy = vertex_coordinates(m, np.arange((m + 1) ** 2)).tolist()
+    write("vertices.csv", ["id", "x", "y"],
+          ([i, f"{x:.17g}", f"{y:.17g}"] for i, (x, y) in enumerate(xy)))
+
+    x2, y2 = edge_mid2(m, np.arange(mesh.n_edges))
+    kind = edge_kind(x2, y2)
+    v0 = (y2 // 2) * (m + 1) + x2 // 2
+    v1 = v0 + np.array([1, m + 1, m + 2])[kind]
+    boundary = np.zeros(mesh.n_edges, dtype=int)
+    boundary[boundary_edges(m)] = 1
+    length = edge_lengths(m)[kind]
+    columns = zip(v0.tolist(), v1.tolist(), kind.tolist(), NORMALS[kind].tolist(),
+                  length.tolist(), boundary.tolist())
+    write("edges.csv", ["id", "v0", "v1", "kind", "nx", "ny", "length", "boundary"],
+          ([i, a, b, k, f"{nx:.17g}", f"{ny:.17g}", f"{n:.17g}", bnd]
+           for i, (a, b, k, (nx, ny), n, bnd) in enumerate(columns)))
+
+    cells = np.ogrid[:m, :2, :m]
+    step = np.diff(grid_coordinates(m))
+    area = np.broadcast_to((0.5 * np.multiply.outer(step, step))[:, None], (m, 2, m))
+    columns = zip(triangle_vertices(m, *cells).reshape(-1, 3).tolist(),
+                  triangle_edges(m, *cells).reshape(-1, 3).tolist(),
+                  np.broadcast_to(SIGNS[:, None], (m, 2, m, 3)).reshape(-1, 3)
+                  .astype(int).tolist(),
+                  area.ravel().tolist())
+    write("triangles.csv",
+          ["id", "v0", "v1", "v2", "e0", "e1", "e2", "s0", "s1", "s2", "area"],
+          ([t, *v, *e, *s, f"{a:.17g}"] for t, (v, e, s, a) in enumerate(columns)))

@@ -1,12 +1,12 @@
 """Square N x N decomposition of the structured mesh.
 
-Builds the triangle-to-subdomain map, the two-sided trace slot layout
-with its pairing permutation, each subdomain's interior edges and trace
-slots, and the edge-average constraint matrix.  It is the one owner of
-the subdomain layout.  Subdomain s's local dof order is
-[interior_of(s), slots_of(s)]; `local_dofs` writes it once, as one
-template on subdomain 0's triangles with all four sides kept, and checks
-every subdomain against it in one pass.  The local solver takes that
+Builds the two-sided trace slot layout with its pairing permutation,
+each subdomain's interior edges and trace slots, and the edge-average
+constraint matrix.  It is the one owner of the subdomain layout.
+Subdomain s's local dof order is [interior_of(s), slots_of(s)];
+`local_dofs` writes it once, as one template on subdomain 0's triangles
+with all four sides kept, and checks every subdomain against it in one
+pass.  The local solver takes that
 template as given.
 
 Coarse interfaces are numbered by index arithmetic, bottom-to-top and
@@ -26,21 +26,11 @@ geometric order: its local trace order.  The two slots of one fine edge
 lie on neighbouring subdomains, so the side swap `pair_perm` is a general
 fixed-point-free involution, written by the same index arithmetic.
 
-The layout is index arithmetic on the structured mesh: the subdomain of
-each triangle, the fine edges of each interface (`mesh.edge_id`), each
-subdomain's interior edges and slots, and `local_dofs`' side edges and
-template triangles are written from the grid position, with no gather by
-subdomain and no sort.  What that assumes of the mesh is then checked in
-O(n) passes, without sorting or hashing: the stored midpoints, kinds and
-boundary flags of the interface edges, and that the interior edge sets
-are exactly the free interior edges, each owned by its subdomain.  Per
-edge, over the triangle incidences, bincounts give the count c, the sum
-s1 and the square sum s2 of the incident subdomain ids.  Every edge must
-have c <= 2; it then has one owning subdomain iff c == 1 or
-2 s2 == s1^2, and for c == 2 the pair (s1, s2) fixes its unordered pair
-of subdomains, which the two slots of an interface edge must name.  The
-sums are integers of at most 4 (N^2)^2, exact in float64 while that is
-below 2^53 (N < 6800).
+The layout is index arithmetic on the mesh's id formulas (`mesh`): the
+fine edges of each interface (`mesh.edge_id`), each subdomain's interior
+edges and slots, and `local_dofs`' side edges and template triangles are
+written from the grid position, with no gather by subdomain and no sort.
+The slot midpoints, normals and lengths come from the same formulas.
 
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
 `symmetry_generators` gives their permutations of the trace slots.  It
@@ -56,7 +46,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIAGONAL, HORIZONTAL, VERTICAL, Mesh, edge_id
+from .mesh import (
+    NORMALS,
+    Mesh,
+    edge_id,
+    edge_kind,
+    edge_lengths,
+    edge_mid2,
+    triangle_edges,
+    triangle_id,
+)
 
 __all__ = [
     "TraceIndex",
@@ -112,7 +111,6 @@ class SubdomainPartition:
 
     N: int
     mesh: Mesh
-    tri_sub: np.ndarray
     n_interfaces: int
     trace: TraceIndex
     interior: np.ndarray
@@ -169,74 +167,19 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     n_subs = N * N
     J, I = np.divmod(np.arange(n_subs, dtype=np.int64), N)
 
-    # Triangle t = cy 2m + shape m + cx lies in subdomain
-    # (cy // r) N + cx // r.
-    block = np.repeat(np.arange(N, dtype=np.int64), r)
-    tri_sub = np.broadcast_to((N * block[:, None] + block)[:, None],
-                              (m, 2, m)).reshape(-1)
-
     # Interfaces in the order of the module docstring: interface k is
     # entry q of row J, vertical for q < N-1.  Fine edge t of an interface
     # has its midpoint at offset 2t + 1 half-cells along the interface
-    # from the subdomain corner; its id is the mesh's for that midpoint,
-    # and the midpoint the mesh stores for it must be that one.
+    # from the subdomain corner; its id is the mesh's for that midpoint.
     n_if = 2 * N * (N - 1)
     iJ, q = np.divmod(np.arange(n_if, dtype=np.int64), 2 * N - 1)
     vertical = q < N - 1
     iI = np.where(vertical, q, q - (N - 1))
-    iface_kind = np.where(vertical, VERTICAL, HORIZONTAL)
     mid_x = np.where(vertical, 2 * r * (iI + 1), 2 * r * iI + r)[:, None]
     mid_y = np.where(vertical, 2 * r * iJ + r, 2 * r * (iJ + 1))[:, None]
     step = 2 * np.arange(r, dtype=np.int64) - (r - 1)
-    fx = mid_x + np.where(vertical[:, None], 0, step)
-    fy = mid_y + np.where(vertical[:, None], step, 0)
-    fine = edge_id(m, fx, fy)  # (n_if, r)
-    mid = mesh.edge_mid2[fine]
-    across = np.where(vertical[:, None], mid[..., 0] != fx, mid[..., 1] != fy)
-    if np.any(across) or np.any(mesh.edge_kind[fine] != iface_kind[:, None]) or (
-        np.any(mesh.edge_boundary[fine])
-    ):
-        raise AssertionError("interface edge classification mismatch")
-    if np.any(mid != np.stack([fx, fy], axis=-1)):
-        raise AssertionError("interface fine edges out of order")
-
-    gamma_edges = fine.ravel()
-    on_gamma = np.zeros(mesh.n_edges, dtype=bool)
-    on_gamma[gamma_edges] = True
-    if np.count_nonzero(on_gamma) != gamma_edges.size:
-        raise AssertionError("a fine edge appears on two coarse interfaces")
-
-    # Independent geometric check: the interface set is exactly the
-    # non-boundary axis-aligned edges sitting on internal subdomain lines,
-    # and no diagonal edge lies on one.
-    on_line = np.zeros(2 * m + 1, dtype=bool)  # subdomain lines x2, y2 = 2rk
-    on_line[::2 * r] = True
-    on_x, on_y = np.take(on_line, mesh.edge_mid2).T
-    expect = ~mesh.edge_boundary & (
-        ((mesh.edge_kind == VERTICAL) & on_x) | ((mesh.edge_kind == HORIZONTAL) & on_y)
-    )
-    if not np.array_equal(expect, on_gamma):
-        raise AssertionError("interface edge set mismatch")
-    if np.any(on_gamma & (mesh.edge_kind == DIAGONAL)):
-        raise AssertionError("diagonal edge on a subdomain interface")
-
-    # Per-edge incidence count c, subdomain sum s1 and square sum s2; the
-    # module docstring says why they decide ownership, and exactly.
-    edges = mesh.tri_edges.ravel()
-    # The subdomain of each tri_edges entry, one cell row at a time.
-    column = block.astype(float)
-    sub = (N * column[:, None] + np.tile(np.repeat(column, 3), 2)).ravel()
-    c = np.bincount(edges, minlength=mesh.n_edges)
-    if np.any(c > 2):
-        raise AssertionError("an edge lies on more than two triangles")
-    s1 = np.bincount(edges, sub, minlength=mesh.n_edges)
-    s2 = np.bincount(edges, sub * sub, minlength=mesh.n_edges)
-    one_owner = (c == 1) | ((c == 2) & (2.0 * s2 == s1 * s1))
-    free_interior = ~mesh.edge_boundary & ~on_gamma
-    if not np.all(one_owner[free_interior]):
-        raise AssertionError("an interior dof is claimed by != 1 subdomain")
-    if not np.all((c[on_gamma] == 2) & ~one_owner[on_gamma]):
-        raise AssertionError("an interface dof is not shared by exactly 2")
+    fine = edge_id(m, mid_x + np.where(vertical[:, None], 0, step),
+                   mid_y + np.where(vertical[:, None], step, 0))  # (n_if, r)
 
     # Interior edges of subdomain (J, I): those with midpoints strictly
     # inside it, by increasing id.  Local cell row a contributes its r
@@ -250,12 +193,6 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     step = np.tile(np.repeat([1, 2], [r, 2 * r - 1]), r)[r:]
     interior = (pattern + (r * row * J)[:, None] + (r * I)[:, None] * step).ravel()
     interior_start = pattern.size * np.arange(n_subs + 1, dtype=np.int64)
-    # They are exactly the free interior edges, each owned by its subdomain.
-    owned = np.take(c, interior).reshape(n_subs, -1) * np.arange(n_subs)[:, None]
-    if (interior.size != np.count_nonzero(free_interior)
-            or not np.all(np.take(free_interior, interior))
-            or np.any(np.take(s1, interior).reshape(n_subs, -1) != owned)):
-        raise AssertionError("subdomain interior edge sets inconsistent")
 
     # Trace slots, class-major (module docstring), in runs of r: side d
     # (bottom, left, right, top) of subdomain s, if it is an interface,
@@ -290,21 +227,11 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         slot_sub=np.repeat(run_sub, r),
         slot_side=np.repeat((run_side < 2).astype(np.int64), r),
         pair_perm=(run_start[other, 3 - run_side][:, None] + np.arange(r)).ravel(),
-        m_diag=mesh.edge_len[slot_edge] if slot_edge.size else np.empty(0),
+        m_diag=edge_lengths(m)[edge_kind(*edge_mid2(m, slot_edge))],
     )
-
-    # Each subdomain's slots name exactly its interface edges: the two
-    # sides of an edge are distinct subdomains with the edge's s1 and s2.
-    i_side = trace.slot_side == 0
-    a, b = trace.slot_sub[i_side], trace.slot_sub[trace.pair_perm[i_side]]
-    e = slot_edge[i_side]
-    if np.any(a == b) or np.any(a + b != s1[e]) or np.any(a * a + b * b != s2[e]):
-        raise AssertionError("subdomain interface set inconsistent")
-
     return SubdomainPartition(
         N=N,
         mesh=mesh,
-        tri_sub=tri_sub,
         n_interfaces=n_if,
         trace=trace,
         interior=interior,
@@ -360,12 +287,12 @@ def local_dofs(part: SubdomainPartition):
     edges = np.concatenate(
         [part.interior.reshape(n_subs, -1), sides.reshape(n_subs, -1)], axis=1)
     # Subdomain 0 holds cell rows 0 .. r-1 and cell columns 0 .. r-1; each
-    # subdomain's triangles are grouped by a transpose of the mesh's
-    # (cell row, shape, cell column) order.
-    tri_ids = (2 * m * np.arange(r)[:, None, None] + m * np.arange(2)[:, None]
-               + np.arange(r)).ravel()
-    tri_edges = mesh.tri_edges.reshape(N, r, 2, N, r, 3).transpose(
-        0, 3, 1, 2, 4, 5).reshape(n_subs, -1)
+    # subdomain's triangles are its (cell row, shape, cell column) block,
+    # in the mesh's order within it.
+    tri_ids = triangle_id(m, *np.ogrid[:r, :2, :r]).ravel()
+    cy = (r * J)[:, None, None, None] + np.arange(r)[:, None, None]
+    cx = (r * I)[:, None, None, None] + np.arange(r)
+    tri_edges = triangle_edges(m, cy, np.arange(2)[:, None], cx).reshape(n_subs, -1)
     rank = np.full(mesh.n_edges, -1, dtype=np.int64)
     rank[edges[0]] = np.arange(edges.shape[1])
     loc = rank[tri_edges[0]]
@@ -446,9 +373,9 @@ def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
     trace = part.trace
     mesh = part.mesh
     N, m, n = part.N, mesh.m, trace.n_slots
-    x2, y2 = mesh.edge_mid2[trace.slot_edge].T
+    x2, y2 = edge_mid2(m, trace.slot_edge)
     J, I = np.divmod(trace.slot_sub, N)
-    normal = mesh.edge_normal[trace.slot_edge]
+    normal = NORMALS[edge_kind(x2, y2)]
     keys = [_image(k, m, N, x2, y2, I, J, normal)[0] for k in range(3)]
     gens = _find(keys[0], np.stack(keys[1:]))
     if gens is None:

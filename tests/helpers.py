@@ -4,7 +4,8 @@ Everything here rebuilds operators from first principles (each
 subdomain's Robin matrix assembled from its own triangles, then dense
 block algebra) so the class-shared, matrix-free production paths have an
 independent cross-check on small instances.  The first section holds
-reference code that only the tests use: mesh queries, the edge
+reference code that only the tests use: `sorted_mesh`, the mesh's
+twelve tables found by sorting, and queries on them, the edge
 interpolant, the elementwise divergence, the L2 distance of two discrete
 fields, the errors of the direct solve and a class's Robin matrix.  The
 middle holds the per-subdomain dof tables, loads and per-class assembly
@@ -17,41 +18,152 @@ its symmetry images.
 """
 
 import dataclasses
+import functools
 import types
 
 import numpy as np
 import scipy.sparse as sp
 
 from rr_hdiv import fem, local_solver, verify
-from rr_hdiv.mesh import VERTICAL, build_unit_square_mesh
+from rr_hdiv.mesh import (
+    DIAGONAL,
+    HORIZONTAL,
+    LOWER,
+    SIGNS,
+    SQRT2,
+    UPPER,
+    VERTICAL,
+    build_unit_square_mesh,
+)
 from rr_hdiv.partition import _find, _image, local_dofs
 
 # Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
 GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
 
 
+@functools.lru_cache(maxsize=8)
+def sorted_mesh(m):
+    """Reference tables of the m x m mesh, independent of `rr_hdiv.mesh`'s
+    id formulas: entities generated kind by kind, then numbered by
+    sorting edge midpoints and triangle centroids lexicographically (y, x).
+
+    Returns a namespace with m, h, n_edges, n_triangles and the tables
+    verts (nv, 2), edges (ne, 2) vertex ids, edge_normal (ne, 2), edge_len,
+    edge_boundary, edge_kind (int8), edge_mid2 (ne, 2) doubled midpoints,
+    tris (nt, 3) vertex ids, tri_edges (nt, 3) the edge opposite each
+    vertex, tri_signs (nt, 3) +1 where that edge's normal points out,
+    tri_area and tri_shape (int8).  The arrays are read-only: the result
+    is cached and shared.
+    """
+    mp1 = m + 1
+    ix, iy = np.meshgrid(np.arange(mp1), np.arange(mp1), indexing="xy")
+    verts = np.column_stack([ix.ravel() / m, iy.ravel() / m]).astype(float)
+
+    def vid(jx, jy):
+        return jy * mp1 + jx
+
+    hx, hy = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(mp1)))
+    vx, vy = (a.ravel() for a in np.meshgrid(np.arange(mp1), np.arange(m)))
+    cx, cy = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(m)))
+    ends = np.concatenate([
+        np.column_stack([vid(hx, hy), vid(hx + 1, hy)]),
+        np.column_stack([vid(vx, vy), vid(vx, vy + 1)]),
+        np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1)]),
+    ])
+    mid2 = np.concatenate([
+        np.column_stack([2 * hx + 1, 2 * hy]),
+        np.column_stack([2 * vx, 2 * vy + 1]),
+        np.column_stack([2 * cx + 1, 2 * cy + 1]),
+    ])
+    kind = np.concatenate([
+        np.full(hx.size, HORIZONTAL, dtype=np.int8),
+        np.full(vx.size, VERTICAL, dtype=np.int8),
+        np.full(cx.size, DIAGONAL, dtype=np.int8),
+    ])
+    order = np.lexsort((mid2[:, 0], mid2[:, 1]))
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    ends, mid2, kind = ends[order], mid2[order], kind[order]
+    normals = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
+    lengths = np.array([1.0 / m, 1.0 / m, SQRT2 / m])
+    on_bnd = (mid2[:, 0] == 0) | (mid2[:, 0] == 2 * m)
+    on_bnd |= (mid2[:, 1] == 0) | (mid2[:, 1] == 2 * m)
+
+    # Edge ids in generation order: horizontals, verticals, diagonals.
+    def hid(jx, jy):
+        return jy * m + jx
+
+    def vvid(jx, jy):
+        return m * mp1 + jy * mp1 + jx
+
+    def did(jx, jy):
+        return 2 * m * mp1 + jy * m + jx
+
+    tris = np.concatenate([
+        np.column_stack([vid(cx, cy), vid(cx + 1, cy), vid(cx + 1, cy + 1)]),
+        np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1), vid(cx, cy + 1)]),
+    ])
+    tri_edges = inv[np.concatenate([
+        np.column_stack([vvid(cx + 1, cy), did(cx, cy), hid(cx, cy)]),
+        np.column_stack([hid(cx, cy + 1), vvid(cx, cy), did(cx, cy)]),
+    ])]
+    tri_shape = np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m * m)
+    cent3 = np.concatenate([
+        np.column_stack([3 * cx + 2, 3 * cy + 1]),
+        np.column_stack([3 * cx + 1, 3 * cy + 2]),
+    ])
+    torder = np.lexsort((cent3[:, 0], cent3[:, 1]))
+    tris, tri_edges, tri_shape = tris[torder], tri_edges[torder], tri_shape[torder]
+    coords = verts[tris]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    tables = dict(
+        verts=verts, edges=ends, edge_normal=normals[kind],
+        edge_len=lengths[kind], edge_boundary=on_bnd & (kind != DIAGONAL),
+        edge_kind=kind, edge_mid2=mid2, tris=tris, tri_edges=tri_edges,
+        tri_signs=SIGNS[tri_shape],
+        tri_area=0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]),
+        tri_shape=tri_shape,
+    )
+    for table in tables.values():
+        table.setflags(write=False)
+    return types.SimpleNamespace(m=m, h=1.0 / m, n_edges=len(ends),
+                                 n_triangles=len(tris), **tables)
+
+
 def n_vertices(mesh):
-    return len(mesh.verts)
+    return len(sorted_mesh(mesh.m).verts)
 
 
 def tri_coords(mesh):
     """Vertex coordinates per triangle, shape (nt, 3, 2)."""
-    return mesh.verts[mesh.tris]
+    ref = sorted_mesh(mesh.m)
+    return ref.verts[ref.tris]
 
 
 def interior_edges(mesh):
-    return np.flatnonzero(~mesh.edge_boundary)
+    return np.flatnonzero(~sorted_mesh(mesh.m).edge_boundary)
+
+
+def triangle_subdomains(mesh, N):
+    """The subdomain of each triangle of the N x N decomposition, from the
+    sum of its vertices' grid indices (three times its centroid)."""
+    ref = sorted_mesh(mesh.m)
+    r = mesh.m // N
+    vy, vx = np.divmod(ref.tris, mesh.m + 1)
+    return (vy.sum(axis=1) // 3 // r) * N + vx.sum(axis=1) // 3 // r
 
 
 def classify_boundary(mesh):
     """Edge ids lying on the boundary of the unit square.
 
     Recomputed from vertex coordinates (both endpoints on one boundary
-    line), independently of the flags stored at build time.
+    line), independently of the flags of `sorted_mesh`.
     """
-    p = mesh.verts[mesh.edges[:, 0]]
-    q = mesh.verts[mesh.edges[:, 1]]
-    on_line = np.zeros(mesh.n_edges, dtype=bool)
+    ref = sorted_mesh(mesh.m)
+    p = ref.verts[ref.edges[:, 0]]
+    q = ref.verts[ref.edges[:, 1]]
+    on_line = np.zeros(ref.n_edges, dtype=bool)
     for axis in (0, 1):
         for value in (0.0, 1.0):
             on_line |= (np.abs(p[:, axis] - value) < 1e-12) & (
@@ -66,29 +178,31 @@ def interpolate(mesh, field):
     Two-point Gauss quadrature along the edge, exact for the quadratic
     manufactured solution. Returns values for every edge, boundary included.
     """
-    p = mesh.verts[mesh.edges[:, 0]]
-    q = mesh.verts[mesh.edges[:, 1]]
+    ref = sorted_mesh(mesh.m)
+    p = ref.verts[ref.edges[:, 0]]
+    q = ref.verts[ref.edges[:, 1]]
     mid = 0.5 * (p + q)
     tang = q - p
-    vals = np.zeros(mesh.n_edges)
+    vals = np.zeros(ref.n_edges)
     for t in GAUSS2_T:
         pts = mid + t * tang
         fx, fy = field(pts[:, 0], pts[:, 1])
-        vals += 0.5 * (fx * mesh.edge_normal[:, 0] + fy * mesh.edge_normal[:, 1])
+        vals += 0.5 * (fx * ref.edge_normal[:, 0] + fy * ref.edge_normal[:, 1])
     return vals
 
 
 def divergence(mesh, u):
     """Elementwise (constant) divergence of the field with edge dofs u,
     from the basis divergences of `fem`'s per-shape tables."""
-    div = np.array([shape.div for shape in fem._shapes(mesh)])
-    return np.einsum("tk,tk->t", u[mesh.tri_edges], div[mesh.tri_shape])
+    ref = sorted_mesh(mesh.m)
+    div = np.array([shape.div for shape in fem._shapes(mesh.m)])
+    return np.einsum("tk,tk->t", u[ref.tri_edges], div[ref.tri_shape])
 
 
 def l2_distance(mesh, u, v):
     """L2 norm of the difference of two discrete fields."""
     _, mass = fem.element_matrices(mesh)
-    d = (u - v)[mesh.tri_edges]
+    d = (u - v)[sorted_mesh(mesh.m).tri_edges]
     return float(np.sqrt(np.einsum("tij,ti,tj->", mass, d, d)))
 
 
@@ -119,10 +233,10 @@ def subdomain_robin_matrix(problem, s):
     local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
     loc_of_edge = np.full(mesh.n_edges, -1)
     loc_of_edge[local_edges] = np.arange(local_edges.size)
-    tris = np.flatnonzero(part.tri_sub == s)
+    tris = np.flatnonzero(triangle_subdomains(mesh, part.N) == s)
     divdiv, mass = fem.element_matrices(mesh, tris)
     elem = divdiv + problem.config.beta * mass
-    dofs = loc_of_edge[mesh.tri_edges[tris]]
+    dofs = loc_of_edge[sorted_mesh(mesh.m).tri_edges[tris]]
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
@@ -386,10 +500,10 @@ def interface_major_slots(part):
     the class-major one replaced: fine edge t (in geometric order) of
     interface k has its i-side slot at 2 r k + 2 t and its j-side slot
     right after it."""
-    trace, mesh = part.trace, part.mesh
-    r = mesh.m // part.N
-    x2, y2 = mesh.edge_mid2[trace.slot_edge].T
-    along = np.where(mesh.edge_kind[trace.slot_edge] == VERTICAL, y2, x2)
+    trace, ref = part.trace, sorted_mesh(part.mesh.m)
+    r = ref.m // part.N
+    x2, y2 = ref.edge_mid2[trace.slot_edge].T
+    along = np.where(ref.edge_kind[trace.slot_edge] == VERTICAL, y2, x2)
     return 2 * r * trace.slot_iface + 2 * ((along - 1) // 2 % r) + trace.slot_side
 
 
@@ -504,14 +618,14 @@ def symmetry_maps(part, sub):
     AssertionError unless each map is a bijection that keeps interior dofs
     interior and normals on normals.
     """
-    mesh, trace = part.mesh, part.trace
-    N, m = part.N, mesh.m
+    trace, ref = part.trace, sorted_mesh(part.mesh.m)
+    N, m = part.N, ref.m
 
     def dofs(s):
         interior = part.interior_of(s)
         edges = np.concatenate([interior, trace.slot_edge[part.slots_of(s)]])
         J, I = divmod(int(s), N)
-        return interior.size, (*mesh.edge_mid2[edges].T, I, J, mesh.edge_normal[edges])
+        return interior.size, (*ref.edge_mid2[edges].T, I, J, ref.edge_normal[edges])
 
     n_interior, place = dofs(sub)
     n = place[0].size

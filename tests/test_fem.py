@@ -1,13 +1,11 @@
 """Raviart-Thomas element: exact element integrals, assembly, norms."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helpers import direct_errors, divergence, interpolate, l2_distance
+from helpers import direct_errors, divergence, interpolate, l2_distance, sorted_mesh
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -55,112 +53,26 @@ def test_reference_element_mass_against_quadrature():
 
 def test_divdiv_rank_one_on_real_mesh(mesh8):
     divdiv, mass = fem.element_matrices(mesh8)
-    d = mesh8.tri_signs * mesh8.edge_len[mesh8.tri_edges]
-    expected = d[:, :, None] * d[:, None, :] / mesh8.tri_area[:, None, None]
+    ref = sorted_mesh(mesh8.m)
+    d = ref.tri_signs * ref.edge_len[ref.tri_edges]
+    expected = d[:, :, None] * d[:, None, :] / ref.tri_area[:, None, None]
     np.testing.assert_allclose(divdiv, expected, atol=1e-12)
     for t in (0, 17, 93):
         assert np.all(np.linalg.eigvalsh(mass[t]) > 0)
 
 
-def test_degenerate_triangle_rejected(mesh8):
-    import copy
-
-    bad = copy.copy(mesh8)
-    bad.tri_area = mesh8.tri_area.copy()
-    bad.tri_area[0] = 0.0
-    with pytest.raises(ValueError):
-        fem.element_matrices(bad)
-
-
-def _with_triangle_changed(mesh, name, t, change):
-    """Copy of mesh whose array `name` has row t replaced by change(row)."""
-    import copy
-
-    bad = copy.copy(mesh)
-    arr = getattr(mesh, name).copy()
-    arr[t] = change(arr[t])
-    setattr(bad, name, arr)
-    return bad
-
-
-@pytest.mark.parametrize(
-    "name, change",
-    [("tri_signs", np.negative), ("tris", lambda v: np.roll(v, 1))],
-    ids=["signs-flipped", "vertices-rotated"],
-)
-def test_incongruent_triangle_rejected(mesh8, case, name, change):
-    """A triangle that is no translate of its shape's reference is refused
-    by every per-shape table user, which names it."""
-    bad = _with_triangle_changed(mesh8, name, 37, change)
-    u = np.zeros(bad.n_edges)
-    calls = (
-        lambda: fem.element_loads(bad, case.load),
-        lambda: fem.error_norms(bad, u, case.u, case.div_u),
-        lambda: fem.element_matrices(bad),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="triangle 37:"):
-            call()
-
-
-def test_congruence_checked_once_per_mesh(case, monkeypatch):
-    """Matrices, loads, norms and divergence share one congruence pass per
-    mesh object; a modified copy is a new object and is checked again."""
-    calls = []
-    check = fem._check_congruent
-
-    def counted(mesh):
-        calls.append(mesh)
-        return check(mesh)
-
-    monkeypatch.setattr(fem, "_check_congruent", counted)
-    mesh = build_unit_square_mesh(6)
-    u = interpolate(mesh, case.u)
-    fem.element_matrices(mesh, np.arange(5))
-    fem.element_matrices(mesh)
-    fem.element_loads(mesh, case.load)
-    fem.error_norms(mesh, u, case.u, case.div_u)
-    divergence(mesh, u)
-    assert calls == [mesh]
-    copy = dataclasses.replace(mesh)
-    fem.error_norms(copy, u, case.u, case.div_u)
-    fem.element_loads(copy, case.load)
-    assert calls == [mesh, copy]
-
-
-def _first_triangle_on(mesh, edge):
-    return int(np.flatnonzero((mesh.tri_edges == edge).any(axis=1))[0])
-
-
-@pytest.mark.parametrize("fault", [
-    "shape", "shifted", "area", "edge kind", "edge length", "vertex"])
-def test_every_congruence_check_fires(mesh8, case, fault):
-    """Each clause of the once-per-mesh check rejects a mesh broken to
-    reach it, naming the triangle (or vertex) at fault."""
-    m = mesh8.m
-    if fault == "shape":
-        bad = _with_triangle_changed(mesh8, "tri_shape", 21, lambda s: 1 - s)
-        expect = "triangle 21: shape is not that of its place"
-    elif fault == "shifted":
-        # every vertex moved one cell to the right: the offsets still agree
-        bad = _with_triangle_changed(mesh8, "tris", 21, lambda v: v + 1)
-        expect = "triangle 21: vertex ids are not those of reference triangle 0"
-    elif fault == "area":
-        bad = _with_triangle_changed(mesh8, "tri_area", 2 * m + 3, lambda a: 2 * a)
-        expect = f"triangle {2 * m + 3}: area differ"
-    elif fault == "edge kind":
-        edge = mesh8.tri_edges[37, 1]
-        bad = _with_triangle_changed(mesh8, "edge_kind", edge, lambda k: (k + 1) % 3)
-        expect = f"triangle {_first_triangle_on(mesh8, edge)}: edge kinds differ"
-    elif fault == "edge length":
-        edge = mesh8.tri_edges[37, 2]
-        bad = _with_triangle_changed(mesh8, "edge_len", edge, lambda h: 1.5 * h)
-        expect = f"triangle {_first_triangle_on(mesh8, edge)}: edge lengths differ"
-    else:
-        bad = _with_triangle_changed(mesh8, "verts", 11, lambda p: p + 1e-3)
-        expect = "vertex 11: coordinates differ"
-    with pytest.raises(ValueError, match=expect):
-        fem.element_loads(bad, case.load)
+def test_element_matrices_rejects_ids_out_of_range(mesh8):
+    """Ids below 0 or from n_triangles on are refused, not wrapped round
+    or read past the mesh; the ids at both ends are accepted."""
+    n = mesh8.n_triangles
+    for bad in ([-1], [0, n], [n + 7]):
+        with pytest.raises(ValueError, match=rf"triangle ids must lie in \[0, {n}\)"):
+            fem.element_matrices(mesh8, bad)
+    divdiv, mass = fem.element_matrices(mesh8)
+    ends, ends_mass = fem.element_matrices(mesh8, [0, n - 1])
+    np.testing.assert_array_equal(ends, divdiv[[0, n - 1]])
+    np.testing.assert_array_equal(ends_mass, mass[[0, n - 1]])
+    assert fem.element_matrices(mesh8, np.zeros(0, dtype=int))[0].shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("m", [1, 5, 6, 24])
@@ -171,20 +83,23 @@ def test_quadrature_points_match_vertex_gather(monkeypatch, m):
     each triangle's first vertex, as before the points were written by
     formula."""
     mesh = build_unit_square_mesh(m)
+    ref = sorted_mesh(m)
     nq = K.QUAD4_W.size
     ids = np.arange(mesh.n_triangles).reshape(m, 2, m)
-    shapes = fem._shapes(mesh)
+    shapes = fem._shapes(m)
     for block in (7, fem.QUAD_BLOCK):
         monkeypatch.setattr(fem, "QUAD_BLOCK", block)
         seen = np.zeros(mesh.n_triangles, dtype=int)
         for shape, kind, rows, x, y in fem._row_blocks(mesh):
-            assert shape is shapes[kind]
+            for name in ("offsets", "values", "div", "area"):
+                np.testing.assert_array_equal(getattr(shape, name),
+                                              getattr(shapes[kind], name))
             tri = ids[rows, kind]
             assert tri.shape[0] == min(max(1, block // m), m - rows.start)
             assert x.shape == (1, m, nq) and y.shape == (tri.shape[0], 1, nq)
-            np.testing.assert_array_equal(mesh.tri_shape[tri], kind)
+            np.testing.assert_array_equal(ref.tri_shape[tri], kind)
             seen[tri] += 1
-            origin = mesh.verts[mesh.tris[tri, 0]]
+            origin = ref.verts[ref.tris[tri, 0]]
             x, y = np.broadcast_arrays(x, y)
             np.testing.assert_array_equal(x, origin[..., :1] + shape.offsets[:, 0])
             np.testing.assert_array_equal(y, origin[..., 1:] + shape.offsets[:, 1])
@@ -196,11 +111,12 @@ def _loads_by_vertex_gather(mesh, field):
     from its first vertex, the field evaluated there, and one product per
     shape of those triangles' values with the shape's weighted basis
     table, scattered back by triangle id."""
+    ref = sorted_mesh(mesh.m)
     out = np.empty((mesh.n_triangles, 3))
     weights = np.tile(K.QUAD4_W, 2)
-    for kind, shape in enumerate(fem._shapes(mesh)):
-        ids = np.flatnonzero(mesh.tri_shape == kind)
-        pts = mesh.verts[mesh.tris[ids, 0]][:, None] + shape.offsets
+    for kind, shape in enumerate(fem._shapes(mesh.m)):
+        ids = np.flatnonzero(ref.tri_shape == kind)
+        pts = ref.verts[ref.tris[ids, 0]][:, None] + shape.offsets
         f = np.concatenate(field(pts[..., 0], pts[..., 1]), axis=1)
         out[ids] = f @ (shape.values.T * (shape.area * weights)[:, None])
     return out
@@ -280,8 +196,9 @@ def test_coercivity_dominates_mass(case, rng):
     system = fem.assemble_global(mesh, beta, case.load)
     divdiv, mass = fem.element_matrices(mesh)
     n = mesh.n_edges
-    rows = np.repeat(mesh.tri_edges, 3, axis=1).ravel()
-    cols = np.tile(mesh.tri_edges, (1, 3)).ravel()
+    tri_edges = sorted_mesh(mesh.m).tri_edges
+    rows = np.repeat(tri_edges, 3, axis=1).ravel()
+    cols = np.tile(tri_edges, (1, 3)).ravel()
     M = sp.coo_matrix((mass.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     for _ in range(5):
         w = np.zeros(n)
@@ -299,7 +216,7 @@ def test_assemble_global_matches_scatter_reference(case, m):
     mesh = build_unit_square_mesh(m)
     system = fem.assemble_global(mesh, 2.0, case.load)
     divdiv, mass = fem.element_matrices(mesh)
-    dofs = system.edge_to_free[mesh.tri_edges]
+    dofs = system.edge_to_free[sorted_mesh(m).tri_edges]
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
@@ -331,17 +248,18 @@ def test_interpolate_constant_field(mesh8):
     a, b = 0.7, -1.3
     u = interpolate(mesh8, lambda x, y: (a + 0.0 * x, b + 0.0 * y))
     np.testing.assert_allclose(
-        u, mesh8.edge_normal @ np.array([a, b]), atol=1e-14
+        u, sorted_mesh(mesh8.m).edge_normal @ np.array([a, b]), atol=1e-14
     )
 
 
 def test_interpolate_boundary_and_tangential(mesh8, case):
+    ref = sorted_mesh(mesh8.m)
     u = interpolate(mesh8, case.u)
-    np.testing.assert_allclose(u[mesh8.edge_boundary], 0.0, atol=1e-15)
+    np.testing.assert_allclose(u[ref.edge_boundary], 0.0, atol=1e-15)
     shear = interpolate(mesh8, lambda x, y: (y, 0.0 * y))
     from rr_hdiv.mesh import HORIZONTAL
 
-    np.testing.assert_allclose(shear[mesh8.edge_kind == HORIZONTAL], 0.0,
+    np.testing.assert_allclose(shear[ref.edge_kind == HORIZONTAL], 0.0,
                                atol=1e-15)
 
 
@@ -358,13 +276,14 @@ def test_representable_field_reproduced_exactly(mesh8):
 
 def test_divergence_is_net_flux(mesh8, rng):
     """div u_h |K| must equal the signed flux sum around each triangle."""
+    ref = sorted_mesh(mesh8.m)
     u = rng.standard_normal(mesh8.n_edges)
     div = divergence(mesh8, u)
     flux = np.einsum(
-        "tk,tk->t", mesh8.tri_signs * mesh8.edge_len[mesh8.tri_edges],
-        u[mesh8.tri_edges],
+        "tk,tk->t", ref.tri_signs * ref.edge_len[ref.tri_edges],
+        u[ref.tri_edges],
     )
-    np.testing.assert_allclose(div * mesh8.tri_area, flux, atol=1e-14)
+    np.testing.assert_allclose(div * ref.tri_area, flux, atol=1e-14)
 
 
 def test_interpolant_error_scales_linearly(case):

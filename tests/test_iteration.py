@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import direct_errors, l2_distance, relaxed_step
+from helpers import direct_errors, interior_edges, l2_distance, relaxed_step
 from rr_hdiv import iteration, local_solver, spectrum, verify
+from rr_hdiv.mesh import boundary_edges
 
 # Measured once on this discretization and frozen; the runs are fully
 # deterministic so the counts must reproduce exactly.
@@ -116,7 +117,7 @@ def test_fixed_point_identity_gamma_H(case):
 
 def test_perturbed_field_is_not_a_fixed_point(case, problem_n4, oracle32):
     bumped = oracle32.copy()
-    free = np.flatnonzero(~problem_n4.mesh.edge_boundary)
+    free = interior_edges(problem_n4.mesh)
     bumped[free[len(free) // 2]] += 1.0
     assert iteration.fixed_point_check(problem_n4, bumped) > 1e-6
 
@@ -164,7 +165,7 @@ def test_baseline_single_subdomain_matches_richardson(case):
 def test_report_solution_assembly(case, problem_n4):
     rep = iteration.run_richardson(problem_n4.config, case)
     assert rep.u_h.shape == (problem_n4.mesh.n_edges,)
-    np.testing.assert_allclose(rep.u_h[problem_n4.mesh.edge_boundary], 0.0,
+    np.testing.assert_allclose(rep.u_h[boundary_edges(problem_n4.mesh.m)], 0.0,
                                atol=1e-16)
 
 

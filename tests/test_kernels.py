@@ -8,7 +8,7 @@ tables that `fem` builds loads and error norms from.
 
 import numpy as np
 
-from helpers import interpolate, tri_coords
+from helpers import interpolate, sorted_mesh, tri_coords
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -86,11 +86,11 @@ def _rt0_values_loops(coords, lengths, signs, areas, dofs, bary):
 
 
 def _mesh_arrays(m=5):
-    mesh = build_unit_square_mesh(m)
-    coords = np.ascontiguousarray(tri_coords(mesh))
-    lengths = np.ascontiguousarray(mesh.edge_len[mesh.tri_edges])
-    signs = np.ascontiguousarray(mesh.tri_signs.astype(float))
-    areas = np.ascontiguousarray(mesh.tri_area)
+    ref = sorted_mesh(m)
+    coords = np.ascontiguousarray(tri_coords(ref))
+    lengths = np.ascontiguousarray(ref.edge_len[ref.tri_edges])
+    signs = np.ascontiguousarray(ref.tri_signs.astype(float))
+    areas = np.ascontiguousarray(ref.tri_area)
     return coords, lengths, signs, areas
 
 
@@ -113,7 +113,7 @@ def _quad_points(coords):
 
 def _error_norms_loops(mesh, u, exact_u, exact_div):
     coords, lengths, signs, areas = _mesh_arrays(mesh.m)
-    dofs = u[mesh.tri_edges]
+    dofs = u[sorted_mesh(mesh.m).tri_edges]
     uh = _rt0_values_loops(coords, lengths, signs, areas, dofs, K.QUAD4_BARY)
     pts = _quad_points(coords)
     ex, ey = exact_u(pts[:, :, 0], pts[:, :, 1])

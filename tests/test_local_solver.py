@@ -14,12 +14,15 @@ from helpers import (
     DirectSolver,
     direct_problem,
     FlatResolvent,
+    interior_edges,
     per_class_assembly,
     per_member_local_loads,
     per_subdomain_local_dofs,
     robin_matrix,
+    sorted_mesh,
     subdomain_load,
     subdomain_robin_matrix,
+    triangle_subdomains,
 )
 from rr_hdiv import boundary_system, fem, iteration, local_solver, spectrum, verify
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -207,7 +210,7 @@ def test_single_subdomain_equals_global(case, mesh8, oracle8):
     assert cls.slots.shape == (1, 0)
     H = robin_matrix(cls).toarray()
     A = fem.assemble_global(mesh8, 1.0, case.load).A.toarray()
-    free = np.flatnonzero(~mesh8.edge_boundary)
+    free = interior_edges(mesh8)
     interior = cls.interior[0]
     order = np.argsort(interior)
     assert np.array_equal(np.sort(interior), free)
@@ -385,6 +388,8 @@ def test_local_dofs_match_edge_lookup(problem_n4):
     """Reference: a full-mesh edge -> local dof table per subdomain,
     against the template mapped through each member's kept dofs."""
     part, mesh = problem_n4.partition, problem_n4.mesh
+    tri_sub = triangle_subdomains(mesh, part.N)
+    tri_edges = sorted_mesh(mesh.m).tri_edges
     tri_ids, starts, loc = per_subdomain_local_dofs(part)
     for cls in problem_n4.classes:
         for s, interior, slots in zip(cls.members, cls.interior, cls.slots):
@@ -393,11 +398,11 @@ def test_local_dofs_match_edge_lookup(problem_n4):
             local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
             loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
             loc_of_edge[local_edges] = np.arange(cls.n_local)
-            tris = np.flatnonzero(part.tri_sub == s)
+            tris = np.flatnonzero(tri_sub == s)
             block = slice(starts[s], starts[s + 1])
             np.testing.assert_array_equal(tri_ids[block], tris)
             np.testing.assert_array_equal(
-                loc[block], loc_of_edge[mesh.tri_edges[tris]]
+                loc[block], loc_of_edge[tri_edges[tris]]
             )
 
 

@@ -1,26 +1,46 @@
-"""Structured diagonal mesh: counts, orientation, and id conventions."""
+"""Structured diagonal mesh: counts, orientation, and id conventions.
 
+Every id formula of `rr_hdiv.mesh` is held to `helpers.sorted_mesh`, the
+mesh's tables found by sorting entities generated kind by kind.
+"""
+
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from helpers import classify_boundary, interior_edges, n_vertices, tri_coords
+from helpers import classify_boundary, interior_edges, n_vertices, sorted_mesh, tri_coords
+from rr_hdiv import fem
 from rr_hdiv import mesh as mesh_mod
 from rr_hdiv.mesh import (
     DIAGONAL,
     HORIZONTAL,
-    LOWER,
+    NORMALS,
     SIGNS,
-    SQRT2,
-    UPPER,
     VERTICAL,
     Mesh,
+    boundary_edges,
     build_unit_square_mesh,
     dump_mesh_csv,
     edge_id,
+    edge_kind,
+    edge_lengths,
+    edge_mid2,
     grid_coordinates,
+    triangle_cell,
+    triangle_edges,
+    triangle_vertices,
+    vertex_coordinates,
 )
+
+
+def all_triangle_edges(m):
+    return triangle_edges(m, *np.ogrid[:m, :2, :m]).reshape(-1, 3)
+
+
+def all_triangle_vertices(m):
+    return triangle_vertices(m, *np.ogrid[:m, :2, :m]).reshape(-1, 3)
 
 
 @pytest.mark.parametrize(
@@ -41,18 +61,27 @@ def test_invalid_resolution_rejected():
         build_unit_square_mesh(0)
 
 
+def test_mesh_holds_only_m():
+    """A Mesh is its resolution: no per-entity table is stored."""
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["m"]
+    mesh = build_unit_square_mesh(6)
+    assert (mesh.h, mesh.n_edges, mesh.n_triangles) == (1.0 / 6, 120, 72)
+
+
 def test_vertex_grid_and_ids(mesh8):
     m = mesh8.m
-    ix = np.rint(mesh8.verts[:, 0] * m).astype(int)
-    iy = np.rint(mesh8.verts[:, 1] * m).astype(int)
-    np.testing.assert_allclose(mesh8.verts[:, 0], ix / m, atol=1e-15)
-    np.testing.assert_allclose(mesh8.verts[:, 1], iy / m, atol=1e-15)
+    xy = vertex_coordinates(m, np.arange(n_vertices(mesh8)))
+    ix = np.rint(xy[:, 0] * m).astype(int)
+    iy = np.rint(xy[:, 1] * m).astype(int)
+    np.testing.assert_allclose(xy[:, 0], ix / m, atol=1e-15)
+    np.testing.assert_allclose(xy[:, 1], iy / m, atol=1e-15)
     np.testing.assert_array_equal(iy * (m + 1) + ix, np.arange(n_vertices(mesh8)))
 
 
 def test_edge_normals_fixed_by_kind(mesh8):
-    n = mesh8.edge_normal
-    k = mesh8.edge_kind
+    ref = sorted_mesh(mesh8.m)
+    n = NORMALS[edge_kind(*edge_mid2(mesh8.m, np.arange(mesh8.n_edges)))]
+    k = ref.edge_kind
     s = 1.0 / np.sqrt(2.0)
     for kind, expect in ((HORIZONTAL, (0.0, 1.0)), (VERTICAL, (1.0, 0.0)),
                          (DIAGONAL, (s, -s))):
@@ -60,73 +89,85 @@ def test_edge_normals_fixed_by_kind(mesh8):
         np.testing.assert_allclose(rows, np.tile(expect, (len(rows), 1)))
     np.testing.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-15)
     # normal is perpendicular to the edge direction
-    tang = mesh8.verts[mesh8.edges[:, 1]] - mesh8.verts[mesh8.edges[:, 0]]
+    tang = ref.verts[ref.edges[:, 1]] - ref.verts[ref.edges[:, 0]]
     assert np.max(np.abs(np.einsum("ed,ed->e", tang, n))) < 1e-14
 
 
 def test_edge_lengths(mesh8):
+    ref = sorted_mesh(mesh8.m)
     h = mesh8.h
-    tang = mesh8.verts[mesh8.edges[:, 1]] - mesh8.verts[mesh8.edges[:, 0]]
-    np.testing.assert_allclose(mesh8.edge_len, np.linalg.norm(tang, axis=1),
-                               atol=1e-15)
-    assert set(np.round(mesh8.edge_len / h, 12)) == {1.0, np.round(np.sqrt(2), 12)}
+    tang = ref.verts[ref.edges[:, 1]] - ref.verts[ref.edges[:, 0]]
+    length = edge_lengths(mesh8.m)[edge_kind(*edge_mid2(mesh8.m, np.arange(ref.n_edges)))]
+    np.testing.assert_allclose(length, np.linalg.norm(tang, axis=1), atol=1e-15)
+    assert set(np.round(length / h, 12)) == {1.0, np.round(np.sqrt(2), 12)}
 
 
 def test_edge_ids_lexicographic_by_midpoint(mesh8):
-    mid = mesh8.edge_mid2
+    mid = np.column_stack(edge_mid2(mesh8.m, np.arange(mesh8.n_edges)))
     order = np.lexsort((mid[:, 0], mid[:, 1]))
     np.testing.assert_array_equal(order, np.arange(mesh8.n_edges))
     # midpoints in doubled integer coordinates match the endpoints
-    p = mesh8.verts[mesh8.edges[:, 0]] + mesh8.verts[mesh8.edges[:, 1]]
+    ref = sorted_mesh(mesh8.m)
+    p = ref.verts[ref.edges[:, 0]] + ref.verts[ref.edges[:, 1]]
     np.testing.assert_allclose(mid / mesh8.m, p, atol=1e-14)
 
 
 def test_edge_triangle_incidence(mesh8):
-    counts = np.zeros(mesh8.n_edges, dtype=int)
-    np.add.at(counts, mesh8.tri_edges.ravel(), 1)
-    assert np.all(counts[mesh8.edge_boundary] == 1)
-    assert np.all(counts[~mesh8.edge_boundary] == 2)
+    counts = np.bincount(all_triangle_edges(mesh8.m).ravel(), minlength=mesh8.n_edges)
+    boundary = np.zeros(mesh8.n_edges, dtype=bool)
+    boundary[boundary_edges(mesh8.m)] = True
+    assert np.all(counts[boundary] == 1)
+    assert np.all(counts[~boundary] == 2)
 
 
 def test_shared_edge_signs_cancel(mesh8):
-    total = np.zeros(mesh8.n_edges)
-    np.add.at(total, mesh8.tri_edges.ravel(), mesh8.tri_signs.ravel())
-    interior = ~mesh8.edge_boundary
-    np.testing.assert_allclose(total[interior], 0.0, atol=1e-15)
-    assert np.all(np.abs(total[mesh8.edge_boundary]) == 1.0)
-    assert set(np.unique(mesh8.tri_signs)) == {-1.0, 1.0}
+    m = mesh8.m
+    signs = np.broadcast_to(SIGNS[:, None], (m, 2, m, 3)).reshape(-1, 3)
+    total = np.bincount(all_triangle_edges(m).ravel(), signs.ravel(),
+                        minlength=mesh8.n_edges)
+    boundary = np.zeros(mesh8.n_edges, dtype=bool)
+    boundary[boundary_edges(m)] = True
+    np.testing.assert_allclose(total[~boundary], 0.0, atol=1e-15)
+    assert np.all(np.abs(total[boundary]) == 1.0)
+    assert set(np.unique(SIGNS)) == {-1.0, 1.0}
 
 
-def _geometric_signs(mesh):
+def _geometric_signs(ref):
     """+1 where the edge's fixed normal points away from the opposite
     vertex, from the coordinates of every triangle."""
-    coords = tri_coords(mesh)
-    signs = np.empty((mesh.n_triangles, 3))
+    coords = tri_coords(ref)
+    signs = np.empty((ref.n_triangles, 3))
     for k in range(3):
         mid = 0.5 * (coords[:, (k + 1) % 3] + coords[:, (k + 2) % 3])
-        n_e = mesh.edge_normal[mesh.tri_edges[:, k]]
+        n_e = ref.edge_normal[ref.tri_edges[:, k]]
         signs[:, k] = np.sign(np.einsum("td,td->t", mid - coords[:, k], n_e))
     return signs
 
 
 def test_signs_per_shape_match_geometry():
     for m in range(1, 17):
-        mesh = build_unit_square_mesh(m)
-        np.testing.assert_array_equal(mesh.tri_signs, _geometric_signs(mesh))
+        ref = sorted_mesh(m)
+        _, shape, _ = triangle_cell(m, np.arange(ref.n_triangles))
+        np.testing.assert_array_equal(SIGNS[shape], _geometric_signs(ref))
     np.testing.assert_array_equal(np.abs(mesh_mod.SIGNS), 1.0)
 
 
 def test_triangle_areas(mesh8):
     m = mesh8.m
-    np.testing.assert_allclose(mesh8.tri_area, 1.0 / (2 * m * m), atol=1e-16)
-    assert abs(mesh8.tri_area.sum() - 1.0) < 1e-14
+    ref = sorted_mesh(m)
+    np.testing.assert_allclose(ref.tri_area, 1.0 / (2 * m * m), atol=1e-16)
+    assert abs(ref.tri_area.sum() - 1.0) < 1e-14
+    *_, area = fem._references(m)
+    np.testing.assert_array_equal(area, ref.tri_area[[0, m]])
 
 
 def test_tri_edges_opposite_vertices(mesh8):
     # the edge stored at local position k must not touch vertex k
+    ref = sorted_mesh(mesh8.m)
+    tri_edges, tris = all_triangle_edges(mesh8.m), all_triangle_vertices(mesh8.m)
     for k in range(3):
-        edge_ends = mesh8.edges[mesh8.tri_edges[:, k]]
-        own = mesh8.tris[:, k]
+        edge_ends = ref.edges[tri_edges[:, k]]
+        own = tris[:, k]
         assert not np.any(edge_ends[:, 0] == own)
         assert not np.any(edge_ends[:, 1] == own)
 
@@ -134,11 +175,12 @@ def test_tri_edges_opposite_vertices(mesh8):
 def test_triangle_shapes(mesh8):
     # lower (bl, br, tr) and upper (bl, tr, tl), each m^2 times
     m = mesh8.m
-    offsets = mesh8.tris - mesh8.tris[:, :1]
+    tris = all_triangle_vertices(m)
+    _, shape, _ = triangle_cell(m, np.arange(mesh8.n_triangles))
+    offsets = tris - tris[:, :1]
     expected = np.array([[0, 1, m + 2], [0, m + 2, m + 1]])
-    np.testing.assert_array_equal(offsets, expected[mesh8.tri_shape])
-    assert mesh8.tri_shape.dtype == np.int8
-    np.testing.assert_array_equal(np.bincount(mesh8.tri_shape), [m * m, m * m])
+    np.testing.assert_array_equal(offsets, expected[shape])
+    np.testing.assert_array_equal(np.bincount(shape), [m * m, m * m])
     assert (mesh_mod.LOWER, mesh_mod.UPPER) == (0, 1)
 
 
@@ -147,33 +189,52 @@ def test_classify_boundary(m, nb):
     mesh = build_unit_square_mesh(m)
     found = classify_boundary(mesh)
     assert len(found) == nb == 4 * m
-    np.testing.assert_array_equal(found, np.flatnonzero(mesh.edge_boundary))
-    assert not np.any(mesh.edge_kind[found] == DIAGONAL)
+    np.testing.assert_array_equal(found, boundary_edges(m))
+    assert not np.any(edge_kind(*edge_mid2(m, found)) == DIAGONAL)
 
 
 def test_build_is_deterministic():
     a = build_unit_square_mesh(5)
     b = build_unit_square_mesh(5)
-    np.testing.assert_array_equal(a.edges, b.edges)
-    np.testing.assert_array_equal(a.tris, b.tris)
-    np.testing.assert_array_equal(a.tri_edges, b.tri_edges)
-    np.testing.assert_array_equal(a.tri_signs, b.tri_signs)
+    assert a == b
+    np.testing.assert_array_equal(all_triangle_edges(a.m), all_triangle_edges(b.m))
+    np.testing.assert_array_equal(boundary_edges(a.m), boundary_edges(b.m))
 
 
 def test_interior_edges_helper(mesh8):
     ids = interior_edges(mesh8)
     assert len(ids) == mesh8.n_edges - 4 * mesh8.m
-    assert not np.any(mesh8.edge_boundary[ids])
+    assert not np.any(np.isin(ids, boundary_edges(mesh8.m)))
 
 
 def test_mesh_dump(tmp_path, mesh8):
+    """The dumped tables are the reference tables, as written by
+    `%.17g` and integers."""
     dump_mesh_csv(mesh8, str(tmp_path))
+    ref = sorted_mesh(mesh8.m)
+    tables = {}
     for name, rows in (("vertices.csv", n_vertices(mesh8)),
                        ("edges.csv", mesh8.n_edges),
                        ("triangles.csv", mesh8.n_triangles)):
-        lines = (tmp_path / name).read_text().splitlines()
+        with open(tmp_path / name, newline="") as fh:
+            lines = list(csv.reader(fh))
         assert len(lines) == rows + 1
         assert lines[0][0].isalpha()
+        tables[name] = np.array(lines[1:], dtype=float)
+    for table in tables.values():
+        np.testing.assert_array_equal(table[:, 0], np.arange(len(table)))
+    np.testing.assert_array_equal(tables["vertices.csv"][:, 1:], ref.verts)
+    edges = tables["edges.csv"]
+    np.testing.assert_array_equal(edges[:, 1:3], ref.edges)
+    np.testing.assert_array_equal(edges[:, 3], ref.edge_kind)
+    np.testing.assert_array_equal(edges[:, 4:6], ref.edge_normal)
+    np.testing.assert_array_equal(edges[:, 6], ref.edge_len)
+    np.testing.assert_array_equal(edges[:, 7], ref.edge_boundary)
+    tris = tables["triangles.csv"]
+    np.testing.assert_array_equal(tris[:, 1:4], ref.tris)
+    np.testing.assert_array_equal(tris[:, 4:7], ref.tri_edges)
+    np.testing.assert_array_equal(tris[:, 7:10], ref.tri_signs)
+    np.testing.assert_array_equal(tris[:, 10], ref.tri_area)
 
 
 def test_module_constants_distinct():
@@ -181,99 +242,55 @@ def test_module_constants_distinct():
     assert mesh_mod.SQRT2 == pytest.approx(np.sqrt(2.0))
 
 
-def _sorted_mesh(m):
-    """Reference build: entities generated kind by kind, then numbered by
-    sorting edge midpoints and triangle centroids lexicographically (y, x)."""
-    mp1 = m + 1
-    ix, iy = np.meshgrid(np.arange(mp1), np.arange(mp1), indexing="xy")
-    verts = np.column_stack([ix.ravel() / m, iy.ravel() / m]).astype(float)
-
-    def vid(jx, jy):
-        return jy * mp1 + jx
-
-    hx, hy = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(mp1)))
-    vx, vy = (a.ravel() for a in np.meshgrid(np.arange(mp1), np.arange(m)))
-    cx, cy = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(m)))
-    ends = np.concatenate([
-        np.column_stack([vid(hx, hy), vid(hx + 1, hy)]),
-        np.column_stack([vid(vx, vy), vid(vx, vy + 1)]),
-        np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1)]),
-    ])
-    mid2 = np.concatenate([
-        np.column_stack([2 * hx + 1, 2 * hy]),
-        np.column_stack([2 * vx, 2 * vy + 1]),
-        np.column_stack([2 * cx + 1, 2 * cy + 1]),
-    ])
-    kind = np.concatenate([
-        np.full(hx.size, HORIZONTAL, dtype=np.int8),
-        np.full(vx.size, VERTICAL, dtype=np.int8),
-        np.full(cx.size, DIAGONAL, dtype=np.int8),
-    ])
-    order = np.lexsort((mid2[:, 0], mid2[:, 1]))
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
-    ends, mid2, kind = ends[order], mid2[order], kind[order]
-    normals = np.array([[0.0, 1.0], [1.0, 0.0], [1.0 / SQRT2, -1.0 / SQRT2]])
-    lengths = np.array([1.0 / m, 1.0 / m, SQRT2 / m])
-    on_bnd = (mid2[:, 0] == 0) | (mid2[:, 0] == 2 * m)
-    on_bnd |= (mid2[:, 1] == 0) | (mid2[:, 1] == 2 * m)
-
-    # Edge ids in generation order: horizontals, verticals, diagonals.
-    def hid(jx, jy):
-        return jy * m + jx
-
-    def vvid(jx, jy):
-        return m * mp1 + jy * mp1 + jx
-
-    def did(jx, jy):
-        return 2 * m * mp1 + jy * m + jx
-
-    tris = np.concatenate([
-        np.column_stack([vid(cx, cy), vid(cx + 1, cy), vid(cx + 1, cy + 1)]),
-        np.column_stack([vid(cx, cy), vid(cx + 1, cy + 1), vid(cx, cy + 1)]),
-    ])
-    tri_edges = inv[np.concatenate([
-        np.column_stack([vvid(cx + 1, cy), did(cx, cy), hid(cx, cy)]),
-        np.column_stack([hid(cx, cy + 1), vvid(cx, cy), did(cx, cy)]),
-    ])]
-    tri_shape = np.repeat(np.array([LOWER, UPPER], dtype=np.int8), m * m)
-    cent3 = np.concatenate([
-        np.column_stack([3 * cx + 2, 3 * cy + 1]),
-        np.column_stack([3 * cx + 1, 3 * cy + 2]),
-    ])
-    torder = np.lexsort((cent3[:, 0], cent3[:, 1]))
-    tris, tri_edges, tri_shape = tris[torder], tri_edges[torder], tri_shape[torder]
-    coords = verts[tris]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    return Mesh(
-        m=m, h=1.0 / m, verts=verts, edges=ends, edge_normal=normals[kind],
-        edge_len=lengths[kind], edge_boundary=on_bnd & (kind != DIAGONAL),
-        edge_kind=kind, edge_mid2=mid2, tris=tris, tri_edges=tri_edges,
-        tri_signs=SIGNS[tri_shape],
-        tri_area=0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]),
-        tri_shape=tri_shape,
-    )
-
-
 @pytest.mark.parametrize("m", list(range(1, 17)) + [24, 48, 96, 256])
 def test_numbering_matches_sorted_build(m):
-    """Ids written by formula equal those found by sorting, in every
-    array and its dtype."""
-    mesh, ref = build_unit_square_mesh(m), _sorted_mesh(m)
-    for f in dataclasses.fields(Mesh):
-        got, want = getattr(mesh, f.name), getattr(ref, f.name)
-        assert np.asarray(got).dtype == np.asarray(want).dtype, f.name
-        np.testing.assert_array_equal(got, want, err_msg=f.name)
+    """Every id formula equals the table found by sorting, and every
+    triangle is a translate of its shape's reference triangle in `fem`:
+    the reference's vertex offsets, edge orientations and edge kinds, its
+    area and edge lengths to round-off, with its vertices at the grid
+    coordinates."""
+    ref = sorted_mesh(m)
+    e, t = np.arange(ref.n_edges), np.arange(ref.n_triangles)
+    x2, y2 = edge_mid2(m, e)
+    np.testing.assert_array_equal(np.column_stack([x2, y2]), ref.edge_mid2)
+    np.testing.assert_array_equal(edge_id(m, x2, y2), e)
+    kind = edge_kind(x2, y2)
+    np.testing.assert_array_equal(kind, ref.edge_kind)
+    np.testing.assert_array_equal(NORMALS[kind], ref.edge_normal)
+    np.testing.assert_array_equal(edge_lengths(m)[kind], ref.edge_len)
+    np.testing.assert_array_equal(boundary_edges(m), np.flatnonzero(ref.edge_boundary))
+    np.testing.assert_array_equal(
+        vertex_coordinates(m, np.arange((m + 1) ** 2)), ref.verts)
+    cy, shape, cx = triangle_cell(m, t)
+    np.testing.assert_array_equal(shape, ref.tri_shape)
+    np.testing.assert_array_equal(triangle_vertices(m, cy, shape, cx), ref.tris)
+    np.testing.assert_array_equal(triangle_edges(m, cy, shape, cx), ref.tri_edges)
+    np.testing.assert_array_equal(all_triangle_vertices(m), ref.tris)
+    np.testing.assert_array_equal(all_triangle_edges(m), ref.tri_edges)
+    np.testing.assert_array_equal(SIGNS[shape], ref.tri_signs)
+
+    # Translates of the two reference triangles, cell (0, 0)'s halves.
+    coords, lengths, signs, area = fem._references(m)
+    np.testing.assert_array_equal(coords, ref.verts[ref.tris[[0, m]]])
+    np.testing.assert_array_equal(ref.verts[ref.tris[:, 0]],
+                                  np.column_stack([cx, cy]) / m)
+    np.testing.assert_array_equal(
+        ref.tris - ref.tris[:, :1], (ref.tris[[0, m]] - ref.tris[[0, m], :1])[shape])
+    np.testing.assert_array_equal(ref.tri_signs, signs[shape])
+    np.testing.assert_array_equal(ref.edge_kind[ref.tri_edges],
+                                  ref.edge_kind[ref.tri_edges[[0, m]]][shape])
+    np.testing.assert_allclose(ref.tri_area, area[shape], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(ref.edge_len[ref.tri_edges], lengths[shape],
+                               rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24])
 def test_edge_id_and_grid_match_build(m):
-    """The formulas that partition and fem use name the built mesh's own
-    edges and vertex coordinates."""
-    mesh = build_unit_square_mesh(m)
-    x2, y2 = mesh.edge_mid2.T
-    np.testing.assert_array_equal(edge_id(m, x2, y2), np.arange(mesh.n_edges))
+    """The formulas that partition and fem use name the reference mesh's
+    own edges and vertex coordinates."""
+    ref = sorted_mesh(m)
+    x2, y2 = ref.edge_mid2.T
+    np.testing.assert_array_equal(edge_id(m, x2, y2), np.arange(ref.n_edges))
     grid = grid_coordinates(m)
-    iy, ix = np.divmod(np.arange(n_vertices(mesh)), m + 1)
-    np.testing.assert_array_equal(mesh.verts, np.column_stack([grid[ix], grid[iy]]))
+    iy, ix = np.divmod(np.arange(len(ref.verts)), m + 1)
+    np.testing.assert_array_equal(ref.verts, np.column_stack([grid[ix], grid[iy]]))

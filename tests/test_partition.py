@@ -1,11 +1,19 @@
 """N x N decomposition: interfaces, trace slots, swap, and constraint rows."""
 
-import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from helpers import per_subdomain_local_dofs, symmetry_maps, tri_coords
+import helpers
+from helpers import (
+    interior_edges,
+    per_subdomain_local_dofs,
+    sorted_mesh,
+    symmetry_maps,
+    tri_coords,
+    triangle_subdomains,
+)
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
@@ -55,7 +63,7 @@ def test_single_subdomain(mesh8):
     part = partition(mesh8, 1)
     assert part.n_interfaces == 0
     assert part.trace.n_slots == 0
-    free = np.flatnonzero(~mesh8.edge_boundary)
+    free = interior_edges(mesh8)
     np.testing.assert_array_equal(part.interior_of(0), free)
     np.testing.assert_array_equal(part.interior_start, [0, free.size])
     np.testing.assert_array_equal(part.slot_start, [0, 0])
@@ -78,10 +86,11 @@ def test_interface_counts(N, m):
 
 def test_interface_geometry(part4, mesh32):
     N = part4.N
+    ref = sorted_mesh(mesh32.m)
     i, j, fine = _interfaces(part4)
     assert np.all(i < j)
     for a, b, edges in zip(i, j, fine):
-        kinds = mesh32.edge_kind[edges]
+        kinds = ref.edge_kind[edges]
         assert len(set(kinds)) == 1
         assert not np.any(kinds == DIAGONAL)
         # the normal points from subdomain i into its neighbor j
@@ -89,18 +98,18 @@ def test_interface_geometry(part4, mesh32):
         normal = np.array([Ib - Ia, Jb - Ja], dtype=float)
         assert np.abs(normal).sum() == 1.0
         np.testing.assert_allclose(
-            mesh32.edge_normal[edges], np.tile(normal, (len(edges), 1)), atol=1e-15
+            ref.edge_normal[edges], np.tile(normal, (len(edges), 1)), atol=1e-15
         )
         # collinear: the coordinate along the normal direction is constant;
         # along the interface the fine edges run in geometric order
-        mids = mesh32.edge_mid2[edges]
+        mids = ref.edge_mid2[edges]
         axis = 0 if normal[0] else 1
         assert len(set(mids[:, axis])) == 1
         assert np.all(np.diff(mids[:, 1 - axis]) == 2)
 
 
 def test_every_free_dof_claimed_once(part4, mesh32):
-    free = np.flatnonzero(~mesh32.edge_boundary)
+    free = interior_edges(mesh32)
     interior_count = np.zeros(mesh32.n_edges, dtype=int)
     for s in range(part4.n_subdomains):
         interior_count[part4.interior_of(s)] += 1
@@ -136,7 +145,7 @@ def test_paired_slots_agree(part4):
     # the j-side is the neighbour right of or above the i-side
     i_side = trace.slot_side == 0
     step = trace.slot_sub[perm][i_side] - trace.slot_sub[i_side]
-    vertical = part4.mesh.edge_kind[trace.slot_edge[i_side]] == VERTICAL
+    vertical = sorted_mesh(part4.mesh.m).edge_kind[trace.slot_edge[i_side]] == VERTICAL
     np.testing.assert_array_equal(step, np.where(vertical, 1, part4.N))
     # swap commutes with the diagonal interface mass matrix
     np.testing.assert_array_equal(trace.m_diag[perm], trace.m_diag)
@@ -144,7 +153,8 @@ def test_paired_slots_agree(part4):
 
 def test_trace_mass_is_fine_edge_length(part4, mesh32):
     np.testing.assert_allclose(
-        part4.trace.m_diag, mesh32.edge_len[part4.trace.slot_edge], atol=1e-16
+        part4.trace.m_diag, sorted_mesh(mesh32.m).edge_len[part4.trace.slot_edge],
+        atol=1e-16
     )
     np.testing.assert_allclose(part4.trace.m_diag, mesh32.h, atol=1e-16)
 
@@ -203,7 +213,7 @@ def test_projection_onto_kernel(B4, rng):
 
 
 def test_no_diagonal_edges_on_interfaces(part4, mesh32):
-    assert not np.any(mesh32.edge_kind[part4.trace.slot_edge] == DIAGONAL)
+    assert not np.any(sorted_mesh(mesh32.m).edge_kind[part4.trace.slot_edge] == DIAGONAL)
 
 
 def test_fine_edges_belong_to_one_interface(part4):
@@ -218,29 +228,37 @@ def test_fine_edges_belong_to_one_interface(part4):
 
 def test_interfaces_enumerated_by_position(part4, mesh32):
     _, _, fine = _interfaces(part4)
-    mids = [tuple(mesh32.edge_mid2[edges].mean(axis=0)[::-1]) for edges in fine]
+    mid2 = sorted_mesh(mesh32.m).edge_mid2
+    mids = [tuple(mid2[edges].mean(axis=0)[::-1]) for edges in fine]
     assert mids == sorted(mids)
     assert len(set(mids)) == len(mids)
 
 
 def test_subdomain_triangle_map(part4, mesh32):
+    """Each subdomain's triangles in `local_dofs`' template, moved to it,
+    are those whose centroids lie in its square."""
     N = part4.N
     cents = tri_coords(mesh32).mean(axis=1)
     cell = np.floor(cents * N).astype(int)
-    np.testing.assert_array_equal(
-        part4.tri_sub, cell[:, 1] * N + cell[:, 0]
-    )
+    tri_sub = cell[:, 1] * N + cell[:, 0]
+    np.testing.assert_array_equal(triangle_subdomains(mesh32, N), tri_sub)
+    tri_ids, starts, _ = per_subdomain_local_dofs(part4)
+    for s in range(part4.n_subdomains):
+        np.testing.assert_array_equal(tri_ids[starts[s]:starts[s + 1]],
+                                      np.flatnonzero(tri_sub == s))
 
 
 def test_edge_sets_match_triangle_scan(part4, mesh32):
     """Reference: scan every triangle for the subdomain edge sets."""
+    ref = sorted_mesh(mesh32.m)
+    tri_sub = triangle_subdomains(mesh32, part4.N)
     on_gamma = np.zeros(mesh32.n_edges, dtype=bool)
     on_gamma[part4.trace.slot_edge] = True
-    free_interior = ~mesh32.edge_boundary & ~on_gamma
+    free_interior = ~ref.edge_boundary & ~on_gamma
     for s in range(part4.n_subdomains):
         mine = np.zeros(mesh32.n_edges, dtype=bool)
-        for t in np.flatnonzero(part4.tri_sub == s):
-            mine[mesh32.tri_edges[t]] = True
+        for t in np.flatnonzero(tri_sub == s):
+            mine[ref.tri_edges[t]] = True
         np.testing.assert_array_equal(
             part4.interior_of(s), np.flatnonzero(mine & free_interior)
         )
@@ -276,7 +294,7 @@ def test_symmetry_generators(N, r):
     half, refl = gens
     np.testing.assert_array_equal(half[refl], refl[half])
     # the geometry of the images
-    mid = part.mesh.edge_mid2[trace.slot_edge]
+    mid = sorted_mesh(part.mesh.m).edge_mid2[trace.slot_edge]
     J, I = np.divmod(trace.slot_sub, N)
     two_m = 2 * part.mesh.m
     np.testing.assert_array_equal(mid[half], two_m - mid)
@@ -305,7 +323,7 @@ def test_symmetry_maps_match_generators(N, r):
     normals (-1 everywhere for the half-turn, on the diagonals for the
     reflection)."""
     part = partition(build_unit_square_mesh(N * r), N)
-    mesh = part.mesh
+    mesh = sorted_mesh(N * r)
     side = 2 * mesh.m + 1
     edge_at = np.full(side * side, -1)
     edge_at[mesh.edge_mid2[:, 1] * side + mesh.edge_mid2[:, 0]] = np.arange(mesh.n_edges)
@@ -338,11 +356,15 @@ def test_symmetry_maps_match_generators(N, r):
             np.testing.assert_array_equal(sign[k], -expected if k & 1 else expected)
 
 
-def test_symmetry_maps_reject_broken_normal(mesh8):
-    """An edge normal that the symmetry does not carry onto a normal."""
-    mesh = dataclasses.replace(mesh8, edge_normal=mesh8.edge_normal.copy())
-    part = partition(mesh, 2)
-    mesh.edge_normal[part.interior_of(0)[0]] *= 2.0
+def test_symmetry_maps_reject_broken_normal(mesh8, monkeypatch):
+    """An edge normal that the symmetry does not carry onto a normal, in
+    the reference tables that `symmetry_maps` reads."""
+    part = partition(mesh8, 2)
+    ref = sorted_mesh(mesh8.m)
+    normal = ref.edge_normal.copy()
+    normal[part.interior_of(0)[0]] *= 2.0
+    broken = types.SimpleNamespace(**{**vars(ref), "edge_normal": normal})
+    monkeypatch.setattr(helpers, "sorted_mesh", lambda m: broken)
     with pytest.raises(AssertionError, match="edge normals of subdomain 0"):
         symmetry_maps(part, 0)
 
@@ -379,13 +401,14 @@ def _reference_partition(mesh, N):
     subdomain, the side of it (bottom, left, right, top) and the position
     along that side.
 
-    Returns (tri_sub, interior_edges, sub_slots, trace arrays by name).
+    Returns (tri_sub, interior_edges, sub_slots, trace arrays by name),
+    from the tables of `sorted_mesh`.
     """
+    tri_sub = triangle_subdomains(mesh, N)
+    mesh = sorted_mesh(mesh.m)
     m = mesh.m
     r = m // N
     n_subs = N * N
-    vx, vy = mesh.tris % (m + 1), mesh.tris // (m + 1)
-    tri_sub = (vy.sum(axis=1) // 3 // r) * N + vx.sum(axis=1) // 3 // r
 
     # Interfaces bottom-to-top, left-to-right; fine edges by midpoint.
     raw = []
@@ -458,6 +481,7 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
     scattered from its triangles, then interior edges and trace slots are
     ranked within their runs of equal owner.  Returns (tri_ids, starts,
     loc) as `per_subdomain_local_dofs` does."""
+    mesh = sorted_mesh(mesh.m)
 
     def rank_in_runs(owner):
         return np.arange(owner.size) - np.searchsorted(owner, owner)
@@ -504,9 +528,8 @@ def _offsets(groups):
 def test_partition_matches_unique_reference(m, N):
     mesh = build_unit_square_mesh(m)
     part = partition(mesh, N)
-    tri_sub, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
+    _, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
     expected = {
-        "tri_sub": tri_sub,
         "interior": np.concatenate(interior_edges),
         "interior_start": _offsets(interior_edges),
         "slots": np.concatenate(sub_slots),
@@ -538,115 +561,86 @@ def test_local_dofs_match_sort_reference(m, N):
         assert got.dtype == ref.dtype
 
 
-def _incident(mesh, edge, tri_sub, sub):
-    """(triangle, position) of `edge` in a triangle of subdomain `sub`."""
-    t, k = np.nonzero(mesh.tri_edges == edge)
-    pick = np.flatnonzero(tri_sub[t] == sub)[0]
-    return int(t[pick]), int(k[pick])
+# The index arithmetic of `partition` against the reference mesh's tables,
+# over every class shape: one subdomain, corners only, and with edge and
+# interior classes, at interfaces of one to eight fine edges.
+CROSS_GRID = [(N, r) for N in (1, 2, 3, 4, 5, 8) for r in (1, 2, 3, 5, 8)]
 
 
-def _swap_tri_edges(mesh, a, b):
-    """A copy of `mesh` with tri_edges entries a and b, (triangle,
-    position) pairs, exchanged."""
-    tri_edges = mesh.tri_edges.copy()
-    tri_edges[a], tri_edges[b] = mesh.tri_edges[b], mesh.tri_edges[a]
-    return dataclasses.replace(mesh, tri_edges=tri_edges)
+@pytest.mark.parametrize("N,r", CROSS_GRID)
+def test_interfaces_agree_with_sorted_mesh(N, r):
+    """Each interface's fine edges, in slot order, are the reference
+    edges at the midpoints of its place in the numbering, in geometric
+    order along it, of its kind and off the boundary.  Together the
+    interfaces hold each edge at most once, and they are exactly the
+    non-boundary axis-aligned edges on internal subdomain lines: no
+    diagonal lies on an interface."""
+    m = N * r
+    part, ref = partition(build_unit_square_mesh(m), N), sorted_mesh(m)
+    i, j, fine = _interfaces(part)
+    Ji, Ii = np.divmod(i, N)
+    vertical = j - i == 1
+    along = 2 * np.arange(r) + 1
+    corner_x, corner_y = (2 * r * Ii)[:, None], (2 * r * Ji)[:, None]
+    x2 = np.where(vertical[:, None], corner_x + 2 * r, corner_x + along)
+    y2 = np.where(vertical[:, None], corner_y + along, corner_y + 2 * r)
+    np.testing.assert_array_equal(ref.edge_mid2[fine], np.stack([x2, y2], axis=-1))
+    kind = np.where(vertical, VERTICAL, HORIZONTAL)[:, None]
+    np.testing.assert_array_equal(ref.edge_kind[fine], np.broadcast_to(kind, fine.shape))
+    assert not np.any(ref.edge_boundary[fine])
+
+    on_gamma = np.zeros(ref.n_edges, dtype=bool)
+    on_gamma[fine] = True
+    assert np.count_nonzero(on_gamma) == fine.size
+    on_line = np.zeros(2 * m + 1, dtype=bool)  # subdomain lines x2, y2 = 2rk
+    on_line[::2 * r] = True
+    on_x, on_y = on_line[ref.edge_mid2].T
+    expect = ~ref.edge_boundary & (((ref.edge_kind == VERTICAL) & on_x)
+                                   | ((ref.edge_kind == HORIZONTAL) & on_y))
+    np.testing.assert_array_equal(on_gamma, expect)
+    assert not np.any(on_gamma & (ref.edge_kind == DIAGONAL))
 
 
-def _tampered(mesh, part, fault):
-    """A copy of `mesh` (N=2) that makes one check of `partition` fail."""
-    trace, tri_sub = part.trace, part.tri_sub
-    i_side = np.flatnonzero(trace.slot_side == 0)
-    pair = trace.slot_sub[i_side] * 4 + trace.slot_sub[trace.pair_perm[i_side]]
-    e01 = trace.slot_edge[i_side][pair == 0 * 4 + 1][0]
-    e23 = trace.slot_edge[i_side][pair == 2 * 4 + 3][0]
-    f0, f1 = part.interior_of(0)[0], part.interior_of(1)[0]
-    if fault == "classification":
-        edge_boundary = mesh.edge_boundary.copy()
-        edge_boundary[e01] = True
-        return dataclasses.replace(mesh, edge_boundary=edge_boundary)
-    if fault == "order":
-        fine = trace.slot_edge[i_side][trace.slot_iface[i_side] == 0]
-        mid2 = mesh.edge_mid2.copy()
-        mid2[fine[[0, 1]]] = mesh.edge_mid2[fine[[1, 0]]]
-        return dataclasses.replace(mesh, edge_mid2=mid2)
-    if fault == "set":
-        left = np.flatnonzero(mesh.edge_boundary & (mesh.edge_mid2[:, 0] == 0))
-        edge_boundary = mesh.edge_boundary.copy()
-        edge_boundary[left[0]] = False
-        return dataclasses.replace(mesh, edge_boundary=edge_boundary)
-    if fault == "triangles":
-        # A sub-0 triangle that does not touch f0 takes it as one of its
-        # edges: f0 then lies on three triangles.
-        t = np.flatnonzero((tri_sub == 0) & ~np.any(mesh.tri_edges == f0, axis=1))[0]
-        tri_edges = mesh.tri_edges.copy()
-        tri_edges[t, 0] = f0
-        return dataclasses.replace(mesh, tri_edges=tri_edges)
-    if fault == "interior":
-        return _swap_tri_edges(
-            mesh, _incident(mesh, f0, tri_sub, 0), _incident(mesh, f1, tri_sub, 1)
-        )
-    if fault == "interface":
-        # e01 loses its subdomain-1 triangle to a boundary edge of
-        # subdomain 0, so both its triangles lie in subdomain 0.
-        bnd = np.flatnonzero(mesh.edge_boundary)
-        t0, k0 = np.nonzero(np.isin(mesh.tri_edges, bnd) & (tri_sub == 0)[:, None])
-        return _swap_tri_edges(
-            mesh, _incident(mesh, e01, tri_sub, 1), (int(t0[0]), int(k0[0]))
-        )
-    if fault == "inconsistent":
-        # e01 is claimed by subdomains 2 and 1, e23 by 0 and 3: two owners
-        # each, but not the ones its slots name.
-        return _swap_tri_edges(
-            mesh, _incident(mesh, e01, tri_sub, 0), _incident(mesh, e23, tri_sub, 2)
-        )
-    raise ValueError(fault)
+@pytest.mark.parametrize("N,r", CROSS_GRID)
+def test_ownership_agrees_with_sorted_mesh(N, r):
+    """Interior edges and slots name the subdomains of the reference
+    mesh's triangles.
 
+    Per edge, over its triangle incidences, bincounts give the count c,
+    the sum s1 and the square sum s2 of the incident subdomain ids.
+    Every edge has c <= 2; it then has one owning subdomain iff c == 1 or
+    2 s2 == s1^2, and for c == 2 the pair (s1, s2) fixes its unordered
+    pair of subdomains {a, b}: a + b = s1, a^2 + b^2 = s2.  So every free
+    non-interface edge has one owner, that of the subdomain whose
+    interior holds it, the interior sets hold exactly those edges, and
+    the two slots of an interface edge name its two distinct subdomains.
+    The sums are integers below 2^53, exact in float64.
+    """
+    m = N * r
+    mesh = build_unit_square_mesh(m)
+    part, ref = partition(mesh, N), sorted_mesh(m)
+    trace = part.trace
+    sub = np.repeat(triangle_subdomains(mesh, N), 3).astype(float)
+    edges = ref.tri_edges.ravel()
+    c = np.bincount(edges, minlength=ref.n_edges)
+    s1 = np.bincount(edges, sub, minlength=ref.n_edges)
+    s2 = np.bincount(edges, sub * sub, minlength=ref.n_edges)
+    assert c.max() <= 2
+    one_owner = (c == 1) | ((c == 2) & (2.0 * s2 == s1 * s1))
+    on_gamma = np.zeros(ref.n_edges, dtype=bool)
+    on_gamma[trace.slot_edge] = True
+    free_interior = ~ref.edge_boundary & ~on_gamma
+    assert np.all(one_owner[free_interior])
+    assert np.all((c[on_gamma] == 2) & ~one_owner[on_gamma])
 
-@pytest.mark.parametrize("fault,message", [
-    ("classification", "interface edge classification mismatch"),
-    ("order", "interface fine edges out of order"),
-    ("set", "interface edge set mismatch"),
-    ("triangles", "an edge lies on more than two triangles"),
-    ("interior", "an interior dof is claimed by != 1 subdomain"),
-    ("interface", "an interface dof is not shared by exactly 2"),
-    ("inconsistent", "subdomain interface set inconsistent"),
-])
-def test_tampered_mesh_rejected(mesh8, fault, message):
-    """Each check of `partition` fires on a mesh broken to reach it.  Two
-    cannot be reached from a Mesh: interface fine edges come from distinct
-    midpoints, so none repeats, and they are checked axis-aligned, so none
-    is diagonal.  The "triangles" mesh passed the hashed claims checks:
-    its extra incidence is in the edge's own subdomain."""
-    part = partition(mesh8, 2)
-    bad = _tampered(mesh8, part, fault)
-    with pytest.raises(AssertionError, match=f"^{message}$"):
-        partition(bad, 2)
+    owner = np.repeat(np.arange(N * N), np.diff(part.interior_start))
+    assert part.interior.size == np.count_nonzero(free_interior)
+    assert np.all(free_interior[part.interior])
+    np.testing.assert_array_equal(s1[part.interior], c[part.interior] * owner)
 
-
-def _swap_edges(mesh, a, b):
-    """A copy of `mesh` whose triangles name edge b wherever they named
-    edge a, and the other way round."""
-    tri_edges = mesh.tri_edges.copy()
-    tri_edges[mesh.tri_edges == a] = b
-    tri_edges[mesh.tri_edges == b] = a
-    return dataclasses.replace(mesh, tri_edges=tri_edges)
-
-
-def test_interior_sets_checked_against_the_mesh(mesh8):
-    """The interior edge sets are written by formula and then checked to
-    be exactly the free interior edges, each owned by its subdomain.  A
-    non-interface edge marked boundary, or two interior edges of different
-    subdomains traded between their triangles, passes every other check:
-    grouping the edges by their triangles' subdomains, as
-    `_reference_partition` does, drops the first from its set and trades
-    the second pair between sets."""
-    part = partition(mesh8, 2)
-    f0, f1 = part.interior_of(0)[0], part.interior_of(3)[-1]
-    edge_boundary = mesh8.edge_boundary.copy()
-    edge_boundary[f0] = True
-    for bad in (dataclasses.replace(mesh8, edge_boundary=edge_boundary),
-                _swap_edges(mesh8, f0, f1)):
-        with pytest.raises(AssertionError,
-                           match="^subdomain interior edge sets inconsistent$"):
-            partition(bad, 2)
+    i_side = trace.slot_side == 0
+    a, b = trace.slot_sub[i_side], trace.slot_sub[trace.pair_perm[i_side]]
+    e = trace.slot_edge[i_side]
+    assert np.all(a != b)
+    np.testing.assert_array_equal(a + b, s1[e])
+    np.testing.assert_array_equal(a * a + b * b, s2[e])
