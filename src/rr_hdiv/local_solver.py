@@ -19,9 +19,11 @@ S = B H^-1 B^T, one row per coarse interface.  A_II and S are factorized
 the same way, by `_factor`.
 
 Each subdomain's local dof order, and its dof tables, are the
-partition's (`partition.local_dofs`, `interior`, `slots`); `local_dofs`
-checks every subdomain against the template.  The loads need no
-per-member triangle table: `local_loads` scatters all triangles once.
+partition's (`partition.local_dofs`, `interior`, `slots`), taken as
+given: every subdomain is a translate of the template by the
+partition's index arithmetic, which tests check against sort
+references.  The loads need no per-member triangle table:
+`local_loads` scatters all triangles once.
 
 Setup condenses each class onto its interface (static condensation).
 W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
@@ -37,12 +39,16 @@ trace vector is one contiguous (members, own slots) block, and of a
 column block one (members, own slots, columns) block.  The constrained
 resolvent is one in-place `matmul` with the symmetric Z_c on that block,
 one sparse coarse solve, and the correction by the class's dense solved
-constraint columns Y_c = Z_c B_s^T (at most 4).  Neighbouring classes of
+constraint columns Y_c = Z_c B_s^T (at most 4).  B_s, the constraint on
+one member's slots, comes from the layout, as
+`partition.build_constraint` writes B: one row per own side, at the
+interface the class's `ifaces` names for that member, -|e| on a bottom
+or left side and +|e| on a right or top one.  Neighbouring classes of
 one shape (the four edge classes, the four corners) are stacked, so one
-`matmul` serves each group of them.  The loads
-are condensed once (`condense`): one interior solve for all members
-gives v = A_II^-1 f_I and the trace load f_G - A_GI v; `solve` recovers
-all members' interiors from it as v - W x_G, in one product with W.
+`matmul` serves each group of them.  The loads are condensed once
+(`condense`): one interior solve for all members gives v = A_II^-1 f_I
+and the trace load f_G - A_GI v; `solve` recovers all members' interiors
+from it as v - W x_G, in one product with W.
 """
 
 from __future__ import annotations
@@ -113,7 +119,9 @@ class RobinClass:
     template's side dofs, counted from nI, of the class's own sides, and
     `A` is the template's principal submatrix on [interior, nI + cols]:
     the class's plain bilinear blocks without the Robin term,
-    H = A + gamma * diag(m_diag) on the interface rows.
+    H = A + gamma * diag(m_diag) on the interface rows.  `ifaces`,
+    shape (members, own sides), holds the coarse interface of each
+    member's own sides, in the order of `cols`.
     """
 
     members: np.ndarray
@@ -123,6 +131,7 @@ class RobinClass:
     m_diag: np.ndarray
     gamma: float
     cols: np.ndarray
+    ifaces: np.ndarray
     template: RobinTemplate
 
     @property
@@ -145,17 +154,6 @@ class RobinClass:
         k = self.members.size
         lo = self.slot_start
         return x[lo:lo + k * self.cols.size].reshape(k, self.cols.size, *x.shape[1:])
-
-
-def _check_congruent(members: np.ndarray, what: str, table) -> None:
-    """Raise unless every member's row of `table` equals the first one's."""
-    table = np.asarray(table).reshape(members.size, -1)
-    same = (table == table[:1]).all(axis=1)
-    if not same.all():
-        raise ValueError(
-            f"subdomain {members[np.argmin(same)]} is not a translate of "
-            f"subdomain {members[0]}: its {what} differs"
-        )
 
 
 def _plus_diagonal(A: sp.spmatrix, diag) -> sp.csc_matrix:
@@ -219,11 +217,12 @@ def build_local_systems(
     Class c keeps the interior dofs and the r side dofs of each of its
     own sides (bottom if J > 0, left if I > 0, right if I < N-1, top if
     J < N-1, for its members (J, I)); its members' interiors are rows of
-    `part.interior`, and its slots the class's range of the partition's
-    class-major layout.
-    `partition.local_dofs` checks every subdomain's triangles and slots
-    against the template's dofs.  That the triangles are translates,
-    vertices and edge orientations, is the mesh's numbering (`mesh`).
+    `part.interior`, its slots the class's range of the partition's
+    class-major layout, and its `ifaces` that range's `slot_iface`
+    taken every r slots: one interface per member and own side.  That
+    every member is a translate of the template, in its triangles,
+    vertices, edge orientations, interior edges and slots, is the index
+    arithmetic of `mesh` and `partition`.
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
@@ -233,7 +232,7 @@ def build_local_systems(
     divdiv, mass = fem.element_matrices(mesh, tri_ids)
     nI = int(part.interior_start[1])
     A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
-    # Every subdomain holds nI interior edges, as `local_dofs` checked.
+    # Every subdomain holds nI interior edges.
     interior = part.interior.reshape(part.n_subdomains, nI)
     own = []
     for members, start in zip(part.classes, part.class_start):
@@ -241,11 +240,13 @@ def build_local_systems(
         sides = np.flatnonzero([J > 0, I > 0, I < N - 1, J < N - 1])
         cols = (r * sides[:, None] + np.arange(r)).ravel()
         keep = np.concatenate([np.arange(nI), nI + cols])
+        slots = slice(start, start + members.size * cols.size)
         own.append(dict(
             members=members, interior=interior[members], slot_start=int(start),
             A=A[keep][:, keep],
             m_diag=part.trace.m_diag[start:start + cols.size].copy(),
             gamma=gamma, cols=cols,
+            ifaces=part.trace.slot_iface[slots].reshape(members.size, -1)[:, ::r],
         ))
     template = RobinTemplate(A=A, r=r, _lu=_factor(
         A[:nI, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
@@ -399,45 +400,37 @@ class ConstrainedRobinSolver:
     - per class Z, at most 4r x 4r, the Robin-to-trace map of every
       member;
     - per class the dense solved constraint columns Y = Z B_s^T, one per
-      coarse interface of a member (at most 4), where B_s (B on member
-      s's slots, at most one entry per slot) must be the same for all
-      members, and `adj`, the interface of each column for each member;
+      own side of a member (at most 4), and `adj`, the class's `ifaces`:
+      the interface of each column for each member.  B_s, B on one
+      member's slots, is built from the layout (module docstring), the
+      same for every member, not read from B;
     - the sparse coarse Schur complement `S` = B Z B^T (None without
       constraint rows), summed from the blocks B_s Y of all members and
       factorized by `_factor` like A_II.
 
+    B itself is the operator of the coarse right-hand side B w and of
+    the constraint check after every solve.  It must be the
+    `partition.build_constraint` of the classes' partition, or have no
+    rows: an empty (0 x n_slots) constraint gives the unconstrained
+    solves, with no Y.
+
     `apply_resolvent` is, per group of classes (`_Group`), one in-place
     `matmul` with the stacked Z on the group's contiguous block of the
     trace slots, then the coarse solve and per group the correction by
-    the stacked Y, in one body for a vector or a block of columns.  `condense` solves A_II once for every member's
-    interior load; `solve` puts the condensed loads through the same body
-    and recovers every member's interior in one product with W after it.
-    An empty (0 x n_slots) constraint gives the unconstrained solves.
+    the stacked Y, in one body for a vector or a block of columns.
+    `condense` solves A_II once for every member's interior load;
+    `solve` puts the condensed loads through the same body and recovers
+    every member's interior in one product with W after it.
     """
 
     def __init__(self, classes: list, B: sp.spmatrix):
         self.classes = classes
         self.B = B.tocsr()
         self.n_ifaces, self.n_slots = B.shape
-        entry = B.tocoo(copy=True)
-        entry.sum_duplicates()
-        entry.eliminate_zeros()
-        per_slot = np.bincount(entry.col, minlength=self.n_slots)
-        if np.any(per_slot > 1):
-            slot = int(np.argmax(per_slot > 1))
-            raise ValueError(
-                f"trace slot {slot} carries {per_slot[slot]} constraint "
-                "entries; each slot belongs to at most one coarse interface"
-            )
-        # The interface and value of each slot's entry (-1 and 0 if none).
-        slot_iface = np.full(self.n_slots, -1, dtype=np.int64)
-        slot_iface[entry.col] = entry.row
-        slot_value = np.zeros(self.n_slots)
-        slot_value[entry.col] = entry.data
-
         template = classes[0].template
+        r = template.r
         self._lu = template._lu
-        width = 4 * template.r if any(cls.cols.size for cls in classes) else 0
+        width = 4 * r if any(cls.cols.size for cls in classes) else 0
         self._W, side_sq = _side_solves(template, width)
 
         nI = template.n_interior
@@ -462,29 +455,21 @@ class ConstrainedRobinSolver:
                     f"error {err:.3e}"
                 )
             Zs.append(Z)
-            # Local constraint block: row q covers the slot positions with
-            # label q; adj[i, q] is that row's interface for member i.
-            iface = cls.trace_block(slot_iface)
-            _, first, label = np.unique(iface[0], return_index=True,
-                                        return_inverse=True)
-            adj = iface[:, first]
-            _check_congruent(cls.members, "constraint row pattern",
-                             iface == adj[:, label])
-            value = cls.trace_block(slot_value)
-            _check_congruent(cls.members, "constraint values", value)
-            # B_s^T, with B_s[q, p] = value[p] where label[p] == q; a label
-            # of slots without a constraint entry has no row.
-            has_row = adj[0] >= 0
-            B_sT = value[0][:, None] * (label[:, None] == np.arange(first.size))
-            B_sT, adj = B_sT[:, has_row], adj[:, has_row]
-            Y = Z @ B_sT
+            # B_s, B on a member's slots: row q is its q-th own side's
+            # interface, adj[i, q] for member i, with -|e| on a bottom or
+            # left side and +|e| on a right or top one (`build_constraint`).
+            adj = cls.ifaces if self.n_ifaces else cls.ifaces[:, :0]
+            sign = np.where(cls.cols // r < 2, -1.0, 1.0)
+            B_s = (np.arange(adj.shape[1])[:, None] == np.arange(n_own) // r) * (
+                sign * cls.m_diag)
+            Y = Z @ B_s.T
             Yts.append(Y.T)
             adjs.append(adj)
             # Member i adds B_s Y at (adj[i], adj[i]) of S.
             shape = (k, Y.shape[1], Y.shape[1])
             s_rows.append(np.broadcast_to(adj[:, :, None], shape).ravel())
             s_cols.append(np.broadcast_to(adj[:, None, :], shape).ravel())
-            s_vals.append(np.broadcast_to(B_sT.T @ Y, shape).ravel())
+            s_vals.append(np.broadcast_to(B_s @ Y, shape).ravel())
         self._groups = _stack_groups(classes, Zs, Yts, adjs)
         # Each class's Z, a view of its group's stack.
         self._Z = [Z for group in self._groups for Z in group.Z]
@@ -593,11 +578,14 @@ class ConstrainedRobinSolver:
         """Interface trace of the constrained solve with interior load
         zero and raw interface right-hand side `rhs` (no mass weighting).
 
-        Accepts a vector or a matrix of columns.
+        Accepts a vector or a matrix of columns, and refuses a non-finite
+        one, with or without a constraint.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n_slots:
             raise ValueError(
                 f"trace vector has {rhs.shape[0]} rows, expected {self.n_slots}"
             )
+        if not np.isfinite(rhs).all():
+            raise ValueError("non-finite right-hand side for the resolvent")
         return self._condensed(rhs)[0]

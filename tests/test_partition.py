@@ -1,9 +1,11 @@
 """N x N decomposition: interfaces, trace slots, swap, and constraint rows."""
 
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import helpers
 from helpers import (
@@ -14,9 +16,11 @@ from helpers import (
     tri_coords,
     triangle_subdomains,
 )
+from rr_hdiv import local_solver
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
+    local_dofs,
     orbit_table,
     partition,
     symmetry_generators,
@@ -516,7 +520,7 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
 
 
 REFERENCE_GRID = [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [
-    (64, 8), (256, 32)
+    (21, 7), (64, 8), (256, 32)
 ]
 
 
@@ -559,6 +563,23 @@ def test_local_dofs_match_sort_reference(m, N):
     for got, ref in zip(got_tables, expect, strict=True):
         np.testing.assert_array_equal(got, ref)
         assert got.dtype == ref.dtype
+
+
+def test_local_dofs_reads_subdomain_zero_only():
+    """`local_dofs` works on subdomain 0's interior edges, sides and 2r^2
+    triangles alone.  At N=64, r=8 its tracemalloc peak is 19 KB, where a
+    check of every subdomain's triangles against the template peaked at
+    44 MB (177 MB at N=128).  Bound: 1 MB."""
+    part = partition(build_unit_square_mesh(512), 64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tri_ids, loc = local_dofs(part)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert tri_ids.size == 2 * 8 * 8 and loc.shape == (tri_ids.size, 3)
 
 
 # The index arithmetic of `partition` against the reference mesh's tables,
@@ -644,3 +665,36 @@ def test_ownership_agrees_with_sorted_mesh(N, r):
     assert np.all(a != b)
     np.testing.assert_array_equal(a + b, s1[e])
     np.testing.assert_array_equal(a * a + b * b, s2[e])
+
+
+@pytest.mark.parametrize("N,r", CROSS_GRID)
+def test_constraint_blocks_agree_with_layout(N, r):
+    """Every member's columns of B are its class's block built from the
+    layout: one row per own side, at the interface that the class's
+    `ifaces` names for the member, with -|e| on a bottom or left side and
+    +|e| on a right or top one.  The solver's Y = Z B_s^T and its `adj`
+    come from that block; with no constraint the block has no rows."""
+    mesh = build_unit_square_mesh(N * r)
+    part = partition(mesh, N)
+    B = build_constraint(part, mesh)
+    classes = local_solver.build_local_systems(part, mesh, 1.0, 0.5)
+    solver = local_solver.ConstrainedRobinSolver(classes, B)
+    unconstrained = local_solver.ConstrainedRobinSolver(
+        classes, sp.csr_matrix((0, part.trace.n_slots)))
+    B = B.toarray()
+    Yts = [Yt for group in solver._groups for Yt in group.Yt]
+    adjs = [adj for group in solver._groups for adj in group.adj]
+    for cls, Z, Yt, adj in zip(classes, solver._Z, Yts, adjs, strict=True):
+        n_own = cls.cols.size
+        assert cls.ifaces.shape == (cls.members.size, n_own // r)
+        sign = np.where(cls.cols // r < 2, -1.0, 1.0)
+        B_s = (np.arange(n_own // r)[:, None] == np.arange(n_own) // r) * (
+            sign * cls.m_diag)
+        for ifaces, slots in zip(cls.ifaces, cls.slots, strict=True):
+            block = np.zeros((part.n_interfaces, n_own))
+            block[ifaces] = B_s
+            np.testing.assert_array_equal(B[:, slots], block)
+        np.testing.assert_array_equal(adj, cls.ifaces)
+        np.testing.assert_array_equal(Yt, (Z @ B_s.T).T)
+    for group in unconstrained._groups:
+        assert group.Yt.shape[1] == 0 and group.adj.shape[-1] == 0
