@@ -2,12 +2,13 @@
 
 The Robin exchange is one affine map g -> E g + c on the two-sided trace
 vector, E g = T(2 gamma R M g - g) and c = 2 gamma T u_load (see
-`iteration`; M is the diagonal interface mass, T the side swap, R the
-constrained Robin resolvent).  Multiplying its fixed point by M T gives
-the symmetric system G g = f_g, M commuting with T:
+`iteration`; M = h I is the interface mass, every interface edge having
+length h, T the side swap, R the constrained Robin resolvent).
+Multiplying its fixed point by M T = h T gives the symmetric system
+G g = f_g:
 
-    G   = M T (I - E) = (T + I) M - 2 gamma M R M,
-    f_g = M T c       = 2 gamma M u_load.
+    G   = h T (I - E) = h (T + I) - 2 gamma h^2 R,
+    f_g = h T c       = 2 gamma h u_load.
 
 Richardson relaxes the same map and `spectrum` assembles
 Q = theta E + (1 - theta) I.  G is applied matrix-free through
@@ -43,19 +44,19 @@ class InterfaceOperator:
         self.problem = problem
         self.trace = problem.partition.trace
         self.n = self.trace.n_slots
+        self.h = problem.mesh.h
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """G g = M T (g - E g); accepts a vector or columns."""
+        """G g = h T (g - E g); accepts a vector or columns."""
         g = np.asarray(g, dtype=float)
         if g.shape[0] != self.n:
             raise ValueError(f"trace vector has {g.shape[0]} rows, expected {self.n}")
-        m = self.trace.m_diag if g.ndim == 1 else self.trace.m_diag[:, None]
-        return m * (g - self.problem.step(g))[self.trace.pair_perm]
+        return self.h * (g - self.problem.step(g))[self.trace.pair_perm]
 
     def load(self) -> np.ndarray:
-        """f_g = M T c, via one loaded zero-datum constrained solve."""
-        c = self.problem.exchange(0.0, self.problem.load_trace())
-        return self.trace.m_diag * c[self.trace.pair_perm]
+        """f_g = h T c = 2 gamma h u_load, via one loaded zero-datum
+        constrained solve."""
+        return self.h * (2.0 * self.problem.gamma * self.problem.load_trace())
 
 
 @dataclass(eq=False)

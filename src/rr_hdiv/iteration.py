@@ -2,17 +2,18 @@
 
 The method is one affine map on the two-sided trace vector g.  A round of
 Robin solves with datum g has trace u_trace = R(M g) + u_load (R the
-precomputed Robin-to-trace map, M the diagonal interface mass, u_load the
-trace of one loaded zero-datum solve), and the side swap T gives
+precomputed Robin-to-trace map, M = h I the interface mass, as every
+interface edge has length h, u_load the trace of one loaded zero-datum
+solve), and the side swap T gives
 
-    E g + c = T(2 gamma u_trace - g),   E g = T(2 gamma R M g - g),
+    E g + c = T(2 gamma u_trace - g),   E g = T(2 gamma h R g - g),
 
 written once: `RobinProblem.step` is the one place that puts the mass,
 the resolvent and the exchange T(2 gamma u - g) together, E g + c given
 u_load and E g without.  Richardson (here) steps
 g <- theta (E g + c) + (1 - theta) g until the sup-norm of the datum
 increment is below tol; MINRES (`boundary_system`) solves G g = f_g with
-G = M T (I - E) and f_g = M T c; the spectrum (`spectrum`) assembles
+G = h T (I - E) and f_g = h T c; the spectrum (`spectrum`) assembles
 Q = theta E + (1 - theta) I.  The steps do no subdomain solves; the field
 is recovered once, from the datum of the last step.
 """
@@ -108,17 +109,15 @@ class RobinProblem:
     def exchange(self, g, u_trace):
         """T(2 gamma u_trace - g): the datum each side hands the other.
 
-        g and u_trace are trace vectors or (n_slots, k) column blocks; g
-        may be a scalar.
+        g and u_trace are trace vectors or (n_slots, k) column blocks.
         """
         return (2.0 * self.gamma * u_trace - g)[self.partition.trace.pair_perm]
 
     def step(self, g: np.ndarray, u_load=None) -> np.ndarray:
         """T(2 gamma (R M g + u_load) - g), u_load zero if None: E g, or
         E g + c given the load trace.  g is a trace vector or an
-        (n_slots, k) column block."""
-        m = self.partition.trace.m_diag
-        u = self.solver.apply_resolvent((m if g.ndim == 1 else m[:, None]) * g)
+        (n_slots, k) column block, and M g = h g."""
+        u = self.solver.apply_resolvent(self.mesh.h * g)
         if u_load is not None:
             u += u_load
         return self.exchange(g, u)

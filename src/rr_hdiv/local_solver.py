@@ -1,16 +1,17 @@
 """Robin problems per subdomain shape and the constrained Robin-to-trace map.
 
 Each subdomain carries the bilinear form restricted to its own triangles
-plus a Robin term gamma*M on its interface rows.  The N x N subdomains are
-translates of one square, and their Robin problems differ only in which
-sides are interfaces: on the domain boundary the normal trace is
-eliminated.  So one template matrix T is assembled, from subdomain 0's
-triangles, on the local dofs [interior, bottom, left, right, top] of
-`partition.local_dofs`, with every side kept.  Class c keeps the
-interior and its own sides, and its Robin matrix is a principal
-submatrix of T plus the Robin term:
+plus a Robin term gamma*M on its interface rows, M = h I the interface
+mass: every interface edge lies on a grid line and has length h.  The
+N x N subdomains are translates of one square, and their Robin problems
+differ only in which sides are interfaces: on the domain boundary the
+normal trace is eliminated.  So one template matrix T is assembled, from
+subdomain 0's triangles, on the local dofs [interior, bottom, left,
+right, top] of `partition.local_dofs`, with every side kept.  Class c
+keeps the interior and its own sides, and its Robin matrix is a
+principal submatrix of T plus the Robin term:
 
-    H_c = T[keep_c, keep_c] + gamma M_c on its interface rows.
+    H_c = T[keep_c, keep_c] + gamma h on its interface rows.
 
 A_II = T[:nI, :nI] is factorized once.  The edge-average continuity
 constraint B u = 0 is enforced with a Lagrange multiplier; eliminating
@@ -19,8 +20,8 @@ S = B H^-1 B^T, one row per coarse interface.  A_II and S are factorized
 the same way, by `_factor`.
 
 Each subdomain's local dof order, and its dof tables, are the
-partition's (`partition.local_dofs`, `interior`, `slots`), taken as
-given: every subdomain is a translate of the template by the
+partition's (`partition.local_dofs`, `interior`, `slot_range`), taken
+as given: every subdomain is a translate of the template by the
 partition's index arithmetic, which tests check against sort
 references.  The loads need no per-member triangle table:
 `local_loads` scatters all triangles once.
@@ -30,7 +31,7 @@ W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
 row-major array, and the template's Schur complement S_t = A_GG - A_GI W,
 at most 4r x 4r, is formed once.  Class c's Robin-to-trace map is
 the inverse of a principal submatrix of it plus the Robin term,
-Z_c = (S_t[cols_c, cols_c] + gamma M_c)^-1, taken through its Cholesky
+Z_c = (S_t[cols_c, cols_c] + gamma h I)^-1, taken through its Cholesky
 factor.  Each Z_c is held to a bound on its backward error against the
 class's own matrix.
 
@@ -42,8 +43,8 @@ one sparse coarse solve, and the correction by the class's dense solved
 constraint columns Y_c = Z_c B_s^T (at most 4).  B_s, the constraint on
 one member's slots, comes from the layout, as
 `partition.build_constraint` writes B: one row per own side, at the
-interface the class's `ifaces` names for that member, -|e| on a bottom
-or left side and +|e| on a right or top one.  Neighbouring classes of
+interface the class's `ifaces` names for that member, -h on a bottom
+or left side and +h on a right or top one.  Neighbouring classes of
 one shape (the four edge classes, the four corners) are stacked, so one
 `matmul` serves each group of them.  The loads are condensed once
 (`condense`): one interior solve for all members gives v = A_II^-1 f_I
@@ -91,11 +92,13 @@ class RobinTemplate:
     triangles on the local dofs of `partition.local_dofs`: the nI interior
     dofs, then r dofs on each side, in the order bottom, left, right, top,
     whether or not the side lies on the domain boundary.  `r` is that side
-    width, and `_lu` is A_II's factor.
+    width, `h` the length of every side edge, so that the interface mass
+    is h I, and `_lu` is A_II's factor.
     """
 
     A: sp.csr_matrix
     r: int
+    h: float
     _lu: spla.SuperLU
 
     @property
@@ -115,20 +118,19 @@ class RobinClass:
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges interior[i] = part.interior_of(s),
     then the trace slots slots[i] = part.slots_of(s), the i-th n_own of
-    the class's range of slots from `slot_start` on.  `cols` are the
+    the class's range of slots from `first_slot` on.  `cols` are the
     template's side dofs, counted from nI, of the class's own sides, and
     `A` is the template's principal submatrix on [interior, nI + cols]:
     the class's plain bilinear blocks without the Robin term,
-    H = A + gamma * diag(m_diag) on the interface rows.  `ifaces`,
+    H = A + gamma h on the interface rows.  `ifaces`,
     shape (members, own sides), holds the coarse interface of each
     member's own sides, in the order of `cols`.
     """
 
     members: np.ndarray
     interior: np.ndarray
-    slot_start: int
+    first_slot: int
     A: sp.csr_matrix
-    m_diag: np.ndarray
     gamma: float
     cols: np.ndarray
     ifaces: np.ndarray
@@ -146,13 +148,13 @@ class RobinClass:
     def slots(self) -> np.ndarray:
         """The members' trace slots, one row per member."""
         k = self.members.size
-        return self.slot_start + np.arange(k * self.cols.size).reshape(k, -1)
+        return self.first_slot + np.arange(k * self.cols.size).reshape(k, -1)
 
     def trace_block(self, x: np.ndarray) -> np.ndarray:
         """The class's rows of a trace vector or (n_slots, columns) block x,
         shaped (members, own slots[, columns]): a view of contiguous x."""
         k = self.members.size
-        lo = self.slot_start
+        lo = self.first_slot
         return x[lo:lo + k * self.cols.size].reshape(k, self.cols.size, *x.shape[1:])
 
 
@@ -217,8 +219,8 @@ def build_local_systems(
     Class c keeps the interior dofs and the r side dofs of each of its
     own sides (bottom if J > 0, left if I > 0, right if I < N-1, top if
     J < N-1, for its members (J, I)); its members' interiors are rows of
-    `part.interior`, its slots the class's range of the partition's
-    class-major layout, and its `ifaces` that range's `slot_iface`
+    the (N^2, nI) table `part.interior`, its slots the class's range of
+    the partition's class-major layout, and its `ifaces` that range's `slot_iface`
     taken every r slots: one interface per member and own side.  That
     every member is a translate of the template, in its triangles,
     vertices, edge orientations, interior edges and slots, is the index
@@ -230,10 +232,8 @@ def build_local_systems(
     r = mesh.m // N
     tri_ids, loc = local_dofs(part)
     divdiv, mass = fem.element_matrices(mesh, tri_ids)
-    nI = int(part.interior_start[1])
+    nI = part.interior.shape[1]
     A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
-    # Every subdomain holds nI interior edges.
-    interior = part.interior.reshape(part.n_subdomains, nI)
     own = []
     for members, start in zip(part.classes, part.class_start):
         J, I = divmod(int(members[0]), N)
@@ -242,13 +242,11 @@ def build_local_systems(
         keep = np.concatenate([np.arange(nI), nI + cols])
         slots = slice(start, start + members.size * cols.size)
         own.append(dict(
-            members=members, interior=interior[members], slot_start=int(start),
-            A=A[keep][:, keep],
-            m_diag=part.trace.m_diag[start:start + cols.size].copy(),
-            gamma=gamma, cols=cols,
+            members=members, interior=part.interior[members], first_slot=int(start),
+            A=A[keep][:, keep], gamma=gamma, cols=cols,
             ifaces=part.trace.slot_iface[slots].reshape(members.size, -1)[:, ::r],
         ))
-    template = RobinTemplate(A=A, r=r, _lu=_factor(
+    template = RobinTemplate(A=A, r=r, h=mesh.h, _lu=_factor(
         A[:nI, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
     return [RobinClass(**fields, template=template) for fields in own]
 
@@ -289,11 +287,12 @@ def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
     norm `side_residual`, and the interface rows schur Z - I, schur the
     Robin Schur block.  As |R_W Z| <= |R_W| |Z|_2, with
     |Z|_2 <= sqrt(|Z|_1 |Z|_inf), and |X| >= |Z|, the value is at least
-    the backward error.
+    the backward error.  The Robin term gamma h is one scalar on every
+    interface row.
     """
     A = cls.A
     nI = cls.n_interior
-    robin = cls.gamma * cls.m_diag
+    robin = cls.gamma * cls.template.h
     R = schur @ Z
     R[np.diag_indices_from(R)] -= 1.0
     z_2 = np.sqrt(np.linalg.norm(Z, 1) * np.linalg.norm(Z, np.inf))
@@ -354,7 +353,7 @@ def _stack_groups(classes: list, Zs: list, Yts: list, adjs: list) -> list:
     for c, cls in enumerate(classes):
         last = runs[-1][-1] if runs else None
         if last is not None and (
-                cls.slot_start == classes[last].slot_start + classes[last].slots.size
+                cls.first_slot == classes[last].first_slot + classes[last].slots.size
                 and adjs[c].shape == adjs[last].shape
                 and Yts[c].shape == Yts[last].shape):
             runs[-1].append(c)
@@ -365,7 +364,7 @@ def _stack_groups(classes: list, Zs: list, Yts: list, adjs: list) -> list:
         first = classes[run[0]]
         k, n_own = first.members.size, first.cols.size
         groups.append(_Group(
-            rows=slice(first.slot_start, first.slot_start + len(run) * k * n_own),
+            rows=slice(first.first_slot, first.first_slot + len(run) * k * n_own),
             shape=(len(run), k, n_own), Z=np.stack([Zs[c] for c in run]),
             Yt=np.stack([Yts[c] for c in run]), adj=np.stack([adjs[c] for c in run]),
         ))
@@ -388,7 +387,7 @@ class ConstrainedRobinSolver:
     Setup solves W = A_II^-1 A_IG once on the template's sides, one side
     (r columns) at a time (`_side_solves`), forms the template's Schur
     complement S_t = A_GG - A_GI W once, and inverts each class's Schur
-    block S_t[cols, cols] + gamma M through its Cholesky factor.  Each
+    block S_t[cols, cols] + gamma h I through its Cholesky factor.  Each
     inverse is held to `_trace_map_error`.  W and S_t cover all four
     sides when some class has a side, as every side is some class's for
     N > 1, and none for N = 1.  The solver keeps:
@@ -428,8 +427,8 @@ class ConstrainedRobinSolver:
         self.B = B.tocsr()
         self.n_ifaces, self.n_slots = B.shape
         template = classes[0].template
-        r = template.r
-        self._lu = template._lu
+        r, h = template.r, template.h
+        self._h, self._lu = h, template._lu
         width = 4 * r if any(cls.cols.size for cls in classes) else 0
         self._W, side_sq = _side_solves(template, width)
 
@@ -445,7 +444,7 @@ class ConstrainedRobinSolver:
         for cls in classes:
             k, n_own = cls.members.size, cls.cols.size
             schur = schur_t[np.ix_(cls.cols, cls.cols)]
-            schur[np.diag_indices(n_own)] += cls.gamma * cls.m_diag
+            schur[np.diag_indices(n_own)] += cls.gamma * h
             Z = _spd_inverse(schur, NOT_SPD.format(cls.members[0]))
             err = (_trace_map_error(cls, schur, Z, np.sqrt(side_sq[cls.cols].sum()))
                    if n_own else 0.0)
@@ -456,12 +455,12 @@ class ConstrainedRobinSolver:
                 )
             Zs.append(Z)
             # B_s, B on a member's slots: row q is its q-th own side's
-            # interface, adj[i, q] for member i, with -|e| on a bottom or
-            # left side and +|e| on a right or top one (`build_constraint`).
+            # interface, adj[i, q] for member i, with -h on a bottom or
+            # left side and +h on a right or top one (`build_constraint`).
             adj = cls.ifaces if self.n_ifaces else cls.ifaces[:, :0]
             sign = np.where(cls.cols // r < 2, -1.0, 1.0)
             B_s = (np.arange(adj.shape[1])[:, None] == np.arange(n_own) // r) * (
-                sign * cls.m_diag)
+                sign * h)
             Y = Z @ B_s.T
             Yts.append(Y.T)
             adjs.append(adj)
@@ -493,13 +492,10 @@ class ConstrainedRobinSolver:
             )
 
     def condense(self, loads) -> CondensedLoads:
-        """The per-class loads of `local_loads` (None for zero) condensed
-        onto the trace, with one A_II solve for every member's interior."""
+        """The per-class loads of `local_loads` condensed onto the trace,
+        with one A_II solve for every member's interior."""
         nI = self._W.shape[0]
         f = np.zeros(self.n_slots)
-        if loads is None:
-            total = sum(cls.members.size for cls in self.classes)
-            return CondensedLoads(np.zeros((nI, total)), f)
         v = _solve(self._lu, np.concatenate([f_c[:nI] for f_c in loads], axis=1),
                    "the interior loads")
         A_GI_v = self._A_GI @ v
@@ -513,13 +509,13 @@ class ConstrainedRobinSolver:
     def solve(self, loads, g):
         """Constrained solve; returns (u_interior list, u_trace, mu).
 
-        `loads` is a `CondensedLoads` of `condense`, or the per-class list
-        of `local_loads` (None for zero), which is condensed here.  `g` is
-        the two-sided Robin datum on trace slots.  Entry c of the returned
+        `loads` is the `CondensedLoads` of `condense`.  `g` is the
+        two-sided Robin datum on trace slots.  Entry c of the returned
         list holds the interiors of class c's members as an
         (n_interior, k) matrix, a view of one array of all members.  The
-        interface takes M g + f through the constrained interface solve,
-        and x_I = v - W_c x_G, one product with W for all members.
+        interface takes f + h g (M = h I) through the constrained
+        interface solve, and x_I = v - W_c x_G, one product with W for all
+        members.
         """
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n_slots,):
@@ -528,12 +524,7 @@ class ConstrainedRobinSolver:
             )
         if not np.isfinite(g).all():
             raise ValueError("non-finite right-hand side for the trace datum")
-        if not isinstance(loads, CondensedLoads):
-            loads = self.condense(loads)
-        rhs = loads.f.copy()
-        for cls in self.classes:
-            cls.trace_block(rhs)[...] += cls.m_diag * cls.trace_block(g)
-        w, mu = self._condensed(rhs)
+        w, mu = self._condensed(loads.f + self._h * g)
         # x_I = v - W x_G for every member in one GEMM: X's column j holds
         # member j's interface solution in the rows of its class's sides.
         X = np.zeros((self._W.shape[1], loads.v.shape[1]))

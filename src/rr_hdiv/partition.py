@@ -25,15 +25,19 @@ turn, class c's slots are the one range class_start[c] + arange(k_c
 n_own_c), and that range is its k_c members' in increasing order, n_own_c
 each, so it reshapes to (members, own slots).  A member's own slots are
 its interface sides in the order bottom, left, right, top, r each in
-geometric order: its local trace order.  The two slots of one fine edge
-lie on neighbouring subdomains, so the side swap `pair_perm` is a general
+geometric order: its local trace order.  So each subdomain's slots are
+one range too, `slot_range`.  The two slots of one fine edge lie on
+neighbouring subdomains, so the side swap `pair_perm` is a general
 fixed-point-free involution, written by the same index arithmetic.
 
 The layout is index arithmetic on the mesh's id formulas (`mesh`): the
 fine edges of each interface (`mesh.edge_id`), each subdomain's interior
 edges and slots, and `local_dofs`' side edges and template triangles are
 written from the grid position, with no gather by subdomain and no sort.
-The slot midpoints, normals and lengths come from the same formulas.
+The slot midpoints and normals come from the same formulas.  Every
+interface edge lies on a grid line, so it is horizontal or vertical and
+has length h = 1/m: the interface mass matrix is M = h I, the scalar
+`mesh.h`, and no slot stores it.
 
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
 `symmetry_generators` gives their permutations of the trace slots.  It
@@ -54,7 +58,6 @@ from .mesh import (
     Mesh,
     edge_id,
     edge_kind,
-    edge_lengths,
     edge_mid2,
     triangle_edges,
     triangle_id,
@@ -85,7 +88,6 @@ class TraceIndex:
     slot_sub: np.ndarray
     slot_side: np.ndarray
     pair_perm: np.ndarray
-    m_diag: np.ndarray
 
     @property
     def n_slots(self) -> int:
@@ -96,13 +98,12 @@ class TraceIndex:
 class SubdomainPartition:
     """N x N square decomposition with its trace indexing.
 
-    Per-subdomain sets are flat arrays grouped by subdomain, with N^2 + 1
-    offsets: subdomain s's interior edges are
-    interior[interior_start[s]:interior_start[s+1]] and its trace slots
-    slots[slot_start[s]:slot_start[s+1]], both increasing.  `classes`
-    holds the members of each congruence class, and class c's slots are
-    the one range class_start[c] .. class_start[c+1], its members' in
-    turn.
+    Every subdomain holds the same number nI of interior edges, so
+    `interior` is one (N^2, nI) table: row s holds subdomain s's, in
+    increasing order.  Subdomain s's trace slots are the one range
+    slot_range[s, 0] .. slot_range[s, 1].  `classes` holds the members
+    of each congruence class, and class c's slots are the one range
+    class_start[c] .. class_start[c+1], its members' in turn.
     """
 
     N: int
@@ -110,9 +111,7 @@ class SubdomainPartition:
     n_interfaces: int
     trace: TraceIndex
     interior: np.ndarray
-    interior_start: np.ndarray
-    slots: np.ndarray
-    slot_start: np.ndarray
+    slot_range: np.ndarray
     classes: list
     class_start: np.ndarray
 
@@ -122,11 +121,11 @@ class SubdomainPartition:
 
     def interior_of(self, sub: int) -> np.ndarray:
         """Interior edges of one subdomain, in increasing order."""
-        return self.interior[self.interior_start[sub]:self.interior_start[sub + 1]]
+        return self.interior[sub]
 
     def slots_of(self, sub: int) -> np.ndarray:
         """Trace slots of one subdomain, in increasing order."""
-        return self.slots[self.slot_start[sub]:self.slot_start[sub + 1]]
+        return np.arange(*self.slot_range[sub])
 
 
 def _congruence_classes(N: int):
@@ -187,8 +186,7 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     in_row = np.concatenate([np.arange(r), m + 1 + np.arange(2 * r - 1)])
     pattern = (row * np.arange(r)[:, None] + in_row).ravel()[r:]
     step = np.tile(np.repeat([1, 2], [r, 2 * r - 1]), r)[r:]
-    interior = (pattern + (r * row * J)[:, None] + (r * I)[:, None] * step).ravel()
-    interior_start = pattern.size * np.arange(n_subs + 1, dtype=np.int64)
+    interior = pattern + (r * row * J)[:, None] + (r * I)[:, None] * step
 
     # Trace slots, class-major (module docstring), in runs of r: side d
     # (bottom, left, right, top) of subdomain s, if it is an interface,
@@ -203,8 +201,6 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     class_start = np.concatenate(
         [[0], np.cumsum([counts[members].sum() for members in classes])])
     run_start = first[:, None] + r * (np.cumsum(present, axis=1) - 1)
-    slots = (run_start[present][:, None] + np.arange(r)).ravel()
-    slot_start = np.concatenate([[0], np.cumsum(counts)])
     # The runs in slot order.  Side d of subdomain (J, I) is the interface
     # below, left of, right of or above it, on whose j-side it lies for
     # d < 2; the run of the same edges on the other side is the
@@ -216,14 +212,12 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         [base - N + I, base + I - 1, base + I, base + N - 1 + I], axis=1)
     run_iface = side_iface[run_sub, run_side]
     other = run_sub + np.array([-N, -1, 1, N])[run_side]
-    slot_edge = fine[run_iface].ravel()
     trace = TraceIndex(
         slot_iface=np.repeat(run_iface, r),
-        slot_edge=slot_edge,
+        slot_edge=fine[run_iface].ravel(),
         slot_sub=np.repeat(run_sub, r),
         slot_side=np.repeat((run_side < 2).astype(np.int64), r),
         pair_perm=(run_start[other, 3 - run_side][:, None] + np.arange(r)).ravel(),
-        m_diag=edge_lengths(m)[edge_kind(*edge_mid2(m, slot_edge))],
     )
     return SubdomainPartition(
         N=N,
@@ -231,9 +225,7 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         n_interfaces=n_if,
         trace=trace,
         interior=interior,
-        interior_start=interior_start,
-        slots=slots,
-        slot_start=slot_start,
+        slot_range=np.stack([first, first + counts], axis=1),
         classes=classes,
         class_start=class_start,
     )
@@ -276,15 +268,16 @@ def local_dofs(part: SubdomainPartition):
 def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
     """Edge-average constraint matrix: one row per coarse interface.
 
-    Row k integrates the two-sided jump over interface k: +|e| on the
-    i-side slot of each fine edge, -|e| on the j-side slot.  B g = 0 says
+    Row k integrates the two-sided jump over interface k: +h on the
+    i-side slot of each fine edge, -h on the j-side slot, as every
+    interface edge lies on a grid line and has length h.  B g = 0 says
     every coarse interface carries matching side averages.  The rows come
     from `slot_iface`, the array that the local solver's per-class
     `ifaces` are cut from; the i-side is a subdomain's right or top side.
     """
     trace = part.trace
     n = trace.n_slots
-    data = trace.m_diag * (1 - 2 * trace.slot_side)
+    data = mesh.h * (1 - 2 * trace.slot_side)
     B = sp.csr_matrix(
         (data, (trace.slot_iface, np.arange(n))),
         shape=(part.n_interfaces, n),
@@ -321,9 +314,10 @@ def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
     Row k maps slot s to the slot of the image (`_image`) of its fine edge
     on the image of its subdomain, in the order of SYMMETRY_NAMES.  Raises
     AssertionError unless both are fixed-point-free involutions that
-    commute with each other and with the side swap, preserve the trace
-    mass, and have a fixed-point-free product (so every orbit of the group
-    they generate has exactly 4 slots).
+    commute with each other and with the side swap, and have a
+    fixed-point-free product (so every orbit of the group they generate
+    has exactly 4 slots).  The trace mass h I commutes with every
+    permutation, so it needs no check.
     """
     trace = part.trace
     mesh = part.mesh
@@ -342,8 +336,6 @@ def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
             raise AssertionError(f"{name} is not a fixed-point-free involution")
         if not np.array_equal(p[trace.pair_perm], trace.pair_perm[p]):
             raise AssertionError(f"{name} does not commute with the side swap")
-        if not np.array_equal(trace.m_diag[p], trace.m_diag):
-            raise AssertionError(f"{name} does not preserve the trace mass")
     if not np.array_equal(half[refl], refl[half]):
         raise AssertionError("half-turn and reflection do not commute")
     if np.any(half[refl] == slots):

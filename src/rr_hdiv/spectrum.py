@@ -1,15 +1,15 @@
 """Dense assembly and eigenvalue study of the Richardson iteration map.
 
 The Robin exchange is one affine map g -> E g + c on the two-sided trace
-vector, E g = T(2 gamma R M g - g) (see `iteration`).  Richardson
-relaxes it, MINRES solves G g = f_g with G = M T (I - E) and f_g = M T c,
-and here the homogeneous relaxed step is assembled, Q = theta E +
-(1 - theta) I, COLUMN_BLOCK unit columns at a time through
-`RobinProblem.step`.  Q thus shares every code path with the actual
-iteration, and assembly holds no dense square but Q.  The exchange
-symmetry gives Q a known exact unit eigenvalue (the per-interface
-constant-jump directions), harmless to the iteration; the contraction
-quality lives in the rest of the spectrum.
+vector, E g = T(2 gamma R M g - g) with M = h I the interface mass (see
+`iteration`).  Richardson relaxes it, MINRES solves G g = f_g with
+G = h T (I - E) and f_g = h T c, and here the homogeneous relaxed step
+is assembled, Q = theta E + (1 - theta) I, COLUMN_BLOCK unit columns at
+a time through `RobinProblem.step`.  Q thus shares every code path with
+the actual iteration, and assembly holds no dense square but Q.  The
+exchange symmetry gives Q a known exact unit eigenvalue (the
+per-interface constant-jump directions), harmless to the iteration; the
+contraction quality lives in the rest of the spectrum.
 
 The mesh and the partition keep the half-turn about (1/2, 1/2) and the
 reflection x <-> y, which permute the trace slots (see
@@ -111,7 +111,6 @@ class SpectrumReport:
     gamma_rule: object
     gamma: float
     theta: float
-    max_real: float
     max_nonreal_modulus: float
     unit_count: int
     blocks: tuple = ()
@@ -241,7 +240,6 @@ def eigenvalues(op: IterationOperator) -> SpectrumReport:
         gamma_rule=op.gamma_rule,
         gamma=op.gamma,
         theta=op.theta,
-        max_real=float(eigs.real.max()) if eigs.size else float("-inf"),
         max_nonreal_modulus=float(np.abs(nonreal).max()) if nonreal.size else 0.0,
         unit_count=int(np.count_nonzero(np.abs(eigs - 1.0) < UNIT_TOL)),
         blocks=(B.shape[1],) * B.shape[0],

@@ -77,8 +77,9 @@ def fixed_point_g(problem, u: np.ndarray) -> np.ndarray:
     Per interface edge and side, gamma times the trace dof plus the natural
     (divergence-flux) datum of that side's subproblem, extracted exactly
     from the local blocks: g_s = gamma u_delta + M^-1 (A_s u|_s - f_s) on
-    the interface rows. For the direct-solve field this is the fixed point
-    of the Robin exchange and the solution of the interface system.
+    the interface rows, M = h I as every interface edge has length h.
+    For the direct-solve field this is the fixed point of the Robin
+    exchange and the solution of the interface system.
     """
     trace = problem.partition.trace
     g = np.zeros(trace.n_slots)
@@ -86,6 +87,6 @@ def fixed_point_g(problem, u: np.ndarray) -> np.ndarray:
         u_delta = u[trace.slot_edge[cls.slots]]
         u_loc = np.concatenate([u[cls.interior], u_delta], axis=1)
         r_delta = (cls.A @ u_loc.T - f)[cls.n_interior:]
-        g[cls.slots] = problem.gamma * u_delta + (r_delta / cls.m_diag[:, None]).T
+        g[cls.slots] = problem.gamma * u_delta + (r_delta / problem.mesh.h).T
     return g
 

@@ -217,7 +217,7 @@ def direct_errors(m, case=None):
 def robin_matrix(cls):
     """Class `cls`'s own Robin matrix, A plus the Robin term."""
     diag = np.zeros(cls.n_local)
-    diag[cls.n_interior:] = cls.gamma * cls.m_diag
+    diag[cls.n_interior:] = cls.gamma * cls.template.h
     return local_solver._plus_diagonal(cls.A, diag)
 
 
@@ -244,7 +244,7 @@ def subdomain_robin_matrix(problem, s):
     np.add.at(H, (rows[keep], cols[keep]), elem.ravel()[keep])
     nI = interior.size
     H[np.arange(nI, H.shape[0]), np.arange(nI, H.shape[0])] += (
-        problem.gamma * part.trace.m_diag[slots]
+        problem.gamma * mesh.h
     )
     return H, nI, slots
 
@@ -263,7 +263,7 @@ def dense_local_solve(problem, s, f, g):
     order) and datum g on its slots; returns (u_interior, u_interface)."""
     H, nI, _ = subdomain_robin_matrix(problem, s)
     rhs = np.array(f, dtype=float)
-    rhs[nI:] += problem.partition.trace.m_diag[problem.partition.slots_of(s)] * g
+    rhs[nI:] += problem.mesh.h * g
     x = np.linalg.solve(H, rhs)
     return x[:nI], x[nI:]
 
@@ -294,10 +294,11 @@ def dense_resolvent(problem):
 
 
 def dense_interface_operator(problem):
-    """G = (P + I) M - 2 gamma M R M with P the side-swap permutation."""
+    """G = (P + I) M - 2 gamma M R M with P the side-swap permutation and
+    M = h I the interface mass."""
     trace = problem.partition.trace
     n = trace.n_slots
-    M = np.diag(trace.m_diag)
+    M = problem.mesh.h * np.eye(n)
     P = np.eye(n)[trace.pair_perm, :]
     R = dense_resolvent(problem)
     return (P + np.eye(n)) @ M - 2.0 * problem.gamma * M @ R @ M
@@ -379,7 +380,7 @@ def per_class_assembly(problem):
     local dofs (`per_subdomain_local_dofs`).  A_II is the first class's,
     side d's columns of A_IG are the first class's that has side d, and
     W = A_II^-1 A_IG is solved one side at a time.  Class c's Schur block
-    is A_GG_c - A_GI_c W[:, cols_c] + gamma M_c, from its own A, and Z is
+    is A_GG_c - A_GI_c W[:, cols_c] + gamma h I, from its own A, and Z is
     its inverse.  Returns the list of (A, Z).
     """
     part, mesh = problem.partition, problem.mesh
@@ -405,7 +406,7 @@ def per_class_assembly(problem):
     for cls, A in zip(classes, own):
         schur = -(A[nI:, :nI] @ W)[:, cls.cols]
         schur += A[nI:, nI:].toarray()
-        schur[np.diag_indices_from(schur)] += cls.gamma * cls.m_diag
+        schur[np.diag_indices_from(schur)] += cls.gamma * mesh.h
         out.append((A, local_solver._spd_inverse(schur, "reference Schur block")))
     return out
 
@@ -476,10 +477,7 @@ class DirectSolver:
         """`ConstrainedRobinSolver.solve` through each class's own factor;
         `loads` may come from `condense`."""
         loads = getattr(loads, "loads", loads)
-        m = np.zeros(self.n_slots)
-        for cls in self.classes:
-            m[cls.slots] = cls.m_diag
-        x, w = self._backsolve(m * g, loads)
+        x, w = self._backsolve(self.classes[0].template.h * g, loads)
         mu = np.zeros(0)
         if self.n_ifaces:
             mu = self._S_lu.solve(self.B @ w)
@@ -523,6 +521,7 @@ class FlatResolvent:
     def __init__(self, problem):
         solver = problem.solver
         self.solver, self.classes = solver, problem.classes
+        self.h = problem.mesh.h
         self.old = interface_major_slots(problem.partition)
         n = solver.n_slots
         back = np.argsort(self.old)
@@ -586,7 +585,7 @@ class FlatResolvent:
         old_g[self.old] = g
         rhs = np.empty(solver.n_slots)
         for c, (cls, flat) in enumerate(zip(self.classes, self.flat)):
-            rhs_c = cls.m_diag[:, None] * old_g[flat].reshape(-1, sizes[c])
+            rhs_c = self.h * old_g[flat].reshape(-1, sizes[c])
             rhs_c += loads[c][nI:] - A_GI_v[c][cls.cols]
             rhs[flat] = rhs_c.ravel()
         w, mu = self._condensed(rhs)

@@ -176,7 +176,7 @@ def _per_step_richardson(problem):
     trace = problem.partition.trace
     g = np.zeros(trace.n_slots)
     for step in range(1, cfg.max_iter + 1):
-        u_int, u_trace, _ = problem.solver.solve(problem.local_loads, g)
+        u_int, u_trace, _ = problem.solver.solve(problem.condensed_loads, g)
         g_tilde = (2.0 * problem.gamma * u_trace - g)[trace.pair_perm]
         inc = np.abs(g_tilde - g).max()
         g = cfg.theta * g_tilde + (1.0 - cfg.theta) * g

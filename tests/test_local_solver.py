@@ -64,12 +64,8 @@ def test_interface_mass_and_block_sizes(problem_n4):
     sizes = sorted(cls.slots.shape[1] for cls in problem_n4.classes)
     # four corner classes, four edge classes and the interior class
     assert sizes == [16, 16, 16, 16, 24, 24, 24, 24, 32]
-    trace = problem_n4.partition.trace
     for cls in problem_n4.classes:
-        np.testing.assert_allclose(cls.m_diag, problem_n4.mesh.h, atol=1e-16)
-        np.testing.assert_allclose(
-            trace.m_diag[cls.slots], problem_n4.mesh.h, atol=1e-16
-        )
+        assert cls.template.h == problem_n4.mesh.h
         assert cls.n_local == cls.n_interior + cls.slots.shape[1]
 
 
@@ -83,7 +79,8 @@ def test_robin_matrix_spd(small_problem):
 def test_solve_local_zero(small_problem):
     """Zero loads and a zero datum give zero local solutions."""
     solver = _unconstrained(small_problem)
-    u_int, u_d, _ = solver.solve(None, np.zeros(solver.n_slots))
+    zero = solver.condense([np.zeros_like(f) for f in small_problem.local_loads])
+    u_int, u_d, _ = solver.solve(zero, np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
     for u_i in u_int:
         np.testing.assert_allclose(u_i, 0.0, atol=1e-16)
@@ -92,8 +89,9 @@ def test_solve_local_zero(small_problem):
 def test_solve_local_linearity(small_problem, rng):
     solver = _unconstrained(small_problem)
     g = rng.standard_normal(solver.n_slots)
-    u1_int, u1_d, _ = solver.solve(None, g)
-    u2_int, u2_d, _ = solver.solve(None, 2.0 * g)
+    zero = solver.condense([np.zeros_like(f) for f in small_problem.local_loads])
+    u1_int, u1_d, _ = solver.solve(zero, g)
+    u2_int, u2_d, _ = solver.solve(zero, 2.0 * g)
     for u1_i, u2_i in zip(u1_int, u2_int):
         np.testing.assert_allclose(u2_i, 2.0 * u1_i, atol=1e-12)
     np.testing.assert_allclose(u2_d, 2.0 * u1_d, atol=1e-12)
@@ -102,13 +100,15 @@ def test_solve_local_linearity(small_problem, rng):
 def test_solve_local_dimension_mismatch(small_problem):
     solver = _unconstrained(small_problem)
     with pytest.raises(ValueError, match="trace datum has"):
-        solver.solve(small_problem.local_loads, np.zeros(solver.n_slots + 1))
+        solver.solve(solver.condense(small_problem.local_loads),
+                     np.zeros(solver.n_slots + 1))
 
 
 def test_local_solve_reproduces_oracle(problem_n4, oracle32, case):
     """Feeding each subdomain its exact Robin datum returns the oracle."""
     g = verify.fixed_point_g(problem_n4, oracle32)
-    u_int, u_d, _ = _unconstrained(problem_n4).solve(problem_n4.local_loads, g)
+    solver = _unconstrained(problem_n4)
+    u_int, u_d, _ = solver.solve(solver.condense(problem_n4.local_loads), g)
     u = iteration.assemble_solution(problem_n4, u_int, u_d)
     np.testing.assert_allclose(u, oracle32, atol=1e-10)
     np.testing.assert_allclose(
@@ -118,10 +118,10 @@ def test_local_solve_reproduces_oracle(problem_n4, oracle32, case):
 
 def test_subdomain_solves_order_independent(small_problem, rng):
     datum = rng.standard_normal(small_problem.partition.trace.n_slots)
-    forward = _unconstrained(small_problem).solve(small_problem.local_loads, datum)
-    backward = _unconstrained(small_problem, small_problem.classes[::-1]).solve(
-        small_problem.local_loads[::-1], datum
-    )
+    solver = _unconstrained(small_problem)
+    forward = solver.solve(solver.condense(small_problem.local_loads), datum)
+    solver = _unconstrained(small_problem, small_problem.classes[::-1])
+    backward = solver.solve(solver.condense(small_problem.local_loads[::-1]), datum)
     for prev, out in zip(forward[0], backward[0][::-1]):
         np.testing.assert_array_equal(prev, out)
     np.testing.assert_array_equal(forward[1], backward[1])
@@ -130,7 +130,7 @@ def test_subdomain_solves_order_independent(small_problem, rng):
 def test_constrained_zero(small_problem):
     solver = small_problem.solver
     loads = [np.zeros((c.n_local, c.members.size)) for c in small_problem.classes]
-    u_int, u_d, mu = solver.solve(loads, np.zeros(solver.n_slots))
+    u_int, u_d, mu = solver.solve(solver.condense(loads), np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
     np.testing.assert_allclose(mu, 0.0, atol=1e-16)
     for u_i in u_int:
@@ -139,7 +139,7 @@ def test_constrained_zero(small_problem):
 
 def test_constrained_solve_at_fixed_point(problem_n4, oracle32):
     g = verify.fixed_point_g(problem_n4, oracle32)
-    u_int, u_d, _ = problem_n4.solver.solve(problem_n4.local_loads, g)
+    u_int, u_d, _ = problem_n4.solver.solve(problem_n4.condensed_loads, g)
     trace_edges = problem_n4.partition.trace.slot_edge
     np.testing.assert_allclose(u_d, oracle32[trace_edges], atol=1e-10)
     # the constraint holds to solver accuracy
@@ -216,7 +216,7 @@ def test_single_subdomain_equals_global(case, mesh8, oracle8):
     assert np.array_equal(np.sort(interior), free)
     np.testing.assert_allclose(H[np.ix_(order, order)], A, atol=1e-14)
     solver = local_solver.ConstrainedRobinSolver(classes, sp.csr_matrix((0, 0)))
-    u_int, _, _ = solver.solve(loads, np.zeros(0))
+    u_int, _, _ = solver.solve(solver.condense(loads), np.zeros(0))
     np.testing.assert_allclose(u_int[0][:, 0], oracle8[interior], atol=1e-12)
 
 
@@ -417,7 +417,7 @@ def test_nonfinite_data_rejected(case):
         solver = problem.solver
         g = np.full(solver.n_slots, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            solver.solve(problem.local_loads, g)
+            solver.solve(solver.condense(problem.local_loads), g)
         with pytest.raises(ValueError, match="non-finite"):
             solver.apply_resolvent(g)
         with pytest.raises(ValueError, match="non-finite"):
@@ -519,7 +519,9 @@ def test_solve_peak_memory(case):
     (up to 3.1 MB each) peaked at 4.0 MB.  Bound: 2 MB."""
     problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
     g = np.random.default_rng(0).standard_normal(problem.solver.n_slots)
-    peak = _traced_peak(lambda: problem.solver.solve(problem.local_loads, g))
+    solver = problem.solver
+    peak = _traced_peak(
+        lambda: solver.solve(solver.condense(problem.local_loads), g))
     assert peak <= 2e6
 
 
@@ -597,7 +599,7 @@ def test_solve_and_resolvent_match_direct(case, rng, N, r, constrained):
     problem = iteration.build_problem(cfg, case.load)
     direct = DirectSolver(problem.classes, problem.B)
     g = rng.standard_normal(problem.solver.n_slots)
-    u_int, w, mu = problem.solver.solve(problem.local_loads, g)
+    u_int, w, mu = problem.solver.solve(problem.condensed_loads, g)
     ref = direct.solve(problem.local_loads, g)
     rtol = 1e-12 if r <= 8 else 5e-11
     for u_i, u_ref in zip(u_int, ref[0]):
@@ -610,7 +612,7 @@ def test_solve_and_resolvent_match_direct(case, rng, N, r, constrained):
         H = robin_matrix(cls)
         x = np.vstack([u_i, w[cls.slots.T]])
         rhs = f.copy()
-        rhs[cls.n_interior:] += cls.m_diag[:, None] * g[cls.slots.T] - bt_mu[cls.slots.T]
+        rhs[cls.n_interior:] += problem.mesh.h * g[cls.slots.T] - bt_mu[cls.slots.T]
         backward = np.abs(H @ x - rhs).max() / (abs(H).sum(axis=0).max() * np.abs(x).max())
         assert backward <= 1e-15
     cols = rng.standard_normal((problem.solver.n_slots, 3))
@@ -737,7 +739,7 @@ def test_class_major_matches_flat_reference(case, rng, N, r):
     cols = rng.standard_normal((n, 320))
     close(solver.apply_resolvent(cols), ref.apply_resolvent(cols))
     g = rng.standard_normal(n)
-    u_int, w, mu = solver.solve(problem.local_loads, g)
+    u_int, w, mu = solver.solve(problem.condensed_loads, g)
     u_ref, w_ref, mu_ref = ref.solve(problem.local_loads, g)
     for u_i, u_i_ref in zip(u_int, u_ref, strict=True):
         close(u_i, u_i_ref)

@@ -69,8 +69,9 @@ def test_single_subdomain(mesh8):
     assert part.trace.n_slots == 0
     free = interior_edges(mesh8)
     np.testing.assert_array_equal(part.interior_of(0), free)
-    np.testing.assert_array_equal(part.interior_start, [0, free.size])
-    np.testing.assert_array_equal(part.slot_start, [0, 0])
+    np.testing.assert_array_equal(part.interior, free[None])
+    np.testing.assert_array_equal(part.slot_range, [[0, 0]])
+    assert part.slots_of(0).size == 0
     B = build_constraint(part, mesh8)
     assert B.shape == (0, 0)
 
@@ -84,7 +85,8 @@ def test_interface_counts(N, m):
     _, _, fine = _interfaces(part)
     assert fine.shape == (part.n_interfaces, m // N)
     i_side = part.trace.slot_side == 0
-    length = np.bincount(part.trace.slot_iface[i_side], part.trace.m_diag[i_side])
+    edge_len = sorted_mesh(m).edge_len[part.trace.slot_edge[i_side]]
+    length = np.bincount(part.trace.slot_iface[i_side], edge_len)
     np.testing.assert_allclose(length, 1.0 / N, rtol=1e-14)
 
 
@@ -151,16 +153,17 @@ def test_paired_slots_agree(part4):
     step = trace.slot_sub[perm][i_side] - trace.slot_sub[i_side]
     vertical = sorted_mesh(part4.mesh.m).edge_kind[trace.slot_edge[i_side]] == VERTICAL
     np.testing.assert_array_equal(step, np.where(vertical, 1, part4.N))
-    # swap commutes with the diagonal interface mass matrix
-    np.testing.assert_array_equal(trace.m_diag[perm], trace.m_diag)
 
 
-def test_trace_mass_is_fine_edge_length(part4, mesh32):
-    np.testing.assert_allclose(
-        part4.trace.m_diag, sorted_mesh(mesh32.m).edge_len[part4.trace.slot_edge],
-        atol=1e-16
-    )
-    np.testing.assert_allclose(part4.trace.m_diag, mesh32.h, atol=1e-16)
+def test_trace_mass_is_fine_edge_length():
+    """The premise of M = h I: over `REFERENCE_GRID`, every interface
+    edge of the reference mesh's tables has length exactly `mesh.h`.  The
+    package applies the interface mass as that one scalar, so this fails
+    if any interface edge ever has another length."""
+    for m, N in REFERENCE_GRID:
+        mesh = build_unit_square_mesh(m)
+        length = sorted_mesh(m).edge_len[partition(mesh, N).trace.slot_edge]
+        assert np.array_equal(length, np.full(length.size, mesh.h)), (m, N)
 
 
 def test_constraint_shape_and_entries(B4, part4, mesh32):
@@ -172,8 +175,9 @@ def test_constraint_shape_and_entries(B4, part4, mesh32):
     dense = B4.toarray()
     trace = part4.trace
     expect = np.zeros_like(dense)
+    edge_len = sorted_mesh(mesh32.m).edge_len[trace.slot_edge]
     expect[trace.slot_iface, np.arange(trace.n_slots)] = (
-        trace.m_diag * (1.0 - 2.0 * trace.slot_side)
+        edge_len * (1.0 - 2.0 * trace.slot_side)
     )
     np.testing.assert_allclose(dense, expect, atol=1e-16)
 
@@ -278,7 +282,7 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
 @pytest.mark.parametrize("N,r", [(2, 4), (3, 4), (4, 8), (5, 2)])
 def test_symmetry_generators(N, r):
     """Half-turn and reflection: commuting fixed-point-free involutions
-    that respect the side swap, the trace mass and the coarse interfaces."""
+    that respect the side swap and the coarse interfaces."""
     part = partition(build_unit_square_mesh(N * r), N)
     trace = part.trace
     slots = np.arange(trace.n_slots)
@@ -289,7 +293,6 @@ def test_symmetry_generators(N, r):
         np.testing.assert_array_equal(p[p], slots)
         assert not np.any(p == slots)
         np.testing.assert_array_equal(p[trace.pair_perm], trace.pair_perm[p])
-        np.testing.assert_array_equal(trace.m_diag[p], trace.m_diag)
         # one coarse interface maps onto one coarse interface, whole
         image = np.zeros((part.n_interfaces, part.n_interfaces), dtype=int)
         np.add.at(image, (trace.slot_iface, trace.slot_iface[p]), 1)
@@ -387,14 +390,6 @@ def test_orbit_table_rejects_short_orbits():
     assert orbit_table(np.stack([p])).shape == (2, 2)
 
 
-def test_broken_symmetry_rejected(mesh8):
-    """A trace mass that the reflection does not keep is refused."""
-    part = partition(mesh8, 2)
-    part.trace.m_diag = part.trace.m_diag * (1.0 + part.trace.slot_iface)
-    with pytest.raises(AssertionError, match="mass"):
-        symmetry_generators(part)
-
-
 def _reference_partition(mesh, N):
     """The decomposition from the distinct (edge, subdomain) incidences,
     found by hashing, with sets compared through `np.unique`.  The trace
@@ -474,7 +469,6 @@ def _reference_partition(mesh, N):
         "slot_sub": slot_sub[order],
         "slot_side": slot_side[order],
         "pair_perm": rank[(np.arange(slot_edge.size) ^ 1)[order]],
-        "m_diag": mesh.edge_len[slot_edge[order]],
     }
     sub_slots = [np.flatnonzero(trace["slot_sub"] == s) for s in range(n_subs)]
     return tri_sub, interior_edges, sub_slots, trace
@@ -524,20 +518,17 @@ REFERENCE_GRID = [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [
 ]
 
 
-def _offsets(groups):
-    return np.cumsum([0] + [g.size for g in groups])
-
-
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
 def test_partition_matches_unique_reference(m, N):
     mesh = build_unit_square_mesh(m)
     part = partition(mesh, N)
     _, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
+    # Every subdomain's interior is one row of a table and its slots one
+    # range: the reference's sets, found by hashing, must be so too.
+    first = [s[0] if s.size else 0 for s in sub_slots]
     expected = {
-        "interior": np.concatenate(interior_edges),
-        "interior_start": _offsets(interior_edges),
-        "slots": np.concatenate(sub_slots),
-        "slot_start": _offsets(sub_slots),
+        "interior": np.stack(interior_edges),
+        "slot_range": np.array([[a, a + s.size] for a, s in zip(first, sub_slots)]),
     }
     for name, expect in expected.items():
         got = getattr(part, name)
@@ -654,7 +645,7 @@ def test_ownership_agrees_with_sorted_mesh(N, r):
     assert np.all(one_owner[free_interior])
     assert np.all((c[on_gamma] == 2) & ~one_owner[on_gamma])
 
-    owner = np.repeat(np.arange(N * N), np.diff(part.interior_start))
+    owner = np.arange(N * N)[:, None]
     assert part.interior.size == np.count_nonzero(free_interior)
     assert np.all(free_interior[part.interior])
     np.testing.assert_array_equal(s1[part.interior], c[part.interior] * owner)
@@ -671,8 +662,8 @@ def test_ownership_agrees_with_sorted_mesh(N, r):
 def test_constraint_blocks_agree_with_layout(N, r):
     """Every member's columns of B are its class's block built from the
     layout: one row per own side, at the interface that the class's
-    `ifaces` names for the member, with -|e| on a bottom or left side and
-    +|e| on a right or top one.  The solver's Y = Z B_s^T and its `adj`
+    `ifaces` names for the member, with -h on a bottom or left side and
+    +h on a right or top one.  The solver's Y = Z B_s^T and its `adj`
     come from that block; with no constraint the block has no rows."""
     mesh = build_unit_square_mesh(N * r)
     part = partition(mesh, N)
@@ -689,7 +680,7 @@ def test_constraint_blocks_agree_with_layout(N, r):
         assert cls.ifaces.shape == (cls.members.size, n_own // r)
         sign = np.where(cls.cols // r < 2, -1.0, 1.0)
         B_s = (np.arange(n_own // r)[:, None] == np.arange(n_own) // r) * (
-            sign * cls.m_diag)
+            sign * mesh.h)
         for ifaces, slots in zip(cls.ifaces, cls.slots, strict=True):
             block = np.zeros((part.n_interfaces, n_own))
             block[ifaces] = B_s

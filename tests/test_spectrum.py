@@ -66,7 +66,7 @@ def test_single_subdomain_is_empty():
     assert rep.dim == 0
     assert rep.unit_count == 0
     assert rep.contraction_modulus() == 0.0
-    assert rep.max_real == float("-inf")
+    assert rep.max_real_below_unit() == float("-inf")
 
 
 def test_matrix_matches_one_homogeneous_step(case):
@@ -118,11 +118,11 @@ def test_in_place_combine_matches_formula(zero_n8r8, theta):
     cfg = iteration.IterationConfig(N=8, ratio=8, theta=theta)
     op = spectrum.assemble_Q(cfg, problem=zero_n8r8)
     n = op.dim
-    m = zero_n8r8.partition.trace.m_diag[:, None]
     for j in range(0, n, COLUMN_BLOCK):
         k = min(COLUMN_BLOCK, n - j)
         E = np.eye(n, k, -j)
-        EE = zero_n8r8.exchange(E, zero_n8r8.solver.apply_resolvent(m * E))
+        R = zero_n8r8.solver.apply_resolvent(zero_n8r8.mesh.h * E)
+        EE = zero_n8r8.exchange(E, R)
         assert np.array_equal(op.Q[:, j:j + k], theta * EE + (1.0 - theta) * E)
 
 
@@ -291,7 +291,6 @@ def test_filenames():
             gamma_rule="h",
             gamma=1 / 32,
             theta=1.0,
-            max_real=0.0,
             max_nonreal_modulus=0.0,
             unit_count=0,
         )
