@@ -90,7 +90,7 @@ class RobinProblem:
     mesh: Mesh
     partition: SubdomainPartition
     classes: list
-    local_loads: list
+    local_loads: local_solver.LocalLoads
     gamma: float
     B: sp.csr_matrix
     solver: local_solver.ConstrainedRobinSolver
@@ -160,7 +160,7 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
     part = partition(mesh, config.N)
     gamma = resolve_gamma(config.gamma_rule, config.m, config.N)
     classes = local_solver.build_local_systems(part, mesh, config.beta, gamma)
-    loads = local_solver.local_loads(classes, part, load)
+    loads = local_solver.local_loads(part, load)
     if config.constrained:
         B = build_constraint(part, mesh)
     else:
@@ -178,11 +178,12 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
 
 
 def assemble_solution(problem: RobinProblem, u_int, u_trace) -> np.ndarray:
-    """Global dof vector; interface edges take the mean of both sides."""
+    """Global dof vector from the (nI, N^2) interiors and the trace;
+    interface edges take the mean of both sides."""
+    part = problem.partition
     u = np.zeros(problem.mesh.n_edges)
-    for cls, v in zip(problem.classes, u_int):
-        u[cls.interior] = v.T
-    trace = problem.partition.trace
+    u[part.interior] = u_int.T
+    trace = part.trace
     u[trace.slot_edge] = 0.5 * (u_trace + u_trace[trace.pair_perm])
     return u
 

@@ -23,8 +23,11 @@ Each subdomain's local dof order, and its dof tables, are the
 partition's (`partition.local_dofs`, `interior`, `slot_range`), taken
 as given: every subdomain is a translate of the template by the
 partition's index arithmetic, which tests check against sort
-references.  The loads need no per-member triangle table:
-`local_loads` scatters all triangles once.
+references.  Each class reads its own sides from the partition's side
+table (`side_start`).  Outside the trace everything is in subdomain
+order, column s subdomain s: `local_loads` scatters all triangles once
+into the interior loads of every subdomain, one (nI, N^2) array, and
+the slot loads, with no per-member triangle table.
 
 Setup condenses each class onto its interface (static condensation).
 W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
@@ -47,13 +50,15 @@ interface the class's `ifaces` names for that member, -h on a bottom
 or left side and +h on a right or top one.  Neighbouring classes of
 one shape (the four edge classes, the four corners) are stacked, so one
 `matmul` serves each group of them.  The loads are condensed once
-(`condense`): one interior solve for all members gives v = A_II^-1 f_I
-and the trace load f_G - A_GI v; `solve` recovers all members' interiors
-from it as v - W x_G, in one product with W.
+(`condense`): one interior solve for all subdomains gives
+v = A_II^-1 f_I and the trace load f_G - A_GI v; `solve` recovers all
+subdomains' interiors from it as v - W x_G, in one product with W, as
+one (nI, N^2) array.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +73,7 @@ from .partition import SubdomainPartition, local_dofs
 __all__ = [
     "RobinTemplate",
     "RobinClass",
+    "LocalLoads",
     "CondensedLoads",
     "ConstrainedRobinSolver",
     "build_local_systems",
@@ -93,12 +99,14 @@ class RobinTemplate:
     dofs, then r dofs on each side, in the order bottom, left, right, top,
     whether or not the side lies on the domain boundary.  `r` is that side
     width, `h` the length of every side edge, so that the interface mass
-    is h I, and `_lu` is A_II's factor.
+    is h I, `gamma` the Robin parameter, so that the Robin term is
+    gamma h on every interface row, and `_lu` is A_II's factor.
     """
 
     A: sp.csr_matrix
     r: int
     h: float
+    gamma: float
     _lu: spla.SuperLU
 
     @property
@@ -116,9 +124,9 @@ class RobinClass:
     """The Robin problem of congruent subdomains.
 
     Local dof order is that of `partition.local_dofs`: member
-    s = members[i] has the global edges interior[i] = part.interior_of(s),
-    then the trace slots slots[i] = part.slots_of(s), the i-th n_own of
-    the class's range of slots from `first_slot` on.  `cols` are the
+    s = members[i] has the global edges part.interior_of(s), then the
+    trace slots slots[i] = part.slots_of(s), the i-th n_own of the
+    class's range of slots from `first_slot` on.  `cols` are the
     template's side dofs, counted from nI, of the class's own sides, and
     `A` is the template's principal submatrix on [interior, nI + cols]:
     the class's plain bilinear blocks without the Robin term,
@@ -128,21 +136,19 @@ class RobinClass:
     """
 
     members: np.ndarray
-    interior: np.ndarray
     first_slot: int
     A: sp.csr_matrix
-    gamma: float
     cols: np.ndarray
     ifaces: np.ndarray
     template: RobinTemplate
 
     @property
     def n_interior(self) -> int:
-        return self.interior.shape[1]
+        return self.template.n_interior
 
     @property
     def n_local(self) -> int:
-        return self.interior.shape[1] + self.cols.size
+        return self.template.n_interior + self.cols.size
 
     @property
     def slots(self) -> np.ndarray:
@@ -217,43 +223,48 @@ def build_local_systems(
     each congruence class's matrix from it, and factorize A_II once.
 
     Class c keeps the interior dofs and the r side dofs of each of its
-    own sides (bottom if J > 0, left if I > 0, right if I < N-1, top if
-    J < N-1, for its members (J, I)); its members' interiors are rows of
-    the (N^2, nI) table `part.interior`, its slots the class's range of
-    the partition's class-major layout, and its `ifaces` that range's `slot_iface`
-    taken every r slots: one interface per member and own side.  That
-    every member is a translate of the template, in its triangles,
-    vertices, edge orientations, interior edges and slots, is the index
-    arithmetic of `mesh` and `partition`.
+    own sides, those whose `part.side_start` entry is a slot; its slots
+    are the class's range of the partition's class-major layout, and its
+    `ifaces` the `slot_iface` of each member's own sides' first slots:
+    one interface per member and own side.  That every member is a
+    translate of the template, in its triangles, vertices, edge
+    orientations, interior edges and slots, is the index arithmetic of
+    `mesh` and `partition`.
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
-    N = part.N
-    r = mesh.m // N
+    r = mesh.m // part.N
     tri_ids, loc = local_dofs(part)
     divdiv, mass = fem.element_matrices(mesh, tri_ids)
     nI = part.interior.shape[1]
     A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
-    own = []
+    template = RobinTemplate(A=A, r=r, h=mesh.h, gamma=gamma, _lu=_factor(
+        A[:nI, :nI], 0.0, NOT_SPD.format(part.classes[0][0])))
+    classes = []
     for members, start in zip(part.classes, part.class_start):
-        J, I = divmod(int(members[0]), N)
-        sides = np.flatnonzero([J > 0, I > 0, I < N - 1, J < N - 1])
+        sides = np.flatnonzero(part.side_start[members[0]] >= 0)
         cols = (r * sides[:, None] + np.arange(r)).ravel()
         keep = np.concatenate([np.arange(nI), nI + cols])
-        slots = slice(start, start + members.size * cols.size)
-        own.append(dict(
-            members=members, interior=part.interior[members], first_slot=int(start),
-            A=A[keep][:, keep], gamma=gamma, cols=cols,
-            ifaces=part.trace.slot_iface[slots].reshape(members.size, -1)[:, ::r],
+        classes.append(RobinClass(
+            members=members, first_slot=int(start), A=A[keep][:, keep], cols=cols,
+            ifaces=part.trace.slot_iface[part.side_start[members][:, sides]],
+            template=template,
         ))
-    template = RobinTemplate(A=A, r=r, h=mesh.h, _lu=_factor(
-        A[:nI, :nI], 0.0, NOT_SPD.format(own[0]["members"][0])))
-    return [RobinClass(**fields, template=template) for fields in own]
+    return classes
 
 
-def local_loads(classes: list, part: SubdomainPartition, field) -> list:
-    """Load vectors per congruence class, as (n_local, k) matrices whose
-    columns are the members' loads in local dof order.
+@dataclass(eq=False)
+class LocalLoads:
+    """The loads of every subdomain in subdomain order: f_I, shape
+    (nI, N^2), column s subdomain s's interior loads in the order of
+    `part.interior`, and f_G the load of each trace slot."""
+
+    f_I: np.ndarray
+    f_G: np.ndarray
+
+
+def local_loads(part: SubdomainPartition, field) -> LocalLoads:
+    """Every subdomain's interior and trace loads (`LocalLoads`).
 
     One bincount sums the contributions into two rows per edge, row 0
     from the triangle where the edge's orientation (`mesh.SIGNS`) is +1,
@@ -269,11 +280,7 @@ def local_loads(classes: list, part: SubdomainPartition, field) -> list:
         fem.element_loads(mesh, field).ravel(), minlength=2 * mesh.n_edges,
     ).reshape(2, mesh.n_edges)
     interior = rows[0] + rows[1]
-    slot_load = rows[trace.slot_side, trace.slot_edge]
-    return [
-        np.concatenate((interior[cls.interior], cls.trace_block(slot_load)), axis=1).T
-        for cls in classes
-    ]
+    return LocalLoads(interior[part.interior.T], rows[trace.slot_side, trace.slot_edge])
 
 
 def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
@@ -292,7 +299,7 @@ def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
     """
     A = cls.A
     nI = cls.n_interior
-    robin = cls.gamma * cls.template.h
+    robin = cls.template.gamma * cls.template.h
     R = schur @ Z
     R[np.diag_indices_from(R)] -= 1.0
     z_2 = np.sqrt(np.linalg.norm(Z, 1) * np.linalg.norm(Z, np.inf))
@@ -344,23 +351,17 @@ class _Group:
 
 
 def _stack_groups(classes: list, Zs: list, Yts: list, adjs: list) -> list:
-    """The classes, in order, cut into `_Group`s: a class joins the group
-    of the class before it if its slots follow that one's and its member
-    count and Y^T are the same shape.  With `partition`'s class order the
+    """The classes, in order, cut into `_Group`s: runs of neighbours with
+    one member count and one own slot count, and so one shape of Y^T and
+    `adj`.  Class slots follow each other in class order (`partition`),
+    so a run's slots are one range.  With `partition`'s class order the
     groups are the interior class, the four edge classes and the four
     corners."""
-    runs = []
-    for c, cls in enumerate(classes):
-        last = runs[-1][-1] if runs else None
-        if last is not None and (
-                cls.first_slot == classes[last].first_slot + classes[last].slots.size
-                and adjs[c].shape == adjs[last].shape
-                and Yts[c].shape == Yts[last].shape):
-            runs[-1].append(c)
-        else:
-            runs.append([c])
     groups = []
-    for run in runs:
+    for _, run in itertools.groupby(
+            range(len(classes)),
+            key=lambda c: (classes[c].members.size, classes[c].cols.size)):
+        run = list(run)
         first = classes[run[0]]
         k, n_own = first.members.size, first.cols.size
         groups.append(_Group(
@@ -374,8 +375,8 @@ def _stack_groups(classes: list, Zs: list, Yts: list, adjs: list) -> list:
 @dataclass(eq=False)
 class CondensedLoads:
     """Loads condensed onto the trace: v = A_II^-1 f_I, the interior
-    solves of all members as (nI, members) columns, class after class in
-    the solver's order, and f = f_G - A_GI v, the trace load."""
+    solves of every subdomain as (nI, N^2) columns, column s subdomain
+    s's, and f = f_G - A_GI v, the trace load."""
 
     v: np.ndarray
     f: np.ndarray
@@ -417,12 +418,15 @@ class ConstrainedRobinSolver:
     `matmul` with the stacked Z on the group's contiguous block of the
     trace slots, then the coarse solve and per group the correction by
     the stacked Y, in one body for a vector or a block of columns.
-    `condense` solves A_II once for every member's interior load;
+    `condense` solves A_II once for every subdomain's interior load;
     `solve` puts the condensed loads through the same body and recovers
-    every member's interior in one product with W after it.
+    every subdomain's interior in one product with W after it.
     """
 
     def __init__(self, classes: list, B: sp.spmatrix):
+        # In slot order, whatever order they come in: a `_Group` is a run
+        # of neighbours in the trace slots.
+        classes = sorted(classes, key=lambda cls: cls.first_slot)
         self.classes = classes
         self.B = B.tocsr()
         self.n_ifaces, self.n_slots = B.shape
@@ -444,7 +448,7 @@ class ConstrainedRobinSolver:
         for cls in classes:
             k, n_own = cls.members.size, cls.cols.size
             schur = schur_t[np.ix_(cls.cols, cls.cols)]
-            schur[np.diag_indices(n_own)] += cls.gamma * h
+            schur[np.diag_indices(n_own)] += template.gamma * h
             Z = _spd_inverse(schur, NOT_SPD.format(cls.members[0]))
             err = (_trace_map_error(cls, schur, Z, np.sqrt(side_sq[cls.cols].sum()))
                    if n_own else 0.0)
@@ -491,31 +495,25 @@ class ConstrainedRobinSolver:
                 f"edge-average constraint violated after solve: {jump:.3e}"
             )
 
-    def condense(self, loads) -> CondensedLoads:
-        """The per-class loads of `local_loads` condensed onto the trace,
-        with one A_II solve for every member's interior."""
-        nI = self._W.shape[0]
-        f = np.zeros(self.n_slots)
-        v = _solve(self._lu, np.concatenate([f_c[:nI] for f_c in loads], axis=1),
-                   "the interior loads")
+    def condense(self, loads: LocalLoads) -> CondensedLoads:
+        """The loads of `local_loads` condensed onto the trace, with one
+        A_II solve for every subdomain's interior."""
+        v = _solve(self._lu, loads.f_I, "the interior loads")
         A_GI_v = self._A_GI @ v
-        j = 0
-        for cls, f_c in zip(self.classes, loads):
-            k = cls.members.size
-            cls.trace_block(f)[...] = (f_c[nI:] - A_GI_v[cls.cols, j:j + k]).T
-            j += k
+        f = loads.f_G.copy()
+        for cls in self.classes:
+            cls.trace_block(f)[...] -= A_GI_v[cls.cols[:, None], cls.members].T
         return CondensedLoads(v, f)
 
     def solve(self, loads, g):
-        """Constrained solve; returns (u_interior list, u_trace, mu).
+        """Constrained solve; returns (u_interior, u_trace, mu).
 
         `loads` is the `CondensedLoads` of `condense`.  `g` is the
-        two-sided Robin datum on trace slots.  Entry c of the returned
-        list holds the interiors of class c's members as an
-        (n_interior, k) matrix, a view of one array of all members.  The
-        interface takes f + h g (M = h I) through the constrained
-        interface solve, and x_I = v - W_c x_G, one product with W for all
-        members.
+        two-sided Robin datum on trace slots.  u_interior, shape
+        (n_interior, N^2), holds subdomain s's interior in column s, in
+        the order of `part.interior`.  The interface takes f + h g
+        (M = h I) through the constrained interface solve, and
+        x_I = v - W_c x_G, one product with W for all subdomains.
         """
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n_slots,):
@@ -525,17 +523,13 @@ class ConstrainedRobinSolver:
         if not np.isfinite(g).all():
             raise ValueError("non-finite right-hand side for the trace datum")
         w, mu = self._condensed(loads.f + self._h * g)
-        # x_I = v - W x_G for every member in one GEMM: X's column j holds
-        # member j's interface solution in the rows of its class's sides.
-        X = np.zeros((self._W.shape[1], loads.v.shape[1]))
-        j = 0
+        # x_I = v - W x_G for every subdomain in one GEMM: row s of X^T
+        # holds subdomain s's interface solution in the columns of its
+        # sides, written row by row.
+        Xt = np.zeros((loads.v.shape[1], self._W.shape[1]))
         for cls in self.classes:
-            k = cls.members.size
-            X[cls.cols, j:j + k] = cls.trace_block(w).T
-            j += k
-        u = loads.v - self._W @ X
-        split = np.cumsum([cls.members.size for cls in self.classes])[:-1]
-        return np.split(u, split, axis=1), w, mu
+            Xt[cls.members[:, None], cls.cols] = cls.trace_block(w)
+        return loads.v - self._W @ Xt.T, w, mu
 
     def _condensed(self, rhs):
         """(w, mu) of the constrained interface solve of `rhs`: one product

@@ -26,7 +26,8 @@ n_own_c), and that range is its k_c members' in increasing order, n_own_c
 each, so it reshapes to (members, own slots).  A member's own slots are
 its interface sides in the order bottom, left, right, top, r each in
 geometric order: its local trace order.  So each subdomain's slots are
-one range too, `slot_range`.  The two slots of one fine edge lie on
+one range too, `slot_range`, and each of its sides' the r slots from
+`side_start`, the one side table.  The two slots of one fine edge lie on
 neighbouring subdomains, so the side swap `pair_perm` is a general
 fixed-point-free involution, written by the same index arithmetic.
 
@@ -34,16 +35,15 @@ The layout is index arithmetic on the mesh's id formulas (`mesh`): the
 fine edges of each interface (`mesh.edge_id`), each subdomain's interior
 edges and slots, and `local_dofs`' side edges and template triangles are
 written from the grid position, with no gather by subdomain and no sort.
-The slot midpoints and normals come from the same formulas.  Every
-interface edge lies on a grid line, so it is horizontal or vertical and
-has length h = 1/m: the interface mass matrix is M = h I, the scalar
-`mesh.h`, and no slot stores it.
+Every interface edge lies on a grid line, so it is horizontal or
+vertical and has length h = 1/m: the interface mass matrix is M = h I,
+the scalar `mesh.h`, and no slot stores it.
 
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
-`symmetry_generators` gives their permutations of the trace slots.  It
-moves (doubled midpoint, subdomain, normal) by the rule `_image`,
-(x2, y2) -> (2m - x2, 2m - y2) or (y2, x2), and locates the image slots
-by the sorted-key lookup `_find`.
+`symmetry_generators` gives their permutations of the trace slots by
+index arithmetic on the side table `side_start`, the first slot of each
+subdomain side: a symmetry moves a subdomain, a side of it and a
+position along that side, and each of those by a formula.
 """
 
 from __future__ import annotations
@@ -53,15 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (
-    NORMALS,
-    Mesh,
-    edge_id,
-    edge_kind,
-    edge_mid2,
-    triangle_edges,
-    triangle_id,
-)
+from .mesh import Mesh, edge_id, triangle_edges, triangle_id
 
 __all__ = [
     "TraceIndex",
@@ -112,6 +104,7 @@ class SubdomainPartition:
     trace: TraceIndex
     interior: np.ndarray
     slot_range: np.ndarray
+    side_start: np.ndarray
     classes: list
     class_start: np.ndarray
 
@@ -190,8 +183,8 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
 
     # Trace slots, class-major (module docstring), in runs of r: side d
     # (bottom, left, right, top) of subdomain s, if it is an interface,
-    # holds the slots first[s] + r rank[s, d] + t, t along the side in
-    # geometric order.
+    # holds the slots side_start[s, d] + t = first[s] + r rank[s, d] + t,
+    # t along the side in geometric order.
     classes = _congruence_classes(N)
     order = np.concatenate(classes)
     present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
@@ -200,7 +193,8 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     first[order] = np.cumsum(counts[order]) - counts[order]
     class_start = np.concatenate(
         [[0], np.cumsum([counts[members].sum() for members in classes])])
-    run_start = first[:, None] + r * (np.cumsum(present, axis=1) - 1)
+    side_start = np.where(
+        present, first[:, None] + r * (np.cumsum(present, axis=1) - 1), -1)
     # The runs in slot order.  Side d of subdomain (J, I) is the interface
     # below, left of, right of or above it, on whose j-side it lies for
     # d < 2; the run of the same edges on the other side is the
@@ -217,7 +211,7 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         slot_edge=fine[run_iface].ravel(),
         slot_sub=np.repeat(run_sub, r),
         slot_side=np.repeat((run_side < 2).astype(np.int64), r),
-        pair_perm=(run_start[other, 3 - run_side][:, None] + np.arange(r)).ravel(),
+        pair_perm=(side_start[other, 3 - run_side][:, None] + np.arange(r)).ravel(),
     )
     return SubdomainPartition(
         N=N,
@@ -226,6 +220,7 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
         trace=trace,
         interior=interior,
         slot_range=np.stack([first, first + counts], axis=1),
+        side_start=side_start,
         classes=classes,
         class_start=class_start,
     )
@@ -285,61 +280,28 @@ def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
     return B
 
 
-def _image(k: int, m: int, N: int, x2, y2, I, J, normal):
-    """(key, subdomain, normal) of edges at doubled midpoints (x2, y2) with
-    normals `normal`, on the subdomain in column I and row J, moved by
-    group element k: bit 0 is the half-turn, (x2, y2, I, J) -> (2m - x2,
-    2m - y2, N-1-I, N-1-J) and normal -> -normal; bit 1 the reflection,
-    (x2, y2, I, J) -> (y2, x2, J, I) and (nx, ny) -> (ny, nx).  The key is
-    one integer per (midpoint, subdomain) pair."""
-    if k & 1:
-        x2, y2, I, J, normal = 2 * m - x2, 2 * m - y2, N - 1 - I, N - 1 - J, -normal
-    if k & 2:
-        x2, y2, I, J, normal = y2, x2, J, I, normal[:, ::-1]
-    return ((y2 * (2 * m + 1) + x2) * N + J) * N + I, J * N + I, normal
-
-
-def _find(keys: np.ndarray, wanted: np.ndarray):
-    """Positions p of distinct `keys` with keys[p] == wanted, by one sort;
-    None unless every wanted key is among them."""
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], wanted)
-    p = order[np.minimum(pos, keys.size - 1)]
-    return p if np.array_equal(keys[p], wanted) else None
-
-
 def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
-    """Slot permutations of the half-turn and the reflection x <-> y.
+    """Slot permutations of the half-turn and the reflection x <-> y, in
+    the order of SYMMETRY_NAMES, by index arithmetic on `side_start`.
 
-    Row k maps slot s to the slot of the image (`_image`) of its fine edge
-    on the image of its subdomain, in the order of SYMMETRY_NAMES.  Raises
-    AssertionError unless both are fixed-point-free involutions that
-    commute with each other and with the side swap, and have a
-    fixed-point-free product (so every orbit of the group they generate
-    has exactly 4 slots).  The trace mass h I commutes with every
-    permutation, so it needs no check.
+    The half-turn about (1/2, 1/2) maps subdomain s to N^2-1-s, its side d
+    to side 3-d and the t-th slot along it to the (r-1-t)-th.  The
+    reflection maps subdomain (J, I) to (I, J), bottom to left and right
+    to top, and keeps t.  Both are fixed-point-free involutions that
+    commute with each other and with the side swap, and every orbit of
+    the group they generate has 4 slots; tests check this against a
+    lookup of the images of the slots' midpoints.  The trace mass h I
+    commutes with every permutation.
     """
-    trace = part.trace
-    mesh = part.mesh
-    N, m, n = part.N, mesh.m, trace.n_slots
-    x2, y2 = edge_mid2(m, trace.slot_edge)
-    J, I = np.divmod(trace.slot_sub, N)
-    normal = NORMALS[edge_kind(x2, y2)]
-    keys = [_image(k, m, N, x2, y2, I, J, normal)[0] for k in range(3)]
-    gens = _find(keys[0], np.stack(keys[1:]))
-    if gens is None:
-        raise AssertionError("a symmetry image is not a trace slot")
-    slots = np.arange(n)
-    half, refl = gens
-    for name, p in zip(SYMMETRY_NAMES, gens):
-        if not np.array_equal(p[p], slots) or np.any(p == slots):
-            raise AssertionError(f"{name} is not a fixed-point-free involution")
-        if not np.array_equal(p[trace.pair_perm], trace.pair_perm[p]):
-            raise AssertionError(f"{name} does not commute with the side swap")
-    if not np.array_equal(half[refl], refl[half]):
-        raise AssertionError("half-turn and reflection do not commute")
-    if np.any(half[refl] == slots):
-        raise AssertionError("a symmetry orbit has fewer than 4 slots")
+    N, start = part.N, part.side_start
+    r = part.mesh.m // N
+    J, I = np.divmod(np.arange(N * N), N)
+    s, d = np.nonzero(start >= 0)
+    t = np.arange(r)
+    slots = start[s, d][:, None] + t
+    gens = np.empty((2, part.trace.n_slots), dtype=np.int64)
+    gens[0, slots] = start[N * N - 1 - s, 3 - d][:, None] + (r - 1 - t)
+    gens[1, slots] = start[(I * N + J)[s], np.array([1, 0, 3, 2])[d]][:, None] + t
     return gens
 
 

@@ -81,12 +81,14 @@ def fixed_point_g(problem, u: np.ndarray) -> np.ndarray:
     For the direct-solve field this is the fixed point of the Robin
     exchange and the solution of the interface system.
     """
-    trace = problem.partition.trace
+    part = problem.partition
+    trace = part.trace
+    f_G = problem.local_loads.f_G
     g = np.zeros(trace.n_slots)
-    for cls, f in zip(problem.classes, problem.local_loads):
+    for cls in problem.classes:
         u_delta = u[trace.slot_edge[cls.slots]]
-        u_loc = np.concatenate([u[cls.interior], u_delta], axis=1)
-        r_delta = (cls.A @ u_loc.T - f)[cls.n_interior:]
+        u_loc = np.concatenate([u[part.interior[cls.members]], u_delta], axis=1)
+        r_delta = cls.A[cls.n_interior:] @ u_loc.T - cls.trace_block(f_G).T
         g[cls.slots] = problem.gamma * u_delta + (r_delta / problem.mesh.h).T
     return g
 

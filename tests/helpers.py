@@ -13,8 +13,10 @@ that the one template replaced.  The last holds `DirectSolver`, the
 constrained solves through each class's own factor, `FlatResolvent`,
 the resolvent on the interface-major slot numbering through flat
 gathers and the sparse Y_trace that the class-major layout replaced,
-and `symmetry_maps`, the signed maps of one subdomain's local dofs onto
-its symmetry images.
+`symmetry_maps`, the signed maps of one subdomain's local dofs onto
+its symmetry images, and `lookup_symmetry_generators`, the slot
+permutations of the symmetries found by moving each slot's midpoint
+and locating its image by a sorted-key lookup (`_image`, `_find`).
 """
 
 import dataclasses
@@ -35,7 +37,7 @@ from rr_hdiv.mesh import (
     VERTICAL,
     build_unit_square_mesh,
 )
-from rr_hdiv.partition import _find, _image, local_dofs
+from rr_hdiv.partition import local_dofs
 
 # Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
 GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
@@ -217,7 +219,7 @@ def direct_errors(m, case=None):
 def robin_matrix(cls):
     """Class `cls`'s own Robin matrix, A plus the Robin term."""
     diag = np.zeros(cls.n_local)
-    diag[cls.n_interior:] = cls.gamma * cls.template.h
+    diag[cls.n_interior:] = cls.template.gamma * cls.template.h
     return local_solver._plus_diagonal(cls.A, diag)
 
 
@@ -250,12 +252,31 @@ def subdomain_robin_matrix(problem, s):
 
 
 def subdomain_load(problem, s):
-    """Subdomain s's column of the per-class `problem.local_loads`."""
-    for cls, loads in zip(problem.classes, problem.local_loads):
-        hit = np.flatnonzero(cls.members == s)
-        if hit.size:
-            return loads[:, hit[0]]
-    raise KeyError(s)
+    """Subdomain s's load in its local dof order [interior_of(s),
+    slots_of(s)], from `problem.local_loads`."""
+    loads = problem.local_loads
+    return np.concatenate([loads.f_I[:, s], loads.f_G[problem.partition.slots_of(s)]])
+
+
+def per_class_loads(classes, loads):
+    """The `local_solver.LocalLoads` of every class as an (n_local, k)
+    matrix whose column i is member i's load in local dof order."""
+    return [np.concatenate([loads.f_I[:, cls.members], cls.trace_block(loads.f_G).T])
+            for cls in classes]
+
+
+def in_subdomain_order(classes, per_class):
+    """Per-class (n, k) column blocks as one (n, N^2) array, column s
+    subdomain s's."""
+    out = np.empty((per_class[0].shape[0], sum(c.members.size for c in classes)))
+    for cls, x in zip(classes, per_class):
+        out[:, cls.members] = x
+    return out
+
+
+def zero_loads(loads):
+    """`local_solver.LocalLoads` of the same shapes, all zero."""
+    return local_solver.LocalLoads(np.zeros_like(loads.f_I), np.zeros_like(loads.f_G))
 
 
 def dense_local_solve(problem, s, f, g):
@@ -406,7 +427,7 @@ def per_class_assembly(problem):
     for cls, A in zip(classes, own):
         schur = -(A[nI:, :nI] @ W)[:, cls.cols]
         schur += A[nI:, nI:].toarray()
-        schur[np.diag_indices_from(schur)] += cls.gamma * mesh.h
+        schur[np.diag_indices_from(schur)] += cls.template.gamma * mesh.h
         out.append((A, local_solver._spd_inverse(schur, "reference Schur block")))
     return out
 
@@ -417,9 +438,10 @@ class DirectSolver:
 
     Each class's own Robin matrix H_c is factorized by
     `local_solver._factor`, and every Robin solve back-substitutes through
-    that factor.  X[c] = H_c^-1 E, E the identity on the interface rows,
-    gives the block-diagonal trace map `Z_blk` of all members, and the
-    coarse matrix is S = B Z_blk B^T.  `solve` corrects its loaded solve
+    that factor, on the class's loads (`per_class_loads`).
+    X[c] = H_c^-1 E, E the identity on the interface rows, gives the
+    block-diagonal trace map `Z_blk` of all members, and the coarse matrix
+    is S = B Z_blk B^T.  `solve` corrects its loaded solve
     with a second back-substitution of -B^T mu, mu = S^-1 B w.
     """
 
@@ -463,8 +485,10 @@ class DirectSolver:
         return x, w
 
     def condense(self, loads):
-        """The loads, with their condensed trace load f = f_G - A_GI
-        A_II^-1 f_I through each class's own interior block."""
+        """The per-class loads, with their condensed trace load
+        f = f_G - A_GI A_II^-1 f_I through each class's own interior
+        block."""
+        loads = per_class_loads(self.classes, loads)
         f = np.zeros(self.n_slots)
         for cls, f_c in zip(self.classes, loads):
             nI = cls.n_interior
@@ -476,7 +500,7 @@ class DirectSolver:
     def solve(self, loads, g):
         """`ConstrainedRobinSolver.solve` through each class's own factor;
         `loads` may come from `condense`."""
-        loads = getattr(loads, "loads", loads)
+        loads = getattr(loads, "loads", None) or per_class_loads(self.classes, loads)
         x, w = self._backsolve(self.classes[0].template.h * g, loads)
         mu = np.zeros(0)
         if self.n_ifaces:
@@ -484,7 +508,8 @@ class DirectSolver:
             corr, w_corr = self._backsolve(self.B.T @ mu)
             x = [x_c - c_c for x_c, c_c in zip(x, corr)]
             w = w - w_corr
-        return [x_c[:cls.n_interior] for cls, x_c in zip(self.classes, x)], w, mu
+        interiors = [x_c[:cls.n_interior] for cls, x_c in zip(self.classes, x)]
+        return in_subdomain_order(self.classes, interiors), w, mu
 
     def apply_resolvent(self, rhs):
         w = self.Z_blk @ rhs
@@ -572,10 +597,11 @@ class FlatResolvent:
         return self._condensed(old_rhs)[0][self.old]
 
     def solve(self, loads, g):
-        """(interiors per class, trace, mu) of the loaded solve with datum
-        g, through one interior solve of all members' loads and one
-        product with W."""
+        """(interiors, trace, mu) of the loaded solve with datum g, through
+        one interior solve of all members' loads, class after class, and
+        one product with W."""
         solver = self.solver
+        loads = per_class_loads(self.classes, loads)
         nI = solver._W.shape[0]
         sizes = [cls.members.size for cls in self.classes]
         v = solver._lu.solve(np.concatenate([f[:nI] for f in loads], axis=1))
@@ -593,7 +619,8 @@ class FlatResolvent:
         for cls, flat, x in zip(self.classes, self.flat, np.split(X, split, axis=1)):
             x[cls.cols] = w[flat].reshape(-1, x.shape[1])
         v -= solver._W @ X
-        return np.split(v, split, axis=1), w[self.old], mu
+        return (in_subdomain_order(self.classes, np.split(v, split, axis=1)),
+                w[self.old], mu)
 
 
 def direct_problem(problem):
@@ -651,3 +678,44 @@ def symmetry_maps(part, sub):
                 f"subdomain {sub} onto those of subdomain {images[k]}"
             )
     return images, perm, sign
+
+
+def _image(k: int, m: int, N: int, x2, y2, I, J, normal):
+    """(key, subdomain, normal) of edges at doubled midpoints (x2, y2) with
+    normals `normal`, on the subdomain in column I and row J, moved by
+    group element k: bit 0 is the half-turn, (x2, y2, I, J) -> (2m - x2,
+    2m - y2, N-1-I, N-1-J) and normal -> -normal; bit 1 the reflection,
+    (x2, y2, I, J) -> (y2, x2, J, I) and (nx, ny) -> (ny, nx).  The key is
+    one integer per (midpoint, subdomain) pair."""
+    if k & 1:
+        x2, y2, I, J, normal = 2 * m - x2, 2 * m - y2, N - 1 - I, N - 1 - J, -normal
+    if k & 2:
+        x2, y2, I, J, normal = y2, x2, J, I, normal[:, ::-1]
+    return ((y2 * (2 * m + 1) + x2) * N + J) * N + I, J * N + I, normal
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray):
+    """Positions p of distinct `keys` with keys[p] == wanted, by one sort;
+    None unless every wanted key is among them."""
+    order = np.argsort(keys)
+    pos = np.searchsorted(keys[order], wanted)
+    p = order[np.minimum(pos, keys.size - 1)]
+    return p if np.array_equal(keys[p], wanted) else None
+
+
+def lookup_symmetry_generators(part):
+    """Reference for `partition.symmetry_generators`: row k maps slot s to
+    the slot of the image (`_image`) of its fine edge's doubled midpoint
+    on the image of its subdomain, found by the sorted-key lookup
+    `_find` over all slots, with the midpoints of `sorted_mesh`.  Raises
+    AssertionError if some image is not a slot."""
+    trace, ref = part.trace, sorted_mesh(part.mesh.m)
+    N, m = part.N, ref.m
+    x2, y2 = ref.edge_mid2[trace.slot_edge].T
+    J, I = np.divmod(trace.slot_sub, N)
+    normal = ref.edge_normal[trace.slot_edge]
+    keys = [_image(k, m, N, x2, y2, I, J, normal)[0] for k in range(3)]
+    gens = _find(keys[0], np.stack(keys[1:]))
+    if gens is None:
+        raise AssertionError("a symmetry image is not a trace slot")
+    return gens

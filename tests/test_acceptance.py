@@ -118,7 +118,7 @@ def _minres_steps(problem) -> int:
 
 def _with_load(problem, load):
     """The same factorized problem with another load."""
-    loads = local_solver.local_loads(problem.classes, problem.partition, load)
+    loads = local_solver.local_loads(problem.partition, load)
     return dataclasses.replace(problem, local_loads=loads)
 
 

@@ -23,6 +23,7 @@ from helpers import (
     dense_interface_operator,
     relaxed_step,
     subdomain_robin_matrix,
+    zero_loads,
 )
 from rr_hdiv import boundary_system, iteration, partition, spectrum, verify
 
@@ -40,7 +41,7 @@ configs = st.builds(
 @given(cfg=configs)
 def test_three_views_of_one_map(cfg):
     loaded = iteration.build_problem(cfg, verify.manufactured_case().load)
-    zero = replace(loaded, local_loads=[np.zeros_like(f) for f in loaded.local_loads])
+    zero = replace(loaded, local_loads=zero_loads(loaded.local_loads))
     trace = loaded.partition.trace
     n = trace.n_slots
     op = boundary_system.InterfaceOperator(loaded)
@@ -74,7 +75,7 @@ def test_resolvent_is_the_zero_load_solve(cfg, seed):
     problem = iteration.build_problem(cfg, verify.manufactured_case().load)
     solver, trace = problem.solver, problem.partition.trace
     g = np.random.default_rng(seed).standard_normal(trace.n_slots)
-    zero = [np.zeros_like(f) for f in problem.local_loads]
+    zero = zero_loads(problem.local_loads)
     _, w, _ = solver.solve(solver.condense(zero), g)
     r = solver.apply_resolvent(problem.mesh.h * g)
     scale = np.max(np.abs(w), initial=0.0)

@@ -16,6 +16,7 @@ from helpers import (
     FlatResolvent,
     interior_edges,
     per_class_assembly,
+    per_class_loads,
     per_member_local_loads,
     per_subdomain_local_dofs,
     robin_matrix,
@@ -23,6 +24,7 @@ from helpers import (
     subdomain_load,
     subdomain_robin_matrix,
     triangle_subdomains,
+    zero_loads,
 )
 from rr_hdiv import boundary_system, fem, iteration, local_solver, spectrum, verify
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -79,21 +81,21 @@ def test_robin_matrix_spd(small_problem):
 def test_solve_local_zero(small_problem):
     """Zero loads and a zero datum give zero local solutions."""
     solver = _unconstrained(small_problem)
-    zero = solver.condense([np.zeros_like(f) for f in small_problem.local_loads])
+    zero = solver.condense(zero_loads(small_problem.local_loads))
     u_int, u_d, _ = solver.solve(zero, np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
-    for u_i in u_int:
-        np.testing.assert_allclose(u_i, 0.0, atol=1e-16)
+    assert u_int.shape == (small_problem.classes[0].n_interior,
+                           small_problem.partition.n_subdomains)
+    np.testing.assert_allclose(u_int, 0.0, atol=1e-16)
 
 
 def test_solve_local_linearity(small_problem, rng):
     solver = _unconstrained(small_problem)
     g = rng.standard_normal(solver.n_slots)
-    zero = solver.condense([np.zeros_like(f) for f in small_problem.local_loads])
+    zero = solver.condense(zero_loads(small_problem.local_loads))
     u1_int, u1_d, _ = solver.solve(zero, g)
     u2_int, u2_d, _ = solver.solve(zero, 2.0 * g)
-    for u1_i, u2_i in zip(u1_int, u2_int):
-        np.testing.assert_allclose(u2_i, 2.0 * u1_i, atol=1e-12)
+    np.testing.assert_allclose(u2_int, 2.0 * u1_int, atol=1e-12)
     np.testing.assert_allclose(u2_d, 2.0 * u1_d, atol=1e-12)
 
 
@@ -121,20 +123,18 @@ def test_subdomain_solves_order_independent(small_problem, rng):
     solver = _unconstrained(small_problem)
     forward = solver.solve(solver.condense(small_problem.local_loads), datum)
     solver = _unconstrained(small_problem, small_problem.classes[::-1])
-    backward = solver.solve(solver.condense(small_problem.local_loads[::-1]), datum)
-    for prev, out in zip(forward[0], backward[0][::-1]):
-        np.testing.assert_array_equal(prev, out)
+    backward = solver.solve(solver.condense(small_problem.local_loads), datum)
+    np.testing.assert_array_equal(forward[0], backward[0])
     np.testing.assert_array_equal(forward[1], backward[1])
 
 
 def test_constrained_zero(small_problem):
     solver = small_problem.solver
-    loads = [np.zeros((c.n_local, c.members.size)) for c in small_problem.classes]
+    loads = zero_loads(small_problem.local_loads)
     u_int, u_d, mu = solver.solve(solver.condense(loads), np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
     np.testing.assert_allclose(mu, 0.0, atol=1e-16)
-    for u_i in u_int:
-        np.testing.assert_allclose(u_i, 0.0, atol=1e-16)
+    np.testing.assert_allclose(u_int, 0.0, atol=1e-16)
 
 
 def test_constrained_solve_at_fixed_point(problem_n4, oracle32):
@@ -203,7 +203,7 @@ def test_coarse_schur_matches_dense(small_problem):
 def test_single_subdomain_equals_global(case, mesh8, oracle8):
     part = partition(mesh8, 1)
     classes = local_solver.build_local_systems(part, mesh8, 1.0, 0.125)
-    loads = local_solver.local_loads(classes, part, case.load)
+    loads = local_solver.local_loads(part, case.load)
     assert len(classes) == 1
     cls = classes[0]
     np.testing.assert_array_equal(cls.members, [0])
@@ -211,13 +211,13 @@ def test_single_subdomain_equals_global(case, mesh8, oracle8):
     H = robin_matrix(cls).toarray()
     A = fem.assemble_global(mesh8, 1.0, case.load).A.toarray()
     free = interior_edges(mesh8)
-    interior = cls.interior[0]
+    interior = part.interior[0]
     order = np.argsort(interior)
     assert np.array_equal(np.sort(interior), free)
     np.testing.assert_allclose(H[np.ix_(order, order)], A, atol=1e-14)
     solver = local_solver.ConstrainedRobinSolver(classes, sp.csr_matrix((0, 0)))
     u_int, _, _ = solver.solve(solver.condense(loads), np.zeros(0))
-    np.testing.assert_allclose(u_int[0][:, 0], oracle8[interior], atol=1e-12)
+    np.testing.assert_allclose(u_int[:, 0], oracle8[interior], atol=1e-12)
 
 
 def test_local_loads_match_global(problem_n4, case):
@@ -226,24 +226,31 @@ def test_local_loads_match_global(problem_n4, case):
     full = np.zeros(mesh.n_edges)
     full[system_global.free_edges] = system_global.load
     gathered = np.zeros(mesh.n_edges)
-    trace = problem_n4.partition.trace
-    for cls, loc in zip(problem_n4.classes, problem_n4.local_loads):
-        assert loc.shape == (cls.n_local, cls.members.size)
-        np.add.at(gathered, cls.interior, loc[: cls.n_interior].T)
-        np.add.at(gathered, trace.slot_edge[cls.slots], loc[cls.n_interior:].T)
+    part = problem_n4.partition
+    loads = problem_n4.local_loads
+    assert loads.f_I.shape == part.interior.T.shape
+    assert loads.f_G.shape == (part.trace.n_slots,)
+    np.add.at(gathered, part.interior, loads.f_I.T)
+    np.add.at(gathered, part.trace.slot_edge, loads.f_G)
     np.testing.assert_allclose(gathered, full, atol=1e-14)
 
 
 @pytest.mark.parametrize("N,r", [(1, 4), (2, 2), (3, 5), (6, 4), (32, 8), (4, 32)])
 def test_local_loads_match_per_member_scatter(case, N, r):
     """The two-rows-per-edge scatter equals the per-member triangle-table
-    bincount exactly, dtype included: each load sums at most two terms."""
+    bincount exactly, dtype included: each load sums at most two terms.
+    Member i of a class is column members[i] of the interior loads, and
+    its trace loads are its row of the class's trace block."""
     problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
     ref = per_member_local_loads(problem.classes, problem.partition, case.load)
-    assert len(problem.local_loads) == len(ref)
-    for ours, theirs in zip(problem.local_loads, ref):
-        assert ours.dtype == theirs.dtype
-        np.testing.assert_array_equal(ours, theirs)
+    loads = problem.local_loads
+    assert len(problem.classes) == len(ref)
+    for cls, theirs in zip(problem.classes, ref, strict=True):
+        nI = cls.n_interior
+        for ours, expect in ((loads.f_I[:, cls.members], theirs[:nI]),
+                             (cls.trace_block(loads.f_G).T, theirs[nI:])):
+            assert ours.dtype == expect.dtype
+            np.testing.assert_array_equal(ours, expect)
 
 
 def test_resolvent_on_a_block_wider_than_column_block(case, rng):
@@ -393,7 +400,7 @@ def test_local_dofs_match_edge_lookup(problem_n4):
     tri_edges = sorted_mesh(mesh.m).tri_edges
     tri_ids, starts, loc = per_subdomain_local_dofs(part)
     for cls in problem_n4.classes:
-        for s, interior, slots in zip(cls.members, cls.interior, cls.slots):
+        for s, interior, slots in zip(cls.members, part.interior[cls.members], cls.slots):
             np.testing.assert_array_equal(interior, part.interior_of(s))
             np.testing.assert_array_equal(slots, part.slots_of(s))
             local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
@@ -602,15 +609,16 @@ def test_solve_and_resolvent_match_direct(case, rng, N, r, constrained):
     u_int, w, mu = problem.solver.solve(problem.condensed_loads, g)
     ref = direct.solve(problem.local_loads, g)
     rtol = 1e-12 if r <= 8 else 5e-11
-    for u_i, u_ref in zip(u_int, ref[0]):
+    for cls in problem.classes:
+        u_i, u_ref = u_int[:, cls.members], ref[0][:, cls.members]
         assert np.abs(u_i - u_ref).max() <= rtol * np.abs(u_ref).max()
     for out, out_ref in zip((w, mu), ref[1:]):
         scale = np.abs(out_ref).max(initial=0.0)
         assert np.abs(out - out_ref).max(initial=0.0) <= rtol * scale
     bt_mu = problem.B.T @ mu
-    for cls, f, u_i in zip(problem.classes, problem.local_loads, u_int):
+    for cls, f in zip(problem.classes, per_class_loads(problem.classes, problem.local_loads)):
         H = robin_matrix(cls)
-        x = np.vstack([u_i, w[cls.slots.T]])
+        x = np.vstack([u_int[:, cls.members], w[cls.slots.T]])
         rhs = f.copy()
         rhs[cls.n_interior:] += problem.mesh.h * g[cls.slots.T] - bt_mu[cls.slots.T]
         backward = np.abs(H @ x - rhs).max() / (abs(H).sum(axis=0).max() * np.abs(x).max())
@@ -741,8 +749,8 @@ def test_class_major_matches_flat_reference(case, rng, N, r):
     g = rng.standard_normal(n)
     u_int, w, mu = solver.solve(problem.condensed_loads, g)
     u_ref, w_ref, mu_ref = ref.solve(problem.local_loads, g)
-    for u_i, u_i_ref in zip(u_int, u_ref, strict=True):
-        close(u_i, u_i_ref)
+    for cls in problem.classes:
+        close(u_int[:, cls.members], u_ref[:, cls.members])
     close(w, w_ref)
     close(mu, mu_ref)
     close(problem.load_trace(), ref.solve(problem.local_loads, np.zeros(n))[1])

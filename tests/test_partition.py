@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import helpers
 from helpers import (
     interior_edges,
+    lookup_symmetry_generators,
     per_subdomain_local_dofs,
     sorted_mesh,
     symmetry_maps,
@@ -25,6 +26,12 @@ from rr_hdiv.partition import (
     partition,
     symmetry_generators,
 )
+
+
+# (m, N) of the comparisons with the sort and lookup references.
+REFERENCE_GRID = [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [
+    (21, 7), (64, 8), (256, 32)
+]
 
 
 @pytest.fixture(scope="module")
@@ -279,10 +286,12 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
         )
 
 
-@pytest.mark.parametrize("N,r", [(2, 4), (3, 4), (4, 8), (5, 2)])
+@pytest.mark.parametrize("N,r", sorted(
+    {(2, 4), (3, 4), (4, 8), (5, 2)} | {(N, m // N) for m, N in REFERENCE_GRID}))
 def test_symmetry_generators(N, r):
     """Half-turn and reflection: commuting fixed-point-free involutions
-    that respect the side swap and the coarse interfaces."""
+    that respect the side swap and the coarse interfaces, with orbits of
+    4 slots, over `REFERENCE_GRID` and more."""
     part = partition(build_unit_square_mesh(N * r), N)
     trace = part.trace
     slots = np.arange(trace.n_slots)
@@ -297,9 +306,10 @@ def test_symmetry_generators(N, r):
         image = np.zeros((part.n_interfaces, part.n_interfaces), dtype=int)
         np.add.at(image, (trace.slot_iface, trace.slot_iface[p]), 1)
         assert np.all(np.count_nonzero(image, axis=1) == 1)
-        assert np.all(image.max(axis=1) == 2 * r)
+        assert np.all(image.max(axis=1, initial=0) == 2 * r)
     half, refl = gens
     np.testing.assert_array_equal(half[refl], refl[half])
+    assert not np.any(half[refl] == slots)
     # the geometry of the images
     mid = sorted_mesh(part.mesh.m).edge_mid2[trace.slot_edge]
     J, I = np.divmod(trace.slot_sub, N)
@@ -316,6 +326,17 @@ def test_symmetry_generators(N, r):
     np.testing.assert_array_equal(orbits[2], refl[orbits[0]])
     np.testing.assert_array_equal(orbits[3], half[refl[orbits[0]]])
     assert np.all(orbits[0] < orbits[1:])
+
+
+@pytest.mark.parametrize("m,N", REFERENCE_GRID)
+def test_symmetry_generators_match_lookup(m, N):
+    """The index arithmetic on `side_start` gives the slots that a lookup
+    of the moved midpoints finds (`lookup_symmetry_generators`), with the
+    dtype of a slot index."""
+    part = partition(build_unit_square_mesh(m), N)
+    gens = symmetry_generators(part)
+    np.testing.assert_array_equal(gens, lookup_symmetry_generators(part))
+    assert gens.shape == (2, part.trace.n_slots) and gens.dtype == np.int64
 
 
 def _local_edges(part, s):
@@ -400,8 +421,11 @@ def _reference_partition(mesh, N):
     subdomain, the side of it (bottom, left, right, top) and the position
     along that side.
 
-    Returns (tri_sub, interior_edges, sub_slots, trace arrays by name),
-    from the tables of `sorted_mesh`.
+    Returns (tri_sub, interior_edges, sub_slots, trace arrays by name,
+    sides), from the tables of `sorted_mesh`.  sides is (side_start,
+    slot_d, slot_t): the first slot of each subdomain side, -1 where no
+    slot lies on it, and each slot's side (bottom 0, left 1, right 2,
+    top 3) and position along it.
     """
     tri_sub = triangle_subdomains(mesh, N)
     mesh = sorted_mesh(mesh.m)
@@ -471,7 +495,11 @@ def _reference_partition(mesh, N):
         "pair_perm": rank[(np.arange(slot_edge.size) ^ 1)[order]],
     }
     sub_slots = [np.flatnonzero(trace["slot_sub"] == s) for s in range(n_subs)]
-    return tri_sub, interior_edges, sub_slots, trace
+    slot_d, slot_t = side[order], along[order]
+    side_start = np.full((n_subs, 4), -1, dtype=np.int64)
+    head = np.flatnonzero(slot_t == 0)
+    side_start[trace["slot_sub"][head], slot_d[head]] = head
+    return tri_sub, interior_edges, sub_slots, trace, (side_start, slot_d, slot_t)
 
 
 def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
@@ -513,22 +541,18 @@ def _reference_local_dofs(mesh, tri_sub, interior_edges, sub_slots, trace):
     return tri_ids, starts, loc
 
 
-REFERENCE_GRID = [(N * r, N) for N in range(1, 7) for r in (1, 2, 3, 4)] + [
-    (21, 7), (64, 8), (256, 32)
-]
-
-
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
 def test_partition_matches_unique_reference(m, N):
     mesh = build_unit_square_mesh(m)
     part = partition(mesh, N)
-    _, interior_edges, sub_slots, trace = _reference_partition(mesh, N)
+    _, interior_edges, sub_slots, trace, sides = _reference_partition(mesh, N)
     # Every subdomain's interior is one row of a table and its slots one
     # range: the reference's sets, found by hashing, must be so too.
     first = [s[0] if s.size else 0 for s in sub_slots]
     expected = {
         "interior": np.stack(interior_edges),
         "slot_range": np.array([[a, a + s.size] for a, s in zip(first, sub_slots)]),
+        "side_start": sides[0],
     }
     for name, expect in expected.items():
         got = getattr(part, name)
@@ -542,6 +566,14 @@ def test_partition_matches_unique_reference(m, N):
         got = getattr(part.trace, name)
         np.testing.assert_array_equal(got, expect, err_msg=name)
         assert got.dtype == expect.dtype, name
+    # side_start is -1 exactly on the sides on the domain boundary, and
+    # side_start[s, d] + arange(r) are side d's slots in geometric order.
+    J, I = np.divmod(np.arange(N * N), N)
+    boundary = np.stack([J == 0, I == 0, I == N - 1, J == N - 1], axis=1)
+    np.testing.assert_array_equal(part.side_start < 0, boundary)
+    _, slot_d, slot_t = sides
+    np.testing.assert_array_equal(
+        part.side_start[trace["slot_sub"], slot_d] + slot_t, np.arange(slot_t.size))
 
 
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
@@ -549,7 +581,7 @@ def test_local_dofs_match_sort_reference(m, N):
     """The template of `local_dofs`, mapped through each subdomain's kept
     dofs, is every subdomain's table by sorting and ranking."""
     mesh = build_unit_square_mesh(m)
-    expect = _reference_local_dofs(mesh, *_reference_partition(mesh, N))
+    expect = _reference_local_dofs(mesh, *_reference_partition(mesh, N)[:4])
     got_tables = per_subdomain_local_dofs(partition(mesh, N))
     for got, ref in zip(got_tables, expect, strict=True):
         np.testing.assert_array_equal(got, ref)
