@@ -5,8 +5,9 @@ MINRES table, the spectrum sweep). Each is one `TableSpec` in `EXPERIMENTS`:
 the row axis with its desk and full grids, the columns and the method that
 solves a cell, and the CSV header; `run_table` runs any of them. `solve`
 runs a single configuration and can emit its per-iteration history.
-Tables are written as CSV with the configuration embedded in a leading
-comment line, plus a JSON mirror that round-trips through `read_records`.
+Every CSV embeds the configuration of its run in a leading comment line,
+and every JSON record holds it as `config`: the experiment's for a table,
+the command's flags for `solve`.
 Exit status is 0 only if every run in the invocation converged.
 """
 
@@ -19,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import __version__, boundary_system, fem, iteration, spectrum, verify
 from .mesh import build_unit_square_mesh, dump_mesh_csv
@@ -33,9 +34,6 @@ __all__ = [
     "run_table",
     "run_spectrum",
     "write_table",
-    "read_table",
-    "read_records",
-    "parse_count",
     "main",
 ]
 
@@ -93,7 +91,7 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in {"table1", "table2", "table3", "spectrum", "single"}:
+        if self.experiment not in {"table1", "table2", "table3", "spectrum"}:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.fmt not in {"csv", "json"}:
             raise ValueError(f"unknown format {self.fmt!r}")
@@ -114,14 +112,6 @@ def _count_cell(report) -> str:
     return str(n) if report.converged else f"{n}*"
 
 
-def parse_count(cell: str):
-    """Iteration-count cell -> (count, converged)."""
-    cell = cell.strip()
-    if cell.endswith("*"):
-        return int(cell[:-1]), False
-    return int(cell), True
-
-
 def spectrum_runs(grid, gamma_rule="h", theta=1.0):
     """Spectrum reports over the (N, ratio) grid; entries over the size
     cap are skipped, and any other error propagates."""
@@ -140,10 +130,10 @@ def spectrum_runs(grid, gamma_rule="h", theta=1.0):
     return reports, skipped
 
 
-def write_table(path, header, rows, config: ExperimentConfig) -> None:
+def write_table(path, header, rows, config: dict) -> None:
     """CSV with a `# config:` comment line; deterministic bytes."""
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config.as_dict(), sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -151,24 +141,11 @@ def write_table(path, header, rows, config: ExperimentConfig) -> None:
         fh.write(buf.getvalue())
 
 
-def read_table(path):
-    """Inverse of write_table -> (config dict, header, row dicts)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# config: "):
-        raise ValueError(f"{path}: missing config comment line")
-    config = json.loads(lines[0][len("# config: "):])
-    reader = csv.reader(lines[1:])
-    header = next(reader)
-    rows = [dict(zip(header, row)) for row in reader]
-    return config, header, rows
-
-
-def _record(config: ExperimentConfig, rows) -> dict:
+def _record(config: dict, rows) -> dict:
     return {
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config.as_dict(),
+        "config": config,
         "rows": rows,
     }
 
@@ -179,20 +156,15 @@ def _write_record(path, record) -> None:
         fh.write("\n")
 
 
-def read_records(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _emit(config: ExperimentConfig, name, header, csv_rows, json_rows):
     os.makedirs(config.out_dir, exist_ok=True)
     paths = []
     if config.fmt == "csv":
         csv_path = os.path.join(config.out_dir, f"{name}.csv")
-        write_table(csv_path, header, csv_rows, config)
+        write_table(csv_path, header, csv_rows, config.as_dict())
         paths.append(csv_path)
     json_path = os.path.join(config.out_dir, f"{name}.json")
-    _write_record(json_path, _record(config, json_rows))
+    _write_record(json_path, _record(config.as_dict(), json_rows))
     paths.append(json_path)
     return paths
 
@@ -248,12 +220,9 @@ MINRES = Method(_solve_minres, MINRES_COLUMNS,
                 ("gamma_rule", "ratio"), "{},r={}", _krylov_json,
                 "residual_history", "relative_residual",
                 lambda rep: f"final residual {rep.final_residual:.3e}")
-# `solve --method`; the baseline is Richardson without the constraint.
-SOLVE_METHODS = {
-    "richardson": RICHARDSON,
-    "baseline": replace(RICHARDSON, solve=iteration.run_baseline),
-    "minres": MINRES,
-}
+# `solve --method`; the baseline is Richardson on a config without the
+# constraint (`_cmd_solve`).
+SOLVE_METHODS = {"richardson": RICHARDSON, "baseline": RICHARDSON, "minres": MINRES}
 
 
 @dataclass(frozen=True)
@@ -359,14 +328,15 @@ def run_spectrum(config: ExperimentConfig):
         fpath = os.path.join(config.out_dir, fname)
         spectrum.export_spectrum(rep, fpath)
         paths.append(fpath)
+        cfg = rep.config
         csv_rows.append([
-            rep.N, rep.ratio, rep.gamma_rule, f"{rep.theta:g}", rep.dim,
+            cfg.N, cfg.ratio, cfg.gamma_rule, f"{cfg.theta:g}", rep.dim,
             f"{rep.max_real_below_unit():.12e}", rep.unit_count,
             f"{rep.max_nonreal_modulus:.12e}", fname,
         ])
         json_rows.append({
-            "N": rep.N, "r": rep.ratio, "gamma": rep.gamma_rule,
-            "theta": rep.theta, "dim": rep.dim,
+            "N": cfg.N, "r": cfg.ratio, "gamma": cfg.gamma_rule,
+            "theta": cfg.theta, "dim": rep.dim,
             "max_real_below_unit": rep.max_real_below_unit(),
             "unit_count": rep.unit_count,
             "max_nonreal_modulus": rep.max_nonreal_modulus,
@@ -377,16 +347,6 @@ def run_spectrum(config: ExperimentConfig):
         print(f"spectrum N={N} r={r}: skipped ({why})", file=sys.stderr)
     paths += _emit(config, "spectrum_summary", SPECTRUM_HEADER, csv_rows, json_rows)
     return reports, paths, True
-
-
-def _write_history(path, name, values, config_echo) -> None:
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config_echo, sort_keys=True) + "\n")
-    buf.write(f"iteration,{name}\n")
-    for k, v in enumerate(values, start=1):
-        buf.write(f"{k},{v:.16e}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
 
 
 def _cmd_run(args) -> int:
@@ -425,7 +385,8 @@ def _cmd_solve(args) -> int:
         theta=args.theta, tol=args.tol, max_iter=args.max_iter,
         constrained=args.method != "baseline",
     )
-    echo = {
+    # The config of both records: the command's own flags.
+    flags = {
         "N": args.n, "ratio": args.ratio, "gamma": args.gamma,
         "theta": args.theta, "tol": args.tol, "max_iter": args.max_iter,
         "method": args.method, "beta": args.beta,
@@ -445,14 +406,13 @@ def _cmd_solve(args) -> int:
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_history(
-            os.path.join(args.out, f"{method.history}.csv"),
-            method.column, getattr(rep, method.history), echo,
-        )
-        _write_record(os.path.join(args.out, "solve.json"), _record(
-            ExperimentConfig(experiment="single", out_dir=args.out),
-            [{"method": args.method, **echo, **method.record(rep)}],
-        ))
+        history = getattr(rep, method.history)
+        write_table(os.path.join(args.out, f"{method.history}.csv"),
+                    ("iteration", method.column),
+                    [(k, f"{v:.16e}") for k, v in enumerate(history, start=1)],
+                    flags)
+        _write_record(os.path.join(args.out, "solve.json"),
+                      _record(flags, [{**flags, **method.record(rep)}]))
     return 0 if rep.converged else 1
 
 

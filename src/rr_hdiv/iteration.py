@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +38,6 @@ __all__ = [
     "resolve_gamma",
     "build_problem",
     "run_richardson",
-    "run_baseline",
     "fixed_point_check",
     "assemble_solution",
 ]
@@ -55,7 +54,11 @@ def resolve_gamma(rule, m: int, N: int) -> float:
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Parameters of one Robin-Robin run."""
+    """Parameters of one Robin-Robin run.
+
+    `constrained=False` drops the edge-average constraint: the
+    unconstrained baseline, whose subdomain solves are independent.
+    """
 
     N: int
     ratio: int
@@ -73,13 +76,18 @@ class IterationConfig:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         fem.check_positive("tolerance", self.tol)
-        resolve_gamma(self.gamma_rule, self.m, self.N)
+        self.gamma  # refuses an invalid gamma_rule
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
     @property
     def m(self) -> int:
         return self.N * self.ratio
+
+    @property
+    def gamma(self) -> float:
+        """The Robin parameter that `gamma_rule` gives on this mesh."""
+        return resolve_gamma(self.gamma_rule, self.m, self.N)
 
 
 @dataclass(eq=False)
@@ -91,9 +99,12 @@ class RobinProblem:
     partition: SubdomainPartition
     classes: list
     local_loads: local_solver.LocalLoads
-    gamma: float
     B: sp.csr_matrix
     solver: local_solver.ConstrainedRobinSolver
+
+    @functools.cached_property
+    def gamma(self) -> float:
+        return self.config.gamma
 
     @functools.cached_property
     def condensed_loads(self):
@@ -143,7 +154,6 @@ class SolveReport:
     """Outcome of a Richardson run."""
 
     config: IterationConfig
-    gamma: float
     iterations: int
     converged: bool
     increment_history: np.ndarray
@@ -158,8 +168,7 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
     """Assemble mesh, partition, and the factorized subdomain classes."""
     mesh = build_unit_square_mesh(config.m)
     part = partition(mesh, config.N)
-    gamma = resolve_gamma(config.gamma_rule, config.m, config.N)
-    classes = local_solver.build_local_systems(part, mesh, config.beta, gamma)
+    classes = local_solver.build_local_systems(part, mesh, config.beta, config.gamma)
     loads = local_solver.local_loads(part, load)
     if config.constrained:
         B = build_constraint(part, mesh)
@@ -171,7 +180,6 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
         partition=part,
         classes=classes,
         local_loads=loads,
-        gamma=gamma,
         B=B,
         solver=local_solver.ConstrainedRobinSolver(classes, B),
     )
@@ -216,7 +224,6 @@ def _run(problem: RobinProblem, case) -> SolveReport:
     u_h, l2, hdiv = problem.recover(g_step, case)
     return SolveReport(
         config=config,
-        gamma=problem.gamma,
         iterations=iterations,
         converged=converged,
         increment_history=np.array(history),
@@ -228,30 +235,15 @@ def _run(problem: RobinProblem, case) -> SolveReport:
     )
 
 
-def _as_case(f):
-    if hasattr(f, "load"):
-        return f, f.load
-    return None, f
+def run_richardson(config: IterationConfig, case) -> SolveReport:
+    """The Robin-Robin iteration that `config` names, from g = 0, on a
+    manufactured case: constrained, or the unconstrained baseline with
+    `constrained=False`.
 
-
-def run_richardson(config: IterationConfig, f) -> SolveReport:
-    """Constrained Robin-Robin iteration from g = 0.
-
-    `f` is either a load field (callable of x, y) or a manufactured case;
-    with a case the report carries discretization errors.  A run that
+    The report carries the case's discretization errors.  A run that
     exhausts max_iter is returned with converged=False, not raised.
     """
-    if not config.constrained:
-        raise ValueError("config requests the unconstrained baseline")
-    case, load = _as_case(f)
-    return _run(build_problem(config, load), case)
-
-
-def run_baseline(config: IterationConfig, f) -> SolveReport:
-    """Unconstrained variant: independent subdomain solves, same update."""
-    config = replace(config, constrained=False)
-    case, load = _as_case(f)
-    return _run(build_problem(config, load), case)
+    return _run(build_problem(config, case.load), case)
 
 
 def fixed_point_check(problem: RobinProblem, u_global: np.ndarray) -> float:

@@ -474,8 +474,6 @@ class ConstrainedRobinSolver:
             s_cols.append(np.broadcast_to(adj[:, None, :], shape).ravel())
             s_vals.append(np.broadcast_to(B_s @ Y, shape).ravel())
         self._groups = _stack_groups(classes, Zs, Yts, adjs)
-        # Each class's Z, a view of its group's stack.
-        self._Z = [Z for group in self._groups for Z in group.Z]
         if self.n_ifaces:
             self.S = sp.csr_matrix(
                 (np.concatenate(s_vals),
@@ -525,11 +523,13 @@ class ConstrainedRobinSolver:
         w, mu = self._condensed(loads.f + self._h * g)
         # x_I = v - W x_G for every subdomain in one GEMM: row s of X^T
         # holds subdomain s's interface solution in the columns of its
-        # sides, written row by row.
+        # sides, written row by row.  v comes Fortran-ordered from
+        # SuperLU, and (X^T W^T)^T is too, so the subtraction runs in one
+        # memory order.
         Xt = np.zeros((loads.v.shape[1], self._W.shape[1]))
         for cls in self.classes:
             Xt[cls.members[:, None], cls.cols] = cls.trace_block(w)
-        return loads.v - self._W @ Xt.T, w, mu
+        return loads.v - (Xt @ self._W.T).T, w, mu
 
     def _condensed(self, rhs):
         """(w, mu) of the constrained interface solve of `rhs`: one product

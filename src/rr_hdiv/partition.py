@@ -77,7 +77,6 @@ class TraceIndex:
 
     slot_iface: np.ndarray
     slot_edge: np.ndarray
-    slot_sub: np.ndarray
     slot_side: np.ndarray
     pair_perm: np.ndarray
 
@@ -107,10 +106,6 @@ class SubdomainPartition:
     side_start: np.ndarray
     classes: list
     class_start: np.ndarray
-
-    @property
-    def n_subdomains(self) -> int:
-        return self.N * self.N
 
     def interior_of(self, sub: int) -> np.ndarray:
         """Interior edges of one subdomain, in increasing order."""
@@ -209,7 +204,6 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     trace = TraceIndex(
         slot_iface=np.repeat(run_iface, r),
         slot_edge=fine[run_iface].ravel(),
-        slot_sub=np.repeat(run_sub, r),
         slot_side=np.repeat((run_side < 2).astype(np.int64), r),
         pair_perm=(side_start[other, 3 - run_side][:, None] + np.arange(r)).ravel(),
     )

@@ -72,7 +72,7 @@ SYMMETRY_TOL = 1e-10
 
 @dataclass(eq=False)
 class IterationOperator:
-    """Dense iteration matrix with its parameters and symmetry orbits.
+    """Dense iteration matrix of `config` with its symmetry orbits.
 
     orbits is `partition.orbit_table` of the half-turn and the reflection:
     orbits[k, i] is the image of slot orbits[0, i] under group element k.
@@ -80,11 +80,7 @@ class IterationOperator:
     """
 
     Q: np.ndarray
-    N: int
-    ratio: int
-    gamma_rule: object
-    gamma: float
-    theta: float
+    config: iteration.IterationConfig
     orbits: np.ndarray = None
 
     def __post_init__(self):
@@ -103,14 +99,10 @@ class IterationOperator:
 
 @dataclass(eq=False)
 class SpectrumReport:
-    """Full eigenvalue set of one iteration operator."""
+    """Full eigenvalue set of the iteration operator of `config`."""
 
     eigenvalues: np.ndarray
-    N: int
-    ratio: int
-    gamma_rule: object
-    gamma: float
-    theta: float
+    config: iteration.IterationConfig
     max_nonreal_modulus: float
     unit_count: int
     blocks: tuple = ()
@@ -165,11 +157,7 @@ def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOper
         Q[rows, rows] += 1.0 - theta
     return IterationOperator(
         Q=Q,
-        N=config.N,
-        ratio=config.ratio,
-        gamma_rule=config.gamma_rule,
-        gamma=problem.gamma,
-        theta=theta,
+        config=config,
         orbits=partition.orbit_table(
             partition.symmetry_generators(problem.partition)
         ),
@@ -190,7 +178,7 @@ def symmetry_blocks(op: IterationOperator) -> np.ndarray:
     earlier rows' blocks, before it is added.  A defect above
     SYMMETRY_TOL * max|Q|, or a NaN, raises RuntimeError naming element a.
     """
-    orbits = op.orbits
+    orbits, config = op.orbits, op.config
     g, k = orbits.shape
     Q = op.Q
     bound = SYMMETRY_TOL * max(Q.max(), -Q.min()) if op.dim else 0.0
@@ -208,7 +196,7 @@ def symmetry_blocks(op: IterationOperator) -> np.ndarray:
                 n for i, n in enumerate(partition.SYMMETRY_NAMES) if a >> i & 1
             )
             raise RuntimeError(
-                f"iteration map for N={op.N} r={op.ratio} is not invariant "
+                f"iteration map for N={config.N} r={config.ratio} is not invariant "
                 f"under group element {a}, the {name}: max|block - mean of "
                 f"earlier rows' blocks| = {defect:.3e} > {bound:.3e}"
             )
@@ -223,23 +211,20 @@ def eigenvalues(op: IterationOperator) -> SpectrumReport:
     that is not invariant under the group.
     """
     B = symmetry_blocks(op)
+    config = op.config
     try:
         eigs = np.linalg.eigvals(B).ravel()
     except np.linalg.LinAlgError as err:
         raise RuntimeError(
-            f"eigensolver failed for N={op.N} r={op.ratio} "
-            f"gamma={op.gamma_rule} theta={op.theta}"
+            f"eigensolver failed for N={config.N} r={config.ratio} "
+            f"gamma={config.gamma_rule} theta={config.theta}"
         ) from err
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
     nonreal = eigs[np.abs(eigs.imag) > UNIT_TOL]
     return SpectrumReport(
         eigenvalues=eigs,
-        N=op.N,
-        ratio=op.ratio,
-        gamma_rule=op.gamma_rule,
-        gamma=op.gamma,
-        theta=op.theta,
+        config=config,
         max_nonreal_modulus=float(np.abs(nonreal).max()) if nonreal.size else 0.0,
         unit_count=int(np.count_nonzero(np.abs(eigs - 1.0) < UNIT_TOL)),
         blocks=(B.shape[1],) * B.shape[0],
@@ -247,19 +232,21 @@ def eigenvalues(op: IterationOperator) -> SpectrumReport:
 
 
 def spectrum_filename(report: SpectrumReport) -> str:
-    rule = report.gamma_rule
+    config = report.config
+    rule = config.gamma_rule
     rule_txt = rule if isinstance(rule, str) else f"{float(rule):g}"
     return (
-        f"spectrum_N{report.N}_r{report.ratio}"
-        f"_gamma{rule_txt}_theta{report.theta:g}.csv"
+        f"spectrum_N{config.N}_r{config.ratio}"
+        f"_gamma{rule_txt}_theta{config.theta:g}.csv"
     )
 
 
 def export_spectrum(report: SpectrumReport, path) -> None:
     """Write the eigenvalues as a two-column CSV (re, im)."""
+    config = report.config
     lines = [
-        f"# spectrum N={report.N} r={report.ratio} "
-        f"gamma={report.gamma_rule} theta={report.theta:g} dim={report.dim}",
+        f"# spectrum N={config.N} r={config.ratio} "
+        f"gamma={config.gamma_rule} theta={config.theta:g} dim={report.dim}",
         "re,im",
     ]
     for lam in report.eigenvalues:

@@ -4,23 +4,28 @@ Everything here rebuilds operators from first principles (each
 subdomain's Robin matrix assembled from its own triangles, then dense
 block algebra) so the class-shared, matrix-free production paths have an
 independent cross-check on small instances.  The first section holds
-reference code that only the tests use: `sorted_mesh`, the mesh's
-twelve tables found by sorting, and queries on them, the edge
-interpolant, the elementwise divergence, the L2 distance of two discrete
-fields, the errors of the direct solve and a class's Robin matrix.  The
-middle holds the per-subdomain dof tables, loads and per-class assembly
-that the one template replaced.  The last holds `DirectSolver`, the
-constrained solves through each class's own factor, `FlatResolvent`,
-the resolvent on the interface-major slot numbering through flat
-gathers and the sparse Y_trace that the class-major layout replaced,
+reference code that only the tests use: the readers of the command
+line's records (`read_table`, `read_records`, `parse_count`), the
+subdomain of each trace slot and each class's Z (`slot_subdomain`,
+`class_Z`), `sorted_mesh`, the mesh's twelve tables found by sorting,
+and queries on them, the edge interpolant, the elementwise divergence,
+the L2 distance of two discrete fields, the errors of the direct solve
+and a class's Robin matrix.  The middle holds the per-subdomain dof
+tables, loads and per-class assembly that the one template replaced.
+The last holds `DirectSolver`, the constrained solves through each
+class's own factor, `FlatResolvent`, the resolvent on the
+interface-major slot numbering through flat gathers and the sparse
+Y_trace that the class-major layout replaced,
 `symmetry_maps`, the signed maps of one subdomain's local dofs onto
 its symmetry images, and `lookup_symmetry_generators`, the slot
 permutations of the symmetries found by moving each slot's midpoint
 and locating its image by a sorted-key lookup (`_image`, `_find`).
 """
 
+import csv
 import dataclasses
 import functools
+import json
 import types
 
 import numpy as np
@@ -41,6 +46,49 @@ from rr_hdiv.partition import local_dofs
 
 # Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
 GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
+
+
+def read_table(path):
+    """Inverse of `cli.write_table` -> (config dict, header, row dicts)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("# config: "):
+        raise ValueError(f"{path}: missing config comment line")
+    config = json.loads(lines[0][len("# config: "):])
+    reader = csv.reader(lines[1:])
+    header = next(reader)
+    rows = [dict(zip(header, row)) for row in reader]
+    return config, header, rows
+
+
+def read_records(path) -> dict:
+    """A JSON run record of the command line."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def parse_count(cell: str):
+    """Iteration-count cell of a table CSV -> (count, converged)."""
+    cell = cell.strip()
+    if cell.endswith("*"):
+        return int(cell[:-1]), False
+    return int(cell), True
+
+
+def slot_subdomain(part):
+    """The subdomain of each trace slot, from the side table: side d of
+    subdomain s holds the r slots side_start[s, d] + arange(r)."""
+    r = part.mesh.m // part.N
+    sub, side = np.nonzero(part.side_start >= 0)
+    out = np.empty(part.trace.n_slots, dtype=np.int64)
+    out[part.side_start[sub, side][:, None] + np.arange(r)] = sub[:, None]
+    return out
+
+
+def class_Z(solver):
+    """Each class's Robin-to-trace map Z, in slot order: the views of its
+    group's stack."""
+    return [Z for group in solver._groups for Z in group.Z]
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,7 +347,7 @@ def dense_resolvent(problem):
     trace = problem.partition.trace
     n = trace.n_slots
     S = np.zeros((n, n))
-    for sub in range(problem.partition.n_subdomains):
+    for sub in range(problem.partition.N ** 2):
         H, nI, slots = subdomain_robin_matrix(problem, sub)
         A_II = H[:nI, :nI]
         A_ID = H[:nI, nI:]
@@ -559,7 +607,7 @@ class FlatResolvent:
         slot_value[entry.col] = entry.data
         self.flat = [self.old[cls.slots].T.ravel() for cls in self.classes]
         y_rows, y_cols, y_vals = [], [], []
-        for cls, Z in zip(self.classes, solver._Z):
+        for cls, Z in zip(self.classes, class_Z(solver)):
             slots = self.old[cls.slots]
             k, n_own = slots.shape
             iface = slot_iface[slots]
@@ -582,7 +630,7 @@ class FlatResolvent:
     def _condensed(self, rhs):
         w = np.empty_like(rhs)
         columns = rhs.shape[1] if rhs.ndim == 2 else 1
-        for cls, Z, flat in zip(self.classes, self.solver._Z, self.flat):
+        for cls, Z, flat in zip(self.classes, class_Z(self.solver), self.flat):
             x = rhs[flat].reshape(Z.shape[0], cls.members.size * columns)
             w[flat] = (Z @ x).reshape(flat.size, *rhs.shape[1:])
         mu = np.zeros(0)
@@ -712,7 +760,7 @@ def lookup_symmetry_generators(part):
     trace, ref = part.trace, sorted_mesh(part.mesh.m)
     N, m = part.N, ref.m
     x2, y2 = ref.edge_mid2[trace.slot_edge].T
-    J, I = np.divmod(trace.slot_sub, N)
+    J, I = np.divmod(slot_subdomain(part), N)
     normal = ref.edge_normal[trace.slot_edge]
     keys = [_image(k, m, N, x2, y2, I, J, normal)[0] for k in range(3)]
     gens = _find(keys[0], np.stack(keys[1:]))

@@ -328,7 +328,7 @@ def test_criterion_5_baseline_degrades(case, richardson_counts):
         cfg = iteration.IterationConfig(
             N=4, ratio=ratio, gamma_rule="h", theta=0.5, constrained=False
         )
-        rep = iteration.run_baseline(cfg, case)
+        rep = iteration.run_richardson(cfg, case)
         assert rep.converged
         baseline[ratio] = rep.iterations
     constrained_8 = richardson_counts[(4, "h", 0.5)].iterations

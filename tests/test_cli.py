@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from rr_hdiv import cli, fem
+from helpers import parse_count, read_records, read_table
+from rr_hdiv import cli, fem, iteration, verify
 
 
 @pytest.mark.parametrize(
@@ -14,7 +15,7 @@ from rr_hdiv import cli, fem
     [("41", (41, True)), (" 41 ", (41, True)), ("118*", (118, False))],
 )
 def test_parse_count(cell, expect):
-    assert cli.parse_count(cell) == expect
+    assert parse_count(cell) == expect
 
 
 def test_count_cell_round_trip():
@@ -24,7 +25,7 @@ def test_count_cell_round_trip():
 
     cell = cli._count_cell(Rep())
     assert cell == "7*"
-    assert cli.parse_count(cell) == (7, False)
+    assert parse_count(cell) == (7, False)
 
 
 def test_experiment_config_validation():
@@ -43,8 +44,8 @@ def test_write_read_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     header = ("a", "b")
     rows = [["1", "2"], ["3", "4*"]]
-    cli.write_table(path, header, rows, cfg)
-    config, got_header, got_rows = cli.read_table(path)
+    cli.write_table(path, header, rows, cfg.as_dict())
+    config, got_header, got_rows = read_table(path)
     assert config == cfg.as_dict()
     assert tuple(got_header) == header
     assert got_rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4*"}]
@@ -54,7 +55,7 @@ def test_read_table_requires_config_line(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="config"):
-        cli.read_table(path)
+        read_table(path)
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +75,18 @@ def test_run_table1_outputs(table1_n2):
     csv_path = os.path.join(str(out), "table1.csv")
     json_path = os.path.join(str(out), "table1.json")
     assert paths == [csv_path, json_path]
-    config, header, data = cli.read_table(csv_path)
+    config, header, data = read_table(csv_path)
     assert tuple(header) == cli.TABLE1_HEADER
     assert len(data) == 1
     row = data[0]
     assert row["N"] == "2"
     for col in cli.TABLE1_HEADER[1:5]:
-        count, converged = cli.parse_count(row[col])
+        count, converged = parse_count(row[col])
         assert converged and count >= 1
     l2 = float(row["L2-err"])
     hdiv = float(row["Hdiv-err"])
     assert 0 < l2 < hdiv < 1
-    record = cli.read_records(json_path)
+    record = read_records(json_path)
     assert record["config"] == cfg.as_dict()
     assert record["rows"][0]["N"] == 2
     first = next(iter(record["rows"][0]["counts"].values()))
@@ -108,10 +109,10 @@ def test_run_table2_small(tmp_path):
     )
     rows, paths, ok = cli.run_table(cfg)
     assert ok
-    _, header, data = cli.read_table(paths[0])
+    _, header, data = read_table(paths[0])
     assert tuple(header) == cli.TABLE2_HEADER
     assert [r["H/h"] for r in data] == ["2", "4"]
-    counts = [cli.parse_count(r[cli.TABLE2_HEADER[1]])[0] for r in data]
+    counts = [parse_count(r[cli.TABLE2_HEADER[1]])[0] for r in data]
     assert counts[0] < counts[1]
 
 
@@ -121,13 +122,13 @@ def test_run_table3_small(tmp_path):
     )
     rows, paths, ok = cli.run_table(cfg)
     assert ok
-    _, header, data = cli.read_table(paths[0])
+    _, header, data = read_table(paths[0])
     assert tuple(header) == cli.TABLE3_HEADER
     assert len(data) == 1
     for col in cli.TABLE3_HEADER[1:]:
-        count, converged = cli.parse_count(data[0][col])
+        count, converged = parse_count(data[0][col])
         assert converged and count >= 1
-    record = cli.read_records(paths[1])
+    record = read_records(paths[1])
     cell = record["rows"][0]["counts"]["h,r=8"]
     assert cell["final_residual"] < 1e-6
     assert cell["breakdown"] is False
@@ -146,13 +147,13 @@ def test_run_spectrum_small(tmp_path):
     per_config = os.path.join(str(tmp_path), "spectrum_N2_r4_gammah_theta1.csv")
     assert paths[0] == per_config
     assert os.path.exists(per_config)
-    _, header, data = cli.read_table(os.path.join(str(tmp_path),
-                                                  "spectrum_summary.csv"))
+    _, header, data = read_table(os.path.join(str(tmp_path),
+                                              "spectrum_summary.csv"))
     assert tuple(header) == cli.SPECTRUM_HEADER
     assert data[0]["file"] == "spectrum_N2_r4_gammah_theta1.csv"
     assert int(data[0]["dim"]) == 32
     assert "blocks" not in header
-    record = cli.read_records(paths[-1])
+    record = read_records(paths[-1])
     assert record["rows"][0]["blocks"] == [8, 8, 8, 8]
 
 
@@ -164,8 +165,8 @@ def test_run_spectrum_skips_capped(tmp_path, capsys):
     reports, paths, ok = cli.run_spectrum(cfg)
     assert ok and reports == []
     assert "skipped" in capsys.readouterr().err
-    _, _, data = cli.read_table(os.path.join(str(tmp_path),
-                                             "spectrum_summary.csv"))
+    _, _, data = read_table(os.path.join(str(tmp_path),
+                                         "spectrum_summary.csv"))
     assert data == []
 
 
@@ -208,7 +209,7 @@ def test_main_run_spectrum_max_n(tmp_path, capsys):
         "spectrum_N4_r4_gammah_theta1.csv", "spectrum_N4_r8_gammah_theta1.csv",
         "spectrum_summary.csv", "spectrum_summary.json",
     ]
-    config, _, data = cli.read_table(tmp_path / "spectrum_summary.csv")
+    config, _, data = read_table(tmp_path / "spectrum_summary.csv")
     assert config["n_list"] == [4]
     assert [int(r["dim"]) for r in data] == [192, 384]
 
@@ -266,10 +267,10 @@ def test_main_run_table1_exit_codes(tmp_path, capsys):
         "--max-iter", "2", "--out", str(tmp_path / "bad"),
     ])
     assert rc == 1
-    _, _, data = cli.read_table(os.path.join(str(tmp_path / "bad"), "table1.csv"))
+    _, _, data = read_table(os.path.join(str(tmp_path / "bad"), "table1.csv"))
     cell = data[0][cli.TABLE1_HEADER[1]]
     assert cell.endswith("*")
-    assert cli.parse_count(cell) == (2, False)
+    assert parse_count(cell) == (2, False)
 
 
 def test_main_run_json_only(tmp_path):
@@ -298,10 +299,33 @@ def test_main_solve_richardson(tmp_path, capsys):
     assert hist[0].startswith("# config: ")
     assert hist[1] == "iteration,sup_increment"
     assert len(hist) >= 3 and hist[2].startswith("1,")
-    record = cli.read_records(out / "solve.json")
+    record = read_records(out / "solve.json")
     row = record["rows"][0]
     assert row["method"] == "richardson" and row["converged"] is True
     assert float(hist[-1].split(",")[1]) < 1e-6
+
+
+def test_main_solve_records_its_flags(tmp_path, capsys):
+    """`solve --out` records the command's own flags as the `config` of
+    its run record and history CSV, not an experiment's defaults."""
+    out = tmp_path / "run"
+    rc = cli.main([
+        "solve", "--n", "2", "--ratio", "4", "--tol", "1e-8", "--gamma", "H",
+        "--theta", "0.6", "--max-iter", "500", "--out", str(out),
+    ])
+    assert rc == 0
+    flags = {"N": 2, "ratio": 4, "gamma": "H", "theta": 0.6, "tol": 1e-8,
+             "max_iter": 500, "method": "richardson", "beta": 1.0}
+    record = read_records(out / "solve.json")
+    assert record["config"] == flags
+    row = record["rows"][0]
+    assert {k: row[k] for k in flags} == flags
+    config, header, data = read_table(out / "increment_history.csv")
+    assert config == flags
+    assert header == ["iteration", "sup_increment"]
+    assert len(data) == row["iterations"]
+    assert float(data[-1]["sup_increment"]) < 1e-8 <= float(data[-2]["sup_increment"])
+    assert "gamma=H theta=0.6" in capsys.readouterr().out
 
 
 def test_main_solve_minres(tmp_path, capsys):
@@ -314,15 +338,24 @@ def test_main_solve_minres(tmp_path, capsys):
     assert "minres N=2 r=2" in capsys.readouterr().out
     hist = (out / "residual_history.csv").read_text().splitlines()
     assert hist[1] == "iteration,relative_residual"
-    record = cli.read_records(out / "solve.json")
+    record = read_records(out / "solve.json")
     assert record["rows"][0]["method"] == "minres"
     assert record["rows"][0]["final_residual"] < 1e-6
 
 
-def test_main_solve_baseline(capsys):
-    rc = cli.main(["solve", "--n", "2", "--ratio", "2", "--method", "baseline"])
+def test_main_solve_baseline(tmp_path, capsys):
+    """The baseline is Richardson on the config without the constraint."""
+    out = tmp_path / "base"
+    rc = cli.main(["solve", "--n", "2", "--ratio", "2", "--method", "baseline",
+                   "--out", str(out)])
     assert rc == 0
     assert "baseline N=2 r=2" in capsys.readouterr().out
+    assert cli.SOLVE_METHODS["baseline"] is cli.RICHARDSON
+    record = read_records(out / "solve.json")
+    assert record["config"]["method"] == "baseline"
+    cfg = iteration.IterationConfig(N=2, ratio=2, constrained=False)
+    rep = iteration.run_richardson(cfg, verify.manufactured_case())
+    assert record["rows"][0]["iterations"] == rep.iterations
 
 
 def test_main_solve_numeric_gamma(capsys):

@@ -1,5 +1,7 @@
 """Relaxed Robin exchange: counts, stopping semantics, fixed-point checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,10 +75,15 @@ def test_richardson_counts_frozen(case, rule, theta):
     assert rep.g.shape == (4 * 4 * 3 * 8,)
 
 
-def test_richardson_requires_constrained_config(case):
-    cfg = iteration.IterationConfig(N=4, ratio=8, constrained=False)
-    with pytest.raises(ValueError):
-        iteration.run_richardson(cfg, case)
+def test_richardson_runs_the_unconstrained_config(case):
+    """`run_richardson` runs the config it is given: without the
+    constraint it is the baseline, with the baseline's pinned count, and
+    its report holds that config."""
+    cfg = replace(iteration.IterationConfig(N=4, ratio=8), constrained=False)
+    rep = iteration.run_richardson(cfg, case)
+    assert rep.config is cfg
+    assert rep.converged and rep.iterations == BASELINE_N4_R8
+    assert not rep.config.constrained and rep.config.gamma == 1.0 / 32
 
 
 def test_single_subdomain_converges_immediately(case):
@@ -126,7 +133,8 @@ def test_zero_load_zero_start_is_stationary(case):
     cfg = iteration.IterationConfig(N=2, ratio=4)
     problem = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
     assert iteration.fixed_point_check(problem, np.zeros(problem.mesh.n_edges)) == 0.0
-    rep = iteration.run_richardson(cfg, lambda x, y: (0.0 * x, 0.0 * y))
+    rep = iteration.run_richardson(
+        cfg, verify.ManufacturedCase(load=lambda x, y: (0.0 * x, 0.0 * y)))
     assert rep.iterations == 1
     np.testing.assert_allclose(rep.u_h, 0.0, atol=1e-16)
 
@@ -145,8 +153,8 @@ def test_update_map_is_affine(case, rng):
 
 
 def test_baseline_slower_than_constrained(case):
-    cfg = iteration.IterationConfig(N=4, ratio=8)
-    rep = iteration.run_baseline(cfg, case)
+    cfg = iteration.IterationConfig(N=4, ratio=8, constrained=False)
+    rep = iteration.run_richardson(cfg, case)
     assert rep.converged
     assert rep.iterations == BASELINE_N4_R8
     assert rep.iterations > RICHARDSON_N4_R8[("h", 0.5)]
@@ -156,7 +164,7 @@ def test_baseline_slower_than_constrained(case):
 
 def test_baseline_single_subdomain_matches_richardson(case):
     cfg = iteration.IterationConfig(N=1, ratio=4)
-    a = iteration.run_baseline(cfg, case)
+    a = iteration.run_richardson(replace(cfg, constrained=False), case)
     b = iteration.run_richardson(cfg, case)
     assert a.iterations == b.iterations == 1
     np.testing.assert_allclose(a.u_h, b.u_h, atol=1e-14)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from helpers import (
     apply_to_identity,
+    class_Z,
     dense_local_solve,
     dense_resolvent,
     DirectSolver,
@@ -85,7 +86,7 @@ def test_solve_local_zero(small_problem):
     u_int, u_d, _ = solver.solve(zero, np.zeros(solver.n_slots))
     np.testing.assert_allclose(u_d, 0.0, atol=1e-16)
     assert u_int.shape == (small_problem.classes[0].n_interior,
-                           small_problem.partition.n_subdomains)
+                           small_problem.partition.N ** 2)
     np.testing.assert_allclose(u_int, 0.0, atol=1e-16)
 
 
@@ -146,6 +147,22 @@ def test_constrained_solve_at_fixed_point(problem_n4, oracle32):
     assert np.max(np.abs(problem_n4.B @ u_d)) < 1e-10
 
 
+@pytest.mark.parametrize("N,r", [(1, 8), (4, 8), (32, 8)])
+def test_recovery_equals_interior_order_product(case, rng, N, r):
+    """`solve` forms the interiors as v - (X^T W^T)^T, in the Fortran
+    order that v has from SuperLU; on a random datum they are bitwise
+    the v - W X^T of a C-ordered product."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r),
+                                      case.load)
+    solver, loads = problem.solver, problem.condensed_loads
+    u_int, w, _ = solver.solve(loads, rng.standard_normal(solver.n_slots))
+    Xt = np.zeros((loads.v.shape[1], solver._W.shape[1]))
+    for cls in solver.classes:
+        Xt[cls.members[:, None], cls.cols] = cls.trace_block(w)
+    assert loads.v.flags.f_contiguous
+    assert np.array_equal(u_int, loads.v - solver._W @ Xt.T)
+
+
 def test_resolvent_zero_and_shape(small_problem):
     out = small_problem.solver.apply_resolvent(
         np.zeros(small_problem.partition.trace.n_slots)
@@ -192,7 +209,7 @@ def test_coarse_schur_matches_dense(small_problem):
     # S = B H^-1 B^T, with H^-1 on the trace realized by dense solves of
     # each subdomain's own Robin matrix
     HinvBT = np.zeros((n, Bd.shape[0]))
-    for s in range(small_problem.partition.n_subdomains):
+    for s in range(small_problem.partition.N ** 2):
         H, nI, slots = subdomain_robin_matrix(small_problem, s)
         rhs = np.zeros((H.shape[0], Bd.shape[0]))
         rhs[nI:, :] = Bd[:, slots].T
@@ -383,7 +400,7 @@ def test_unconstrained_solver_matches_local_solves(case):
     u_int, u_trace = problem.solve_once(g)
     u = iteration.assemble_solution(problem, u_int, u_trace)
     part = problem.partition
-    for s in range(part.n_subdomains):
+    for s in range(part.N ** 2):
         slots = part.slots_of(s)
         u_i, u_d = dense_local_solve(
             problem, s, subdomain_load(problem, s), g[slots]
@@ -561,7 +578,7 @@ def _local_maps(problem):
     rows -W_c Z."""
     solver = problem.solver
     return [np.vstack([-solver._W[:, cls.cols] @ Z, Z])
-            for cls, Z in zip(problem.classes, solver._Z)]
+            for cls, Z in zip(problem.classes, class_Z(solver))]
 
 
 @pytest.mark.parametrize("r", [1, 2, 4, 8])
@@ -674,7 +691,7 @@ def test_classes_match_per_class_assembly(case, N, r):
     CSR arrays, Z entry for entry."""
     problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
     ref = per_class_assembly(problem)
-    for cls, Z, (A_ref, Z_ref) in zip(problem.classes, problem.solver._Z, ref,
+    for cls, Z, (A_ref, Z_ref) in zip(problem.classes, class_Z(problem.solver), ref,
                                       strict=True):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(cls.A, name), getattr(A_ref, name)), name
@@ -710,7 +727,7 @@ def test_class_matches_every_member(problem_n6):
     assert sorted(c.members.size for c in problem_n6.classes) == [
         1, 1, 1, 1, 4, 4, 4, 4, 16
     ]
-    for cls, Z in zip(problem_n6.classes, problem_n6.solver._Z):
+    for cls, Z in zip(problem_n6.classes, class_Z(problem_n6.solver)):
         H_class = robin_matrix(cls).toarray()
         nI = cls.n_interior
         for s in cls.members:

@@ -9,9 +9,11 @@ import scipy.sparse as sp
 
 import helpers
 from helpers import (
+    class_Z,
     interior_edges,
     lookup_symmetry_generators,
     per_subdomain_local_dofs,
+    slot_subdomain,
     sorted_mesh,
     symmetry_maps,
     tri_coords,
@@ -58,7 +60,8 @@ def _interfaces(part):
     partner = trace.pair_perm[runs]
     assert np.all(np.diff(runs, axis=1) == 1) and np.all(np.diff(partner, axis=1) == 1)
     assert np.all(trace.slot_iface[runs] == np.arange(part.n_interfaces)[:, None])
-    i, j = trace.slot_sub[runs], trace.slot_sub[partner]
+    sub = slot_subdomain(part)
+    i, j = sub[runs], sub[partner]
     assert np.all(i == i[:, :1]) and np.all(j == j[:, :1])
     return i[:, 0], j[:, 0], trace.slot_edge[runs]
 
@@ -124,7 +127,7 @@ def test_interface_geometry(part4, mesh32):
 def test_every_free_dof_claimed_once(part4, mesh32):
     free = interior_edges(mesh32)
     interior_count = np.zeros(mesh32.n_edges, dtype=int)
-    for s in range(part4.n_subdomains):
+    for s in range(part4.N ** 2):
         interior_count[part4.interior_of(s)] += 1
     trace_count = np.zeros(mesh32.n_edges, dtype=int)
     np.add.at(trace_count, part4.trace.slot_edge, 1)
@@ -153,11 +156,12 @@ def test_paired_slots_agree(part4):
     # same fine edge and interface on both sides, different subdomains
     np.testing.assert_array_equal(trace.slot_edge[perm], trace.slot_edge)
     np.testing.assert_array_equal(trace.slot_iface[perm], trace.slot_iface)
-    assert np.all(trace.slot_sub[perm] != trace.slot_sub)
+    sub = slot_subdomain(part4)
+    assert np.all(sub[perm] != sub)
     np.testing.assert_array_equal(trace.slot_side[perm], 1 - trace.slot_side)
     # the j-side is the neighbour right of or above the i-side
     i_side = trace.slot_side == 0
-    step = trace.slot_sub[perm][i_side] - trace.slot_sub[i_side]
+    step = sub[perm][i_side] - sub[i_side]
     vertical = sorted_mesh(part4.mesh.m).edge_kind[trace.slot_edge[i_side]] == VERTICAL
     np.testing.assert_array_equal(step, np.where(vertical, 1, part4.N))
 
@@ -258,7 +262,7 @@ def test_subdomain_triangle_map(part4, mesh32):
     tri_sub = cell[:, 1] * N + cell[:, 0]
     np.testing.assert_array_equal(triangle_subdomains(mesh32, N), tri_sub)
     tri_ids, starts, _ = per_subdomain_local_dofs(part4)
-    for s in range(part4.n_subdomains):
+    for s in range(part4.N ** 2):
         np.testing.assert_array_equal(tri_ids[starts[s]:starts[s + 1]],
                                       np.flatnonzero(tri_sub == s))
 
@@ -270,7 +274,8 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
     on_gamma = np.zeros(mesh32.n_edges, dtype=bool)
     on_gamma[part4.trace.slot_edge] = True
     free_interior = ~ref.edge_boundary & ~on_gamma
-    for s in range(part4.n_subdomains):
+    slot_sub = slot_subdomain(part4)
+    for s in range(part4.N ** 2):
         mine = np.zeros(mesh32.n_edges, dtype=bool)
         for t in np.flatnonzero(tri_sub == s):
             mine[ref.tri_edges[t]] = True
@@ -282,7 +287,7 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
             np.flatnonzero(mine & on_gamma),
         )
         np.testing.assert_array_equal(
-            part4.slots_of(s), np.flatnonzero(part4.trace.slot_sub == s)
+            part4.slots_of(s), np.flatnonzero(slot_sub == s)
         )
 
 
@@ -312,12 +317,13 @@ def test_symmetry_generators(N, r):
     assert not np.any(half[refl] == slots)
     # the geometry of the images
     mid = sorted_mesh(part.mesh.m).edge_mid2[trace.slot_edge]
-    J, I = np.divmod(trace.slot_sub, N)
+    sub = slot_subdomain(part)
+    J, I = np.divmod(sub, N)
     two_m = 2 * part.mesh.m
     np.testing.assert_array_equal(mid[half], two_m - mid)
-    np.testing.assert_array_equal(trace.slot_sub[half], (N - 1 - J) * N + N - 1 - I)
+    np.testing.assert_array_equal(sub[half], (N - 1 - J) * N + N - 1 - I)
     np.testing.assert_array_equal(mid[refl], mid[:, ::-1])
-    np.testing.assert_array_equal(trace.slot_sub[refl], I * N + J)
+    np.testing.assert_array_equal(sub[refl], I * N + J)
 
     orbits = orbit_table(gens)
     assert orbits.shape == (4, trace.n_slots // 4)
@@ -562,8 +568,10 @@ def test_partition_matches_unique_reference(m, N):
     for s in range(N * N):
         np.testing.assert_array_equal(part.interior_of(s), interior_edges[s])
         np.testing.assert_array_equal(part.slots_of(s), sub_slots[s])
+    # The slots' subdomains are not stored: they come from side_start.
+    got_trace = {**vars(part.trace), "slot_sub": slot_subdomain(part)}
     for name, expect in trace.items():
-        got = getattr(part.trace, name)
+        got = got_trace[name]
         np.testing.assert_array_equal(got, expect, err_msg=name)
         assert got.dtype == expect.dtype, name
     # side_start is -1 exactly on the sides on the domain boundary, and
@@ -683,7 +691,8 @@ def test_ownership_agrees_with_sorted_mesh(N, r):
     np.testing.assert_array_equal(s1[part.interior], c[part.interior] * owner)
 
     i_side = trace.slot_side == 0
-    a, b = trace.slot_sub[i_side], trace.slot_sub[trace.pair_perm[i_side]]
+    slot_sub = slot_subdomain(part)
+    a, b = slot_sub[i_side], slot_sub[trace.pair_perm[i_side]]
     e = trace.slot_edge[i_side]
     assert np.all(a != b)
     np.testing.assert_array_equal(a + b, s1[e])
@@ -707,7 +716,7 @@ def test_constraint_blocks_agree_with_layout(N, r):
     B = B.toarray()
     Yts = [Yt for group in solver._groups for Yt in group.Yt]
     adjs = [adj for group in solver._groups for adj in group.adj]
-    for cls, Z, Yt, adj in zip(classes, solver._Z, Yts, adjs, strict=True):
+    for cls, Z, Yt, adj in zip(classes, class_Z(solver), Yts, adjs, strict=True):
         n_own = cls.cols.size
         assert cls.ifaces.shape == (cls.members.size, n_own // r)
         sign = np.where(cls.cols // r < 2, -1.0, 1.0)

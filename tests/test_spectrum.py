@@ -1,5 +1,6 @@
 """Tests for dense assembly and eigenvalues of the iteration map."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_blocked_spectrum_matches_dense(N, r, theta):
     assert op.orbits.shape == (4, n // 4)
     assert rep.blocks == (n // 4,) * 4
     dense = spectrum.eigenvalues(
-        spectrum.IterationOperator(op.Q, N, r, cfg.gamma_rule, op.gamma, theta)
+        spectrum.IterationOperator(op.Q, cfg)
     )
     assert dense.blocks == (n,)
     expect = np.linalg.eigvals(op.Q)
@@ -192,9 +193,7 @@ def test_perturbed_Q_refused(op_n4r8):
         Q = op_n4r8.Q.copy()
         for i, j in entries:
             Q[i, j] += 1e-6
-        bad = spectrum.IterationOperator(
-            Q, 4, 8, "h", op_n4r8.gamma, 1.0, orbits=orbits
-        )
+        bad = spectrum.IterationOperator(Q, op_n4r8.config, orbits=orbits)
         with pytest.raises(RuntimeError, match=match):
             spectrum.eigenvalues(bad)
     Q[3, 40] = np.nan
@@ -206,7 +205,7 @@ def test_perturbed_Q_refused(op_n4r8):
 def test_orbit_table_must_fit(shape):
     with pytest.raises(ValueError, match="orbit table"):
         spectrum.IterationOperator(
-            np.eye(6), 2, 1, "h", 0.5, 1.0,
+            np.eye(6), iteration.IterationConfig(N=2, ratio=1, theta=1.0),
             orbits=np.arange(np.prod(shape)).reshape(shape),
         )
 
@@ -271,7 +270,8 @@ def test_relaxation_maps_spectrum(op_n4r8, report_n4r8):
 
 def test_report_methods_on_known_matrix():
     op = spectrum.IterationOperator(
-        Q=np.diag([0.3, 1.0]), N=2, ratio=1, gamma_rule="h", gamma=0.5, theta=1.0
+        Q=np.diag([0.3, 1.0]),
+        config=iteration.IterationConfig(N=2, ratio=1, theta=1.0),
     )
     rep = spectrum.eigenvalues(op)
     np.testing.assert_allclose(np.sort(rep.eigenvalues.real), [0.3, 1.0])
@@ -284,18 +284,13 @@ def test_report_methods_on_known_matrix():
 
 def test_filenames():
     def rep(**kw):
-        base = dict(
+        config = iteration.IterationConfig(N=4, ratio=8, theta=1.0)
+        return spectrum.SpectrumReport(
             eigenvalues=np.zeros(0, dtype=complex),
-            N=4,
-            ratio=8,
-            gamma_rule="h",
-            gamma=1 / 32,
-            theta=1.0,
+            config=dataclasses.replace(config, **kw),
             max_nonreal_modulus=0.0,
             unit_count=0,
         )
-        base.update(kw)
-        return spectrum.SpectrumReport(**base)
 
     assert spectrum.spectrum_filename(rep()) == "spectrum_N4_r8_gammah_theta1.csv"
     assert (
