@@ -412,7 +412,7 @@ def _cmd_solve(args) -> int:
                     [(k, f"{v:.16e}") for k, v in enumerate(history, start=1)],
                     flags)
         _write_record(os.path.join(args.out, "solve.json"),
-                      _record(flags, [{**flags, **method.record(rep)}]))
+                      _record(flags, [method.record(rep)]))
     return 0 if rep.converged else 1
 
 

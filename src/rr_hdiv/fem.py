@@ -14,9 +14,9 @@ matrices, its basis values at the degree-4 quadrature points and its
 basis divergences.  Loads and error norms take whole cell rows of one
 shape at a time (`_row_blocks`), one matrix product per block.  The
 quadrature points of a block are one row of x values and one column of
-y values that broadcast against each other, and each block reads and
-writes the (cell row, shape, cell column) view of the per-triangle
-tables, so no triangle ids are formed.
+y values that broadcast against each other, and each block reads or
+writes its triangles' edges (`triangle_edges`), the loads in one row per
+edge orientation (`mesh.SIGNS`), so no triangle ids are formed.
 """
 
 from __future__ import annotations
@@ -148,22 +148,24 @@ def element_matrices(mesh: Mesh, tri_ids=None):
 
 
 def element_loads(mesh: Mesh, field) -> np.ndarray:
-    """Per-triangle load contributions int_K field . phi, shape (nt, 3).
+    """Edge loads int_K field . phi_e, shape (2, n_edges): row 0 from the
+    triangle where the edge's orientation (`mesh.SIGNS`) is +1, row 1
+    from the one where it is -1, and 0 where no triangle is (boundary).
 
     Uses the degree-4 rule, exact for the quadratic manufactured load.
-    Each block is written into its (cell row, shape, cell column) view of
-    the result; field components that depend on x or y alone, or neither,
-    are broadcast to the block.
+    Triangles of one shape share no edge, so each entry is written once;
+    field components of x or y alone, or neither, are broadcast.
     """
     m, nq = mesh.m, K.QUAD4_W.size
-    out = np.empty((mesh.n_triangles, 3))
-    cells = out.reshape(m, 2, m, 3)
+    out = np.zeros((2, mesh.n_edges))
+    cells = np.arange(m)
     for shape, kind, rows, x, y in _row_blocks(mesh):
         block = (y.shape[0], m, nq)
         table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
+        edges = triangle_edges(m, cells[rows, None], kind, cells)
         # One statement, so the block's field values are freed before the
         # next block evaluates its own.
-        cells[rows, kind] = np.concatenate(
+        out[(SIGNS[kind] < 0).astype(np.intp), edges] = np.concatenate(
             [np.broadcast_to(c, block) for c in field(x, y)], axis=2) @ table
     return out
 
@@ -195,14 +197,12 @@ def assemble_global(mesh: Mesh, beta: float, field) -> GlobalSystem:
 
     # (nt, 3), -1 on boundary edges
     dofs = edge_to_free[triangle_edges(m, *np.ogrid[:m, :2, :m]).reshape(-1, 3)]
-    n = len(free_edges)
-    free = dofs >= 0
-    load = np.bincount(dofs[free], element_loads(mesh, field)[free], minlength=n)
+    rows = element_loads(mesh, field)
     return GlobalSystem(
         mesh=mesh,
         beta=beta,
-        A=assemble_matrix(elem, dofs, n),
-        load=load,
+        A=assemble_matrix(elem, dofs, len(free_edges)),
+        load=(rows[0] + rows[1])[free_edges],
         free_edges=free_edges,
         edge_to_free=edge_to_free,
     )

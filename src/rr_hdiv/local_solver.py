@@ -25,9 +25,9 @@ as given: every subdomain is a translate of the template by the
 partition's index arithmetic, which tests check against sort
 references.  Each class reads its own sides from the partition's side
 table (`side_start`).  Outside the trace everything is in subdomain
-order, column s subdomain s: `local_loads` scatters all triangles once
-into the interior loads of every subdomain, one (nI, N^2) array, and
-the slot loads, with no per-member triangle table.
+order, column s subdomain s: `local_loads` reads the slot loads and
+every subdomain's interior loads, one (nI, N^2) array, off the two rows
+per edge of `fem.element_loads`, with no per-triangle table.
 
 Setup condenses each class onto its interface (static condensation).
 W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
@@ -67,7 +67,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .mesh import SIGNS, Mesh, triangle_edges
+from .mesh import Mesh
 from .partition import SubdomainPartition, local_dofs
 
 __all__ = [
@@ -266,21 +266,15 @@ class LocalLoads:
 def local_loads(part: SubdomainPartition, field) -> LocalLoads:
     """Every subdomain's interior and trace loads (`LocalLoads`).
 
-    One bincount sums the contributions into two rows per edge, row 0
-    from the triangle where the edge's orientation (`mesh.SIGNS`) is +1,
-    row 1 where it is -1.  An interior edge's load is row 0 + row 1, a
-    slot's is row slot_side (the side rule of `partition.local_dofs`): at
-    most two terms each.
+    `fem.element_loads` gives two rows per edge, one per orientation of
+    the edge in its triangles.  A slot's load is row slot_side (the side
+    rule of `partition.local_dofs`), an interior edge's is row 0 + row 1:
+    at most two terms each.
     """
-    mesh, trace = part.mesh, part.trace
-    m = mesh.m
-    side = (SIGNS < 0.0)[:, None]  # (shape, 1, k)
-    rows = np.bincount(
-        (triangle_edges(m, *np.ogrid[:m, :2, :m]) + mesh.n_edges * side).ravel(),
-        fem.element_loads(mesh, field).ravel(), minlength=2 * mesh.n_edges,
-    ).reshape(2, mesh.n_edges)
-    interior = rows[0] + rows[1]
-    return LocalLoads(interior[part.interior.T], rows[trace.slot_side, trace.slot_edge])
+    rows = fem.element_loads(part.mesh, field)
+    f_G = rows[part.trace.slot_side, part.trace.slot_edge]
+    rows[0] += rows[1]
+    return LocalLoads(rows[0][part.interior.T], f_G)
 
 
 def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,

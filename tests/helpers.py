@@ -8,7 +8,9 @@ reference code that only the tests use: the readers of the command
 line's records (`read_table`, `read_records`, `parse_count`), the
 subdomain of each trace slot and each class's Z (`slot_subdomain`,
 `class_Z`), `sorted_mesh`, the mesh's twelve tables found by sorting,
-and queries on them, the edge interpolant, the elementwise divergence,
+and queries on them, the per-triangle loads and their scatter into the
+two orientation rows per edge (`per_triangle_loads`, `edge_load_rows`),
+the edge interpolant, the elementwise divergence,
 the L2 distance of two discrete fields, the errors of the direct solve
 and a class's Robin matrix.  The middle holds the per-subdomain dof
 tables, loads and per-class assembly that the one template replaced.
@@ -31,6 +33,7 @@ import types
 import numpy as np
 import scipy.sparse as sp
 
+from rr_hdiv import _kernels as K
 from rr_hdiv import fem, local_solver, verify
 from rr_hdiv.mesh import (
     DIAGONAL,
@@ -189,6 +192,39 @@ def tri_coords(mesh):
     """Vertex coordinates per triangle, shape (nt, 3, 2)."""
     ref = sorted_mesh(mesh.m)
     return ref.verts[ref.tris]
+
+
+def per_triangle_loads(m, field):
+    """Reference loads per triangle, shape (nt, 3): the quadrature points
+    of every triangle gathered from its first vertex, the field evaluated
+    there, and one product per shape of those triangles' values with the
+    shape's weighted basis table, scattered back by triangle id."""
+    ref = sorted_mesh(m)
+    out = np.empty((ref.n_triangles, 3))
+    weights = np.tile(K.QUAD4_W, 2)
+    for kind, shape in enumerate(fem._shapes(m)):
+        ids = np.flatnonzero(ref.tri_shape == kind)
+        pts = ref.verts[ref.tris[ids, 0]][:, None] + shape.offsets
+        f = np.concatenate(field(pts[..., 0], pts[..., 1]), axis=1)
+        out[ids] = f @ (shape.values.T * (shape.area * weights)[:, None])
+    return out
+
+
+def orientation_rows(m):
+    """The row of `fem.element_loads` each triangle's loads go to, shape
+    (nt, 3): 0 where the edge's orientation in the triangle is +1, 1
+    where it is -1."""
+    return (sorted_mesh(m).tri_signs < 0).astype(np.intp)
+
+
+def edge_load_rows(m, per_triangle):
+    """A per-triangle load table (nt, 3) scattered into two rows per edge,
+    the format of `fem.element_loads`, by `sorted_mesh`'s `tri_edges`
+    and `orientation_rows`; an entry no triangle writes is 0."""
+    ref = sorted_mesh(m)
+    out = np.zeros((2, ref.n_edges))
+    out[orientation_rows(m), ref.tri_edges] = per_triangle
+    return out
 
 
 def interior_edges(mesh):
@@ -422,10 +458,10 @@ def per_subdomain_local_dofs(part):
 def per_member_local_loads(classes, part, field):
     """Reference loads: each class's members' triangle ids and its shared
     local dof table taken from `per_subdomain_local_dofs`, then one
-    bincount per class of those triangles' contributions into its local
-    dofs."""
+    bincount per class of those triangles' contributions
+    (`per_triangle_loads`) into its local dofs."""
     tri_ids, starts, loc = per_subdomain_local_dofs(part)
-    contrib = fem.element_loads(part.mesh, field)
+    contrib = per_triangle_loads(part.mesh.m, field)
     loads = []
     for cls in classes:
         k, n = cls.members.size, cls.n_local

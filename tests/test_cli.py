@@ -301,13 +301,15 @@ def test_main_solve_richardson(tmp_path, capsys):
     assert len(hist) >= 3 and hist[2].startswith("1,")
     record = read_records(out / "solve.json")
     row = record["rows"][0]
-    assert row["method"] == "richardson" and row["converged"] is True
+    assert record["config"]["method"] == "richardson" and row["converged"] is True
+    assert not set(row) & set(record["config"])
     assert float(hist[-1].split(",")[1]) < 1e-6
 
 
 def test_main_solve_records_its_flags(tmp_path, capsys):
     """`solve --out` records the command's own flags as the `config` of
-    its run record and history CSV, not an experiment's defaults."""
+    its run record and history CSV, not an experiment's defaults, and its
+    row holds the results alone: no flag is repeated there."""
     out = tmp_path / "run"
     rc = cli.main([
         "solve", "--n", "2", "--ratio", "4", "--tol", "1e-8", "--gamma", "H",
@@ -319,7 +321,8 @@ def test_main_solve_records_its_flags(tmp_path, capsys):
     record = read_records(out / "solve.json")
     assert record["config"] == flags
     row = record["rows"][0]
-    assert {k: row[k] for k in flags} == flags
+    assert not set(row) & set(flags)
+    assert set(row) == {"iterations", "converged", "l2_error", "hdiv_error", "wall_time"}
     config, header, data = read_table(out / "increment_history.csv")
     assert config == flags
     assert header == ["iteration", "sup_increment"]
@@ -339,8 +342,11 @@ def test_main_solve_minres(tmp_path, capsys):
     hist = (out / "residual_history.csv").read_text().splitlines()
     assert hist[1] == "iteration,relative_residual"
     record = read_records(out / "solve.json")
-    assert record["rows"][0]["method"] == "minres"
-    assert record["rows"][0]["final_residual"] < 1e-6
+    assert record["config"]["method"] == "minres"
+    assert record["config"]["N"] == 2 and record["config"]["ratio"] == 2
+    row = record["rows"][0]
+    assert not set(row) & set(record["config"])
+    assert row["final_residual"] < 1e-6
 
 
 def test_main_solve_baseline(tmp_path, capsys):
@@ -356,6 +362,7 @@ def test_main_solve_baseline(tmp_path, capsys):
     cfg = iteration.IterationConfig(N=2, ratio=2, constrained=False)
     rep = iteration.run_richardson(cfg, verify.manufactured_case())
     assert record["rows"][0]["iterations"] == rep.iterations
+    assert not set(record["rows"][0]) & set(record["config"])
 
 
 def test_main_solve_numeric_gamma(capsys):

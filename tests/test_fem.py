@@ -5,7 +5,16 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helpers import direct_errors, divergence, interpolate, l2_distance, sorted_mesh
+from helpers import (
+    direct_errors,
+    divergence,
+    edge_load_rows,
+    interpolate,
+    l2_distance,
+    orientation_rows,
+    per_triangle_loads,
+    sorted_mesh,
+)
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -106,38 +115,34 @@ def test_quadrature_points_match_vertex_gather(monkeypatch, m):
         np.testing.assert_array_equal(seen, 1)
 
 
-def _loads_by_vertex_gather(mesh, field):
-    """Reference loads: the quadrature points of every triangle gathered
-    from its first vertex, the field evaluated there, and one product per
-    shape of those triangles' values with the shape's weighted basis
-    table, scattered back by triangle id."""
-    ref = sorted_mesh(mesh.m)
-    out = np.empty((mesh.n_triangles, 3))
-    weights = np.tile(K.QUAD4_W, 2)
-    for kind, shape in enumerate(fem._shapes(mesh.m)):
-        ids = np.flatnonzero(ref.tri_shape == kind)
-        pts = ref.verts[ref.tris[ids, 0]][:, None] + shape.offsets
-        f = np.concatenate(field(pts[..., 0], pts[..., 1]), axis=1)
-        out[ids] = f @ (shape.values.T * (shape.area * weights)[:, None])
-    return out
-
-
 def test_element_loads_match_per_triangle_reference(monkeypatch):
     """At m=24, which is not dyadic, each triangle's loads equal those
-    from its own gathered points bitwise, in one block and in blocks of
-    one cell row."""
-    mesh = build_unit_square_mesh(24)
+    from its own gathered points bitwise, each in the row of its edge's
+    orientation, in one block and in blocks of one cell row.  Every entry
+    is written by at most one triangle: an interior edge gets one load per
+    row, a boundary edge one in all, and its missing row is exactly 0."""
+    m = 24
+    mesh = build_unit_square_mesh(m)
+    ref = sorted_mesh(m)
     field = lambda x, y: (np.sin(3.0 * x + y), np.cos(x - 2.0 * y))
-    expected = _loads_by_vertex_gather(mesh, field)
-    np.testing.assert_array_equal(fem.element_loads(mesh, field), expected)
-    monkeypatch.setattr(fem, "QUAD_BLOCK", 7)
-    np.testing.assert_array_equal(fem.element_loads(mesh, field), expected)
+    expected = edge_load_rows(m, per_triangle_loads(m, field))
+    written = np.zeros((2, mesh.n_edges), dtype=np.int64)
+    np.add.at(written, (orientation_rows(m), ref.tri_edges), 1)
+    assert written.max() == 1
+    np.testing.assert_array_equal(written.sum(axis=0), np.where(ref.edge_boundary, 1, 2))
+    for block in (fem.QUAD_BLOCK, 7):
+        monkeypatch.setattr(fem, "QUAD_BLOCK", block)
+        loads = fem.element_loads(mesh, field)
+        assert loads.shape == (2, mesh.n_edges)
+        np.testing.assert_array_equal(loads, expected)
+        assert not loads[written == 0].view(np.uint64).any()
 
 
 @pytest.mark.parametrize("block", [7, None])
 def test_loads_of_partial_fields_are_broadcast(monkeypatch, block):
     """Fields whose components are Python scalars, or arrays of x alone or
-    of y alone, give the loads of their full-array forms bitwise."""
+    of y alone, give the loads of their full-array forms bitwise, and
+    those of the per-triangle reference."""
     if block is not None:
         monkeypatch.setattr(fem, "QUAD_BLOCK", block)
     mesh = build_unit_square_mesh(6)
@@ -152,8 +157,11 @@ def test_loads_of_partial_fields_are_broadcast(monkeypatch, block):
             x, y = np.broadcast_arrays(x, y)
             return tuple(np.full(x.shape, c) if np.isscalar(c) else c
                          for c in field(x, y))
-        np.testing.assert_array_equal(fem.element_loads(mesh, field),
-                                      fem.element_loads(mesh, full), err_msg=name)
+        expected = edge_load_rows(6, per_triangle_loads(6, full))
+        np.testing.assert_array_equal(fem.element_loads(mesh, field), expected,
+                                      err_msg=name)
+        np.testing.assert_array_equal(fem.element_loads(mesh, full), expected,
+                                      err_msg=name)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
@@ -212,7 +220,8 @@ def test_coercivity_dominates_mass(case, rng):
 @pytest.mark.parametrize("m", [6, 8])
 def test_assemble_global_matches_scatter_reference(case, m):
     """The oracle's matrix and load, bitwise, against a COO sum of every
-    triangle's element matrix and an np.add.at scatter of its loads."""
+    triangle's element matrix and an np.add.at scatter of its loads
+    (`per_triangle_loads`)."""
     mesh = build_unit_square_mesh(m)
     system = fem.assemble_global(mesh, 2.0, case.load)
     divdiv, mass = fem.element_matrices(mesh)
@@ -225,7 +234,7 @@ def test_assemble_global_matches_scatter_reference(case, m):
                        (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     load = np.zeros(n)
     free = dofs >= 0
-    np.add.at(load, dofs[free], fem.element_loads(mesh, case.load)[free])
+    np.add.at(load, dofs[free], per_triangle_loads(m, case.load)[free])
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(system.A, name), getattr(A, name))
     np.testing.assert_array_equal(system.load, load)

@@ -8,7 +8,7 @@ tables that `fem` builds loads and error norms from.
 
 import numpy as np
 
-from helpers import interpolate, sorted_mesh, tri_coords
+from helpers import edge_load_rows, interpolate, per_triangle_loads, sorted_mesh, tri_coords
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -133,17 +133,21 @@ def _perturbed_interpolant(mesh, case, rng):
     return interpolate(mesh, case.u) + 1e-2 * rng.standard_normal(mesh.n_edges)
 
 
-def test_element_loads_match_loops():
+def test_element_loads_match_loops(monkeypatch):
     """End to end: the per-shape load tables give each triangle's own
-    quadrature, the field evaluated at that triangle's points."""
+    quadrature, the field evaluated at that triangle's points, in the row
+    of its edge's orientation, at the default block and at 7 triangles."""
     for m in (5, 6, 7):
         coords, lengths, signs, areas = _mesh_arrays(m)
         pts = _quad_points(coords)
         fvals = np.stack(_field(pts[:, :, 0], pts[:, :, 1]), axis=-1)
-        expected = _load_vectors_loops(coords, lengths, signs, areas, fvals,
-                                       K.QUAD4_BARY, K.QUAD4_W)
-        loads = fem.element_loads(build_unit_square_mesh(m), _field)
-        np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-15)
+        expected = edge_load_rows(m, _load_vectors_loops(
+            coords, lengths, signs, areas, fvals, K.QUAD4_BARY, K.QUAD4_W))
+        for block in (fem.QUAD_BLOCK, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(fem, "QUAD_BLOCK", block)
+                loads = fem.element_loads(build_unit_square_mesh(m), _field)
+            np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-15)
 
 
 def test_error_norms_match_loops(case, rng):
@@ -159,16 +163,17 @@ def test_error_norms_match_loops(case, rng):
 
 def test_quadrature_blocks_agree(monkeypatch, case, rng):
     """Blocks of 7 triangles, with a partial last block at m=6, give the
-    loads and norms of the default block."""
+    norms of the default block, and both give the per-triangle reference
+    loads bitwise, each in the row of its edge's orientation."""
     for m in (6, 7):
         mesh = build_unit_square_mesh(m)
         u = _perturbed_interpolant(mesh, case, rng)
-        loads = fem.element_loads(mesh, _field)
+        expected = edge_load_rows(m, per_triangle_loads(m, _field))
+        np.testing.assert_array_equal(fem.element_loads(mesh, _field), expected)
         norms = fem.error_norms(mesh, u, case.u, case.div_u)
         with monkeypatch.context() as patch:
             patch.setattr(fem, "QUAD_BLOCK", 7)
-            np.testing.assert_allclose(fem.element_loads(mesh, _field), loads,
-                                       rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(fem.element_loads(mesh, _field), expected)
             np.testing.assert_allclose(fem.error_norms(mesh, u, case.u, case.div_u),
                                        norms, rtol=1e-15)
 

@@ -254,10 +254,11 @@ def test_local_loads_match_global(problem_n4, case):
 
 @pytest.mark.parametrize("N,r", [(1, 4), (2, 2), (3, 5), (6, 4), (32, 8), (4, 32)])
 def test_local_loads_match_per_member_scatter(case, N, r):
-    """The two-rows-per-edge scatter equals the per-member triangle-table
-    bincount exactly, dtype included: each load sums at most two terms.
-    Member i of a class is column members[i] of the interior loads, and
-    its trace loads are its row of the class's trace block."""
+    """The loads read off the two orientation rows per edge equal a
+    per-member bincount of the per-triangle reference loads exactly,
+    dtype included: each load sums at most two terms.  Member i of a
+    class is column members[i] of the interior loads, and its trace loads
+    are its row of the class's trace block."""
     problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
     ref = per_member_local_loads(problem.classes, problem.partition, case.load)
     loads = problem.local_loads
@@ -268,6 +269,23 @@ def test_local_loads_match_per_member_scatter(case, N, r):
                              (cls.trace_block(loads.f_G).T, theirs[nI:])):
             assert ours.dtype == expect.dtype
             np.testing.assert_array_equal(ours, expect)
+
+
+def test_local_loads_transient_is_bounded(case):
+    """At m=512, N=64 the traced peak of `local_loads` is at most 1.1 times
+    the two orientation rows per edge plus the loads it returns: no
+    whole-mesh table of per-triangle loads or edge keys is held beside
+    them, only one quadrature block's temporaries."""
+    mesh = build_unit_square_mesh(512)
+    part = partition(mesh, 64)
+    tracemalloc.start()
+    try:
+        loads = local_solver.local_loads(part, case.load)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 2 * mesh.n_edges * 8 + loads.f_I.nbytes + loads.f_G.nbytes
+    assert peak <= 1.1 * held, (peak, held)
 
 
 def test_resolvent_on_a_block_wider_than_column_block(case, rng):
