@@ -2,13 +2,17 @@
 
 Four canned experiments cover the study grids (two Richardson tables, the
 MINRES table, the spectrum sweep). Each is one `TableSpec` in `EXPERIMENTS`:
-the row axis with its desk and full grids, the columns and the method that
-solves a cell, and the CSV header; `run_table` runs any of them. `solve`
-runs a single configuration and can emit its per-iteration history.
+rows x columns of IterationConfig cells, with the columns as dicts of
+IterationConfig fields; `run_table` runs any of them. `solve` runs a
+single configuration and can emit its per-iteration history.
 Every CSV embeds the configuration of its run in a leading comment line,
-and every JSON record holds it as `config`: the experiment's for a table,
-the command's flags for `solve`.
-Exit status is 0 only if every run in the invocation converged.
+and every JSON record holds it as `config`: the command's flags for
+`solve`; for an experiment, the row grid under the axis name ("N" or
+"ratio"), the fixed fields, `columns` (cell key -> its column's fields)
+and the run flags it reads, from which every cell's IterationConfig is
+rebuilt. The tables read `--tol` and `--max-iter`, the spectrum
+`--gamma`; a flag an experiment does not read is refused (exit status 2).
+Otherwise the exit status is 0 only if every run converged.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__, boundary_system, fem, iteration, spectrum, verify
 from .mesh import build_unit_square_mesh, dump_mesh_csv
@@ -30,7 +34,6 @@ __all__ = [
     "EmptyGridError",
     "TableSpec",
     "EXPERIMENTS",
-    "spectrum_runs",
     "run_table",
     "run_spectrum",
     "write_table",
@@ -72,35 +75,71 @@ TABLE3_N_DESK = (4, 8, 16)
 TABLE3_N_FULL = (4, 8, 16, 24, 32, 40, 48)
 SPECTRUM_N = (4, 8, 12)
 
-RICHARDSON_COLUMNS = (("h", 0.5), ("h", 2.0 / 3.0), ("H", 0.5), ("H", 2.0 / 3.0))
-MINRES_COLUMNS = (("h", 8), ("h", 16), ("H", 8), ("H", 16))
+RICHARDSON_COLUMNS = tuple({"gamma_rule": g, "theta": t} for g in "hH" for t in (0.5, 2 / 3))
+MINRES_COLUMNS = tuple({"gamma_rule": g, "ratio": r} for g in "hH" for r in (8, 16))
+
+# The run flags that an experiment may read: IterationConfig field -> flag.
+RUN_FLAGS = {"tol": "--tol", "max_iter": "--max-iter", "gamma_rule": "--gamma"}
+_DEFAULTS = {f.name: f.default for f in fields(iteration.IterationConfig)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid and output settings of one canned experiment."""
+    """Row grid, run flags and output settings of one canned experiment.
+
+    A flag left at None takes IterationConfig's default; a flag that the
+    experiment does not read (`TableSpec.reads`) is refused.
+    """
 
     experiment: str
-    n_list: tuple = ()
-    ratio_list: tuple = ()
-    gamma_rules: tuple = ("h", "H")
-    theta_list: tuple = (0.5, 2.0 / 3.0)
-    tol: float = 1e-6
-    max_iter: int = 10000
+    rows: tuple = ()
+    tol: float = None
+    max_iter: int = None
+    gamma_rule: object = None
     out_dir: str = "."
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in {"table1", "table2", "table3", "spectrum"}:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.fmt not in {"csv", "json"}:
             raise ValueError(f"unknown format {self.fmt!r}")
+        unread = [f"{name} ({flag})" for name, flag in RUN_FLAGS.items()
+                  if getattr(self, name) is not None and name not in self.spec.reads]
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
+
+    @property
+    def spec(self) -> TableSpec:
+        return EXPERIMENTS[self.experiment]
+
+    @property
+    def flags(self) -> dict:
+        """The flags the experiment reads, as given or by default."""
+        return {name: _DEFAULTS[name] if getattr(self, name) is None
+                else getattr(self, name) for name in self.spec.reads}
+
+    def cells(self) -> list:
+        """(row value, {cell key: IterationConfig}) for each row of the grid."""
+        spec = self.spec
+        if not self.rows:
+            raise EmptyGridError(
+                f"{self.experiment}: its grid {spec.axis}={self.rows} is empty")
+        return [(value, {spec.key.format(**col): iteration.IterationConfig(
+                    **{spec.axis: value}, **spec.fixed, **col, **self.flags)
+                 for col in spec.columns})
+                for value in self.rows]
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("n_list", "ratio_list", "gamma_rules", "theta_list"):
-            d[key] = list(d[key])
-        return d
+        """The record's config: every cell is its row value under the axis
+        name, the fixed fields, its entry of `columns` and the flags."""
+        spec = self.spec
+        return {
+            "experiment": self.experiment, spec.axis: list(self.rows),
+            **spec.fixed,
+            "columns": {spec.key.format(**col): dict(col) for col in spec.columns},
+            **self.flags, "out_dir": self.out_dir, "fmt": self.fmt,
+        }
 
 
 class EmptyGridError(ValueError):
@@ -110,24 +149,6 @@ class EmptyGridError(ValueError):
 def _count_cell(report) -> str:
     n = report.iterations
     return str(n) if report.converged else f"{n}*"
-
-
-def spectrum_runs(grid, gamma_rule="h", theta=1.0):
-    """Spectrum reports over the (N, ratio) grid; entries over the size
-    cap are skipped, and any other error propagates."""
-    reports = []
-    skipped = []
-    for N, r in grid:
-        cfg = iteration.IterationConfig(
-            N=N, ratio=r, gamma_rule=gamma_rule, theta=theta
-        )
-        try:
-            op = spectrum.assemble_Q(cfg)
-        except spectrum.SizeCapError as err:
-            skipped.append((N, r, str(err)))
-            continue
-        reports.append(spectrum.eigenvalues(op))
-    return reports, skipped
 
 
 def write_table(path, header, rows, config: dict) -> None:
@@ -169,27 +190,6 @@ def _emit(config: ExperimentConfig, name, header, csv_rows, json_rows):
     return paths
 
 
-def _report_json(rep: iteration.SolveReport) -> dict:
-    return {
-        "iterations": rep.iterations,
-        "converged": bool(rep.converged),
-        "l2_error": rep.l2_error,
-        "hdiv_error": rep.hdiv_error,
-        "wall_time": rep.wall_time,
-    }
-
-
-def _krylov_json(rep: boundary_system.KrylovReport) -> dict:
-    return {
-        "iterations": rep.iterations,
-        "converged": bool(rep.converged),
-        "breakdown": bool(rep.breakdown),
-        "final_residual": rep.final_residual,
-        "l2_error": rep.l2_error,
-        "hdiv_error": rep.hdiv_error,
-    }
-
-
 def _solve_minres(cfg: iteration.IterationConfig, case):
     problem = iteration.build_problem(cfg, case.load)
     op = boundary_system.InterfaceOperator(problem)
@@ -198,26 +198,37 @@ def _solve_minres(cfg: iteration.IterationConfig, case):
     )
 
 
+def _spectrum_cell(cfg: iteration.IterationConfig, out_dir):
+    """Assemble Q, eigensolve it and export the spectrum into out_dir;
+    -> (report, path).  Raises SizeCapError before any assembly."""
+    rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, spectrum.spectrum_filename(rep))
+    spectrum.export_spectrum(rep, path)
+    return rep, path
+
+
 @dataclass(frozen=True)
 class Method:
     """How the cells of a table, or one `solve`, are solved and recorded."""
 
     solve: object        # (IterationConfig, case) -> report
-    columns: tuple       # one pair per table column
-    fields: tuple        # the IterationConfig fields a column pair sets
-    key: str             # JSON key of a column, formatted from its pair
-    record: object       # report -> JSON cell
+    record: tuple        # report attributes that make a JSON cell
     history: str         # report attribute written to `solve --out` as CSV
     column: str          # value column of that CSV
     detail: object       # report -> last item of the `solve` summary line
 
+    def cell(self, report) -> dict:
+        return {name: getattr(report, name) for name in self.record}
 
-RICHARDSON = Method(iteration.run_richardson, RICHARDSON_COLUMNS,
-                    ("gamma_rule", "theta"), "{},{:g}", _report_json,
+
+RICHARDSON = Method(iteration.run_richardson,
+                    ("iterations", "converged", "l2_error", "hdiv_error", "wall_time"),
                     "increment_history", "sup_increment",
                     lambda rep: f"{rep.wall_time:.2f}s")
-MINRES = Method(_solve_minres, MINRES_COLUMNS,
-                ("gamma_rule", "ratio"), "{},r={}", _krylov_json,
+MINRES = Method(_solve_minres,
+                ("iterations", "converged", "breakdown", "final_residual",
+                 "l2_error", "hdiv_error"),
                 "residual_history", "relative_residual",
                 lambda rep: f"final residual {rep.final_residual:.3e}")
 # `solve --method`; the baseline is Richardson on a config without the
@@ -227,26 +238,25 @@ SOLVE_METHODS = {"richardson": RICHARDSON, "baseline": RICHARDSON, "minres": MIN
 
 @dataclass(frozen=True)
 class TableSpec:
-    """One canned experiment: its row grid, columns and output header.
+    """One canned experiment: rows x columns of IterationConfig cells.
 
     Rows vary the IterationConfig field `axis` ("N" or "ratio"); each
-    cell also takes the `fixed` fields and the fields its column sets.
-    `config` holds the ExperimentConfig fields the experiment records
-    besides its row grid; they override the command-line values.
+    cell also takes the `fixed` fields, the fields of its column (a dict)
+    and the run flags the experiment `reads`.  `key` formats a column's
+    fields into its cell key; `errors` names the cell whose error norms
+    each row carries.
     """
 
     header: tuple
     axis: str
     desk: tuple
     full: tuple
-    method: Method = None
+    columns: tuple
+    key: str
+    method: Method = None  # None: the spectrum (`run_spectrum`)
     fixed: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    errors: bool = False  # rows carry the (h, 1/2) cell's error norms
-
-    @property
-    def grid_field(self) -> str:
-        return {"N": "n_list", "ratio": "ratio_list"}[self.axis]
+    reads: tuple = ("tol", "max_iter")
+    errors: str = None
 
     def grid(self, full=False, max_n=None) -> tuple:
         """Row values of the desk or full grid; max_n caps an N axis."""
@@ -256,52 +266,39 @@ class TableSpec:
         return rows
 
 
-# The tables' columns fix their Robin rules; only the spectrum takes --gamma.
-_TABLE_RULES = {"gamma_rules": ("h", "H")}
 EXPERIMENTS = {
     "table1": TableSpec(TABLE1_HEADER, "N", TABLE1_N_DESK, TABLE1_N_FULL,
-                        RICHARDSON, fixed={"ratio": 8}, errors=True,
-                        config={"ratio_list": (8,), **_TABLE_RULES}),
+                        RICHARDSON_COLUMNS, "{gamma_rule},{theta:g}", RICHARDSON,
+                        fixed={"ratio": 8}, errors="h,0.5"),
     "table2": TableSpec(TABLE2_HEADER, "ratio", TABLE2_RATIOS, TABLE2_RATIOS,
-                        RICHARDSON, fixed={"N": 4},
-                        config={"n_list": (4,), **_TABLE_RULES}),
+                        RICHARDSON_COLUMNS, "{gamma_rule},{theta:g}", RICHARDSON,
+                        fixed={"N": 4}),
     "table3": TableSpec(TABLE3_HEADER, "N", TABLE3_N_DESK, TABLE3_N_FULL,
-                        MINRES, config={"ratio_list": (8, 16), **_TABLE_RULES}),
+                        MINRES_COLUMNS, "{gamma_rule},r={ratio}", MINRES),
     "spectrum": TableSpec(SPECTRUM_HEADER, "N", SPECTRUM_N, SPECTRUM_N,
-                          config={"ratio_list": (4, 8), "theta_list": (1.0,)}),
+                          ({"ratio": 4}, {"ratio": 8}), "r={ratio}",
+                          fixed={"theta": 1.0}, reads=("gamma_rule",)),
 }
 
 
 def run_table(config: ExperimentConfig):
     """Run the experiment `config` names; -> (rows, paths, all converged)."""
-    spec = EXPERIMENTS[config.experiment]
-    if spec.method is None:
-        return run_spectrum(config)
-    grid = getattr(config, spec.grid_field)
-    if not grid:
-        raise EmptyGridError(
-            f"{config.experiment}: its grid {spec.grid_field}={grid} is empty")
+    spec = config.spec
     method = spec.method
+    if method is None:
+        return run_spectrum(config)
     case = verify.manufactured_case()
     rows, csv_rows, json_rows, ok = [], [], [], True
-    for value in grid:
-        cells = {}
-        for col in method.columns:
-            cfg = iteration.IterationConfig(
-                **{spec.axis: value}, **spec.fixed,
-                **dict(zip(method.fields, col)),
-                tol=config.tol, max_iter=config.max_iter,
-            )
-            cells[col] = method.solve(cfg, case)
+    for value, cfgs in config.cells():
+        cells = {key: method.solve(cfg, case) for key, cfg in cfgs.items()}
         ok &= all(c.converged for c in cells.values())
         csv_row = [value] + [_count_cell(c) for c in cells.values()]
         json_row = {
             spec.axis: value,
-            "counts": {method.key.format(*col): method.record(c)
-                       for col, c in cells.items()},
+            "counts": {key: method.cell(c) for key, c in cells.items()},
         }
         if spec.errors:
-            errs = cells[("h", 0.5)]
+            errs = cells[spec.errors]
             csv_row += [f"{errs.l2_error:.3e}", f"{errs.hdiv_error:.3e}"]
             json_row.update(l2_error=errs.l2_error, hdiv_error=errs.hdiv_error)
         rows.append({spec.axis: value, "cells": cells})
@@ -312,57 +309,51 @@ def run_table(config: ExperimentConfig):
 
 
 def run_spectrum(config: ExperimentConfig):
-    """Spectra over n_list x ratio_list; -> (reports, paths, True)."""
-    grid = tuple((N, r) for N in config.n_list for r in config.ratio_list)
-    if not grid:
-        raise EmptyGridError(
-            f"{config.experiment}: its grid n_list={config.n_list} x "
-            f"ratio_list={config.ratio_list} is empty")
-    reports, skipped = spectrum_runs(grid, gamma_rule=config.gamma_rules[0],
-                                     theta=config.theta_list[0])
-    os.makedirs(config.out_dir, exist_ok=True)
-    csv_rows, json_rows = [], []
-    paths = []
-    for rep in reports:
-        fname = spectrum.spectrum_filename(rep)
-        fpath = os.path.join(config.out_dir, fname)
-        spectrum.export_spectrum(rep, fpath)
-        paths.append(fpath)
-        cfg = rep.config
-        csv_rows.append([
-            cfg.N, cfg.ratio, cfg.gamma_rule, f"{cfg.theta:g}", rep.dim,
-            f"{rep.max_real_below_unit():.12e}", rep.unit_count,
-            f"{rep.max_nonreal_modulus:.12e}", fname,
-        ])
-        json_rows.append({
-            "N": cfg.N, "r": cfg.ratio, "gamma": cfg.gamma_rule,
-            "theta": cfg.theta, "dim": rep.dim,
-            "max_real_below_unit": rep.max_real_below_unit(),
-            "unit_count": rep.unit_count,
-            "max_nonreal_modulus": rep.max_nonreal_modulus,
-            "blocks": list(rep.blocks),
-            "file": fname,
-        })
-    for N, r, why in skipped:
-        print(f"spectrum N={N} r={r}: skipped ({why})", file=sys.stderr)
+    """One spectrum per cell, exported on its own; cells over the size cap
+    are skipped, and any other error propagates.  -> (reports, paths, True)"""
+    reports, paths, csv_rows, json_rows = [], [], [], []
+    for _, cfgs in config.cells():
+        for cfg in cfgs.values():
+            try:
+                rep, path = _spectrum_cell(cfg, config.out_dir)
+            except spectrum.SizeCapError as err:
+                print(f"spectrum N={cfg.N} r={cfg.ratio}: skipped ({err})",
+                      file=sys.stderr)
+                continue
+            reports.append(rep)
+            paths.append(path)
+            fname = os.path.basename(path)
+            csv_rows.append([
+                cfg.N, cfg.ratio, cfg.gamma_rule, f"{cfg.theta:g}", rep.dim,
+                f"{rep.max_real_below_unit():.12e}", rep.unit_count,
+                f"{rep.max_nonreal_modulus:.12e}", fname,
+            ])
+            json_rows.append({
+                "N": cfg.N, "r": cfg.ratio, "gamma": cfg.gamma_rule,
+                "theta": cfg.theta, "dim": rep.dim,
+                "max_real_below_unit": rep.max_real_below_unit(),
+                "unit_count": rep.unit_count,
+                "max_nonreal_modulus": rep.max_nonreal_modulus,
+                "blocks": list(rep.blocks),
+                "file": fname,
+            })
     paths += _emit(config, "spectrum_summary", SPECTRUM_HEADER, csv_rows, json_rows)
     return reports, paths, True
 
 
 def _cmd_run(args) -> int:
     spec = EXPERIMENTS[args.experiment]
-    config = ExperimentConfig(**{
-        "experiment": args.experiment,
-        spec.grid_field: spec.grid(args.full, args.max_n),
-        "gamma_rules": (args.gamma,),
-        "tol": args.tol, "max_iter": args.max_iter,
-        "out_dir": args.out, "fmt": args.format,
-        **spec.config,
-    })
-    if not set(getattr(config, spec.grid_field)) <= set(spec.desk):
-        print("full grid requested: the largest rows solve meshes of up "
-              "to 512 x 512 (table1) or 768 x 768 (table3) cells; table1 "
-              "takes about 4 s and 250 MB, table3 about 5 s and 320 MB",
+    given = {name: getattr(args, name) for name in RUN_FLAGS
+             if getattr(args, name) is not None}
+    try:
+        config = ExperimentConfig(args.experiment, spec.grid(args.full, args.max_n),
+                                  out_dir=args.out, fmt=args.format, **given)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    if not set(config.rows) <= set(spec.desk):
+        m = max(cfg.m for _, cfgs in config.cells() for cfg in cfgs.values())
+        print(f"full grid requested: its largest mesh has {m} x {m} cells",
               file=sys.stderr)
     try:
         _, paths, ok = run_table(config)
@@ -397,8 +388,8 @@ def _cmd_solve(args) -> int:
         print(f"mesh tables written to {args.dump_mesh}")
     method = SOLVE_METHODS[args.method]
     rep = method.solve(cfg, case)
-    # Only Richardson relaxes; its columns are the ones that set theta.
-    theta = f" theta={args.theta:g}" if "theta" in method.fields else ""
+    # Only Richardson relaxes.
+    theta = f" theta={args.theta:g}" if method is RICHARDSON else ""
     print(
         f"{args.method} N={args.n} r={args.ratio} gamma={args.gamma}{theta}: "
         f"{rep.iterations} iterations, converged={rep.converged}, "
@@ -412,7 +403,7 @@ def _cmd_solve(args) -> int:
                     [(k, f"{v:.16e}") for k, v in enumerate(history, start=1)],
                     flags)
         _write_record(os.path.join(args.out, "solve.json"),
-                      _record(flags, [method.record(rep)]))
+                      _record(flags, [method.cell(rep)]))
     return 0 if rep.converged else 1
 
 
@@ -421,14 +412,10 @@ def _cmd_spectrum(args) -> int:
         N=args.n, ratio=args.ratio, gamma_rule=args.gamma, theta=args.theta
     )
     try:
-        op = spectrum.assemble_Q(cfg)
+        rep, path = _spectrum_cell(cfg, args.out)
     except spectrum.SizeCapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    rep = spectrum.eigenvalues(op)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, spectrum.spectrum_filename(rep))
-    spectrum.export_spectrum(rep, path)
     g = len(rep.blocks)
     print(
         f"dim {rep.dim} in {g} block{'s' * (g != 1)} of {rep.blocks[0]}: "
@@ -496,10 +483,17 @@ def main(argv=None) -> int:
                             "the desk-scale default")
     p_run.add_argument("--out", default="results")
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_run.add_argument("--gamma", type=_gamma_rule, default="h",
-                       help="spectrum grid Robin rule")
-    p_run.add_argument("--tol", type=_positive, default=1e-6)
-    p_run.add_argument("--max-iter", type=_positive_int, default=10000)
+    # Each experiment reads only some of these (`TableSpec.reads`); giving
+    # one it does not read is refused. Unset, they take IterationConfig's
+    # defaults.
+    p_run.add_argument("--gamma", dest="gamma_rule", type=_gamma_rule,
+                       metavar="GAMMA",
+                       help=f"spectrum Robin rule (default {_DEFAULTS['gamma_rule']}); "
+                            "the tables fix theirs in their columns")
+    p_run.add_argument("--tol", type=_positive,
+                       help=f"table stopping tolerance (default {_DEFAULTS['tol']:g})")
+    p_run.add_argument("--max-iter", type=_positive_int,
+                       help=f"table iteration cap (default {_DEFAULTS['max_iter']})")
     p_run.set_defaults(func=_cmd_run)
 
     p_solve = sub.add_parser("solve", help="run one configuration")

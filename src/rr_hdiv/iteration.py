@@ -168,10 +168,10 @@ def build_problem(config: IterationConfig, load) -> RobinProblem:
     """Assemble mesh, partition, and the factorized subdomain classes."""
     mesh = build_unit_square_mesh(config.m)
     part = partition(mesh, config.N)
-    classes = local_solver.build_local_systems(part, mesh, config.beta, config.gamma)
+    classes = local_solver.build_local_systems(part, config.beta, config.gamma)
     loads = local_solver.local_loads(part, load)
     if config.constrained:
-        B = build_constraint(part, mesh)
+        B = build_constraint(part)
     else:
         B = sp.csr_matrix((0, part.trace.n_slots))
     return RobinProblem(

@@ -67,7 +67,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .mesh import Mesh
 from .partition import SubdomainPartition, local_dofs
 
 __all__ = [
@@ -216,9 +215,7 @@ def _spd_inverse(S: np.ndarray, not_spd: str) -> np.ndarray:
     return np.triu(upper) + np.triu(upper, 1).T
 
 
-def build_local_systems(
-    part: SubdomainPartition, mesh: Mesh, beta: float, gamma: float
-) -> list:
+def build_local_systems(part: SubdomainPartition, beta: float, gamma: float) -> list:
     """Assemble the one template matrix, from subdomain 0's triangles, cut
     each congruence class's matrix from it, and factorize A_II once.
 
@@ -233,6 +230,7 @@ def build_local_systems(
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
+    mesh = part.mesh
     r = mesh.m // part.N
     tri_ids, loc = local_dofs(part)
     divdiv, mass = fem.element_matrices(mesh, tri_ids)

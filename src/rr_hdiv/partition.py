@@ -254,7 +254,7 @@ def local_dofs(part: SubdomainPartition):
     return tri_ids, loc.reshape(-1, 3)
 
 
-def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
+def build_constraint(part: SubdomainPartition) -> sp.csr_matrix:
     """Edge-average constraint matrix: one row per coarse interface.
 
     Row k integrates the two-sided jump over interface k: +h on the
@@ -266,7 +266,7 @@ def build_constraint(part: SubdomainPartition, mesh: Mesh) -> sp.csr_matrix:
     """
     trace = part.trace
     n = trace.n_slots
-    data = mesh.h * (1 - 2 * trace.slot_side)
+    data = part.mesh.h * (1 - 2 * trace.slot_side)
     B = sp.csr_matrix(
         (data, (trace.slot_iface, np.arange(n))),
         shape=(part.n_interfaces, n),

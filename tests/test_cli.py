@@ -1,5 +1,6 @@
 """Tests for the command line interface and its table plumbing."""
 
+import dataclasses
 import json
 import os
 import re
@@ -33,14 +34,15 @@ def test_experiment_config_validation():
         cli.ExperimentConfig(experiment="table9")
     with pytest.raises(ValueError, match="format"):
         cli.ExperimentConfig(experiment="table1", fmt="xml")
-    cfg = cli.ExperimentConfig(experiment="table1", n_list=(4, 8))
+    cfg = cli.ExperimentConfig(experiment="table1", rows=(4, 8))
     d = cfg.as_dict()
-    assert d["n_list"] == [4, 8]
+    assert d["N"] == [4, 8] and d["ratio"] == 8
+    assert d["columns"]["h,0.666667"] == {"gamma_rule": "h", "theta": 2.0 / 3.0}
     assert json.dumps(d)
 
 
 def test_write_read_table_round_trip(tmp_path):
-    cfg = cli.ExperimentConfig(experiment="table2", ratio_list=(4, 8))
+    cfg = cli.ExperimentConfig(experiment="table2", rows=(4, 8))
     path = tmp_path / "t.csv"
     header = ("a", "b")
     rows = [["1", "2"], ["3", "4*"]]
@@ -61,9 +63,7 @@ def test_read_table_requires_config_line(tmp_path):
 @pytest.fixture(scope="module")
 def table1_n2(tmp_path_factory):
     out = tmp_path_factory.mktemp("t1")
-    cfg = cli.ExperimentConfig(
-        experiment="table1", n_list=(2,), ratio_list=(8,), out_dir=str(out)
-    )
+    cfg = cli.ExperimentConfig(experiment="table1", rows=(2,), out_dir=str(out))
     rows, paths, ok = cli.run_table(cfg)
     return cfg, rows, paths, ok, out
 
@@ -96,17 +96,13 @@ def test_run_table1_outputs(table1_n2):
 def test_run_table1_csv_deterministic(table1_n2, tmp_path):
     _, _, paths, _, out = table1_n2
     first = open(paths[0], "rb").read()
-    cfg2 = cli.ExperimentConfig(
-        experiment="table1", n_list=(2,), ratio_list=(8,), out_dir=str(out)
-    )
+    cfg2 = cli.ExperimentConfig(experiment="table1", rows=(2,), out_dir=str(out))
     cli.run_table(cfg2)
     assert open(paths[0], "rb").read() == first
 
 
 def test_run_table2_small(tmp_path):
-    cfg = cli.ExperimentConfig(
-        experiment="table2", ratio_list=(2, 4), out_dir=str(tmp_path)
-    )
+    cfg = cli.ExperimentConfig(experiment="table2", rows=(2, 4), out_dir=str(tmp_path))
     rows, paths, ok = cli.run_table(cfg)
     assert ok
     _, header, data = read_table(paths[0])
@@ -117,9 +113,7 @@ def test_run_table2_small(tmp_path):
 
 
 def test_run_table3_small(tmp_path):
-    cfg = cli.ExperimentConfig(
-        experiment="table3", n_list=(2,), out_dir=str(tmp_path)
-    )
+    cfg = cli.ExperimentConfig(experiment="table3", rows=(2,), out_dir=str(tmp_path))
     rows, paths, ok = cli.run_table(cfg)
     assert ok
     _, header, data = read_table(paths[0])
@@ -135,13 +129,10 @@ def test_run_table3_small(tmp_path):
 
 
 def test_run_spectrum_small(tmp_path):
-    cfg = cli.ExperimentConfig(
-        experiment="spectrum", n_list=(2,), ratio_list=(4,),
-        gamma_rules=("h",), theta_list=(1.0,), out_dir=str(tmp_path),
-    )
+    cfg = cli.ExperimentConfig(experiment="spectrum", rows=(2,), out_dir=str(tmp_path))
     reports, paths, ok = cli.run_spectrum(cfg)
     assert ok
-    assert len(reports) == 1
+    assert len(reports) == 2  # the ratio 4 and 8 columns
     assert reports[0].dim == 4 * 2 * 1 * 4
     assert reports[0].unit_count == 2 * 2 * 1
     per_config = os.path.join(str(tmp_path), "spectrum_N2_r4_gammah_theta1.csv")
@@ -158,13 +149,12 @@ def test_run_spectrum_small(tmp_path):
 
 
 def test_run_spectrum_skips_capped(tmp_path, capsys):
-    cfg = cli.ExperimentConfig(
-        experiment="spectrum", n_list=(16,), ratio_list=(8,),
-        gamma_rules=("h",), theta_list=(1.0,), out_dir=str(tmp_path),
-    )
+    # Both columns of N=24 are over the cap: dims 8832 (r=4) and 17664 (r=8).
+    cfg = cli.ExperimentConfig(experiment="spectrum", rows=(24,), out_dir=str(tmp_path))
     reports, paths, ok = cli.run_spectrum(cfg)
     assert ok and reports == []
-    assert "skipped" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "N=24 r=4: skipped" in err and "N=24 r=8: skipped" in err
     _, _, data = read_table(os.path.join(str(tmp_path),
                                          "spectrum_summary.csv"))
     assert data == []
@@ -176,10 +166,8 @@ def test_spectrum_grid_propagates_other_errors(tmp_path, monkeypatch):
     which writes no summary, and out of main, which returns no status."""
     assemble = fem.assemble_matrix
     monkeypatch.setattr(fem, "assemble_matrix", lambda *args: -assemble(*args))
-    cfg = cli.ExperimentConfig(
-        experiment="spectrum", n_list=(4,), ratio_list=(4, 8),
-        gamma_rules=("h",), theta_list=(1.0,), out_dir=str(tmp_path / "grid"),
-    )
+    cfg = cli.ExperimentConfig(experiment="spectrum", rows=(4,),
+                               out_dir=str(tmp_path / "grid"))
     not_spd = "^subdomain 5: Robin matrix not positive definite"
     with pytest.raises(ValueError, match=not_spd):
         cli.run_spectrum(cfg)
@@ -210,7 +198,7 @@ def test_main_run_spectrum_max_n(tmp_path, capsys):
         "spectrum_summary.csv", "spectrum_summary.json",
     ]
     config, _, data = read_table(tmp_path / "spectrum_summary.csv")
-    assert config["n_list"] == [4]
+    assert config["N"] == [4]
     assert [int(r["dim"]) for r in data] == [192, 384]
 
 
@@ -239,7 +227,7 @@ def test_empty_grid_raises_and_writes_nothing(tmp_path, experiment):
     config = cli.ExperimentConfig(experiment=experiment, out_dir=str(out))
     for run in (cli.run_table, cli.run_spectrum):
         with pytest.raises(ValueError, match=re.escape(
-                f"{experiment}: its grid n_list=() ") + ".*is empty$"):
+                f"{experiment}: its grid N=() is empty") + "$"):
             run(config)
     assert not out.exists()
 
@@ -252,6 +240,103 @@ def test_main_run_warns_only_beyond_the_desk_grid(tmp_path, capsys):
         assert cli.main(["run", "--experiment", "table1", "--full",
                          "--max-n", max_n, "--out", str(tmp_path)]) == rc
         assert "full grid requested" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,largest", [
+    (["--experiment", "table1", "--full", "--max-n", "24"], 192),
+    (["--experiment", "table1", "--full"], 512),
+    (["--experiment", "table3", "--full"], 768),
+])
+def test_main_run_full_warning_names_the_largest_mesh(monkeypatch, capsys,
+                                                      argv, largest):
+    """The --full warning names the largest m = N ratio over the cells
+    that will run, not a fixed figure."""
+    monkeypatch.setattr(cli, "run_table", lambda config: ([], [], True))
+    assert cli.main(["run", *argv]) == 0
+    err = capsys.readouterr().err
+    assert f"full grid requested: its largest mesh has {largest} x {largest} cells" in err
+
+
+@pytest.mark.parametrize("experiment", ["table1", "table3"])
+def test_record_rebuilds_every_cell(tmp_path, experiment):
+    """Every cell's IterationConfig follows from the JSON record alone: the
+    config's IterationConfig fields, the row's value on the axis (the one
+    field the config lists) and the column's entry of `columns`.
+    Re-running one cell from it gives the recorded count."""
+    cfg = cli.ExperimentConfig(experiment=experiment, rows=(2,),
+                               out_dir=str(tmp_path), fmt="json")
+    cli.run_table(cfg)
+    record = read_records(tmp_path / f"{experiment}.json")
+    config = record["config"]
+    names = {f.name for f in dataclasses.fields(iteration.IterationConfig)}
+    shared = {k: v for k, v in config.items() if k in names}
+    (axis,) = [k for k, v in shared.items() if isinstance(v, list)]
+    rebuilt = []
+    for row in record["rows"]:
+        assert list(row["counts"]) == list(config["columns"])
+        rebuilt.append((row[axis], {
+            key: iteration.IterationConfig(**{**shared, axis: row[axis]}, **fields)
+            for key, fields in config["columns"].items()
+        }))
+    assert rebuilt == cfg.cells()
+    key, cell = list(rebuilt[0][1].items())[-1]
+    rep = cli.EXPERIMENTS[experiment].method.solve(cell, verify.manufactured_case())
+    assert rep.iterations == record["rows"][0]["counts"][key]["iterations"]
+
+
+@pytest.mark.parametrize("experiment,keys", [
+    ("table1", {"N", "ratio", "columns", "tol", "max_iter"}),
+    ("table2", {"ratio", "N", "columns", "tol", "max_iter"}),
+    ("table3", {"N", "columns", "tol", "max_iter"}),
+    ("spectrum", {"N", "theta", "columns", "gamma_rule"}),
+])
+def test_records_hold_only_what_their_cells_read(experiment, keys):
+    """A record's config holds the row grid, the fixed fields, the columns
+    and the flags its cells read, besides the output settings: no theta
+    for MINRES, no tol or max_iter for the spectrum."""
+    config = cli.ExperimentConfig(experiment=experiment, rows=(2,)).as_dict()
+    assert set(config) == keys | {"experiment", "out_dir", "fmt"}
+    if experiment == "table3":
+        assert config["columns"]["h,r=8"] == {"gamma_rule": "h", "ratio": 8}
+    if experiment == "spectrum":
+        assert config["theta"] == 1.0 and config["gamma_rule"] == "h"
+        assert config["columns"] == {"r=4": {"ratio": 4}, "r=8": {"ratio": 8}}
+
+
+def test_experiment_config_refuses_unread_flags():
+    for experiment in ("table1", "table2", "table3"):
+        with pytest.raises(ValueError, match=f"^{experiment} does not read "
+                                             r"gamma_rule \(--gamma\)$"):
+            cli.ExperimentConfig(experiment=experiment, gamma_rule="H")
+    with pytest.raises(ValueError, match=r"^spectrum does not read tol \(--tol\), "
+                                         r"max_iter \(--max-iter\)$"):
+        cli.ExperimentConfig(experiment="spectrum", tol=1e-8, max_iter=3)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--experiment", "table1", "--gamma", "H"], "--gamma"),
+    (["--experiment", "spectrum", "--tol", "1e-8"], "--tol"),
+    (["--experiment", "spectrum", "--max-iter", "3"], "--max-iter"),
+])
+def test_main_run_refuses_flags_the_experiment_does_not_read(tmp_path, capsys,
+                                                             argv, flag):
+    """Refused with exit 2 before anything runs, naming the flag, instead of
+    being dropped (table1) or recorded without being read (spectrum)."""
+    out = tmp_path / "out"
+    assert cli.main(["run", *argv, "--max-n", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"({flag})" in captured.err
+    assert not out.exists()
+
+
+def test_main_run_spectrum_reads_gamma(tmp_path, capsys):
+    assert cli.main(["run", "--experiment", "spectrum", "--gamma", "H",
+                     "--max-n", "4", "--out", str(tmp_path)]) == 0
+    config, _, data = read_table(tmp_path / "spectrum_summary.csv")
+    assert config["gamma_rule"] == "H"
+    assert [r["file"] for r in data] == ["spectrum_N4_r4_gammaH_theta1.csv",
+                                         "spectrum_N4_r8_gammaH_theta1.csv"]
 
 
 def test_main_run_table1_exit_codes(tmp_path, capsys):

@@ -35,13 +35,13 @@ from rr_hdiv.partition import partition
 def test_parameter_validation(mesh8):
     part = partition(mesh8, 2)
     with pytest.raises(ValueError):
-        local_solver.build_local_systems(part, mesh8, 1.0, 0.0)
+        local_solver.build_local_systems(part, 1.0, 0.0)
     with pytest.raises(ValueError):
-        local_solver.build_local_systems(part, mesh8, -1.0, 0.5)
+        local_solver.build_local_systems(part, -1.0, 0.5)
     with pytest.raises(ValueError, match="beta must be positive and finite, got nan"):
-        local_solver.build_local_systems(part, mesh8, float("nan"), 0.5)
+        local_solver.build_local_systems(part, float("nan"), 0.5)
     with pytest.raises(ValueError, match="Robin parameter must be positive"):
-        local_solver.build_local_systems(part, mesh8, 1.0, float("nan"))
+        local_solver.build_local_systems(part, 1.0, float("nan"))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -49,9 +49,9 @@ def test_nonfinite_parameters_rejected(mesh8, bad):
     """Refused before any class is built, as IterationConfig refuses them."""
     part = partition(mesh8, 2)
     with pytest.raises(ValueError, match="^beta must be positive and finite"):
-        local_solver.build_local_systems(part, mesh8, bad, 0.5)
+        local_solver.build_local_systems(part, bad, 0.5)
     with pytest.raises(ValueError, match="^Robin parameter must be positive and finite"):
-        local_solver.build_local_systems(part, mesh8, 1.0, bad)
+        local_solver.build_local_systems(part, 1.0, bad)
 
 
 def _unconstrained(problem, classes=None):
@@ -219,7 +219,7 @@ def test_coarse_schur_matches_dense(small_problem):
 
 def test_single_subdomain_equals_global(case, mesh8, oracle8):
     part = partition(mesh8, 1)
-    classes = local_solver.build_local_systems(part, mesh8, 1.0, 0.125)
+    classes = local_solver.build_local_systems(part, 1.0, 0.125)
     loads = local_solver.local_loads(part, case.load)
     assert len(classes) == 1
     cls = classes[0]
@@ -583,7 +583,7 @@ def test_side_columns_of_each_class(problem_n4):
     for N, width in ((2, 16), (1, 0)):
         mesh = build_unit_square_mesh(4 * N)
         part = partition(mesh, N)
-        classes = local_solver.build_local_systems(part, mesh, 1.0, 0.25)
+        classes = local_solver.build_local_systems(part, 1.0, 0.25)
         template = classes[0].template
         assert template.A.shape[0] == template.n_interior + 16
         solver = local_solver.ConstrainedRobinSolver(
@@ -727,7 +727,7 @@ def test_one_assembly_per_build(monkeypatch, N):
             return _call(*args)
         monkeypatch.setattr(fem, name, counted)
     mesh = build_unit_square_mesh(4 * N)
-    classes = local_solver.build_local_systems(partition(mesh, N), mesh, 1.0, 0.25)
+    classes = local_solver.build_local_systems(partition(mesh, N), 1.0, 0.25)
     assert len(classes) == min(N, 3) ** 2
     assert sorted(calls) == ["assemble_matrix", "element_matrices"]
 
@@ -798,7 +798,7 @@ def test_class_slots_are_one_range(N, r):
     classes cover the trace once."""
     mesh = build_unit_square_mesh(N * r)
     part = partition(mesh, N)
-    classes = local_solver.build_local_systems(part, mesh, 1.0, 0.5)
+    classes = local_solver.build_local_systems(part, 1.0, 0.5)
     assert part.class_start[0] == 0 and part.class_start[-1] == part.trace.n_slots
     for cls, members, lo, hi in zip(classes, part.classes, part.class_start[:-1],
                                     part.class_start[1:], strict=True):

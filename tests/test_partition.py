@@ -42,8 +42,8 @@ def part4(mesh32):
 
 
 @pytest.fixture(scope="module")
-def B4(part4, mesh32):
-    return build_constraint(part4, mesh32)
+def B4(part4):
+    return build_constraint(part4)
 
 
 def _interfaces(part):
@@ -82,7 +82,7 @@ def test_single_subdomain(mesh8):
     np.testing.assert_array_equal(part.interior, free[None])
     np.testing.assert_array_equal(part.slot_range, [[0, 0]])
     assert part.slots_of(0).size == 0
-    B = build_constraint(part, mesh8)
+    B = build_constraint(part)
     assert B.shape == (0, 0)
 
 
@@ -708,8 +708,8 @@ def test_constraint_blocks_agree_with_layout(N, r):
     come from that block; with no constraint the block has no rows."""
     mesh = build_unit_square_mesh(N * r)
     part = partition(mesh, N)
-    B = build_constraint(part, mesh)
-    classes = local_solver.build_local_systems(part, mesh, 1.0, 0.5)
+    B = build_constraint(part)
+    classes = local_solver.build_local_systems(part, 1.0, 0.5)
     solver = local_solver.ConstrainedRobinSolver(classes, B)
     unconstrained = local_solver.ConstrainedRobinSolver(
         classes, sp.csr_matrix((0, part.trace.n_slots)))
