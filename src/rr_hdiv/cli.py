@@ -6,13 +6,15 @@ rows x columns of IterationConfig cells, with the columns as dicts of
 IterationConfig fields; `run_table` runs any of them. `solve` runs a
 single configuration and can emit its per-iteration history.
 Every CSV embeds the configuration of its run in a leading comment line,
-and every JSON record holds it as `config`: the command's flags for
-`solve`; for an experiment, the row grid under the axis name ("N" or
-"ratio"), the fixed fields, `columns` (cell key -> its column's fields)
-and the run flags it reads, from which every cell's IterationConfig is
-rebuilt. The tables read `--tol` and `--max-iter`, the spectrum
-`--gamma`; a flag an experiment does not read is refused (exit status 2).
-Otherwise the exit status is 0 only if every run converged.
+and every JSON record holds it as `config`: for `solve`, the method and
+the IterationConfig fields it reads (MINRES reads no theta); for an
+experiment, the row grid under the axis name ("N" or "ratio"), the fixed
+fields, `columns` (cell key -> its column's fields) and the run flags it
+reads (the tables `--tol` and `--max-iter`, the spectrum `--gamma`).
+The parser only reads numbers; IterationConfig holds every default and
+range. A value out of range, or a flag the run does not read, is refused
+(exit status 2) before any work. Otherwise the exit status is 0 only if
+every run converged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from . import __version__, boundary_system, fem, iteration, spectrum, verify
+from . import __version__, boundary_system, iteration, spectrum, verify
 from .mesh import build_unit_square_mesh, dump_mesh_csv
 
 __all__ = [
@@ -78,8 +80,9 @@ SPECTRUM_N = (4, 8, 12)
 RICHARDSON_COLUMNS = tuple({"gamma_rule": g, "theta": t} for g in "hH" for t in (0.5, 2 / 3))
 MINRES_COLUMNS = tuple({"gamma_rule": g, "ratio": r} for g in "hH" for r in (8, 16))
 
-# The run flags that an experiment may read: IterationConfig field -> flag.
-RUN_FLAGS = {"tol": "--tol", "max_iter": "--max-iter", "gamma_rule": "--gamma"}
+# IterationConfig field -> its command-line flag.
+FLAGS = {"N": "--n", "ratio": "--ratio", "beta": "--beta", "gamma_rule": "--gamma",
+         "theta": "--theta", "tol": "--tol", "max_iter": "--max-iter"}
 _DEFAULTS = {f.name: f.default for f in fields(iteration.IterationConfig)}
 
 
@@ -104,10 +107,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.fmt not in {"csv", "json"}:
             raise ValueError(f"unknown format {self.fmt!r}")
-        unread = [f"{name} ({flag})" for name, flag in RUN_FLAGS.items()
-                  if getattr(self, name) is not None and name not in self.spec.reads]
-        if unread:
-            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
+        _refuse_unread(self.experiment, _given(self), self.spec.reads)
 
     @property
     def spec(self) -> TableSpec:
@@ -144,6 +144,21 @@ class ExperimentConfig:
 
 class EmptyGridError(ValueError):
     """An experiment's row grid holds no row; nothing is run or written."""
+
+
+def _given(obj) -> dict:
+    """The IterationConfig fields that obj (parsed arguments or an
+    ExperimentConfig) sets, i.e. does not leave at None."""
+    return {name: getattr(obj, name) for name in FLAGS
+            if getattr(obj, name, None) is not None}
+
+
+def _refuse_unread(who, given: dict, reads) -> None:
+    """ValueError naming each given field, with its flag, that `who`
+    does not read."""
+    unread = [f"{name} ({FLAGS[name]})" for name in given if name not in reads]
+    if unread:
+        raise ValueError(f"{who} does not read {', '.join(unread)}")
 
 
 def _count_cell(report) -> str:
@@ -213,6 +228,7 @@ class Method:
     """How the cells of a table, or one `solve`, are solved and recorded."""
 
     solve: object        # (IterationConfig, case) -> report
+    reads: tuple         # IterationConfig fields the solve reads
     record: tuple        # report attributes that make a JSON cell
     history: str         # report attribute written to `solve --out` as CSV
     column: str          # value column of that CSV
@@ -223,16 +239,18 @@ class Method:
 
 
 RICHARDSON = Method(iteration.run_richardson,
+                    ("N", "ratio", "beta", "gamma_rule", "theta", "tol", "max_iter"),
                     ("iterations", "converged", "l2_error", "hdiv_error", "wall_time"),
                     "increment_history", "sup_increment",
                     lambda rep: f"{rep.wall_time:.2f}s")
 MINRES = Method(_solve_minres,
+                ("N", "ratio", "beta", "gamma_rule", "tol", "max_iter"),
                 ("iterations", "converged", "breakdown", "final_residual",
                  "l2_error", "hdiv_error"),
                 "residual_history", "relative_residual",
                 lambda rep: f"final residual {rep.final_residual:.3e}")
 # `solve --method`; the baseline is Richardson on a config without the
-# constraint (`_cmd_solve`).
+# constraint (`_solve_config`).
 SOLVE_METHODS = {"richardson": RICHARDSON, "baseline": RICHARDSON, "minres": MINRES}
 
 
@@ -259,11 +277,16 @@ class TableSpec:
     errors: str = None
 
     def grid(self, full=False, max_n=None) -> tuple:
-        """Row values of the desk or full grid; max_n caps an N axis."""
+        """Row values of the desk or full grid; max_n caps an N axis and
+        is refused on any other."""
         rows = self.full if full else self.desk
-        if max_n is not None and self.axis == "N":
-            rows = tuple(v for v in rows if v <= max_n)
-        return rows
+        if max_n is None:
+            return rows
+        if self.axis != "N":
+            raise ValueError(f"--max-n caps an N grid, not one of {self.axis} values")
+        if max_n < 1:
+            raise ValueError(f"--max-n must be a positive integer, got {max_n}")
+        return tuple(v for v in rows if v <= max_n)
 
 
 EXPERIMENTS = {
@@ -287,10 +310,10 @@ def run_table(config: ExperimentConfig):
     method = spec.method
     if method is None:
         return run_spectrum(config)
-    case = verify.manufactured_case()
     rows, csv_rows, json_rows, ok = [], [], [], True
     for value, cfgs in config.cells():
-        cells = {key: method.solve(cfg, case) for key, cfg in cfgs.items()}
+        cells = {key: method.solve(cfg, verify.manufactured_case(cfg.beta))
+                 for key, cfg in cfgs.items()}
         ok &= all(c.converged for c in cells.values())
         csv_row = [value] + [_count_cell(c) for c in cells.values()]
         json_row = {
@@ -341,27 +364,24 @@ def run_spectrum(config: ExperimentConfig):
     return reports, paths, True
 
 
-def _cmd_run(args) -> int:
+def _run_config(args) -> ExperimentConfig:
     spec = EXPERIMENTS[args.experiment]
-    given = {name: getattr(args, name) for name in RUN_FLAGS
-             if getattr(args, name) is not None}
-    try:
-        config = ExperimentConfig(args.experiment, spec.grid(args.full, args.max_n),
-                                  out_dir=args.out, fmt=args.format, **given)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if not set(config.rows) <= set(spec.desk):
+    rows = spec.grid(args.full, args.max_n)
+    if not rows:
+        raise EmptyGridError(f"--max-n {args.max_n} leaves no row of the "
+                             f"{args.experiment} grid {spec.grid(args.full)}")
+    config = ExperimentConfig(args.experiment, rows, out_dir=args.out,
+                              fmt=args.format, **_given(args))
+    config.cells()  # each cell's IterationConfig refuses its bad values
+    return config
+
+
+def _cmd_run(args, config: ExperimentConfig) -> int:
+    if not set(config.rows) <= set(config.spec.desk):
         m = max(cfg.m for _, cfgs in config.cells() for cfg in cfgs.values())
         print(f"full grid requested: its largest mesh has {m} x {m} cells",
               file=sys.stderr)
-    try:
-        _, paths, ok = run_table(config)
-    except EmptyGridError as err:
-        print(f"error: --max-n {args.max_n} leaves no row of the "
-              f"{args.experiment} grid {spec.grid(args.full)} ({err})",
-              file=sys.stderr)
-        return 2
+    _, paths, ok = run_table(config)
     for p in paths:
         print(p)
     if not ok:
@@ -369,29 +389,24 @@ def _cmd_run(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_solve(args) -> int:
-    case = verify.manufactured_case()
-    cfg = iteration.IterationConfig(
-        N=args.n, ratio=args.ratio, beta=args.beta, gamma_rule=args.gamma,
-        theta=args.theta, tol=args.tol, max_iter=args.max_iter,
-        constrained=args.method != "baseline",
-    )
-    # The config of both records: the command's own flags.
-    flags = {
-        "N": args.n, "ratio": args.ratio, "gamma": args.gamma,
-        "theta": args.theta, "tol": args.tol, "max_iter": args.max_iter,
-        "method": args.method, "beta": args.beta,
-    }
+def _solve_config(args) -> iteration.IterationConfig:
+    given = _given(args)
+    _refuse_unread(args.method, given, SOLVE_METHODS[args.method].reads)
+    return iteration.IterationConfig(**given, constrained=args.method != "baseline")
+
+
+def _cmd_solve(args, cfg: iteration.IterationConfig) -> int:
+    method = SOLVE_METHODS[args.method]
+    # The config of both records: the method and the fields it reads.
+    record = {"method": args.method, **{name: getattr(cfg, name) for name in method.reads}}
     if args.dump_mesh:
         os.makedirs(args.dump_mesh, exist_ok=True)
         dump_mesh_csv(build_unit_square_mesh(cfg.m), args.dump_mesh)
         print(f"mesh tables written to {args.dump_mesh}")
-    method = SOLVE_METHODS[args.method]
-    rep = method.solve(cfg, case)
-    # Only Richardson relaxes.
-    theta = f" theta={args.theta:g}" if method is RICHARDSON else ""
+    rep = method.solve(cfg, verify.manufactured_case(cfg.beta))
+    theta = f" theta={cfg.theta:g}" if "theta" in method.reads else ""
     print(
-        f"{args.method} N={args.n} r={args.ratio} gamma={args.gamma}{theta}: "
+        f"{args.method} N={cfg.N} r={cfg.ratio} gamma={cfg.gamma_rule}{theta}: "
         f"{rep.iterations} iterations, converged={rep.converged}, "
         f"L2 {rep.l2_error:.3e}, Hdiv {rep.hdiv_error:.3e}, {method.detail(rep)}"
     )
@@ -401,16 +416,17 @@ def _cmd_solve(args) -> int:
         write_table(os.path.join(args.out, f"{method.history}.csv"),
                     ("iteration", method.column),
                     [(k, f"{v:.16e}") for k, v in enumerate(history, start=1)],
-                    flags)
+                    record)
         _write_record(os.path.join(args.out, "solve.json"),
-                      _record(flags, [method.cell(rep)]))
+                      _record(record, [method.cell(rep)]))
     return 0 if rep.converged else 1
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = iteration.IterationConfig(
-        N=args.n, ratio=args.ratio, gamma_rule=args.gamma, theta=args.theta
-    )
+def _spectrum_config(args) -> iteration.IterationConfig:
+    return iteration.IterationConfig(**{**EXPERIMENTS["spectrum"].fixed, **_given(args)})
+
+
+def _cmd_spectrum(args, cfg: iteration.IterationConfig) -> int:
     try:
         rep, path = _spectrum_cell(cfg, args.out)
     except spectrum.SizeCapError as err:
@@ -427,40 +443,9 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _positive(text: str) -> float:
-    """argparse type of --tol and --beta: a positive finite number."""
-    try:
-        return fem.check_positive("value", float(text))
-    except ValueError:
-        msg = f"expected a positive finite number, got {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of --n, --ratio, --max-iter and --max-n: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _theta(text: str) -> float:
-    """argparse type of --theta: a relaxation weight in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 < value <= 1.0:  # NaN too
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
-    return value
-
-
 def _gamma_rule(text: str):
-    """argparse type of --gamma: "h", "H", or a positive finite number."""
-    return text if text in ("h", "H") else _positive(text)
+    """argparse type of --gamma: "h", "H", or a number."""
+    return text if text in ("h", "H") else float(text)
 
 
 def main(argv=None) -> int:
@@ -471,11 +456,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag that sets an IterationConfig field is None when unset: the
+    # config gives its default and refuses a value out of range.
 
     p_run = sub.add_parser("run", help="run a canned experiment grid")
     p_run.add_argument("--experiment", required=True,
                        choices=["table1", "table2", "table3", "spectrum"])
-    p_run.add_argument("--max-n", type=_positive_int, default=None,
+    p_run.add_argument("--max-n", type=int,
                        help="largest N of the table1, table3 and spectrum "
                             "grids (default: no cap)")
     p_run.add_argument("--full", action="store_true",
@@ -483,46 +470,51 @@ def main(argv=None) -> int:
                             "the desk-scale default")
     p_run.add_argument("--out", default="results")
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
-    # Each experiment reads only some of these (`TableSpec.reads`); giving
-    # one it does not read is refused. Unset, they take IterationConfig's
-    # defaults.
+    # Each experiment reads only some of these (`TableSpec.reads`).
     p_run.add_argument("--gamma", dest="gamma_rule", type=_gamma_rule,
                        metavar="GAMMA",
                        help=f"spectrum Robin rule (default {_DEFAULTS['gamma_rule']}); "
                             "the tables fix theirs in their columns")
-    p_run.add_argument("--tol", type=_positive,
+    p_run.add_argument("--tol", type=float,
                        help=f"table stopping tolerance (default {_DEFAULTS['tol']:g})")
-    p_run.add_argument("--max-iter", type=_positive_int,
+    p_run.add_argument("--max-iter", type=int,
                        help=f"table iteration cap (default {_DEFAULTS['max_iter']})")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(config=_run_config, func=_cmd_run)
 
     p_solve = sub.add_parser("solve", help="run one configuration")
-    p_solve.add_argument("--n", type=_positive_int, required=True)
-    p_solve.add_argument("--ratio", type=_positive_int, required=True)
-    p_solve.add_argument("--gamma", type=_gamma_rule, default="h",
-                         help='"h", "H", or a positive number')
-    p_solve.add_argument("--theta", type=_theta, default=0.5)
-    p_solve.add_argument("--beta", type=_positive, default=1.0)
-    p_solve.add_argument("--tol", type=_positive, default=1e-6)
-    p_solve.add_argument("--max-iter", type=_positive_int, default=10000)
+    p_solve.add_argument("--n", dest="N", type=int, required=True)
+    p_solve.add_argument("--ratio", type=int, required=True)
+    p_solve.add_argument("--gamma", dest="gamma_rule", type=_gamma_rule,
+                         metavar="GAMMA", help='"h", "H", or a positive number')
+    p_solve.add_argument("--theta", type=float)
+    p_solve.add_argument("--beta", type=float,
+                         help="reaction coefficient, of the manufactured load too")
+    p_solve.add_argument("--tol", type=float)
+    p_solve.add_argument("--max-iter", type=int)
     p_solve.add_argument("--method", default="richardson",
                          choices=["richardson", "minres", "baseline"])
     p_solve.add_argument("--out", default=None,
                          help="directory for history CSV and run record")
     p_solve.add_argument("--dump-mesh", default=None,
                          help="directory for mesh debug tables")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(config=_solve_config, func=_cmd_solve)
 
     p_spec = sub.add_parser("spectrum", help="export one spectrum")
-    p_spec.add_argument("--n", type=_positive_int, required=True)
-    p_spec.add_argument("--ratio", type=_positive_int, required=True)
-    p_spec.add_argument("--gamma", type=_gamma_rule, default="h")
-    p_spec.add_argument("--theta", type=_theta, default=1.0)
+    p_spec.add_argument("--n", dest="N", type=int, required=True)
+    p_spec.add_argument("--ratio", type=int, required=True)
+    p_spec.add_argument("--gamma", dest="gamma_rule", type=_gamma_rule,
+                        metavar="GAMMA")
+    p_spec.add_argument("--theta", type=float)
     p_spec.add_argument("--out", default="results")
-    p_spec.set_defaults(func=_cmd_spectrum)
+    p_spec.set_defaults(config=_spectrum_config, func=_cmd_spectrum)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        config = args.config(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

@@ -49,12 +49,14 @@ def resolve_gamma(rule, m: int, N: int) -> float:
         return 1.0 / m
     if rule == "H":
         return 1.0 / N
-    return fem.check_positive("Robin parameter", float(rule))
+    return fem.check_positive("gamma_rule", float(rule))
 
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Parameters of one Robin-Robin run.
+    """Parameters of one Robin-Robin run.  Every default and every range
+    check of a run parameter is stated here, once; an out-of-range value
+    raises a ValueError that names its field.
 
     `constrained=False` drops the edge-average constraint: the
     unconstrained baseline, whose subdomain solves are independent.
@@ -70,15 +72,15 @@ class IterationConfig:
     constrained: bool = True
 
     def __post_init__(self):
-        if self.N < 1 or self.ratio < 1:
-            raise ValueError("N and ratio must be positive integers")
+        for name in ("N", "ratio", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be a positive integer, got {getattr(self, name)}")
         fem.check_positive("beta", self.beta)
-        if not 0.0 < self.theta <= 1.0:
+        if not 0.0 < self.theta <= 1.0:  # NaN too
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        fem.check_positive("tolerance", self.tol)
+        fem.check_positive("tol", self.tol)
         self.gamma  # refuses an invalid gamma_rule
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
     @property
     def m(self) -> int:
@@ -140,7 +142,11 @@ class RobinProblem:
 
     def recover(self, g, case=None):
         """Global field of datum g -> (u_h, l2, hdiv); the errors are NaN
-        unless a manufactured case with exact fields is given."""
+        unless a manufactured case with exact fields is given.  A case
+        made for another beta than the config's is refused."""
+        if case is not None and case.beta != self.config.beta:
+            raise ValueError(f"the case is made for beta={case.beta}, "
+                             f"the config has beta={self.config.beta}")
         u_int, u_trace = self.solve_once(np.asarray(g, dtype=float))
         u_h = assemble_solution(self, u_int, u_trace)
         l2 = hdiv = float("nan")

@@ -26,24 +26,24 @@ def _div_quadratic(x, y):
     return 2.0 - 2.0 * x - 2.0 * y
 
 
-def _load_quadratic(x, y):
-    # load for -grad(div u) + u with the quadratic field above
-    return 2.0 + x - x * x, 2.0 + y - y * y
-
-
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution, divergence and matching load for a given beta."""
 
+    load: Callable
     u: Callable = field(default=_u_quadratic)
     div_u: Callable = field(default=_div_quadratic)
-    load: Callable = field(default=_load_quadratic)
     beta: float = 1.0
 
 
-def manufactured_case() -> ManufacturedCase:
-    """The quadratic reference case u = (x(1-x), y(1-y)), beta = 1."""
-    return ManufacturedCase()
+def manufactured_case(beta: float = 1.0) -> ManufacturedCase:
+    """The quadratic reference case u = (x(1-x), y(1-y)) with the load
+    f = -grad(div u) + beta u = (2 + beta x(1-x), 2 + beta y(1-y))."""
+
+    def load(x, y):
+        return 2.0 + beta * x - beta * x * x, 2.0 + beta * y - beta * y * y
+
+    return ManufacturedCase(load=load, beta=beta)
 
 
 def solve_global(mesh: Mesh, beta: float, load) -> np.ndarray:

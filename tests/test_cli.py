@@ -7,8 +7,9 @@ import re
 
 import pytest
 
-from helpers import parse_count, read_records, read_table
+from helpers import l2_distance, parse_count, read_records, read_table
 from rr_hdiv import cli, fem, iteration, verify
+from rr_hdiv.mesh import build_unit_square_mesh
 
 
 @pytest.mark.parametrize(
@@ -184,6 +185,14 @@ def test_table_grid_honours_full_and_max_n():
     assert spec.grid(full=True) == cli.TABLE1_N_FULL
     assert spec.grid() == cli.TABLE1_N_DESK
     assert spec.grid(full=True, max_n=8) == (4, 8)
+
+
+def test_table_grid_refuses_max_n_off_an_n_axis_and_below_one():
+    with pytest.raises(ValueError, match="^--max-n caps an N grid, not one of ratio values$"):
+        cli.EXPERIMENTS["table2"].grid(max_n=8)
+    with pytest.raises(ValueError, match="^--max-n must be a positive integer, got 0$"):
+        cli.EXPERIMENTS["table1"].grid(full=True, max_n=0)
+    assert cli.EXPERIMENTS["table2"].grid(full=True) == cli.TABLE2_RATIOS
 
 
 def test_main_run_spectrum_max_n(tmp_path, capsys):
@@ -392,8 +401,8 @@ def test_main_solve_richardson(tmp_path, capsys):
 
 
 def test_main_solve_records_its_flags(tmp_path, capsys):
-    """`solve --out` records the command's own flags as the `config` of
-    its run record and history CSV, not an experiment's defaults, and its
+    """`solve --out` records the run's IterationConfig, under its field
+    names, as the `config` of its run record and history CSV, and its
     row holds the results alone: no flag is repeated there."""
     out = tmp_path / "run"
     rc = cli.main([
@@ -401,7 +410,7 @@ def test_main_solve_records_its_flags(tmp_path, capsys):
         "--theta", "0.6", "--max-iter", "500", "--out", str(out),
     ])
     assert rc == 0
-    flags = {"N": 2, "ratio": 4, "gamma": "H", "theta": 0.6, "tol": 1e-8,
+    flags = {"N": 2, "ratio": 4, "gamma_rule": "H", "theta": 0.6, "tol": 1e-8,
              "max_iter": 500, "method": "richardson", "beta": 1.0}
     record = read_records(out / "solve.json")
     assert record["config"] == flags
@@ -427,8 +436,8 @@ def test_main_solve_minres(tmp_path, capsys):
     hist = (out / "residual_history.csv").read_text().splitlines()
     assert hist[1] == "iteration,relative_residual"
     record = read_records(out / "solve.json")
-    assert record["config"]["method"] == "minres"
-    assert record["config"]["N"] == 2 and record["config"]["ratio"] == 2
+    assert record["config"] == {"N": 2, "ratio": 2, "beta": 1.0, "gamma_rule": "h",
+                                "tol": 1e-6, "max_iter": 10000, "method": "minres"}
     row = record["rows"][0]
     assert not set(row) & set(record["config"])
     assert row["final_residual"] < 1e-6
@@ -480,22 +489,130 @@ def test_main_spectrum_cap_exit(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_main_solve_refuses_theta_on_minres(tmp_path, capsys):
+    """MINRES does not relax: `--theta` is refused rather than ignored
+    and recorded, and the refusal names the flag."""
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--n", "2", "--ratio", "2", "--method", "minres",
+                     "--theta", "0.7", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: minres does not read theta (--theta)\n"
+    assert not out.exists()
+
+
+def test_main_solve_beta_sets_the_load(tmp_path, capsys, monkeypatch):
+    """`solve --beta 4` measures its errors against the load made for
+    beta = 4: they match the direct solve's, and the field is the direct
+    solve's to the tolerance of criterion 9."""
+    reports = []
+
+    def solve(cfg, case):
+        reports.append(iteration.run_richardson(cfg, case))
+        return reports[-1]
+
+    monkeypatch.setitem(cli.SOLVE_METHODS, "richardson",
+                        dataclasses.replace(cli.RICHARDSON, solve=solve))
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--n", "4", "--ratio", "8", "--beta", "4",
+                     "--out", str(out)]) == 0
+    record = read_records(out / "solve.json")
+    assert record["config"]["beta"] == 4.0
+    row = record["rows"][0]
+    case = verify.manufactured_case(4.0)
+    mesh = build_unit_square_mesh(32)
+    direct = verify.solve_global(mesh, 4.0, case.load)
+    l2, hdiv = fem.error_norms(mesh, direct, case.u, case.div_u)
+    assert row["l2_error"] == pytest.approx(l2, rel=0.01)
+    assert row["hdiv_error"] == pytest.approx(hdiv, rel=0.01)
+    assert l2_distance(mesh, reports[0].u_h, direct) < 1e-4
+
+
+# Text that argparse cannot read as its flag's number type.
+NOT_A_NUMBER = ("nope", "half", "2.5", "two")
+
+
+def _refusal(argv, capsys, tmp_path, monkeypatch) -> str:
+    """Run `argv --out DIR` and check that it is refused before any
+    solve: exit status 2, nothing on stdout and no DIR.  Text in
+    NOT_A_NUMBER must be an argparse usage error (SystemExit), anything
+    else a returned status.  -> stderr."""
+
+    def no_solve(*args):
+        raise AssertionError("a refused command reached a solve")
+
+    monkeypatch.setattr(iteration, "build_problem", no_solve)
+    monkeypatch.setattr(cli.spectrum, "assemble_Q", no_solve)
+    out = tmp_path / "out"
+    argv = [*argv, "--out", str(out)]
+    usage = any(text in argv for text in NOT_A_NUMBER)
+    if usage:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    else:
+        assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert ("usage:" in captured.err) == usage
+    return captured.err
+
+
+SOLVE = ["solve", "--n", "2", "--ratio", "2"]
+COMMANDS = {
+    "solve": SOLVE,
+    "spectrum": ["spectrum", "--n", "2", "--ratio", "2"],
+    "run table1": ["run", "--experiment", "table1"],
+    "run table2": ["run", "--experiment", "table2"],
+    "run spectrum": ["run", "--experiment", "spectrum"],
+}
+# (command, flag, value, the field that the refusal names)
+REFUSALS = [
+    *[(cmd, "--tol", v, "tol") for cmd in ("solve", "run table1")
+      for v in ("nan", "inf", "0", "-1")],
+    *[("solve", "--beta", v, "beta") for v in ("nan", "inf", "0", "-1")],
+    *[(cmd, "--theta", v, "theta") for cmd in ("solve", "spectrum")
+      for v in ("0", "2", "nan")],
+    *[(cmd, flag, "0", name) for cmd in ("solve", "spectrum")
+      for flag, name in (("--n", "N"), ("--ratio", "ratio"))],
+    *[(cmd, "--max-iter", "0", "max_iter") for cmd in ("solve", "run table1")],
+    *[(cmd, "--gamma", v, "gamma_rule") for cmd in ("solve", "spectrum", "run spectrum")
+      for v in ("-1", "nan")],
+    *[(cmd, "--max-n", "0", "--max-n") for cmd in ("run table1", "run spectrum")],
+    ("run table2", "--max-n", "2", "--max-n"),
+]
+
+
+@pytest.mark.parametrize("cmd,flag,value,name", [
+    pytest.param(cmd, flag, value, name, id=f"{cmd} {flag} {value}")
+    for cmd, flag, value, name in REFUSALS
+])
+def test_main_refuses_out_of_range_values(cmd, flag, value, name, capsys, tmp_path,
+                                          monkeypatch):
+    """Every range is IterationConfig's, and --max-n's is the grid's: the
+    parser only reads the number, and the command refuses it, naming the
+    field, before any solve or output.  --max-n is also refused on
+    table2, whose rows are not N."""
+    err = _refusal([*COMMANDS[cmd], flag, value], capsys, tmp_path, monkeypatch)
+    assert err.startswith(f"error: {name} ")
+
+
+# The three tests below keep the cases and ids of the parser's former range
+# checks: each value is now refused by the command, and text that is not a
+# number still by the parser.
 @pytest.mark.parametrize("gamma", ["nope", "-1", "0", "nan", "inf"])
-def test_main_rejects_bad_gamma(gamma):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--n", "2", "--ratio", "2", "--gamma", gamma])
-    assert exc.value.code == 2
+def test_main_rejects_bad_gamma(gamma, capsys, tmp_path, monkeypatch):
+    err = _refusal([*SOLVE, "--gamma", gamma], capsys, tmp_path, monkeypatch)
+    assert ("--gamma" if gamma in NOT_A_NUMBER else "error: gamma_rule ") in err
 
 
 @pytest.mark.parametrize("value", ["nope", "0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("option", ["--tol", "--beta"])
-def test_main_rejects_bad_tol_and_beta(option, value, capsys):
-    """Refused by the argument parser, before any solve: `--tol nan` would
-    otherwise run all max_iter steps."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--n", "2", "--ratio", "2", option, value])
-    assert exc.value.code == 2
-    assert "positive finite number" in capsys.readouterr().err
+def test_main_rejects_bad_tol_and_beta(option, value, capsys, tmp_path, monkeypatch):
+    """`--tol nan` would otherwise run all max_iter steps."""
+    err = _refusal([*SOLVE, option, value], capsys, tmp_path, monkeypatch)
+    assert (option if value in NOT_A_NUMBER else
+            f"error: {option[2:]} must be positive and finite") in err
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -515,14 +632,10 @@ def test_main_rejects_bad_tol_and_beta(option, value, capsys):
     (["run", "--experiment", "table1", "--max-n", "-5"], "positive integer"),
     (["run", "--experiment", "spectrum", "--max-n", "two"], "positive integer"),
 ])
-def test_main_rejects_bad_theta_sizes_and_max_iter(argv, expected, capsys):
-    """Refused by the argument parser with a usage error, not a
-    ValueError traceback from IterationConfig."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and expected in err
+def test_main_rejects_bad_theta_sizes_and_max_iter(argv, expected, capsys, tmp_path,
+                                                   monkeypatch):
+    err = _refusal(argv, capsys, tmp_path, monkeypatch)
+    assert ("invalid" if "usage:" in err else expected) in err
 
 
 def test_main_version(capsys):

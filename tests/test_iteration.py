@@ -129,6 +129,14 @@ def test_perturbed_field_is_not_a_fixed_point(case, problem_n4, oracle32):
     assert iteration.fixed_point_check(problem_n4, bumped) > 1e-6
 
 
+def test_recover_refuses_a_case_for_another_beta(small_problem):
+    """Errors measured against another beta's load would be wrong, so
+    recover refuses the case, naming both values."""
+    g = np.zeros(small_problem.partition.trace.n_slots)
+    with pytest.raises(ValueError, match=r"beta=4\.0, the config has beta=1\.0"):
+        small_problem.recover(g, verify.manufactured_case(4.0))
+
+
 def test_zero_load_zero_start_is_stationary(case):
     cfg = iteration.IterationConfig(N=2, ratio=4)
     problem = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))

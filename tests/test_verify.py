@@ -39,6 +39,29 @@ def test_case_load_identity(case, rng):
     assert case.beta == 1.0
 
 
+@pytest.mark.parametrize("beta", [0.5, 4.0])
+def test_case_load_identity_for_beta(rng, beta):
+    """The case made for beta has load = beta u - grad(div u)."""
+    case = verify.manufactured_case(beta)
+    x, y = rng.uniform(0.05, 0.95, size=(2, 40))
+    h = 1e-6
+    gx = (case.div_u(x + h, y) - case.div_u(x - h, y)) / (2.0 * h)
+    gy = (case.div_u(x, y + h) - case.div_u(x, y - h)) / (2.0 * h)
+    ux, uy = case.u(x, y)
+    fx, fy = case.load(x, y)
+    np.testing.assert_allclose(fx, beta * ux - gx, atol=1e-6)
+    np.testing.assert_allclose(fy, beta * uy - gy, atol=1e-6)
+    assert case.beta == beta
+
+
+def test_case_load_at_beta_one_is_bitwise_the_quadratic_load(case, rng):
+    """At beta = 1 the load is bitwise 2 + x - x^2, so no pinned figure moves."""
+    x, y = rng.uniform(0.0, 1.0, size=(2, 100_000))
+    fx, fy = case.load(x, y)
+    assert np.array_equal(fx, 2.0 + x - x * x)
+    assert np.array_equal(fy, 2.0 + y - y * y)
+
+
 def test_case_normal_trace_vanishes(case, rng):
     t = rng.uniform(0.0, 1.0, size=25)
     for x, y, comp in (
