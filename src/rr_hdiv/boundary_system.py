@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .iteration import RobinProblem
+from .iteration import RobinProblem, check_case
 
 __all__ = [
     "InterfaceOperator",
@@ -156,8 +156,10 @@ def solve_minres(
 
     The returned report carries the recovered global field (one
     constrained solve with the final datum) and, when a manufactured case
-    is supplied, its errors.
+    is supplied, its errors.  A case made for another beta than the
+    problem's is refused before G is applied.
     """
+    check_case(operator.problem.config, case)
     f_g = np.asarray(f_g, dtype=float)
     g, history, converged, breakdown = _minres(
         operator.apply, f_g, tol, max_iter

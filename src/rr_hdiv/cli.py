@@ -214,8 +214,9 @@ def _solve_minres(cfg: iteration.IterationConfig, case):
 
 
 def _spectrum_cell(cfg: iteration.IterationConfig, out_dir):
-    """Assemble Q, eigensolve it and export the spectrum into out_dir;
-    -> (report, path).  Raises SizeCapError before any assembly."""
+    """Eigensolve the matrix-free Q one symmetry block at a time and export
+    the spectrum into out_dir; -> (report, path).  Raises SizeCapError
+    before any work."""
     rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, spectrum.spectrum_filename(rep))

@@ -37,6 +37,7 @@ __all__ = [
     "RobinProblem",
     "resolve_gamma",
     "build_problem",
+    "check_case",
     "run_richardson",
     "fixed_point_check",
     "assemble_solution",
@@ -144,9 +145,7 @@ class RobinProblem:
         """Global field of datum g -> (u_h, l2, hdiv); the errors are NaN
         unless a manufactured case with exact fields is given.  A case
         made for another beta than the config's is refused."""
-        if case is not None and case.beta != self.config.beta:
-            raise ValueError(f"the case is made for beta={case.beta}, "
-                             f"the config has beta={self.config.beta}")
+        check_case(self.config, case)
         u_int, u_trace = self.solve_once(np.asarray(g, dtype=float))
         u_h = assemble_solution(self, u_int, u_trace)
         l2 = hdiv = float("nan")
@@ -168,6 +167,14 @@ class SolveReport:
     hdiv_error: float
     wall_time: float  # the steps and the load solve, without recovery
     g: np.ndarray = field(repr=False, default=None)
+
+
+def check_case(config: IterationConfig, case) -> None:
+    """Refuse a manufactured case made for another beta than the
+    config's: its exact fields would not solve the config's problem."""
+    if case is not None and case.beta != config.beta:
+        raise ValueError(f"the case is made for beta={case.beta}, "
+                         f"the config has beta={config.beta}")
 
 
 def build_problem(config: IterationConfig, load) -> RobinProblem:
@@ -247,8 +254,11 @@ def run_richardson(config: IterationConfig, case) -> SolveReport:
     `constrained=False`.
 
     The report carries the case's discretization errors.  A run that
-    exhausts max_iter is returned with converged=False, not raised.
+    exhausts max_iter is returned with converged=False, not raised.  A
+    case made for another beta than the config's is refused before any
+    setup.
     """
+    check_case(config, case)
     return _run(build_problem(config, case.load), case)
 
 

@@ -153,6 +153,27 @@ def test_recover_solution_from_exact_datum(case, problem_n4, oracle32):
     assert hdiv == pytest.approx(hdiv_direct, rel=1e-6)
 
 
+def test_solve_minres_refuses_a_case_for_another_beta_before_apply(
+        small_problem, monkeypatch):
+    """The beta check runs before G is first applied: a spy on the
+    operator's apply and on the problem's step records no call."""
+    op = boundary_system.InterfaceOperator(small_problem)
+    calls = []
+
+    def spy(name, fn):
+        def record(*args):
+            calls.append(name)
+            return fn(*args)
+        return record
+
+    monkeypatch.setattr(op, "apply", spy("apply", op.apply))
+    monkeypatch.setattr(small_problem, "step", spy("step", small_problem.step))
+    f_g = np.ones(op.n)
+    with pytest.raises(ValueError, match=r"beta=4\.0, the config has beta=1\.0"):
+        boundary_system.solve_minres(op, f_g, case=verify.manufactured_case(4.0))
+    assert calls == []
+
+
 def test_counts_stable_in_subdomain_number(case):
     """Fixed ratio: Krylov counts saturate rather than grow with N."""
     counts = {}

@@ -46,8 +46,9 @@ def test_three_views_of_one_map(cfg):
     n = trace.n_slots
     op = boundary_system.InterfaceOperator(loaded)
 
-    # Spectrum: the assembled Q is the homogeneous relaxed step.
-    Q = spectrum.assemble_Q(cfg, problem=zero).Q
+    # Spectrum: the matrix-free Q, applied to the identity, is the
+    # homogeneous relaxed step.
+    Q = spectrum.assemble_Q(cfg, problem=zero).Q @ np.eye(n)
     Q_ref = apply_to_identity(lambda e: relaxed_step(zero, e, cfg.theta), n)
     assert Q.shape == (n, n)
     np.testing.assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-10)

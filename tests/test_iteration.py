@@ -5,8 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import direct_errors, interior_edges, l2_distance, relaxed_step
-from rr_hdiv import iteration, local_solver, spectrum, verify
+from helpers import (
+    apply_to_identity,
+    direct_errors,
+    interior_edges,
+    l2_distance,
+    relaxed_step,
+)
+from rr_hdiv import iteration, local_solver, verify
 from rr_hdiv.mesh import boundary_edges
 
 # Measured once on this discretization and frozen; the runs are fully
@@ -137,6 +143,23 @@ def test_recover_refuses_a_case_for_another_beta(small_problem):
         small_problem.recover(g, verify.manufactured_case(4.0))
 
 
+def test_run_richardson_refuses_a_case_for_another_beta_before_setup(monkeypatch):
+    """The beta check runs before `build_problem`: a spy on it records no
+    call, where the check in `recover` alone came after every step."""
+    calls = []
+    build = iteration.build_problem
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(iteration, "build_problem", spy)
+    cfg = iteration.IterationConfig(N=4, ratio=8, beta=4.0)
+    with pytest.raises(ValueError, match=r"beta=1\.0, the config has beta=4\.0"):
+        iteration.run_richardson(cfg, verify.manufactured_case())
+    assert calls == []
+
+
 def test_zero_load_zero_start_is_stationary(case):
     cfg = iteration.IterationConfig(N=2, ratio=4)
     problem = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
@@ -148,15 +171,17 @@ def test_zero_load_zero_start_is_stationary(case):
 
 
 def test_update_map_is_affine(case, rng):
-    """Differences of iterates propagate through the linear operator."""
+    """Differences of loaded iterates propagate through Q, the dense
+    matrix of the zero-load relaxed step."""
     cfg = iteration.IterationConfig(N=2, ratio=4)
     problem = iteration.build_problem(cfg, case.load)
-    op = spectrum.assemble_Q(cfg, problem=None)
+    zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
     n = problem.partition.trace.n_slots
+    Q = apply_to_identity(lambda e: relaxed_step(zero, e, cfg.theta), n)
     g1 = rng.standard_normal(n)
     g2 = rng.standard_normal(n)
     lhs = relaxed_step(problem, g1, cfg.theta) - relaxed_step(problem, g2, cfg.theta)
-    rhs = op.Q @ (g1 - g2)
+    rhs = Q @ (g1 - g2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 

@@ -697,8 +697,9 @@ def test_Q_matches_direct():
     """Measured gap at N=8, r=8: 5.0e-12 of max |Q|."""
     cfg = iteration.IterationConfig(N=8, ratio=8, theta=1.0)
     zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
-    Q = spectrum.assemble_Q(cfg, problem=zero).Q
-    Q_ref = spectrum.assemble_Q(cfg, problem=direct_problem(zero)).Q
+    eye = np.eye(zero.partition.trace.n_slots)
+    Q = spectrum.assemble_Q(cfg, problem=zero).Q @ eye
+    Q_ref = spectrum.assemble_Q(cfg, problem=direct_problem(zero)).Q @ eye
     assert np.abs(Q - Q_ref).max() <= 1e-10 * np.abs(Q_ref).max()
 
 

@@ -1,15 +1,20 @@
-"""Tests for dense assembly and eigenvalues of the iteration map."""
+"""Tests for the matrix-free iteration map and its eigenvalues, solved
+one symmetry block at a time."""
 
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import hadamard
+from scipy.optimize import linear_sum_assignment
 
 from rr_hdiv import iteration, spectrum
 from rr_hdiv.spectrum import COLUMN_BLOCK
 
-from helpers import relaxed_step
+from helpers import apply_to_identity, relaxed_step
 
 GAMMA_H_N4_R8 = {
     "dim": 384,
@@ -35,6 +40,24 @@ def op_n4r8():
 @pytest.fixture(scope="module")
 def report_n4r8(op_n4r8):
     return spectrum.eigenvalues(op_n4r8)
+
+
+def zero_problem(cfg):
+    return iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
+
+
+def dense_Q(cfg):
+    """Q of `cfg` as a dense matrix, one relaxed zero-load step per
+    column (`helpers.relaxed_step`)."""
+    zero = zero_problem(cfg)
+    return apply_to_identity(
+        lambda e: relaxed_step(zero, e, cfg.theta), zero.partition.trace.n_slots
+    )
+
+
+@pytest.fixture(scope="module")
+def dense_n4r8(op_n4r8):
+    return dense_Q(op_n4r8.config)
 
 
 def test_dimensions():
@@ -85,46 +108,50 @@ def test_matrix_matches_one_homogeneous_step(case):
 
 def test_explicit_problem_matches_internal():
     cfg = iteration.IterationConfig(N=2, ratio=4)
-    zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
-    a = spectrum.assemble_Q(cfg, problem=zero)
+    a = spectrum.assemble_Q(cfg, problem=zero_problem(cfg))
     b = spectrum.assemble_Q(cfg)
-    np.testing.assert_allclose(a.Q, b.Q, atol=1e-14)
-
-
-def test_assembly_holds_Q_and_a_few_column_blocks():
-    """At N=8, r=8 (dim 1792) assembly peaks below Q plus eight n x
-    COLUMN_BLOCK blocks, 55.1 MB; three dense squares took 77.3 MB."""
-    cfg = iteration.IterationConfig(N=8, ratio=8)
-    zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
-    tracemalloc.start()
-    try:
-        op = spectrum.assemble_Q(cfg, problem=zero)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert op.dim == 1792
-    assert peak <= op.Q.nbytes + 8 * op.dim * COLUMN_BLOCK * 8
+    eye = np.eye(a.dim)
+    np.testing.assert_allclose(a.Q @ eye, b.Q @ eye, atol=1e-14)
 
 
 @pytest.fixture(scope="module")
 def zero_n8r8():
-    cfg = iteration.IterationConfig(N=8, ratio=8)
-    return iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
+    return zero_problem(iteration.IterationConfig(N=8, ratio=8))
+
+
+def test_spectrum_holds_a_panel_and_a_few_column_blocks(zero_n8r8):
+    """At N=8, r=8 (dim 1792) the whole spectrum, from the zero-load
+    problem, peaks below one n x n/4 panel plus six n x COLUMN_BLOCK
+    blocks, 27.1 MiB; it measured 19.1 MiB, against 44.4 MiB when Q was
+    assembled dense (Q alone is 24.5 MiB)."""
+    cfg = iteration.IterationConfig(N=8, ratio=8, theta=1.0)
+    n = 1792
+    tracemalloc.start()
+    try:
+        rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg, problem=zero_n8r8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == n
+    assert peak <= (n * n // 4 + 6 * n * COLUMN_BLOCK) * 8
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_in_place_combine_matches_formula(zero_n8r8, theta):
-    """Q, written into its column blocks in place, equals theta * E +
-    (1 - theta) * I formed per block with temporaries (N=8, r=8)."""
+    """Q applied to the chi-symmetric columns W of `spectrum._products`, in
+    blocks of COLUMN_BLOCK and combined in place, equals
+    theta * step(W) + (1 - theta) * W formed with temporaries (N=8, r=8),
+    bitwise."""
     cfg = iteration.IterationConfig(N=8, ratio=8, theta=theta)
     op = spectrum.assemble_Q(cfg, problem=zero_n8r8)
-    n = op.dim
-    for j in range(0, n, COLUMN_BLOCK):
-        k = min(COLUMN_BLOCK, n - j)
-        E = np.eye(n, k, -j)
-        R = zero_n8r8.solver.apply_resolvent(zero_n8r8.mesh.h * E)
-        EE = zero_n8r8.exchange(E, R)
-        assert np.array_equal(op.Q[:, j:j + k], theta * EE + (1.0 - theta) * E)
+    g, k = op.orbits.shape
+    for chi in hadamard(g):
+        for j in range(0, k, COLUMN_BLOCK):
+            cols = np.arange(min(COLUMN_BLOCK, k - j))
+            W = np.zeros((op.dim, cols.size))
+            W[op.orbits[:, j + cols], cols] = chi[:, None]
+            expect = theta * zero_n8r8.step(W) + (1.0 - theta) * W
+            assert np.array_equal(op.Q @ W, expect)
 
 
 @pytest.mark.parametrize("theta", [1.0, 2 / 3])
@@ -140,11 +167,10 @@ def test_blocked_spectrum_matches_dense(N, r, theta):
     n = op.dim
     assert op.orbits.shape == (4, n // 4)
     assert rep.blocks == (n // 4,) * 4
-    dense = spectrum.eigenvalues(
-        spectrum.IterationOperator(op.Q, cfg)
-    )
+    Q = dense_Q(cfg)
+    dense = spectrum.eigenvalues(spectrum.IterationOperator(Q, cfg))
     assert dense.blocks == (n,)
-    expect = np.linalg.eigvals(op.Q)
+    expect = np.linalg.eigvals(Q)
     expect = expect[np.lexsort((expect.imag, expect.real))]
     np.testing.assert_allclose(rep.eigenvalues, expect, rtol=0, atol=1e-10)
     np.testing.assert_allclose(dense.eigenvalues, expect, rtol=0, atol=1e-10)
@@ -154,7 +180,28 @@ def test_blocked_spectrum_matches_dense(N, r, theta):
     )
 
 
-def test_symmetry_blocks_are_conjugates_of_Q(op_n4r8):
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(2, 5), r=st.integers(1, 6), theta=st.floats(1e-3, 1.0))
+def test_block_eigenvalues_match_dense_eigvals(N, r, theta):
+    """The four blocks' eigenvalues are np.linalg.eigvals of the dense Q
+    to 1e-10, matched one to one, and the unit eigenvalue has one pair per
+    interface, 2 N (N - 1).
+
+    theta stays above 1e-3: for these N and r every other eigenvalue of Q
+    lies at least 0.51 theta from 1 (measured at theta=1), so below
+    theta of about 2e-6 all of them would count as unit (UNIT_TOL).
+    """
+    cfg = iteration.IterationConfig(N=N, ratio=r, theta=theta)
+    rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
+    expect = np.linalg.eigvals(dense_Q(cfg))
+    assert rep.blocks == (expect.size // 4,) * 4
+    gap = np.abs(rep.eigenvalues[:, None] - expect[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert gap[rows, cols].max() <= 1e-10
+    assert rep.unit_count == 2 * N * (N - 1)
+
+
+def test_symmetry_blocks_are_conjugates_of_Q(op_n4r8, dense_n4r8):
     """V^T Q V is block diagonal with the blocks, for V orthogonal."""
     orbits = op_n4r8.orbits
     g, k = orbits.shape
@@ -165,12 +212,14 @@ def test_symmetry_blocks_are_conjugates_of_Q(op_n4r8):
             V[orbits[a], chi * k + np.arange(k)] = chars[chi, a] / 2.0
     np.testing.assert_allclose(V.T @ V, np.eye(op_n4r8.dim), atol=1e-15)
     expect = np.zeros_like(V)
-    for chi, block in enumerate(spectrum.symmetry_blocks(op_n4r8)):
+    blocks = list(spectrum._blocks(op_n4r8))
+    assert len(blocks) == g
+    for chi, block in enumerate(blocks):
         expect[chi * k:(chi + 1) * k, chi * k:(chi + 1) * k] = block
-    np.testing.assert_allclose(V.T @ op_n4r8.Q @ V, expect, atol=1e-12)
+    np.testing.assert_allclose(V.T @ dense_n4r8 @ V, expect, atol=1e-12)
 
 
-def test_perturbed_Q_refused(op_n4r8):
+def test_perturbed_Q_refused(op_n4r8, dense_n4r8):
     """A Q that breaks the symmetry is refused, not split into wrong blocks;
     the error names the first group element that finds it and the defect.
 
@@ -190,7 +239,7 @@ def test_perturbed_Q_refused(op_n4r8):
          "element 3, the half-turn times the reflection x <-> y:"),
     ]
     for entries, match in cases:
-        Q = op_n4r8.Q.copy()
+        Q = dense_n4r8.copy()
         for i, j in entries:
             Q[i, j] += 1e-6
         bad = spectrum.IterationOperator(Q, op_n4r8.config, orbits=orbits)
@@ -252,12 +301,13 @@ def test_sorted_by_real_then_imag(report_n4r8):
     assert np.array_equal(key, np.arange(eigs.size))
 
 
-def test_relaxation_maps_spectrum(op_n4r8, report_n4r8):
+def test_relaxation_maps_spectrum(op_n4r8, report_n4r8, dense_n4r8):
     """theta-relaxed eigenvalues are the affine image (1-theta) + theta lam."""
     cfg = iteration.IterationConfig(N=4, ratio=8, gamma_rule="h", theta=0.5)
     op_half = spectrum.assemble_Q(cfg)
-    expect = 0.5 * (np.eye(op_n4r8.dim) + op_n4r8.Q)
-    np.testing.assert_allclose(op_half.Q, expect, atol=1e-13)
+    eye = np.eye(op_n4r8.dim)
+    expect = 0.5 * (eye + dense_n4r8)
+    np.testing.assert_allclose(op_half.Q @ eye, expect, atol=1e-13)
     rep_half = spectrum.eigenvalues(op_half)
     mapped = 0.5 * (1.0 + report_n4r8.eigenvalues)
     for lam in mapped:
