@@ -11,12 +11,17 @@ triangles, the lower and upper halves of cell (0, 0) (`mesh` docstring),
 so each per-triangle integral is a lookup into one table per shape,
 built from that shape's reference by the mesh's id formulas: its element
 matrices, its basis values at the degree-4 quadrature points and its
-basis divergences.  Loads and error norms take whole cell rows of one
-shape at a time (`_row_blocks`), one matrix product per block.  The
-quadrature points of a block are one row of x values and one column of
-y values that broadcast against each other, and each block reads or
-writes its triangles' edges (`triangle_edges`), the loads in one row per
-edge orientation (`mesh.SIGNS`), so no triangle ids are formed.
+basis divergences.
+
+Loads and error norms take whole cell rows of one shape at a time
+(`_row_blocks`), one matrix product per block, point major: the block's
+quadrature points are x values (nq, 1, m) and y values (nq, rows, 1)
+that broadcast to (nq, rows, m), so every elementwise loop runs over the
+m cells of a row, and a block's field values, (2 nq, rows m), meet the
+shape's (3, 2 nq) table in one GEMM with the cells as its long side.
+Each block reads or writes its triangles' edges through the strided
+views of `mesh.opposite_edge_views`, the loads in one row per edge
+orientation (`mesh.SIGNS`), so neither triangle nor edge ids are formed.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .mesh import (
     edge_lengths,
     edge_mid2,
     grid_coordinates,
+    opposite_edge_views,
     triangle_cell,
     triangle_edges,
     triangle_vertices,
@@ -95,22 +101,29 @@ def _shapes(m: int) -> list:
     return shapes
 
 
+def _block_rows(m: int) -> int:
+    """Cell rows per block of `_row_blocks`: QUAD_BLOCK triangles rounded
+    down to whole rows, at least one and at most m."""
+    return min(m, max(1, QUAD_BLOCK // m))
+
+
 def _row_blocks(mesh: Mesh):
     """Yield (shape, kind, rows, x, y) for blocks of whole cell rows of
-    one shape, max(1, QUAD_BLOCK // m) rows at a time.  `rows` is a slice
-    of cell rows; x is (1, m, nq) and y is (rows, 1, nq), so the two
-    broadcast to the block's (rows, m, nq).  The points of the triangle
-    of shape `kind` in cell (cx, cy) are x[0, cx] and y[cy - rows.start,
-    0]: the reference's offsets moved by the cell corner, which sits at
-    grid coordinates (cx, cy)."""
+    one shape, `_block_rows` rows at a time.  `rows` is a slice of cell
+    rows, clipped to m; x is (nq, 1, m) and y is (nq, rows, 1), point
+    major, so the two broadcast to the block's (nq, rows, m) and every
+    inner loop runs over the m cells of a row.  The points of the
+    triangle of shape `kind` in cell (cx, cy) are x[:, 0, cx] and
+    y[:, cy - rows.start, 0]: the reference's offsets moved by the cell
+    corner, which sits at grid coordinates (cx, cy)."""
     m = mesh.m
-    grid = grid_coordinates(m)[:-1, None]
-    step = max(1, QUAD_BLOCK // m)
+    grid = grid_coordinates(m)[:-1]
+    step = _block_rows(m)
     for kind, shape in enumerate(_shapes(m)):
-        x = (grid + shape.offsets[:, 0])[None]
+        x = (grid + shape.offsets[:, :1])[:, None]
         for start in range(0, m, step):
-            rows = slice(start, start + step)
-            yield shape, kind, rows, x, (grid[rows] + shape.offsets[:, 1])[:, None]
+            rows = slice(start, min(start + step, m))
+            yield shape, kind, rows, x, (grid[rows] + shape.offsets[:, 1:])[..., None]
 
 
 @dataclass(eq=False)
@@ -153,20 +166,23 @@ def element_loads(mesh: Mesh, field) -> np.ndarray:
     from the one where it is -1, and 0 where no triangle is (boundary).
 
     Uses the degree-4 rule, exact for the quadratic manufactured load.
-    Triangles of one shape share no edge, so each entry is written once;
-    field components of x or y alone, or neither, are broadcast.
+    Triangles of one shape share no edge, so each entry is written once,
+    through `mesh.opposite_edge_views`; field components of x or y alone,
+    or neither, are broadcast.
     """
     m, nq = mesh.m, K.QUAD4_W.size
     out = np.zeros((2, mesh.n_edges))
-    cells = np.arange(m)
+    # One field buffer per call, cut to each block's rows.
+    field_buf = np.empty(2 * nq * _block_rows(m) * m)
     for shape, kind, rows, x, y in _row_blocks(mesh):
-        block = (y.shape[0], m, nq)
+        n = rows.stop - rows.start
+        F = field_buf[:2 * nq * n * m].reshape(2, nq, n, m)
+        F[0], F[1] = field(x, y)
         table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
-        edges = triangle_edges(m, cells[rows, None], kind, cells)
-        # One statement, so the block's field values are freed before the
-        # next block evaluates its own.
-        out[(SIGNS[kind] < 0).astype(np.intp), edges] = np.concatenate(
-            [np.broadcast_to(c, block) for c in field(x, y)], axis=2) @ table
+        loads = table.T @ F.reshape(2 * nq, n * m)
+        views = opposite_edge_views(m, out, kind, rows)
+        for i, row in enumerate(SIGNS[kind] < 0):
+            views[i][int(row)] = loads[i].reshape(n, m)
     return out
 
 
@@ -215,26 +231,25 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
     the degree-4 rule, exact when the exact field is quadratic.
     """
     m, nq = mesh.m, K.QUAD4_W.size
-    cells = np.arange(m)
+    u = np.asarray(u, dtype=float)
     # One set of block buffers per call, cut to each block's rows.
-    most = min(m, max(1, QUAD_BLOCK // m))
-    lam_buf = np.empty((most, m, 3))
-    uh_buf = np.empty((most, m, 2 * nq))
-    sq_buf = np.empty((2, most, m, nq))
-    div_buf = np.empty((most, m))
+    cells = _block_rows(m) * m
+    lam_buf, uh_buf, div_buf = (np.empty(k * cells) for k in (3, 2 * nq, nq))
     l2_sq = div_sq = 0.0
     for shape, kind, rows, x, y in _row_blocks(mesh):
-        edges = triangle_edges(m, cells[rows, None], kind, cells)
-        lam = np.take(u, edges, out=lam_buf[:len(edges)])
-        uh = np.matmul(lam, shape.values, out=uh_buf[:len(edges)])
-        ex, ey = exact_u(x, y)
-        sq = sq_buf[:, :len(edges)]
-        np.subtract(uh[..., :nq], ex, out=sq[0])
-        np.subtract(uh[..., nq:], ey, out=sq[1])
-        np.square(sq, out=sq)
-        l2_sq += shape.area * np.sum(np.add(sq[0], sq[1], out=sq[0]) @ K.QUAD4_W)
-        dd = np.subtract(np.matmul(lam, shape.div, out=div_buf[:len(edges)])[..., None],
-                         exact_div(x, y), out=sq[1])
-        div_sq += shape.area * np.sum(np.square(dd, out=dd) @ K.QUAD4_W)
+        n = rows.stop - rows.start
+        lam = lam_buf[:3 * n * m].reshape(3, n, m)
+        for i, view in enumerate(opposite_edge_views(m, u, kind, rows)):
+            lam[i] = view
+        lam = lam.reshape(3, n * m)
+        uh = np.matmul(shape.values.T, lam, out=uh_buf[:2 * nq * n * m].reshape(2 * nq, -1))
+        uh = uh.reshape(2, nq, n, m)
+        for comp, exact in zip(uh, exact_u(x, y)):
+            np.subtract(comp, exact, out=comp)
+        np.square(uh, out=uh)
+        sq = np.add(uh[0], uh[1], out=uh[0])
+        l2_sq += shape.area * np.sum(K.QUAD4_W @ sq.reshape(nq, -1))
+        dd = np.subtract((shape.div @ lam).reshape(n, m), exact_div(x, y),
+                         out=div_buf[:nq * n * m].reshape(nq, n, m))
+        div_sq += shape.area * np.sum(K.QUAD4_W @ np.square(dd, out=dd).reshape(nq, -1))
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + div_sq))
-

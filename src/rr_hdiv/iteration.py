@@ -134,7 +134,10 @@ class RobinProblem:
         u = self.solver.apply_resolvent(self.mesh.h * g)
         if u_load is not None:
             u += u_load
-        return self.exchange(g, u)
+        # `exchange` in place on the u this step owns.
+        u *= 2.0 * self.gamma
+        u -= g
+        return u[self.partition.trace.pair_perm]
 
     def load_trace(self) -> np.ndarray:
         """Trace u_load of the loaded zero-datum solve: the resolvent of
@@ -217,14 +220,20 @@ def _run(problem: RobinProblem, case) -> SolveReport:
     start = time.perf_counter()
     u_load = problem.load_trace()
     g = np.zeros(u_load.size)
+    # The run's two workspaces: the increment and the relaxation's
+    # (1 - theta) g.
+    diff, kept = np.empty_like(g), np.empty_like(g)
     for _ in range(config.max_iter):
         g_tilde = problem.step(g, u_load)
         # The stopping test reads the raw datum change of the exchange;
         # relaxation only damps the step taken.
-        inc = float(np.abs(g_tilde - g).max()) if g.size else 0.0
+        np.subtract(g_tilde, g, out=diff)
+        inc = float(np.abs(diff, out=diff).max()) if g.size else 0.0
         history.append(inc)
+        # g <- theta g_tilde + (1 - theta) g, in the step's own array.
         g_step = g
-        g = config.theta * g_tilde + (1.0 - config.theta) * g
+        g_tilde *= config.theta
+        g = np.add(g_tilde, np.multiply(g, 1.0 - config.theta, out=kept), out=g_tilde)
         iterations += 1
         if inc < config.tol:
             converged = True

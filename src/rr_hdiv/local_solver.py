@@ -517,11 +517,12 @@ class ConstrainedRobinSolver:
         # holds subdomain s's interface solution in the columns of its
         # sides, written row by row.  v comes Fortran-ordered from
         # SuperLU, and (X^T W^T)^T is too, so the subtraction runs in one
-        # memory order.
+        # memory order, into the product: the cached v is never written.
         Xt = np.zeros((loads.v.shape[1], self._W.shape[1]))
         for cls in self.classes:
             Xt[cls.members[:, None], cls.cols] = cls.trace_block(w)
-        return loads.v - (Xt @ self._W.T).T, w, mu
+        P = (Xt @ self._W.T).T
+        return np.subtract(loads.v, P, out=P), w, mu
 
     def _condensed(self, rhs):
         """(w, mu) of the constrained interface solve of `rhs`: one product

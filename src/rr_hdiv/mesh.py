@@ -25,6 +25,13 @@ functions below give it, vectorised, for just the ids a caller needs.
   the offset of its cell (`triangle_vertices`, `triangle_edges`), so
   every triangle is a translate of one of two reference triangles, the
   halves of cell (0, 0), with its vertices and edges in the same order.
+- Edges are also a lattice: along the last axis of any (..., n_edges)
+  array, `edge_views` gives the horizontals (m+1, m), the verticals
+  (m, m+1) and the diagonals (m, m) as strided views, row stride 3m+1,
+  and `opposite_edge_views` the three (rows, m) views of the edges
+  opposite vertices 0, 1 and 2 of one shape over a block of cell rows.
+  Code that visits every triangle of a shape reads and writes edge
+  values through these, with no id array formed.
 """
 
 from __future__ import annotations
@@ -160,6 +167,45 @@ def triangle_edges(m: int, cy, shape, cx) -> np.ndarray:
     x2 = 2 * np.asarray(cx)[..., None] + OPPOSITE_MID2[shape, 0]
     row0 = edge_id(m, x2, OPPOSITE_MID2[shape, 1])
     return (3 * m + 1) * np.asarray(cy)[..., None] + row0
+
+
+def edge_views(m: int, a: np.ndarray):
+    """(H, V, D): strided views of the horizontal, vertical and diagonal
+    edges along the last axis of a (..., n_edges) array.
+
+    H[..., iy, ix] (m+1, m) is the horizontal at doubled midpoint
+    (2 ix + 1, 2 iy), V[..., cy, ix] (m, m+1) the vertical at (2 ix,
+    2 cy + 1) and D[..., cy, cx] (m, m) the diagonal of cell (cx, cy), at
+    (2 cx + 1, 2 cy + 1).  Each row pair of `edge_id` is 3m+1 ids long,
+    so that is the row stride of all three; the verticals and diagonals
+    of a row pair interleave, so theirs step by 2.  The views write
+    through to `a` where it is writeable.
+    """
+    if a.shape[-1] != 3 * m * m + 2 * m:
+        raise ValueError(f"last axis has {a.shape[-1]} entries, "
+                         f"expected {3 * m * m + 2 * m} edges of an m={m} mesh")
+    lead, step = a.strides[:-1], a.strides[-1]
+
+    def view(first, shape, stride):
+        return np.lib.stride_tricks.as_strided(
+            a[..., first:], a.shape[:-1] + shape,
+            lead + ((3 * m + 1) * step, stride * step))
+
+    return view(0, (m + 1, m), 1), view(m, (m, m + 1), 2), view(m + 1, (m, m), 2)
+
+
+def opposite_edge_views(m: int, a: np.ndarray, shape: int, rows=slice(None)):
+    """Views (..., rows, m) of the edges opposite vertices 0, 1 and 2 of
+    the triangles of `shape` in the cell rows `rows` (a slice), along the
+    last axis of a (..., n_edges) array: entry [..., cy - rows.start, cx]
+    of view i is the edge opposite vertex i of the triangle in cell
+    (cx, cy), as in `triangle_edges`.  Lower triangles take the right
+    verticals, the diagonals and the bottom horizontals; upper ones the
+    top horizontals, the left verticals and the diagonals."""
+    H, V, D = edge_views(m, a)
+    if shape == LOWER:
+        return V[..., rows, 1:], D[..., rows, :], H[..., :-1, :][..., rows, :]
+    return H[..., 1:, :][..., rows, :], V[..., rows, :-1], D[..., rows, :]
 
 
 def build_unit_square_mesh(m: int) -> Mesh:

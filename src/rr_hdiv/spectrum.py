@@ -48,6 +48,8 @@ __all__ = [
     "SIZE_CAP",
     "SizeCapError",
     "SYMMETRY_TOL",
+    "UNIT_TOL",
+    "unit_tol",
 ]
 
 # Columns of Q V_chi formed at once in `eigenvalues`, which keeps its
@@ -67,6 +69,10 @@ class SizeCapError(ValueError):
     """A trace dimension beyond SIZE_CAP, refused before any work."""
 
 
+# Distance from 1, and imaginary part, below which an eigenvalue of the
+# unrelaxed map E counts as unit, and as real.  Q = theta E + (1 - theta) I
+# moves every eigenvalue to 1 - theta (1 - lambda_E), so on Q both tests
+# read theta UNIT_TOL (`unit_tol`).
 UNIT_TOL = 1e-6
 
 # Largest invariance defect accepted in `eigenvalues`, relative to
@@ -119,16 +125,21 @@ class SpectrumReport:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
-    def contraction_modulus(self, tol: float = UNIT_TOL) -> float:
+    def contraction_modulus(self) -> float:
         """Largest modulus over eigenvalues away from the exact unit one."""
-        away = self.eigenvalues[np.abs(self.eigenvalues - 1.0) > tol]
+        away = self.eigenvalues[np.abs(self.eigenvalues - 1.0) > unit_tol(self.config)]
         return float(np.abs(away).max()) if away.size else 0.0
 
-    def max_real_below_unit(self, tol: float = UNIT_TOL) -> float:
+    def max_real_below_unit(self) -> float:
         """Largest real part among real eigenvalues away from 1."""
-        eigs = self.eigenvalues
+        eigs, tol = self.eigenvalues, unit_tol(self.config)
         real = eigs[(np.abs(eigs.imag) <= tol) & (np.abs(eigs - 1.0) > tol)]
         return float(real.real.max()) if real.size else float("-inf")
+
+
+def unit_tol(config: iteration.IterationConfig) -> float:
+    """UNIT_TOL on the eigenvalues of E, as it reads on those of Q."""
+    return config.theta * UNIT_TOL
 
 
 def assemble_Q(config: iteration.IterationConfig, problem=None) -> IterationOperator:
@@ -278,12 +289,13 @@ def eigenvalues(op: IterationOperator) -> SpectrumReport:
     eigs = np.concatenate(parts)
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
-    nonreal = eigs[np.abs(eigs.imag) > UNIT_TOL]
+    tol = unit_tol(config)
+    nonreal = eigs[np.abs(eigs.imag) > tol]
     return SpectrumReport(
         eigenvalues=eigs,
         config=config,
         max_nonreal_modulus=float(np.abs(nonreal).max()) if nonreal.size else 0.0,
-        unit_count=int(np.count_nonzero(np.abs(eigs - 1.0) < UNIT_TOL)),
+        unit_count=int(np.count_nonzero(np.abs(eigs - 1.0) < tol)),
         blocks=(k,) * g,
     )
 

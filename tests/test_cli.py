@@ -481,6 +481,20 @@ def test_main_spectrum(tmp_path, capsys):
     assert os.path.exists(tmp_path / "spectrum_N2_r4_gammah_theta1.csv")
 
 
+@pytest.mark.parametrize("theta", ["0.5", "1e-7"])
+def test_main_spectrum_unit_count_at_small_theta(tmp_path, capsys, theta):
+    """The relaxed map moves every eigenvalue of E to 1 - theta (1 - lam),
+    so the unit test reads theta UNIT_TOL: at theta=1e-7 the four unit
+    eigenvalues of N=2 (one pair per interface) are still the only ones,
+    not all 16, as at theta=0.5."""
+    rc = cli.main(["spectrum", "--n", "2", "--ratio", "2", "--theta", theta,
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "dim 16 in 4 blocks of 4: unit eigenvalues 4," in text
+    assert "max real below unit -inf" not in text
+
+
 def test_main_spectrum_cap_exit(tmp_path, capsys):
     rc = cli.main([
         "spectrum", "--n", "16", "--ratio", "8", "--out", str(tmp_path)

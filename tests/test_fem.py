@@ -105,11 +105,13 @@ def test_quadrature_points_match_vertex_gather(monkeypatch, m):
                                               getattr(shapes[kind], name))
             tri = ids[rows, kind]
             assert tri.shape[0] == min(max(1, block // m), m - rows.start)
-            assert x.shape == (1, m, nq) and y.shape == (tri.shape[0], 1, nq)
+            assert rows.stop <= m
+            assert x.shape == (nq, 1, m) and y.shape == (nq, tri.shape[0], 1)
             np.testing.assert_array_equal(ref.tri_shape[tri], kind)
             seen[tri] += 1
             origin = ref.verts[ref.tris[tri, 0]]
-            x, y = np.broadcast_arrays(x, y)
+            # point-major (nq, rows, m) to the reference's (rows, m, nq)
+            x, y = np.moveaxis(np.broadcast_arrays(x, y), 1, -1)
             np.testing.assert_array_equal(x, origin[..., :1] + shape.offsets[:, 0])
             np.testing.assert_array_equal(y, origin[..., 1:] + shape.offsets[:, 1])
         np.testing.assert_array_equal(seen, 1)

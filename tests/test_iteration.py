@@ -244,6 +244,35 @@ def test_trace_maps_match_per_step_solves(case, N, ratio):
     np.testing.assert_allclose(rep.u_h, u_ref, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("N,ratio,theta", [(4, 8, 0.5), (3, 4, 0.7), (2, 2, 1.0)])
+def test_in_place_step_and_run_match_temporaries(case, N, ratio, theta):
+    """`step` works in place on the u it owns and `_run` keeps the
+    increment and the relaxation in two workspaces; both give bitwise the
+    histories and datum of the same expressions formed with temporaries,
+    and `step` writes neither g nor u_load."""
+    cfg = iteration.IterationConfig(N=N, ratio=ratio, theta=theta)
+    problem = iteration.build_problem(cfg, case.load)
+    u_load = problem.load_trace()
+    g = np.random.default_rng(N).standard_normal(u_load.size)
+    g_in, u_load_in = g.copy(), u_load.copy()
+    stepped = problem.step(g, u_load)
+    u = problem.solver.apply_resolvent(problem.mesh.h * g) + u_load
+    assert np.array_equal(stepped, problem.exchange(g, u))
+    assert np.array_equal(g, g_in) and np.array_equal(u_load, u_load_in)
+
+    history, g = [], np.zeros(u_load.size)
+    for _ in range(cfg.max_iter):
+        u = problem.solver.apply_resolvent(problem.mesh.h * g) + u_load
+        g_tilde = problem.exchange(g, u)
+        history.append(float(np.abs(g_tilde - g).max()))
+        g = cfg.theta * g_tilde + (1.0 - cfg.theta) * g
+        if history[-1] < cfg.tol:
+            break
+    rep = iteration.run_richardson(cfg, case)
+    assert np.array_equal(rep.increment_history, history)
+    assert np.array_equal(rep.g, g)
+
+
 def test_nonfinite_increment_stops_run(case, monkeypatch):
     def poisoned(self, rhs):
         return np.full(np.shape(rhs), np.nan)

@@ -151,11 +151,14 @@ def test_constrained_solve_at_fixed_point(problem_n4, oracle32):
 def test_recovery_equals_interior_order_product(case, rng, N, r):
     """`solve` forms the interiors as v - (X^T W^T)^T, in the Fortran
     order that v has from SuperLU; on a random datum they are bitwise
-    the v - W X^T of a C-ordered product."""
+    the v - W X^T of a C-ordered product.  The subtraction writes into
+    the product, never into the cached v."""
     problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r),
                                       case.load)
     solver, loads = problem.solver, problem.condensed_loads
+    v = loads.v.copy()
     u_int, w, _ = solver.solve(loads, rng.standard_normal(solver.n_slots))
+    assert np.array_equal(loads.v, v) and not np.shares_memory(u_int, loads.v)
     Xt = np.zeros((loads.v.shape[1], solver._W.shape[1]))
     for cls in solver.classes:
         Xt[cls.members[:, None], cls.cols] = cls.trace_block(w)

@@ -27,7 +27,9 @@ from rr_hdiv.mesh import (
     edge_kind,
     edge_lengths,
     edge_mid2,
+    edge_views,
     grid_coordinates,
+    opposite_edge_views,
     triangle_cell,
     triangle_edges,
     triangle_vertices,
@@ -294,3 +296,71 @@ def test_edge_id_and_grid_match_build(m):
     grid = grid_coordinates(m)
     iy, ix = np.divmod(np.arange(len(ref.verts)), m + 1)
     np.testing.assert_array_equal(ref.verts, np.column_stack([grid[ix], grid[iy]]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 24])
+def test_edge_views_name_edges_by_midpoint(m):
+    """H, V and D hold, along the last axis of any (..., n_edges) array,
+    the edges at doubled midpoints (2 ix + 1, 2 iy), (2 ix, 2 cy + 1) and
+    (2 cx + 1, 2 cy + 1); together they cover every edge once.  A wrong
+    edge count is refused."""
+    ids = np.arange(3 * m * m + 2 * m)
+    H, V, D = edge_views(m, ids)
+    assert (H.shape, V.shape, D.shape) == ((m + 1, m), (m, m + 1), (m, m))
+    iy, ix = np.ogrid[:m + 1, :m + 1]
+    np.testing.assert_array_equal(H, edge_id(m, 2 * ix[:, :m] + 1, 2 * iy))
+    np.testing.assert_array_equal(V, edge_id(m, 2 * ix, 2 * iy[:m] + 1))
+    np.testing.assert_array_equal(D, edge_id(m, 2 * ix[:, :m] + 1, 2 * iy[:m] + 1))
+    np.testing.assert_array_equal(np.sort(np.concatenate(
+        [H.ravel(), V.ravel(), D.ravel()])), ids)
+    rows = np.stack([ids, -ids])
+    for view, lead in zip(edge_views(m, rows), (H, V, D)):
+        np.testing.assert_array_equal(view, np.stack([lead, -lead]))
+    with pytest.raises(ValueError, match="expected"):
+        edge_views(m, ids[:-1])
+
+
+def _view_blocks(monkeypatch, m, block):
+    """(shape, rows) of each block `fem._row_blocks` cuts at
+    QUAD_BLOCK = block."""
+    monkeypatch.setattr(fem, "QUAD_BLOCK", block)
+    return [(kind, rows) for _, kind, rows, _, _ in
+            fem._row_blocks(build_unit_square_mesh(m))]
+
+
+@pytest.mark.parametrize("m", list(range(1, 10)) + [24])
+def test_opposite_edge_views_match_triangle_edges(monkeypatch, m):
+    """For both shapes and row blocks cut at 7 triangles and at the
+    default, view i of a block is `triangle_edges`' column i for its
+    cells, element by element, and writes through to the array."""
+    for block in (7, fem.QUAD_BLOCK):
+        for shape, rows in _view_blocks(monkeypatch, m, block):
+            edges = triangle_edges(m, np.arange(m)[rows, None], shape, np.arange(m))
+            ids = np.arange(3 * m * m + 2 * m)
+            for i, view in enumerate(opposite_edge_views(m, ids, shape, rows)):
+                assert view.shape == edges.shape[:2]
+                np.testing.assert_array_equal(view, edges[..., i])
+                assert view.flags.writeable
+                view[...] = -1 - view
+                np.testing.assert_array_equal(ids[edges[..., i]], -1 - edges[..., i])
+
+
+@pytest.mark.parametrize("m", [1, 5, 6, 24])
+def test_opposite_edge_views_write_each_entry_once(monkeypatch, m):
+    """Writing every block's views of both shapes, each into the row of
+    its edge's orientation as `fem.element_loads` does, reaches every
+    (row, edge) pair at most once: an interior edge once per row, a
+    boundary edge once in all, in the row `SIGNS` gives it."""
+    ref = sorted_mesh(m)
+    for block in (7, fem.QUAD_BLOCK):
+        written = np.zeros((2, ref.n_edges), dtype=np.int64)
+        for shape, rows in _view_blocks(monkeypatch, m, block):
+            views = opposite_edge_views(m, written, shape, rows)
+            for i, row in enumerate(SIGNS[shape] < 0):
+                views[i][int(row)] += 1
+        assert written.max() == 1
+        expected = np.zeros_like(written)
+        expected[(ref.tri_signs < 0).astype(np.intp), ref.tri_edges] = 1
+        np.testing.assert_array_equal(written, expected)
+        np.testing.assert_array_equal(written.sum(axis=0),
+                                      np.where(ref.edge_boundary, 1, 2))

@@ -187,9 +187,10 @@ def test_block_eigenvalues_match_dense_eigvals(N, r, theta):
     to 1e-10, matched one to one, and the unit eigenvalue has one pair per
     interface, 2 N (N - 1).
 
-    theta stays above 1e-3: for these N and r every other eigenvalue of Q
-    lies at least 0.51 theta from 1 (measured at theta=1), so below
-    theta of about 2e-6 all of them would count as unit (UNIT_TOL).
+    theta stays above 1e-3, where an absolute 1e-10 is still well below
+    the 0.51 theta that, for these N and r, every other eigenvalue of Q
+    lies from 1 (measured at theta=1).  The unit test itself scales with
+    theta (`spectrum.unit_tol`).
     """
     cfg = iteration.IterationConfig(N=N, ratio=r, theta=theta)
     rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
