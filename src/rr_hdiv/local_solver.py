@@ -30,10 +30,13 @@ every subdomain's interior loads, one (nI, N^2) array, off the two rows
 per edge of `fem.element_loads`, with no per-triangle table.
 
 Setup condenses each class onto its interface (static condensation).
-W = A_II^-1 A_IG is solved once, one side (r columns) at a time into one
-row-major array, and the template's Schur complement S_t = A_GG - A_GI W,
-at most 4r x 4r, is formed once.  Class c's Robin-to-trace map is
-the inverse of a principal submatrix of it plus the Robin term,
+W = A_II^-1 A_IG is formed once, in one row-major array: one side is
+solved, and the template's half-turn and reflection x <-> y
+(`partition.template_symmetry_maps`), which keep A, map it onto the
+other three, with every side's residual checked.  The template's Schur
+complement S_t = A_GG - A_GI W, at most 4r x 4r, is formed once.  Class
+c's Robin-to-trace map is the inverse of a principal submatrix of it
+plus the Robin term,
 Z_c = (S_t[cols_c, cols_c] + gamma h I)^-1, taken through its Cholesky
 factor.  Each Z_c is held to a bound on its backward error against the
 class's own matrix.
@@ -67,7 +70,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .partition import SubdomainPartition, local_dofs
+from .partition import SubdomainPartition, local_dofs, template_symmetry_maps
 
 __all__ = [
     "RobinTemplate",
@@ -99,13 +102,17 @@ class RobinTemplate:
     whether or not the side lies on the domain boundary.  `r` is that side
     width, `h` the length of every side edge, so that the interface mass
     is h I, `gamma` the Robin parameter, so that the Robin term is
-    gamma h on every interface row, and `_lu` is A_II's factor.
+    gamma h on every interface row, `symmetry` the (perm, sign) of
+    `partition.template_symmetry_maps`, the half-turn's and the
+    reflection's signed maps of the interior dofs, and `_lu` is A_II's
+    factor.
     """
 
     A: sp.csr_matrix
     r: int
     h: float
     gamma: float
+    symmetry: tuple
     _lu: spla.SuperLU
 
     @property
@@ -236,8 +243,9 @@ def build_local_systems(part: SubdomainPartition, beta: float, gamma: float) -> 
     divdiv, mass = fem.element_matrices(mesh, tri_ids)
     nI = part.interior.shape[1]
     A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
-    template = RobinTemplate(A=A, r=r, h=mesh.h, gamma=gamma, _lu=_factor(
-        A[:nI, :nI], 0.0, NOT_SPD.format(part.classes[0][0])))
+    template = RobinTemplate(
+        A=A, r=r, h=mesh.h, gamma=gamma, symmetry=template_symmetry_maps(part),
+        _lu=_factor(A[:nI, :nI], 0.0, NOT_SPD.format(part.classes[0][0])))
     classes = []
     for members, start in zip(part.classes, part.class_start):
         sides = np.flatnonzero(part.side_start[members[0]] >= 0)
@@ -305,24 +313,39 @@ def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
 
 def _side_solves(template: RobinTemplate, width: int):
     """(W, side_sq): W = A_II^-1 A_IG on the template's first `width` side
-    columns, row-major, solved one side (r columns) at a time, and the
-    squared norm of each column of the side solves' residual
-    A_II W - A_IG.  Only one side's dense columns and residual are alive
-    beside W."""
+    columns (0 or all 4r), row-major, and the squared norm of each column
+    of the residual A_II W - A_IG.
+
+    Only the bottom side's r columns are back-substituted.  A signed
+    permutation of the dofs that keeps A keeps W: row i, column j moves
+    to row perm(i), column perm(j), times both signs.  So the reflection
+    x <-> y of `template.symmetry` maps bottom column t onto left column
+    t (side normals onto side normals), and the half-turn maps bottom and
+    left column t onto top and right column r-1-t (side normals negated).
+    The residual is formed for every side, solved or mapped, one side at
+    a time, so `_trace_map_error` holds the mapped columns to the same
+    bound.  Only one side's dense columns and residual are alive beside
+    W."""
     nI, r = template.n_interior, template.r
     A_II = template.A_II
     A_IG = template.A[:nI, nI:nI + width].tocsc()
     W = np.empty((nI, width))
     side_sq = np.empty(width)
+    if not width:
+        return W, side_sq
+    bottom, left, right, top = (W[:, d * r:(d + 1) * r] for d in range(4))
+    bottom[...] = _solve(template._lu, A_IG[:, :r].toarray(), "the side columns")
+    (half, refl), (half_sign, refl_sign) = template.symmetry
+    # W[perm(i), perm(j)] = sign(i) sign(j) W[i, j], in place.
+    left[refl] = refl_sign[:, None] * bottom
+    top[half] = -half_sign[:, None] * bottom[:, ::-1]
+    right[half] = -half_sign[:, None] * left[:, ::-1]
     for lo in range(0, width, r):
         side = slice(lo, lo + r)
-        rhs = A_IG[:, side].toarray()
-        W_side = _solve(template._lu, rhs, "the side columns")
-        W[:, side] = W_side
-        R = A_II @ W_side
-        R -= rhs
+        R = A_II @ W[:, side]
+        R -= A_IG[:, side].toarray()
         side_sq[side] = np.einsum("ij,ij->j", R, R)
-        del rhs, W_side, R  # before the next side's are made
+        del R  # before the next side's is made
     return W, side_sq
 
 
@@ -377,11 +400,14 @@ class CondensedLoads:
 class ConstrainedRobinSolver:
     """The Robin solves with the edge-average constraint eliminated.
 
-    Setup solves W = A_II^-1 A_IG once on the template's sides, one side
-    (r columns) at a time (`_side_solves`), forms the template's Schur
-    complement S_t = A_GG - A_GI W once, and inverts each class's Schur
-    block S_t[cols, cols] + gamma h I through its Cholesky factor.  Each
-    inverse is held to `_trace_map_error`.  W and S_t cover all four
+    Setup forms W = A_II^-1 A_IG once on the template's sides
+    (`_side_solves`): one side's r columns are solved and mapped onto the
+    other three by the template's symmetries, and the residual of every
+    side is formed.  It forms the template's Schur complement
+    S_t = A_GG - A_GI W once, and inverts each class's Schur block
+    S_t[cols, cols] + gamma h I through its Cholesky factor.  Each
+    inverse is held to `_trace_map_error`, which takes the residual of
+    its solved and mapped columns alike.  W and S_t cover all four
     sides when some class has a side, as every side is some class's for
     N > 1, and none for N = 1.  The solver keeps:
 

@@ -43,7 +43,10 @@ The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
 `symmetry_generators` gives their permutations of the trace slots by
 index arithmetic on the side table `side_start`, the first slot of each
 subdomain side: a symmetry moves a subdomain, a side of it and a
-position along that side, and each of those by a formula.
+position along that side, and each of those by a formula.  The template
+square keeps both too, and `template_symmetry_maps` gives their signed
+maps of its interior dofs, which the local solver uses to fill three
+sides of its side solves from the fourth.
 """
 
 from __future__ import annotations
@@ -53,7 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, edge_id, triangle_edges, triangle_id
+from .mesh import (
+    NORMALS,
+    Mesh,
+    edge_id,
+    edge_kind,
+    edge_mid2,
+    triangle_edges,
+    triangle_id,
+)
 
 __all__ = [
     "TraceIndex",
@@ -63,6 +74,7 @@ __all__ = [
     "build_constraint",
     "SYMMETRY_NAMES",
     "symmetry_generators",
+    "template_symmetry_maps",
     "orbit_table",
 ]
 
@@ -297,6 +309,43 @@ def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
     gens[0, slots] = start[N * N - 1 - s, 3 - d][:, None] + (r - 1 - t)
     gens[1, slots] = start[(I * N + J)[s], np.array([1, 0, 3, 2])[d]][:, None] + t
     return gens
+
+
+def template_symmetry_maps(part: SubdomainPartition):
+    """Signed maps of the template's interior dofs under the half-turn and
+    the reflection x <-> y of the template square, in the order of
+    SYMMETRY_NAMES.
+
+    Returns (perm, sign), each of shape (2, nI): interior dof i, in the
+    order of `interior_of(0)`, moves to interior dof perm[k, i], and its
+    edge normal onto sign[k, i] times that dof's normal.  The template is
+    subdomain 0 taken as an N=1 mesh of size r: the edge at doubled
+    midpoint (x2, y2) moves to (2r - x2, 2r - y2) under the half-turn,
+    which negates every normal, and to (y2, x2) under the reflection,
+    which swaps a normal's components.  Each image is found by a
+    sorted-key lookup of its edge id in that mesh, whose ids order the
+    interior as `interior_of(0)` does.  Raises AssertionError unless each
+    map is a bijection of the interior that carries normals onto normals.
+    """
+    m, r = part.mesh.m, part.mesh.m // part.N
+    x2, y2 = edge_mid2(m, part.interior_of(0))
+    keys = edge_id(r, x2, y2)
+    normal = NORMALS[edge_kind(x2, y2)]
+    # Row k of each: the images under SYMMETRY_NAMES[k].
+    img_x2, img_y2 = np.stack([2 * r - x2, y2]), np.stack([2 * r - y2, x2])
+    img_normal = np.stack([-normal, normal[:, ::-1]])
+    wanted = edge_id(r, img_x2, img_y2)
+    perm = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    target = NORMALS[edge_kind(img_x2, img_y2)]
+    sign = np.where((img_normal == target).all(axis=2), 1.0, -1.0)
+    ok = ((keys[perm] == wanted).all(axis=1)
+          & (np.sort(perm, axis=1) == np.arange(keys.size)).all(axis=1)
+          & (img_normal == sign[:, :, None] * target).all(axis=(1, 2)))
+    if not ok.all():
+        raise AssertionError(
+            f"the {SYMMETRY_NAMES[np.argmin(ok)]} does not map the template's "
+            "interior dofs onto themselves")
+    return perm, sign
 
 
 def orbit_table(generators: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from helpers import (
     triangle_subdomains,
 )
 from rr_hdiv import local_solver
+from rr_hdiv import partition as partition_module
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
@@ -27,6 +28,7 @@ from rr_hdiv.partition import (
     orbit_table,
     partition,
     symmetry_generators,
+    template_symmetry_maps,
 )
 
 
@@ -388,6 +390,30 @@ def test_symmetry_maps_match_generators(N, r):
             )
             expected = np.where((k & 2) > 0, np.where(diagonal, -1.0, 1.0), 1.0)
             np.testing.assert_array_equal(sign[k], -expected if k & 1 else expected)
+
+
+@pytest.mark.parametrize("N,r", [(1, 4), (2, 1), (2, 3), (3, 5), (4, 8), (6, 4)])
+def test_template_symmetry_maps_match_reference(N, r):
+    """The template's interior maps are the interior rows of subdomain 0's
+    reference maps (`symmetry_maps`): the half-turn's (k = 1) and the
+    reflection's (k = 2), permutation and sign."""
+    part = partition(build_unit_square_mesh(N * r), N)
+    perm, sign = template_symmetry_maps(part)
+    _, ref_perm, ref_sign = symmetry_maps(part, 0)
+    n_interior = part.interior_of(0).size
+    assert perm.shape == sign.shape == (2, n_interior)
+    np.testing.assert_array_equal(perm, ref_perm[1:3, :n_interior])
+    np.testing.assert_array_equal(sign, ref_sign[1:3, :n_interior])
+
+
+def test_template_symmetry_maps_reject_broken_normal(mesh8, monkeypatch):
+    """A diagonal normal that the reflection does not carry onto plus or
+    minus itself is refused."""
+    normals = partition_module.NORMALS.copy()
+    normals[DIAGONAL] = [1.0, -0.5]
+    monkeypatch.setattr(partition_module, "NORMALS", normals)
+    with pytest.raises(AssertionError, match="reflection x <-> y does not map"):
+        template_symmetry_maps(partition(mesh8, 2))
 
 
 def test_symmetry_maps_reject_broken_normal(mesh8, monkeypatch):
