@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import iteration
 from .iteration import RobinProblem, check_case
 
 __all__ = [
     "InterfaceOperator",
     "KrylovReport",
     "solve_minres",
+    "run_minres",
 ]
 
 BREAKDOWN_FLOOR = 1e-14
@@ -148,21 +150,25 @@ def _minres(matvec, b: np.ndarray, tol: float, max_iter: int):
 def solve_minres(
     operator: InterfaceOperator,
     f_g: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
+    tol: float | None = None,
+    max_iter: int | None = None,
     case=None,
 ) -> KrylovReport:
-    """Solve G g = f_g to a relative l2 residual below tol.
+    """Solve G g = f_g to a relative l2 residual below tol, in at most
+    max_iter steps; each defaults to the problem config's value.
 
     The returned report carries the recovered global field (one
     constrained solve with the final datum) and, when a manufactured case
     is supplied, its errors.  A case made for another beta than the
     problem's is refused before G is applied.
     """
-    check_case(operator.problem.config, case)
+    config = operator.problem.config
+    check_case(config, case)
     f_g = np.asarray(f_g, dtype=float)
     g, history, converged, breakdown = _minres(
-        operator.apply, f_g, tol, max_iter
+        operator.apply, f_g,
+        config.tol if tol is None else tol,
+        config.max_iter if max_iter is None else max_iter,
     )
     scale = float(np.linalg.norm(f_g))
     if scale > 0.0:
@@ -182,3 +188,16 @@ def solve_minres(
         hdiv_error=hdiv,
     )
 
+
+def run_minres(config: iteration.IterationConfig, case) -> KrylovReport:
+    """MINRES on the interface system of `config`, from g = 0, on a
+    manufactured case, to `config.tol` in at most `config.max_iter` steps.
+
+    The report carries the case's discretization errors.  A run that
+    exhausts max_iter is returned with converged=False, not raised.  A
+    case made for another beta than the config's is refused before any
+    setup.
+    """
+    check_case(config, case)
+    op = InterfaceOperator(iteration.build_problem(config, case.load))
+    return solve_minres(op, op.load(), case=case)

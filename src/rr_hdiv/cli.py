@@ -205,14 +205,6 @@ def _emit(config: ExperimentConfig, name, header, csv_rows, json_rows):
     return paths
 
 
-def _solve_minres(cfg: iteration.IterationConfig, case):
-    problem = iteration.build_problem(cfg, case.load)
-    op = boundary_system.InterfaceOperator(problem)
-    return boundary_system.solve_minres(
-        op, op.load(), tol=cfg.tol, max_iter=cfg.max_iter, case=case
-    )
-
-
 def _spectrum_cell(cfg: iteration.IterationConfig, out_dir):
     """Eigensolve the matrix-free Q one symmetry block at a time and export
     the spectrum into out_dir; -> (report, path).  Raises SizeCapError
@@ -244,7 +236,7 @@ RICHARDSON = Method(iteration.run_richardson,
                     ("iterations", "converged", "l2_error", "hdiv_error", "wall_time"),
                     "increment_history", "sup_increment",
                     lambda rep: f"{rep.wall_time:.2f}s")
-MINRES = Method(_solve_minres,
+MINRES = Method(boundary_system.run_minres,
                 ("N", "ratio", "beta", "gamma_rule", "tol", "max_iter"),
                 ("iterations", "converged", "breakdown", "final_residual",
                  "l2_error", "hdiv_error"),

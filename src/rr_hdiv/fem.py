@@ -9,9 +9,11 @@ broadcast over numpy arrays, scalar fields as d(x, y) -> values.
 Every triangle of the mesh is a translate of one of its two reference
 triangles, the lower and upper halves of cell (0, 0) (`mesh` docstring),
 so each per-triangle integral is a lookup into one table per shape,
-built from that shape's reference by the mesh's id formulas: its element
-matrices, its basis values at the degree-4 quadrature points and its
-basis divergences.
+built from that shape's reference by the mesh's id formulas: its basis
+values at the points of the degree-4 rule (`QUAD4_BARY`, `QUAD4_W`) and
+its basis divergences.  That one rule gives the element matrices, the
+loads and the error norms; it is exact for the mass matrix, whose
+integrand is quadratic.
 
 Loads and error norms take whole cell rows of one shape at a time
 (`_row_blocks`), one matrix product per block, point major: the block's
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels as K
 from .mesh import (
     LOWER,
     SIGNS,
@@ -49,6 +50,18 @@ from .mesh import (
     triangle_vertices,
     vertex_coordinates,
 )
+
+# Symmetric 6-point rule on a triangle, exact for quartics (Strang & Fix,
+# "An Analysis of the Finite Element Method", 1973; Cowper, IJNME 7,
+# 1973), written from its closed form: two orbits of barycentric points
+# (1 - 2b, b, b), b = (8 - sqrt 10 +- sqrt(38 - 44 sqrt(2/5))) / 18, with
+# weights w = (620 +- sqrt(213125 - 53320 sqrt 10)) / 3720 as fractions
+# of the area, the signs taken together.  The weights sum to one.
+_ORBITS = [((8.0 - math.sqrt(10.0) + pm * math.sqrt(38.0 - 44.0 * math.sqrt(0.4))) / 18.0,
+            (620.0 + pm * math.sqrt(213125.0 - 53320.0 * math.sqrt(10.0))) / 3720.0)
+           for pm in (1.0, -1.0)]
+QUAD4_BARY = np.array([np.roll([1.0 - 2.0 * b, b, b], k) for b, _ in _ORBITS for k in range(3)])
+QUAD4_W = np.repeat([w for _, w in _ORBITS], 3)
 
 # Triangles per block in element_loads and error_norms, rounded down to
 # whole cell rows (at least one); bounds the quadrature temporaries on
@@ -93,7 +106,7 @@ def _shapes(m: int) -> list:
     for coords, lengths, signs, area in zip(*_references(m)):
         area = float(area)
         div = signs * lengths / area
-        pts = K.QUAD4_BARY @ coords
+        pts = QUAD4_BARY @ coords
         # phi_i(x) = s_i |e_i| / (2 |K|) (x - p_i), as [i, d, q]
         phi = 0.5 * div[:, None, None] * (pts.T[None] - coords[:, :, None])
         shapes.append(_Shape(offsets=pts - coords[0], values=phi.reshape(3, -1),
@@ -145,9 +158,11 @@ class GlobalSystem:
 def element_matrices(mesh: Mesh, tri_ids=None):
     """Per-triangle grad-div and mass matrices, each (nt, 3, 3).
 
-    Entry (i, j) couples the edges opposite local vertices i and j.  The
-    matrices of the two reference triangles are gathered by shape, so
-    congruent triangles get bitwise equal matrices.  Raises ValueError
+    Entry (i, j) couples the edges opposite local vertices i and j:
+    divdiv = |K| div_i div_j and mass = |K| sum_q w_q phi_i(q) . phi_j(q)
+    over the degree-4 rule, exact for the quadratic integrand.  Each
+    shape's pair comes from its `_Shape` table and is gathered by shape,
+    so congruent triangles get bitwise equal matrices.  Raises ValueError
     for an id outside [0, n_triangles).
     """
     n = mesh.n_triangles
@@ -155,7 +170,13 @@ def element_matrices(mesh: Mesh, tri_ids=None):
     if ids.size and not (0 <= ids.min() and ids.max() < n):
         raise ValueError(f"triangle ids must lie in [0, {n}), "
                          f"got {ids.min()} .. {ids.max()}")
-    divdiv, mass = K.element_matrices(*_references(mesh.m))
+    divdiv, mass = np.empty((2, 2, 3, 3))
+    for kind, shape in enumerate(_shapes(mesh.m)):
+        divdiv[kind] = shape.area * np.outer(shape.div, shape.div)
+        # (i, j) and (j, i) sum the same terms in the same order, so the
+        # matrix is symmetric bitwise.
+        weights = shape.area * np.tile(QUAD4_W, 2)
+        mass[kind] = np.sum(shape.values[:, None] * shape.values * weights, axis=-1)
     _, kind, _ = triangle_cell(mesh.m, ids)
     return divdiv[kind], mass[kind]
 
@@ -170,7 +191,7 @@ def element_loads(mesh: Mesh, field) -> np.ndarray:
     through `mesh.opposite_edge_views`; field components of x or y alone,
     or neither, are broadcast.
     """
-    m, nq = mesh.m, K.QUAD4_W.size
+    m, nq = mesh.m, QUAD4_W.size
     out = np.zeros((2, mesh.n_edges))
     # One field buffer per call, cut to each block's rows.
     field_buf = np.empty(2 * nq * _block_rows(m) * m)
@@ -178,7 +199,7 @@ def element_loads(mesh: Mesh, field) -> np.ndarray:
         n = rows.stop - rows.start
         F = field_buf[:2 * nq * n * m].reshape(2, nq, n, m)
         F[0], F[1] = field(x, y)
-        table = shape.values.T * (shape.area * np.tile(K.QUAD4_W, 2))[:, None]
+        table = shape.values.T * (shape.area * np.tile(QUAD4_W, 2))[:, None]
         loads = table.T @ F.reshape(2 * nq, n * m)
         views = opposite_edge_views(m, out, kind, rows)
         for i, row in enumerate(SIGNS[kind] < 0):
@@ -230,7 +251,7 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
     The H(div) norm is sqrt(l2^2 + ||div u_h - div u||^2). Quadrature is
     the degree-4 rule, exact when the exact field is quadratic.
     """
-    m, nq = mesh.m, K.QUAD4_W.size
+    m, nq = mesh.m, QUAD4_W.size
     u = np.asarray(u, dtype=float)
     # One set of block buffers per call, cut to each block's rows.
     cells = _block_rows(m) * m
@@ -248,8 +269,8 @@ def error_norms(mesh: Mesh, u: np.ndarray, exact_u, exact_div):
             np.subtract(comp, exact, out=comp)
         np.square(uh, out=uh)
         sq = np.add(uh[0], uh[1], out=uh[0])
-        l2_sq += shape.area * np.sum(K.QUAD4_W @ sq.reshape(nq, -1))
+        l2_sq += shape.area * np.sum(QUAD4_W @ sq.reshape(nq, -1))
         dd = np.subtract((shape.div @ lam).reshape(n, m), exact_div(x, y),
                          out=div_buf[:nq * n * m].reshape(nq, n, m))
-        div_sq += shape.area * np.sum(K.QUAD4_W @ np.square(dd, out=dd).reshape(nq, -1))
+        div_sq += shape.area * np.sum(QUAD4_W @ np.square(dd, out=dd).reshape(nq, -1))
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + div_sq))

@@ -228,7 +228,7 @@ def _run(problem: RobinProblem, case) -> SolveReport:
         # The stopping test reads the raw datum change of the exchange;
         # relaxation only damps the step taken.
         np.subtract(g_tilde, g, out=diff)
-        inc = float(np.abs(diff, out=diff).max()) if g.size else 0.0
+        inc = float(np.max(np.abs(diff, out=diff), initial=0.0))
         history.append(inc)
         # g <- theta g_tilde + (1 - theta) g, in the step's own array.
         g_step = g
@@ -282,4 +282,4 @@ def fixed_point_check(problem: RobinProblem, u_global: np.ndarray) -> float:
     g = verify.fixed_point_g(problem, u_global)
     _, u_trace = problem.solve_once(g)
     defect = problem.exchange(g, u_trace) - g
-    return float(np.abs(defect).max()) if g.size else 0.0
+    return float(np.max(np.abs(defect), initial=0.0))

@@ -33,7 +33,6 @@ import types
 import numpy as np
 import scipy.sparse as sp
 
-from rr_hdiv import _kernels as K
 from rr_hdiv import fem, local_solver, verify
 from rr_hdiv.mesh import (
     DIAGONAL,
@@ -201,7 +200,7 @@ def per_triangle_loads(m, field):
     shape's weighted basis table, scattered back by triangle id."""
     ref = sorted_mesh(m)
     out = np.empty((ref.n_triangles, 3))
-    weights = np.tile(K.QUAD4_W, 2)
+    weights = np.tile(fem.QUAD4_W, 2)
     for kind, shape in enumerate(fem._shapes(m)):
         ids = np.flatnonzero(ref.tri_shape == kind)
         pts = ref.verts[ref.tris[ids, 0]][:, None] + shape.offsets

@@ -174,6 +174,48 @@ def test_solve_minres_refuses_a_case_for_another_beta_before_apply(
     assert calls == []
 
 
+def test_run_minres_refuses_a_case_for_another_beta_before_setup(monkeypatch):
+    """The beta check runs before `build_problem`: a spy on it records no
+    call."""
+    calls = []
+    build = iteration.build_problem
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(iteration, "build_problem", spy)
+    cfg = iteration.IterationConfig(N=4, ratio=8)
+    with pytest.raises(ValueError, match=r"beta=4\.0, the config has beta=1\.0"):
+        boundary_system.run_minres(cfg, verify.manufactured_case(4.0))
+    assert calls == []
+
+
+def test_run_minres_reads_tol_and_max_iter_from_the_config(case):
+    """run_minres stops at the config's max_iter, unconverged, and at
+    the defaults takes the frozen count of the solve on an operator."""
+    rep = boundary_system.run_minres(iteration.IterationConfig(N=4, ratio=8, max_iter=3), case)
+    assert rep.iterations == 3 and not rep.converged
+    assert len(rep.residual_history) == 3
+    rep = boundary_system.run_minres(iteration.IterationConfig(N=4, ratio=8), case)
+    assert rep.converged and rep.iterations == MINRES_N4_R8_H
+    assert np.isfinite(rep.hdiv_error)
+
+
+def test_solve_minres_defaults_to_the_problem_config(case):
+    """With no tol or max_iter, solve_minres takes the problem config's:
+    at tol=1e-3 it stops where an explicit tol=1e-3 does, the first
+    residual below 1e-3, before the 1e-6 count."""
+    cfg = iteration.IterationConfig(N=4, ratio=8, tol=1e-3)
+    op = boundary_system.InterfaceOperator(iteration.build_problem(cfg, case.load))
+    f_g = op.load()
+    rep = boundary_system.solve_minres(op, f_g)
+    assert rep.converged
+    assert rep.iterations == boundary_system.solve_minres(op, f_g, tol=1e-3).iterations
+    assert rep.iterations < MINRES_N4_R8_H
+    assert rep.residual_history[-1] < 1e-3 <= rep.residual_history[-2]
+
+
 def test_counts_stable_in_subdomain_number(case):
     """Fixed ratio: Krylov counts saturate rather than grow with N."""
     counts = {}

@@ -15,7 +15,6 @@ from helpers import (
     per_triangle_loads,
     sorted_mesh,
 )
-from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
 
@@ -25,39 +24,49 @@ L2_CONST = 0.23572528
 HDIV_CONST = 0.84984297
 
 
-def reference_triangle():
-    """Unit right triangle with all edge normals pointing outward."""
-    coords = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    lengths = np.array([[np.sqrt(2.0), 1.0, 1.0]])
-    signs = np.ones((1, 3))
-    areas = np.array([0.5])
+def reference_triangles():
+    """The two triangles of the m=1 mesh, lower (bl, br, tr) and upper
+    (bl, tr, tl), with the length and orientation (+1 where the edge's
+    fixed normal points out) of the edge opposite each vertex written
+    out: lower (right, diagonal, bottom), upper (top, left, diagonal)."""
+    coords = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                       [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+    lengths = np.array([[1.0, np.sqrt(2.0), 1.0], [1.0, 1.0, np.sqrt(2.0)]])
+    signs = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0]])
+    areas = np.array([0.5, 0.5])
     return coords, lengths, signs, areas
 
 
-def basis_values(coords, lengths, signs, areas, pts):
-    """Explicit RT0 basis phi_k(x) = s_k |e_k| / (2|K|) (x - p_k)."""
-    coef = signs[0] * lengths[0] / (2.0 * areas[0])
-    return coef[:, None, None] * (pts[None, :, :] - coords[0][:, None, :])
+def basis_values(coords, lengths, signs, areas, t, pts):
+    """Explicit RT0 basis of triangle t, phi_k(x) = s_k |e_k| / (2|K|) (x - p_k)."""
+    coef = signs[t] * lengths[t] / (2.0 * areas[t])
+    return coef[:, None, None] * (pts[None, :, :] - coords[t][:, None, :])
 
 
 def test_reference_element_divdiv():
-    divdiv, _ = K.element_matrices(*reference_triangle())
-    np.testing.assert_allclose(np.diag(divdiv[0]), [4.0, 2.0, 2.0], atol=1e-14)
-    d = np.array([np.sqrt(2.0), 1.0, 1.0]) / np.sqrt(0.5)
-    np.testing.assert_allclose(divdiv[0], np.outer(d, d), atol=1e-14)
+    divdiv, _ = fem.element_matrices(build_unit_square_mesh(1))
+    np.testing.assert_allclose(np.diag(divdiv[0]), [2.0, 4.0, 2.0], atol=1e-14)
+    np.testing.assert_allclose(np.diag(divdiv[1]), [2.0, 2.0, 4.0], atol=1e-14)
+    _, lengths, signs, areas = reference_triangles()
+    for t in range(2):
+        d = signs[t] * lengths[t] / np.sqrt(areas[t])
+        np.testing.assert_allclose(divdiv[t], np.outer(d, d), atol=1e-14)
 
 
 def test_reference_element_mass_against_quadrature():
-    coords, lengths, signs, areas = reference_triangle()
-    _, mass = K.element_matrices(coords, lengths, signs, areas)
-    assert mass[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    # independent integration path: explicit basis at the degree-4 points
-    pts = K.QUAD4_BARY @ coords[0]
-    phi = basis_values(coords, lengths, signs, areas, pts)
-    expected = np.einsum("q,iqd,jqd->ij", K.QUAD4_W, phi, phi) * areas[0]
-    np.testing.assert_allclose(mass[0], expected, atol=1e-15)
-    np.testing.assert_allclose(mass[0], mass[0].T, atol=1e-16)
-    assert np.all(np.linalg.eigvalsh(mass[0]) > 0)
+    _, mass = fem.element_matrices(build_unit_square_mesh(1))
+    coords, lengths, signs, areas = reference_triangles()
+    # the hypotenuse, opposite the right angle: vertex 1 lower, 2 upper
+    assert mass[0, 1, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert mass[1, 2, 2] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    for t in range(2):
+        # the explicit basis at the degree-4 points of the written-out triangle
+        pts = fem.QUAD4_BARY @ coords[t]
+        phi = basis_values(coords, lengths, signs, areas, t, pts)
+        expected = np.einsum("q,iqd,jqd->ij", fem.QUAD4_W, phi, phi) * areas[t]
+        np.testing.assert_allclose(mass[t], expected, atol=1e-15)
+        np.testing.assert_allclose(mass[t], mass[t].T, atol=1e-16)
+        assert np.all(np.linalg.eigvalsh(mass[t]) > 0)
 
 
 def test_divdiv_rank_one_on_real_mesh(mesh8):
@@ -93,7 +102,7 @@ def test_quadrature_points_match_vertex_gather(monkeypatch, m):
     formula."""
     mesh = build_unit_square_mesh(m)
     ref = sorted_mesh(m)
-    nq = K.QUAD4_W.size
+    nq = fem.QUAD4_W.size
     ids = np.arange(mesh.n_triangles).reshape(m, 2, m)
     shapes = fem._shapes(m)
     for block in (7, fem.QUAD_BLOCK):
@@ -172,14 +181,16 @@ def test_assemble_global_rejects_bad_beta(case, beta):
         fem.assemble_global(build_unit_square_mesh(2), beta, case.load)
 
 
-@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("m", [3, 6, 8])
 def test_element_matrices_one_pair_per_shape(m):
-    """Congruent triangles get bitwise equal element matrices, including
-    on a mesh whose vertex coordinates are not dyadic."""
+    """Congruent triangles get bitwise equal element matrices, and the
+    mass matrices are symmetric bitwise, including on meshes whose
+    vertex coordinates are not dyadic."""
     mesh = build_unit_square_mesh(m)
     divdiv, mass = fem.element_matrices(mesh)
     pairs = np.concatenate([divdiv, mass], axis=1).reshape(mesh.n_triangles, -1)
     assert np.unique(pairs.view(np.uint64), axis=0).shape[0] == 2
+    np.testing.assert_array_equal(mass, mass.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("m", [4, 8, 32])

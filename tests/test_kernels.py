@@ -2,9 +2,13 @@
 
 The loops below spell out each integral one triangle, quadrature point and
 basis function at a time, from each triangle's own vertices; they are the
-independent reference for the element matrix kernel and for the per-shape
-tables that `fem` builds loads and error norms from.
+independent reference for the per-shape tables that `fem` builds its
+element matrices, loads and error norms from.  The element matrix loop
+integrates with the midpoint rule, a second rule exact for the quadratic
+mass integrand, where `fem` uses its degree-4 rule.
 """
+
+import math
 
 import numpy as np
 
@@ -12,6 +16,13 @@ from helpers import edge_load_rows, interpolate, per_triangle_loads, sorted_mesh
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
+
+# Midpoint rule on a triangle, exact for quadratics. Point k is the midpoint
+# of the edge opposite vertex k.
+MIDPOINT_BARY = np.array(
+    [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+)
+MIDPOINT_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
 
 def _element_matrices_loops(coords, lengths, signs, areas):
@@ -28,8 +39,8 @@ def _element_matrices_loops(coords, lengths, signs, areas):
             xq = 0.0
             yq = 0.0
             for j in range(3):
-                xq += K.MIDPOINT_BARY[q, j] * coords[t, j, 0]
-                yq += K.MIDPOINT_BARY[q, j] * coords[t, j, 1]
+                xq += MIDPOINT_BARY[q, j] * coords[t, j, 0]
+                yq += MIDPOINT_BARY[q, j] * coords[t, j, 1]
             for i in range(3):
                 ci = signs[t, i] * lengths[t, i] / (2.0 * area)
                 pix = ci * (xq - coords[t, i, 0])
@@ -38,7 +49,7 @@ def _element_matrices_loops(coords, lengths, signs, areas):
                     cj = signs[t, j] * lengths[t, j] / (2.0 * area)
                     pjx = cj * (xq - coords[t, j, 0])
                     pjy = cj * (yq - coords[t, j, 1])
-                    mass[t, i, j] += K.MIDPOINT_W[q] * area * (pix * pjx + piy * pjy)
+                    mass[t, i, j] += MIDPOINT_W[q] * area * (pix * pjx + piy * pjy)
     return divdiv, mass
 
 
@@ -95,11 +106,12 @@ def _mesh_arrays(m=5):
 
 
 def test_element_matrices_backends_agree():
-    coords, lengths, signs, areas = _mesh_arrays()
-    dd_np, m_np = K.element_matrices(coords, lengths, signs, areas)
-    dd_lp, m_lp = _element_matrices_loops(coords, lengths, signs, areas)
-    np.testing.assert_allclose(dd_lp, dd_np, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(m_lp, m_np, rtol=0, atol=1e-16)
+    """`fem.element_matrices`, from the per-shape degree-4 tables, against
+    the midpoint loop over every triangle's own vertices."""
+    dd_fem, m_fem = fem.element_matrices(build_unit_square_mesh(5))
+    dd_lp, m_lp = _element_matrices_loops(*_mesh_arrays(5))
+    np.testing.assert_allclose(dd_lp, dd_fem, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m_lp, m_fem, rtol=0, atol=1e-16)
 
 
 def _field(x, y):
@@ -108,13 +120,13 @@ def _field(x, y):
 
 
 def _quad_points(coords):
-    return np.einsum("qj,tjd->tqd", K.QUAD4_BARY, coords)
+    return np.einsum("qj,tjd->tqd", fem.QUAD4_BARY, coords)
 
 
 def _error_norms_loops(mesh, u, exact_u, exact_div):
     coords, lengths, signs, areas = _mesh_arrays(mesh.m)
     dofs = u[sorted_mesh(mesh.m).tri_edges]
-    uh = _rt0_values_loops(coords, lengths, signs, areas, dofs, K.QUAD4_BARY)
+    uh = _rt0_values_loops(coords, lengths, signs, areas, dofs, fem.QUAD4_BARY)
     pts = _quad_points(coords)
     ex, ey = exact_u(pts[:, :, 0], pts[:, :, 1])
     div_exact = exact_div(pts[:, :, 0], pts[:, :, 1])
@@ -122,8 +134,8 @@ def _error_norms_loops(mesh, u, exact_u, exact_div):
     for t in range(mesh.n_triangles):
         div_h = sum(signs[t, i] * lengths[t, i] * dofs[t, i] for i in range(3))
         div_h /= areas[t]
-        for q in range(K.QUAD4_W.size):
-            w = K.QUAD4_W[q] * areas[t]
+        for q in range(fem.QUAD4_W.size):
+            w = fem.QUAD4_W[q] * areas[t]
             l2_sq += w * ((uh[t, q, 0] - ex[t, q]) ** 2 + (uh[t, q, 1] - ey[t, q]) ** 2)
             div_sq += w * (div_h - div_exact[t, q]) ** 2
     return np.sqrt(l2_sq), np.sqrt(l2_sq + div_sq)
@@ -142,7 +154,7 @@ def test_element_loads_match_loops(monkeypatch):
         pts = _quad_points(coords)
         fvals = np.stack(_field(pts[:, :, 0], pts[:, :, 1]), axis=-1)
         expected = edge_load_rows(m, _load_vectors_loops(
-            coords, lengths, signs, areas, fvals, K.QUAD4_BARY, K.QUAD4_W))
+            coords, lengths, signs, areas, fvals, fem.QUAD4_BARY, fem.QUAD4_W))
         for block in (fem.QUAD_BLOCK, 7):
             with monkeypatch.context() as patch:
                 patch.setattr(fem, "QUAD_BLOCK", block)
@@ -183,10 +195,18 @@ def test_backend_name_is_reported():
 
 
 def test_quadrature_rules_are_consistent():
-    assert np.isclose(K.MIDPOINT_W.sum(), 1.0)
-    assert np.isclose(K.QUAD4_W.sum(), 1.0)
-    np.testing.assert_allclose(K.MIDPOINT_BARY.sum(axis=1), 1.0)
-    np.testing.assert_allclose(K.QUAD4_BARY.sum(axis=1), 1.0)
+    """The degree-4 rule integrates every monomial x^a y^b, a + b <= 4, on
+    the triangle (0, 0), (1, 0), (0, 1) to 1e-15 relative against
+    a! b! / (a + b + 2)!, and its weights sum to one within 4e-16."""
+    x, y = fem.QUAD4_BARY[:, 1], fem.QUAD4_BARY[:, 2]
+    for a in range(5):
+        for b in range(5 - a):
+            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+            quad = 0.5 * np.sum(fem.QUAD4_W * x**a * y**b)
+            assert abs(quad - exact) <= 1e-15 * exact, (a, b, quad, exact)
+    assert abs(fem.QUAD4_W.sum() - 1.0) <= 4e-16
+    np.testing.assert_allclose(MIDPOINT_BARY.sum(axis=1), 1.0)
+    np.testing.assert_allclose(fem.QUAD4_BARY.sum(axis=1), 1.0)
 
 
 def test_assembly_identical_across_backends(case):
