@@ -1,4 +1,4 @@
-"""Experiment driver: iteration-count tables, spectrum exports, one-off solves.
+"""Experiment driver: iteration-count tables, contraction moduli, one-off solves.
 
 Four canned experiments cover the study grids (two Richardson tables, the
 MINRES table, the spectrum sweep). Each is one `TableSpec` in `EXPERIMENTS`:
@@ -66,8 +66,7 @@ TABLE3_HEADER = (
     "gamma=H,H/h=16",
 )
 SPECTRUM_HEADER = (
-    "N", "r", "gamma", "theta", "dim",
-    "max_real_below_unit", "unit_count", "max_nonreal_modulus", "file",
+    "N", "r", "gamma", "theta", "dim", "unit_count", "contraction_modulus",
 )
 
 TABLE1_N_DESK = (4, 8, 16)
@@ -205,17 +204,6 @@ def _emit(config: ExperimentConfig, name, header, csv_rows, json_rows):
     return paths
 
 
-def _spectrum_cell(cfg: iteration.IterationConfig, out_dir):
-    """Eigensolve the matrix-free Q one symmetry block at a time and export
-    the spectrum into out_dir; -> (report, path).  Raises SizeCapError
-    before any work."""
-    rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, spectrum.spectrum_filename(rep))
-    spectrum.export_spectrum(rep, path)
-    return rep, path
-
-
 @dataclass(frozen=True)
 class Method:
     """How the cells of a table, or one `solve`, are solved and recorded."""
@@ -325,35 +313,21 @@ def run_table(config: ExperimentConfig):
 
 
 def run_spectrum(config: ExperimentConfig):
-    """One spectrum per cell, exported on its own; cells over the size cap
-    are skipped, and any other error propagates.  -> (reports, paths, True)"""
-    reports, paths, csv_rows, json_rows = [], [], [], []
+    """The contraction modulus of each cell, as one summary row per cell;
+    any error propagates.  -> (reports, paths, True)"""
+    reports, csv_rows, json_rows = [], [], []
     for _, cfgs in config.cells():
         for cfg in cfgs.values():
-            try:
-                rep, path = _spectrum_cell(cfg, config.out_dir)
-            except spectrum.SizeCapError as err:
-                print(f"spectrum N={cfg.N} r={cfg.ratio}: skipped ({err})",
-                      file=sys.stderr)
-                continue
+            rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
             reports.append(rep)
-            paths.append(path)
-            fname = os.path.basename(path)
-            csv_rows.append([
-                cfg.N, cfg.ratio, cfg.gamma_rule, f"{cfg.theta:g}", rep.dim,
-                f"{rep.max_real_below_unit():.12e}", rep.unit_count,
-                f"{rep.max_nonreal_modulus:.12e}", fname,
-            ])
-            json_rows.append({
-                "N": cfg.N, "r": cfg.ratio, "gamma": cfg.gamma_rule,
-                "theta": cfg.theta, "dim": rep.dim,
-                "max_real_below_unit": rep.max_real_below_unit(),
-                "unit_count": rep.unit_count,
-                "max_nonreal_modulus": rep.max_nonreal_modulus,
-                "blocks": list(rep.blocks),
-                "file": fname,
-            })
-    paths += _emit(config, "spectrum_summary", SPECTRUM_HEADER, csv_rows, json_rows)
+            modulus = rep.contraction_modulus()
+            csv_rows.append([cfg.N, cfg.ratio, cfg.gamma_rule, f"{cfg.theta:g}",
+                             rep.dim, rep.unit_count, f"{modulus:.12e}"])
+            json_rows.append({"N": cfg.N, "r": cfg.ratio, "gamma": cfg.gamma_rule,
+                              "theta": cfg.theta, "dim": rep.dim,
+                              "unit_count": rep.unit_count,
+                              "contraction_modulus": modulus})
+    paths = _emit(config, "spectrum_summary", SPECTRUM_HEADER, csv_rows, json_rows)
     return reports, paths, True
 
 
@@ -420,19 +394,9 @@ def _spectrum_config(args) -> iteration.IterationConfig:
 
 
 def _cmd_spectrum(args, cfg: iteration.IterationConfig) -> int:
-    try:
-        rep, path = _spectrum_cell(cfg, args.out)
-    except spectrum.SizeCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    g = len(rep.blocks)
-    print(
-        f"dim {rep.dim} in {g} block{'s' * (g != 1)} of {rep.blocks[0]}: "
-        f"unit eigenvalues {rep.unit_count}, "
-        f"max real below unit {rep.max_real_below_unit():.6f}, "
-        f"max non-real modulus {rep.max_nonreal_modulus:.6f}"
-    )
-    print(path)
+    rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
+    print(f"dim {rep.dim}: unit eigenvalues {rep.unit_count}, "
+          f"contraction modulus {rep.contraction_modulus():.6f}")
     return 0
 
 
@@ -492,13 +456,12 @@ def main(argv=None) -> int:
                          help="directory for mesh debug tables")
     p_solve.set_defaults(config=_solve_config, func=_cmd_solve)
 
-    p_spec = sub.add_parser("spectrum", help="export one spectrum")
+    p_spec = sub.add_parser("spectrum", help="contraction modulus of one iteration map")
     p_spec.add_argument("--n", dest="N", type=int, required=True)
     p_spec.add_argument("--ratio", type=int, required=True)
     p_spec.add_argument("--gamma", dest="gamma_rule", type=_gamma_rule,
                         metavar="GAMMA")
     p_spec.add_argument("--theta", type=float)
-    p_spec.add_argument("--out", default="results")
     p_spec.set_defaults(config=_spectrum_config, func=_cmd_spectrum)
 
     args = parser.parse_args(argv)

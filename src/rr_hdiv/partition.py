@@ -39,14 +39,10 @@ Every interface edge lies on a grid line, so it is horizontal or
 vertical and has length h = 1/m: the interface mass matrix is M = h I,
 the scalar `mesh.h`, and no slot stores it.
 
-The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y.
-`symmetry_generators` gives their permutations of the trace slots by
-index arithmetic on the side table `side_start`, the first slot of each
-subdomain side: a symmetry moves a subdomain, a side of it and a
-position along that side, and each of those by a formula.  The template
-square keeps both too, and `template_symmetry_maps` gives their signed
-maps of its interior dofs, which the local solver uses to fill three
-sides of its side solves from the fourth.
+The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y,
+and so does the template square: `template_symmetry_maps` gives their
+signed maps of its interior dofs, which the local solver uses to fill
+three sides of its side solves from the fourth.
 """
 
 from __future__ import annotations
@@ -73,13 +69,10 @@ __all__ = [
     "local_dofs",
     "build_constraint",
     "SYMMETRY_NAMES",
-    "symmetry_generators",
     "template_symmetry_maps",
-    "orbit_table",
 ]
 
-# The mesh's symmetries on the trace slots, in the order that
-# `symmetry_generators` returns them.
+# The template's symmetries, in the order of `template_symmetry_maps`.
 SYMMETRY_NAMES = ("half-turn", "reflection x <-> y")
 
 
@@ -286,31 +279,6 @@ def build_constraint(part: SubdomainPartition) -> sp.csr_matrix:
     return B
 
 
-def symmetry_generators(part: SubdomainPartition) -> np.ndarray:
-    """Slot permutations of the half-turn and the reflection x <-> y, in
-    the order of SYMMETRY_NAMES, by index arithmetic on `side_start`.
-
-    The half-turn about (1/2, 1/2) maps subdomain s to N^2-1-s, its side d
-    to side 3-d and the t-th slot along it to the (r-1-t)-th.  The
-    reflection maps subdomain (J, I) to (I, J), bottom to left and right
-    to top, and keeps t.  Both are fixed-point-free involutions that
-    commute with each other and with the side swap, and every orbit of
-    the group they generate has 4 slots; tests check this against a
-    lookup of the images of the slots' midpoints.  The trace mass h I
-    commutes with every permutation.
-    """
-    N, start = part.N, part.side_start
-    r = part.mesh.m // N
-    J, I = np.divmod(np.arange(N * N), N)
-    s, d = np.nonzero(start >= 0)
-    t = np.arange(r)
-    slots = start[s, d][:, None] + t
-    gens = np.empty((2, part.trace.n_slots), dtype=np.int64)
-    gens[0, slots] = start[N * N - 1 - s, 3 - d][:, None] + (r - 1 - t)
-    gens[1, slots] = start[(I * N + J)[s], np.array([1, 0, 3, 2])[d]][:, None] + t
-    return gens
-
-
 def template_symmetry_maps(part: SubdomainPartition):
     """Signed maps of the template's interior dofs under the half-turn and
     the reflection x <-> y of the template square, in the order of
@@ -347,21 +315,3 @@ def template_symmetry_maps(part: SubdomainPartition):
             "interior dofs onto themselves")
     return perm, sign
 
-
-def orbit_table(generators: np.ndarray) -> np.ndarray:
-    """Orbits of the group of d commuting involutions, shape (2^d, n / 2^d).
-
-    Row 0 holds the least slot of each orbit; row k holds its image under
-    the product of the generators whose bits are set in k, so row k ^ l
-    is row k moved by element l.  Raises AssertionError unless the rows
-    cover every slot once, that is unless every orbit has 2^d slots.
-    """
-    gens = np.asarray(generators)
-    n = gens.shape[1]
-    rows = np.arange(n)[None]
-    for p in gens:
-        rows = np.concatenate([rows, p[rows]])
-    table = rows[:, np.all(rows >= rows[0], axis=0)]
-    if not np.array_equal(np.sort(table, axis=None), np.arange(n)):
-        raise AssertionError(f"symmetry orbits are not all of size {len(rows)}")
-    return table

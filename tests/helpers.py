@@ -715,8 +715,8 @@ def symmetry_maps(part, sub):
     """Signed local-dof maps of subdomain `sub` onto its symmetry images.
 
     Returns (images, perm, sign), one row per element k of the group of
-    `symmetry_generators`: k = 0 is the identity, bit 0 the half-turn and
-    bit 1 the reflection, as in the rows of `orbit_table`.  images[k] is
+    `lookup_symmetry_generators`: k = 0 is the identity, bit 0 the
+    half-turn and bit 1 the reflection.  images[k] is
     the image subdomain.  Local dof i of `sub` ([interior_of, slots_of]
     order) maps to local dof perm[k, i] of images[k], the dof whose edge
     sits at the image (`_image`) of i's doubled midpoint.  sign[k, i] is
@@ -787,11 +787,12 @@ def _find(keys: np.ndarray, wanted: np.ndarray):
 
 
 def lookup_symmetry_generators(part):
-    """Reference for `partition.symmetry_generators`: row k maps slot s to
-    the slot of the image (`_image`) of its fine edge's doubled midpoint
-    on the image of its subdomain, found by the sorted-key lookup
-    `_find` over all slots, with the midpoints of `sorted_mesh`.  Raises
-    AssertionError if some image is not a slot."""
+    """Slot permutations of the half-turn (row 0) and the reflection
+    x <-> y (row 1): row k maps slot s to the slot of the image (`_image`)
+    of its fine edge's doubled midpoint on the image of its subdomain,
+    found by the sorted-key lookup `_find` over all slots, with the
+    midpoints of `sorted_mesh`.  Raises AssertionError if some image is
+    not a slot."""
     trace, ref = part.trace, sorted_mesh(part.mesh.m)
     N, m = part.N, ref.m
     x2, y2 = ref.edge_mid2[trace.slot_edge].T

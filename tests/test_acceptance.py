@@ -342,24 +342,24 @@ def test_criterion_5_baseline_degrades(case, richardson_counts):
 
 
 def test_criterion_6_spectrum_properties():
-    max_real = {}
+    """The contraction modulus at theta = 1/2, rho = (1 + b) / 2 with b
+    the largest real eigenvalue of E off 1, depends on H/h and not on N:
+    it moves less across N = 4, 8, 12 at r = 8 than between r = 4 and
+    r = 8 at any one N.  The unit eigenvalues are one per interface."""
+    rho = {}
     for N in (4, 8, 12):
         for r in (4, 8):
-            cfg = iteration.IterationConfig(N=N, ratio=r, gamma_rule="h", theta=1.0)
+            cfg = iteration.IterationConfig(N=N, ratio=r, gamma_rule="h", theta=0.5)
             rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
-            assert rep.unit_count >= 1, (N, r)
-            eigs = rep.eigenvalues
-            nonreal = eigs[np.abs(eigs.imag) > 1e-9]
-            for lam in nonreal:
-                assert np.abs(eigs - np.conj(lam)).min() < 1e-8, (N, r)
-            max_real[(N, r)] = rep.max_real_below_unit()
+            assert rep.unit_count == 2 * N * (N - 1), (N, r)
+            rho[(N, r)] = rep.contraction_modulus()
             print(f"criterion 6 N={N} r={r}: dim {rep.dim}, "
                   f"unit count {rep.unit_count}, "
-                  f"max real below unit {max_real[(N, r)]:.6f}")
-    across_n = max(max_real[(N, 8)] for N in (4, 8, 12)) - min(
-        max_real[(N, 8)] for N in (4, 8, 12)
+                  f"contraction modulus {rho[(N, r)]:.6f}")
+    across_n = max(rho[(N, 8)] for N in (4, 8, 12)) - min(
+        rho[(N, 8)] for N in (4, 8, 12)
     )
-    across_r = min(abs(max_real[(N, 8)] - max_real[(N, 4)]) for N in (4, 8, 12))
+    across_r = min(abs(rho[(N, 8)] - rho[(N, 4)]) for N in (4, 8, 12))
     print(f"criterion 6 variation across N at r=8: {across_n:.5f}, "
           f"min variation r=4 vs r=8: {across_r:.5f} "
           f"{_status(across_n < across_r)}")

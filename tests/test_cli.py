@@ -130,41 +130,31 @@ def test_run_table3_small(tmp_path):
 
 
 def test_run_spectrum_small(tmp_path):
+    """One summary row per cell, with its contraction modulus, and no
+    other file."""
     cfg = cli.ExperimentConfig(experiment="spectrum", rows=(2,), out_dir=str(tmp_path))
     reports, paths, ok = cli.run_spectrum(cfg)
     assert ok
     assert len(reports) == 2  # the ratio 4 and 8 columns
     assert reports[0].dim == 4 * 2 * 1 * 4
     assert reports[0].unit_count == 2 * 2 * 1
-    per_config = os.path.join(str(tmp_path), "spectrum_N2_r4_gammah_theta1.csv")
-    assert paths[0] == per_config
-    assert os.path.exists(per_config)
+    assert sorted(os.listdir(tmp_path)) == ["spectrum_summary.csv",
+                                            "spectrum_summary.json"]
     _, header, data = read_table(os.path.join(str(tmp_path),
                                               "spectrum_summary.csv"))
     assert tuple(header) == cli.SPECTRUM_HEADER
-    assert data[0]["file"] == "spectrum_N2_r4_gammah_theta1.csv"
     assert int(data[0]["dim"]) == 32
-    assert "blocks" not in header
+    assert float(data[0]["contraction_modulus"]) == pytest.approx(
+        reports[0].contraction_modulus(), rel=1e-11)
     record = read_records(paths[-1])
-    assert record["rows"][0]["blocks"] == [8, 8, 8, 8]
-
-
-def test_run_spectrum_skips_capped(tmp_path, capsys):
-    # Both columns of N=24 are over the cap: dims 8832 (r=4) and 17664 (r=8).
-    cfg = cli.ExperimentConfig(experiment="spectrum", rows=(24,), out_dir=str(tmp_path))
-    reports, paths, ok = cli.run_spectrum(cfg)
-    assert ok and reports == []
-    err = capsys.readouterr().err
-    assert "N=24 r=4: skipped" in err and "N=24 r=8: skipped" in err
-    _, _, data = read_table(os.path.join(str(tmp_path),
-                                         "spectrum_summary.csv"))
-    assert data == []
+    assert record["rows"][1]["contraction_modulus"] == reports[1].contraction_modulus()
+    assert set(record["rows"][0]) == set(cli.SPECTRUM_HEADER)
 
 
 def test_spectrum_grid_propagates_other_errors(tmp_path, monkeypatch):
-    """Only the size cap skips a spectrum: with every assembled matrix
-    negated, the Robin matrices' refusal propagates out of run_spectrum,
-    which writes no summary, and out of main, which returns no status."""
+    """No spectrum error is skipped: with every assembled matrix negated,
+    the Robin matrices' refusal propagates out of run_spectrum, which
+    writes no summary, and out of main, which returns no status."""
     assemble = fem.assemble_matrix
     monkeypatch.setattr(fem, "assemble_matrix", lambda *args: -assemble(*args))
     cfg = cli.ExperimentConfig(experiment="spectrum", rows=(4,),
@@ -173,10 +163,11 @@ def test_spectrum_grid_propagates_other_errors(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=not_spd):
         cli.run_spectrum(cfg)
     assert not (tmp_path / "grid" / "spectrum_summary.csv").exists()
-    for argv in (["run", "--experiment", "spectrum", "--max-n", "4"],
+    for argv in (["run", "--experiment", "spectrum", "--max-n", "4",
+                  "--out", str(tmp_path / "main")],
                  ["spectrum", "--n", "4", "--ratio", "4"]):
         with pytest.raises(ValueError, match=not_spd):
-            cli.main([*argv, "--out", str(tmp_path / "main")])
+            cli.main(argv)
     assert not (tmp_path / "main").exists()
 
 
@@ -202,10 +193,7 @@ def test_main_run_spectrum_max_n(tmp_path, capsys):
     ])
     assert rc == 0
     names = [os.path.basename(p) for p in capsys.readouterr().out.split()]
-    assert names == [
-        "spectrum_N4_r4_gammah_theta1.csv", "spectrum_N4_r8_gammah_theta1.csv",
-        "spectrum_summary.csv", "spectrum_summary.json",
-    ]
+    assert names == ["spectrum_summary.csv", "spectrum_summary.json"]
     config, _, data = read_table(tmp_path / "spectrum_summary.csv")
     assert config["N"] == [4]
     assert [int(r["dim"]) for r in data] == [192, 384]
@@ -344,8 +332,7 @@ def test_main_run_spectrum_reads_gamma(tmp_path, capsys):
                      "--max-n", "4", "--out", str(tmp_path)]) == 0
     config, _, data = read_table(tmp_path / "spectrum_summary.csv")
     assert config["gamma_rule"] == "H"
-    assert [r["file"] for r in data] == ["spectrum_N4_r4_gammaH_theta1.csv",
-                                         "spectrum_N4_r8_gammaH_theta1.csv"]
+    assert [r["gamma"] for r in data] == ["H", "H"]
 
 
 def test_main_run_table1_exit_codes(tmp_path, capsys):
@@ -471,36 +458,34 @@ def test_main_solve_nonconverged_exit(capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
-def test_main_spectrum(tmp_path, capsys):
-    rc = cli.main([
-        "spectrum", "--n", "2", "--ratio", "4", "--out", str(tmp_path)
-    ])
-    assert rc == 0
+def test_main_spectrum(tmp_path, capsys, monkeypatch):
+    """One line on stdout and no file; `--out` is not a flag of it."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["spectrum", "--n", "2", "--ratio", "4"]) == 0
     text = capsys.readouterr().out
-    assert "dim 32 in 4 blocks of 8:" in text
-    assert os.path.exists(tmp_path / "spectrum_N2_r4_gammah_theta1.csv")
+    assert text.startswith("dim 32: unit eigenvalues 4, contraction modulus 0.")
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--n", "2", "--ratio", "4", "--out", "spec"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("theta", ["0.5", "1e-7"])
-def test_main_spectrum_unit_count_at_small_theta(tmp_path, capsys, theta):
+def test_main_spectrum_unit_count_at_small_theta(capsys, theta):
     """The relaxed map moves every eigenvalue of E to 1 - theta (1 - lam),
-    so the unit test reads theta UNIT_TOL: at theta=1e-7 the four unit
-    eigenvalues of N=2 (one pair per interface) are still the only ones,
-    not all 16, as at theta=0.5."""
-    rc = cli.main(["spectrum", "--n", "2", "--ratio", "2", "--theta", theta,
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "dim 16 in 4 blocks of 4: unit eigenvalues 4," in text
-    assert "max real below unit -inf" not in text
+    so at theta=1e-7 all 16 of N=2, r=2 lie within 2e-7 of 1.  The unit
+    count is B's row count, not a distance from 1: it stays the four of
+    N=2 (one pair per interface), as at theta=0.5."""
+    assert cli.main(["spectrum", "--n", "2", "--ratio", "2", "--theta", theta]) == 0
+    assert capsys.readouterr().out.startswith("dim 16: unit eigenvalues 4, ")
 
 
-def test_main_spectrum_cap_exit(tmp_path, capsys):
-    rc = cli.main([
-        "spectrum", "--n", "16", "--ratio", "8", "--out", str(tmp_path)
-    ])
-    assert rc == 2
-    assert "cap" in capsys.readouterr().err
+def test_main_spectrum_cap_exit(capsys):
+    """N=16, r=8 (dim 7680): no size limit refuses it, and it exits 0
+    with its modulus."""
+    assert cli.main(["spectrum", "--n", "16", "--ratio", "8", "--theta", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert out == "dim 7680: unit eigenvalues 480, contraction modulus 0.799454\n"
 
 
 def test_main_solve_refuses_theta_on_minres(tmp_path, capsys):
@@ -547,8 +532,9 @@ NOT_A_NUMBER = ("nope", "half", "2.5", "two")
 
 
 def _refusal(argv, capsys, tmp_path, monkeypatch) -> str:
-    """Run `argv --out DIR` and check that it is refused before any
-    solve: exit status 2, nothing on stdout and no DIR.  Text in
+    """Run `argv`, with `--out DIR` on the commands that write files, and
+    check that it is refused before any solve: exit status 2, nothing on
+    stdout and no DIR.  Text in
     NOT_A_NUMBER must be an argparse usage error (SystemExit), anything
     else a returned status.  -> stderr."""
 
@@ -558,7 +544,8 @@ def _refusal(argv, capsys, tmp_path, monkeypatch) -> str:
     monkeypatch.setattr(iteration, "build_problem", no_solve)
     monkeypatch.setattr(cli.spectrum, "assemble_Q", no_solve)
     out = tmp_path / "out"
-    argv = [*argv, "--out", str(out)]
+    if argv[0] != "spectrum":
+        argv = [*argv, "--out", str(out)]
     usage = any(text in argv for text in NOT_A_NUMBER)
     if usage:
         with pytest.raises(SystemExit) as exc:

@@ -292,11 +292,11 @@ def test_local_loads_transient_is_bounded(case):
 
 
 def test_resolvent_on_a_block_wider_than_column_block(case, rng):
-    """N=5, r=4 has 320 slots: one block of all of them, more than
-    COLUMN_BLOCK columns, matches column-by-column application."""
+    """N=5, r=4 has 320 slots: one block of all of them, more than 256
+    columns, matches column-by-column application."""
     problem = iteration.build_problem(iteration.IterationConfig(N=5, ratio=4), case.load)
     n = problem.partition.trace.n_slots
-    assert n == 320 > spectrum.COLUMN_BLOCK
+    assert n == 320
     cols = rng.standard_normal((n, n))
     block = problem.solver.apply_resolvent(cols)
     one_by_one = np.column_stack(
@@ -738,8 +738,8 @@ def test_Q_matches_direct():
     cfg = iteration.IterationConfig(N=8, ratio=8, theta=1.0)
     zero = iteration.build_problem(cfg, lambda x, y: (0.0 * x, 0.0 * y))
     eye = np.eye(zero.partition.trace.n_slots)
-    Q = spectrum.assemble_Q(cfg, problem=zero).Q @ eye
-    Q_ref = spectrum.assemble_Q(cfg, problem=direct_problem(zero)).Q @ eye
+    Q = spectrum.assemble_Q(cfg).Q @ eye
+    Q_ref = direct_problem(zero).step(eye)  # theta = 1: Q is the step
     assert np.abs(Q - Q_ref).max() <= 1e-10 * np.abs(Q_ref).max()
 
 

@@ -25,9 +25,7 @@ from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
     local_dofs,
-    orbit_table,
     partition,
-    symmetry_generators,
     template_symmetry_maps,
 )
 
@@ -296,13 +294,15 @@ def test_edge_sets_match_triangle_scan(part4, mesh32):
 @pytest.mark.parametrize("N,r", sorted(
     {(2, 4), (3, 4), (4, 8), (5, 2)} | {(N, m // N) for m, N in REFERENCE_GRID}))
 def test_symmetry_generators(N, r):
-    """Half-turn and reflection: commuting fixed-point-free involutions
-    that respect the side swap and the coarse interfaces, with orbits of
-    4 slots, over `REFERENCE_GRID` and more."""
+    """Half-turn and reflection (`lookup_symmetry_generators`): commuting
+    fixed-point-free involutions that respect the side swap and the
+    coarse interfaces, whose product has no fixed point either, so that
+    every orbit of the group has 4 slots, over `REFERENCE_GRID` and
+    more."""
     part = partition(build_unit_square_mesh(N * r), N)
     trace = part.trace
     slots = np.arange(trace.n_slots)
-    gens = symmetry_generators(part)
+    gens = lookup_symmetry_generators(part)
     assert gens.shape == (2, trace.n_slots)
     for p in gens:
         np.testing.assert_array_equal(np.sort(p), slots)
@@ -317,34 +317,24 @@ def test_symmetry_generators(N, r):
     half, refl = gens
     np.testing.assert_array_equal(half[refl], refl[half])
     assert not np.any(half[refl] == slots)
-    # the geometry of the images
-    mid = sorted_mesh(part.mesh.m).edge_mid2[trace.slot_edge]
-    sub = slot_subdomain(part)
-    J, I = np.divmod(sub, N)
-    two_m = 2 * part.mesh.m
-    np.testing.assert_array_equal(mid[half], two_m - mid)
-    np.testing.assert_array_equal(sub[half], (N - 1 - J) * N + N - 1 - I)
-    np.testing.assert_array_equal(mid[refl], mid[:, ::-1])
-    np.testing.assert_array_equal(sub[refl], I * N + J)
-
-    orbits = orbit_table(gens)
-    assert orbits.shape == (4, trace.n_slots // 4)
-    np.testing.assert_array_equal(np.sort(orbits, axis=None), slots)
-    np.testing.assert_array_equal(orbits[1], half[orbits[0]])
-    np.testing.assert_array_equal(orbits[2], refl[orbits[0]])
-    np.testing.assert_array_equal(orbits[3], half[refl[orbits[0]]])
-    assert np.all(orbits[0] < orbits[1:])
 
 
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
 def test_symmetry_generators_match_lookup(m, N):
-    """The index arithmetic on `side_start` gives the slots that a lookup
-    of the moved midpoints finds (`lookup_symmetry_generators`), with the
-    dtype of a slot index."""
+    """The slots that `lookup_symmetry_generators` finds are the images of
+    each slot's midpoint and subdomain: under the half-turn (2m - x2,
+    2m - y2) on subdomain (N-1-J, N-1-I), under the reflection (y2, x2)
+    on (I, J); with the dtype of a slot index."""
     part = partition(build_unit_square_mesh(m), N)
-    gens = symmetry_generators(part)
-    np.testing.assert_array_equal(gens, lookup_symmetry_generators(part))
+    half, refl = gens = lookup_symmetry_generators(part)
     assert gens.shape == (2, part.trace.n_slots) and gens.dtype == np.int64
+    mid = sorted_mesh(m).edge_mid2[part.trace.slot_edge]
+    sub = slot_subdomain(part)
+    J, I = np.divmod(sub, N)
+    np.testing.assert_array_equal(mid[half], 2 * m - mid)
+    np.testing.assert_array_equal(sub[half], (N - 1 - J) * N + N - 1 - I)
+    np.testing.assert_array_equal(mid[refl], mid[:, ::-1])
+    np.testing.assert_array_equal(sub[refl], I * N + J)
 
 
 def _local_edges(part, s):
@@ -355,7 +345,7 @@ def _local_edges(part, s):
 def test_symmetry_maps_match_generators(N, r):
     """Every subdomain's signed local-dof maps agree with a full-mesh
     midpoint lookup on its edges, with the slot permutations of
-    `symmetry_generators` on its slots and with the images of its edge
+    `lookup_symmetry_generators` on its slots and with the images of its edge
     normals (-1 everywhere for the half-turn, on the diagonals for the
     reflection)."""
     part = partition(build_unit_square_mesh(N * r), N)
@@ -363,7 +353,7 @@ def test_symmetry_maps_match_generators(N, r):
     side = 2 * mesh.m + 1
     edge_at = np.full(side * side, -1)
     edge_at[mesh.edge_mid2[:, 1] * side + mesh.edge_mid2[:, 0]] = np.arange(mesh.n_edges)
-    half, refl = symmetry_generators(part)
+    half, refl = lookup_symmetry_generators(part)
     elements = [np.arange(part.trace.n_slots), half, refl, half[refl]]
     for s in range(N * N):
         images, perm, sign = symmetry_maps(part, s)
@@ -430,17 +420,8 @@ def test_symmetry_maps_reject_broken_normal(mesh8, monkeypatch):
 
 
 def test_symmetry_generators_empty_trace(mesh8):
-    gens = symmetry_generators(partition(mesh8, 1))
+    gens = lookup_symmetry_generators(partition(mesh8, 1))
     assert gens.shape == (2, 0)
-    assert orbit_table(gens).shape == (4, 0)
-
-
-def test_orbit_table_rejects_short_orbits():
-    # (0 1)(2 3) and (0 1)(2 3): the product fixes every point
-    p = np.array([1, 0, 3, 2])
-    with pytest.raises(AssertionError, match="size 4"):
-        orbit_table(np.stack([p, p]))
-    assert orbit_table(np.stack([p])).shape == (2, 2)
 
 
 def _reference_partition(mesh, N):
