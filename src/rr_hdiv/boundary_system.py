@@ -10,8 +10,8 @@ G g = f_g:
     G   = h T (I - E) = h (T + I) - 2 gamma h^2 R,
     f_g = h T c       = 2 gamma h u_load.
 
-Richardson relaxes the same map and `spectrum` assembles
-Q = theta E + (1 - theta) I.  G is applied matrix-free through
+Richardson relaxes the same map and `spectrum` applies
+Q = theta E + (1 - theta) I.  G, like Q, is applied matrix-free through
 `RobinProblem.step`, and the system is solved by a Lanczos/Givens
 minimum-residual recurrence implemented here; G carries a known
 nullspace (the per-interface constant jump directions), against which
@@ -20,7 +20,7 @@ f_g is automatically consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,10 +49,8 @@ class InterfaceOperator:
         self.h = problem.mesh.h
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """G g = h T (g - E g); accepts a vector or columns."""
+        """G g = h T (g - E g) for a trace vector g."""
         g = np.asarray(g, dtype=float)
-        if g.shape[0] != self.n:
-            raise ValueError(f"trace vector has {g.shape[0]} rows, expected {self.n}")
         return self.h * (g - self.problem.step(g))[self.trace.pair_perm]
 
     def load(self) -> np.ndarray:
@@ -155,7 +153,9 @@ def solve_minres(
     case=None,
 ) -> KrylovReport:
     """Solve G g = f_g to a relative l2 residual below tol, in at most
-    max_iter steps; each defaults to the problem config's value.
+    max_iter steps; each defaults to the problem config's value, and an
+    override out of the config's range is refused as the config refuses
+    it, before G is applied.
 
     The returned report carries the recovered global field (one
     constrained solve with the final datum) and, when a manufactured case
@@ -164,12 +164,12 @@ def solve_minres(
     """
     config = operator.problem.config
     check_case(config, case)
+    config = replace(
+        config, tol=config.tol if tol is None else tol,
+        max_iter=config.max_iter if max_iter is None else max_iter)
     f_g = np.asarray(f_g, dtype=float)
     g, history, converged, breakdown = _minres(
-        operator.apply, f_g,
-        config.tol if tol is None else tol,
-        config.max_iter if max_iter is None else max_iter,
-    )
+        operator.apply, f_g, config.tol, config.max_iter)
     scale = float(np.linalg.norm(f_g))
     if scale > 0.0:
         final = float(np.linalg.norm(operator.apply(g) - f_g)) / scale

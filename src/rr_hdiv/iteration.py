@@ -13,14 +13,15 @@ the resolvent and the exchange T(2 gamma u - g) together, E g + c given
 u_load and E g without.  Richardson (here) steps
 g <- theta (E g + c) + (1 - theta) g until the sup-norm of the datum
 increment is below tol; MINRES (`boundary_system`) solves G g = f_g with
-G = h T (I - E) and f_g = h T c; the spectrum (`spectrum`) assembles
-Q = theta E + (1 - theta) I.  The steps do no subdomain solves; the field
-is recovered once, from the datum of the last step.
+G = h T (I - E) and f_g = h T c; the spectrum (`spectrum`) applies
+Q = theta E + (1 - theta) I matrix-free.  The steps do no subdomain
+solves; the field is recovered once, from the datum of the last step.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -50,7 +51,12 @@ def resolve_gamma(rule, m: int, N: int) -> float:
         return 1.0 / m
     if rule == "H":
         return 1.0 / N
-    return fem.check_positive("gamma_rule", float(rule))
+    try:
+        value = float(rule)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f'gamma_rule must be "h", "H" or a number, got {rule!r}') from None
+    return fem.check_positive("gamma_rule", value)
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,11 @@ class IterationConfig:
 
     def __post_init__(self):
         for name in ("N", "ratio", "max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be a positive integer, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # numpy integers are Integral; bool is, but is no count.
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         fem.check_positive("beta", self.beta)
         if not 0.0 < self.theta <= 1.0:  # NaN too
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
@@ -120,21 +128,15 @@ class RobinProblem:
         u_int, u_trace, _ = self.solver.solve(self.condensed_loads, g)
         return u_int, u_trace
 
-    def exchange(self, g, u_trace):
-        """T(2 gamma u_trace - g): the datum each side hands the other.
-
-        g and u_trace are trace vectors or (n_slots, k) column blocks.
-        """
-        return (2.0 * self.gamma * u_trace - g)[self.partition.trace.pair_perm]
-
     def step(self, g: np.ndarray, u_load=None) -> np.ndarray:
         """T(2 gamma (R M g + u_load) - g), u_load zero if None: E g, or
-        E g + c given the load trace.  g is a trace vector or an
-        (n_slots, k) column block, and M g = h g."""
+        E g + c given the load trace.  g is a trace vector, and
+        M g = h g."""
         u = self.solver.apply_resolvent(self.mesh.h * g)
         if u_load is not None:
             u += u_load
-        # `exchange` in place on the u this step owns.
+        # The exchange T(2 gamma u - g), the datum each side hands the
+        # other, in place on the u this step owns.
         u *= 2.0 * self.gamma
         u -= g
         return u[self.partition.trace.pair_perm]
@@ -272,14 +274,13 @@ def run_richardson(config: IterationConfig, case) -> SolveReport:
 
 
 def fixed_point_check(problem: RobinProblem, u_global: np.ndarray) -> float:
-    """Sup-norm defect of one unrelaxed exchange at a given global field.
+    """Sup-norm defect of one unrelaxed step at a given global field.
 
-    Builds the two-sided Robin datum generated by u_global, runs one Robin
-    solve round with it, applies the side exchange, and measures how far
-    the datum moved.  Zero (to round-off) characterizes the discrete
-    solution of the assembled problem.
+    Builds the two-sided Robin datum g generated by u_global and measures
+    how far `RobinProblem.step` of the loaded problem, the step that the
+    iteration runs, moves it: |E g + c - g|.  Zero (to round-off)
+    characterizes the discrete solution of the assembled problem.
     """
     g = verify.fixed_point_g(problem, u_global)
-    _, u_trace = problem.solve_once(g)
-    defect = problem.exchange(g, u_trace) - g
+    defect = problem.step(g, problem.load_trace()) - g
     return float(np.max(np.abs(defect), initial=0.0))

@@ -42,8 +42,7 @@ factor.  Each Z_c is held to a bound on its backward error against the
 class's own matrix.
 
 The trace slots are class-major (`partition`), so class c's part of a
-trace vector is one contiguous (members, own slots) block, and of a
-column block one (members, own slots, columns) block.  The constrained
+trace vector is one contiguous (members, own slots) block.  The constrained
 resolvent is one in-place `matmul` with the symmetric Z_c on that block,
 one sparse coarse solve, and the correction by the class's dense solved
 constraint columns Y_c = Z_c B_s^T (at most 4).  B_s, the constraint on
@@ -163,11 +162,11 @@ class RobinClass:
         return self.first_slot + np.arange(k * self.cols.size).reshape(k, -1)
 
     def trace_block(self, x: np.ndarray) -> np.ndarray:
-        """The class's rows of a trace vector or (n_slots, columns) block x,
-        shaped (members, own slots[, columns]): a view of contiguous x."""
+        """The class's rows of a trace vector x, shaped (members, own
+        slots): a view of contiguous x."""
         k = self.members.size
         lo = self.first_slot
-        return x[lo:lo + k * self.cols.size].reshape(k, self.cols.size, *x.shape[1:])
+        return x[lo:lo + k * self.cols.size].reshape(k, self.cols.size)
 
 
 def _plus_diagonal(A: sp.spmatrix, diag) -> sp.csc_matrix:
@@ -435,7 +434,7 @@ class ConstrainedRobinSolver:
     `apply_resolvent` is, per group of classes (`_Group`), one in-place
     `matmul` with the stacked Z on the group's contiguous block of the
     trace slots, then the coarse solve and per group the correction by
-    the stacked Y, in one body for a vector or a block of columns.
+    the stacked Y, on one trace vector.
     `condense` solves A_II once for every subdomain's interior load;
     `solve` puts the condensed loads through the same body and recovers
     every subdomain's interior in one product with W after it.
@@ -531,13 +530,7 @@ class ConstrainedRobinSolver:
         (M = h I) through the constrained interface solve, and
         x_I = v - W_c x_G, one product with W for all subdomains.
         """
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.n_slots,):
-            raise ValueError(
-                f"trace datum has shape {g.shape}, expected ({self.n_slots},)"
-            )
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite right-hand side for the trace datum")
+        g = self._trace_vector(g, "the trace datum")
         w, mu = self._condensed(loads.f + self._h * g)
         # x_I = v - W x_G for every subdomain in one GEMM: row s of X^T
         # holds subdomain s's interface solution in the columns of its
@@ -551,45 +544,42 @@ class ConstrainedRobinSolver:
         return np.subtract(loads.v, P, out=P), w, mu
 
     def _condensed(self, rhs):
-        """(w, mu) of the constrained interface solve of `rhs`: one product
-        per group of classes on its block, written in place into w, then
-        the coarse correction w_c -= Y_c mu[adj_c], again per group."""
+        """(w, mu) of the constrained interface solve of the trace vector
+        `rhs`: one product per group of classes on its block, written in
+        place into w, then the coarse correction w_c -= Y_c mu[adj_c],
+        again per group."""
         w = np.empty(rhs.shape)
-        cols = rhs.shape[1:]
         for group in self._groups:
-            shape = (*group.shape, *cols)
-            x, out = rhs[group.rows].reshape(shape), w[group.rows].reshape(shape)
-            # Z is symmetric: a member's row of a vector's block times Z is
-            # Z times its column.
-            if cols:
-                np.matmul(group.Z[:, None], x, out=out)
-            else:
-                np.matmul(x, group.Z, out=out)
+            # Z is symmetric: a member's row of the block times Z is Z
+            # times its column.
+            np.matmul(rhs[group.rows].reshape(group.shape), group.Z,
+                      out=w[group.rows].reshape(group.shape))
         mu = np.zeros(0)
         if self.S is not None:
             mu = _solve(self._S_lu, self.B @ w, "the coarse solve")
             for group in self._groups:
-                out = w[group.rows].reshape(*group.shape, *cols)
-                m = mu[group.adj]
-                if cols:
-                    out -= np.swapaxes(group.Yt, 1, 2)[:, None] @ m
-                else:
-                    out -= m @ group.Yt
+                out = w[group.rows].reshape(group.shape)
+                out -= mu[group.adj] @ group.Yt
             self._check_constraint(w)
         return w, mu
+
+    def _trace_vector(self, x, what: str) -> np.ndarray:
+        """x as a float trace vector: shape (n_slots,) and finite, or
+        ValueError before any work."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_slots,):
+            raise ValueError(
+                f"trace vector for {what} has shape {x.shape}, expected "
+                f"({self.n_slots},)")
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite right-hand side for {what}")
+        return x
 
     def apply_resolvent(self, rhs):
         """Interface trace of the constrained solve with interior load
         zero and raw interface right-hand side `rhs` (no mass weighting).
 
-        Accepts a vector or a matrix of columns, and refuses a non-finite
-        one, with or without a constraint.
+        `rhs` is one trace vector; any other shape, or a non-finite
+        entry, is refused with or without a constraint.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.n_slots:
-            raise ValueError(
-                f"trace vector has {rhs.shape[0]} rows, expected {self.n_slots}"
-            )
-        if not np.isfinite(rhs).all():
-            raise ValueError("non-finite right-hand side for the resolvent")
-        return self._condensed(rhs)[0]
+        return self._condensed(self._trace_vector(rhs, "the resolvent"))[0]

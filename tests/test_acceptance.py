@@ -371,7 +371,7 @@ def test_criterion_7_dense_formula_agreement(case):
     problem = iteration.build_problem(cfg, case.load)
     n = problem.partition.trace.n_slots
     R_dense = dense_resolvent(problem)
-    R_applied = problem.solver.apply_resolvent(np.eye(n))
+    R_applied = apply_to_identity(problem.solver.apply_resolvent, n)
     scale = np.abs(R_dense).max()
     assert np.abs(R_applied - R_dense).max() < 1e-9 * scale
     op = boundary_system.InterfaceOperator(problem)

@@ -51,9 +51,6 @@ def test_apply_matches_dense_operator(small_problem, op_small):
     scale = np.max(np.abs(G_dense))
     assert np.max(np.abs(G_free - G_dense)) < 1e-10 * scale
     np.testing.assert_allclose(G_dense, G_dense.T, atol=1e-12 * scale)
-    # column-block application agrees with vector application
-    block = op_small.apply(np.eye(op_small.n))
-    np.testing.assert_allclose(block, G_free, atol=1e-13)
 
 
 def _reference_symmetric_system(rng, n=60):
@@ -171,6 +168,31 @@ def test_solve_minres_refuses_a_case_for_another_beta_before_apply(
     f_g = np.ones(op.n)
     with pytest.raises(ValueError, match=r"beta=4\.0, the config has beta=1\.0"):
         boundary_system.solve_minres(op, f_g, case=verify.manufactured_case(4.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "override,match",
+    [
+        (dict(tol=float("nan")), "^tol must be positive and finite"),
+        (dict(tol=0.0), "^tol must be positive and finite"),
+        (dict(tol=-1.0), "^tol must be positive and finite"),
+        (dict(max_iter=0), "^max_iter must be a positive integer"),
+        (dict(max_iter=-5), "^max_iter must be a positive integer"),
+        (dict(max_iter=2.5), "^max_iter must be a positive integer"),
+    ],
+    ids=["tol-nan", "tol-0", "tol-neg", "max_iter-0", "max_iter-neg", "max_iter-2.5"],
+)
+def test_solve_minres_overrides_pass_the_config_checks(
+        small_problem, monkeypatch, override, match):
+    """A tol or max_iter override is refused as `IterationConfig` refuses
+    it, before G is applied, where it ran every step unconverged or
+    returned after none."""
+    op = boundary_system.InterfaceOperator(small_problem)
+    calls = []
+    monkeypatch.setattr(op, "apply", lambda g: calls.append(g))
+    with pytest.raises(ValueError, match=match):
+        boundary_system.solve_minres(op, np.ones(op.n), **override)
     assert calls == []
 
 

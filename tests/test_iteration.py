@@ -62,6 +62,36 @@ def test_config_validation(kwargs):
         iteration.IterationConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("N", 2.5),
+        ("N", 4.0),
+        ("N", True),
+        ("ratio", 4.0),
+        ("ratio", "4"),
+        ("max_iter", 3.5),
+        ("max_iter", None),
+        ("gamma_rule", "x"),
+        ("gamma_rule", None),
+    ],
+)
+def test_config_refuses_non_integer_counts_and_unknown_rules(field, value):
+    """A count that is not an integer, even a whole float or a bool, and
+    a Robin rule that is neither "h", "H" nor a number, are refused on
+    construction with a ValueError naming the field, not later by a
+    TypeError in the partition or the loop."""
+    kwargs = {"N": 2, "ratio": 4, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        iteration.IterationConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = iteration.IterationConfig(N=np.int64(2), ratio=np.int32(4),
+                                    max_iter=np.uint8(7))
+    assert cfg.m == 8 and cfg.max_iter == 7
+
+
 def test_config_mesh_size():
     cfg = iteration.IterationConfig(N=4, ratio=8)
     assert cfg.m == 32
@@ -133,6 +163,25 @@ def test_perturbed_field_is_not_a_fixed_point(case, problem_n4, oracle32):
     free = interior_edges(problem_n4.mesh)
     bumped[free[len(free) // 2]] += 1.0
     assert iteration.fixed_point_check(problem_n4, bumped) > 1e-6
+
+
+def test_fixed_point_check_is_one_step_of_the_loaded_problem(problem_n4, oracle32):
+    """`fixed_point_check` runs the iteration's own step, E g + c from the
+    load trace, where it ran one loaded solve and the exchange
+    T(2 gamma u - g) written apart.  Both defects agree to 1e-12 of
+    max |g| at the oracle datum (measured 0 at N=4, r=8) and to 1e-12
+    relative at a perturbed field (measured 1.7e-16)."""
+    bumped = oracle32.copy()
+    free = interior_edges(problem_n4.mesh)
+    bumped[free[len(free) // 2]] += 1.0
+    pair_perm = problem_n4.partition.trace.pair_perm
+    for u, at_fixed_point in ((oracle32, True), (bumped, False)):
+        g = verify.fixed_point_g(problem_n4, u)
+        _, u_trace = problem_n4.solve_once(g)
+        old = np.abs((2.0 * problem_n4.gamma * u_trace - g)[pair_perm] - g).max()
+        new = iteration.fixed_point_check(problem_n4, u)
+        scale = np.abs(g).max() if at_fixed_point else old
+        assert abs(new - old) <= 1e-12 * scale
 
 
 def test_recover_refuses_a_case_for_another_beta(small_problem):
@@ -252,18 +301,22 @@ def test_in_place_step_and_run_match_temporaries(case, N, ratio, theta):
     and `step` writes neither g nor u_load."""
     cfg = iteration.IterationConfig(N=N, ratio=ratio, theta=theta)
     problem = iteration.build_problem(cfg, case.load)
+
+    def exchange(g, u):
+        return (2.0 * problem.gamma * u - g)[problem.partition.trace.pair_perm]
+
     u_load = problem.load_trace()
     g = np.random.default_rng(N).standard_normal(u_load.size)
     g_in, u_load_in = g.copy(), u_load.copy()
     stepped = problem.step(g, u_load)
     u = problem.solver.apply_resolvent(problem.mesh.h * g) + u_load
-    assert np.array_equal(stepped, problem.exchange(g, u))
+    assert np.array_equal(stepped, exchange(g, u))
     assert np.array_equal(g, g_in) and np.array_equal(u_load, u_load_in)
 
     history, g = [], np.zeros(u_load.size)
     for _ in range(cfg.max_iter):
         u = problem.solver.apply_resolvent(problem.mesh.h * g) + u_load
-        g_tilde = problem.exchange(g, u)
+        g_tilde = exchange(g, u)
         history.append(float(np.abs(g_tilde - g).max()))
         g = cfg.theta * g_tilde + (1.0 - cfg.theta) * g
         if history[-1] < cfg.tol:

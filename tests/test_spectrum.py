@@ -86,10 +86,23 @@ def test_dimensions():
         assert op.B.shape == (2 * N * (N - 1), n)
 
 
-def test_unconstrained_config_refused():
-    cfg = iteration.IterationConfig(N=2, ratio=4, constrained=False)
-    with pytest.raises(ValueError, match="constrained"):
-        spectrum.assemble_Q(cfg)
+# The unconstrained baseline's modulus at r=8, theta=1/2, N -> modulus.
+BASELINE_MODULI_R8 = {4: 0.9974203762115817, 8: 0.9994431018277562}
+
+
+def test_unconstrained_baseline_modulus():
+    """Without the constraint B has no rows: the check passes as 0 <= 0,
+    no eigenvalue is set aside as unit, and the modulus of the baseline
+    grows towards 1 with N at fixed r."""
+    moduli = []
+    for N, expect in BASELINE_MODULI_R8.items():
+        cfg = iteration.IterationConfig(N=N, ratio=8, constrained=False)
+        rep = spectrum.eigenvalues(spectrum.assemble_Q(cfg))
+        assert rep.dim == 4 * N * (N - 1) * 8
+        assert rep.unit_count == 0
+        assert abs(rep.contraction_modulus() - expect) <= 1e-6
+        moduli.append(rep.contraction_modulus())
+    assert moduli[0] < moduli[1] < 1.0
 
 
 def test_single_subdomain_is_empty(monkeypatch):
@@ -122,7 +135,8 @@ def test_explicit_problem_matches_internal():
     of one built here, column by column (`dense_Q`)."""
     cfg = iteration.IterationConfig(N=2, ratio=4)
     op = spectrum.assemble_Q(cfg)
-    np.testing.assert_allclose(op.Q @ np.eye(op.dim), dense_Q(cfg), atol=1e-14)
+    np.testing.assert_allclose(apply_to_identity(op.Q.matvec, op.dim), dense_Q(cfg),
+                               atol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -132,15 +146,18 @@ def zero_n8r8():
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_in_place_combine_matches_formula(zero_n8r8, theta):
-    """Q applied to a block of unit and random columns, combined in place,
-    equals theta * step(W) + (1 - theta) * W formed with temporaries
-    (N=8, r=8), bitwise."""
+    """Q applied to unit and random vectors, combined in place, equals
+    theta * step(w) + (1 - theta) * w formed with temporaries (N=8, r=8),
+    bitwise.  Q refuses the block of those columns."""
     cfg = iteration.IterationConfig(N=8, ratio=8, theta=theta)
     op = spectrum.assemble_Q(cfg)
     rng = np.random.default_rng(20260821)
     W = np.hstack([np.eye(op.dim)[:, ::97], rng.standard_normal((op.dim, 5))])
-    expect = theta * zero_n8r8.step(W) + (1.0 - theta) * W
-    assert np.array_equal(op.Q @ W, expect)
+    for w in W.T:
+        expect = theta * zero_n8r8.step(w) + (1.0 - theta) * w
+        assert np.array_equal(op.Q @ w, expect)
+    with pytest.raises(ValueError, match="shape"):
+        op.Q @ W
 
 
 @pytest.mark.parametrize("theta", [1.0, 2 / 3])
@@ -274,7 +291,8 @@ def test_relaxation_maps_spectrum(op_n4r8, dense_n4r8):
     cfg = iteration.IterationConfig(N=4, ratio=8, gamma_rule="h", theta=0.5)
     op_half = spectrum.assemble_Q(cfg)
     eye = np.eye(op_n4r8.dim)
-    np.testing.assert_allclose(op_half.Q @ eye, 0.5 * (eye + dense_n4r8), atol=1e-13)
+    np.testing.assert_allclose(apply_to_identity(op_half.Q.matvec, op_n4r8.dim),
+                               0.5 * (eye + dense_n4r8), atol=1e-13)
     lam = np.linalg.eigvals(dense_n4r8)
     mapped = np.abs(1.0 + lam[np.abs(lam - 1.0) > 1e-6]) / 2
     rho = spectrum.eigenvalues(op_half).contraction_modulus()
