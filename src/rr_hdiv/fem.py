@@ -29,6 +29,7 @@ orientation (`mesh.SIGNS`), so neither triangle nor edge ids are formed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,11 @@ QUAD_BLOCK = 16384
 
 
 def check_positive(what: str, value: float) -> float:
-    """value, if a positive finite number; ValueError otherwise."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{what} must be positive and finite, got {value}")
+    """value, if a positive finite real number (not a bool); ValueError
+    otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0.0)):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
     return value
 
 

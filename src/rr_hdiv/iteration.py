@@ -46,17 +46,14 @@ __all__ = [
 
 
 def resolve_gamma(rule, m: int, N: int) -> float:
-    """Robin parameter from a rule: "h" -> 1/m, "H" -> 1/N, or a value."""
+    """Robin parameter from a rule: "h" -> 1/m, "H" -> 1/N, or a number."""
     if rule == "h":
         return 1.0 / m
     if rule == "H":
         return 1.0 / N
-    try:
-        value = float(rule)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f'gamma_rule must be "h", "H" or a number, got {rule!r}') from None
-    return fem.check_positive("gamma_rule", value)
+    if isinstance(rule, bool) or not isinstance(rule, numbers.Real):
+        raise ValueError(f'gamma_rule must be "h", "H" or a number, got {rule!r}')
+    return fem.check_positive("gamma_rule", float(rule))
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,9 @@ class IterationConfig:
                     or value < 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         fem.check_positive("beta", self.beta)
-        if not 0.0 < self.theta <= 1.0:  # NaN too
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        if (isinstance(self.theta, bool) or not isinstance(self.theta, numbers.Real)
+                or not 0.0 < self.theta <= 1.0):  # NaN too
+            raise ValueError(f"theta must be a number in (0, 1], got {self.theta!r}")
         fem.check_positive("tol", self.tol)
         self.gamma  # refuses an invalid gamma_rule
 

@@ -7,17 +7,17 @@ N x N subdomains are translates of one square, and their Robin problems
 differ only in which sides are interfaces: on the domain boundary the
 normal trace is eliminated.  So one template matrix T is assembled, from
 subdomain 0's triangles, on the local dofs [interior, bottom, left,
-right, top] of `partition.local_dofs`, with every side kept.  Class c
-keeps the interior and its own sides, and its Robin matrix is a
-principal submatrix of T plus the Robin term:
+right, top] of `partition.local_dofs`, with every side kept; it is the
+only assembled matrix.  Class c keeps the interior and its own sides,
+and its Robin matrix is a principal submatrix of T plus the Robin term:
 
     H_c = T[keep_c, keep_c] + gamma h on its interface rows.
 
 A_II = T[:nI, :nI] is factorized once.  The edge-average continuity
 constraint B u = 0 is enforced with a Lagrange multiplier; eliminating
 the (block-diagonal) Robin matrix leaves a sparse Schur complement
-S = B H^-1 B^T, one row per coarse interface.  A_II and S are factorized
-the same way, by `_factor`.
+S = B H^-1 B^T, one row per row of B.  A_II and S are factorized the
+same way, by `_factor`.
 
 Each subdomain's local dof order, and its dof tables, are the
 partition's (`partition.local_dofs`, `interior`, `slot_range`), taken
@@ -45,13 +45,12 @@ The trace slots are class-major (`partition`), so class c's part of a
 trace vector is one contiguous (members, own slots) block.  The constrained
 resolvent is one in-place `matmul` with the symmetric Z_c on that block,
 one sparse coarse solve, and the correction by the class's dense solved
-constraint columns Y_c = Z_c B_s^T (at most 4).  B_s, the constraint on
-one member's slots, comes from the layout, as
-`partition.build_constraint` writes B: one row per own side, at the
-interface the class's `ifaces` names for that member, -h on a bottom
-or left side and +h on a right or top one.  Neighbouring classes of
-one shape (the four edge classes, the four corners) are stacked, so one
-`matmul` serves each group of them.  The loads are condensed once
+constraint columns Y_c = Z_c B_s^T.  B_s, the constraint on one
+member's slots, is read off B (`_constraint_block`), the one statement
+of the constraint, and setup refuses a B that differs between the
+members of a class.  Neighbouring classes of one shape (the four edge
+classes, the four corners) are stacked, so one `matmul` serves each
+group of them.  The loads are condensed once
 (`condense`): one interior solve for all subdomains gives
 v = A_II^-1 f_I and the trace load f_G - A_GI v; `solve` recovers all
 subdomains' interiors from it as v - W x_G, in one product with W, as
@@ -92,8 +91,8 @@ NOT_SPD = ("subdomain {}: Robin matrix not positive definite (assembly bug or "
 
 @dataclass(eq=False)
 class RobinTemplate:
-    """The one template Robin matrix that every class's is cut from, and
-    one factor.
+    """The one template Robin matrix that every class's is a principal
+    submatrix of, and one factor.
 
     `A` is the plain bilinear form (no Robin term) of subdomain 0's
     triangles on the local dofs of `partition.local_dofs`: the nI interior
@@ -126,25 +125,21 @@ class RobinTemplate:
 
 @dataclass(eq=False)
 class RobinClass:
-    """The Robin problem of congruent subdomains.
+    """The Robin problem of congruent subdomains: layout only.
 
     Local dof order is that of `partition.local_dofs`: member
     s = members[i] has the global edges part.interior_of(s), then the
     trace slots slots[i] = part.slots_of(s), the i-th n_own of the
     class's range of slots from `first_slot` on.  `cols` are the
-    template's side dofs, counted from nI, of the class's own sides, and
-    `A` is the template's principal submatrix on [interior, nI + cols]:
-    the class's plain bilinear blocks without the Robin term,
-    H = A + gamma h on the interface rows.  `ifaces`,
-    shape (members, own sides), holds the coarse interface of each
-    member's own sides, in the order of `cols`.
+    template's side dofs, counted from nI, of the class's own sides.  The
+    class's Robin matrix is the template's principal submatrix on `keep`
+    plus gamma h on the interface rows; its constraint is B's columns at
+    its slots.
     """
 
     members: np.ndarray
     first_slot: int
-    A: sp.csr_matrix
     cols: np.ndarray
-    ifaces: np.ndarray
     template: RobinTemplate
 
     @property
@@ -154,6 +149,11 @@ class RobinClass:
     @property
     def n_local(self) -> int:
         return self.template.n_interior + self.cols.size
+
+    @property
+    def keep(self) -> np.ndarray:
+        """The template dofs the class keeps: [interior, nI + cols]."""
+        return np.concatenate([np.arange(self.n_interior), self.n_interior + self.cols])
 
     @property
     def slots(self) -> np.ndarray:
@@ -222,17 +222,12 @@ def _spd_inverse(S: np.ndarray, not_spd: str) -> np.ndarray:
 
 
 def build_local_systems(part: SubdomainPartition, beta: float, gamma: float) -> list:
-    """Assemble the one template matrix, from subdomain 0's triangles, cut
-    each congruence class's matrix from it, and factorize A_II once.
+    """Assemble the one template matrix, from subdomain 0's triangles,
+    lay out each congruence class on it, and factorize A_II once.
 
     Class c keeps the interior dofs and the r side dofs of each of its
     own sides, those whose `part.side_start` entry is a slot; its slots
-    are the class's range of the partition's class-major layout, and its
-    `ifaces` the `slot_iface` of each member's own sides' first slots:
-    one interface per member and own side.  That every member is a
-    translate of the template, in its triangles, vertices, edge
-    orientations, interior edges and slots, is the index arithmetic of
-    `mesh` and `partition`.
+    are the class's range of the partition's class-major layout.
     """
     fem.check_positive("Robin parameter", gamma)
     fem.check_positive("beta", beta)
@@ -248,13 +243,9 @@ def build_local_systems(part: SubdomainPartition, beta: float, gamma: float) -> 
     classes = []
     for members, start in zip(part.classes, part.class_start):
         sides = np.flatnonzero(part.side_start[members[0]] >= 0)
-        cols = (r * sides[:, None] + np.arange(r)).ravel()
-        keep = np.concatenate([np.arange(nI), nI + cols])
         classes.append(RobinClass(
-            members=members, first_slot=int(start), A=A[keep][:, keep], cols=cols,
-            ifaces=part.trace.slot_iface[part.side_start[members][:, sides]],
-            template=template,
-        ))
+            members=members, first_slot=int(start),
+            cols=(r * sides[:, None] + np.arange(r)).ravel(), template=template))
     return classes
 
 
@@ -296,18 +287,40 @@ def _trace_map_error(cls: RobinClass, schur: np.ndarray, Z: np.ndarray,
     the backward error.  The Robin term gamma h is one scalar on every
     interface row.
     """
-    A = cls.A
+    A, keep = cls.template.A, cls.keep
     nI = cls.n_interior
     robin = cls.template.gamma * cls.template.h
     R = schur @ Z
     R[np.diag_indices_from(R)] -= 1.0
     z_2 = np.sqrt(np.linalg.norm(Z, 1) * np.linalg.norm(Z, np.inf))
-    # Column sums of |H| from those of |A| and its diagonal.
-    col_abs = np.bincount(A.indices, np.abs(A.data), minlength=cls.n_local)
-    a_diag = A.diagonal()[nI:]
+    # Column sums of |H|: the template's |A| under a 0/1 kept-row mask.
+    col_abs = (np.bincount(keep, minlength=A.shape[0]) @ abs(A))[keep]
+    a_diag = A.diagonal()[keep[nI:]]
     col_abs[nI:] += np.abs(a_diag + robin) - np.abs(a_diag)
     scale = col_abs.max() * np.linalg.norm(Z) + np.sqrt(Z.shape[1])
     return float((side_residual * z_2 + np.linalg.norm(R)) / scale)
+
+
+def _constraint_block(cls: RobinClass, B: sp.csc_matrix):
+    """(adj, B_s) of the class, read off B's columns at its slots: B_s is
+    B on member 0's slots, one row per interface they touch in increasing
+    order, adj[i, q] member i's interface of row q.  ValueError unless
+    every member's columns are B_s on its interfaces."""
+    k, n_own = cls.members.size, cls.cols.size
+    lo = cls.first_slot
+    counts = np.diff(B.indptr[lo:lo + k * n_own + 1]).reshape(k, n_own)
+    n = counts[0].sum()
+    span = slice(B.indptr[lo], B.indptr[lo] + k * n)
+    if (counts == counts[0]).all():  # then each member's entries are a row
+        rows, data = B.indices[span].reshape(k, n), B.data[span].reshape(k, n)
+        _, first, label = np.unique(rows[0], return_index=True, return_inverse=True)
+        adj = rows[:, first]
+        if (rows == adj[:, label]).all() and (data == data[0]).all():
+            B_s = np.zeros((first.size, n_own))
+            B_s[label, np.repeat(np.arange(n_own), counts[0])] = data[0]
+            return adj, B_s
+    raise ValueError(f"subdomain {cls.members[0]}: the constraint is not the "
+                     "same block on every member of its class")
 
 
 def _side_solves(template: RobinTemplate, width: int):
@@ -365,16 +378,14 @@ class _Group:
 
 
 def _stack_groups(classes: list, Zs: list, Yts: list, adjs: list) -> list:
-    """The classes, in order, cut into `_Group`s: runs of neighbours with
-    one member count and one own slot count, and so one shape of Y^T and
-    `adj`.  Class slots follow each other in class order (`partition`),
-    so a run's slots are one range.  With `partition`'s class order the
-    groups are the interior class, the four edge classes and the four
-    corners."""
+    """The classes, in order, cut into `_Group`s.  Class slots follow each
+    other in class order (`partition`), so a run's slots are one range.
+    With `partition`'s class order and constraint the groups are the
+    interior class, the four edge classes and the four corners."""
     groups = []
     for _, run in itertools.groupby(
-            range(len(classes)),
-            key=lambda c: (classes[c].members.size, classes[c].cols.size)):
+            range(len(classes)), key=lambda c: (
+                classes[c].members.size, classes[c].cols.size, adjs[c].shape[1])):
         run = list(run)
         first = classes[run[0]]
         k, n_own = first.members.size, first.cols.size
@@ -397,18 +408,13 @@ class CondensedLoads:
 
 
 class ConstrainedRobinSolver:
-    """The Robin solves with the edge-average constraint eliminated.
+    """The Robin solves with the constraint B eliminated.
 
-    Setup forms W = A_II^-1 A_IG once on the template's sides
-    (`_side_solves`): one side's r columns are solved and mapped onto the
-    other three by the template's symmetries, and the residual of every
-    side is formed.  It forms the template's Schur complement
-    S_t = A_GG - A_GI W once, and inverts each class's Schur block
-    S_t[cols, cols] + gamma h I through its Cholesky factor.  Each
-    inverse is held to `_trace_map_error`, which takes the residual of
-    its solved and mapped columns alike.  W and S_t cover all four
-    sides when some class has a side, as every side is some class's for
-    N > 1, and none for N = 1.  The solver keeps:
+    Setup forms W and the template's Schur complement S_t once (module
+    docstring, `_side_solves`), on all four sides when some class has a
+    side, as every side is some class's for N > 1, and on none for
+    N = 1.  It inverts each class's Schur block S_t[cols, cols] +
+    gamma h I, held to `_trace_map_error`.  The solver keeps:
 
     - W, row-major and shared by every class: its rows -W[:, cols] Z are
       the interior rows of the class's solves against the identity on its
@@ -416,20 +422,15 @@ class ConstrainedRobinSolver:
     - A_GI, the template's interface-to-interior block, for the loads;
     - per class Z, at most 4r x 4r, the Robin-to-trace map of every
       member;
-    - per class the dense solved constraint columns Y = Z B_s^T, one per
-      own side of a member (at most 4), and `adj`, the class's `ifaces`:
-      the interface of each column for each member.  B_s, B on one
-      member's slots, is built from the layout (module docstring), the
-      same for every member, not read from B;
+    - per class `adj` and B_s, read off B (`_constraint_block`), and the
+      dense solved constraint columns Y = Z B_s^T, one per row of B_s;
     - the sparse coarse Schur complement `S` = B Z B^T (None without
       constraint rows), summed from the blocks B_s Y of all members and
       factorized by `_factor` like A_II.
 
-    B itself is the operator of the coarse right-hand side B w and of
-    the constraint check after every solve.  It must be the
-    `partition.build_constraint` of the classes' partition, or have no
-    rows: an empty (0 x n_slots) constraint gives the unconstrained
-    solves, with no Y.
+    B is also the operator of the coarse right-hand side B w and of the
+    constraint check after every solve; with no rows it gives the
+    unconstrained solves, with no Y.
 
     `apply_resolvent` is, per group of classes (`_Group`), one in-place
     `matmul` with the stacked Z on the group's contiguous block of the
@@ -448,9 +449,8 @@ class ConstrainedRobinSolver:
         self.B = B.tocsr()
         self.n_ifaces, self.n_slots = B.shape
         template = classes[0].template
-        r, h = template.r, template.h
-        self._h, self._lu = h, template._lu
-        width = 4 * r if any(cls.cols.size for cls in classes) else 0
+        self._h, self._lu = template.h, template._lu
+        width = 4 * template.r if any(cls.cols.size for cls in classes) else 0
         self._W, side_sq = _side_solves(template, width)
 
         nI = template.n_interior
@@ -462,10 +462,11 @@ class ConstrainedRobinSolver:
 
         Zs, Yts, adjs = [], [], []
         s_rows, s_cols, s_vals = [], [], []
+        B_csc = B.tocsc()
         for cls in classes:
             k, n_own = cls.members.size, cls.cols.size
             schur = schur_t[np.ix_(cls.cols, cls.cols)]
-            schur[np.diag_indices(n_own)] += template.gamma * h
+            schur[np.diag_indices(n_own)] += template.gamma * template.h
             Z = _spd_inverse(schur, NOT_SPD.format(cls.members[0]))
             err = (_trace_map_error(cls, schur, Z, np.sqrt(side_sq[cls.cols].sum()))
                    if n_own else 0.0)
@@ -475,13 +476,7 @@ class ConstrainedRobinSolver:
                     f"error {err:.3e}"
                 )
             Zs.append(Z)
-            # B_s, B on a member's slots: row q is its q-th own side's
-            # interface, adj[i, q] for member i, with -h on a bottom or
-            # left side and +h on a right or top one (`build_constraint`).
-            adj = cls.ifaces if self.n_ifaces else cls.ifaces[:, :0]
-            sign = np.where(cls.cols // r < 2, -1.0, 1.0)
-            B_s = (np.arange(adj.shape[1])[:, None] == np.arange(n_own) // r) * (
-                sign * h)
+            adj, B_s = _constraint_block(cls, B_csc)
             Y = Z @ B_s.T
             Yts.append(Y.T)
             adjs.append(adj)

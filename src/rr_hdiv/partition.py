@@ -9,8 +9,7 @@ with all four sides kept, from subdomain 0 alone.  Every other
 subdomain is that template's translate by the index arithmetic below,
 so nothing here re-checks it at run time; tests compare the layout with
 sort references.  The local solver takes the template as given, and
-builds each class's constraint block from `slot_iface` and the side
-signs, as `build_constraint` does.
+reads each class's constraint block off `build_constraint`'s B.
 
 Coarse interfaces are numbered by index arithmetic, bottom-to-top and
 left-to-right by midpoint: row J of subdomains holds its N-1 vertical
@@ -266,8 +265,8 @@ def build_constraint(part: SubdomainPartition) -> sp.csr_matrix:
     i-side slot of each fine edge, -h on the j-side slot, as every
     interface edge lies on a grid line and has length h.  B g = 0 says
     every coarse interface carries matching side averages.  The rows come
-    from `slot_iface`, the array that the local solver's per-class
-    `ifaces` are cut from; the i-side is a subdomain's right or top side.
+    from `slot_iface`; the i-side is a subdomain's right or top side.
+    The local solver reads its per-class blocks from B.
     """
     trace = part.trace
     n = trace.n_slots

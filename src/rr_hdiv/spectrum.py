@@ -110,8 +110,11 @@ def assemble_Q(config: iteration.IterationConfig) -> IterationOperator:
             out += (1.0 - theta) * v
         return out
 
+    def refuse_block(block):
+        raise ValueError(f"Q takes a trace vector, not a block of shape {block.shape}")
+
     return IterationOperator(
-        Q=LinearOperator((n, n), matvec=relaxed_step, dtype=float),
+        Q=LinearOperator((n, n), matvec=relaxed_step, matmat=refuse_block, dtype=float),
         config=config,
         B=problem.B,
     )

@@ -88,7 +88,8 @@ def fixed_point_g(problem, u: np.ndarray) -> np.ndarray:
     for cls in problem.classes:
         u_delta = u[trace.slot_edge[cls.slots]]
         u_loc = np.concatenate([u[part.interior[cls.members]], u_delta], axis=1)
-        r_delta = cls.A[cls.n_interior:] @ u_loc.T - cls.trace_block(f_G).T
+        A_delta = cls.template.A[cls.keep[cls.n_interior:]][:, cls.keep]
+        r_delta = A_delta @ u_loc.T - cls.trace_block(f_G).T
         g[cls.slots] = problem.gamma * u_delta + (r_delta / problem.mesh.h).T
     return g
 

@@ -300,10 +300,11 @@ def direct_errors(m, case=None):
 
 
 def robin_matrix(cls):
-    """Class `cls`'s own Robin matrix, A plus the Robin term."""
+    """Class `cls`'s own Robin matrix: the template's principal submatrix
+    on the class's kept dofs plus the Robin term."""
     diag = np.zeros(cls.n_local)
     diag[cls.n_interior:] = cls.template.gamma * cls.template.h
-    return local_solver._plus_diagonal(cls.A, diag)
+    return local_solver._plus_diagonal(cls.template.A[cls.keep][:, cls.keep], diag)
 
 
 def subdomain_robin_matrix(problem, s):

@@ -23,6 +23,7 @@ from helpers import (
     dense_interface_operator,
     lookup_symmetry_generators,
     relaxed_step,
+    robin_matrix,
     subdomain_robin_matrix,
     zero_loads,
 )
@@ -93,20 +94,22 @@ def test_classes_are_the_shared_interior_block_plus_own_sides(cfg):
     """Each class's first member's own Robin matrix, assembled densely from
     its triangles, is exactly the template's principal submatrix on the
     interior and the class's own sides, plus the Robin term on its
-    interface rows, gamma h.  The class's stored A is exactly that
-    submatrix."""
+    interface rows, gamma h.  The class's `keep` names those dofs, and
+    the Robin matrix cut on them from the template
+    (`helpers.robin_matrix`) is exactly that matrix."""
     problem = iteration.build_problem(cfg, verify.manufactured_case().load)
     template = problem.classes[0].template
     nI = template.n_interior
     T = template.A.toarray()
     for cls in problem.classes:
         keep = np.concatenate([np.arange(nI), nI + cls.cols])
+        assert np.array_equal(cls.keep, keep)
         own = T[np.ix_(keep, keep)]
-        assert np.array_equal(cls.A.toarray(), own)
         own[np.arange(nI, keep.size), np.arange(nI, keep.size)] += (
             problem.gamma * problem.mesh.h)
         H = subdomain_robin_matrix(problem, cls.members[0])[0]
         assert np.array_equal(H, own)
+        assert np.array_equal(robin_matrix(cls).toarray(), own)
 
 
 @settings(max_examples=15, deadline=None)

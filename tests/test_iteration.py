@@ -34,8 +34,11 @@ def test_resolve_gamma():
         iteration.resolve_gamma(-1.0, 32, 4)
     with pytest.raises(ValueError):
         iteration.resolve_gamma("x", 32, 4)
-    for bad in (float("nan"), float("inf"), "nan", "inf"):
+    for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
+            iteration.resolve_gamma(bad, 32, 4)
+    for bad in ("nan", "inf", "0.5", True):
+        with pytest.raises(ValueError, match='must be "h", "H" or a number'):
             iteration.resolve_gamma(bad, 32, 4)
 
 
@@ -74,13 +77,22 @@ def test_config_validation(kwargs):
         ("max_iter", None),
         ("gamma_rule", "x"),
         ("gamma_rule", None),
+        ("gamma_rule", True),
+        ("gamma_rule", "0.5"),
+        ("theta", True),
+        ("theta", "0.5"),
+        ("beta", True),
+        ("beta", "1"),
+        ("tol", "1e-3"),
+        ("tol", False),
     ],
 )
 def test_config_refuses_non_integer_counts_and_unknown_rules(field, value):
-    """A count that is not an integer, even a whole float or a bool, and
-    a Robin rule that is neither "h", "H" nor a number, are refused on
-    construction with a ValueError naming the field, not later by a
-    TypeError in the partition or the loop."""
+    """A count that is not an integer, even a whole float or a bool, a
+    Robin rule that is neither "h", "H" nor a real number, and a bool or
+    a string in a float field, are refused on construction with a
+    ValueError naming the field, not later by a TypeError in the
+    partition or the loop, nor run as 1.0."""
     kwargs = {"N": 2, "ratio": 4, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be"):
         iteration.IterationConfig(**kwargs)
@@ -90,6 +102,13 @@ def test_config_accepts_numpy_integers():
     cfg = iteration.IterationConfig(N=np.int64(2), ratio=np.int32(4),
                                     max_iter=np.uint8(7))
     assert cfg.m == 8 and cfg.max_iter == 7
+
+
+def test_config_accepts_numpy_floats():
+    cfg = iteration.IterationConfig(
+        N=2, ratio=4, beta=np.float64(2.0), gamma_rule=np.float32(0.5),
+        theta=np.float64(0.5), tol=np.float64(1e-3))
+    assert cfg.gamma == 0.5 and type(cfg.gamma) is float
 
 
 def test_config_mesh_size():

@@ -304,7 +304,8 @@ def test_resolvent_on_a_block_wider_than_column_block(case, rng):
 def test_trace_maps_refuse_all_but_one_trace_vector(case, monkeypatch):
     """The resolvent, `solve`, the step, G and Q each refuse an (n, 2)
     block and an (n + 1,) vector with a ValueError, before the
-    resolvent's body is entered."""
+    resolvent's body is entered.  Q's refusal of the block names the
+    block's own shape, not that of one of its columns."""
     problem = iteration.build_problem(iteration.IterationConfig(N=3, ratio=4), case.load)
     solver, loads = problem.solver, problem.condensed_loads
     op = boundary_system.InterfaceOperator(problem)
@@ -321,18 +322,20 @@ def test_trace_maps_refuse_all_but_one_trace_vector(case, monkeypatch):
         for bad in (np.ones((n, 2)), np.ones(n + 1)):
             with pytest.raises(ValueError):
                 apply(bad)
+    with pytest.raises(ValueError, match=rf"block of shape \({n}, 2\)$"):
+        Q @ np.ones((n, 2))
 
 
 def test_shared_interior_factor_solves_every_class(problem_n4, rng):
-    """Every class's interior block is the template's A_II, entry for
-    entry, and the one factor solves it with a backward error below
-    1e-15."""
+    """Every class's interior block, cut from the template on the class's
+    kept dofs, is the template's A_II, entry for entry, and the one
+    factor solves it with a backward error below 1e-15."""
     template = problem_n4.classes[0].template
     rhs = rng.standard_normal((template.n_interior, 3))
     x = template._lu.solve(rhs)
     for cls in problem_n4.classes:
         assert cls.template is template
-        A_II = cls.A[:cls.n_interior, :cls.n_interior]
+        A_II = template.A[cls.keep][:, cls.keep][:cls.n_interior, :cls.n_interior]
         assert (A_II != template.A_II).nnz == 0
         scale = abs(A_II).sum(axis=1).max() * np.abs(x).max()
         assert np.abs(A_II @ x - rhs).max() <= 1e-15 * scale
@@ -420,15 +423,78 @@ def test_sparse_factor_certifies_definiteness():
 
 
 def test_zero_constraint_row_rejected_by_coarse_factor(small_problem):
-    """Classes whose `ifaces` name interface 0 where they named interface
-    1 leave no block on S's row 1, so S is singular; the coarse
-    factorization, not a subdomain's, reports it."""
-    classes = [dataclasses.replace(cls, ifaces=np.where(cls.ifaces == 1, 0, cls.ifaces))
-               for cls in small_problem.classes]
+    """A B whose row 1 entries are moved onto row 0 leaves no block on S's
+    row 1, so S is singular; the coarse factorization, not a subdomain's,
+    reports it.  Every class of N=2 has one member, so the moved rows are
+    still one block per class."""
+    B = small_problem.B.tocoo()
+    moved = sp.csr_matrix((B.data, (np.where(B.row == 1, 0, B.row), B.col)),
+                          shape=B.shape)
+    assert moved.getrow(1).nnz == 0
     with pytest.raises(
         ValueError, match="^coarse interface Schur complement not positive"
     ):
-        local_solver.ConstrainedRobinSolver(classes, small_problem.B)
+        local_solver.ConstrainedRobinSolver(small_problem.classes, moved)
+
+
+def _two_moment_constraint(part):
+    """Two rows per coarse interface: the jump's moments against the
+    Legendre polynomials P0 = 1 and P1 = x at the fine-edge midpoints,
+    x = (2t + 1)/r - 1 for the t-th edge along the side, with +h on the
+    i-side slot and -h on the j-side one."""
+    trace = part.trace
+    n, r = trace.n_slots, part.mesh.m // part.N
+    starts = part.side_start[part.side_start >= 0]
+    t = np.empty(n)
+    t[starts[:, None] + np.arange(r)] = np.arange(r)
+    value = part.mesh.h * (1 - 2 * trace.slot_side)
+    return sp.csr_matrix(
+        (np.concatenate([value, value * ((2 * t + 1) / r - 1)]),
+         (np.concatenate([2 * trace.slot_iface, 2 * trace.slot_iface + 1]),
+          np.tile(np.arange(n), 2))),
+        shape=(2 * part.n_interfaces, n))
+
+
+@pytest.mark.parametrize("N,r", [(2, 2), (3, 5), (4, 8)])
+def test_two_moment_constraint_matches_direct(case, rng, N, r):
+    """With two edge moments per interface, the solver reads the class
+    blocks, two rows per own side, off B: `solve` and the resolvent agree
+    with the solves through each class's own factor to 1e-12 relative,
+    and every output meets B w = 0."""
+    problem = iteration.build_problem(iteration.IterationConfig(N=N, ratio=r), case.load)
+    B = _two_moment_constraint(problem.partition)
+    solver = local_solver.ConstrainedRobinSolver(problem.classes, B)
+    direct = DirectSolver(problem.classes, B)
+    assert solver.S.shape == (2 * problem.partition.n_interfaces,) * 2
+    g = rng.standard_normal(solver.n_slots)
+    out = solver.solve(solver.condense(problem.local_loads), g)
+    ref = direct.solve(problem.local_loads, g)
+    for x, x_ref in zip(out, ref, strict=True):
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    x = rng.standard_normal(solver.n_slots)
+    w, w_ref = solver.apply_resolvent(x), direct.apply_resolvent(x)
+    assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+    for trace in (out[1], w):
+        assert np.abs(B @ trace).max() <= 1e-13 * np.abs(trace).max()
+
+
+@pytest.mark.parametrize("change", ["scaled", "split"])
+def test_constraint_differing_across_members_refused(problem_n4, change):
+    """A B whose block on one member of a class is not its first
+    member's, with its values scaled or one side's slots split over two
+    interfaces, is refused at setup, naming the class's first
+    subdomain."""
+    cls = problem_n4.classes[0]
+    assert cls.members.size > 1
+    B = problem_n4.B.tocsc(copy=True)
+    member = cls.slots[1]
+    if change == "scaled":
+        B.data[B.indptr[member[0]]:B.indptr[member[-1] + 1]] *= 2.0
+    else:
+        B.indices[B.indptr[member[0]]] = B.indices[B.indptr[member[-1]]]
+    with pytest.raises(ValueError, match=f"^subdomain {cls.members[0]}: the "
+                       "constraint is not the same block on every member"):
+        local_solver.ConstrainedRobinSolver(problem_n4.classes, B)
 
 
 def test_unconstrained_solver_matches_local_solves(case):
@@ -764,7 +830,8 @@ def test_Q_matches_direct():
 
 @pytest.mark.parametrize("N,r", [(1, 4), (2, 2), (2, 16), (3, 5), (6, 4), (4, 32)])
 def test_classes_match_per_class_assembly(case, N, r):
-    """Every class's A, cut from the one template, is bitwise that of the
+    """Every class's matrix, cut from the one template on the class's
+    kept dofs as `template.A[keep][:, keep]`, is bitwise that of the
     per-class assembly (`helpers.per_class_assembly`) in its CSR arrays,
     and its Z matches to 1e-11 of max |Z|.  The reference solves all four
     sides of W, where setup maps three of them from the bottom's solve,
@@ -775,8 +842,9 @@ def test_classes_match_per_class_assembly(case, N, r):
     ref = per_class_assembly(problem)
     for cls, Z, (A_ref, Z_ref) in zip(problem.classes, class_Z(problem.solver), ref,
                                       strict=True):
+        A = cls.template.A[cls.keep][:, cls.keep]
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(cls.A, name), getattr(A_ref, name)), name
+            assert np.array_equal(getattr(A, name), getattr(A_ref, name)), name
         assert np.abs(Z - Z_ref).max(initial=0.0) <= 1e-11 * np.abs(Z_ref).max(initial=0.0)
 
 

@@ -709,10 +709,11 @@ def test_ownership_agrees_with_sorted_mesh(N, r):
 @pytest.mark.parametrize("N,r", CROSS_GRID)
 def test_constraint_blocks_agree_with_layout(N, r):
     """Every member's columns of B are its class's block built from the
-    layout: one row per own side, at the interface that the class's
-    `ifaces` names for the member, with -h on a bottom or left side and
-    +h on a right or top one.  The solver's Y = Z B_s^T and its `adj`
-    come from that block; with no constraint the block has no rows."""
+    layout: one row per own side, at the `slot_iface` of the member's
+    side, with -h on a bottom or left side and +h on a right or top one.
+    The solver reads its `adj` and Y = Z B_s^T off B; they equal the
+    layout's interfaces and block.  With no constraint the block has no
+    rows."""
     mesh = build_unit_square_mesh(N * r)
     part = partition(mesh, N)
     B = build_constraint(part)
@@ -725,15 +726,16 @@ def test_constraint_blocks_agree_with_layout(N, r):
     adjs = [adj for group in solver._groups for adj in group.adj]
     for cls, Z, Yt, adj in zip(classes, class_Z(solver), Yts, adjs, strict=True):
         n_own = cls.cols.size
-        assert cls.ifaces.shape == (cls.members.size, n_own // r)
+        sides = np.flatnonzero(part.side_start[cls.members[0]] >= 0)
+        ifaces = part.trace.slot_iface[part.side_start[cls.members][:, sides]]
         sign = np.where(cls.cols // r < 2, -1.0, 1.0)
-        B_s = (np.arange(n_own // r)[:, None] == np.arange(n_own) // r) * (
+        B_s = (np.arange(sides.size)[:, None] == np.arange(n_own) // r) * (
             sign * mesh.h)
-        for ifaces, slots in zip(cls.ifaces, cls.slots, strict=True):
+        for member_ifaces, slots in zip(ifaces, cls.slots, strict=True):
             block = np.zeros((part.n_interfaces, n_own))
-            block[ifaces] = B_s
+            block[member_ifaces] = B_s
             np.testing.assert_array_equal(B[:, slots], block)
-        np.testing.assert_array_equal(adj, cls.ifaces)
+        np.testing.assert_array_equal(adj, ifaces)
         np.testing.assert_array_equal(Yt, (Z @ B_s.T).T)
     for group in unconstrained._groups:
         assert group.Yt.shape[1] == 0 and group.adj.shape[-1] == 0
