@@ -15,6 +15,13 @@ its basis divergences.  That one rule gives the element matrices, the
 loads and the error norms; it is exact for the mass matrix, whose
 integrand is quadratic.
 
+So the element matrices are one pair per shape (`element_matrices`),
+and `assemble` is the one assembly: it sums that pair over the
+triangles of a square block of cells at the origin, on the edges it is
+given.  The whole mesh on its free edges is the direct oracle's matrix
+(`assemble_global`); an r x r block on all its edges is the local
+solver's template.
+
 Loads and error norms take whole cell rows of one shape at a time
 (`_row_blocks`), one matrix product per block, point major: the block's
 quadrature points are x values (nq, 1, m) and y values (nq, rows, 1)
@@ -46,7 +53,6 @@ from .mesh import (
     edge_mid2,
     grid_coordinates,
     opposite_edge_views,
-    triangle_cell,
     triangle_edges,
     triangle_vertices,
     vertex_coordinates,
@@ -151,28 +157,18 @@ class GlobalSystem:
     A: sp.csr_matrix
     load: np.ndarray
     free_edges: np.ndarray
-    edge_to_free: np.ndarray
-
-    @property
-    def n_free(self) -> int:
-        return len(self.free_edges)
 
 
-def element_matrices(mesh: Mesh, tri_ids=None):
-    """Per-triangle grad-div and mass matrices, each (nt, 3, 3).
+def element_matrices(mesh: Mesh):
+    """The grad-div and mass matrices of the two triangle shapes, LOWER
+    then UPPER, each (2, 3, 3).
 
     Entry (i, j) couples the edges opposite local vertices i and j:
     divdiv = |K| div_i div_j and mass = |K| sum_q w_q phi_i(q) . phi_j(q)
-    over the degree-4 rule, exact for the quadratic integrand.  Each
-    shape's pair comes from its `_Shape` table and is gathered by shape,
-    so congruent triangles get bitwise equal matrices.  Raises ValueError
-    for an id outside [0, n_triangles).
+    over the degree-4 rule, exact for the quadratic integrand.  Every
+    triangle of the mesh is a translate of its shape's reference, so
+    these are its matrices, bitwise.
     """
-    n = mesh.n_triangles
-    ids = np.arange(n) if tri_ids is None else np.asarray(tri_ids)
-    if ids.size and not (0 <= ids.min() and ids.max() < n):
-        raise ValueError(f"triangle ids must lie in [0, {n}), "
-                         f"got {ids.min()} .. {ids.max()}")
     divdiv, mass = np.empty((2, 2, 3, 3))
     for kind, shape in enumerate(_shapes(mesh.m)):
         divdiv[kind] = shape.area * np.outer(shape.div, shape.div)
@@ -180,8 +176,7 @@ def element_matrices(mesh: Mesh, tri_ids=None):
         # matrix is symmetric bitwise.
         weights = shape.area * np.tile(QUAD4_W, 2)
         mass[kind] = np.sum(shape.values[:, None] * shape.values * weights, axis=-1)
-    _, kind, _ = triangle_cell(mesh.m, ids)
-    return divdiv[kind], mass[kind]
+    return divdiv, mass
 
 
 def element_loads(mesh: Mesh, field) -> np.ndarray:
@@ -210,41 +205,45 @@ def element_loads(mesh: Mesh, field) -> np.ndarray:
     return out
 
 
-def assemble_matrix(elem: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
-    """The n x n sum of the element matrices elem (nt, 3, 3), entry (i, j)
-    of triangle t at (dofs[t, i], dofs[t, j]); entries on a dof < 0 are
-    dropped.  The result is canonical CSR: sorted indices, no duplicates."""
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
+def assemble(mesh: Mesh, beta: float, cells: int, edges: np.ndarray) -> sp.csr_matrix:
+    """The matrix of a(u, v) = (div u, div v) + beta (u, v) on the
+    triangles of the cells x cells block of `mesh`'s cells at the origin,
+    row and column k on edge edges[k]; every other edge is eliminated.
+
+    The block's edges are named as in a mesh of size `cells`,
+    `edge_id(cells, x2, y2)` for the doubled midpoint (x2, y2), so
+    cells = m names `mesh`'s own.  Each triangle adds its shape's pair of
+    `element_matrices`, and each entry sums at most two terms.  The
+    result is canonical CSR: sorted indices, no duplicates.
+    """
+    divdiv, mass = element_matrices(mesh)
+    n = len(edges)
+    dof = np.full(Mesh(cells).n_edges, -1, dtype=np.int64)
+    dof[edges] = np.arange(n)
+    # (cells, 2, cells, 3): the dofs of each triangle, in the mesh's
+    # (cell row, shape, cell column) order.
+    dofs = dof[triangle_edges(cells, *np.ogrid[:cells, :2, :cells])]
+    shape = dofs.shape + (3,)
+    rows = np.broadcast_to(dofs[..., :, None], shape).ravel()
+    cols = np.broadcast_to(dofs[..., None, :], shape).ravel()
+    elem = np.broadcast_to((divdiv + beta * mass)[:, None], shape).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (elem.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
+    return sp.coo_matrix((elem[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
 def assemble_global(mesh: Mesh, beta: float, field) -> GlobalSystem:
     """Assemble the SPD stiffness matrix and load on free edges."""
     check_positive("beta", beta)
-    divdiv, mass = element_matrices(mesh)
-    elem = divdiv + beta * mass
-
-    m = mesh.m
     on_boundary = np.zeros(mesh.n_edges, dtype=bool)
-    on_boundary[boundary_edges(m)] = True
+    on_boundary[boundary_edges(mesh.m)] = True
     free_edges = np.flatnonzero(~on_boundary)
-    edge_to_free = -np.ones(mesh.n_edges, dtype=np.int64)
-    edge_to_free[free_edges] = np.arange(len(free_edges))
-
-    # (nt, 3), -1 on boundary edges
-    dofs = edge_to_free[triangle_edges(m, *np.ogrid[:m, :2, :m]).reshape(-1, 3)]
     rows = element_loads(mesh, field)
     return GlobalSystem(
         mesh=mesh,
         beta=beta,
-        A=assemble_matrix(elem, dofs, len(free_edges)),
+        A=assemble(mesh, beta, mesh.m, free_edges),
         load=(rows[0] + rows[1])[free_edges],
         free_edges=free_edges,
-        edge_to_free=edge_to_free,
     )
 
 

@@ -5,11 +5,12 @@ plus a Robin term gamma*M on its interface rows, M = h I the interface
 mass: every interface edge lies on a grid line and has length h.  The
 N x N subdomains are translates of one square, and their Robin problems
 differ only in which sides are interfaces: on the domain boundary the
-normal trace is eliminated.  So one template matrix T is assembled, from
-subdomain 0's triangles, on the local dofs [interior, bottom, left,
-right, top] of `partition.local_dofs`, with every side kept; it is the
-only assembled matrix.  Class c keeps the interior and its own sides,
-and its Robin matrix is a principal submatrix of T plus the Robin term:
+normal trace is eliminated.  So one template matrix T is assembled by
+`fem.assemble`, on the r x r block of cells at the origin, with the
+local dofs [interior, bottom, left, right, top] of
+`partition.template_edges`, every side kept; it is the only assembled
+matrix.  Class c keeps the interior and its own sides, and its Robin
+matrix is a principal submatrix of T plus the Robin term:
 
     H_c = T[keep_c, keep_c] + gamma h on its interface rows.
 
@@ -20,8 +21,8 @@ S = B H^-1 B^T, one row per row of B.  A_II and S are factorized the
 same way, by `_factor`.
 
 Each subdomain's local dof order, and its dof tables, are the
-partition's (`partition.local_dofs`, `interior`, `slot_range`), taken
-as given: every subdomain is a translate of the template by the
+partition's (`partition.template_edges`, `interior`, `slot_range`),
+taken as given: every subdomain is a translate of the template by the
 partition's index arithmetic, which tests check against sort
 references.  Each class reads its own sides from the partition's side
 table (`side_start`).  Outside the trace everything is in subdomain
@@ -68,7 +69,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .partition import SubdomainPartition, local_dofs, template_symmetry_maps
+from .partition import SubdomainPartition, template_edges, template_symmetry_maps
 
 __all__ = [
     "RobinTemplate",
@@ -94,16 +95,16 @@ class RobinTemplate:
     """The one template Robin matrix that every class's is a principal
     submatrix of, and one factor.
 
-    `A` is the plain bilinear form (no Robin term) of subdomain 0's
-    triangles on the local dofs of `partition.local_dofs`: the nI interior
-    dofs, then r dofs on each side, in the order bottom, left, right, top,
-    whether or not the side lies on the domain boundary.  `r` is that side
-    width, `h` the length of every side edge, so that the interface mass
-    is h I, `gamma` the Robin parameter, so that the Robin term is
-    gamma h on every interface row, `symmetry` the (perm, sign) of
-    `partition.template_symmetry_maps`, the half-turn's and the
-    reflection's signed maps of the interior dofs, and `_lu` is A_II's
-    factor.
+    `A` is the plain bilinear form (no Robin term) of the r x r block of
+    cells at the origin, `fem.assemble` on the edges of
+    `partition.template_edges`: the nI interior dofs, then r dofs on each
+    side, in the order bottom, left, right, top, whether or not the side
+    lies on the domain boundary.  `r` is that side width, `h` the length
+    of every side edge, so that the interface mass is h I, `gamma` the
+    Robin parameter, so that the Robin term is gamma h on every interface
+    row, `symmetry` the (perm, sign) of `partition.template_symmetry_maps`,
+    the half-turn's and the reflection's signed maps of the interior
+    dofs, and `_lu` is A_II's factor.
     """
 
     A: sp.csr_matrix
@@ -127,14 +128,14 @@ class RobinTemplate:
 class RobinClass:
     """The Robin problem of congruent subdomains: layout only.
 
-    Local dof order is that of `partition.local_dofs`: member
-    s = members[i] has the global edges part.interior_of(s), then the
-    trace slots slots[i] = part.slots_of(s), the i-th n_own of the
-    class's range of slots from `first_slot` on.  `cols` are the
-    template's side dofs, counted from nI, of the class's own sides.  The
-    class's Robin matrix is the template's principal submatrix on `keep`
-    plus gamma h on the interface rows; its constraint is B's columns at
-    its slots.
+    Local dof order is that of `partition.template_edges` on the kept
+    dofs `keep`: member s = members[i] has the global edges
+    part.interior_of(s), then the trace slots slots[i] = part.slots_of(s),
+    the i-th n_own of the class's range of slots from `first_slot` on.
+    `cols` are the template's side dofs, counted from nI, of the class's
+    own sides.  The class's Robin matrix is the template's principal
+    submatrix on `keep` plus gamma h on the interface rows; its
+    constraint is B's columns at its slots.
     """
 
     members: np.ndarray
@@ -145,10 +146,6 @@ class RobinClass:
     @property
     def n_interior(self) -> int:
         return self.template.n_interior
-
-    @property
-    def n_local(self) -> int:
-        return self.template.n_interior + self.cols.size
 
     @property
     def keep(self) -> np.ndarray:
@@ -222,8 +219,9 @@ def _spd_inverse(S: np.ndarray, not_spd: str) -> np.ndarray:
 
 
 def build_local_systems(part: SubdomainPartition, beta: float, gamma: float) -> list:
-    """Assemble the one template matrix, from subdomain 0's triangles,
-    lay out each congruence class on it, and factorize A_II once.
+    """Assemble the one template matrix, `fem.assemble` of the r x r
+    block of cells on `partition.template_edges`, lay out each congruence
+    class on it, and factorize A_II once.
 
     Class c keeps the interior dofs and the r side dofs of each of its
     own sides, those whose `part.side_start` entry is a slot; its slots
@@ -233,10 +231,8 @@ def build_local_systems(part: SubdomainPartition, beta: float, gamma: float) -> 
     fem.check_positive("beta", beta)
     mesh = part.mesh
     r = mesh.m // part.N
-    tri_ids, loc = local_dofs(part)
-    divdiv, mass = fem.element_matrices(mesh, tri_ids)
-    nI = part.interior.shape[1]
-    A = fem.assemble_matrix(divdiv + beta * mass, loc, nI + 4 * r)
+    A = fem.assemble(mesh, beta, r, template_edges(r))
+    nI = A.shape[0] - 4 * r
     template = RobinTemplate(
         A=A, r=r, h=mesh.h, gamma=gamma, symmetry=template_symmetry_maps(part),
         _lu=_factor(A[:nI, :nI], 0.0, NOT_SPD.format(part.classes[0][0])))
@@ -263,9 +259,9 @@ def local_loads(part: SubdomainPartition, field) -> LocalLoads:
     """Every subdomain's interior and trace loads (`LocalLoads`).
 
     `fem.element_loads` gives two rows per edge, one per orientation of
-    the edge in its triangles.  A slot's load is row slot_side (the side
-    rule of `partition.local_dofs`), an interior edge's is row 0 + row 1:
-    at most two terms each.
+    the edge in its triangles.  A slot's load is row slot_side, the row
+    of the triangle on the slot's own side, and an interior edge's is
+    row 0 + row 1: at most two terms each.
     """
     rows = fem.element_loads(part.mesh, field)
     f_G = rows[part.trace.slot_side, part.trace.slot_edge]

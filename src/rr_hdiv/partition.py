@@ -4,12 +4,12 @@ Builds the two-sided trace slot layout with its pairing permutation,
 each subdomain's interior edges and trace slots, and the edge-average
 constraint matrix.  It is the one owner of the subdomain layout.
 Subdomain s's local dof order is [interior_of(s), slots_of(s)];
-`local_dofs` writes it once, as one template on subdomain 0's triangles
-with all four sides kept, from subdomain 0 alone.  Every other
-subdomain is that template's translate by the index arithmetic below,
-so nothing here re-checks it at run time; tests compare the layout with
-sort references.  The local solver takes the template as given, and
-reads each class's constraint block off `build_constraint`'s B.
+`template_edges` writes it once, as one template, the edges of an r x r
+mesh with all four sides kept.  Every subdomain is that template's
+translate by the index arithmetic below, so nothing here re-checks it
+at run time; tests compare the layout with sort references.  The local
+solver takes the template as given, and reads each class's constraint
+block off `build_constraint`'s B.
 
 Coarse interfaces are numbered by index arithmetic, bottom-to-top and
 left-to-right by midpoint: row J of subdomains holds its N-1 vertical
@@ -32,11 +32,11 @@ fixed-point-free involution, written by the same index arithmetic.
 
 The layout is index arithmetic on the mesh's id formulas (`mesh`): the
 fine edges of each interface (`mesh.edge_id`), each subdomain's interior
-edges and slots, and `local_dofs`' side edges and template triangles are
-written from the grid position, with no gather by subdomain and no sort.
-Every interface edge lies on a grid line, so it is horizontal or
-vertical and has length h = 1/m: the interface mass matrix is M = h I,
-the scalar `mesh.h`, and no slot stores it.
+edges and slots, and the template's edges are written from the grid
+position, with no gather by subdomain and no sort.  Every interface
+edge lies on a grid line, so it is horizontal or vertical and has
+length h = 1/m: the interface mass matrix is M = h I, the scalar
+`mesh.h`, and no slot stores it.
 
 The mesh keeps the half-turn about (1/2, 1/2) and the reflection x <-> y,
 and so does the template square: `template_symmetry_maps` gives their
@@ -51,21 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (
-    NORMALS,
-    Mesh,
-    edge_id,
-    edge_kind,
-    edge_mid2,
-    triangle_edges,
-    triangle_id,
-)
+from .mesh import NORMALS, Mesh, edge_id, edge_kind, edge_mid2
 
 __all__ = [
     "TraceIndex",
     "SubdomainPartition",
     "partition",
-    "local_dofs",
+    "template_edges",
     "build_constraint",
     "SYMMETRY_NAMES",
     "template_symmetry_maps",
@@ -224,38 +216,30 @@ def partition(mesh: Mesh, N: int) -> SubdomainPartition:
     )
 
 
-def local_dofs(part: SubdomainPartition):
-    """The one template of every subdomain's local dofs, from subdomain 0.
+def template_edges(r: int) -> np.ndarray:
+    """The one template of every subdomain's local dofs: edge ids of the
+    r x r mesh, subdomain 0 taken as a mesh of its own.
 
-    Returns (tri_ids, loc): subdomain 0's 2r^2 triangles tri_ids, in the
-    mesh's (cell row, shape, cell column) order, and loc[k] the local dof
-    of each edge of triangle tri_ids[k] in the template order [interior
-    (nI), bottom, left, right, top (r each, in geometric order)], whether
-    or not a side lies on the domain boundary.  Every edge of a triangle
-    has a dof: the template matrix is that of one square with no side
-    eliminated.
+    Its interior edges come first, by increasing id, then the r edges of
+    its bottom, left, right and top sides, each in geometric order, so
+    that the template keeps every side, whether or not a side lies on
+    the domain boundary.
 
     Subdomain s = J N + I is subdomain 0 moved by (rI, rJ) cells, and the
     index arithmetic of `partition` and `mesh` writes its tables as that
     translate: behind its template dofs lie [interior_of(s), its four
-    sides' edges].  Its Robin problem keeps the interior and the sides
+    sides' edges], as the r-mesh's and the m-mesh's ids order the
+    interior alike.  Its Robin problem keeps the interior and the sides
     that are interfaces (bottom if J > 0, left if I > 0, right if I < N-1,
-    top if J < N-1), whose slots are slots_of(s) in that order.  The work
-    is O(r^2): subdomain 0's interior edges, side edges and triangles.
+    top if J < N-1), whose slots are slots_of(s) in that order.
     """
-    m = part.mesh.m
-    r = m // part.N
-    # Doubled midpoints (x2, y2) of subdomain 0's sides' edges, (4, r).
+    # Doubled midpoints (x2, y2) of the sides' edges, (4, r).
     along = 2 * np.arange(r) + 1
-    sides = edge_id(m, np.stack(np.broadcast_arrays(along, 0, 2 * r, along)),
-                    np.stack(np.broadcast_arrays(0, along, along, 2 * r)))
-    edges = np.concatenate([part.interior_of(0), sides.ravel()])
-    # Subdomain 0 holds cell rows 0 .. r-1 and cell columns 0 .. r-1.
-    cells = np.ogrid[:r, :2, :r]
-    tri_ids = triangle_id(m, *cells).ravel()
-    order = np.argsort(edges)
-    loc = order[np.searchsorted(edges, triangle_edges(m, *cells), sorter=order)]
-    return tri_ids, loc.reshape(-1, 3)
+    sides = edge_id(r, np.stack(np.broadcast_arrays(along, 0, 2 * r, along)),
+                    np.stack(np.broadcast_arrays(0, along, along, 2 * r))).ravel()
+    interior = np.ones(Mesh(r).n_edges, dtype=bool)
+    interior[sides] = False
+    return np.concatenate([np.flatnonzero(interior), sides])
 
 
 def build_constraint(part: SubdomainPartition) -> sp.csr_matrix:
@@ -284,19 +268,18 @@ def template_symmetry_maps(part: SubdomainPartition):
     SYMMETRY_NAMES.
 
     Returns (perm, sign), each of shape (2, nI): interior dof i, in the
-    order of `interior_of(0)`, moves to interior dof perm[k, i], and its
-    edge normal onto sign[k, i] times that dof's normal.  The template is
-    subdomain 0 taken as an N=1 mesh of size r: the edge at doubled
-    midpoint (x2, y2) moves to (2r - x2, 2r - y2) under the half-turn,
-    which negates every normal, and to (y2, x2) under the reflection,
-    which swaps a normal's components.  Each image is found by a
-    sorted-key lookup of its edge id in that mesh, whose ids order the
-    interior as `interior_of(0)` does.  Raises AssertionError unless each
-    map is a bijection of the interior that carries normals onto normals.
+    order of `template_edges`, moves to interior dof perm[k, i], and its
+    edge normal onto sign[k, i] times that dof's normal.  In the r x r
+    mesh of the template the edge at doubled midpoint (x2, y2) moves to
+    (2r - x2, 2r - y2) under the half-turn, which negates every normal,
+    and to (y2, x2) under the reflection, which swaps a normal's
+    components.  Each image is found by a sorted-key lookup of its edge
+    id among the interior's.  Raises AssertionError unless each map is a
+    bijection of the interior that carries normals onto normals.
     """
-    m, r = part.mesh.m, part.mesh.m // part.N
-    x2, y2 = edge_mid2(m, part.interior_of(0))
-    keys = edge_id(r, x2, y2)
+    r = part.mesh.m // part.N
+    keys = template_edges(r)[:-4 * r]
+    x2, y2 = edge_mid2(r, keys)
     normal = NORMALS[edge_kind(x2, y2)]
     # Row k of each: the images under SYMMETRY_NAMES[k].
     img_x2, img_y2 = np.stack([2 * r - x2, y2]), np.stack([2 * r - y2, x2])
@@ -313,4 +296,3 @@ def template_symmetry_maps(part: SubdomainPartition):
             f"the {SYMMETRY_NAMES[np.argmin(ok)]} does not map the template's "
             "interior dofs onto themselves")
     return perm, sign
-

@@ -10,10 +10,12 @@ subdomain of each trace slot and each class's Z (`slot_subdomain`,
 `class_Z`), `sorted_mesh`, the mesh's twelve tables found by sorting,
 and queries on them, the per-triangle loads and their scatter into the
 two orientation rows per edge (`per_triangle_loads`, `edge_load_rows`),
-the edge interpolant, the elementwise divergence,
-the L2 distance of two discrete fields, the errors of the direct solve
-and a class's Robin matrix.  The middle holds the per-subdomain dof
-tables, loads and per-class assembly that the one template replaced.
+the per-triangle element matrices and their COO sum
+(`per_triangle_matrices`, `scatter_sum`), the edge interpolant, the
+elementwise divergence, the L2 distance of two discrete fields, the
+errors of the direct solve and a class's Robin matrix.  The middle
+holds the per-subdomain dof tables, loads and per-class assembly that
+the one template replaced.
 The last holds `DirectSolver`, the constrained solves through each
 class's own factor, `FlatResolvent`, the resolvent on the
 interface-major slot numbering through flat gathers and the sparse
@@ -43,8 +45,11 @@ from rr_hdiv.mesh import (
     UPPER,
     VERTICAL,
     build_unit_square_mesh,
+    triangle_cell,
+    triangle_edges,
+    triangle_id,
 )
-from rr_hdiv.partition import local_dofs
+from rr_hdiv.partition import template_edges
 
 # Two-point Gauss rule on [-1/2, 1/2], exact for cubics along an edge.
 GAUSS2_T = np.array([-0.5, 0.5]) / np.sqrt(3.0)
@@ -284,9 +289,30 @@ def divergence(mesh, u):
     return np.einsum("tk,tk->t", u[ref.tri_edges], div[ref.tri_shape])
 
 
+def per_triangle_matrices(mesh, tri_ids=None):
+    """The element matrices of triangles `tri_ids` (default: all), each
+    (nt, 3, 3): `fem.element_matrices`' pair gathered by shape."""
+    if tri_ids is None:
+        tri_ids = np.arange(mesh.n_triangles)
+    shape = triangle_cell(mesh.m, np.asarray(tri_ids))[1]
+    divdiv, mass = fem.element_matrices(mesh)
+    return divdiv[shape], mass[shape]
+
+
+def scatter_sum(elem, dofs, n):
+    """The n x n COO sum of the element matrices elem (nt, 3, 3), entry
+    (i, j) of triangle t at (dofs[t, i], dofs[t, j]), dropping entries on
+    a dof < 0, as canonical CSR."""
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (elem.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+
+
 def l2_distance(mesh, u, v):
     """L2 norm of the difference of two discrete fields."""
-    _, mass = fem.element_matrices(mesh)
+    _, mass = per_triangle_matrices(mesh)
     d = (u - v)[sorted_mesh(mesh.m).tri_edges]
     return float(np.sqrt(np.einsum("tij,ti,tj->", mass, d, d)))
 
@@ -302,7 +328,7 @@ def direct_errors(m, case=None):
 def robin_matrix(cls):
     """Class `cls`'s own Robin matrix: the template's principal submatrix
     on the class's kept dofs plus the Robin term."""
-    diag = np.zeros(cls.n_local)
+    diag = np.zeros(cls.keep.size)
     diag[cls.n_interior:] = cls.template.gamma * cls.template.h
     return local_solver._plus_diagonal(cls.template.A[cls.keep][:, cls.keep], diag)
 
@@ -320,7 +346,7 @@ def subdomain_robin_matrix(problem, s):
     loc_of_edge = np.full(mesh.n_edges, -1)
     loc_of_edge[local_edges] = np.arange(local_edges.size)
     tris = np.flatnonzero(triangle_subdomains(mesh, part.N) == s)
-    divdiv, mass = fem.element_matrices(mesh, tris)
+    divdiv, mass = per_triangle_matrices(mesh, tris)
     elem = divdiv + problem.config.beta * mass
     dofs = loc_of_edge[sorted_mesh(mesh.m).tri_edges[tris]]
     rows = np.repeat(dofs, 3, axis=1).ravel()
@@ -343,7 +369,7 @@ def subdomain_load(problem, s):
 
 
 def per_class_loads(classes, loads):
-    """The `local_solver.LocalLoads` of every class as an (n_local, k)
+    """The `local_solver.LocalLoads` of every class as an (nI + n_own, k)
     matrix whose column i is member i's load in local dof order."""
     return [np.concatenate([loads.f_I[:, cls.members], cls.trace_block(loads.f_G).T])
             for cls in classes]
@@ -428,18 +454,25 @@ def relaxed_step(problem, g, theta):
 
 
 def per_subdomain_local_dofs(part):
-    """Every subdomain's local dof table, from the template of
-    `partition.local_dofs` mapped through each subdomain's kept dofs.
+    """Every subdomain's local dof table, from `partition.template_edges`
+    moved to each subdomain and mapped through its kept dofs.
 
     Returns (tri_ids, starts, loc): subdomain s = J*N + I's triangles
-    tri_ids[starts[s]:starts[s+1]] are the template's moved by (rI, rJ)
+    tri_ids[starts[s]:starts[s+1]] are the r x r block's at the origin,
+    in the mesh's (cell row, shape, cell column) order, moved by (rI, rJ)
     cells, and loc holds the local dof of each of their edges in s's own
     order [interior_of(s), slots_of(s)], -1 on the domain boundary.
     """
-    tri_ids, loc = local_dofs(part)
     N, m = part.N, part.mesh.m
     r = m // N
-    n_interior = loc.max() + 1 - 4 * r
+    edges = template_edges(r)
+    # The template holds every edge of the r-mesh: at[e] is edge e's dof.
+    at = np.empty(edges.size, dtype=np.int64)
+    at[edges] = np.arange(edges.size)
+    cells = np.ogrid[:r, :2, :r]
+    tri_ids = triangle_id(m, *cells).ravel()
+    loc = at[triangle_edges(r, *cells)].reshape(-1, 3)
+    n_interior = edges.size - 4 * r
     J, I = np.divmod(np.arange(N * N), N)
     present = np.stack([J > 0, I > 0, I < N - 1, J < N - 1], axis=1)
     # Side d of s, if s keeps it, is its own side number rank[s, d].
@@ -464,7 +497,7 @@ def per_member_local_loads(classes, part, field):
     contrib = per_triangle_loads(part.mesh.m, field)
     loads = []
     for cls in classes:
-        k, n = cls.members.size, cls.n_local
+        k, n = cls.members.size, cls.keep.size
         size = starts[cls.members[0] + 1] - starts[cls.members[0]]
         rows = starts[cls.members][:, None] + np.arange(size)
         cls_loc = loc[rows[0]]
@@ -494,9 +527,9 @@ def per_class_assembly(problem):
     own = []
     for cls in classes:
         block = slice(starts[cls.members[0]], starts[cls.members[0] + 1])
-        divdiv, mass = fem.element_matrices(mesh, tri_ids[block])
-        own.append(fem.assemble_matrix(divdiv + problem.config.beta * mass,
-                                       loc[block], cls.n_local))
+        divdiv, mass = per_triangle_matrices(mesh, tri_ids[block])
+        own.append(scatter_sum(divdiv + problem.config.beta * mass,
+                               loc[block], cls.keep.size))
     nI, r = classes[0].n_interior, mesh.m // part.N
     lu = local_solver._factor(own[0][:nI, :nI], 0.0, "reference A_II")
     W = np.zeros((nI, 4 * r))
@@ -538,7 +571,7 @@ class DirectSolver:
         for cls in classes:
             k, n_own = cls.slots.shape
             lu = local_solver._factor(robin_matrix(cls), 0.0, "reference factor")
-            E = np.zeros((cls.n_local, n_own))
+            E = np.zeros((cls.keep.size, n_own))
             E[cls.n_interior:] = np.eye(n_own)
             X = lu.solve(E) if n_own else E
             self._lu.append(lu)
@@ -560,7 +593,7 @@ class DirectSolver:
         and the trace vector of those solves."""
         x, w = [], np.zeros(self.n_slots)
         for c, (cls, lu) in enumerate(zip(self.classes, self._lu)):
-            rhs = np.zeros((cls.n_local, cls.members.size))
+            rhs = np.zeros((cls.keep.size, cls.members.size))
             rhs[cls.n_interior:] = trace_rhs[cls.slots.T]
             if loads is not None:
                 rhs += loads[c]
@@ -724,7 +757,7 @@ def symmetry_maps(part, sub):
     +1 where the image of i's edge normal is that edge's normal and -1
     where it is its negative: the half-turn negates every normal, the
     reflection those of the diagonals.  Only the two subdomains' own dofs
-    are read, so the cost is O(n_local log n_local) per element.  Raises
+    are read, so the cost is O(n log n) per element, n local dofs.  Raises
     AssertionError unless each map is a bijection that keeps interior dofs
     interior and normals on normals.
     """

@@ -155,8 +155,8 @@ def test_spectrum_grid_propagates_other_errors(tmp_path, monkeypatch):
     """No spectrum error is skipped: with every assembled matrix negated,
     the Robin matrices' refusal propagates out of run_spectrum, which
     writes no summary, and out of main, which returns no status."""
-    assemble = fem.assemble_matrix
-    monkeypatch.setattr(fem, "assemble_matrix", lambda *args: -assemble(*args))
+    assemble = fem.assemble
+    monkeypatch.setattr(fem, "assemble", lambda *args: -assemble(*args))
     cfg = cli.ExperimentConfig(experiment="spectrum", rows=(4,),
                                out_dir=str(tmp_path / "grid"))
     not_spd = "^subdomain 5: Robin matrix not positive definite"

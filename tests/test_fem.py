@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from helpers import (
     direct_errors,
@@ -13,6 +12,8 @@ from helpers import (
     l2_distance,
     orientation_rows,
     per_triangle_loads,
+    per_triangle_matrices,
+    scatter_sum,
     sorted_mesh,
 )
 from rr_hdiv import fem
@@ -70,27 +71,13 @@ def test_reference_element_mass_against_quadrature():
 
 
 def test_divdiv_rank_one_on_real_mesh(mesh8):
-    divdiv, mass = fem.element_matrices(mesh8)
+    divdiv, mass = per_triangle_matrices(mesh8)
     ref = sorted_mesh(mesh8.m)
     d = ref.tri_signs * ref.edge_len[ref.tri_edges]
     expected = d[:, :, None] * d[:, None, :] / ref.tri_area[:, None, None]
     np.testing.assert_allclose(divdiv, expected, atol=1e-12)
     for t in (0, 17, 93):
         assert np.all(np.linalg.eigvalsh(mass[t]) > 0)
-
-
-def test_element_matrices_rejects_ids_out_of_range(mesh8):
-    """Ids below 0 or from n_triangles on are refused, not wrapped round
-    or read past the mesh; the ids at both ends are accepted."""
-    n = mesh8.n_triangles
-    for bad in ([-1], [0, n], [n + 7]):
-        with pytest.raises(ValueError, match=rf"triangle ids must lie in \[0, {n}\)"):
-            fem.element_matrices(mesh8, bad)
-    divdiv, mass = fem.element_matrices(mesh8)
-    ends, ends_mass = fem.element_matrices(mesh8, [0, n - 1])
-    np.testing.assert_array_equal(ends, divdiv[[0, n - 1]])
-    np.testing.assert_array_equal(ends_mass, mass[[0, n - 1]])
-    assert fem.element_matrices(mesh8, np.zeros(0, dtype=int))[0].shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("m", [1, 5, 6, 24])
@@ -183,11 +170,14 @@ def test_assemble_global_rejects_bad_beta(case, beta):
 
 @pytest.mark.parametrize("m", [3, 6, 8])
 def test_element_matrices_one_pair_per_shape(m):
-    """Congruent triangles get bitwise equal element matrices, and the
-    mass matrices are symmetric bitwise, including on meshes whose
-    vertex coordinates are not dyadic."""
+    """One pair per shape, LOWER then UPPER, so congruent triangles get
+    bitwise equal element matrices; the two pairs differ, and the mass
+    matrices are symmetric bitwise, including on meshes whose vertex
+    coordinates are not dyadic."""
     mesh = build_unit_square_mesh(m)
-    divdiv, mass = fem.element_matrices(mesh)
+    shapes = fem.element_matrices(mesh)
+    assert [a.shape for a in shapes] == [(2, 3, 3), (2, 3, 3)]
+    divdiv, mass = per_triangle_matrices(mesh)
     pairs = np.concatenate([divdiv, mass], axis=1).reshape(mesh.n_triangles, -1)
     assert np.unique(pairs.view(np.uint64), axis=0).shape[0] == 2
     np.testing.assert_array_equal(mass, mass.transpose(0, 2, 1))
@@ -196,9 +186,11 @@ def test_element_matrices_one_pair_per_shape(m):
 @pytest.mark.parametrize("m", [4, 8, 32])
 def test_free_dof_count(m, case):
     system = fem.assemble_global(build_unit_square_mesh(m), 1.0, case.load)
-    assert system.n_free == 3 * m * m + 2 * m - 4 * m
+    n_free = system.free_edges.size
+    assert n_free == 3 * m * m + 2 * m - 4 * m
+    assert system.A.shape == (n_free, n_free) and system.load.shape == (n_free,)
     if m == 32:
-        assert system.n_free == 3008
+        assert n_free == 3008
 
 
 def test_global_matrix_spd(case):
@@ -215,15 +207,12 @@ def test_coercivity_dominates_mass(case, rng):
     beta = 1.0
     mesh = build_unit_square_mesh(4)
     system = fem.assemble_global(mesh, beta, case.load)
-    divdiv, mass = fem.element_matrices(mesh)
+    _, mass = per_triangle_matrices(mesh)
     n = mesh.n_edges
-    tri_edges = sorted_mesh(mesh.m).tri_edges
-    rows = np.repeat(tri_edges, 3, axis=1).ravel()
-    cols = np.tile(tri_edges, (1, 3)).ravel()
-    M = sp.coo_matrix((mass.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = scatter_sum(mass, sorted_mesh(mesh.m).tri_edges, n)
     for _ in range(5):
         w = np.zeros(n)
-        w[system.free_edges] = rng.standard_normal(system.n_free)
+        w[system.free_edges] = rng.standard_normal(system.free_edges.size)
         wf = w[system.free_edges]
         energy = wf @ (system.A @ wf)
         assert energy >= beta * (w @ (M @ w)) - 1e-12
@@ -237,14 +226,12 @@ def test_assemble_global_matches_scatter_reference(case, m):
     (`per_triangle_loads`)."""
     mesh = build_unit_square_mesh(m)
     system = fem.assemble_global(mesh, 2.0, case.load)
-    divdiv, mass = fem.element_matrices(mesh)
-    dofs = system.edge_to_free[sorted_mesh(m).tri_edges]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    n = system.n_free
-    A = sp.coo_matrix(((divdiv + 2.0 * mass).ravel()[keep],
-                       (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    divdiv, mass = per_triangle_matrices(mesh)
+    n = system.free_edges.size
+    edge_to_free = np.full(mesh.n_edges, -1)
+    edge_to_free[system.free_edges] = np.arange(n)
+    dofs = edge_to_free[sorted_mesh(m).tri_edges]
+    A = scatter_sum(divdiv + 2.0 * mass, dofs, n)
     load = np.zeros(n)
     free = dofs >= 0
     np.add.at(load, dofs[free], per_triangle_loads(m, case.load)[free])

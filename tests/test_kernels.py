@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from helpers import edge_load_rows, interpolate, per_triangle_loads, sorted_mesh, tri_coords
+from helpers import (
+    edge_load_rows,
+    interpolate,
+    per_triangle_loads,
+    per_triangle_matrices,
+    sorted_mesh,
+    tri_coords,
+)
 from rr_hdiv import _kernels as K
 from rr_hdiv import fem
 from rr_hdiv.mesh import build_unit_square_mesh
@@ -106,9 +113,10 @@ def _mesh_arrays(m=5):
 
 
 def test_element_matrices_backends_agree():
-    """`fem.element_matrices`, from the per-shape degree-4 tables, against
-    the midpoint loop over every triangle's own vertices."""
-    dd_fem, m_fem = fem.element_matrices(build_unit_square_mesh(5))
+    """`fem.element_matrices`, from the per-shape degree-4 tables and
+    gathered by shape, against the midpoint loop over every triangle's own
+    vertices."""
+    dd_fem, m_fem = per_triangle_matrices(build_unit_square_mesh(5))
     dd_lp, m_lp = _element_matrices_loops(*_mesh_arrays(5))
     np.testing.assert_allclose(dd_lp, dd_fem, rtol=0, atol=1e-14)
     np.testing.assert_allclose(m_lp, m_fem, rtol=0, atol=1e-16)
@@ -214,7 +222,7 @@ def test_assembly_identical_across_backends(case):
     mesh = build_unit_square_mesh(6)
     sys_act = fem.assemble_global(mesh, 1.0, case.load)
     dd_lp, m_lp = _element_matrices_loops(*_mesh_arrays(6))
-    dd_act, m_act = fem.element_matrices(mesh)
+    dd_act, m_act = per_triangle_matrices(mesh)
     np.testing.assert_allclose(dd_act, dd_lp, rtol=0, atol=1e-14)
     np.testing.assert_allclose(m_act, m_lp, rtol=0, atol=1e-16)
     assert np.isfinite(sys_act.load).all()

@@ -69,7 +69,7 @@ def test_interface_mass_and_block_sizes(problem_n4):
     assert sizes == [16, 16, 16, 16, 24, 24, 24, 24, 32]
     for cls in problem_n4.classes:
         assert cls.template.h == problem_n4.mesh.h
-        assert cls.n_local == cls.n_interior + cls.slots.shape[1]
+        assert cls.keep.size == cls.n_interior + cls.slots.shape[1]
 
 
 def test_robin_matrix_spd(small_problem):
@@ -231,10 +231,28 @@ def test_single_subdomain_equals_global(case, mesh8, oracle8):
     interior = part.interior[0]
     order = np.argsort(interior)
     assert np.array_equal(np.sort(interior), free)
-    np.testing.assert_allclose(H[np.ix_(order, order)], A, atol=1e-14)
+    np.testing.assert_array_equal(H[np.ix_(order, order)], A)
     solver = local_solver.ConstrainedRobinSolver(classes, sp.csr_matrix((0, 0)))
     u_int, _, _ = solver.solve(solver.condense(loads), np.zeros(0))
     np.testing.assert_allclose(u_int[:, 0], oracle8[interior], atol=1e-12)
+
+
+@pytest.mark.parametrize("N,r", [(1, 4), (2, 2), (3, 5), (6, 4), (4, 32)])
+def test_template_matches_global_on_every_interior(case, N, r):
+    """The two users of `fem.assemble` against each other: the template's
+    A_II is the oracle's global matrix on every subdomain's interior
+    edges, in the same sparsity pattern and bitwise, as every entry sums
+    the same one or two element terms."""
+    mesh = build_unit_square_mesh(N * r)
+    part = partition(mesh, N)
+    A_II = local_solver.build_local_systems(part, case.beta, mesh.h)[0].template.A_II
+    system = fem.assemble_global(mesh, case.beta, case.load)
+    at = np.searchsorted(system.free_edges, part.interior)
+    assert np.array_equal(system.free_edges[at], part.interior)
+    for s in range(N * N):
+        A_s = system.A[at[s]][:, at[s]]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A_s, name), getattr(A_II, name)), (s, name)
 
 
 def test_local_loads_match_global(problem_n4, case):
@@ -342,16 +360,16 @@ def test_shared_interior_factor_solves_every_class(problem_n4, rng):
 
 
 def test_dof_table_built_once(case, monkeypatch):
-    """Setup derives the template dof table once, for the one template
-    matrix; the loads scatter without it."""
+    """Setup takes the template's edges (`partition.template_edges`) once,
+    for the one template matrix; the loads scatter without them."""
     calls = []
-    build = local_solver.local_dofs
+    build = local_solver.template_edges
 
     def spy(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(local_solver, "local_dofs", spy)
+    monkeypatch.setattr(local_solver, "template_edges", spy)
     iteration.build_problem(iteration.IterationConfig(N=3, ratio=4), case.load)
     assert len(calls) == 1
 
@@ -390,8 +408,8 @@ def test_inaccurate_schur_inverse_rejected(small_problem, monkeypatch):
 def test_indefinite_interior_block_refused(case, monkeypatch):
     """A negative definite A_II fails its sparse factorization, with the
     message of an indefinite Robin matrix of the first class."""
-    assemble = fem.assemble_matrix
-    monkeypatch.setattr(fem, "assemble_matrix", lambda *args: -assemble(*args))
+    assemble = fem.assemble
+    monkeypatch.setattr(fem, "assemble", lambda *args: -assemble(*args))
     with pytest.raises(ValueError, match="^subdomain 5: Robin matrix not "
                        "positive definite"):
         iteration.build_problem(iteration.IterationConfig(N=4, ratio=4), case.load)
@@ -527,7 +545,7 @@ def test_local_dofs_match_edge_lookup(problem_n4):
             np.testing.assert_array_equal(slots, part.slots_of(s))
             local_edges = np.concatenate([interior, part.trace.slot_edge[slots]])
             loc_of_edge = -np.ones(mesh.n_edges, dtype=np.int64)
-            loc_of_edge[local_edges] = np.arange(cls.n_local)
+            loc_of_edge[local_edges] = np.arange(cls.keep.size)
             tris = np.flatnonzero(tri_sub == s)
             block = slice(starts[s], starts[s + 1])
             np.testing.assert_array_equal(tri_ids[block], tris)
@@ -625,10 +643,10 @@ def test_wrong_reflection_sign_refused(case, monkeypatch):
 def test_solver_keeps_no_local_map(case):
     """After setup at N=4, r=32 the solver holds W (3008 x 128, shared by
     the classes), one Z and one dense Y per class and S: 3.68 MB by
-    tracemalloc, where a full n_local x n_own map per class held 19.1 MB
-    (3.76 MB with the sparse Y_trace and a flat slot index per class).
-    Bound: 5 MB.  No array that the solver or a class holds has a class's
-    n_local x n_own shape, and the integer arrays that the solver holds
+    tracemalloc, where a full (nI + n_own) x n_own map per class held
+    19.1 MB (3.76 MB with the sparse Y_trace and a flat slot index per
+    class).  Bound: 5 MB.  No array that the solver or a class holds has a
+    class's (nI + n_own) x n_own shape, and the integer arrays that the solver holds
     have fewer entries than the trace has slots (48 of 1536; the flat slot
     indices held all 1536): the class-major slots need no gather index."""
     problem = iteration.build_problem(iteration.IterationConfig(N=4, ratio=32), case.load)
@@ -640,7 +658,7 @@ def test_solver_keeps_no_local_map(case):
     finally:
         tracemalloc.stop()
     assert held <= 5e6
-    maps = {(cls.n_local, cls.slots.shape[1]) for cls in problem.classes}
+    maps = {(cls.keep.size, cls.slots.shape[1]) for cls in problem.classes}
     fields = [*vars(solver).values(),
               *(v for cls in problem.classes for v in vars(cls).values()),
               *(v for group in solver._groups for v in vars(group).values())]
@@ -851,9 +869,9 @@ def test_classes_match_per_class_assembly(case, N, r):
 @pytest.mark.parametrize("N", [1, 2, 6])
 def test_one_assembly_per_build(monkeypatch, N):
     """`build_local_systems` computes element matrices once and assembles
-    one matrix, the template, whatever N."""
+    one matrix, the template, by one `fem.assemble`, whatever N."""
     calls = []
-    for name in ("element_matrices", "assemble_matrix"):
+    for name in ("element_matrices", "assemble"):
         def counted(*args, _name=name, _call=getattr(fem, name)):
             calls.append(_name)
             return _call(*args)
@@ -861,19 +879,22 @@ def test_one_assembly_per_build(monkeypatch, N):
     mesh = build_unit_square_mesh(4 * N)
     classes = local_solver.build_local_systems(partition(mesh, N), 1.0, 0.25)
     assert len(classes) == min(N, 3) ** 2
-    assert sorted(calls) == ["assemble_matrix", "element_matrices"]
+    assert sorted(calls) == ["assemble", "element_matrices"]
 
 
 @pytest.fixture(scope="module")
 def problem_n6(case):
-    """N=6, r=4: m=24 is not a power of two, so congruent subdomains'
-    element matrices differ in round-off."""
+    """N=6, r=4: four-member edge classes and a 16-member interior class,
+    on a mesh, m=24, whose vertex coordinates are not dyadic."""
     return iteration.build_problem(iteration.IterationConfig(N=6, ratio=4), case.load)
 
 
 def test_class_matches_every_member(problem_n6):
-    """Each member's own Robin matrix and Robin-to-trace map, assembled
-    and solved independently, equal its class's."""
+    """Each member's own Robin matrix, assembled from its own triangles,
+    equals its class's exactly: every triangle of one shape has the same
+    element matrices, and each entry sums at most two of them.  Its
+    Robin-to-trace map, solved independently, equals the class's to
+    round-off."""
     assert sorted(c.members.size for c in problem_n6.classes) == [
         1, 1, 1, 1, 4, 4, 4, 4, 16
     ]
@@ -883,7 +904,7 @@ def test_class_matches_every_member(problem_n6):
         for s in cls.members:
             H, n_interior, _ = subdomain_robin_matrix(problem_n6, s)
             assert n_interior == nI
-            assert np.abs(H - H_class).max() <= 1e-13 * np.abs(H_class).max()
+            np.testing.assert_array_equal(H, H_class)
             E = np.zeros((H.shape[0], H.shape[0] - nI))
             E[nI:] = np.eye(H.shape[0] - nI)
             Z_own = np.linalg.solve(H, E)[nI:]

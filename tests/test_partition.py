@@ -19,13 +19,13 @@ from helpers import (
     tri_coords,
     triangle_subdomains,
 )
-from rr_hdiv import local_solver
+from rr_hdiv import fem, local_solver
 from rr_hdiv import partition as partition_module
 from rr_hdiv.mesh import DIAGONAL, HORIZONTAL, VERTICAL, build_unit_square_mesh
 from rr_hdiv.partition import (
     build_constraint,
-    local_dofs,
     partition,
+    template_edges,
     template_symmetry_maps,
 )
 
@@ -254,8 +254,9 @@ def test_interfaces_enumerated_by_position(part4, mesh32):
 
 
 def test_subdomain_triangle_map(part4, mesh32):
-    """Each subdomain's triangles in `local_dofs`' template, moved to it,
-    are those whose centroids lie in its square."""
+    """Each subdomain's triangles, the template's r x r block of cells
+    moved to it (`per_subdomain_local_dofs`), are those whose centroids
+    lie in its square."""
     N = part4.N
     cents = tri_coords(mesh32).mean(axis=1)
     cell = np.floor(cents * N).astype(int)
@@ -593,8 +594,9 @@ def test_partition_matches_unique_reference(m, N):
 
 @pytest.mark.parametrize("m,N", REFERENCE_GRID)
 def test_local_dofs_match_sort_reference(m, N):
-    """The template of `local_dofs`, mapped through each subdomain's kept
-    dofs, is every subdomain's table by sorting and ranking."""
+    """The template of `template_edges`, moved to each subdomain and
+    mapped through its kept dofs, is every subdomain's table by sorting
+    and ranking."""
     mesh = build_unit_square_mesh(m)
     expect = _reference_local_dofs(mesh, *_reference_partition(mesh, N)[:4])
     got_tables = per_subdomain_local_dofs(partition(mesh, N))
@@ -604,20 +606,22 @@ def test_local_dofs_match_sort_reference(m, N):
 
 
 def test_local_dofs_reads_subdomain_zero_only():
-    """`local_dofs` works on subdomain 0's interior edges, sides and 2r^2
-    triangles alone.  At N=64, r=8 its tracemalloc peak is 19 KB, where a
-    check of every subdomain's triangles against the template peaked at
-    44 MB (177 MB at N=128).  Bound: 1 MB."""
-    part = partition(build_unit_square_mesh(512), 64)
+    """The template's edges (`template_edges`) and its matrix
+    (`fem.assemble` of the r x r block) are made from r alone, whatever
+    N.  At N=64, r=8 their tracemalloc peak is 88 KB, where a check of
+    every subdomain's triangles against the template peaked at 44 MB
+    (177 MB at N=128).  Bound: 1 MB."""
+    mesh = build_unit_square_mesh(512)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tri_ids, loc = local_dofs(part)
+        edges = template_edges(8)
+        A = fem.assemble(mesh, 1.0, 8, edges)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert tri_ids.size == 2 * 8 * 8 and loc.shape == (tri_ids.size, 3)
+    assert A.shape == (edges.size, edges.size) == (3 * 8 * 8 + 2 * 8,) * 2
 
 
 # The index arithmetic of `partition` against the reference mesh's tables,
